@@ -10,7 +10,6 @@ import argparse
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -68,6 +67,9 @@ def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Op
         raise CliError(f"{path}: malformed task file ({exc})") from exc
     if not examples:
         raise CliError(f"{path}: task has no examples")
+    strings = [s for e in examples for s in e] + list(literals)
+    if not all(isinstance(s, str) for s in strings):
+        raise CliError(f"{path}: example inputs, outputs and literals must be strings")
     task = SynthesisTask(
         examples=examples,
         max_ast_size=max_ast_size,
@@ -95,9 +97,13 @@ def load_bundle(path: Path) -> tuple[list[PredicateTemplate], TransformerTable, 
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    templates = [template_from_text(t) for t in obj["templates"]]
-    table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"])
-    return templates, table, obj.get("provenance", {})
+    try:
+        templates = [template_from_text(t) for t in obj["templates"]]
+        table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"])
+        provenance = obj.get("provenance", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: malformed bundle ({exc})") from exc
+    return templates, table, provenance
 
 
 def run_log_entry(name: str, result, program_text: Optional[str]) -> dict:
@@ -285,14 +291,24 @@ def cmd_dump_itp(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="atlas", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-size", type=int, default=14, help="maximum AST size")
-        p.add_argument("--max-candidates", type=int, default=200_000)
+        p.add_argument("--max-size", type=_positive_int, default=14, help="maximum AST size")
+        p.add_argument("--max-candidates", type=_positive_int, default=200_000)
         p.add_argument("--timeout-ms", type=int, default=60_000)
 
     p_train = sub.add_parser("train", help="learn an abstraction bundle from task files")

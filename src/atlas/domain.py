@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class TemplateKind(str, Enum):
@@ -270,24 +270,6 @@ def meet(a: StateLike, b: StateLike) -> StateLike:
     if _contradicts(merged):
         return BOTTOM
     return AbstractValue(merged)
-
-
-def meet_all(values: Iterable[StateLike]) -> StateLike:
-    out: StateLike = AbstractValue.top()
-    for v in values:
-        out = meet(out, v)
-        if out is BOTTOM:
-            return BOTTOM
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Template extraction
-
-
-def make_symbolic(p: ConcretePredicate) -> PredicateTemplate:
-    """Forget the integer arguments, keeping the template."""
-    return p.template
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Starting from the trivial domain, each training problem is attempted with
 the current abstraction; a spurious result is interpolated into new
-predicate templates, the transformer table is rebuilt, and the problem is
-retried.  The loop per problem ends on a correct program (or a null result
-from the synthesizer), with an iteration cap guarding against non-progress.
+predicate templates, the transformer table for concat (the only construct
+whose abstract semantics the synthesizer looks up) is rebuilt, and the
+problem is retried.  The loop per problem ends on a correct program (or a
+null result from the synthesizer), with an iteration cap guarding against
+non-progress.
 """
 
 from __future__ import annotations
@@ -14,16 +16,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .domain import ConstantPool, PredicateTemplate, TOP
-from .dsl import Program, print_program
+from .dsl import Program
 from .interpolation import learn_abstract_domain
-from .synthesizer import SynthesisTask, Synthesizer, is_correct
+from .synthesizer import SynthesisTask, Synthesizer, satisfies
 from .transformers import (
-    Construct,
     LearnConfig,
     SamplingOracle,
     TransformerTable,
     concat_construct,
-    const_construct,
     learn_transformers,
     top_table,
 )
@@ -83,20 +83,6 @@ class TrainingRun:
         return not self.diagnostics
 
 
-def training_constructs(tasks: list[tuple[str, SynthesisTask]]) -> list[Construct]:
-    """Concat plus one nullary construct per constant literal in scope."""
-    literals: set[str] = set()
-    for _, task in tasks:
-        for out in task.outputs:
-            for i in range(len(out)):
-                for j in range(i + 1, min(i + 6, len(out)) + 1):
-                    literals.add(out[i:j])
-        literals.update(task.literals)
-    constructs = [concat_construct()]
-    constructs.extend(const_construct(s) for s in sorted(literals))
-    return constructs
-
-
 def corpus_alphabet(tasks: list[tuple[str, SynthesisTask]]) -> str:
     chars = set()
     for _, task in tasks:
@@ -110,7 +96,7 @@ def learn_abstractions(
     cfg: TrainConfig,
 ) -> TrainingRun:
     """Run the full training loop over the given problems in order."""
-    constructs = training_constructs(problems)
+    constructs = [concat_construct()]
     alphabet = corpus_alphabet(problems)
     oracle = SamplingOracle(cfg.seed, alphabet)
     learn_pool = ConstantPool.default(
@@ -143,14 +129,8 @@ def learn_abstractions(
                 diagnostics.append(f"InfeasibleProblem on {name}: synthesizer returned null ({result.reason})")
                 break
 
-            correct = is_correct(result.program, task)
-            violated = None
-            if not correct:
-                violated = next(
-                    (ex for ex in task.examples if not _satisfies(result.program, ex)), None
-                )
-            added: list[PredicateTemplate] = []
-            if correct:
+            violated = next((ex for ex in task.examples if not satisfies(result.program, ex)), None)
+            if violated is None:
                 history.append(
                     IterationRecord(
                         name, iteration, result.program, True, None, [], len(table),
@@ -182,12 +162,3 @@ def learn_abstractions(
 
     return TrainingRun(templates=templates, table=table, history=history, reports=reports, diagnostics=diagnostics)
 
-
-def _satisfies(p: Program, example: tuple[str, str]) -> bool:
-    from .dsl import EvalError, evaluate
-
-    e_in, e_out = example
-    try:
-        return evaluate(p, e_in) == e_out
-    except EvalError:
-        return False

@@ -8,9 +8,9 @@ of ``substr``.  All values are immutable and evaluation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class Op(Enum):
@@ -237,8 +237,9 @@ def exact_facts(op: Op, child_facts: list, literal=None) -> FactSet:
 
 # ---------------------------------------------------------------------------
 # Ranking.  Programs are totally ordered by AST size, ties broken by a
-# deterministic lexicographic key on (operator, literal, children keys).
-# The key order equals the enumerator's generation order.
+# deterministic lexicographic key on (operator, literal, children keys),
+# where each child is keyed by its size first.  The key order equals the
+# enumerator's generation order, which goes by left-child size.
 
 
 def _literal_key(node: AstNode):
@@ -252,23 +253,12 @@ def _literal_key(node: AstNode):
 
 
 def _struct_key(node: AstNode):
-    return (_OP_ORDER[node.op], _literal_key(node), tuple(_struct_key(c) for c in node.children))
+    return (_OP_ORDER[node.op], _literal_key(node), tuple((c.size, _struct_key(c)) for c in node.children))
 
 
 def rank_key(p: Union[Program, AstNode]) -> tuple:
     node = p.root if isinstance(p, Program) else p
     return (node.size, _struct_key(node))
-
-
-@dataclass(frozen=True, order=True)
-class Rank:
-    """Totally ordered rank of a program; injective on distinct ASTs."""
-
-    key: tuple = field(compare=True)
-
-
-def rank(p: Union[Program, AstNode]) -> Rank:
-    return Rank(rank_key(p))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +379,3 @@ def parse_program(text: str) -> Program:
     if not well_typed(node) or node.op not in _STRING_OPS:
         raise parser.error("program is not a well-typed string expression")
     return Program(node)
-
-
-def iter_nodes(node: AstNode) -> Iterator[AstNode]:
-    yield node
-    for c in node.children:
-        yield from iter_nodes(c)

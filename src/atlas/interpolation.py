@@ -33,7 +33,6 @@ from .domain import (
     gamma_contains,
     len_eq,
     len_neq,
-    make_symbolic,
 )
 
 
@@ -303,7 +302,7 @@ def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[Pr
             a = itp.at(node.uid)
             if a is True or a is False:
                 continue
-            out.add(make_symbolic(a))
+            out.add(a.template)  # forget the integer constants
     return out
 
 

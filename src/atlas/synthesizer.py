@@ -14,8 +14,7 @@ expected output lies in the concretization of its state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -31,7 +30,7 @@ from .domain import (
     best_abstraction,
     gamma_contains,
 )
-from .transformers import TransformerTable, apply_affine
+from .transformers import TransformerTable, apply_affine, instantiate_output
 
 
 @dataclass(frozen=True)
@@ -55,31 +54,21 @@ class SynthesisTask:
         return tuple(e[1] for e in self.examples)
 
 
+def satisfies(p: Program, example: tuple[str, str]) -> bool:
+    """True iff ``p`` runs on the example's input and returns its output."""
+    e_in, e_out = example
+    try:
+        return dsl.evaluate(p, e_in) == e_out
+    except EvalError:
+        return False
+
+
 def is_correct(p: Program, task: SynthesisTask) -> bool:
-    for e_in, e_out in task.examples:
-        try:
-            if dsl.evaluate(p, e_in) != e_out:
-                return False
-        except EvalError:
-            return False
-    return True
+    return all(satisfies(p, ex) for ex in task.examples)
 
 
 # ---------------------------------------------------------------------------
 # Transformer application
-
-
-def _instantiate(template: PredicateTemplate, args):
-    ints = []
-    for v in args:
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                return None
-            v = int(v)
-        ints.append(v)
-    if template.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ) and ints[0] < 0:
-        return None
-    return template.instantiate(tuple(ints))
 
 
 @lru_cache(maxsize=4096)
@@ -142,7 +131,7 @@ def apply_transformer(table: TransformerTable, op: str, arg_states: tuple[StateL
             vec = [v for args in sel for v in args]
             vec.append(1)
             for chi, matrix in transformer.outputs:
-                pred = _instantiate(chi, apply_affine(matrix, vec))
+                pred = instantiate_output(chi, apply_affine(matrix, vec))
                 if pred is not None:
                     derived.add(pred)
 

@@ -1,19 +1,24 @@
-"""Data-driven synthesis of sound affine abstract transformers.
+"""Data-driven synthesis of sound affine abstract transformers for ``concat``.
 
-For every DSL construct and tuple of input predicate templates, we sample
-concrete runs of the construct, abstract the sampled values into concrete
-predicate rows, solve an exact rational linear system for the affine maps
-relating input constants to output constants, and keep a candidate only if
-a refutation-by-sampling validity oracle fails to find a counterexample.
+For every tuple of input predicate templates, we sample concrete runs of
+concat, abstract the sampled values into concrete predicate rows, solve
+the linear system relating input constants to output constants exactly
+over the rationals, and keep a solution only if it is integral and a
+refutation-by-sampling validity oracle fails to find a counterexample.
+Learned matrices are tuples of integer rows.
+
+Concat is the only construct learned: the synthesizer abstracts every
+closed subterm (the input, constants and substrings) straight from its
+value, so the table is read for concat alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .domain import (
@@ -34,38 +39,47 @@ class InsufficientRank(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra.  Matrices are tuples of tuples of Fractions.
+# Linear algebra.  Elimination is exact over the rationals; a learned
+# transformer matrix is a tuple of integer rows.
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def column_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    cols = len(work[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
+    return tuple(tuple(operator.index(x) for x in row) for row in rows)
+
+
+def _eliminate(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduction of ``rows`` on their first ``n_cols`` columns.
+
+    Returns the reduced rows (pivot rows first) and the pivot columns.
+    """
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][c]
-        work[rank] = [v / inv for v in work[rank]]
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        work[r] = [v / inv for v in work[r]]
         for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
+            if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
 
 
-def solve_linear(a_rows: Sequence[Sequence[Fraction]], b_rows: Sequence[Sequence[Fraction]]) -> Optional[Matrix]:
-    """Exact solution P with A P^T = B, or None if the system is inconsistent.
+def column_rank(rows: Sequence[Sequence]) -> int:
+    if not rows:
+        return 0
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def solve_linear(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+    """Exact rational solution P with A P^T = B, or None if the system is inconsistent.
 
     Underdetermined but consistent systems are solved with free variables
     fixed to zero; callers that need a unique answer must ensure A has full
@@ -74,25 +88,10 @@ def solve_linear(a_rows: Sequence[Sequence[Fraction]], b_rows: Sequence[Sequence
     if not a_rows:
         return None
     n_in = len(a_rows[0])
-    n_out = len(b_rows[0]) if b_rows[0:] else 0
+    n_out = len(b_rows[0]) if b_rows else 0
     # Reduce the augmented matrix [A | B] once.
-    work = [list(a) + list(b) for a, b in zip(a_rows, b_rows)]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(n_in):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][c]
-        work[rank] = [v / inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(c)
-        rank += 1
-    for row in work[rank:]:
+    work, pivots = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)], n_in)
+    for row in work[len(pivots):]:
         if any(v != 0 for v in row[n_in:]):
             return None  # 0 = nonzero: inconsistent
     solution = [[Fraction(0)] * n_in for _ in range(n_out)]
@@ -102,30 +101,22 @@ def solve_linear(a_rows: Sequence[Sequence[Fraction]], b_rows: Sequence[Sequence
     return tuple(tuple(row) for row in solution)
 
 
-def mat_apply(p: Matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
+    """Map the integer constants ``vec`` (ending in 1) through ``p``."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
 
 
-@lru_cache(maxsize=4096)
-def int_matrix(p: Matrix) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Integer view of a matrix, or None if any entry is fractional."""
-    if any(f.denominator != 1 for row in p for f in row):
+def instantiate_output(chi0: PredicateTemplate, args: tuple[int, ...]) -> Optional[ConcretePredicate]:
+    """``chi0`` filled with the constants an affine map predicted, or None
+    when they name a negative character index."""
+    if chi0.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ) and args[0] < 0:
         return None
-    return tuple(tuple(int(f) for f in row) for row in p)
-
-
-def apply_affine(p: Matrix, int_vec: Sequence[int]):
-    """Apply a coefficient matrix to integer constants, preferring int math."""
-    ints = int_matrix(p)
-    if ints is not None:
-        return tuple(sum(a * b for a, b in zip(row, int_vec)) for row in ints)
-    return mat_apply(p, [Fraction(v) for v in int_vec])
+    return chi0.instantiate(args)
 
 
 # ---------------------------------------------------------------------------
 # Constructs.  A construct is a concrete string operation with a fixed
-# number of string-typed arguments; literal parameters (constant strings)
-# are baked into the construct identity.
+# number of string-typed arguments.
 
 
 @dataclass(frozen=True)
@@ -140,10 +131,6 @@ class Construct:
 
 def concat_construct() -> Construct:
     return Construct("concat", 2, lambda a, b: a + b)
-
-
-def const_construct(s: str) -> Construct:
-    return Construct(f"const:{s}", 0, lambda: s)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +236,11 @@ class ExampleSet:
     def n_constants(self) -> int:
         return sum(t.holes for t in self.input_templates)
 
-    def matrix_a(self) -> list[list[Fraction]]:
-        out = []
-        for inputs, _ in self.rows:
-            vec = [Fraction(v) for p in inputs for v in p.args]
-            vec.append(Fraction(1))
-            out.append(vec)
-        return out
+    def matrix_a(self) -> list[list[int]]:
+        return [[v for p in inputs for v in p.args] + [1] for inputs, _ in self.rows]
 
-    def matrix_b(self) -> list[list[Fraction]]:
-        return [[Fraction(v) for v in p0.args] for _, p0 in self.rows]
+    def matrix_b(self) -> list[list[int]]:
+        return [list(p0.args) for _, p0 in self.rows]
 
     def full_rank(self) -> bool:
         return column_rank(self.matrix_a()) == self.n_constants + 1
@@ -309,9 +291,6 @@ def row_valid(
 ) -> bool:
     """Check the implication inputs & semantics => output by searching for a
     counterexample over conditioned samples."""
-    if construct.arity == 0:
-        return gamma_contains(output, construct.apply(()))
-
     # Deterministic sweep over small length combinations.
     grids = [_grid_lengths(p, cfg.grid_len_max) for p in inputs]
     combos: list[tuple[int, ...]] = [()]
@@ -460,19 +439,6 @@ def generate_examples(
 # Candidate validity (the final soundness gate for a learned affine map)
 
 
-def _instantiate_output(chi0: PredicateTemplate, args) -> Optional[ConcretePredicate]:
-    ints = []
-    for v in args:
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                return None
-            v = int(v)
-        ints.append(v)
-    if chi0.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ) and ints[0] < 0:
-        return None
-    return chi0.instantiate(tuple(ints))
-
-
 def _neq_fillings(pred_template: PredicateTemplate, s: str, pool: ConstantPool, turn: int) -> list[ConcretePredicate]:
     """Constant choices that keep an inequality template true of ``s``."""
     k = pred_template.kind
@@ -546,7 +512,7 @@ def check_valid(
         for sel in _strongest_inputs(chis, args, pool, turn):
             vec = [v for p in sel for v in p.args]
             vec.append(1)
-            predicted = _instantiate_output(chi0, apply_affine(p_matrix, vec))
+            predicted = instantiate_output(chi0, apply_affine(p_matrix, vec))
             if predicted is None:
                 return True
             if not gamma_contains(predicted, out_val):
@@ -554,14 +520,13 @@ def check_valid(
         return False
 
     # Deterministic length sweep first, then random draws.
-    if construct.arity > 0:
-        combos: list[tuple[int, ...]] = [()]
-        for _ in range(construct.arity):
-            combos = [c + (n,) for c in combos for n in range(cfg.grid_len_max + 1)]
-        for turn, combo in enumerate(combos[: cfg.grid_cap]):
-            args = tuple(oracle.draw_string(n) for n in combo)
-            if refuted_by(args, turn):
-                return False
+    combos: list[tuple[int, ...]] = [()]
+    for _ in range(construct.arity):
+        combos = [c + (n,) for c in combos for n in range(cfg.grid_len_max + 1)]
+    for turn, combo in enumerate(combos[: cfg.grid_cap]):
+        args = tuple(oracle.draw_string(n) for n in combo)
+        if refuted_by(args, turn):
+            return False
 
     for turn in range(cfg.validity_samples):
         args = tuple(oracle.draw_string() for _ in range(construct.arity))
@@ -666,9 +631,10 @@ def _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id):
         examples = generate_examples(construct, chi0, chis, slot_oracle, cfg, pool)
     except InsufficientRank:
         return None
-    p_matrix = solve_linear(examples.matrix_a(), examples.matrix_b())
-    if p_matrix is None:
+    solution = solve_linear(examples.matrix_a(), examples.matrix_b())
+    if solution is None or any(f.denominator != 1 for row in solution for f in row):
         return None
+    p_matrix = tuple(tuple(int(f) for f in row) for row in solution)
     if not check_valid(construct, chis, chi0, p_matrix, slot_oracle.child("validity"), cfg, pool):
         return None
     return (chi0, p_matrix)
@@ -679,11 +645,19 @@ def _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id):
 
 
 def matrix_to_obj(m: Matrix) -> list:
-    return [[[f.numerator, f.denominator] for f in row] for row in m]
+    """Entries are written as ``[numerator, denominator]`` pairs, always ``[n, 1]``."""
+    return [[[n, 1] for n in row] for row in m]
+
+
+def _matrix_entry(pair) -> int:
+    num, den = pair
+    if den != 1:
+        raise ValueError(f"matrix entry {pair!r} is not an integer")
+    return operator.index(num)
 
 
 def matrix_from_obj(obj: list) -> Matrix:
-    return tuple(tuple(Fraction(num, den) for num, den in row) for row in obj)
+    return tuple(tuple(_matrix_entry(pair) for pair in row) for row in obj)
 
 
 def transformer_to_obj(t: Transformer) -> dict:

@@ -1,9 +1,9 @@
 import pytest
 
 from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ
-from atlas.driver import TrainConfig, learn_abstractions, training_constructs, corpus_alphabet
+from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
-from atlas.transformers import LearnConfig, SamplingOracle, learn_transformers
+from atlas.transformers import LearnConfig, SamplingOracle, concat_construct, learn_transformers
 
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
@@ -29,7 +29,7 @@ def trained(training_problems):
 
 @pytest.fixture(scope="session")
 def learn_env(training_problems):
-    constructs = training_constructs(training_problems)
+    constructs = [concat_construct()]
     oracle = SamplingOracle(0, corpus_alphabet(training_problems))
     pool = ConstantPool.default(
         [s for _, t in training_problems for s in list(t.inputs) + list(t.outputs)]

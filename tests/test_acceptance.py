@@ -108,14 +108,7 @@ def test_criterion_4_interpolation_golden():
 def _fuzz_transformer(entry, rng, pool, trials):
     """Independent implication check: inputs & concrete run => outputs."""
     alphabet = "abz019.-\\"
-    if entry.op == "concat":
-        apply = lambda args: args[0] + args[1]
-        arity = 2
-    elif entry.op.startswith("const:"):
-        lit = entry.op[len("const:"):]
-        apply = lambda args: lit
-        arity = 0
-    else:
+    if entry.op != "concat":
         raise AssertionError(f"unknown construct {entry.op}")
 
     for _ in range(trials):
@@ -146,10 +139,10 @@ def _fuzz_transformer(entry, rng, pool, trials):
             args.append(s)
         if not ok:
             continue
-        out_val = apply(tuple(args))
+        out_val = args[0] + args[1]
         vec = constants + [1]
         for chi, matrix in entry.outputs:
-            predicted = tuple(sum(int(f) * v for f, v in zip(row, vec)) for row in matrix)
+            predicted = tuple(sum(f * v for f, v in zip(row, vec)) for row in matrix)
             pred = chi.instantiate(predicted)
             if not gamma_contains(pred, out_val):
                 return f"{entry.op}{tuple(t.kind.value for t in entry.inputs)} -> {pred} on {args!r}"

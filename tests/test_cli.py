@@ -34,6 +34,11 @@ class TestTrain:
             "(len = c)",
             "top",
         ]
+        # Concat is the only construct learned: one entry per pair of input templates.
+        assert len(bundle["transformers"]) == 25
+        assert {t["op"] for t in bundle["transformers"]} == {"concat"}
+        entries = [e for t in bundle["transformers"] for o in t["outputs"] for row in o["matrix"] for e in row]
+        assert entries and all(type(n) is int and d == 1 for n, d in entries)
 
     def test_training_on_e1_only(self, tmp_path):
         out = tmp_path / "o"
@@ -158,6 +163,30 @@ class TestExitCodes:
 
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == 3
+
+    def test_bundle_with_unknown_template_format_error(self, tmp_path):
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"templates": ["bogus"], "transformers": []}))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+
+    def test_bundle_with_fractional_matrix_entry_format_error(self, trained_dir, tmp_path):
+        obj = read(trained_dir / "bundle.json")
+        entry = next(t for t in obj["transformers"] if t["outputs"])
+        entry["outputs"][0]["matrix"][0][0] = [1, 2]
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps(obj))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+
+    def test_non_string_example_format_error(self, tmp_path):
+        task = tmp_path / "bad.json"
+        task.write_text(json.dumps({"examples": [{"input": 5, "output": "5!"}]}))
+        assert main(["synth", str(task), "--baseline-top"]) == 4
+
+    def test_negative_max_size_usage_error(self):
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-size", "-3"]) == 3
+
+    def test_zero_max_candidates_usage_error(self):
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-candidates", "0"]) == 3
 
 
 class TestDeterminism:

@@ -116,24 +116,33 @@ class TestRank:
         assert sorted(keys) == sorted(keys, reverse=True)[::-1]
 
     def test_matches_enumeration_order(self):
-        # Oracle: the synthesizer's generation stream is the ranking order.
+        # Oracle: the synthesizer's generation stream is the ranking order,
+        # both when every candidate is pooled and when only new values are
+        # (the run's dedup policy).  The second case runs past candidate
+        # 27,424, where a child key blind to child sizes first breaks the
+        # order (two size-7 concats whose left children differ in size).
         from atlas.domain import TOP
         from atlas.synthesizer import Synthesizer, SynthesisTask
         from atlas.transformers import top_table, concat_construct
 
-        task = SynthesisTask(examples=(("ab", "abab"),), max_candidates=100)
-        synth = Synthesizer(task, [TOP], top_table([concat_construct()]), use_embedding_filter=False)
-        gen = synth._candidates()
-        seen = []
-        keep = None
-        while len(seen) < 100:
-            try:
-                cand = gen.send(keep)
-            except StopIteration:
-                break
-            keep = True
-            seen.append(rank_key(cand.node))
-        assert seen == sorted(seen)
+        for example, limit, dedup in [(("ab", "abab"), 100, False), (("ab.c", "c-ab"), 40_000, True)]:
+            task = SynthesisTask(examples=(example,), max_candidates=limit)
+            synth = Synthesizer(task, [TOP], top_table([concat_construct()]), use_embedding_filter=False)
+            gen = synth._candidates()
+            values_seen = set()
+            previous = None
+            keep = None
+            for n in range(limit):
+                try:
+                    cand = gen.send(keep)
+                except StopIteration:
+                    break
+                keep = not dedup or cand.values not in values_seen
+                values_seen.add(cand.values)
+                key = rank_key(cand.node)
+                assert previous is None or previous < key, f"candidate {n + 1}: {print_program(Program(cand.node))}"
+                previous = key
+            assert n + 1 == limit
 
 
 # Bounded program generator for round-trip properties.

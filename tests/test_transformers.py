@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,6 @@ from atlas.transformers import (
     check_valid,
     column_rank,
     concat_construct,
-    const_construct,
     generate_examples,
     learn_transformers,
     solve_linear,
@@ -42,6 +42,33 @@ CFG = LearnConfig()
 
 def oracle(tag="t"):
     return SamplingOracle(0, "CAV2018510.-").child(tag)
+
+
+@st.composite
+def int_systems(draw):
+    """A small integer system (A, B); the narrow entry range makes rank deficiency common."""
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+
+    def matrix(cols):
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=m, max_size=m))
+
+    return matrix(n), matrix(k)
+
+
+def det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(len(m)))
+
+
+def rank_by_minors(m) -> int:
+    """Independent oracle: the order of the largest nonzero square minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if det([[m[i][j] for j in cols] for i in rows]) != 0:
+                    return k
+    return 0
 
 
 class TestSolveLinear:
@@ -80,6 +107,24 @@ class TestSolveLinear:
     def test_column_rank(self):
         assert column_rank(as_matrix([[3, 2, 1], [1, 4, 1], [6, 4, 1]])) == 3
         assert column_rank(as_matrix([[1, 1], [2, 2]])) == 1
+
+    @given(int_systems())
+    def test_column_rank_is_largest_nonzero_minor(self, system):
+        a, _ = system
+        assert column_rank(a) == rank_by_minors(a)
+
+    @given(int_systems())
+    def test_solve_linear_iff_consistent(self, system):
+        a, b = system
+        p = solve_linear(a, b)
+        augmented = [row_a + row_b for row_a, row_b in zip(a, b)]
+        if rank_by_minors(a) < rank_by_minors(augmented):  # Rouche-Capelli: inconsistent
+            assert p is None
+        else:
+            assert p is not None
+            for row_a, row_b in zip(a, b):
+                assert [sum(x * y for x, y in zip(row_a, row_p)) for row_p in p] == row_b
+
 
 
 class TestSamplingOracle:
@@ -170,12 +215,6 @@ class TestLearnTransformers:
             (TemplateKind.LEN_NEQ, TemplateKind.LEN_NEQ),
         ]:
             assert table_a1.lookup("concat", kinds).outputs == ()
-
-    def test_const_constant_function(self, learn_env):
-        constructs, oracle_, pool = learn_env
-        table = learn_transformers([const_construct("2018")], [TOP, LEN_EQ], oracle_, CFG, pool)
-        t = table.lookup("const:2018", ())
-        assert {(chi.kind, m) for chi, m in t.outputs} == {(TemplateKind.LEN_EQ, as_matrix([[4]]))}
 
     def test_char_domain_has_shift_row(self, table_a2):
         t = table_a2.lookup("concat", (TemplateKind.LEN_EQ, TemplateKind.CHAR_EQ))
