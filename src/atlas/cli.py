@@ -19,12 +19,7 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import (
-    LearnConfig,
-    TransformerTable,
-    transformer_from_obj,
-    transformer_to_obj,
-)
+from .transformers import TransformerTable, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -128,7 +123,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
         max_ast_size=args.max_size,
         max_candidates=args.max_candidates,
-        learn=LearnConfig(validity_samples=args.validity_samples),
     )
     problems = [
         load_task(Path(p), cfg.max_ast_size, cfg.max_candidates, args.timeout_ms) for p in args.tasks
@@ -309,13 +303,12 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--max-size", type=_positive_int, default=14, help="maximum AST size")
         p.add_argument("--max-candidates", type=_positive_int, default=200_000)
-        p.add_argument("--timeout-ms", type=int, default=60_000)
+        p.add_argument("--timeout-ms", type=_positive_int, default=60_000)
 
     p_train = sub.add_parser("train", help="learn an abstraction bundle from task files")
     p_train.add_argument("tasks", nargs="*")
     p_train.add_argument("-o", "--output", required=True)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--validity-samples", type=int, default=2000)
     common(p_train)
     p_train.set_defaults(fn=cmd_train)
 

@@ -1,11 +1,13 @@
 """Data-driven synthesis of sound affine abstract transformers for ``concat``.
 
 For every tuple of input predicate templates, we sample concrete runs of
-concat, abstract the sampled values into concrete predicate rows, solve
-the linear system relating input constants to output constants exactly
-over the rationals, and keep a solution only if it is integral and a
-refutation-by-sampling validity oracle fails to find a counterexample.
-Learned matrices are tuples of integer rows.
+concat, abstract the sampled values into concrete predicate rows, keep the
+rows that are valid implications, solve the linear system relating input
+constants to output constants exactly over the rationals, and keep a
+solution only if it is integral and survives the validity check.  Both
+the row check and the validity check decide implications between
+predicates exactly, by a small-model counterexample search; no sampling
+is involved.  Learned matrices are tuples of integer rows.
 
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
@@ -19,6 +21,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .domain import (
@@ -27,8 +30,6 @@ from .domain import (
     PredicateTemplate,
     TemplateKind,
     abstract,
-    char_neq,
-    gamma_contains,
     len_neq,
     TOP_PRED,
 )
@@ -134,7 +135,8 @@ def concat_construct() -> Construct:
 
 
 # ---------------------------------------------------------------------------
-# Sampling oracle: seeded, finite-support distribution over strings.
+# Sampling oracle: seeded, finite-support distribution over strings, from
+# which example rows are drawn.
 
 
 class SamplingOracle:
@@ -166,42 +168,8 @@ class SamplingOracle:
     def draw_char(self) -> str:
         return self.rng.choice(self.alphabet)
 
-    def draw_char_not(self, c: int) -> str:
-        ch = self.rng.choice(self.alphabet)
-        if ord(ch) == c:
-            idx = (self.alphabet.index(ch) + 1) % len(self.alphabet)
-            ch = self.alphabet[idx]
-        return ch
-
-    def draw_string(self, length: Optional[int] = None) -> str:
-        n = self.draw_length() if length is None else length
-        return "".join(self.draw_char() for _ in range(n))
-
-    def draw_satisfying(self, pred: ConcretePredicate) -> str:
-        k = pred.kind
-        if k is TemplateKind.TOP:
-            return self.draw_string()
-        if k is TemplateKind.LEN_EQ:
-            return self.draw_string(pred.args[0])
-        if k is TemplateKind.LEN_NEQ:
-            n = self.draw_length()
-            if n == pred.args[0]:
-                n = n + 1 if n + 1 != pred.args[0] else n + 2
-            return self.draw_string(n)
-        if k is TemplateKind.CHAR_EQ:
-            i, c = pred.args
-            n = max(self.draw_length(), i + 1)
-            s = [self.draw_char() for _ in range(n)]
-            s[i] = chr(c)
-            return "".join(s)
-        if k is TemplateKind.CHAR_NEQ:
-            i, c = pred.args
-            n = self.draw_length()
-            s = [self.draw_char() for _ in range(n)]
-            if i < n and ord(s[i]) == c:
-                s[i] = self.draw_char_not(c)
-            return "".join(s)
-        raise ValueError(k)
+    def draw_string(self) -> str:
+        return "".join(self.draw_char() for _ in range(self.draw_length()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +180,6 @@ class SamplingOracle:
 class LearnConfig:
     max_samples: int = 5000
     stall_samples: int = 25
-    row_check_random: int = 24
-    grid_len_max: int = 8
-    grid_cap: int = 96
-    validity_samples: int = 2000
     input_cap: int = 3
     output_cap: int = 4
 
@@ -247,73 +211,64 @@ class ExampleSet:
 
 
 # ---------------------------------------------------------------------------
-# Row validity: refutation by sampling plus a deterministic small-case grid.
+# Row validity.  ``P1(a) & P2(b) => Q(a + b)`` is decided exactly, by a
+# search for a counterexample.  Once the lengths of a and b are fixed, each
+# of P1, P2 and not-Q reduces to true, to false, or to one constraint on
+# the character at a position of y = a + b.  A length pair is a
+# counterexample iff nothing reduces to false and the character
+# constraints agree.  Over an unbounded alphabet they disagree only when
+# one position must equal two characters, or equal and differ from one.
+# Every length atom compares len(a), len(b) or their sum with a constant,
+# so it suffices to try len(a) within one of 0, a constant, or an output
+# constant minus a constant of b, and len(b) within one of 0, a constant
+# of b, or an output constant minus len(a).
 
 
-def _grid_lengths(pred: ConcretePredicate, max_len: int) -> list[int]:
-    k = pred.kind
+def _demand(p: ConcretePredicate, start: int, length: int, holds: bool):
+    """What ``p`` (``holds``) or its negation asks of the segment of y that
+    starts at ``start`` and has ``length`` characters: True, False, or one
+    constraint ``(position in y, code point, equal)``."""
+    k = p.kind
+    if k is TemplateKind.TOP:
+        return holds
     if k is TemplateKind.LEN_EQ:
-        return [pred.args[0]]
+        return (length == p.args[0]) == holds
     if k is TemplateKind.LEN_NEQ:
-        return [n for n in range(max_len + 1) if n != pred.args[0]]
-    if k is TemplateKind.CHAR_EQ:
-        i = pred.args[0]
-        return list(range(i + 1, i + 1 + max_len // 2 + 1))
-    return list(range(max_len + 1))
+        return (length != p.args[0]) == holds
+    i, c = p.args
+    if i >= length:
+        return (k is TemplateKind.CHAR_NEQ) == holds
+    return (start + i, c, (k is TemplateKind.CHAR_EQ) == holds)
 
 
-def _string_for(pred: ConcretePredicate, length: int, oracle: SamplingOracle) -> Optional[str]:
-    """A random string of the given length satisfying ``pred``, or None."""
-    k = pred.kind
-    if k is TemplateKind.LEN_EQ and length != pred.args[0]:
-        return None
-    if k is TemplateKind.LEN_NEQ and length == pred.args[0]:
-        return None
-    s = [oracle.draw_char() for _ in range(length)]
-    if k is TemplateKind.CHAR_EQ:
-        i, c = pred.args
-        if i >= length:
-            return None
-        s[i] = chr(c)
-    if k is TemplateKind.CHAR_NEQ:
-        i, c = pred.args
-        if i < length and ord(s[i]) == c:
-            s[i] = oracle.draw_char_not(c)
-    return "".join(s)
+def _agree(x: tuple[int, int, bool], y: tuple[int, int, bool]) -> bool:
+    """Whether two character constraints can hold at once."""
+    (pos_x, c_x, eq_x), (pos_y, c_y, eq_y) = x, y
+    if pos_x != pos_y or not (eq_x or eq_y):
+        return True
+    return (c_x == c_y) == (eq_x and eq_y)
 
 
-def row_valid(
-    construct: Construct,
-    inputs: tuple[ConcretePredicate, ...],
-    output: ConcretePredicate,
-    oracle: SamplingOracle,
-    cfg: LearnConfig,
-) -> bool:
-    """Check the implication inputs & semantics => output by searching for a
-    counterexample over conditioned samples."""
-    # Deterministic sweep over small length combinations.
-    grids = [_grid_lengths(p, cfg.grid_len_max) for p in inputs]
-    combos: list[tuple[int, ...]] = [()]
-    for g in grids:
-        combos = [c + (n,) for c in combos for n in g]
-        if len(combos) > cfg.grid_cap * 4:
-            combos = combos[: cfg.grid_cap * 4]
-    for combo in combos[: cfg.grid_cap]:
-        args = []
-        ok = True
-        for pred, length in zip(inputs, combo):
-            s = _string_for(pred, length, oracle)
-            if s is None:
-                ok = False
-                break
-            args.append(s)
-        if ok and not gamma_contains(output, construct.apply(args)):
-            return False
+def _near(constants) -> set[int]:
+    """0 and the nonnegative integers within one of ``constants``."""
+    return {0} | {v + d for v in constants for d in (-1, 0, 1) if v + d >= 0}
 
-    for _ in range(cfg.row_check_random):
-        args = [oracle.draw_satisfying(p) for p in inputs]
-        if not gamma_contains(output, construct.apply(args)):
-            return False
+
+def row_valid(inputs: tuple[ConcretePredicate, ConcretePredicate], output: ConcretePredicate) -> bool:
+    """Decide ``inputs[0](a) & inputs[1](b) => output(a + b)`` for all strings."""
+    p1, p2 = inputs
+    k1, k2, k0 = (p.args[:1] for p in (p1, p2, output))
+    for la in _near(k1 + k0 + tuple(o - b for o in k0 for b in k2)):
+        d1 = _demand(p1, 0, la, True)
+        if d1 is False:
+            continue
+        for lb in _near(k2 + tuple(o - la for o in k0)):
+            demands = [d1, _demand(p2, la, lb, True), _demand(output, 0, la + lb, False)]
+            if False in demands:
+                continue
+            lits = [d for d in demands if d is not True]
+            if all(_agree(x, y) for i, x in enumerate(lits) for y in lits[i + 1 :]):
+                return False
     return True
 
 
@@ -373,7 +328,6 @@ def generate_examples(
     """
     examples = ExampleSet(chis, chi0)
     seen_rows: set = set()
-    row_cache: dict = {}
     target_rank = examples.n_constants + 1
     rank_now = 0
     stall = 0
@@ -417,9 +371,7 @@ def generate_examples(
                 if row in seen_rows:
                     continue
                 seen_rows.add(row)
-                if row not in row_cache:
-                    row_cache[row] = row_valid(construct, sel, p0, oracle, cfg)
-                if not row_cache[row]:
+                if not row_valid(sel, p0):
                     continue
                 examples.rows.append(row)
                 new_rank = column_rank(examples.matrix_a())
@@ -438,99 +390,39 @@ def generate_examples(
 # ---------------------------------------------------------------------------
 # Candidate validity (the final soundness gate for a learned affine map)
 
-
-def _neq_fillings(pred_template: PredicateTemplate, s: str, pool: ConstantPool, turn: int) -> list[ConcretePredicate]:
-    """Constant choices that keep an inequality template true of ``s``."""
-    k = pred_template.kind
-    if k is TemplateKind.LEN_NEQ:
-        n = len(s)
-        cands = [n + 1, max(0, n - 1), 0, n + 2, n + 5]
-        out = [len_neq(v) for v in dict.fromkeys(cands) if v != n]
-        extra = [v for v in pool.lengths if v != n]
-        if extra:
-            out.append(len_neq(extra[turn % len(extra)]))
-        return out
-    if k is TemplateKind.CHAR_NEQ:
-        out = []
-        positions = [i for i in pool.indices if i < len(s)] or []
-        for i in positions[:3]:
-            forbidden = [c for c in pool.chars if c != ord(s[i])]
-            if forbidden:
-                out.append(char_neq(i, forbidden[turn % len(forbidden)]))
-        if not positions:
-            # Vacuous instantiations: index beyond the string.
-            ch = pool.chars[0] if pool.chars else ord("a")
-            out.append(char_neq(len(s), ch))
-        return out
-    raise ValueError(k)
-
-
-def _strongest_inputs(
-    chis: tuple[PredicateTemplate, ...],
-    args: tuple[str, ...],
-    pool: ConstantPool,
-    turn: int,
-) -> list[tuple[ConcretePredicate, ...]]:
-    per_arg: list[list[ConcretePredicate]] = []
-    for t, s in zip(chis, args):
-        k = t.kind
-        if k is TemplateKind.TOP:
-            per_arg.append([TOP_PRED])
-        elif k in (TemplateKind.LEN_EQ, TemplateKind.CHAR_EQ):
-            cands = abstract(s, t, pool)
-            if not cands:
-                return []
-            per_arg.append(_rotated(cands, 2, turn))
-        else:
-            per_arg.append(_neq_fillings(t, s, pool, turn))
-    combos: list[tuple[ConcretePredicate, ...]] = [()]
-    for choice in per_arg:
-        combos = [c + (p,) for c in combos for p in choice]
-    return combos[:12]
+# Two distinct characters tell a character carried through from a constant one.
+_BOX_CHARS = (ord("a"), ord("b"))
 
 
 def check_valid(
-    construct: Construct,
     chis: tuple[PredicateTemplate, ...],
     chi0: PredicateTemplate,
     p_matrix: Matrix,
-    oracle: SamplingOracle,
-    cfg: LearnConfig,
-    pool: ConstantPool,
 ) -> bool:
-    """Refutation-by-sampling check of a candidate transformer output.
+    """Check the candidate concat transformer ``chis -> chi0`` with matrix ``p_matrix``.
 
-    Draws fresh tuples, instantiates the strongest consistent input
-    predicates, maps their constants through the affine matrix, and tests
-    the predicted output predicate on the concrete output.
+    The input templates are instantiated over a finite box: lengths and
+    indices in 0-4 and within one of ``|c|`` for each constant term ``c``
+    of the matrix, characters one of two distinct characters.  Each
+    instantiation is mapped through the matrix, and the predicted output
+    must follow from the inputs for all strings (``row_valid``).  The
+    constant terms put the box where an offset such as
+    ``len != x + y - 40`` first fails (y = 40).
     """
-    if chi0.kind is TemplateKind.TOP:
-        return True
-
-    def refuted_by(args: tuple[str, ...], turn: int) -> bool:
-        out_val = construct.apply(args)
-        for sel in _strongest_inputs(chis, args, pool, turn):
-            vec = [v for p in sel for v in p.args]
-            vec.append(1)
-            predicted = instantiate_output(chi0, apply_affine(p_matrix, vec))
-            if predicted is None:
-                return True
-            if not gamma_contains(predicted, out_val):
-                return True
-        return False
-
-    # Deterministic length sweep first, then random draws.
-    combos: list[tuple[int, ...]] = [()]
-    for _ in range(construct.arity):
-        combos = [c + (n,) for c in combos for n in range(cfg.grid_len_max + 1)]
-    for turn, combo in enumerate(combos[: cfg.grid_cap]):
-        args = tuple(oracle.draw_string(n) for n in combo)
-        if refuted_by(args, turn):
-            return False
-
-    for turn in range(cfg.validity_samples):
-        args = tuple(oracle.draw_string() for _ in range(construct.arity))
-        if refuted_by(args, turn):
+    values = sorted(set(range(5)) | _near(abs(row[-1]) for row in p_matrix))
+    per_arg: list[list[ConcretePredicate]] = []
+    for t in chis:
+        if t.holes == 0:
+            per_arg.append([TOP_PRED])
+        elif t.holes == 1:
+            per_arg.append([t.instantiate((v,)) for v in values])
+        else:
+            per_arg.append([t.instantiate((i, c)) for i in values for c in _BOX_CHARS])
+    for sel in product(*per_arg):
+        vec = [v for p in sel for v in p.args]
+        vec.append(1)
+        predicted = instantiate_output(chi0, apply_affine(p_matrix, vec))
+        if predicted is None or not row_valid(sel, predicted):
             return False
     return True
 
@@ -544,8 +436,6 @@ class Transformer:
     op: str
     inputs: tuple[PredicateTemplate, ...]
     outputs: tuple[tuple[PredicateTemplate, Matrix], ...]
-    validated_samples: int = 0
-    seed: int = 0
 
 
 class TransformerTable:
@@ -589,13 +479,15 @@ def learn_transformers(
 
     One transformer per (construct, input-template tuple); each candidate
     output template is fitted by exact linear solving over generated
-    examples and kept only if the validity oracle accepts it.  Slots are
+    examples and kept only if ``check_valid`` accepts it.  Slots are
     seeded individually so results are reproducible and cacheable.
     """
     pool = pool or ConstantPool.default()
     templates = sorted(set(templates))
     table = TransformerTable()
     for construct in sorted(constructs, key=lambda c: c.op_id):
+        if construct.op_id != "concat":
+            raise ValueError(f"validity is decided for concat only, not {construct.op_id!r}")
         tuples: list[tuple[PredicateTemplate, ...]] = [()]
         for _ in range(construct.arity):
             tuples = [t + (x,) for t in tuples for x in templates]
@@ -613,15 +505,7 @@ def learn_transformers(
                         cache[slot_id] = result
                 if result is not None:
                     outputs.append(result)
-            table.add(
-                Transformer(
-                    construct.op_id,
-                    chis,
-                    tuple(outputs),
-                    validated_samples=cfg.validity_samples,
-                    seed=oracle.seed,
-                )
-            )
+            table.add(Transformer(construct.op_id, chis, tuple(outputs)))
     return table
 
 
@@ -635,7 +519,7 @@ def _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id):
     if solution is None or any(f.denominator != 1 for row in solution for f in row):
         return None
     p_matrix = tuple(tuple(int(f) for f in row) for row in solution)
-    if not check_valid(construct, chis, chi0, p_matrix, slot_oracle.child("validity"), cfg, pool):
+    if not check_valid(chis, chi0, p_matrix):
         return None
     return (chi0, p_matrix)
 
@@ -669,8 +553,6 @@ def transformer_to_obj(t: Transformer) -> dict:
         "outputs": [
             {"template": template_to_text(chi), "matrix": matrix_to_obj(m)} for chi, m in t.outputs
         ],
-        "validated_samples": t.validated_samples,
-        "seed": t.seed,
     }
 
 
@@ -683,6 +565,4 @@ def transformer_from_obj(obj: dict) -> Transformer:
         outputs=tuple(
             (template_from_text(o["template"]), matrix_from_obj(o["matrix"])) for o in obj["outputs"]
         ),
-        validated_samples=obj.get("validated_samples", 0),
-        seed=obj.get("seed", 0),
     )

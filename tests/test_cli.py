@@ -37,6 +37,7 @@ class TestTrain:
         # Concat is the only construct learned: one entry per pair of input templates.
         assert len(bundle["transformers"]) == 25
         assert {t["op"] for t in bundle["transformers"]} == {"concat"}
+        assert all(set(t) == {"op", "inputs", "outputs"} for t in bundle["transformers"])
         entries = [e for t in bundle["transformers"] for o in t["outputs"] for row in o["matrix"] for e in row]
         assert entries and all(type(n) is int and d == 1 for n, d in entries)
 
@@ -187,6 +188,15 @@ class TestExitCodes:
 
     def test_zero_max_candidates_usage_error(self):
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-candidates", "0"]) == 3
+
+    def test_negative_timeout_usage_error(self):
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--timeout-ms", "-5"]) == 3
+
+    def test_zero_timeout_usage_error(self):
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--timeout-ms", "0"]) == 3
+
+    def test_removed_validity_samples_flag_usage_error(self, tmp_path):
+        assert main(["train", "-o", str(tmp_path / "o"), "--validity-samples", "10"]) == 3
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +11,10 @@ from atlas.domain import (
     LEN_EQ,
     LEN_NEQ,
     TOP,
+    TOP_PRED,
     TemplateKind,
     char_eq,
+    char_neq,
     gamma_contains,
     len_eq,
     len_neq,
@@ -31,6 +33,7 @@ from atlas.transformers import (
     concat_construct,
     generate_examples,
     learn_transformers,
+    row_valid,
     solve_linear,
     transformer_from_obj,
     transformer_to_obj,
@@ -42,6 +45,22 @@ CFG = LearnConfig()
 
 def oracle(tag="t"):
     return SamplingOracle(0, "CAV2018510.-").child(tag)
+
+
+def small_strings(max_len=4, alphabet="abz"):
+    """Every string over ``alphabet`` up to ``max_len`` characters."""
+    return ["".join(t) for n in range(max_len + 1) for t in product(alphabet, repeat=n)]
+
+
+def small_predicates(extra_lengths=()):
+    """Every predicate over lengths and indices 0-3 and the characters 'a' and 'b'."""
+    preds = [TOP_PRED]
+    for n in [*range(4), *extra_lengths]:
+        preds += [len_eq(n), len_neq(n)]
+    for i in range(4):
+        for c in (ord("a"), ord("b")):
+            preds += [char_eq(i, c), char_neq(i, c)]
+    return preds
 
 
 @st.composite
@@ -135,20 +154,14 @@ class TestSamplingOracle:
 
     def test_child_oracles_differ(self):
         a = SamplingOracle(7, "xy")
-        assert a.child("one").draw_string(8) != a.child("two").draw_string(8)
+        one, two = a.child("one"), a.child("two")
+        assert [one.draw_string() for _ in range(5)] != [two.draw_string() for _ in range(5)]
 
     def test_finite_support(self):
         a = SamplingOracle(3, "ab")
         for _ in range(200):
             s = a.draw_string()
             assert len(s) <= 12 and set(s) <= set(a.alphabet)
-
-    def test_conditioned_draws(self):
-        a = SamplingOracle(3, "ab")
-        assert len(a.draw_satisfying(len_eq(5))) == 5
-        assert len(a.draw_satisfying(len_neq(4))) != 4
-        s = a.draw_satisfying(char_eq(3, ord("z")))
-        assert s[3] == "z"
 
 
 class TestGenerateExamples:
@@ -169,31 +182,95 @@ class TestGenerateExamples:
             generate_examples(concat_construct(), LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), CFG, POOL)
 
     def test_rows_are_sound_instances(self):
-        # Every generated row is itself checked against conditioned samples.
-        ex = generate_examples(concat_construct(), LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), CFG, POOL)
-        check = oracle("recheck")
-        for (p1, p2), p0 in ex.rows[:10]:
-            for _ in range(50):
-                a, b = check.draw_satisfying(p1), check.draw_satisfying(p2)
-                assert gamma_contains(p0, a + b)
+        # Every generated row holds of every pair of small strings its inputs admit.
+        strings = small_strings()
+        for chi0, chis in [(LEN_EQ, (LEN_EQ, LEN_EQ)), (LEN_NEQ, (LEN_EQ, LEN_NEQ)), (LEN_NEQ, (LEN_NEQ, LEN_EQ))]:
+            ex = generate_examples(concat_construct(), chi0, chis, oracle(), CFG, POOL)
+            checked = 0
+            for (p1, p2), p0 in ex.rows:
+                for a, b in product(strings, repeat=2):
+                    if gamma_contains(p1, a) and gamma_contains(p2, b):
+                        assert gamma_contains(p0, a + b)
+                        checked += 1
+            assert checked > 0
+
+
+class TestRowValid:
+    def test_agrees_with_brute_force(self):
+        """``row_valid`` against every pair of strings of length <= 4 over
+        "abz": the predicates name only 'a' and 'b', so 'z' is a fresh
+        character, and their constants are at most 3."""
+        strings = small_strings()
+        inputs, outputs = small_predicates(), small_predicates(extra_lengths=[-1])
+        ys = {a + b for a in strings for b in strings}
+        fails = {q: frozenset(y for y in ys if not gamma_contains(q, y)) for q in outputs}
+        admitted = {p: [s for s in strings if gamma_contains(p, s)] for p in inputs}
+        mismatches = []
+        for p1, p2 in product(inputs, repeat=2):
+            concats = {a + b for a in admitted[p1] for b in admitted[p2]}
+            for q in outputs:
+                if row_valid((p1, p2), q) != concats.isdisjoint(fails[q]):
+                    mismatches.append((str(p1), str(p2), str(q)))
+        assert len(inputs) ** 2 * len(outputs) == 16_875
+        assert mismatches == []
+
+
+LENGTH_TEMPLATES = (TOP, LEN_EQ, LEN_NEQ)
+
+
+def valid_over_box(chis, chi0, p, bound):
+    """The row check on every instantiation of ``chis`` with constants 0..bound."""
+    per_arg = [[TOP_PRED] if t is TOP else [t.instantiate((v,)) for v in range(bound + 1)] for t in chis]
+    for sel in product(*per_arg):
+        vec = [v for q in sel for v in q.args] + [1]
+        if not row_valid(sel, chi0.instantiate((sum(a * b for a, b in zip(p[0], vec)),))):
+            return False
+    return True
 
 
 class TestCheckValid:
     def test_sum_matrix_is_valid(self):
         p = as_matrix([[1, 1, 0]])
-        assert check_valid(concat_construct(), (LEN_EQ, LEN_EQ), LEN_EQ, p, oracle("v"), CFG, POOL)
+        assert check_valid((LEN_EQ, LEN_EQ), LEN_EQ, p)
 
     def test_projection_matrix_is_refuted(self):
         p = as_matrix([[1, 0, 0]])
-        assert not check_valid(concat_construct(), (LEN_EQ, LEN_EQ), LEN_EQ, p, oracle("v"), CFG, POOL)
+        assert not check_valid((LEN_EQ, LEN_EQ), LEN_EQ, p)
 
     def test_top_output_always_valid(self):
-        assert check_valid(concat_construct(), (TOP, TOP), TOP, (), oracle("v"), CFG, POOL)
+        assert check_valid((TOP, TOP), TOP, ())
 
     def test_unsound_neq_pair_refuted(self):
         # len(y) != c1+c2 is unsound when both inputs are inequalities.
         p = as_matrix([[1, 1, 0]])
-        assert not check_valid(concat_construct(), (LEN_NEQ, LEN_NEQ), LEN_NEQ, p, oracle("v"), CFG, POOL)
+        assert not check_valid((LEN_NEQ, LEN_NEQ), LEN_NEQ, p)
+
+    def test_offset_refuted_where_it_first_fails(self):
+        # len(y) != x + y - 40 fails on a = b = "" with y = 40.
+        p = as_matrix([[1, 1, -40]])
+        assert valid_over_box((LEN_EQ, LEN_NEQ), LEN_NEQ, p, 39)
+        assert not valid_over_box((LEN_EQ, LEN_NEQ), LEN_NEQ, p, 40)
+        assert not check_valid((LEN_EQ, LEN_NEQ), LEN_NEQ, p)
+
+    def test_char_shift_is_valid(self):
+        p = as_matrix([[1, 1, 0, 0], [0, 0, 1, 0]])
+        assert check_valid((LEN_EQ, CHAR_EQ), CHAR_EQ, p)
+        assert not check_valid((LEN_EQ, CHAR_EQ), CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 0, 97]]))
+
+    def test_agrees_with_larger_box_on_length_slots(self):
+        """Small coefficients over constants 0-12, and sum-plus-offset maps
+        with offsets -20..20 over constants 0-25."""
+        cases = []
+        for chis in product(LENGTH_TEMPLATES, repeat=2):
+            n = sum(t.holes for t in chis)
+            for chi0 in (LEN_EQ, LEN_NEQ):
+                cases += [(chis, chi0, (row,), 12) for row in product((-1, 0, 1), repeat=n + 1)]
+                cases += [(chis, chi0, ((1,) * n + (c,),), 25) for c in range(-20, 21) if abs(c) > 1]
+        disagreements = [
+            (chis, chi0, p) for chis, chi0, p, bound in cases if check_valid(chis, chi0, p) != valid_over_box(chis, chi0, p, bound)
+        ]
+        assert len(cases) == 978
+        assert disagreements == []
 
 
 class TestLearnTransformers:
@@ -227,6 +304,11 @@ class TestLearnTransformers:
         t2 = learn_transformers([concat_construct()], templates, SamplingOracle(5, "ab"), CFG, pool)
         assert [transformer_to_obj(x) for x in t1.all()] == [transformer_to_obj(x) for x in t2.all()]
 
+    def test_only_concat_is_learned(self):
+        # Validity is decided for concat semantics only.
+        with pytest.raises(ValueError):
+            learn_transformers([Construct("rev", 1, lambda a: a[::-1])], [TOP, LEN_EQ], oracle(), CFG, POOL)
+
     def test_every_slot_emitted(self, table_a1):
         kinds = [TemplateKind.TOP, TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ]
         for k1 in kinds:
@@ -238,6 +320,12 @@ class TestSerialization:
     def test_round_trip(self, table_a1):
         for t in table_a1.all():
             assert transformer_from_obj(transformer_to_obj(t)) == t
+
+    def test_loads_entries_with_retired_keys(self, table_a1):
+        # Older bundles carry per-entry "validated_samples" and "seed".
+        for t in table_a1.all():
+            obj = dict(transformer_to_obj(t), validated_samples=2000, seed=0)
+            assert transformer_from_obj(obj) == t
 
     def test_matrix_pairs(self, table_a1):
         t = table_a1.lookup("concat", (TemplateKind.LEN_EQ, TemplateKind.LEN_EQ))
