@@ -306,7 +306,7 @@ def build_parser() -> _Parser:
         p.add_argument("--timeout-ms", type=_positive_int, default=60_000)
 
     p_train = sub.add_parser("train", help="learn an abstraction bundle from task files")
-    p_train.add_argument("tasks", nargs="*")
+    p_train.add_argument("tasks", nargs="+")
     p_train.add_argument("-o", "--output", required=True)
     p_train.add_argument("--seed", type=int, default=0)
     common(p_train)

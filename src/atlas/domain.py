@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 
@@ -30,16 +30,6 @@ _HOLES = {
     TemplateKind.CHAR_EQ: 2,
     TemplateKind.CHAR_NEQ: 2,
 }
-
-# Canonical template ordering, used wherever a deterministic sweep is needed.
-TEMPLATE_ORDER = [
-    TemplateKind.TOP,
-    TemplateKind.LEN_EQ,
-    TemplateKind.LEN_NEQ,
-    TemplateKind.CHAR_EQ,
-    TemplateKind.CHAR_NEQ,
-]
-
 
 @dataclass(frozen=True, order=True)
 class PredicateTemplate:
@@ -128,11 +118,28 @@ class AbstractValue:
 
     @staticmethod
     def top() -> "AbstractValue":
-        return AbstractValue(frozenset())
+        return _TOP_VALUE
 
     @staticmethod
     def of(preds: Iterable[ConcretePredicate]) -> Union["AbstractValue", _Bottom]:
-        return meet(AbstractValue.top(), AbstractValue(frozenset(p for p in preds if p.kind is not TemplateKind.TOP)))
+        """The conjunction of ``preds``, or bottom on direct contradiction."""
+        conjuncts = frozenset(p for p in preds if p.kind is not TemplateKind.TOP)
+        if not conjuncts:
+            return _TOP_VALUE
+        value = AbstractValue(conjuncts)
+        return BOTTOM if _contradicts(value) else value
+
+    @cached_property
+    def by_kind(self) -> dict[TemplateKind, list[tuple[int, ...]]]:
+        """The args of the conjuncts grouped by template kind, with ``TOP: [()]``.
+
+        Built once per value; every reader of a value's structure uses it.
+        """
+        groups: dict[TemplateKind, list[tuple[int, ...]]] = {TemplateKind.TOP: [()]}
+        for p in self.conjuncts:
+            if p.kind is not TemplateKind.TOP:
+                groups.setdefault(p.kind, []).append(p.args)
+        return groups
 
     def sorted_conjuncts(self) -> list[ConcretePredicate]:
         return sorted(self.conjuncts, key=lambda p: (p.template.kind.value, p.args))
@@ -142,6 +149,8 @@ class AbstractValue:
             return "top"
         return " & ".join(str(p) for p in self.sorted_conjuncts())
 
+
+_TOP_VALUE = AbstractValue()
 
 StateLike = Union[AbstractValue, _Bottom]
 
@@ -237,24 +246,19 @@ def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: Const
 # Meet with syntactic contradiction detection
 
 
-def _contradicts(preds: frozenset[ConcretePredicate]) -> bool:
-    lens = {p.args[0] for p in preds if p.kind is TemplateKind.LEN_EQ}
+def _contradicts(value: AbstractValue) -> bool:
+    groups = value.by_kind
+    lens = {n for (n,) in groups.get(TemplateKind.LEN_EQ, ())}
     if len(lens) > 1:
         return True
     char_eqs: dict[int, int] = {}
-    for p in preds:
-        if p.kind is TemplateKind.CHAR_EQ:
-            i, c = p.args
-            if char_eqs.get(i, c) != c:
-                return True
-            char_eqs[i] = c
-    for p in preds:
-        if p.kind is TemplateKind.LEN_NEQ and p.args[0] in lens:
+    for i, c in groups.get(TemplateKind.CHAR_EQ, ()):
+        if char_eqs.setdefault(i, c) != c:
             return True
-        if p.kind is TemplateKind.CHAR_NEQ:
-            i, c = p.args
-            if char_eqs.get(i) == c:
-                return True
+    if any(n in lens for (n,) in groups.get(TemplateKind.LEN_NEQ, ())):
+        return True
+    if any(char_eqs.get(i) == c for i, c in groups.get(TemplateKind.CHAR_NEQ, ())):
+        return True
     if lens:
         (n,) = lens
         if any(i >= n for i in char_eqs):
@@ -266,10 +270,7 @@ def meet(a: StateLike, b: StateLike) -> StateLike:
     """Greatest lower bound; returns bottom on direct contradiction."""
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
-    merged = a.conjuncts | b.conjuncts
-    if _contradicts(merged):
-        return BOTTOM
-    return AbstractValue(merged)
+    return AbstractValue.of(a.conjuncts | b.conjuncts)
 
 
 # ---------------------------------------------------------------------------

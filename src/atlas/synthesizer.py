@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Generator, Iterator, Optional
 
 from . import dsl
 from .dsl import AstNode, EvalError, Op, Program
@@ -71,70 +70,33 @@ def is_correct(p: Program, task: SynthesisTask) -> bool:
 # Transformer application
 
 
-@lru_cache(maxsize=4096)
-def _used_arguments(transformer) -> tuple[bool, ...]:
-    """Which arguments' holes feed some output matrix with a nonzero column.
+def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, StateLike]) -> StateLike:
+    """Best state of the concatenation of two values with the given states.
 
-    Arguments whose constants never reach an output can be collapsed to one
-    representative conjunct when instantiating, which keeps application cost
-    proportional to the useful selections.
+    For each pair of template kinds present in the two states (top is
+    always present), the table entry for that pair is looked up.  Every
+    selection of one conjunct of that kind per argument is mapped through
+    the entry's output matrices; an argument whose constants no output
+    reads contributes one representative conjunct.  All instantiated
+    outputs are met together; nothing derived gives top.
     """
-    holes = [t.holes for t in transformer.inputs]
-    used = [False] * len(holes)
-    offset = 0
-    spans = []
-    for h in holes:
-        spans.append((offset, offset + h))
-        offset += h
-    for _, matrix in transformer.outputs:
-        for row in matrix:
-            for i, (lo, hi) in enumerate(spans):
-                if any(row[c] != 0 for c in range(lo, hi)):
-                    used[i] = True
-    return tuple(used)
-
-
-def apply_transformer(table: TransformerTable, op: str, arg_states: tuple[StateLike, ...]) -> StateLike:
-    """Best output state derivable from the table for one construct.
-
-    Every selection of one conjunct (or top) per argument is looked up;
-    the instantiated outputs of all matching entries are met together.
-    Missing entries contribute nothing (top).
-    """
-    if any(s is BOTTOM for s in arg_states):
+    left, right = arg_states
+    if left is BOTTOM or right is BOTTOM:
         return BOTTOM
-
-    by_kind: list[dict[TemplateKind, list]] = []
-    for s in arg_states:
-        groups: dict[TemplateKind, list] = {TemplateKind.TOP: [()]}
-        for p in s.sorted_conjuncts():
-            groups.setdefault(p.kind, []).append(p.args)
-        by_kind.append(groups)
-
     derived = set()
-    for (entry_op, kinds), transformer in table.entries.items():
-        if entry_op != op or len(kinds) != len(arg_states) or not transformer.outputs:
-            continue
-        pools = []
-        ok = True
-        for groups, kind, used in zip(by_kind, kinds, _used_arguments(transformer)):
-            if kind not in groups:
-                ok = False
-                break
-            pools.append(groups[kind] if used else groups[kind][:1])
-        if not ok:
-            continue
-        selections = [()]
-        for pool in pools:
-            selections = [sel + (args,) for sel in selections for args in pool]
-        for sel in selections:
-            vec = [v for args in sel for v in args]
-            vec.append(1)
-            for chi, matrix in transformer.outputs:
-                pred = instantiate_output(chi, apply_affine(matrix, vec))
-                if pred is not None:
-                    derived.add(pred)
-
+    for k1, args1 in left.by_kind.items():
+        for k2, args2 in right.by_kind.items():
+            transformer = table.lookup((k1, k2))
+            if transformer is None or not transformer.outputs:
+                continue
+            used1, used2 = transformer.used_arguments
+            for a1 in args1 if used1 else args1[:1]:
+                for a2 in args2 if used2 else args2[:1]:
+                    vec = (*a1, *a2, 1)
+                    for chi, matrix in transformer.outputs:
+                        pred = instantiate_output(chi, apply_affine(matrix, vec))
+                        if pred is not None:
+                            derived.add(pred)
     return AbstractValue.of(derived)
 
 
@@ -156,30 +118,12 @@ def abstract_eval(
     if node.op is Op.CONCAT:
         left = abstract_eval(node.children[0], e_in, templates, table, pool)
         right = abstract_eval(node.children[1], e_in, templates, table, pool)
-        return apply_transformer(table, "concat", (left, right))
+        return apply_transformer(table, (left, right))
     raise ValueError(f"not a string node: {node.op}")
 
 
 # ---------------------------------------------------------------------------
 # Embedding test: can this state describe some substring of the output?
-
-
-def _state_shape(state: AbstractValue):
-    length = None
-    pinned: dict[int, int] = {}
-    neq_lens: set[int] = set()
-    char_neqs: list[tuple[int, int]] = []
-    for p in state.conjuncts:
-        k = p.kind
-        if k is TemplateKind.LEN_EQ:
-            length = p.args[0]
-        elif k is TemplateKind.LEN_NEQ:
-            neq_lens.add(p.args[0])
-        elif k is TemplateKind.CHAR_EQ:
-            pinned[p.args[0]] = p.args[1]
-        elif k is TemplateKind.CHAR_NEQ:
-            char_neqs.append(p.args)
-    return length, pinned, neq_lens, char_neqs
 
 
 def state_embeds(state: StateLike, out: str) -> bool:
@@ -188,7 +132,12 @@ def state_embeds(state: StateLike, out: str) -> bool:
         return False
     if not state.conjuncts:
         return True
-    length, pinned, neq_lens, char_neqs = _state_shape(state)
+    groups = state.by_kind
+    lens = groups.get(TemplateKind.LEN_EQ)
+    length = lens[0][0] if lens else None
+    pinned = dict(groups.get(TemplateKind.CHAR_EQ, ()))
+    neq_lens = {n for (n,) in groups.get(TemplateKind.LEN_NEQ, ())}
+    char_neqs = groups.get(TemplateKind.CHAR_NEQ, ())
     min_len = max(pinned) + 1 if pinned else 0
     for o in range(len(out) + 1):
         limit = len(out) - o
@@ -289,8 +238,12 @@ class Synthesizer:
         states = tuple(self._abstract_value(v) for v in values)
         return Candidate(node, tuple(values), states, node.size)
 
-    def _candidates(self) -> Iterator[tuple[Candidate, bool]]:
-        """Yield (candidate, pooled_flag_placeholder) in rank order."""
+    def _candidates(self) -> Generator[Candidate, bool, None]:
+        """Yield candidates in rank order.
+
+        The caller sends back whether the last candidate is kept; only kept
+        candidates become children of larger ones.
+        """
         pools: dict[int, list[Candidate]] = {}
 
         def emit_batch(size: int) -> Iterator[Candidate]:
@@ -310,7 +263,7 @@ class Synthesizer:
                         node = dsl.concat(a.node, b.node)
                         values = tuple(va + vb for va, vb in zip(a.values, b.values))
                         states = tuple(
-                            apply_transformer(self.table, "concat", (sa_state, sb_state))
+                            apply_transformer(self.table, (sa_state, sb_state))
                             for sa_state, sb_state in zip(a.states, b.states)
                         )
                         yield Candidate(node, values, states, size)

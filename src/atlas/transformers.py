@@ -20,6 +20,7 @@ import hashlib
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -437,21 +438,49 @@ class Transformer:
     inputs: tuple[PredicateTemplate, ...]
     outputs: tuple[tuple[PredicateTemplate, Matrix], ...]
 
+    @cached_property
+    def used_arguments(self) -> tuple[bool, ...]:
+        """Which arguments' holes feed some output row with a nonzero coefficient.
+
+        An argument whose constants reach no output can be collapsed to one
+        representative conjunct when applying the transformer, which keeps
+        the cost proportional to the useful selections.
+        """
+        used = []
+        start = 0
+        for t in self.inputs:
+            cols = range(start, start + t.holes)
+            used.append(any(row[c] != 0 for _, m in self.outputs for row in m for c in cols))
+            start += t.holes
+        return tuple(used)
+
 
 class TransformerTable:
+    """Concat transformers keyed by their pair of input template kinds."""
+
     def __init__(self, transformers: Iterable[Transformer] = ()):
-        self.entries: dict[tuple[str, tuple[TemplateKind, ...]], Transformer] = {}
+        self.entries: dict[tuple[TemplateKind, TemplateKind], Transformer] = {}
         for t in transformers:
             self.add(t)
 
     def add(self, t: Transformer):
-        self.entries[(t.op, tuple(x.kind for x in t.inputs))] = t
+        """Add ``t``; ValueError unless it is a concat transformer whose
+        matrices map the input constants (plus 1) to the output holes."""
+        if t.op != "concat":
+            raise ValueError(f"transformers are kept for concat only, not {t.op!r}")
+        if len(t.inputs) != 2:
+            raise ValueError(f"a concat transformer takes 2 input templates, not {len(t.inputs)}")
+        width = sum(x.holes for x in t.inputs) + 1
+        for chi, m in t.outputs:
+            if len(m) != chi.holes or any(len(row) != width for row in m):
+                raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
+        self.entries[(t.inputs[0].kind, t.inputs[1].kind)] = t
 
-    def lookup(self, op: str, kinds: tuple[TemplateKind, ...]) -> Optional[Transformer]:
-        return self.entries.get((op, kinds))
+    def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
+        return self.entries.get(kinds)
 
     def all(self) -> list[Transformer]:
-        return [self.entries[k] for k in sorted(self.entries, key=lambda k: (k[0], [x.value for x in k[1]]))]
+        return [self.entries[k] for k in sorted(self.entries, key=lambda k: [x.value for x in k])]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -66,7 +66,7 @@ def test_criterion_2_concat_table(walkthrough):
     one_one_zero = as_matrix([[1, 1, 0]])
 
     def outputs(k1, k2):
-        entry = table.lookup("concat", (k1, k2))
+        entry = table.lookup((k1, k2))
         return {(chi.kind, m) for chi, m in entry.outputs} if entry else None
 
     K = TemplateKind

@@ -19,6 +19,17 @@ def read(path: Path):
     return json.loads(path.read_text())
 
 
+def synth_with_edited_entry(trained_dir, tmp_path, edit):
+    """Exit code of ``synth e1`` under the trained bundle with its
+    ``(len = c),(len = c)`` entry changed by ``edit``."""
+    obj = read(trained_dir / "bundle.json")
+    entry = next(t for t in obj["transformers"] if t["inputs"] == ["(len = c)", "(len = c)"])
+    edit(entry)
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(obj))
+    return main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)])
+
+
 class TestTrain:
     def test_outputs_exist(self, trained_dir):
         assert (trained_dir / "bundle.json").exists()
@@ -47,12 +58,6 @@ class TestTrain:
         bundle = read(out / "bundle.json")
         assert {"top", "(len = c)", "(len != c)"} <= set(bundle["templates"])
         assert len(bundle["templates"]) >= 3
-
-    def test_empty_training_list(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["train", "-o", str(out)]) == 0
-        bundle = read(out / "bundle.json")
-        assert bundle["templates"] == ["top"]
 
     def test_report_schema(self, trained_dir):
         jsonschema = pytest.importorskip("jsonschema")
@@ -178,6 +183,27 @@ class TestExitCodes:
         bundle.write_text(json.dumps(obj))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
 
+    def test_bundle_with_other_op_format_error(self, trained_dir, tmp_path):
+        assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e.update(op="reverse")) == 4
+
+    def test_bundle_with_three_input_templates_format_error(self, trained_dir, tmp_path):
+        assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e["inputs"].append("top")) == 4
+
+    def test_bundle_with_extra_matrix_row_format_error(self, trained_dir, tmp_path):
+        def edit(entry):
+            matrix = entry["outputs"][0]["matrix"]
+            matrix.append(matrix[0])
+
+        assert synth_with_edited_entry(trained_dir, tmp_path, edit) == 4
+
+    def test_bundle_without_constant_column_format_error(self, trained_dir, tmp_path):
+        assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e["outputs"][0]["matrix"][0].pop()) == 4
+
+    def test_train_without_tasks_usage_error(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "-o", str(out)]) == 3
+        assert not out.exists()
+
     def test_non_string_example_format_error(self, tmp_path):
         task = tmp_path / "bad.json"
         task.write_text(json.dumps({"examples": [{"input": 5, "output": "5!"}]}))
@@ -196,7 +222,8 @@ class TestExitCodes:
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--timeout-ms", "0"]) == 3
 
     def test_removed_validity_samples_flag_usage_error(self, tmp_path):
-        assert main(["train", "-o", str(tmp_path / "o"), "--validity-samples", "10"]) == 3
+        e1 = str(corpus_dir() / "e1.json")
+        assert main(["train", e1, "-o", str(tmp_path / "o"), "--validity-samples", "10"]) == 3
 
 
 class TestDeterminism:

@@ -1,0 +1,62 @@
+"""Golden results at seed 0.
+
+Training on e1-e3 with seed 0 and synthesizing the held-out tasks must give
+the program and the enumerated / pruned / deduped counts recorded in
+``perfbench/reference-seed0.json``: all tasks under the learned bundle, and
+under the all-top table the tasks it solves within the candidate budget.  A
+change to the abstract hot path that alters pruning or dedup shows here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from atlas.cli import load_task
+from atlas.corpus import eval_task_paths, training_task_paths
+from atlas.domain import TOP
+from atlas.driver import TrainConfig, learn_abstractions
+from atlas.synthesizer import Synthesizer
+from atlas.transformers import concat_construct, top_table
+
+REFERENCE = json.loads((Path(__file__).parent.parent / "perfbench" / "reference-seed0.json").read_text())
+
+
+def load(path: Path):
+    # The CLI defaults, without a timeout: results must not depend on speed.
+    return load_task(path, 14, 200_000, None)
+
+
+def expected(workload: str) -> dict:
+    return {
+        t["task"]: (t["program"], t["enumerated"], t["pruned"], t["deduped"])
+        for t in REFERENCE[workload]["tasks"]
+        if t["reason"] == "found"
+    }
+
+
+def synthesize_all(templates, table, names) -> dict:
+    got = {}
+    for name, task in map(load, eval_task_paths()):
+        if name in names:
+            r = Synthesizer(task, templates, table).run(require_correct=True)
+            got[name] = (str(r.program) if r.program else None, r.enumerated, r.pruned_abstract, r.deduped)
+    return got
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return learn_abstractions([load(p) for p in training_task_paths()], TrainConfig(seed=0))
+
+
+def test_bundle_programs_and_counts(trained):
+    want = expected("synth-bundle")
+    assert len(want) == len(eval_task_paths()) == 15
+    assert [str(t) for t in sorted(trained.templates)] == REFERENCE["synth-bundle"]["templates"]
+    assert synthesize_all(trained.templates, trained.table, want) == want
+
+
+def test_top_table_programs_and_counts():
+    want = expected("synth-top")
+    assert len(want) == 10
+    assert synthesize_all([TOP], top_table([concat_construct()]), want) == want

@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atlas.domain import (
     AbstractValue,
@@ -9,11 +12,14 @@ from atlas.domain import (
     LEN_EQ,
     LEN_NEQ,
     TOP,
+    TOP_PRED,
+    best_abstraction,
     char_eq,
     char_neq,
     gamma_contains,
     len_eq,
     len_neq,
+    meet,
 )
 from atlas.dsl import Program, concat, const, evaluate, input_, parse_program, print_program
 from atlas.synthesizer import (
@@ -36,31 +42,73 @@ def val(*preds):
 
 class TestApplyTransformer:
     def test_length_sum(self, table_a1):
-        got = apply_transformer(table_a1, "concat", (val(len_eq(3)), val(len_eq(2))))
+        got = apply_transformer(table_a1, (val(len_eq(3)), val(len_eq(2))))
         assert len_eq(5) in got.conjuncts
 
     def test_top_argument_gives_top(self, table_a1):
-        got = apply_transformer(table_a1, "concat", (AbstractValue.top(), val(len_eq(2))))
-        assert got == AbstractValue.top()
+        got = apply_transformer(table_a1, (AbstractValue.top(), val(len_eq(2))))
+        assert got is AbstractValue.top()  # nothing derived: the shared top
 
     def test_neq_row(self, table_a1):
-        got = apply_transformer(table_a1, "concat", (val(len_eq(3)), val(len_neq(2))))
+        got = apply_transformer(table_a1, (val(len_eq(3)), val(len_neq(2))))
         assert got.conjuncts == {len_neq(5)}
 
     def test_missing_entry_behaves_as_top(self, table_a1):
-        got = apply_transformer(table_a1, "unknown-op", (val(len_eq(1)),))
-        assert got == AbstractValue.top()
+        # table_a1 has no entries for character templates: those pairs add nothing.
+        assert table_a1.lookup((CHAR_EQ.kind, CHAR_EQ.kind)) is None
+        left = val(len_eq(3), char_eq(0, ord("a")))
+        right = val(len_eq(2), char_eq(1, ord("b")))
+        assert apply_transformer(table_a1, (left, right)).conjuncts == {len_eq(5)}
 
     def test_bottom_propagates(self, table_a1):
-        assert apply_transformer(table_a1, "concat", (BOTTOM, val(len_eq(1)))) is BOTTOM
+        assert apply_transformer(table_a1, (BOTTOM, val(len_eq(1)))) is BOTTOM
 
     def test_conjunctions_apply_per_conjunct(self, table_a2):
         left = val(len_eq(2), char_eq(0, ord("a")))
         right = val(len_eq(3), char_eq(1, ord("z")))
-        got = apply_transformer(table_a2, "concat", (left, right))
+        got = apply_transformer(table_a2, (left, right))
         assert len_eq(5) in got.conjuncts
         assert char_eq(0, ord("a")) in got.conjuncts  # left projection
         assert char_eq(3, ord("z")) in got.conjuncts  # shifted by left length
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force_over_the_whole_table(self, table_a2, data):
+        left, right = data.draw(STATES), data.draw(STATES)
+        assert apply_transformer(table_a2, (left, right)) == _brute_force_apply(table_a2, left, right)
+
+
+# Leaf states over random subsets of the learnable templates, plus top and bottom.
+_STATE_POOL = ConstantPool.default(["abz"])
+STATES = st.one_of(
+    st.just(AbstractValue.top()),
+    st.just(BOTTOM),
+    st.builds(
+        lambda s, templates: best_abstraction(s, templates, _STATE_POOL),
+        st.text(alphabet="abz", max_size=5),
+        st.sets(st.sampled_from([LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ])),
+    ),
+)
+
+
+def _brute_force_apply(table, left, right):
+    """Every entry, every selection of one conjunct per argument, every output, met together."""
+    if left is BOTTOM or right is BOTTOM:
+        return BOTTOM
+    result = AbstractValue.top()
+    for entry in table.all():
+        per_arg = [
+            [TOP_PRED] if t == TOP else [p for p in state.conjuncts if p.template == t]
+            for t, state in zip(entry.inputs, (left, right))
+        ]
+        for sel in product(*per_arg):
+            vec = [v for p in sel for v in p.args] + [1]
+            for chi, matrix in entry.outputs:
+                args = tuple(sum(a * b for a, b in zip(row, vec)) for row in matrix)
+                if chi in (CHAR_EQ, CHAR_NEQ) and args[0] < 0:
+                    continue
+                result = meet(result, val(chi.instantiate(args)))
+    return result
 
 
 class TestAbstractEval:

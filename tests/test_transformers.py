@@ -276,7 +276,7 @@ class TestCheckValid:
 class TestLearnTransformers:
     def test_length_domain_table_matches_known_rows(self, table_a1):
         def outputs(*kinds):
-            t = table_a1.lookup("concat", kinds)
+            t = table_a1.lookup(kinds)
             return {(chi.kind, m) for chi, m in t.outputs}
 
         one_one_zero = as_matrix([[1, 1, 0]])
@@ -291,10 +291,10 @@ class TestLearnTransformers:
             (TemplateKind.LEN_NEQ, TemplateKind.TOP),
             (TemplateKind.LEN_NEQ, TemplateKind.LEN_NEQ),
         ]:
-            assert table_a1.lookup("concat", kinds).outputs == ()
+            assert table_a1.lookup(kinds).outputs == ()
 
     def test_char_domain_has_shift_row(self, table_a2):
-        t = table_a2.lookup("concat", (TemplateKind.LEN_EQ, TemplateKind.CHAR_EQ))
+        t = table_a2.lookup((TemplateKind.LEN_EQ, TemplateKind.CHAR_EQ))
         assert (CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 1, 0]])) in t.outputs
 
     def test_same_seed_same_table(self, learn_env):
@@ -313,7 +313,7 @@ class TestLearnTransformers:
         kinds = [TemplateKind.TOP, TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ]
         for k1 in kinds:
             for k2 in kinds:
-                assert table_a1.lookup("concat", (k1, k2)) is not None
+                assert table_a1.lookup((k1, k2)) is not None
 
 
 class TestSerialization:
@@ -328,7 +328,7 @@ class TestSerialization:
             assert transformer_from_obj(obj) == t
 
     def test_matrix_pairs(self, table_a1):
-        t = table_a1.lookup("concat", (TemplateKind.LEN_EQ, TemplateKind.LEN_EQ))
+        t = table_a1.lookup((TemplateKind.LEN_EQ, TemplateKind.LEN_EQ))
         obj = transformer_to_obj(t)
         assert obj["outputs"][0]["matrix"] == [[[1, 1], [1, 1], [0, 1]]]
 
