@@ -19,7 +19,7 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import TransformerTable, transformer_from_obj, transformer_to_obj
+from .transformers import TransformerTable, concat_construct, top_table, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -165,17 +165,13 @@ def cmd_train(args) -> int:
 
 
 def _load_bundle_or_top(args) -> tuple[list[PredicateTemplate], TransformerTable]:
-    if getattr(args, "baseline_top", False) or not args.bundle:
-        from .transformers import top_table, concat_construct
-
+    if args.baseline_top:
         return [TOP], top_table([concat_construct()])
     return load_bundle(Path(args.bundle))[:2]
 
 
 def cmd_synth(args) -> int:
     name, task = load_task(Path(args.task), args.max_size, args.max_candidates, args.timeout_ms)
-    if not args.baseline_top and not args.bundle:
-        raise CliError("synth requires --bundle (or --baseline-top)", USAGE_ERROR)
     templates, table = _load_bundle_or_top(args)
     result = Synthesizer(task, templates, table).run(require_correct=True)
     text = print_program(result.program) if result.program else None
@@ -198,9 +194,8 @@ def cmd_bench(args) -> int:
     if not corpus.is_dir():
         raise CliError(f"{corpus}: not a directory")
     task_files = sorted(corpus.glob("*.json"))
-    templates, table = (load_bundle(Path(args.bundle))[:2]) if args.bundle else ([TOP], None)
-    if table is None:
-        raise CliError("bench requires --bundle", USAGE_ERROR)
+    templates, table = load_bundle(Path(args.bundle))[:2]
+    baseline = top_table([concat_construct()])
     out_dir = Path(args.output)
 
     rows = []
@@ -211,13 +206,8 @@ def cmd_bench(args) -> int:
         except CliError as exc:
             rows.append({"task": path.stem, "error": str(exc)})
             continue
-        from .transformers import top_table, concat_construct
-
         per_mode = {}
-        for mode, (tpl, tbl) in {
-            "bundle": (templates, table),
-            "baseline": ([TOP], top_table([concat_construct()])),
-        }.items():
+        for mode, (tpl, tbl) in {"bundle": (templates, table), "baseline": ([TOP], baseline)}.items():
             result = Synthesizer(task, tpl, tbl).run(require_correct=True)
             text = print_program(result.program) if result.program else None
             entry = run_log_entry(name, result, text)
@@ -314,8 +304,9 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="synthesize a program for one task")
     p_synth.add_argument("task")
-    p_synth.add_argument("--bundle")
-    p_synth.add_argument("--baseline-top", action="store_true")
+    abstraction = p_synth.add_mutually_exclusive_group(required=True)
+    abstraction.add_argument("--bundle")
+    abstraction.add_argument("--baseline-top", action="store_true")
     p_synth.add_argument("--log")
     common(p_synth)
     p_synth.set_defaults(fn=cmd_synth)

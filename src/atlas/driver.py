@@ -11,8 +11,8 @@ non-progress.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Optional
 
 from .domain import ConstantPool, PredicateTemplate, TOP
@@ -112,6 +112,9 @@ def learn_abstractions(
 
     for name, task in problems:
         report = ProblemReport(problem=name, iterations=0, templates_added=[], table_size=len(table))
+        # Phase times in ns, rounded to ms once per problem: per-iteration
+        # truncation would count every sub-millisecond phase as 0.
+        t_ags = t_domain = t_transformers = 0
         iteration = 0
         while True:
             iteration += 1
@@ -119,10 +122,10 @@ def learn_abstractions(
                 report.diagnostic = "NonProgress"
                 diagnostics.append(f"NonProgress on {name}: iteration cap {cfg.max_iterations_per_problem} hit")
                 break
-            t0 = time.perf_counter()
+            t0 = perf_counter_ns()
             synth = Synthesizer(task, templates, table)
             result = synth.run(require_correct=False)
-            report.t_ags_ms += int((time.perf_counter() - t0) * 1000)
+            t_ags += perf_counter_ns() - t0
 
             if result.program is None:
                 report.diagnostic = "InfeasibleProblem"
@@ -139,15 +142,15 @@ def learn_abstractions(
                 )
                 break
 
-            t0 = time.perf_counter()
+            t0 = perf_counter_ns()
             new_templates = learn_abstract_domain(result.program, list(task.examples))
-            report.t_domain_ms += int((time.perf_counter() - t0) * 1000)
+            t_domain += perf_counter_ns() - t0
             added = sorted(t for t in new_templates if t not in templates)
             templates = sorted(set(templates) | new_templates)
 
-            t0 = time.perf_counter()
+            t0 = perf_counter_ns()
             table = learn_transformers(constructs, templates, oracle, cfg.learn, learn_pool, slot_cache)
-            report.t_transformers_ms += int((time.perf_counter() - t0) * 1000)
+            t_transformers += perf_counter_ns() - t0
 
             history.append(
                 IterationRecord(
@@ -158,6 +161,9 @@ def learn_abstractions(
             report.templates_added.extend(str(t) for t in added)
         report.iterations = iteration
         report.table_size = len(table)
+        report.t_ags_ms = round(t_ags / 1_000_000)
+        report.t_domain_ms = round(t_domain / 1_000_000)
+        report.t_transformers_ms = round(t_transformers / 1_000_000)
         reports.append(report)
 
     return TrainingRun(templates=templates, table=table, history=history, reports=reports, diagnostics=diagnostics)

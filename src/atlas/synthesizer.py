@@ -9,6 +9,17 @@ table to their children's states.  A subprogram is dropped when its state
 cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
+
+A candidate's state vector (its tuple of per-example states) determines
+all of its abstract work: the states of a concatenation depend only on the
+children's vectors and the table, and the accept and embed verdicts only on
+the vector and the expected outputs.  Each synthesizer therefore keeps a
+registry of the distinct vectors of pooled candidates, each with a small
+int id and its ``(accepted, embeds)`` verdict, plus a cache from pairs of
+child ids to the id of their concatenation's vector.  A candidate whose
+vector is registered reuses both; any other is computed afresh.  Only
+pooled vectors are registered, so the registry is never larger than the
+pools.
 """
 
 from __future__ import annotations
@@ -163,10 +174,19 @@ def state_embeds(state: StateLike, out: str) -> bool:
 
 @dataclass
 class Candidate:
+    """A program with its per-example values and states.
+
+    ``sid`` is the registry id of ``states`` when that vector is registered
+    (always so once the candidate is pooled), else None.  ``verdict`` holds
+    ``(accepted, embeds)`` once the synthesizer has judged the candidate.
+    """
+
     node: AstNode
     values: tuple[str, ...]
     states: tuple[StateLike, ...]
     size: int
+    sid: Optional[int] = None
+    verdict: Optional[tuple[bool, bool]] = None
 
 
 @dataclass
@@ -201,6 +221,13 @@ class Synthesizer:
         self.consts = self._const_pool()
         self.positions = self._position_pool()
         self._abstraction_cache: dict[str, StateLike] = {}
+        # The registry of pooled state vectors: id by vector, vector and
+        # verdict by id.  ``_concats`` maps a pair of child ids to the id of
+        # the vector of their concatenation, once that vector is registered.
+        self._ids: dict[tuple[StateLike, ...], int] = {}
+        self._vectors: list[tuple[StateLike, ...]] = []
+        self._verdicts: list[tuple[bool, bool]] = []
+        self._concats: dict[tuple[int, int], int] = {}
 
     def _const_pool(self) -> list[str]:
         subs: set[str] = set(self.task.literals)
@@ -236,15 +263,46 @@ class Synthesizer:
             except EvalError:
                 return None
         states = tuple(self._abstract_value(v) for v in values)
-        return Candidate(node, tuple(values), states, node.size)
+        return Candidate(node, tuple(values), states, node.size, self._ids.get(states))
+
+    def _verdict(self, cand: Candidate) -> tuple[bool, bool]:
+        """``(accepted, embeds)`` of the candidate, from the registry when its vector is there.
+
+        ``embeds`` is True when the embedding filter is off.
+        """
+        if cand.verdict is None:
+            if cand.sid is not None:
+                cand.verdict = self._verdicts[cand.sid]
+            else:
+                outputs = self.task.outputs
+                accepted = all(gamma_contains(st, out) for st, out in zip(cand.states, outputs))
+                embeds = not self.use_embedding_filter or all(
+                    state_embeds(st, out) for st, out in zip(cand.states, outputs)
+                )
+                cand.verdict = (accepted, embeds)
+        return cand.verdict
+
+    def _register(self, cand: Candidate):
+        """Register the vector of a pooled candidate that has no id.
+
+        Such a vector is new: every candidate is made just before it is
+        yielded and looks its vector up then, and only pooling registers.
+        """
+        if cand.sid is None:
+            self._verdicts.append(self._verdict(cand))
+            cand.sid = len(self._vectors)
+            self._ids[cand.states] = cand.sid
+            self._vectors.append(cand.states)
 
     def _candidates(self) -> Generator[Candidate, bool, None]:
         """Yield candidates in rank order.
 
         The caller sends back whether the last candidate is kept; only kept
-        candidates become children of larger ones.
+        candidates become children of larger ones, and their vectors are
+        registered.
         """
         pools: dict[int, list[Candidate]] = {}
+        ids, vectors, concats = self._ids, self._vectors, self._concats
 
         def emit_batch(size: int) -> Iterator[Candidate]:
             if size == 1:
@@ -262,11 +320,19 @@ class Synthesizer:
                     for b in pools.get(sb, ()):
                         node = dsl.concat(a.node, b.node)
                         values = tuple(va + vb for va, vb in zip(a.values, b.values))
-                        states = tuple(
-                            apply_transformer(self.table, (sa_state, sb_state))
-                            for sa_state, sb_state in zip(a.states, b.states)
-                        )
-                        yield Candidate(node, values, states, size)
+                        pair = (a.sid, b.sid)
+                        sid = concats.get(pair)
+                        if sid is None:
+                            states = tuple(
+                                apply_transformer(self.table, (sa_state, sb_state))
+                                for sa_state, sb_state in zip(a.states, b.states)
+                            )
+                            sid = ids.get(states)
+                            if sid is not None:
+                                concats[pair] = sid
+                        else:
+                            states = vectors[sid]
+                        yield Candidate(node, values, states, size, sid)
             if size == 4:
                 for i, p1 in enumerate(self.positions):
                     for p2 in self.positions:
@@ -280,6 +346,7 @@ class Synthesizer:
             for cand in emit_batch(size):
                 keep = yield cand
                 if keep:
+                    self._register(cand)
                     pools[size].append(cand)
 
     def run(self, require_correct: bool = False) -> SynthResult:
@@ -317,7 +384,7 @@ class Synthesizer:
                 for v, st in zip(cand.values, cand.states):
                     assert gamma_contains(st, v), f"unsound state for {cand.node}"
 
-            accepted = all(gamma_contains(st, out) for st, out in zip(cand.states, outputs))
+            accepted, embeds = self._verdict(cand)
             if accepted:
                 if not require_correct or cand.values == outputs:
                     result.program = Program(cand.node)
@@ -325,9 +392,7 @@ class Synthesizer:
                     result.reason = "found"
                     break
 
-            if self.use_embedding_filter and not all(
-                state_embeds(st, out) for st, out in zip(cand.states, outputs)
-            ):
+            if not embeds:
                 result.pruned_abstract += 1
                 continue
             keep = True

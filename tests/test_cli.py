@@ -221,6 +221,10 @@ class TestExitCodes:
     def test_zero_timeout_usage_error(self):
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--timeout-ms", "0"]) == 3
 
+    def test_bundle_and_baseline_top_usage_error(self, trained_dir):
+        bundle = str(trained_dir / "bundle.json")
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", bundle, "--baseline-top"]) == 3
+
     def test_removed_validity_samples_flag_usage_error(self, tmp_path):
         e1 = str(corpus_dir() / "e1.json")
         assert main(["train", e1, "-o", str(tmp_path / "o"), "--validity-samples", "10"]) == 3

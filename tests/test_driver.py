@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from atlas import driver
 from atlas.domain import (
     CHAR_EQ,
     CHAR_NEQ,
@@ -10,8 +13,9 @@ from atlas.domain import (
     gamma_contains,
 )
 from atlas.driver import TrainConfig, learn_abstractions
-from atlas.dsl import print_program
-from atlas.synthesizer import SynthesisTask, Synthesizer, abstract_eval, is_correct
+from atlas.dsl import Program, concat, const, input_, print_program
+from atlas.synthesizer import SynthesisTask, SynthResult, Synthesizer, abstract_eval, is_correct
+from atlas.transformers import concat_construct, top_table
 
 from conftest import E1, E2, E3
 
@@ -118,3 +122,30 @@ class TestDiagnostics:
         assert not run.ok
         # The remaining problem still trains.
         assert any(h.problem == "e1" and h.correct for h in run.history)
+
+
+class TestTimings:
+    def test_sub_millisecond_phases_are_summed_before_rounding(self, monkeypatch):
+        # Every clock read advances 0.6 ms, so every phase lasts 0.6 ms.  The
+        # synthesizer returns the spurious (input) three times, then a correct
+        # program: four search phases and three domain and transformer phases.
+        ticks = itertools.count(step=600_000)
+        monkeypatch.setattr(driver, "perf_counter_ns", lambda: next(ticks))
+        spurious, correct = Program(input_()), Program(concat(input_(), const("2018")))
+        answers = iter([spurious] * 3 + [correct])
+
+        class ScriptedSynthesizer:
+            def __init__(self, task, templates, table):
+                pass
+
+            def run(self, require_correct):
+                return SynthResult(program=next(answers), correct=None)
+
+        monkeypatch.setattr(driver, "Synthesizer", ScriptedSynthesizer)
+        monkeypatch.setattr(driver, "learn_abstract_domain", lambda program, examples: set())
+        monkeypatch.setattr(driver, "learn_transformers", lambda *args: top_table([concat_construct()]))
+        (report,) = learn_abstractions([("e1", E1)], TrainConfig(seed=0)).reports
+        assert report.iterations == 4
+        assert report.t_domain_ms == 2  # 1.8 ms; per-phase truncation gave 0
+        assert report.t_transformers_ms == 2
+        assert report.t_ags_ms == 2  # 2.4 ms

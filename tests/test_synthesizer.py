@@ -31,7 +31,7 @@ from atlas.synthesizer import (
     state_embeds,
     synthesize,
 )
-from atlas.transformers import concat_construct, top_table
+from atlas.transformers import Transformer, TransformerTable, concat_construct, top_table
 
 from conftest import E1, E2, E3
 
@@ -260,3 +260,65 @@ class TestEnumeratorProperties:
             assert not all(
                 gamma_contains(st, out) for st, out in zip(cand.states, E1.outputs)
             )
+
+
+FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
+
+
+class TestStateVectorCache:
+    """The registry and the concat cache give what a fresh evaluation gives."""
+
+    @pytest.mark.parametrize(
+        "domain, limit, reuses",
+        [
+            ("five", 20_000, False),  # nearly every state pins its value
+            ("length", 8_000, True),
+            ("top", 20_000, True),
+        ],
+    )
+    def test_cached_states_and_verdicts_equal_fresh_ones(self, table_a1, table_a2, domain, limit, reuses):
+        templates, table = {
+            "five": (FIVE_TEMPLATES, table_a2),
+            "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
+            "top": ([TOP], top_table([concat_construct()])),
+        }[domain]
+        synth = Synthesizer(E2, templates, table)
+        gen = synth._candidates()
+        seen, keep, pooled, reused = set(), None, 0, 0
+        for _ in range(limit):
+            try:
+                cand = gen.send(keep)
+            except StopIteration:
+                break
+            keep = False
+            if cand.values in seen:  # the run's dedup
+                continue
+            seen.add(cand.values)
+            fresh = tuple(
+                abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in E2.inputs
+            )
+            assert cand.states == fresh, print_program(Program(cand.node))
+            reused += cand.sid is not None
+            accepted = all(gamma_contains(s, out) for s, out in zip(fresh, E2.outputs))
+            embeds = all(state_embeds(s, out) for s, out in zip(fresh, E2.outputs))
+            assert synth._verdict(cand) == (accepted, embeds)
+            keep = embeds
+            pooled += keep
+        assert reused > 0 or not reuses
+        # Only pooled vectors are registered.
+        assert len(synth._ids) == len(synth._vectors) == len(synth._verdicts) <= pooled
+
+    def test_unsound_entry_still_fails_the_soundness_check(self, table_a2):
+        # len(a + b) = len(a): wrong whenever b is not empty.
+        unsound = Transformer("concat", (LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 0, 0),)),))
+        table = TransformerTable([*(t for t in table_a2.all() if t.inputs != unsound.inputs), unsound])
+        synth = Synthesizer(E2, FIVE_TEMPLATES, table, check_soundness=True)
+        # Fill the registry and the concat cache first, so that the checked
+        # run takes the cached path.
+        gen = synth._candidates()
+        cand = next(gen)
+        for _ in range(5_000):
+            cand = gen.send(True)
+        assert synth._concats
+        with pytest.raises(AssertionError, match="unsound state"):
+            synth.run(require_correct=True)
