@@ -94,7 +94,8 @@ def load_bundle(path: Path) -> tuple[list[PredicateTemplate], TransformerTable, 
         raise CliError(f"{path}: {exc}") from exc
     try:
         templates = [template_from_text(t) for t in obj["templates"]]
-        table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"])
+        # Bundles written before tables were normalized carry redundant outputs.
+        table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"]).normalized()
         provenance = obj.get("provenance", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed bundle ({exc})") from exc
@@ -153,6 +154,9 @@ def cmd_train(args) -> int:
                 "T_AGS_ms": r.t_ags_ms,
                 "T_A_ms": r.t_domain_ms,
                 "T_T_ms": r.t_transformers_ms,
+                "T_AGS_us": r.t_ags_us,
+                "T_A_us": r.t_domain_us,
+                "T_T_us": r.t_transformers_us,
             }
             for r in run.reports
         ]

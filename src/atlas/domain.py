@@ -232,11 +232,29 @@ def abstract(s: str, t: PredicateTemplate, pool: ConstantPool) -> list[ConcreteP
     raise ValueError(k)
 
 
-def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: ConstantPool) -> AbstractValue:
-    """Strongest conjunction expressible with the given templates that holds of ``s``."""
+# The equality kind whose facts about a value imply every fact of the
+# inequality kind: ``len = n`` implies each ``len != k``, and ``char i = c``
+# each ``char i != c'`` (both are generated at the indices of the value).
+_IMPLIED_BY = {TemplateKind.LEN_NEQ: TemplateKind.LEN_EQ, TemplateKind.CHAR_NEQ: TemplateKind.CHAR_EQ}
+
+
+def best_abstraction(
+    s: str, templates: Iterable[PredicateTemplate], pool: ConstantPool, reduced: bool = False
+) -> AbstractValue:
+    """Strongest conjunction expressible with the given templates that holds of ``s``.
+
+    With ``reduced`` the conjunction is the reduced form of the same state:
+    an inequality template contributes no facts when the matching equality
+    template is in the domain, since those facts would all be implied.
+    Both forms have the same concretization; the synthesizer asks for the
+    reduced one when its table is closed (``TransformerTable.closed``), so
+    that concatenations derive nothing from the implied facts either.
+    """
+    templates = sorted(templates)
+    kinds = {t.kind for t in templates}
     preds = []
-    for t in sorted(templates):
-        if t.kind is TemplateKind.TOP:
+    for t in templates:
+        if t.kind is TemplateKind.TOP or (reduced and _IMPLIED_BY.get(t.kind) in kinds):
             continue
         preds.extend(abstract(s, t, pool))
     return AbstractValue(frozenset(preds))

@@ -67,6 +67,10 @@ class ProblemReport:
     t_ags_ms: int = 0
     t_domain_ms: int = 0
     t_transformers_ms: int = 0
+    # The same phases in µs, for the phases that round to 0 ms.
+    t_ags_us: int = 0
+    t_domain_us: int = 0
+    t_transformers_us: int = 0
     diagnostic: Optional[str] = None
 
 
@@ -164,6 +168,9 @@ def learn_abstractions(
         report.t_ags_ms = round(t_ags / 1_000_000)
         report.t_domain_ms = round(t_domain / 1_000_000)
         report.t_transformers_ms = round(t_transformers / 1_000_000)
+        report.t_ags_us = round(t_ags / 1_000)
+        report.t_domain_us = round(t_domain / 1_000)
+        report.t_transformers_us = round(t_transformers / 1_000)
         reports.append(report)
 
     return TrainingRun(templates=templates, table=table, history=history, reports=reports, diagnostics=diagnostics)

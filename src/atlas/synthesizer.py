@@ -5,7 +5,12 @@ attached to every subprogram.  Closed subterms (the input leaf, constant
 strings, and substring extractions of the input) are described by the
 strongest conjunction the current domain can express about their concrete
 value; concatenations are described by applying the learned transformer
-table to their children's states.  A subprogram is dropped when its state
+table to their children's states.  Under a closed table
+(``TransformerTable.closed``) a leaf's state is in reduced form: it keeps
+no ``len !=`` or ``char !=`` fact that its ``len =`` or ``char =`` facts
+imply, and with the normalized table no concatenation derives one either,
+so each fact is derived once.  The concretizations, and so every verdict,
+are those of the unreduced states.  A subprogram is dropped when its state
 cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
@@ -120,12 +125,13 @@ def abstract_eval(
 ) -> StateLike:
     """Abstract state of a program on one example input.
 
-    Closed subterms are abstracted from their concrete value; open
-    constructs go through the transformer table.
+    Closed subterms are abstracted from their concrete value (in reduced
+    form when the table is closed); open constructs go through the
+    transformer table.
     """
     if node.op in (Op.INPUT, Op.CONST, Op.SUBSTR):
         value = dsl.eval_node(node, e_in)
-        return best_abstraction(value, templates, pool)
+        return best_abstraction(value, templates, pool, reduced=table.closed)
     if node.op is Op.CONCAT:
         left = abstract_eval(node.children[0], e_in, templates, table, pool)
         right = abstract_eval(node.children[1], e_in, templates, table, pool)
@@ -212,12 +218,13 @@ class Synthesizer:
         use_embedding_filter: bool = True,
     ):
         self.task = task
+        self.inputs = task.inputs
+        self.outputs = task.outputs
         self.templates = sorted(set(templates))
         self.table = table
         self.check_soundness = check_soundness
         self.use_embedding_filter = use_embedding_filter
-        strings = list(task.inputs) + list(task.outputs)
-        self.pool = ConstantPool.default(strings)
+        self.pool = ConstantPool.default(self.inputs + self.outputs)
         self.consts = self._const_pool()
         self.positions = self._position_pool()
         self._abstraction_cache: dict[str, StateLike] = {}
@@ -231,17 +238,17 @@ class Synthesizer:
 
     def _const_pool(self) -> list[str]:
         subs: set[str] = set(self.task.literals)
-        for out in self.task.outputs:
+        for out in self.outputs:
             for i in range(len(out)):
                 for j in range(i + 1, min(i + 6, len(out)) + 1):
                     subs.add(out[i:j])
         return sorted(s for s in subs if s)
 
     def _position_pool(self) -> list[AstNode]:
-        max_len = max((len(s) for s in self.task.inputs + self.task.outputs), default=0)
+        max_len = max((len(s) for s in self.inputs + self.outputs), default=0)
         ks = list(range(0, min(12, max_len) + 1)) + [-1]
         positions = [dsl.abspos(k) for k in sorted(set(ks))]
-        chars = sorted({ord(c) for s in self.task.inputs for c in s})
+        chars = sorted({ord(c) for s in self.inputs for c in s})
         for c in chars:
             for j in (1, 2, 3, -1, -2, -3):
                 positions.append(dsl.cpos(c, j))
@@ -251,13 +258,13 @@ class Synthesizer:
     def _abstract_value(self, value: str) -> StateLike:
         cached = self._abstraction_cache.get(value)
         if cached is None:
-            cached = best_abstraction(value, self.templates, self.pool)
+            cached = best_abstraction(value, self.templates, self.pool, reduced=self.table.closed)
             self._abstraction_cache[value] = cached
         return cached
 
     def _leaf_candidate(self, node: AstNode) -> Optional[Candidate]:
         values = []
-        for e_in in self.task.inputs:
+        for e_in in self.inputs:
             try:
                 values.append(dsl.eval_node(node, e_in))
             except EvalError:
@@ -274,7 +281,7 @@ class Synthesizer:
             if cand.sid is not None:
                 cand.verdict = self._verdicts[cand.sid]
             else:
-                outputs = self.task.outputs
+                outputs = self.outputs
                 accepted = all(gamma_contains(st, out) for st, out in zip(cand.states, outputs))
                 embeds = not self.use_embedding_filter or all(
                     state_embeds(st, out) for st, out in zip(cand.states, outputs)
@@ -354,7 +361,7 @@ class Synthesizer:
         deadline = None
         if self.task.timeout_ms is not None:
             deadline = start + self.task.timeout_ms / 1000.0
-        outputs = self.task.outputs
+        outputs = self.outputs
         seen: set[tuple[str, ...]] = set()
         result = SynthResult(program=None, correct=None)
 

@@ -12,6 +12,12 @@ is involved.  Learned matrices are tuples of integer rows.
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
 value, so the table is read for concat alone.
+
+A learned or loaded table is normalized: an output is dropped when the
+entry with ``top`` in place of an argument it does not read already has
+it, so each fact is derived by one entry.  A table is *closed* when the
+inequality facts of a reduced leaf can derive nothing its equality facts
+do not imply; the synthesizer then abstracts leaves in reduced form.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .domain import (
+    LEN_EQ,
+    TOP,
     ConcretePredicate,
     ConstantPool,
     PredicateTemplate,
@@ -475,6 +483,7 @@ class TransformerTable:
             if len(m) != chi.holes or any(len(row) != width for row in m):
                 raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
         self.entries[(t.inputs[0].kind, t.inputs[1].kind)] = t
+        self.__dict__.pop("closed", None)
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)
@@ -485,14 +494,78 @@ class TransformerTable:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def normalized(self) -> "TransformerTable":
+        """The table without the outputs that another entry already derives.
+
+        Every state has the top kind, so an entry is always read together
+        with the entry that has ``top`` in place of one of its arguments.
+        An output that reads none of that argument's holes, and that this
+        other entry has too (less the argument's zero columns), derives
+        nothing more and is dropped.  That entry has fewer non-top inputs,
+        so a chain of such matches ends at an output that is kept: the
+        drops are decided on this table together, and whatever is dropped
+        is still derived.  Entries are kept, empty or not; normalizing twice
+        changes nothing.
+        """
+        return TransformerTable(
+            Transformer(t.op, t.inputs, tuple(o for o in t.outputs if not self._found_at_top(t, o)))
+            for t in self.all()
+        )
+
+    def _found_at_top(self, t: Transformer, output: tuple[PredicateTemplate, Matrix]) -> bool:
+        chi, matrix = output
+        start = 0
+        for j, x in enumerate(t.inputs):
+            cols = range(start, start + x.holes)
+            start += x.holes
+            if x.kind is TemplateKind.TOP or any(row[c] for row in matrix for c in cols):
+                continue
+            kinds = [y.kind for y in t.inputs]
+            kinds[j] = TemplateKind.TOP
+            at_top = self.lookup(tuple(kinds))
+            narrowed = tuple(row[: cols.start] + row[cols.stop :] for row in matrix)
+            if at_top is not None and (chi, narrowed) in at_top.outputs:
+                return True
+        return False
+
+    @cached_property
+    def closed(self) -> bool:
+        """Whether leaves may leave out the inequality facts their equalities imply.
+
+        True when no entry with a ``char !=`` input has an output, and each
+        output of an entry with a ``len !=`` input is a ``len !=`` output
+        with a nonzero coefficient on that constant, which the entry with
+        ``len =`` in its place has as a ``len =`` output with the same
+        matrix.  Then every fact derived from an implied ``len != k`` (one
+        beside ``len = n``, k != n) is implied by the fact derived from
+        ``len = n``, as the map is injective in that constant: reduced
+        leaves (``best_abstraction(..., reduced=True)``) give every
+        concatenation a state with the same concretization.
+        """
+        for (k1, k2), t in self.entries.items():
+            if t.outputs and TemplateKind.CHAR_NEQ in (k1, k2):
+                return False
+            for j, k in enumerate((k1, k2)):
+                if k is not TemplateKind.LEN_NEQ:
+                    continue
+                kinds = [k1, k2]
+                kinds[j] = TemplateKind.LEN_EQ
+                eq = self.lookup(tuple(kinds))
+                eq_outputs = eq.outputs if eq else ()
+                col = t.inputs[0].holes if j else 0
+                if any(
+                    chi.kind is not TemplateKind.LEN_NEQ or m[0][col] == 0 or (LEN_EQ, m) not in eq_outputs
+                    for chi, m in t.outputs
+                ):
+                    return False
+        return True
+
 
 def top_table(constructs: Sequence[Construct]) -> TransformerTable:
     """The initial table: one all-top transformer per construct."""
     table = TransformerTable()
-    from .domain import TOP as TOP_TEMPLATE
-
     for c in constructs:
-        table.add(Transformer(c.op_id, (TOP_TEMPLATE,) * c.arity, ()))
+        table.add(Transformer(c.op_id, (TOP,) * c.arity, ()))
     return table
 
 
@@ -509,7 +582,10 @@ def learn_transformers(
     One transformer per (construct, input-template tuple); each candidate
     output template is fitted by exact linear solving over generated
     examples and kept only if ``check_valid`` accepts it.  Slots are
-    seeded individually so results are reproducible and cacheable.
+    seeded individually so results are reproducible and cacheable.  The
+    table is returned normalized (``TransformerTable.normalized``): every
+    entry is present, but an output that a more general entry already
+    derives is not.
     """
     pool = pool or ConstantPool.default()
     templates = sorted(set(templates))
@@ -535,7 +611,7 @@ def learn_transformers(
                 if result is not None:
                     outputs.append(result)
             table.add(Transformer(construct.op_id, chis, tuple(outputs)))
-    return table
+    return table.normalized()
 
 
 def _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id):

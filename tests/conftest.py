@@ -3,7 +3,14 @@ import pytest
 from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ
 from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
-from atlas.transformers import LearnConfig, SamplingOracle, concat_construct, learn_transformers
+from atlas.transformers import (
+    LearnConfig,
+    SamplingOracle,
+    Transformer,
+    TransformerTable,
+    concat_construct,
+    learn_transformers,
+)
 
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
@@ -49,3 +56,37 @@ def table_a2(learn_env):
     return learn_transformers(
         constructs, [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ], oracle, LearnConfig(), pool
     )
+
+
+@pytest.fixture(scope="session")
+def open_table(table_a1):
+    """table_a1 without ``(len =, len =) -> len =``: it keeps the ``len !=``
+    outputs of ``(len !=, len =)`` and ``(len =, len !=)``, so it is not closed."""
+    return with_outputs(table_a1, lambda entry, output: entry.inputs != (LEN_EQ, LEN_EQ))
+
+
+def with_outputs(table, keep):
+    """A copy of ``table`` with the outputs ``keep(entry, output)`` accepts; every entry stays."""
+    return TransformerTable(
+        Transformer(t.op, t.inputs, tuple(o for o in t.outputs if keep(t, o))) for t in table.all()
+    )
+
+
+def with_top_copies(table):
+    """``table`` as learned before tables were normalized: every ``(char =, X)``
+    entry with X not top also has the outputs of ``(char =, top)``, with zero
+    columns for the right argument."""
+    at_top = table.lookup((CHAR_EQ.kind, TOP.kind)).outputs
+    entries = []
+    for t in table.all():
+        if t.inputs[0] == CHAR_EQ and t.inputs[1] != TOP:
+            zeros = (0,) * t.inputs[1].holes
+            copies = tuple((chi, tuple(row[:-1] + zeros + row[-1:] for row in m)) for chi, m in at_top)
+            t = Transformer(t.op, t.inputs, t.outputs + copies)
+        entries.append(t)
+    return TransformerTable(entries)
+
+
+def table_outputs(table) -> list:
+    """Every ``(inputs, output)`` pair of ``table``."""
+    return [(t.inputs, o) for t in table.all() for o in t.outputs]

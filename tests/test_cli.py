@@ -64,6 +64,17 @@ class TestTrain:
         schema = read(Path(__file__).parent.parent / "src/atlas/schemas/training_report.schema.json")
         jsonschema.validate(read(trained_dir / "report.json"), schema)
 
+    def test_timings_have_ms_and_us_per_phase(self, trained_dir):
+        problems = read(trained_dir / "timings.json")["problems"]
+        assert [p["problem"] for p in problems] == ["e1", "e2", "e3"]
+        for p in problems:
+            for phase in ("T_AGS", "T_A", "T_T"):
+                ms, us = p[f"{phase}_ms"], p[f"{phase}_us"]
+                assert type(ms) is int and type(us) is int
+                assert abs(us / 1000 - ms) <= 0.5 + 1e-9  # two roundings of one ns sum
+        # e1 and e2 each refine their domain at least once.
+        assert all(p["T_A_us"] > 0 for p in problems[:2])
+
     def test_bundle_round_trip_is_byte_identical(self, trained_dir, tmp_path):
         from atlas.cli import bundle_obj, canonical_json, load_bundle
 
@@ -71,6 +82,31 @@ class TestTrain:
         templates, table, prov = load_bundle(trained_dir / "bundle.json")
         again = canonical_json(bundle_obj(templates, table, prov["seed"], prov["training_tasks"])).encode()
         assert raw == again
+
+
+class TestOldBundle:
+    """Bundles written before tables were normalized load as the normalized table."""
+
+    def test_loads_normalized_and_solves_the_same(self, trained_dir, tmp_path):
+        from atlas.cli import load_bundle
+        from atlas.transformers import transformer_to_obj
+
+        from conftest import table_outputs, with_top_copies
+        from test_golden import expected, synthesize_all
+
+        templates, table, prov = load_bundle(trained_dir / "bundle.json")
+        old = read(trained_dir / "bundle.json")
+        old_table = with_top_copies(table)
+        old["transformers"] = [transformer_to_obj(t) for t in old_table.all()]
+        assert len(table_outputs(old_table)) == len(table_outputs(table)) + 4
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+
+        old_templates, loaded, _ = load_bundle(path)
+        assert old_templates == templates
+        assert [transformer_to_obj(t) for t in loaded.all()] == read(trained_dir / "bundle.json")["transformers"]
+        want = expected("synth-bundle")
+        assert synthesize_all(old_templates, loaded, want) == want
 
 
 class TestSynth:

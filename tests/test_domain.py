@@ -177,3 +177,24 @@ class TestBestAbstraction:
     def test_contains_own_value(self, s):
         v = best_abstraction(s, sorted(ALL_TEMPLATES.values()), POOL)
         assert gamma_contains(v, s)
+
+    def test_reduced_drops_the_implied_inequalities(self):
+        full = best_abstraction("ab", ALL_TEMPLATES.values(), POOL)
+        reduced = best_abstraction("ab", ALL_TEMPLATES.values(), POOL, reduced=True)
+        assert reduced.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
+        assert reduced.conjuncts < full.conjuncts
+
+    def test_reduced_keeps_inequalities_without_their_equality(self):
+        templates = [TOP, LEN_NEQ, CHAR_NEQ]
+        assert best_abstraction("ab", templates, POOL, reduced=True) == best_abstraction("ab", templates, POOL)
+
+    @given(
+        st.text(alphabet="abz", max_size=5),
+        st.text(alphabet="abz", max_size=7),
+        st.sets(st.sampled_from([LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ])),
+    )
+    def test_reduced_has_the_same_concretization(self, s, t, templates):
+        pool = ConstantPool.default(["abz"])
+        full = best_abstraction(s, templates, pool)
+        reduced = best_abstraction(s, templates, pool, reduced=True)
+        assert gamma_contains(reduced, t) == gamma_contains(full, t)

@@ -149,3 +149,5 @@ class TestTimings:
         assert report.t_domain_ms == 2  # 1.8 ms; per-phase truncation gave 0
         assert report.t_transformers_ms == 2
         assert report.t_ags_ms == 2  # 2.4 ms
+        # The µs fields round the same ns sums.
+        assert (report.t_domain_us, report.t_transformers_us, report.t_ags_us) == (1800, 1800, 2400)

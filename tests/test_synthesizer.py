@@ -21,7 +21,7 @@ from atlas.domain import (
     len_neq,
     meet,
 )
-from atlas.dsl import Program, concat, const, evaluate, input_, parse_program, print_program
+from atlas.dsl import Op, Program, concat, const, eval_node, evaluate, input_, parse_program, print_program
 from atlas.synthesizer import (
     SynthesisTask,
     Synthesizer,
@@ -33,7 +33,7 @@ from atlas.synthesizer import (
 )
 from atlas.transformers import Transformer, TransformerTable, concat_construct, top_table
 
-from conftest import E1, E2, E3
+from conftest import E1, E2, E3, table_outputs, with_outputs, with_top_copies
 
 
 def val(*preds):
@@ -322,3 +322,83 @@ class TestStateVectorCache:
         assert synth._concats
         with pytest.raises(AssertionError, match="unsound state"):
             synth.run(require_correct=True)
+
+
+def unreduced_eval(node, e_in, templates, table, pool):
+    """``abstract_eval`` with every leaf fact kept, whatever the table."""
+    if node.op is Op.CONCAT:
+        return apply_transformer(table, tuple(unreduced_eval(c, e_in, templates, table, pool) for c in node.children))
+    return best_abstraction(eval_node(node, e_in), templates, pool)
+
+
+ABZ = st.text(alphabet="abz", max_size=4)
+PROGRAMS = st.recursive(
+    st.one_of(st.just(input_()), st.builds(const, st.text(alphabet="abz", min_size=1, max_size=3))),
+    lambda children: st.builds(concat, children, children),
+    max_leaves=5,
+)
+
+
+def neighbours(value: str) -> set[str]:
+    """``value``, its prefixes, and every string one edit over "abz" away."""
+    near = {value[:i] for i in range(len(value) + 1)} | {value + c for c in "abz"}
+    near |= {value[:i] + c + value[i + 1 :] for i in range(len(value)) for c in "abz"}
+    return near
+
+
+class TestReducedLeaves:
+    """Leaves in reduced form give states with the concretization of the full ones."""
+
+    def test_closed_table_reduces_leaves(self, table_a2):
+        synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
+        assert table_a2.closed
+        state = synth._abstract_value("ab")
+        assert state.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
+
+    def test_open_table_keeps_leaf_inequalities(self, open_table):
+        templates = [TOP, LEN_EQ, LEN_NEQ]
+        synth = Synthesizer(SynthesisTask(examples=(("ab", "abz"),)), templates, open_table)
+        assert not open_table.closed
+        assert len_neq(0) in synth._abstract_value("ab").conjuncts
+        node, pool = concat(input_(), const("z")), ConstantPool.default(["ab", "abz"])
+        state = abstract_eval(node, "ab", templates, open_table, pool)
+        assert state == unreduced_eval(node, "ab", templates, open_table, pool)
+        # From (len != 0) and (len = 1); reduced leaves would derive top here.
+        assert len_neq(1) in state.conjuncts
+
+    @pytest.mark.parametrize("which", ["table_a2", "open_table", "slots_removed"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reduced_and_unreduced_agree_on_gamma(self, request, which, data):
+        if which == "slots_removed":
+            full = request.getfixturevalue("table_a2")
+            removed = data.draw(st.sets(st.sampled_from(table_outputs(full))))
+            table = with_outputs(full, lambda t, o: (t.inputs, o) not in removed)
+        else:
+            table = request.getfixturevalue(which)
+        templates = [TOP, *data.draw(st.sets(st.sampled_from([LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ])))]
+        node, e_in = data.draw(PROGRAMS), data.draw(ABZ)
+        pool = ConstantPool.default(["abz"])
+        got = abstract_eval(node, e_in, templates, table, pool)
+        want = unreduced_eval(node, e_in, templates, table, pool)
+        if not table.closed:
+            assert got == want
+        assert (got is BOTTOM) == (want is BOTTOM)
+        if got is not BOTTOM:
+            assert got.conjuncts <= want.conjuncts
+        strings = sorted(neighbours(eval_node(node, e_in)) | set(data.draw(st.lists(st.text("abz", max_size=12)))))
+        assert [gamma_contains(got, s) for s in strings] == [gamma_contains(want, s) for s in strings]
+
+
+class TestNormalizedTableIsExact:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_normalizing_keeps_every_derived_state(self, table_a2, data):
+        old = with_top_copies(table_a2)
+        removed = data.draw(st.sets(st.sampled_from(table_outputs(old))))
+        table = with_outputs(old, lambda t, o: (t.inputs, o) not in removed)
+        once = table.normalized()
+        assert len(once) == len(table)
+        assert table_outputs(once.normalized()) == table_outputs(once)
+        left, right = data.draw(STATES), data.draw(STATES)
+        assert apply_transformer(once, (left, right)) == apply_transformer(table, (left, right))

@@ -26,6 +26,7 @@ from atlas.transformers import (
     InsufficientRank,
     LearnConfig,
     SamplingOracle,
+    Transformer,
     TransformerTable,
     as_matrix,
     check_valid,
@@ -38,6 +39,8 @@ from atlas.transformers import (
     transformer_from_obj,
     transformer_to_obj,
 )
+
+from conftest import table_outputs, with_outputs, with_top_copies
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
 CFG = LearnConfig()
@@ -314,6 +317,77 @@ class TestLearnTransformers:
         for k1 in kinds:
             for k2 in kinds:
                 assert table_a1.lookup((k1, k2)) is not None
+
+
+def objs(table):
+    return [transformer_to_obj(t) for t in table.all()]
+
+
+def concat_table(*entries):
+    """A table of concat entries given as ``(left, right, ((template, rows), ...))``."""
+    return TransformerTable(Transformer("concat", (x, y), outputs) for x, y, outputs in entries)
+
+
+class TestNormalizedTable:
+    def test_learned_tables_are_normalized_and_closed(self, table_a1, table_a2):
+        for table in (table_a1, table_a2):
+            assert objs(table.normalized()) == objs(table)
+            assert table.closed
+        assert len(table_a2) == 25  # empty entries are kept
+
+    def test_drops_the_copies_of_the_top_entry(self, table_a2):
+        old = with_top_copies(table_a2)
+        assert len(table_outputs(old)) == len(table_outputs(table_a2)) + 4
+        assert objs(old.normalized()) == objs(table_a2)
+        # (char =, len !=) -> char = reads an entry with a len != input.
+        assert not old.closed and old.normalized().closed
+
+    def test_keeps_an_output_the_top_entry_lacks(self, table_a2):
+        old = with_top_copies(table_a2)
+        lacking = with_outputs(old, lambda t, o: t.inputs != (CHAR_EQ, TOP))
+        assert objs(lacking.normalized()) == objs(lacking)
+
+    def test_drops_along_a_chain_to_the_all_top_entry(self):
+        # Each output reads neither argument; only the (top, top) one stays.
+        length_of_y = ((LEN_EQ, ((0, 0, 5),)),)
+        table = concat_table(
+            (LEN_EQ, LEN_EQ, length_of_y),
+            (LEN_EQ, TOP, ((LEN_EQ, ((0, 5),)),)),
+            (TOP, TOP, ((LEN_EQ, ((5,),)),)),
+        )
+        assert table_outputs(table.normalized()) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
+
+
+class TestClosedTable:
+    SUM = ((1, 1, 0),)
+
+    def test_len_neq_outputs_with_their_len_eq_outputs(self):
+        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, self.SUM),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, self.SUM),)))
+        assert table.closed
+
+    def test_len_neq_output_without_the_len_eq_output(self, open_table):
+        assert open_table.lookup((LEN_NEQ.kind, LEN_EQ.kind)).outputs
+        assert not open_table.closed
+
+    def test_len_eq_output_with_another_matrix(self):
+        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, ((1, 1, 1),)),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, self.SUM),)))
+        assert not table.closed
+
+    def test_len_neq_output_that_ignores_the_constant(self):
+        right = ((0, 1, 0),)
+        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, right),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, right),)))
+        assert not table.closed
+
+    def test_char_neq_input_with_an_output(self):
+        table = concat_table((CHAR_NEQ, TOP, ((CHAR_NEQ, ((1, 0, 0), (0, 1, 0))),)), (CHAR_NEQ, LEN_EQ, ()))
+        assert not table.closed
+        assert concat_table((CHAR_NEQ, LEN_EQ, ())).closed
+
+    def test_adding_an_entry_recomputes_it(self):
+        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, self.SUM),)))
+        assert table.closed
+        table.add(Transformer("concat", (LEN_NEQ, LEN_EQ), ((LEN_NEQ, ((1, 1, 1),)),)))
+        assert not table.closed
 
 
 class TestSerialization:
