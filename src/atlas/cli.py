@@ -111,6 +111,7 @@ def run_log_entry(name: str, result, program_text: Optional[str]) -> dict:
         "result_program": program_text,
         "correct": bool(result.correct) if result.program is not None else False,
         "wall_ms": result.wall_ms,
+        "wall_us": result.wall_us,
     }
 
 
@@ -218,21 +219,24 @@ def cmd_bench(args) -> int:
             entry["mode"] = mode
             log_lines.append(entry)
             per_mode[mode] = entry
-        ratio = None
-        if per_mode["bundle"]["correct"] and per_mode["baseline"]["correct"]:
-            denom = max(1, per_mode["bundle"]["enumerated"])
-            ratio = per_mode["baseline"]["enumerated"] / denom
-        rows.append({"task": name, "bundle": per_mode["bundle"], "baseline": per_mode["baseline"], "ratio": ratio})
+        ratio = wall_ratio = None
+        bundle, base = per_mode["bundle"], per_mode["baseline"]
+        if bundle["correct"] and base["correct"]:
+            ratio = base["enumerated"] / max(1, bundle["enumerated"])
+            wall_ratio = base["wall_us"] / max(1, bundle["wall_us"])
+        rows.append({"task": name, "bundle": bundle, "baseline": base, "ratio": ratio, "wall_ratio": wall_ratio})
 
     solved_bundle = sum(1 for r in rows if r.get("bundle", {}).get("correct"))
     solved_baseline = sum(1 for r in rows if r.get("baseline", {}).get("correct"))
-    ratios = sorted(r["ratio"] for r in rows if r.get("ratio") is not None)
+    ratios = [r["ratio"] for r in rows if r.get("ratio") is not None]
+    wall_ratios = [r["wall_ratio"] for r in rows if r.get("wall_ratio") is not None]
     aggregate = {
         "tasks": len(rows),
         "solved_bundle": solved_bundle,
         "solved_baseline": solved_baseline,
         "commonly_solved": len(ratios),
         "median_enumeration_ratio": statistics.median(ratios) if ratios else None,
+        "median_wall_ratio": statistics.median(wall_ratios) if wall_ratios else None,
     }
     report = {"aggregate": aggregate, "tasks": rows}
     write_json(out_dir / "bench_report.json", report)
@@ -251,9 +255,12 @@ def cmd_bench(args) -> int:
         t = r["baseline"]["enumerated"] if r["baseline"]["correct"] else "-"
         ratio = f"{r['ratio']:.1f}x" if r["ratio"] else "-"
         print(f"{r['task']:24} {b!s:>9} {t!s:>9} {ratio:>8}")
-    med = aggregate["median_enumeration_ratio"]
+    med, med_wall = aggregate["median_enumeration_ratio"], aggregate["median_wall_ratio"]
     summary = f"solved: bundle {solved_bundle}/{len(rows)}, baseline {solved_baseline}/{len(rows)}"
-    summary += f"; median ratio {med:.1f}x" if med is not None else "; no commonly solved tasks"
+    if med is not None:
+        summary += f"; median ratio {med:.1f}x, median wall ratio {med_wall:.2f}x"
+    else:
+        summary += "; no commonly solved tasks"
     print(summary)
     return 0
 

@@ -25,12 +25,23 @@ child ids to the id of their concatenation's vector.  A candidate whose
 vector is registered reuses both; any other is computed afresh.  Only
 pooled vectors are registered, so the registry is never larger than the
 pools.
+
+Most candidates are never kept and only the returned one's program is
+read, so candidates are made cheaply.  When the enumeration reaches the
+``substr`` leaves (size 4), it resolves every term of the position pool on
+every example input once, into a position table: a row of ints per
+position, or None when a ``cpos`` occurrence is missing on some input.  A
+``substr`` leaf is emitted only when its window is valid on every input,
+and its values are slices; no leaf is evaluated through the DSL.  A
+concatenation's values are the pairwise sums of its children's, and its
+AST node is built from the children's only when first read.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add
 from typing import Generator, Iterator, Optional
 
 from . import dsl
@@ -76,10 +87,6 @@ def satisfies(p: Program, example: tuple[str, str]) -> bool:
         return dsl.evaluate(p, e_in) == e_out
     except EvalError:
         return False
-
-
-def is_correct(p: Program, task: SynthesisTask) -> bool:
-    return all(satisfies(p, ex) for ex in task.examples)
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +185,33 @@ def state_embeds(state: StateLike, out: str) -> bool:
 # The enumerator
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """A program with its per-example values and states.
 
-    ``sid`` is the registry id of ``states`` when that vector is registered
-    (always so once the candidate is pooled), else None.  ``verdict`` holds
-    ``(accepted, embeds)`` once the synthesizer has judged the candidate.
+    A leaf carries its AST node.  A concatenation carries its two child
+    candidates in ``parts`` and builds ``dsl.concat`` of their nodes the
+    first time ``node`` is read, then keeps it; its values are already the
+    sums of theirs.  ``sid`` is the registry id of ``states`` when that
+    vector is registered (always so once the candidate is pooled), else
+    None.  ``verdict`` holds ``(accepted, embeds)`` once the synthesizer has
+    judged the candidate.
     """
 
-    node: AstNode
+    _node: Optional[AstNode]
+    parts: Optional[tuple[Candidate, Candidate]]
     values: tuple[str, ...]
     states: tuple[StateLike, ...]
     size: int
-    sid: Optional[int] = None
+    sid: Optional[int]
     verdict: Optional[tuple[bool, bool]] = None
+
+    @property
+    def node(self) -> AstNode:
+        if self._node is None:
+            a, b = self.parts
+            self._node = dsl.concat(a.node, b.node)
+        return self._node
 
 
 @dataclass
@@ -204,6 +223,7 @@ class SynthResult:
     deduped: int = 0
     reason: str = "found"
     wall_ms: int = 0
+    wall_us: int = 0
 
 
 class Synthesizer:
@@ -255,6 +275,16 @@ class Synthesizer:
         positions.sort(key=dsl.rank_key)
         return positions
 
+    def _position_table(self) -> list[Optional[tuple[int, ...]]]:
+        """Each position of the pool resolved on each input; None when it fails on one."""
+        rows = []
+        for p in self.positions:
+            try:
+                rows.append(tuple(dsl.resolve_position(p, x) for x in self.inputs))
+            except EvalError:
+                rows.append(None)
+        return rows
+
     def _abstract_value(self, value: str) -> StateLike:
         cached = self._abstraction_cache.get(value)
         if cached is None:
@@ -262,15 +292,9 @@ class Synthesizer:
             self._abstraction_cache[value] = cached
         return cached
 
-    def _leaf_candidate(self, node: AstNode) -> Optional[Candidate]:
-        values = []
-        for e_in in self.inputs:
-            try:
-                values.append(dsl.eval_node(node, e_in))
-            except EvalError:
-                return None
+    def _leaf(self, node: AstNode, values: tuple[str, ...]) -> Candidate:
         states = tuple(self._abstract_value(v) for v in values)
-        return Candidate(node, tuple(values), states, node.size, self._ids.get(states))
+        return Candidate(node, None, values, states, node.size, self._ids.get(states))
 
     def _verdict(self, cand: Candidate) -> tuple[bool, bool]:
         """``(accepted, embeds)`` of the candidate, from the registry when its vector is there.
@@ -310,23 +334,19 @@ class Synthesizer:
         """
         pools: dict[int, list[Candidate]] = {}
         ids, vectors, concats = self._ids, self._vectors, self._concats
+        inputs = self.inputs
 
         def emit_batch(size: int) -> Iterator[Candidate]:
             if size == 1:
-                cand = self._leaf_candidate(dsl.input_())
-                if cand:
-                    yield cand
+                yield self._leaf(dsl.input_(), inputs)
                 for s in self.consts:
-                    cand = self._leaf_candidate(dsl.const(s))
-                    if cand:
-                        yield cand
+                    yield self._leaf(dsl.const(s), (s,) * len(inputs))
                 return
             for sa in range(1, size - 1):
                 sb = size - 1 - sa
                 for a in pools.get(sa, ()):
                     for b in pools.get(sb, ()):
-                        node = dsl.concat(a.node, b.node)
-                        values = tuple(va + vb for va, vb in zip(a.values, b.values))
+                        values = tuple(map(add, a.values, b.values))
                         pair = (a.sid, b.sid)
                         sid = concats.get(pair)
                         if sid is None:
@@ -339,14 +359,15 @@ class Synthesizer:
                                 concats[pair] = sid
                         else:
                             states = vectors[sid]
-                        yield Candidate(node, values, states, size, sid)
+                        yield Candidate(None, (a, b), values, states, size, sid)
             if size == 4:
-                for i, p1 in enumerate(self.positions):
-                    for p2 in self.positions:
-                        node = dsl.substr(dsl.input_(), p1, p2)
-                        cand = self._leaf_candidate(node)
-                        if cand:
-                            yield cand
+                lengths = tuple(map(len, inputs))
+                rows = [(p, r) for p, r in zip(self.positions, self._position_table()) if r is not None]
+                for p1, r1 in rows:
+                    for p2, r2 in rows:
+                        if all(0 <= i1 <= i2 <= n for i1, i2, n in zip(r1, r2, lengths)):
+                            values = tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2))
+                            yield self._leaf(dsl.substr(dsl.input_(), p1, p2), values)
 
         for size in range(1, self.task.max_ast_size + 1):
             pools[size] = []
@@ -357,10 +378,10 @@ class Synthesizer:
                     pools[size].append(cand)
 
     def run(self, require_correct: bool = False) -> SynthResult:
-        start = time.monotonic()
+        start = time.perf_counter_ns()
         deadline = None
         if self.task.timeout_ms is not None:
-            deadline = start + self.task.timeout_ms / 1000.0
+            deadline = start + self.task.timeout_ms * 1_000_000
         outputs = self.outputs
         seen: set[tuple[str, ...]] = set()
         result = SynthResult(program=None, correct=None)
@@ -378,7 +399,7 @@ class Synthesizer:
             if result.enumerated > self.task.max_candidates:
                 result.reason = "candidate-budget"
                 break
-            if deadline is not None and result.enumerated % 256 == 0 and time.monotonic() > deadline:
+            if deadline is not None and result.enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
                 result.reason = "timeout"
                 break
 
@@ -404,7 +425,8 @@ class Synthesizer:
                 continue
             keep = True
 
-        result.wall_ms = int((time.monotonic() - start) * 1000)
+        result.wall_us = (time.perf_counter_ns() - start) // 1000
+        result.wall_ms = result.wall_us // 1000
         return result
 
 

@@ -133,6 +133,7 @@ class TestSynth:
         schema = read(Path(__file__).parent.parent / "src/atlas/schemas/run_log.schema.json")
         jsonschema.validate(entry, schema)
         assert entry["correct"] is True
+        assert isinstance(entry["wall_us"], int) and entry["wall_ms"] == entry["wall_us"] // 1000
 
     def test_unsolvable_exits_one(self, trained_dir, tmp_path):
         task = tmp_path / "bad.json"
@@ -167,6 +168,17 @@ class TestBench:
         assert report["aggregate"]["solved_bundle"] == 3
         assert report["aggregate"]["solved_bundle"] >= report["aggregate"]["solved_baseline"]
         assert (out / "bench_log.jsonl").exists()
+        common = [r for r in report["tasks"] if r["ratio"] is not None]
+        assert report["aggregate"]["commonly_solved"] == len(common) > 0
+        for r in common:
+            assert r["wall_ratio"] == r["baseline"]["wall_us"] / max(1, r["bundle"]["wall_us"])
+        assert report["aggregate"]["median_wall_ratio"] > 0
+        log = [json.loads(line) for line in (out / "bench_log.jsonl").read_text().splitlines()]
+        log_schema = read(Path(__file__).parent.parent / "src/atlas/schemas/run_log.schema.json")
+        assert len(log) == 6
+        for entry in log:
+            jsonschema.validate(entry, log_schema)
+            assert "wall_us" in entry
 
     def test_empty_corpus(self, trained_dir, tmp_path):
         corpus = tmp_path / "empty"

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from atlas.domain import (
     AbstractValue,
@@ -21,19 +21,31 @@ from atlas.domain import (
     len_neq,
     meet,
 )
-from atlas.dsl import Op, Program, concat, const, eval_node, evaluate, input_, parse_program, print_program
+from atlas.dsl import (
+    EvalError,
+    Op,
+    Program,
+    concat,
+    const,
+    eval_node,
+    evaluate,
+    input_,
+    parse_program,
+    print_program,
+    substr,
+)
 from atlas.synthesizer import (
     SynthesisTask,
     Synthesizer,
     abstract_eval,
     apply_transformer,
-    is_correct,
     state_embeds,
     synthesize,
 )
 from atlas.transformers import Transformer, TransformerTable, concat_construct, top_table
 
 from conftest import E1, E2, E3, table_outputs, with_outputs, with_top_copies
+from oracles import is_correct
 
 
 def val(*preds):
@@ -322,6 +334,91 @@ class TestStateVectorCache:
         assert synth._concats
         with pytest.raises(AssertionError, match="unsound state"):
             synth.run(require_correct=True)
+
+
+def size4_leaves(synth):
+    """``(node, values)`` of the size-4 leaves, in order; nothing is pooled, so no concat is made."""
+    gen = synth._candidates()
+    leaves = []
+    try:
+        cand = next(gen)
+        while True:
+            if cand.size == 4:
+                leaves.append((cand.node, cand.values))
+            cand = gen.send(False)
+    except StopIteration:
+        return leaves
+
+
+# Every input character is a cpos character; short random inputs often lack
+# one that another input has, or have fewer than three occurrences of it.
+EXAMPLES = st.lists(
+    st.tuples(st.text(alphabet="ab./", max_size=8), st.text(alphabet="ab./", max_size=4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestPositionTable:
+    @settings(max_examples=60, deadline=None)
+    @given(EXAMPLES)
+    @example([("a.b", "b"), ("ab", "a")])  # "." has no occurrence in the second input
+    @example([("", "")])
+    def test_substr_leaves_equal_evaluated_windows(self, examples):
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=4)
+        synth = Synthesizer(task, [TOP], top_table([concat_construct()]))
+        want = []
+        for p1 in synth.positions:
+            for p2 in synth.positions:
+                node = substr(input_(), p1, p2)
+                try:
+                    want.append((node, tuple(eval_node(node, x) for x in task.inputs)))
+                except EvalError:
+                    continue
+        assert size4_leaves(synth) == want
+
+
+def run_candidates(synth, limit):
+    """The first ``limit`` candidates, with each kept as ``run`` keeps it."""
+    gen = synth._candidates()
+    seen, keep, cands = set(), None, []
+    for _ in range(limit):
+        try:
+            cand = gen.send(keep)
+        except StopIteration:
+            break
+        cands.append(cand)
+        keep = cand.values not in seen and synth._verdict(cand)[1]
+        seen.add(cand.values)
+    return cands
+
+
+class TestLazyNode:
+    """A candidate's node, built on first read, is the program its size and values describe."""
+
+    @staticmethod
+    def check(cands, inputs):
+        for cand in cands:
+            node = cand.node
+            assert node.size == cand.size, print_program(Program(node))
+            assert tuple(eval_node(node, x) for x in inputs) == cand.values, print_program(Program(node))
+            if cand.parts is not None:
+                a, b = cand.parts
+                assert node == concat(a.node, b.node), print_program(Program(node))
+
+    def test_first_candidates_under_the_top_table(self):
+        synth = Synthesizer(E2, [TOP], top_table([concat_construct()]))
+        cands = run_candidates(synth, 20_000)
+        assert len(cands) == 20_000
+        assert any(c.parts is not None for c in cands)
+        self.check(cands, E2.inputs)
+
+    def test_full_run_of_e2(self, table_a2):
+        result = Synthesizer(E2, FIVE_TEMPLATES, table_a2).run(require_correct=True)
+        cands = run_candidates(Synthesizer(E2, FIVE_TEMPLATES, table_a2), result.enumerated)
+        assert len(cands) == result.enumerated
+        assert cands[-1].node == result.program.root
+        self.check(cands, E2.inputs)
 
 
 def unreduced_eval(node, e_in, templates, table, pool):
