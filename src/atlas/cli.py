@@ -19,7 +19,14 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import TransformerTable, concat_construct, top_table, transformer_from_obj, transformer_to_obj
+from .transformers import (
+    TransformerTable,
+    check_valid,
+    concat_construct,
+    top_table,
+    transformer_from_obj,
+    transformer_to_obj,
+)
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -99,6 +106,13 @@ def load_bundle(path: Path) -> tuple[list[PredicateTemplate], TransformerTable, 
         provenance = obj.get("provenance", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed bundle ({exc})") from exc
+    # A hand-edited matrix would prune correct programs silently.
+    for t in table.all():
+        for chi, matrix in t.outputs:
+            if not check_valid(t.inputs, chi, matrix):
+                inputs = ",".join(map(template_to_text, t.inputs))
+                rows = [list(row) for row in matrix]
+                raise CliError(f"{path}: refuted transformer {inputs} -> {template_to_text(chi)} with matrix {rows}")
     return templates, table, provenance
 
 
@@ -121,15 +135,8 @@ def run_log_entry(name: str, result, program_text: Optional[str]) -> dict:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.output)
-    cfg = TrainConfig(
-        seed=args.seed,
-        max_ast_size=args.max_size,
-        max_candidates=args.max_candidates,
-    )
-    problems = [
-        load_task(Path(p), cfg.max_ast_size, cfg.max_candidates, args.timeout_ms) for p in args.tasks
-    ]
-    run = learn_abstractions(problems, cfg)
+    problems = [load_task(Path(p), args.max_size, args.max_candidates, args.timeout_ms) for p in args.tasks]
+    run = learn_abstractions(problems, TrainConfig(seed=args.seed))
 
     write_json(out_dir / "bundle.json", bundle_obj(run.templates, run.table, args.seed, [n for n, _ in problems]))
     report = {

@@ -238,23 +238,22 @@ def abstract(s: str, t: PredicateTemplate, pool: ConstantPool) -> list[ConcreteP
 _IMPLIED_BY = {TemplateKind.LEN_NEQ: TemplateKind.LEN_EQ, TemplateKind.CHAR_NEQ: TemplateKind.CHAR_EQ}
 
 
-def best_abstraction(
-    s: str, templates: Iterable[PredicateTemplate], pool: ConstantPool, reduced: bool = False
-) -> AbstractValue:
-    """Strongest conjunction expressible with the given templates that holds of ``s``.
+def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: ConstantPool) -> AbstractValue:
+    """Strongest conjunction expressible with the given templates that holds of ``s``, reduced.
 
-    With ``reduced`` the conjunction is the reduced form of the same state:
-    an inequality template contributes no facts when the matching equality
-    template is in the domain, since those facts would all be implied.
-    Both forms have the same concretization; the synthesizer asks for the
-    reduced one when its table is closed (``TransformerTable.closed``), so
-    that concatenations derive nothing from the implied facts either.
+    An inequality template contributes no facts when the matching equality
+    template is in the domain: they would all be implied, so the reduced
+    conjunction has the concretization of the full one.  Under any table a
+    concatenation of reduced leaves gets a sound state, no stronger than the
+    one from full leaves, since fewer conjuncts give fewer selections to map;
+    under the tables training learns it has the same concretization (see
+    ``transformers``).
     """
     templates = sorted(templates)
     kinds = {t.kind for t in templates}
     preds = []
     for t in templates:
-        if t.kind is TemplateKind.TOP or (reduced and _IMPLIED_BY.get(t.kind) in kinds):
+        if t.kind is TemplateKind.TOP or _IMPLIED_BY.get(t.kind) in kinds:
             continue
         preds.extend(abstract(s, t, pool))
     return AbstractValue(frozenset(preds))
@@ -307,21 +306,6 @@ def _quote_char(c: int) -> str:
     return f"'\\u{c:04x}'"
 
 
-def _unquote_char(tok: str) -> int:
-    if not (tok.startswith("'") and tok.endswith("'")):
-        raise ValueError(f"bad character token {tok!r}")
-    body = tok[1:-1]
-    if body == "\\'":
-        return ord("'")
-    if body == "\\\\":
-        return ord("\\")
-    if body.startswith("\\u"):
-        return int(body[2:], 16)
-    if len(body) != 1:
-        raise ValueError(f"bad character token {tok!r}")
-    return ord(body)
-
-
 def predicate_to_text(p: ConcretePredicate) -> str:
     k = p.kind
     if k is TemplateKind.TOP:
@@ -356,20 +340,3 @@ def template_from_text(text: str) -> PredicateTemplate:
         if template_to_text(t) == text:
             return t
     raise ValueError(f"unknown template {text!r}")
-
-
-def predicate_from_text(text: str) -> ConcretePredicate:
-    text = text.strip()
-    if text == "top":
-        return TOP_PRED
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad predicate {text!r}")
-    toks = text[1:-1].split()
-    if toks[0] == "len" and len(toks) == 3:
-        k = int(toks[2])
-        return len_eq(k) if toks[1] == "=" else len_neq(k)
-    if toks[0] == "char" and len(toks) == 4:
-        i = int(toks[1])
-        c = _unquote_char(toks[3])
-        return char_eq(i, c) if toks[2] == "=" else char_neq(i, c)
-    raise ValueError(f"bad predicate {text!r}")

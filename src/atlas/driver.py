@@ -19,27 +19,15 @@ from .domain import ConstantPool, PredicateTemplate, TOP
 from .dsl import Program
 from .interpolation import learn_abstract_domain
 from .synthesizer import SynthesisTask, Synthesizer, satisfies
-from .transformers import (
-    LearnConfig,
-    SamplingOracle,
-    TransformerTable,
-    concat_construct,
-    learn_transformers,
-    top_table,
-)
+from .transformers import SamplingOracle, TransformerTable, concat_construct, learn_transformers, top_table
+
+# Refinements of one problem before it is given up as ``NonProgress``.
+MAX_ITERATIONS_PER_PROBLEM = 25
 
 
 @dataclass
 class TrainConfig:
     seed: int = 0
-    max_iterations_per_problem: int = 25
-    max_ast_size: int = 14
-    max_candidates: int = 200_000
-    learn: LearnConfig = field(default_factory=LearnConfig)
-
-
-class NonProgress(Exception):
-    """Iteration cap hit: refinement stopped rejecting the returned programs."""
 
 
 @dataclass
@@ -100,7 +88,6 @@ def learn_abstractions(
     cfg: TrainConfig,
 ) -> TrainingRun:
     """Run the full training loop over the given problems in order."""
-    constructs = [concat_construct()]
     alphabet = corpus_alphabet(problems)
     oracle = SamplingOracle(cfg.seed, alphabet)
     learn_pool = ConstantPool.default(
@@ -109,7 +96,7 @@ def learn_abstractions(
     slot_cache: dict = {}
 
     templates: list[PredicateTemplate] = [TOP]
-    table = top_table(constructs)
+    table = top_table([concat_construct()])
     history: list[IterationRecord] = []
     reports: list[ProblemReport] = []
     diagnostics: list[str] = []
@@ -122,9 +109,9 @@ def learn_abstractions(
         iteration = 0
         while True:
             iteration += 1
-            if iteration > cfg.max_iterations_per_problem:
+            if iteration > MAX_ITERATIONS_PER_PROBLEM:
                 report.diagnostic = "NonProgress"
-                diagnostics.append(f"NonProgress on {name}: iteration cap {cfg.max_iterations_per_problem} hit")
+                diagnostics.append(f"NonProgress on {name}: iteration cap {MAX_ITERATIONS_PER_PROBLEM} hit")
                 break
             t0 = perf_counter_ns()
             synth = Synthesizer(task, templates, table)
@@ -153,7 +140,7 @@ def learn_abstractions(
             templates = sorted(set(templates) | new_templates)
 
             t0 = perf_counter_ns()
-            table = learn_transformers(constructs, templates, oracle, cfg.learn, learn_pool, slot_cache)
+            table = learn_transformers(templates, oracle, learn_pool, slot_cache)
             t_transformers += perf_counter_ns() - t0
 
             history.append(

@@ -1,4 +1,4 @@
-"""String-transformation DSL: syntax, concrete semantics, exact facts, ranking, text format.
+"""String-transformation DSL: syntax, concrete semantics, ranking, text format.
 
 Programs are ASTs over six operators.  String-typed terms are built from
 ``input``, ``const`` literals, ``concat`` and ``substr``; position-typed
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 
 class Op(Enum):
@@ -169,70 +169,6 @@ def eval_node(node: AstNode, x: str) -> str:
 def evaluate(p: Program, x: str) -> str:
     """Run ``p`` on the input string.  Raises EvalError on defined failures."""
     return eval_node(p.root, x)
-
-
-# ---------------------------------------------------------------------------
-# Exact fact-level semantics.  Facts are lengths and individual characters of
-# a string value; partial fact sets are allowed and propagate as far as the
-# operator semantics determine them.
-
-
-@dataclass(frozen=True)
-class FactSet:
-    """Known facts about one string value: its length and chars (as code points)."""
-
-    length: Optional[int] = None
-    chars: tuple[tuple[int, int], ...] = ()  # sorted (index, codepoint) pairs
-
-    @staticmethod
-    def of(length: Optional[int] = None, chars: Optional[dict[int, int]] = None) -> "FactSet":
-        items = tuple(sorted((chars or {}).items()))
-        return FactSet(length=length, chars=items)
-
-    @staticmethod
-    def from_value(s: str) -> "FactSet":
-        return FactSet.of(len(s), {i: ord(c) for i, c in enumerate(s)})
-
-    def char_map(self) -> dict[int, int]:
-        return dict(self.chars)
-
-    def holds_of(self, s: str) -> bool:
-        if self.length is not None and len(s) != self.length:
-            return False
-        return all(i < len(s) and ord(s[i]) == c for i, c in self.chars)
-
-
-def exact_facts(op: Op, child_facts: list, literal=None) -> FactSet:
-    """Derive the complete fact set of an operator's output from child facts.
-
-    ``child_facts`` holds FactSets for string children and plain ints for
-    resolved positions.  Missing child facts simply limit what is derivable.
-    """
-    if op is Op.CONST:
-        return FactSet.from_value(literal)
-    if op is Op.INPUT:
-        # The input leaf's facts are those of the bound example input.
-        (facts,) = child_facts
-        return facts
-    if op is Op.CONCAT:
-        left, right = child_facts
-        length = None
-        # A char fact on the left child implies its index is inside the left
-        # part, so it carries over unconditionally; right-side facts shift by
-        # the left length when that is known.
-        chars: dict[int, int] = dict(left.chars)
-        if left.length is not None and right.length is not None:
-            length = left.length + right.length
-        if left.length is not None:
-            chars.update({left.length + i: c for i, c in right.chars})
-        return FactSet.of(length, chars)
-    if op is Op.SUBSTR:
-        subject, i1, i2 = child_facts
-        length = i2 - i1
-        cmap = subject.char_map()
-        chars = {k: cmap[i1 + k] for k in range(length) if i1 + k in cmap}
-        return FactSet.of(length, chars)
-    raise ValueError(f"no string facts for operator {op}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,9 @@ from typing import Optional, Union
 from .dsl import (
     AstNode,
     EvalError,
-    FactSet,
     Op,
     Program,
     eval_node,
-    exact_facts,
     resolve_position,
 )
 from .domain import (
@@ -30,7 +28,6 @@ from .domain import (
     TemplateKind,
     char_eq,
     char_neq,
-    gamma_contains,
     len_eq,
     len_neq,
 )
@@ -196,88 +193,6 @@ def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: di
         return
 
     raise ValueError(f"cannot justify through {ast.op}")
-
-
-# ---------------------------------------------------------------------------
-# Independent validity checker.  Entailment is decided by the exact fact
-# calculus with concrete-value substitution for definitional leaves.
-
-
-def _facts_from_annotation(a: Annotation) -> FactSet:
-    if a is True or a is False or a.kind is TemplateKind.TOP:
-        return FactSet.of()
-    if a.kind is TemplateKind.LEN_EQ:
-        return FactSet.of(length=a.args[0])
-    if a.kind is TemplateKind.CHAR_EQ:
-        return FactSet.of(chars={a.args[0]: a.args[1]})
-    return FactSet.of()  # inequality facts do not feed the forward calculus
-
-
-def _fact_entails(derived: FactSet, goal: ConcretePredicate) -> bool:
-    k = goal.kind
-    if k is TemplateKind.LEN_EQ:
-        return derived.length == goal.args[0]
-    if k is TemplateKind.LEN_NEQ:
-        return derived.length is not None and derived.length != goal.args[0]
-    if k is TemplateKind.CHAR_EQ:
-        return dict(derived.chars).get(goal.args[0]) == goal.args[1]
-    if k is TemplateKind.CHAR_NEQ:
-        i, c = goal.args
-        got = dict(derived.chars).get(i)
-        if got is not None and got != c:
-            return True
-        return derived.length is not None and i >= derived.length
-    return False
-
-
-def check_interpolant(t: TreeItpProblem, itp: TreeInterpolant) -> bool:
-    """Verify the two defining conditions of a tree interpolant.
-
-    The root must be annotated false; at every other node the children's
-    annotations plus the node's own (definitional) label must entail the
-    node's annotation; and the root child's annotation must refute the
-    expected output.  Each annotation only mentions its own node, so the
-    shared-vocabulary condition holds structurally.
-    """
-    if itp.at(t.root) is not False:
-        return False
-    top = t.child_of_root()
-    a = itp.at(top.uid)
-    if a is True or (a is not False and gamma_contains(a, t.expected_output)):
-        return False  # does not contradict the root label v' = e_out
-
-    for node in t.nodes:
-        if node.uid == t.root:
-            continue
-        a = itp.at(node.uid)
-        if a is True:
-            continue
-        if a is False:
-            return False
-        ast = node.ast
-        if ast.op in (Op.INPUT, Op.CONST):
-            if not gamma_contains(a, node.value):
-                return False
-            continue
-        if ast.op in (Op.ABSPOS, Op.CPOS):
-            return False  # position leaves carry no string predicates
-        if ast.op is Op.CONCAT:
-            left, right = (t.node(c) for c in node.children)
-            derived = exact_facts(
-                Op.CONCAT,
-                [_facts_from_annotation(itp.at(left.uid)), _facts_from_annotation(itp.at(right.uid))],
-            )
-        elif ast.op is Op.SUBSTR:
-            subject, p1, p2 = (t.node(c) for c in node.children)
-            derived = exact_facts(
-                Op.SUBSTR,
-                [_facts_from_annotation(itp.at(subject.uid)), p1.value, p2.value],
-            )
-        else:
-            return False
-        if not _fact_entails(derived, a):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ attached to every subprogram.  Closed subterms (the input leaf, constant
 strings, and substring extractions of the input) are described by the
 strongest conjunction the current domain can express about their concrete
 value; concatenations are described by applying the learned transformer
-table to their children's states.  Under a closed table
-(``TransformerTable.closed``) a leaf's state is in reduced form: it keeps
-no ``len !=`` or ``char !=`` fact that its ``len =`` or ``char =`` facts
-imply, and with the normalized table no concatenation derives one either,
-so each fact is derived once.  The concretizations, and so every verdict,
-are those of the unreduced states.  A subprogram is dropped when its state
+table to their children's states.  A leaf's state is in reduced form: it
+keeps no ``len !=`` or ``char !=`` fact that its ``len =`` or ``char =``
+facts imply (``best_abstraction``).  Every state is sound whatever the
+table: a concatenation derives a subset of what it would derive from the
+unreduced states, and only facts that hold.  Under the tables training
+learns it derives no implied fact either (see ``transformers``), so each
+fact is derived once, and the concretizations, and so every verdict, are
+those of the unreduced states.  A subprogram is dropped when its state
 cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
@@ -132,13 +134,11 @@ def abstract_eval(
 ) -> StateLike:
     """Abstract state of a program on one example input.
 
-    Closed subterms are abstracted from their concrete value (in reduced
-    form when the table is closed); open constructs go through the
-    transformer table.
+    Closed subterms are abstracted from their concrete value, in reduced
+    form; open constructs go through the transformer table.
     """
     if node.op in (Op.INPUT, Op.CONST, Op.SUBSTR):
-        value = dsl.eval_node(node, e_in)
-        return best_abstraction(value, templates, pool, reduced=table.closed)
+        return best_abstraction(dsl.eval_node(node, e_in), templates, pool)
     if node.op is Op.CONCAT:
         left = abstract_eval(node.children[0], e_in, templates, table, pool)
         right = abstract_eval(node.children[1], e_in, templates, table, pool)
@@ -229,21 +229,12 @@ class SynthResult:
 class Synthesizer:
     """Rank-ordered bottom-up enumerator over the string DSL."""
 
-    def __init__(
-        self,
-        task: SynthesisTask,
-        templates: list[PredicateTemplate],
-        table: TransformerTable,
-        check_soundness: bool = False,
-        use_embedding_filter: bool = True,
-    ):
+    def __init__(self, task: SynthesisTask, templates: list[PredicateTemplate], table: TransformerTable):
         self.task = task
         self.inputs = task.inputs
         self.outputs = task.outputs
         self.templates = sorted(set(templates))
         self.table = table
-        self.check_soundness = check_soundness
-        self.use_embedding_filter = use_embedding_filter
         self.pool = ConstantPool.default(self.inputs + self.outputs)
         self.consts = self._const_pool()
         self.positions = self._position_pool()
@@ -288,7 +279,7 @@ class Synthesizer:
     def _abstract_value(self, value: str) -> StateLike:
         cached = self._abstraction_cache.get(value)
         if cached is None:
-            cached = best_abstraction(value, self.templates, self.pool, reduced=self.table.closed)
+            cached = best_abstraction(value, self.templates, self.pool)
             self._abstraction_cache[value] = cached
         return cached
 
@@ -297,19 +288,14 @@ class Synthesizer:
         return Candidate(node, None, values, states, node.size, self._ids.get(states))
 
     def _verdict(self, cand: Candidate) -> tuple[bool, bool]:
-        """``(accepted, embeds)`` of the candidate, from the registry when its vector is there.
-
-        ``embeds`` is True when the embedding filter is off.
-        """
+        """``(accepted, embeds)`` of the candidate, from the registry when its vector is there."""
         if cand.verdict is None:
             if cand.sid is not None:
                 cand.verdict = self._verdicts[cand.sid]
             else:
                 outputs = self.outputs
                 accepted = all(gamma_contains(st, out) for st, out in zip(cand.states, outputs))
-                embeds = not self.use_embedding_filter or all(
-                    state_embeds(st, out) for st, out in zip(cand.states, outputs)
-                )
+                embeds = all(state_embeds(st, out) for st, out in zip(cand.states, outputs))
                 cand.verdict = (accepted, embeds)
         return cand.verdict
 
@@ -408,10 +394,6 @@ class Synthesizer:
                 continue
             seen.add(cand.values)
 
-            if self.check_soundness:
-                for v, st in zip(cand.values, cand.states):
-                    assert gamma_contains(st, v), f"unsound state for {cand.node}"
-
             accepted, embeds = self._verdict(cand)
             if accepted:
                 if not require_correct or cand.values == outputs:
@@ -428,18 +410,3 @@ class Synthesizer:
         result.wall_us = (time.perf_counter_ns() - start) // 1000
         result.wall_ms = result.wall_us // 1000
         return result
-
-
-def synthesize(
-    task: SynthesisTask,
-    templates: list[PredicateTemplate],
-    table: TransformerTable,
-    require_correct: bool = False,
-    **kwargs,
-) -> SynthResult:
-    """Minimal-rank program consistent with the task under the abstraction.
-
-    With ``require_correct`` the search continues past abstractly consistent
-    but concretely wrong candidates until one matches the examples exactly.
-    """
-    return Synthesizer(task, templates, table, **kwargs).run(require_correct=require_correct)

@@ -15,9 +15,20 @@ value, so the table is read for concat alone.
 
 A learned or loaded table is normalized: an output is dropped when the
 entry with ``top`` in place of an argument it does not read already has
-it, so each fact is derived by one entry.  A table is *closed* when the
-inequality facts of a reduced leaf can derive nothing its equality facts
-do not imply; the synthesizer then abstracts leaves in reduced form.
+it, so each fact is derived by one entry.
+
+The synthesizer abstracts leaves in reduced form, without the inequality
+facts their equality facts imply (``best_abstraction``).  That is sound
+under any table, since a subset of the true input facts maps to a subset
+of the derived facts, which all hold.  It loses nothing when no entry with
+a ``char !=`` input has an output, and each output of an entry with a
+``len !=`` input is a ``len !=`` output with a nonzero coefficient on that
+constant whose matrix the entry with ``len =`` in its place has as a
+``len =`` output.  Then every fact derived from an implied ``len != k``
+(beside ``len = n``, k != n) is implied by the fact derived from
+``len = n``, as the map is injective in that constant.  Every table that
+training builds at seeds 0-11 has that form; a hand-edited table that does
+not can lose precision but not soundness.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .domain import (
-    LEN_EQ,
     TOP,
     ConcretePredicate,
     ConstantPool,
@@ -53,10 +63,6 @@ class InsufficientRank(Exception):
 # transformer matrix is a tuple of integer rows.
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(operator.index(x) for x in row) for row in rows)
 
 
 def _eliminate(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -151,26 +157,27 @@ def concat_construct() -> Construct:
 class SamplingOracle:
     """Deterministic pseudo-random string source.
 
-    Lengths follow a geometric distribution capped at ``max_len``; characters
+    Lengths follow a geometric distribution capped at ``MAX_LEN``; characters
     are drawn uniformly from a finite alphabet, so the support is finite.
     """
 
-    def __init__(self, seed: int, alphabet: str = "", max_len: int = 12):
+    MAX_LEN = 12
+
+    def __init__(self, seed: int, alphabet: str = ""):
         base = "abcdefghijklmnopqrstuvwxyz0123456789"
         merged = sorted(set(alphabet) | set(base))
         self.alphabet = "".join(merged)
         self.seed = seed
-        self.max_len = max_len
         self.rng = random.Random(seed)
 
     def child(self, tag: str) -> "SamplingOracle":
         digest = hashlib.sha256(f"{self.seed}:{tag}".encode()).digest()
         derived = int.from_bytes(digest[:8], "big")
-        return SamplingOracle(derived, self.alphabet, self.max_len)
+        return SamplingOracle(derived, self.alphabet)
 
     def draw_length(self) -> int:
         n = 0
-        while n < self.max_len and self.rng.random() < 0.72:
+        while n < self.MAX_LEN and self.rng.random() < 0.72:
             n += 1
         return n
 
@@ -181,16 +188,12 @@ class SamplingOracle:
         return "".join(self.draw_char() for _ in range(self.draw_length()))
 
 
-# ---------------------------------------------------------------------------
-# Configuration
-
-
-@dataclass
-class LearnConfig:
-    max_samples: int = 5000
-    stall_samples: int = 25
-    input_cap: int = 3
-    output_cap: int = 4
+# Sampling budget per slot: samples in all, samples without rank progress,
+# and how many of the input and output abstractions of a sample are paired.
+MAX_SAMPLES = 5000
+STALL_SAMPLES = 25
+INPUT_CAP = 3
+OUTPUT_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +217,6 @@ class ExampleSet:
 
     def matrix_b(self) -> list[list[int]]:
         return [list(p0.args) for _, p0 in self.rows]
-
-    def full_rank(self) -> bool:
-        return column_rank(self.matrix_a()) == self.n_constants + 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,6 @@ def generate_examples(
     chi0: PredicateTemplate,
     chis: tuple[PredicateTemplate, ...],
     oracle: SamplingOracle,
-    cfg: LearnConfig,
     pool: ConstantPool,
 ) -> ExampleSet:
     """Sample valid concrete transformer rows until the input matrix has full
@@ -349,10 +348,10 @@ def generate_examples(
     ):
         raise InsufficientRank("no inequality inputs to pair against")
 
-    for turn in range(cfg.max_samples):
+    for turn in range(MAX_SAMPLES):
         if rank_now >= target_rank:
             break
-        if stall >= cfg.stall_samples:
+        if stall >= STALL_SAMPLES:
             raise InsufficientRank(f"no rank progress after {stall} samples")
         args = tuple(oracle.draw_string() for _ in range(construct.arity))
         out_val = construct.apply(args)
@@ -360,7 +359,7 @@ def generate_examples(
         input_choices = []
         for t, s in zip(chis, args):
             cands = abstract(s, t, pool)
-            input_choices.append(_rotated(cands, cfg.input_cap, turn))
+            input_choices.append(_rotated(cands, INPUT_CAP, turn))
         selections: list[tuple[ConcretePredicate, ...]] = [()]
         for choice in input_choices:
             selections = [sel + (p,) for sel in selections for p in choice]
@@ -374,7 +373,7 @@ def generate_examples(
                 ]
                 outputs = [len_neq(len(construct.apply(cf_args)))]
             else:
-                outputs = _rotated(abstract(out_val, chi0, pool), cfg.output_cap, turn)
+                outputs = _rotated(abstract(out_val, chi0, pool), OUTPUT_CAP, turn)
             for p0 in outputs:
                 row = (sel, p0)
                 if row in seen_rows:
@@ -483,7 +482,6 @@ class TransformerTable:
             if len(m) != chi.holes or any(len(row) != width for row in m):
                 raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
         self.entries[(t.inputs[0].kind, t.inputs[1].kind)] = t
-        self.__dict__.pop("closed", None)
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)
@@ -528,38 +526,6 @@ class TransformerTable:
                 return True
         return False
 
-    @cached_property
-    def closed(self) -> bool:
-        """Whether leaves may leave out the inequality facts their equalities imply.
-
-        True when no entry with a ``char !=`` input has an output, and each
-        output of an entry with a ``len !=`` input is a ``len !=`` output
-        with a nonzero coefficient on that constant, which the entry with
-        ``len =`` in its place has as a ``len =`` output with the same
-        matrix.  Then every fact derived from an implied ``len != k`` (one
-        beside ``len = n``, k != n) is implied by the fact derived from
-        ``len = n``, as the map is injective in that constant: reduced
-        leaves (``best_abstraction(..., reduced=True)``) give every
-        concatenation a state with the same concretization.
-        """
-        for (k1, k2), t in self.entries.items():
-            if t.outputs and TemplateKind.CHAR_NEQ in (k1, k2):
-                return False
-            for j, k in enumerate((k1, k2)):
-                if k is not TemplateKind.LEN_NEQ:
-                    continue
-                kinds = [k1, k2]
-                kinds[j] = TemplateKind.LEN_EQ
-                eq = self.lookup(tuple(kinds))
-                eq_outputs = eq.outputs if eq else ()
-                col = t.inputs[0].holes if j else 0
-                if any(
-                    chi.kind is not TemplateKind.LEN_NEQ or m[0][col] == 0 or (LEN_EQ, m) not in eq_outputs
-                    for chi, m in t.outputs
-                ):
-                    return False
-        return True
-
 
 def top_table(constructs: Sequence[Construct]) -> TransformerTable:
     """The initial table: one all-top transformer per construct."""
@@ -570,54 +536,41 @@ def top_table(constructs: Sequence[Construct]) -> TransformerTable:
 
 
 def learn_transformers(
-    constructs: Sequence[Construct],
     templates: Iterable[PredicateTemplate],
     oracle: SamplingOracle,
-    cfg: LearnConfig,
-    pool: Optional[ConstantPool] = None,
-    cache: Optional[dict] = None,
+    pool: ConstantPool,
+    cache: dict,
 ) -> TransformerTable:
-    """Build the full transformer table for the given abstract domain.
+    """Build the full concat transformer table for the given abstract domain.
 
-    One transformer per (construct, input-template tuple); each candidate
-    output template is fitted by exact linear solving over generated
-    examples and kept only if ``check_valid`` accepts it.  Slots are
-    seeded individually so results are reproducible and cacheable.  The
-    table is returned normalized (``TransformerTable.normalized``): every
-    entry is present, but an output that a more general entry already
-    derives is not.
+    One transformer per pair of input templates; each candidate output
+    template is fitted by exact linear solving over generated examples and
+    kept only if ``check_valid`` accepts it.  Slots are seeded individually
+    so results are reproducible, and kept in ``cache`` by slot.  The table
+    is returned normalized (``TransformerTable.normalized``): every entry is
+    present, but an output that a more general entry already derives is not.
     """
-    pool = pool or ConstantPool.default()
+    construct = concat_construct()
     templates = sorted(set(templates))
     table = TransformerTable()
-    for construct in sorted(constructs, key=lambda c: c.op_id):
-        if construct.op_id != "concat":
-            raise ValueError(f"validity is decided for concat only, not {construct.op_id!r}")
-        tuples: list[tuple[PredicateTemplate, ...]] = [()]
-        for _ in range(construct.arity):
-            tuples = [t + (x,) for t in tuples for x in templates]
-        for chis in tuples:
-            outputs = []
-            for chi0 in templates:
-                if chi0.kind is TemplateKind.TOP:
-                    continue
-                slot_id = f"{construct.op_id}|{','.join(t.kind.value for t in chis)}|{chi0.kind.value}"
-                if cache is not None and slot_id in cache:
-                    result = cache[slot_id]
-                else:
-                    result = _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id)
-                    if cache is not None:
-                        cache[slot_id] = result
-                if result is not None:
-                    outputs.append(result)
-            table.add(Transformer(construct.op_id, chis, tuple(outputs)))
+    for chis in product(templates, repeat=construct.arity):
+        outputs = []
+        for chi0 in templates:
+            if chi0.kind is TemplateKind.TOP:
+                continue
+            slot_id = f"{construct.op_id}|{','.join(t.kind.value for t in chis)}|{chi0.kind.value}"
+            if slot_id not in cache:
+                cache[slot_id] = _learn_slot(construct, chi0, chis, oracle, pool, slot_id)
+            if cache[slot_id] is not None:
+                outputs.append(cache[slot_id])
+        table.add(Transformer(construct.op_id, chis, tuple(outputs)))
     return table.normalized()
 
 
-def _learn_slot(construct, chi0, chis, oracle, cfg, pool, slot_id):
+def _learn_slot(construct, chi0, chis, oracle, pool, slot_id):
     slot_oracle = oracle.child(slot_id)
     try:
-        examples = generate_examples(construct, chi0, chis, slot_oracle, cfg, pool)
+        examples = generate_examples(construct, chi0, chis, slot_oracle, pool)
     except InsufficientRank:
         return None
     solution = solve_linear(examples.matrix_a(), examples.matrix_b())

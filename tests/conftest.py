@@ -3,14 +3,7 @@ import pytest
 from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ
 from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
-from atlas.transformers import (
-    LearnConfig,
-    SamplingOracle,
-    Transformer,
-    TransformerTable,
-    concat_construct,
-    learn_transformers,
-)
+from atlas.transformers import SamplingOracle, Transformer, TransformerTable, learn_transformers
 
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
@@ -35,33 +28,39 @@ def trained(training_problems):
 
 
 @pytest.fixture(scope="session")
+def trained_at(trained, training_problems):
+    """The training runs at seeds 0, 1 and 705, by seed."""
+    runs = {0: trained}
+    runs.update((seed, learn_abstractions(training_problems, TrainConfig(seed=seed))) for seed in (1, 705))
+    return runs
+
+
+@pytest.fixture(scope="session")
 def learn_env(training_problems):
-    constructs = [concat_construct()]
     oracle = SamplingOracle(0, corpus_alphabet(training_problems))
     pool = ConstantPool.default(
         [s for _, t in training_problems for s in list(t.inputs) + list(t.outputs)]
     )
-    return constructs, oracle, pool
+    return oracle, pool
 
 
 @pytest.fixture(scope="session")
 def table_a1(learn_env):
-    constructs, oracle, pool = learn_env
-    return learn_transformers(constructs, [TOP, LEN_EQ, LEN_NEQ], oracle, LearnConfig(), pool)
+    oracle, pool = learn_env
+    return learn_transformers([TOP, LEN_EQ, LEN_NEQ], oracle, pool, {})
 
 
 @pytest.fixture(scope="session")
 def table_a2(learn_env):
-    constructs, oracle, pool = learn_env
-    return learn_transformers(
-        constructs, [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ], oracle, LearnConfig(), pool
-    )
+    oracle, pool = learn_env
+    return learn_transformers([TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ], oracle, pool, {})
 
 
 @pytest.fixture(scope="session")
 def open_table(table_a1):
-    """table_a1 without ``(len =, len =) -> len =``: it keeps the ``len !=``
-    outputs of ``(len !=, len =)`` and ``(len =, len !=)``, so it is not closed."""
+    """table_a1 without ``(len =, len =) -> len =``.  It keeps the ``len !=``
+    outputs of ``(len !=, len =)`` and ``(len =, len !=)``, which reduced
+    leaves do not read: they derive less under it than full leaves."""
     return with_outputs(table_a1, lambda entry, output: entry.inputs != (LEN_EQ, LEN_EQ))
 
 

@@ -19,15 +19,19 @@ def read(path: Path):
     return json.loads(path.read_text())
 
 
-def synth_with_edited_entry(trained_dir, tmp_path, edit):
-    """Exit code of ``synth e1`` under the trained bundle with its
-    ``(len = c),(len = c)`` entry changed by ``edit``."""
+def synth_with_edited_entry(trained_dir, tmp_path, edit, inputs=("(len = c)", "(len = c)"), task="e1"):
+    """Exit code of ``synth`` on ``task`` under the trained bundle with its
+    entry for ``inputs`` changed by ``edit``."""
     obj = read(trained_dir / "bundle.json")
-    entry = next(t for t in obj["transformers"] if t["inputs"] == ["(len = c)", "(len = c)"])
+    entry = next(t for t in obj["transformers"] if t["inputs"] == list(inputs))
     edit(entry)
     bundle = tmp_path / "bad.json"
     bundle.write_text(json.dumps(obj))
-    return main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)])
+    return main(["synth", str(corpus_dir() / f"{task}.json"), "--bundle", str(bundle)])
+
+
+def schema(name: str) -> dict:
+    return read(Path(__file__).parent.parent / f"src/atlas/schemas/{name}.schema.json")
 
 
 class TestTrain:
@@ -61,8 +65,24 @@ class TestTrain:
 
     def test_report_schema(self, trained_dir):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = read(Path(__file__).parent.parent / "src/atlas/schemas/training_report.schema.json")
-        jsonschema.validate(read(trained_dir / "report.json"), schema)
+        jsonschema.validate(read(trained_dir / "report.json"), schema("training_report"))
+
+    def test_bundle_schema(self, trained_dir):
+        jsonschema = pytest.importorskip("jsonschema")
+        bundle = read(trained_dir / "bundle.json")
+        jsonschema.validate(bundle, schema("bundle"))
+        entry = next(t for t in bundle["transformers"] if t["outputs"])
+        entry["outputs"][0]["matrix"][0][0] = [1, 2]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bundle, schema("bundle"))
+
+    def test_timings_schema(self, trained_dir):
+        jsonschema = pytest.importorskip("jsonschema")
+        timings = read(trained_dir / "timings.json")
+        jsonschema.validate(timings, schema("timings"))
+        del timings["problems"][0]["T_T_us"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(timings, schema("timings"))
 
     def test_timings_have_ms_and_us_per_phase(self, trained_dir):
         problems = read(trained_dir / "timings.json")["problems"]
@@ -246,6 +266,25 @@ class TestExitCodes:
 
     def test_bundle_without_constant_column_format_error(self, trained_dir, tmp_path):
         assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e["outputs"][0]["matrix"][0].pop()) == 4
+
+    @pytest.mark.parametrize(
+        "inputs, row, text",
+        [
+            # len(a + b) = len(a): this used to load and prune eval_backup's answer.
+            (("(len = c)", "(len = c)"), [1, 0, 0], "(len = c),(len = c) -> (len = c) with matrix [[1, 0, 0]]"),
+            # len(a + b) != x + y - 40: fails at y = 40.
+            (("(len != c)", "(len = c)"), [1, 1, -40], "(len != c),(len = c) -> (len != c) with matrix [[1, 1, -40]]"),
+        ],
+        ids=["len-eq-projection", "len-neq-offset"],
+    )
+    def test_bundle_with_refuted_matrix_format_error(self, trained_dir, tmp_path, capsys, inputs, row, text):
+        def edit(entry):
+            entry["outputs"][0]["matrix"] = [[[n, 1] for n in row]]
+
+        assert synth_with_edited_entry(trained_dir, tmp_path, edit, inputs, task="eval_backup") == 4
+        err = capsys.readouterr().err
+        assert f"refuted transformer {text}" in err
+        assert "Traceback" not in err
 
     def test_train_without_tasks_usage_error(self, tmp_path):
         out = tmp_path / "o"

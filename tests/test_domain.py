@@ -20,11 +20,12 @@ from atlas.domain import (
     len_eq,
     len_neq,
     meet,
-    predicate_from_text,
     predicate_to_text,
     template_from_text,
     template_to_text,
 )
+
+from oracles import full_abstraction, predicate_from_text
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
 
@@ -179,14 +180,14 @@ class TestBestAbstraction:
         assert gamma_contains(v, s)
 
     def test_reduced_drops_the_implied_inequalities(self):
-        full = best_abstraction("ab", ALL_TEMPLATES.values(), POOL)
-        reduced = best_abstraction("ab", ALL_TEMPLATES.values(), POOL, reduced=True)
+        full = full_abstraction("ab", ALL_TEMPLATES.values(), POOL)
+        reduced = best_abstraction("ab", ALL_TEMPLATES.values(), POOL)
         assert reduced.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
         assert reduced.conjuncts < full.conjuncts
 
     def test_reduced_keeps_inequalities_without_their_equality(self):
         templates = [TOP, LEN_NEQ, CHAR_NEQ]
-        assert best_abstraction("ab", templates, POOL, reduced=True) == best_abstraction("ab", templates, POOL)
+        assert best_abstraction("ab", templates, POOL) == full_abstraction("ab", templates, POOL)
 
     @given(
         st.text(alphabet="abz", max_size=5),
@@ -195,6 +196,6 @@ class TestBestAbstraction:
     )
     def test_reduced_has_the_same_concretization(self, s, t, templates):
         pool = ConstantPool.default(["abz"])
-        full = best_abstraction(s, templates, pool)
-        reduced = best_abstraction(s, templates, pool, reduced=True)
+        full = full_abstraction(s, templates, pool)
+        reduced = best_abstraction(s, templates, pool)
         assert gamma_contains(reduced, t) == gamma_contains(full, t)

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from atlas import dsl
 from atlas.dsl import (
     EvalError,
-    FactSet,
     Op,
     ParseError,
     Program,
@@ -13,7 +12,6 @@ from atlas.dsl import (
     const,
     cpos,
     evaluate,
-    exact_facts,
     input_,
     parse_program,
     print_program,
@@ -22,6 +20,8 @@ from atlas.dsl import (
     substr,
     well_typed,
 )
+
+from oracles import FactSet, exact_facts
 
 
 def prog(node):
@@ -127,7 +127,7 @@ class TestRank:
 
         for example, limit, dedup in [(("ab", "abab"), 100, False), (("ab.c", "c-ab"), 40_000, True)]:
             task = SynthesisTask(examples=(example,), max_candidates=limit)
-            synth = Synthesizer(task, [TOP], top_table([concat_construct()]), use_embedding_filter=False)
+            synth = Synthesizer(task, [TOP], top_table([concat_construct()]))
             gen = synth._candidates()
             values_seen = set()
             previous = None

@@ -16,12 +16,13 @@ from atlas.domain import (
 from atlas.dsl import EvalError, Program, abspos, concat, const, cpos, evaluate, input_, substr
 from atlas.interpolation import (
     NotSpurious,
-    check_interpolant,
     construct_tree,
     dump_tree,
     find_tree_itp,
     learn_abstract_domain,
 )
+
+from oracles import check_interpolant
 
 
 FIG_PROGRAM = Program(concat(input_(), const("18")))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from atlas.domain import (
     CHAR_EQ,
-    CHAR_NEQ,
     ConstantPool,
     LEN_EQ,
     LEN_NEQ,
@@ -21,14 +20,11 @@ from atlas.domain import (
     template_to_text,
 )
 from atlas.transformers import (
-    Construct,
     ExampleSet,
     InsufficientRank,
-    LearnConfig,
     SamplingOracle,
     Transformer,
     TransformerTable,
-    as_matrix,
     check_valid,
     column_rank,
     concat_construct,
@@ -41,9 +37,9 @@ from atlas.transformers import (
 )
 
 from conftest import table_outputs, with_outputs, with_top_copies
+from oracles import as_matrix, full_rank
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
-CFG = LearnConfig()
 
 
 def oracle(tag="t"):
@@ -169,26 +165,26 @@ class TestSamplingOracle:
 
 class TestGenerateExamples:
     def test_concat_length_rows(self):
-        ex = generate_examples(concat_construct(), LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), CFG, POOL)
-        assert ex.full_rank()
+        ex = generate_examples(concat_construct(), LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
+        assert full_rank(ex)
         for (p1, p2), p0 in ex.rows:
             assert p0.args[0] == p1.args[0] + p2.args[0]
 
     def test_counterfactual_rows_reach_full_rank(self):
-        ex = generate_examples(concat_construct(), LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), CFG, POOL)
-        assert ex.full_rank()
+        ex = generate_examples(concat_construct(), LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
+        assert full_rank(ex)
         for (p1, p2), p0 in ex.rows:
             assert p0.args[0] == p1.args[0] + p2.args[0]
 
     def test_no_affine_function_insufficient_rank(self):
         with pytest.raises(InsufficientRank):
-            generate_examples(concat_construct(), LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), CFG, POOL)
+            generate_examples(concat_construct(), LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
 
     def test_rows_are_sound_instances(self):
         # Every generated row holds of every pair of small strings its inputs admit.
         strings = small_strings()
         for chi0, chis in [(LEN_EQ, (LEN_EQ, LEN_EQ)), (LEN_NEQ, (LEN_EQ, LEN_NEQ)), (LEN_NEQ, (LEN_NEQ, LEN_EQ))]:
-            ex = generate_examples(concat_construct(), chi0, chis, oracle(), CFG, POOL)
+            ex = generate_examples(concat_construct(), chi0, chis, oracle(), POOL)
             checked = 0
             for (p1, p2), p0 in ex.rows:
                 for a, b in product(strings, repeat=2):
@@ -301,16 +297,17 @@ class TestLearnTransformers:
         assert (CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 1, 0]])) in t.outputs
 
     def test_same_seed_same_table(self, learn_env):
-        constructs, _, pool = learn_env
+        _, pool = learn_env
         templates = [TOP, LEN_EQ, LEN_NEQ]
-        t1 = learn_transformers([concat_construct()], templates, SamplingOracle(5, "ab"), CFG, pool)
-        t2 = learn_transformers([concat_construct()], templates, SamplingOracle(5, "ab"), CFG, pool)
+        t1 = learn_transformers(templates, SamplingOracle(5, "ab"), pool, {})
+        t2 = learn_transformers(templates, SamplingOracle(5, "ab"), pool, {})
         assert [transformer_to_obj(x) for x in t1.all()] == [transformer_to_obj(x) for x in t2.all()]
 
-    def test_only_concat_is_learned(self):
-        # Validity is decided for concat semantics only.
+    def test_only_concat_is_learned(self, table_a2):
+        # Validity is decided for concat semantics only: a table keeps nothing else.
+        assert {t.op for t in table_a2.all()} == {"concat"}
         with pytest.raises(ValueError):
-            learn_transformers([Construct("rev", 1, lambda a: a[::-1])], [TOP, LEN_EQ], oracle(), CFG, POOL)
+            TransformerTable().add(Transformer("rev", (LEN_EQ,), ((LEN_EQ, ((1, 0),)),)))
 
     def test_every_slot_emitted(self, table_a1):
         kinds = [TemplateKind.TOP, TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ]
@@ -329,18 +326,15 @@ def concat_table(*entries):
 
 
 class TestNormalizedTable:
-    def test_learned_tables_are_normalized_and_closed(self, table_a1, table_a2):
+    def test_learned_tables_are_normalized(self, table_a1, table_a2):
         for table in (table_a1, table_a2):
             assert objs(table.normalized()) == objs(table)
-            assert table.closed
         assert len(table_a2) == 25  # empty entries are kept
 
     def test_drops_the_copies_of_the_top_entry(self, table_a2):
         old = with_top_copies(table_a2)
         assert len(table_outputs(old)) == len(table_outputs(table_a2)) + 4
         assert objs(old.normalized()) == objs(table_a2)
-        # (char =, len !=) -> char = reads an entry with a len != input.
-        assert not old.closed and old.normalized().closed
 
     def test_keeps_an_output_the_top_entry_lacks(self, table_a2):
         old = with_top_copies(table_a2)
@@ -356,38 +350,6 @@ class TestNormalizedTable:
             (TOP, TOP, ((LEN_EQ, ((5,),)),)),
         )
         assert table_outputs(table.normalized()) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
-
-
-class TestClosedTable:
-    SUM = ((1, 1, 0),)
-
-    def test_len_neq_outputs_with_their_len_eq_outputs(self):
-        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, self.SUM),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, self.SUM),)))
-        assert table.closed
-
-    def test_len_neq_output_without_the_len_eq_output(self, open_table):
-        assert open_table.lookup((LEN_NEQ.kind, LEN_EQ.kind)).outputs
-        assert not open_table.closed
-
-    def test_len_eq_output_with_another_matrix(self):
-        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, ((1, 1, 1),)),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, self.SUM),)))
-        assert not table.closed
-
-    def test_len_neq_output_that_ignores_the_constant(self):
-        right = ((0, 1, 0),)
-        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, right),)), (LEN_NEQ, LEN_EQ, ((LEN_NEQ, right),)))
-        assert not table.closed
-
-    def test_char_neq_input_with_an_output(self):
-        table = concat_table((CHAR_NEQ, TOP, ((CHAR_NEQ, ((1, 0, 0), (0, 1, 0))),)), (CHAR_NEQ, LEN_EQ, ()))
-        assert not table.closed
-        assert concat_table((CHAR_NEQ, LEN_EQ, ())).closed
-
-    def test_adding_an_entry_recomputes_it(self):
-        table = concat_table((LEN_EQ, LEN_EQ, ((LEN_EQ, self.SUM),)))
-        assert table.closed
-        table.add(Transformer("concat", (LEN_NEQ, LEN_EQ), ((LEN_NEQ, ((1, 1, 1),)),)))
-        assert not table.closed
 
 
 class TestSerialization:
