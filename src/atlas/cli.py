@@ -16,7 +16,7 @@ from typing import Optional
 from . import __version__
 from .domain import PredicateTemplate, TOP, template_from_text, template_to_text
 from .driver import TrainConfig, learn_abstractions
-from .dsl import ParseError, parse_program, print_program
+from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
 from .transformers import (
@@ -69,6 +69,8 @@ def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Op
         raise CliError(f"{path}: malformed task file ({exc})") from exc
     if not examples:
         raise CliError(f"{path}: task has no examples")
+    if not isinstance(name, str):
+        raise CliError(f"{path}: task name must be a string")
     strings = [s for e in examples for s in e] + list(literals)
     if not all(isinstance(s, str) for s in strings):
         raise CliError(f"{path}: example inputs, outputs and literals must be strings")
@@ -281,12 +283,12 @@ def cmd_dump_itp(args) -> int:
     for e_in, e_out in task.examples:
         try:
             tree = construct_tree(program, e_in, e_out)
-        except NotSpurious:
-            continue
+        except (NotSpurious, EvalError):
+            continue  # satisfied, or fails to run: no fact-level proof to dump
         itp = find_tree_itp(tree)
         print(dump_tree(tree, itp))
         return 0
-    print("program satisfies every example; nothing to refute", file=sys.stderr)
+    print("program satisfies or fails on every example; nothing to refute", file=sys.stderr)
     return 0
 
 

@@ -17,23 +17,32 @@ cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
 
+``run`` is the one search loop.  It walks the AST sizes in order, and
+``_batch`` yields the candidates of one size, building concatenations from
+the pools of kept candidates of the smaller sizes.  For each candidate,
+``run`` counts it, checks the budget and the deadline, drops it when its
+values repeat an earlier candidate's, and gets its verdict once.  It then
+returns it, prunes it, or pools it.
+
 A candidate's state vector (its tuple of per-example states) determines
 all of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
 the vector and the expected outputs.  Each synthesizer therefore keeps a
 registry of the distinct vectors of pooled candidates, each with a small
 int id and its ``(accepted, embeds)`` verdict, plus a cache from pairs of
-child ids to the id of their concatenation's vector.  A candidate whose
-vector is registered reuses both; any other is computed afresh.  Only
-pooled vectors are registered, so the registry is never larger than the
-pools.
+child ids to the id of their concatenation's vector.  A candidate looks its
+vector up when it is made; a registered one reuses both, any other is
+computed afresh.  Only pooling registers, so the registry is never larger
+than the pools.  Interning every vector as it is made gives the same
+programs, but its peak RSS is past the benchmark's 10 % bound (about 30 %
+on training at seed 0).
 
 Most candidates are never kept and only the returned one's program is
 read, so candidates are made cheaply.  When the enumeration reaches the
 ``substr`` leaves (size 4), it resolves every term of the position pool on
 every example input once, into a position table: a row of ints per
 position, or None when a ``cpos`` occurrence is missing on some input.  A
-``substr`` leaf is emitted only when its window is valid on every input,
+``substr`` leaf is made only when its window is valid on every input,
 and its values are slices; no leaf is evaluated through the DSL.  A
 concatenation's values are the pairwise sums of its children's, and its
 AST node is built from the children's only when first read.
@@ -44,10 +53,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add
-from typing import Generator, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import dsl
-from .dsl import AstNode, EvalError, Op, Program
+from .dsl import AstNode, EvalError, Program
 from .domain import (
     AbstractValue,
     BOTTOM,
@@ -125,27 +134,6 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
     return AbstractValue.of(derived)
 
 
-def abstract_eval(
-    node: AstNode,
-    e_in: str,
-    templates: list[PredicateTemplate],
-    table: TransformerTable,
-    pool: ConstantPool,
-) -> StateLike:
-    """Abstract state of a program on one example input.
-
-    Closed subterms are abstracted from their concrete value, in reduced
-    form; open constructs go through the transformer table.
-    """
-    if node.op in (Op.INPUT, Op.CONST, Op.SUBSTR):
-        return best_abstraction(dsl.eval_node(node, e_in), templates, pool)
-    if node.op is Op.CONCAT:
-        left = abstract_eval(node.children[0], e_in, templates, table, pool)
-        right = abstract_eval(node.children[1], e_in, templates, table, pool)
-        return apply_transformer(table, (left, right))
-    raise ValueError(f"not a string node: {node.op}")
-
-
 # ---------------------------------------------------------------------------
 # Embedding test: can this state describe some substring of the output?
 
@@ -194,17 +182,14 @@ class Candidate:
     first time ``node`` is read, then keeps it; its values are already the
     sums of theirs.  ``sid`` is the registry id of ``states`` when that
     vector is registered (always so once the candidate is pooled), else
-    None.  ``verdict`` holds ``(accepted, embeds)`` once the synthesizer has
-    judged the candidate.
+    None.
     """
 
     _node: Optional[AstNode]
     parts: Optional[tuple[Candidate, Candidate]]
     values: tuple[str, ...]
     states: tuple[StateLike, ...]
-    size: int
     sid: Optional[int]
-    verdict: Optional[tuple[bool, bool]] = None
 
     @property
     def node(self) -> AstNode:
@@ -285,128 +270,89 @@ class Synthesizer:
 
     def _leaf(self, node: AstNode, values: tuple[str, ...]) -> Candidate:
         states = tuple(self._abstract_value(v) for v in values)
-        return Candidate(node, None, values, states, node.size, self._ids.get(states))
+        return Candidate(node, None, values, states, self._ids.get(states))
 
-    def _verdict(self, cand: Candidate) -> tuple[bool, bool]:
-        """``(accepted, embeds)`` of the candidate, from the registry when its vector is there."""
-        if cand.verdict is None:
-            if cand.sid is not None:
-                cand.verdict = self._verdicts[cand.sid]
-            else:
-                outputs = self.outputs
-                accepted = all(gamma_contains(st, out) for st, out in zip(cand.states, outputs))
-                embeds = all(state_embeds(st, out) for st, out in zip(cand.states, outputs))
-                cand.verdict = (accepted, embeds)
-        return cand.verdict
-
-    def _register(self, cand: Candidate):
-        """Register the vector of a pooled candidate that has no id.
-
-        Such a vector is new: every candidate is made just before it is
-        yielded and looks its vector up then, and only pooling registers.
-        """
-        if cand.sid is None:
-            self._verdicts.append(self._verdict(cand))
-            cand.sid = len(self._vectors)
-            self._ids[cand.states] = cand.sid
-            self._vectors.append(cand.states)
-
-    def _candidates(self) -> Generator[Candidate, bool, None]:
-        """Yield candidates in rank order.
-
-        The caller sends back whether the last candidate is kept; only kept
-        candidates become children of larger ones, and their vectors are
-        registered.
-        """
-        pools: dict[int, list[Candidate]] = {}
-        ids, vectors, concats = self._ids, self._vectors, self._concats
+    def _batch(self, size: int, pools: dict[int, list[Candidate]]) -> Iterator[Candidate]:
+        """The candidates of AST size ``size`` in rank order; ``pools`` holds the kept ones of each smaller size."""
         inputs = self.inputs
-
-        def emit_batch(size: int) -> Iterator[Candidate]:
-            if size == 1:
-                yield self._leaf(dsl.input_(), inputs)
-                for s in self.consts:
-                    yield self._leaf(dsl.const(s), (s,) * len(inputs))
-                return
-            for sa in range(1, size - 1):
-                sb = size - 1 - sa
-                for a in pools.get(sa, ()):
-                    for b in pools.get(sb, ()):
-                        values = tuple(map(add, a.values, b.values))
-                        pair = (a.sid, b.sid)
-                        sid = concats.get(pair)
-                        if sid is None:
-                            states = tuple(
-                                apply_transformer(self.table, (sa_state, sb_state))
-                                for sa_state, sb_state in zip(a.states, b.states)
-                            )
-                            sid = ids.get(states)
-                            if sid is not None:
-                                concats[pair] = sid
-                        else:
-                            states = vectors[sid]
-                        yield Candidate(None, (a, b), values, states, size, sid)
-            if size == 4:
-                lengths = tuple(map(len, inputs))
-                rows = [(p, r) for p, r in zip(self.positions, self._position_table()) if r is not None]
-                for p1, r1 in rows:
-                    for p2, r2 in rows:
-                        if all(0 <= i1 <= i2 <= n for i1, i2, n in zip(r1, r2, lengths)):
-                            values = tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2))
-                            yield self._leaf(dsl.substr(dsl.input_(), p1, p2), values)
-
-        for size in range(1, self.task.max_ast_size + 1):
-            pools[size] = []
-            for cand in emit_batch(size):
-                keep = yield cand
-                if keep:
-                    self._register(cand)
-                    pools[size].append(cand)
+        if size == 1:
+            yield self._leaf(dsl.input_(), inputs)
+            for s in self.consts:
+                yield self._leaf(dsl.const(s), (s,) * len(inputs))
+            return
+        ids, vectors, concats = self._ids, self._vectors, self._concats
+        for sa in range(1, size - 1):
+            for a in pools[sa]:
+                for b in pools[size - 1 - sa]:
+                    values = tuple(map(add, a.values, b.values))
+                    pair = (a.sid, b.sid)
+                    sid = concats.get(pair)
+                    if sid is None:
+                        states = tuple(apply_transformer(self.table, ab) for ab in zip(a.states, b.states))
+                        sid = ids.get(states)
+                        if sid is not None:
+                            concats[pair] = sid
+                    else:
+                        states = vectors[sid]
+                    yield Candidate(None, (a, b), values, states, sid)
+        if size == 4:
+            lengths = tuple(map(len, inputs))
+            rows = [(p, r) for p, r in zip(self.positions, self._position_table()) if r is not None]
+            for p1, r1 in rows:
+                for p2, r2 in rows:
+                    if all(0 <= i1 <= i2 <= n for i1, i2, n in zip(r1, r2, lengths)):
+                        values = tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2))
+                        yield self._leaf(dsl.substr(dsl.input_(), p1, p2), values)
 
     def run(self, require_correct: bool = False) -> SynthResult:
         start = time.perf_counter_ns()
-        deadline = None
-        if self.task.timeout_ms is not None:
-            deadline = start + self.task.timeout_ms * 1_000_000
+        timeout_ms = self.task.timeout_ms
+        deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
+        budget = self.task.max_candidates
         outputs = self.outputs
+        ids, vectors, verdicts = self._ids, self._vectors, self._verdicts
         seen: set[tuple[str, ...]] = set()
+        pools: dict[int, list[Candidate]] = {}
         result = SynthResult(program=None, correct=None)
+        try:
+            for size in range(1, self.task.max_ast_size + 1):
+                pools[size] = kept = []
+                for cand in self._batch(size, pools):
+                    result.enumerated += 1
+                    if result.enumerated > budget:
+                        result.reason = "candidate-budget"
+                        return result
+                    if deadline is not None and result.enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
+                        result.reason = "timeout"
+                        return result
 
-        gen = self._candidates()
-        keep = None
-        while True:
-            try:
-                cand = gen.send(keep)
-            except StopIteration:
-                result.reason = "exhausted"
-                break
-            keep = False
-            result.enumerated += 1
-            if result.enumerated > self.task.max_candidates:
-                result.reason = "candidate-budget"
-                break
-            if deadline is not None and result.enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
-                result.reason = "timeout"
-                break
+                    if cand.values in seen:
+                        result.deduped += 1
+                        continue
+                    seen.add(cand.values)
 
-            if cand.values in seen:
-                result.deduped += 1
-                continue
-            seen.add(cand.values)
+                    if cand.sid is not None:
+                        accepted, embeds = verdicts[cand.sid]
+                    else:
+                        accepted = all(map(gamma_contains, cand.states, outputs))
+                        embeds = all(map(state_embeds, cand.states, outputs))
+                    if accepted and (not require_correct or cand.values == outputs):
+                        result.program = Program(cand.node)
+                        result.correct = cand.values == outputs
+                        return result
+                    if not embeds:
+                        result.pruned_abstract += 1
+                        continue
 
-            accepted, embeds = self._verdict(cand)
-            if accepted:
-                if not require_correct or cand.values == outputs:
-                    result.program = Program(cand.node)
-                    result.correct = cand.values == outputs
-                    result.reason = "found"
-                    break
-
-            if not embeds:
-                result.pruned_abstract += 1
-                continue
-            keep = True
-
-        result.wall_us = (time.perf_counter_ns() - start) // 1000
-        result.wall_ms = result.wall_us // 1000
-        return result
+                    # Pooled: a vector without an id is new, since only this registers.
+                    if cand.sid is None:
+                        cand.sid = len(vectors)
+                        ids[cand.states] = cand.sid
+                        vectors.append(cand.states)
+                        verdicts.append((accepted, embeds))
+                    kept.append(cand)
+            result.reason = "exhausted"
+            return result
+        finally:
+            result.wall_us = (time.perf_counter_ns() - start) // 1000
+            result.wall_ms = result.wall_us // 1000

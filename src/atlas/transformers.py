@@ -34,7 +34,6 @@ not can lose precision but not soundness.
 from __future__ import annotations
 
 import hashlib
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -593,9 +592,9 @@ def matrix_to_obj(m: Matrix) -> list:
 
 def _matrix_entry(pair) -> int:
     num, den = pair
-    if den != 1:
+    if type(num) is not int or type(den) is not int or den != 1:  # bool is not an int here
         raise ValueError(f"matrix entry {pair!r} is not an integer")
-    return operator.index(num)
+    return num
 
 
 def matrix_from_obj(obj: list) -> Matrix:

@@ -89,3 +89,20 @@ def with_top_copies(table):
 def table_outputs(table) -> list:
     """Every ``(inputs, output)`` pair of ``table``."""
     return [(t.inputs, o) for t in table.all() for o in t.outputs]
+
+
+def record_stream(synth) -> list:
+    """Wrap ``synth._batch`` so that each candidate it yields is logged as
+    ``(size, sid, candidate)``: its AST size, its registry id when it was
+    made, and the candidate.  A later ``synth.run()`` then leaves in the list
+    the stream it enumerated, in order."""
+    stream = []
+    batch = synth._batch
+
+    def recording(size, pools):
+        for cand in batch(size, pools):
+            stream.append((size, cand.sid, cand))
+            yield cand
+
+    synth._batch = recording
+    return stream

@@ -12,17 +12,19 @@ from atlas.domain import (
     ConcretePredicate,
     ConstantPool,
     TemplateKind,
+    StateLike,
     abstract,
+    best_abstraction,
     char_eq,
     char_neq,
     gamma_contains,
     len_eq,
     len_neq,
 )
-from atlas.dsl import Op, Program
+from atlas.dsl import AstNode, Op, Program, eval_node
 from atlas.interpolation import Annotation, TreeInterpolant, TreeItpProblem
-from atlas.synthesizer import SynthesisTask, satisfies
-from atlas.transformers import ExampleSet, Matrix, column_rank
+from atlas.synthesizer import SynthesisTask, apply_transformer, satisfies
+from atlas.transformers import ExampleSet, Matrix, TransformerTable, column_rank
 
 
 def is_correct(p: Program, task: SynthesisTask) -> bool:
@@ -33,6 +35,22 @@ def is_correct(p: Program, task: SynthesisTask) -> bool:
 def full_abstraction(s: str, templates, pool: ConstantPool) -> AbstractValue:
     """``best_abstraction`` without the reduction: every fact of every template."""
     return AbstractValue(frozenset(p for t in templates if t.holes for p in abstract(s, t, pool)))
+
+
+def abstract_eval(node: AstNode, e_in: str, templates, table: TransformerTable, pool: ConstantPool) -> StateLike:
+    """Abstract state of a program on one example input, derived top-down.
+
+    Closed subterms are abstracted from their concrete value, in reduced
+    form; concatenations go through the transformer table.  The synthesizer
+    derives the same states bottom-up, with caches.
+    """
+    if node.op in (Op.INPUT, Op.CONST, Op.SUBSTR):
+        return best_abstraction(eval_node(node, e_in), templates, pool)
+    if node.op is Op.CONCAT:
+        left = abstract_eval(node.children[0], e_in, templates, table, pool)
+        right = abstract_eval(node.children[1], e_in, templates, table, pool)
+        return apply_transformer(table, (left, right))
+    raise ValueError(f"not a string node: {node.op}")
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

@@ -24,11 +24,10 @@ from atlas.domain import (
 from atlas.driver import TrainConfig, learn_abstractions
 from atlas.dsl import Program, concat, const, input_, print_program
 from atlas.interpolation import construct_tree, find_tree_itp
-from atlas.synthesizer import abstract_eval
 from atlas.transformers import solve_linear
 
 from conftest import E1, E2, E3
-from oracles import as_matrix, check_interpolant
+from oracles import abstract_eval, as_matrix, check_interpolant
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

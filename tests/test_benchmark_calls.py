@@ -7,6 +7,7 @@ that would break the benchmark fails here.
 
 import argparse
 import importlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -20,13 +21,17 @@ from atlas.corpus import corpus_dir
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def worker():
+def bench_module(name: str):
     sys.path.insert(0, str(BENCH))
     try:
-        module = importlib.import_module("worker")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def worker():
+    module = bench_module("worker")
     module.CORPUS = corpus_dir()
     return module
 
@@ -66,3 +71,21 @@ def test_train_pass_and_bundle_set_up(worker, tmp_path):
     for workload, path in (("synth-bundle", str(bundle)), ("synth-top", None)):
         setup = worker.synth(atlas, worker_args(workload, bundle=path, setup_only=True), None, time.perf_counter())
         assert set(setup) == {"setup_s"}
+
+
+def test_traced_synth_pass_under_the_top_table(worker, monkeypatch):
+    # A refactor that moved a hot call out of the tracer's reach would leave
+    # its span empty here.
+    from spans import Tracer
+
+    satisfies = bench_module("check").satisfies
+    paths = [corpus_dir() / f"{name}.json" for name in ("eval_backup", "eval_quote")]
+    monkeypatch.setattr(worker, "task_paths", lambda workload: paths)
+    with Tracer("atlas").installed(worker.TARGETS) as tracer:
+        result = worker.synth(atlas, worker_args("synth-top", trace=True), tracer, time.perf_counter())
+    assert [row["task"] for row in result["rows"]] == ["eval_backup", "eval_quote"]
+    for row, path in zip(result["rows"], paths):
+        examples = [(e["input"], e["output"]) for e in json.loads(path.read_text())["examples"]]
+        assert row["program"] is not None and satisfies(row["program"], examples), row
+    for name in ("synthesizer.run", "synthesizer.apply_transformer", "synthesizer.state_embeds", "domain.gamma_contains"):
+        assert tracer.stats[name].calls > 0, name

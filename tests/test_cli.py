@@ -5,6 +5,7 @@ import pytest
 
 from atlas.cli import main
 from atlas.corpus import corpus_dir, eval_task_paths, training_task_paths
+from atlas.transformers import matrix_from_obj
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,27 @@ class TestDumpItp:
     def test_bad_program_usage_error(self):
         assert main(["dump-itp", str(corpus_dir() / "e1.json"), "--program", "(concat"]) == 3
 
+    def test_program_failing_on_every_example(self, capsys):
+        code = main([
+            "dump-itp", str(corpus_dir() / "e1.json"),
+            "--program", "(substr (input) (abspos 5) (abspos 9))",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "nothing to refute" in err
+        assert "Traceback" not in err
+
+    def test_skips_examples_the_program_fails_on(self, tmp_path, capsys):
+        task = tmp_path / "t.json"
+        task.write_text(json.dumps({
+            "examples": [{"input": "ab", "output": "x"}, {"input": "abcdef", "output": "y"}],
+        }))
+        assert main(["dump-itp", str(task), "--program", "(substr (input) (abspos 3) (abspos 4))"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert any(" | 'abcdef' | " in line for line in lines)
+        assert any(" | 'd' | " in line for line in lines)
+        assert not any(" | 'ab' | " in line for line in lines)
+
 
 class TestExitCodes:
     def test_missing_file_io_error(self, tmp_path):
@@ -243,13 +265,18 @@ class TestExitCodes:
         bundle.write_text(json.dumps({"templates": ["bogus"], "transformers": []}))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
 
-    def test_bundle_with_fractional_matrix_entry_format_error(self, trained_dir, tmp_path):
+    @pytest.mark.parametrize("pair", [[1, 2], [5, True], [True, 1]], ids=["fraction", "bool-den", "bool-num"])
+    def test_bundle_with_fractional_matrix_entry_format_error(self, trained_dir, tmp_path, capsys, pair):
         obj = read(trained_dir / "bundle.json")
         entry = next(t for t in obj["transformers"] if t["outputs"])
-        entry["outputs"][0]["matrix"][0][0] = [1, 2]
+        entry["outputs"][0]["matrix"][0][0] = pair
         bundle = tmp_path / "bad.json"
         bundle.write_text(json.dumps(obj))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        # Rejected as an entry, not only when the changed matrix fails the validity check.
+        with pytest.raises(ValueError, match="not an integer"):
+            matrix_from_obj([[pair]])
 
     def test_bundle_with_other_op_format_error(self, trained_dir, tmp_path):
         assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e.update(op="reverse")) == 4
@@ -295,6 +322,19 @@ class TestExitCodes:
         task = tmp_path / "bad.json"
         task.write_text(json.dumps({"examples": [{"input": 5, "output": "5!"}]}))
         assert main(["synth", str(task), "--baseline-top"]) == 4
+
+    @pytest.mark.parametrize("name", [["x"], 7], ids=["list", "int"])
+    def test_non_string_task_name_format_error(self, trained_dir, tmp_path, capsys, name):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        task = corpus / "bad.json"
+        task.write_text(json.dumps({"name": name, "examples": [{"input": "a", "output": "a!"}]}))
+        assert main(["synth", str(task), "--baseline-top"]) == 4
+        out = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--bundle", str(trained_dir / "bundle.json"), "-o", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        [row] = read(out / "bench_report.json")["tasks"]
+        assert row["task"] == "bad" and "task name must be a string" in row["error"]
 
     def test_negative_max_size_usage_error(self):
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-size", "-3"]) == 3

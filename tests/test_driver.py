@@ -14,11 +14,11 @@ from atlas.domain import (
 )
 from atlas.driver import TrainConfig, learn_abstractions
 from atlas.dsl import Program, concat, const, input_, print_program
-from atlas.synthesizer import SynthesisTask, SynthResult, Synthesizer, abstract_eval
+from atlas.synthesizer import SynthesisTask, SynthResult, Synthesizer
 from atlas.transformers import concat_construct, top_table
 
 from conftest import E1, E2, E3
-from oracles import is_correct
+from oracles import abstract_eval, is_correct
 
 
 FULL_DOMAIN = {TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ}

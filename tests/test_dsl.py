@@ -115,34 +115,51 @@ class TestRank:
         assert len(set(keys)) == len(keys)
         assert sorted(keys) == sorted(keys, reverse=True)[::-1]
 
-    def test_matches_enumeration_order(self):
+    def test_matches_enumeration_order(self, monkeypatch):
         # Oracle: the synthesizer's generation stream is the ranking order,
-        # both when every candidate is pooled and when only new values are
-        # (the run's dedup policy).  The second case runs past candidate
-        # 27,424, where a child key blind to child sizes first breaks the
-        # order (two size-7 concats whose left children differ in size).
+        # both when every candidate is pooled and when the run pools (only
+        # new values, since every state is top).  The second case runs past
+        # candidate 27,424, where a child key blind to child sizes first
+        # breaks the order (two size-7 concats whose left children differ in
+        # size); nothing is accepted there, so the run reaches its budget.
+        from atlas import synthesizer
         from atlas.domain import TOP
         from atlas.synthesizer import Synthesizer, SynthesisTask
         from atlas.transformers import top_table, concat_construct
 
-        for example, limit, dedup in [(("ab", "abab"), 100, False), (("ab.c", "c-ab"), 40_000, True)]:
+        from conftest import record_stream
+
+        def synth_for(example, limit):
             task = SynthesisTask(examples=(example,), max_candidates=limit)
-            synth = Synthesizer(task, [TOP], top_table([concat_construct()]))
-            gen = synth._candidates()
-            values_seen = set()
-            previous = None
-            keep = None
-            for n in range(limit):
-                try:
-                    cand = gen.send(keep)
-                except StopIteration:
-                    break
-                keep = not dedup or cand.values not in values_seen
-                values_seen.add(cand.values)
-                key = rank_key(cand.node)
-                assert previous is None or previous < key, f"candidate {n + 1}: {print_program(Program(cand.node))}"
-                previous = key
-            assert n + 1 == limit
+            return Synthesizer(task, [TOP], top_table([concat_construct()]))
+
+        def assert_ranked(cands):
+            keys = [rank_key(cand.node) for cand in cands]
+            for n, (previous, key) in enumerate(zip(keys, keys[1:]), 2):
+                assert previous < key, f"candidate {n}: {print_program(Program(cands[n - 1].node))}"
+
+        def keep_all(synth, limit):
+            """The first ``limit`` candidates when every candidate is pooled."""
+            pools, cands = {}, []
+            for size in range(1, synth.task.max_ast_size + 1):
+                pools[size] = []
+                for cand in synth._batch(size, pools):
+                    if len(cands) == limit:
+                        return cands
+                    pools[size].append(cand)
+                    cands.append(cand)
+            return cands
+
+        kept_all = keep_all(synth_for(("ab", "abab"), 100), 100)
+        assert len(kept_all) == 100
+        assert_ranked(kept_all)
+
+        monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
+        synth = synth_for(("ab.c", "c-ab"), 40_000)
+        stream = record_stream(synth)
+        result = synth.run(require_correct=True)
+        assert len(stream) == result.enumerated == 40_001
+        assert_ranked([cand for _, _, cand in stream])
 
 
 # Bounded program generator for round-trip properties.

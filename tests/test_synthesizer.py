@@ -34,17 +34,11 @@ from atlas.dsl import (
     substr,
 )
 from atlas import synthesizer
-from atlas.synthesizer import (
-    SynthesisTask,
-    Synthesizer,
-    abstract_eval,
-    apply_transformer,
-    state_embeds,
-)
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, state_embeds
 from atlas.transformers import Transformer, TransformerTable, concat_construct, top_table
 
-from conftest import E1, E2, E3, table_outputs, with_outputs, with_top_copies
-from oracles import full_abstraction, is_correct
+from conftest import E1, E2, E3, record_stream, table_outputs, with_outputs, with_top_copies
+from oracles import abstract_eval, full_abstraction, is_correct
 
 
 def val(*preds):
@@ -228,11 +222,12 @@ class TestIsCorrect:
 
 class TestEnumeratorProperties:
     def test_abstract_soundness_during_enumeration(self, table_a2):
-        result = Synthesizer(E2, FIVE_TEMPLATES, table_a2).run(require_correct=True)
+        synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
+        stream = record_stream(synth)
+        result = synth.run(require_correct=True)
         assert result.correct
-        cands = run_candidates(Synthesizer(E2, FIVE_TEMPLATES, table_a2), result.enumerated)
-        assert len(cands) == result.enumerated
-        for cand in cands:
+        assert len(stream) == result.enumerated
+        for _, _, cand in stream:
             assert all(gamma_contains(st, v) for st, v in zip(cand.states, cand.values)), print_program(
                 Program(cand.node)
             )
@@ -261,24 +256,24 @@ class TestEnumeratorProperties:
         assert result.deduped > 0
 
     def test_minimal_rank_no_smaller_consistent_program(self, table_a1):
-        # Deterministic ranking contract: nothing before the returned program
-        # is abstractly consistent.
-        templates = [TOP, LEN_EQ, LEN_NEQ]
-        result = Synthesizer(E1, templates, table_a1).run(require_correct=False)
-        synth = Synthesizer(E1, templates, table_a1)
-        gen = synth._candidates()
-        keep = None
-        while True:
-            cand = gen.send(keep)
-            keep = True
-            if cand.node == result.program.root:
-                break
-            assert not all(
-                gamma_contains(st, out) for st, out in zip(cand.states, E1.outputs)
-            )
+        # Deterministic ranking contract: nothing the run enumerates before
+        # the returned program, duplicates included, is abstractly consistent.
+        synth = Synthesizer(E1, [TOP, LEN_EQ, LEN_NEQ], table_a1)
+        stream = record_stream(synth)
+        result = synth.run(require_correct=False)
+        assert len(stream) == result.enumerated
+        *before, (_, _, last) = stream
+        assert last.node == result.program.root
+        for _, _, cand in before:
+            assert not all(gamma_contains(st, out) for st, out in zip(cand.states, E1.outputs))
 
 
 FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
+
+
+# E2 with a second phone number: no program of up to 14 nodes is correct on
+# both, so a run goes on until its budget or its pools run out.
+PHONES = SynthesisTask(examples=(*E2.examples, ("408.555.1234", "408-555-1234")))
 
 
 class TestStateVectorCache:
@@ -298,65 +293,61 @@ class TestStateVectorCache:
             "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
             "top": ([TOP], top_table([concat_construct()])),
         }[domain]
-        synth = Synthesizer(E2, templates, table)
-        gen = synth._candidates()
-        seen, keep, pooled, reused = set(), None, 0, 0
-        for _ in range(limit):
-            try:
-                cand = gen.send(keep)
-            except StopIteration:
-                break
-            keep = False
+        synth = Synthesizer(SynthesisTask(examples=PHONES.examples, max_candidates=limit), templates, table)
+        stream = record_stream(synth)
+        result = synth.run(require_correct=True)
+        assert result.program is None
+        assert len(stream) == result.enumerated
+        # Over the budget, the last candidate is counted but not judged.
+        judged = stream if result.reason == "exhausted" else stream[:-1]
+        seen, pooled, pruned, reused = set(), 0, 0, 0
+        for _, sid, cand in judged:
             if cand.values in seen:  # the run's dedup
                 continue
             seen.add(cand.values)
             fresh = tuple(
-                abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in E2.inputs
+                abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in PHONES.inputs
             )
             assert cand.states == fresh, print_program(Program(cand.node))
-            reused += cand.sid is not None
-            accepted = all(gamma_contains(s, out) for s, out in zip(fresh, E2.outputs))
-            embeds = all(state_embeds(s, out) for s, out in zip(fresh, E2.outputs))
-            assert synth._verdict(cand) == (accepted, embeds)
-            keep = embeds
-            pooled += keep
+            reused += sid is not None
+            accepted = all(gamma_contains(s, out) for s, out in zip(fresh, PHONES.outputs))
+            embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
+            if cand.sid is not None:  # registered when made or when pooled
+                assert synth._vectors[cand.sid] == fresh
+                assert synth._verdicts[cand.sid] == (accepted, embeds)
+            pooled += embeds
+            pruned += not embeds
         assert reused > 0 or not reuses
+        assert result.pruned_abstract == pruned
+        assert result.deduped == len(judged) - len(seen)
         # Only pooled vectors are registered.
         assert len(synth._ids) == len(synth._vectors) == len(synth._verdicts) <= pooled
 
-    def test_unsound_entry_still_fails_the_soundness_check(self, table_a2):
-        # len(a + b) = len(a): wrong whenever b is not empty.
+    def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
+        # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
+        # domain many wrong states still embed, so the run pools them.
         unsound = Transformer("concat", (LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 0, 0),)),))
-        table = TransformerTable([*(t for t in table_a2.all() if t.inputs != unsound.inputs), unsound])
-        synth = Synthesizer(E2, FIVE_TEMPLATES, table)
-        # Fill the registry and the concat cache first, so that the checked
-        # candidates take the cached path.
-        gen = synth._candidates()
-        cand = next(gen)
-        for _ in range(5_000):
-            cand = gen.send(True)
+        table = TransformerTable([*(t for t in table_a1.all() if t.inputs != unsound.inputs), unsound])
+        task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
+        synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table)
+        # A first run fills the registry and the concat cache, so that the
+        # second run's checked candidates take the cached path.
+        synth.run(require_correct=True)
         cached = dict(synth._concats)
         assert cached
+        stream = record_stream(synth)
+        synth.run(require_correct=True)
         wrong = [
             cand
-            for cand in run_candidates(synth, 5_000)
+            for _, _, cand in stream
             if not all(gamma_contains(st, v) for st, v in zip(cand.states, cand.values))
         ]
         assert any(cand.parts and (cand.parts[0].sid, cand.parts[1].sid) in cached for cand in wrong)
 
 
 def size4_leaves(synth):
-    """``(node, values)`` of the size-4 leaves, in order; nothing is pooled, so no concat is made."""
-    gen = synth._candidates()
-    leaves = []
-    try:
-        cand = next(gen)
-        while True:
-            if cand.size == 4:
-                leaves.append((cand.node, cand.values))
-            cand = gen.send(False)
-    except StopIteration:
-        return leaves
+    """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
+    return [(cand.node, cand.values) for cand in synth._batch(4, {1: [], 2: []})]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -387,47 +378,38 @@ class TestPositionTable:
         assert size4_leaves(synth) == want
 
 
-def run_candidates(synth, limit):
-    """The first ``limit`` candidates, with each kept as ``run`` keeps it."""
-    gen = synth._candidates()
-    seen, keep, cands = set(), None, []
-    for _ in range(limit):
-        try:
-            cand = gen.send(keep)
-        except StopIteration:
-            break
-        cands.append(cand)
-        keep = cand.values not in seen and synth._verdict(cand)[1]
-        seen.add(cand.values)
-    return cands
-
-
 class TestLazyNode:
     """A candidate's node, built on first read, is the program its size and values describe."""
 
     @staticmethod
-    def check(cands, inputs):
-        for cand in cands:
+    def check(stream, inputs):
+        for size, _, cand in stream:
             node = cand.node
-            assert node.size == cand.size, print_program(Program(node))
+            assert node.size == size, print_program(Program(node))
             assert tuple(eval_node(node, x) for x in inputs) == cand.values, print_program(Program(node))
             if cand.parts is not None:
                 a, b = cand.parts
                 assert node == concat(a.node, b.node), print_program(Program(node))
 
-    def test_first_candidates_under_the_top_table(self):
-        synth = Synthesizer(E2, [TOP], top_table([concat_construct()]))
-        cands = run_candidates(synth, 20_000)
-        assert len(cands) == 20_000
-        assert any(c.parts is not None for c in cands)
-        self.check(cands, E2.inputs)
+    def test_first_candidates_under_the_top_table(self, monkeypatch):
+        # Nothing is accepted, so the run enumerates up to its budget.
+        monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
+        task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
+        synth = Synthesizer(task, [TOP], top_table([concat_construct()]))
+        stream = record_stream(synth)
+        result = synth.run(require_correct=True)
+        assert result.reason == "candidate-budget"
+        assert len(stream) == result.enumerated == 20_001
+        assert any(cand.parts is not None for _, _, cand in stream)
+        self.check(stream, E2.inputs)
 
     def test_full_run_of_e2(self, table_a2):
-        result = Synthesizer(E2, FIVE_TEMPLATES, table_a2).run(require_correct=True)
-        cands = run_candidates(Synthesizer(E2, FIVE_TEMPLATES, table_a2), result.enumerated)
-        assert len(cands) == result.enumerated
-        assert cands[-1].node == result.program.root
-        self.check(cands, E2.inputs)
+        synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
+        stream = record_stream(synth)
+        result = synth.run(require_correct=True)
+        assert len(stream) == result.enumerated
+        assert stream[-1][2].node == result.program.root
+        self.check(stream, E2.inputs)
 
 
 def unreduced_eval(node, e_in, templates, table, pool):
