@@ -64,21 +64,23 @@ def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Op
     try:
         examples = tuple((e["input"], e["output"]) for e in obj["examples"])
         name = obj.get("name", path.stem)
-        literals = tuple(obj.get("literals", []))
+        literals = obj.get("literals", [])
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed task file ({exc})") from exc
     if not examples:
         raise CliError(f"{path}: task has no examples")
     if not isinstance(name, str):
         raise CliError(f"{path}: task name must be a string")
-    strings = [s for e in examples for s in e] + list(literals)
+    if not isinstance(literals, list):
+        raise CliError(f"{path}: task literals must be a list of strings")
+    strings = [s for e in examples for s in e] + literals
     if not all(isinstance(s, str) for s in strings):
         raise CliError(f"{path}: example inputs, outputs and literals must be strings")
     task = SynthesisTask(
         examples=examples,
         max_ast_size=max_ast_size,
         max_candidates=max_candidates,
-        literals=literals,
+        literals=tuple(literals),
         timeout_ms=timeout_ms,
     )
     return name, task

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain, starmap
 from typing import Iterable, Union
 
 
@@ -96,6 +97,14 @@ def char_neq(i: int, c: int) -> ConcretePredicate:
 
 TOP_PRED = ConcretePredicate(TOP, ())
 
+# The interned constructor of each kind that has holes.
+_INTERNED = {
+    TemplateKind.LEN_EQ: len_eq,
+    TemplateKind.LEN_NEQ: len_neq,
+    TemplateKind.CHAR_EQ: char_eq,
+    TemplateKind.CHAR_NEQ: char_neq,
+}
+
 
 class _Bottom:
     """Distinguished empty-concretization value; a singleton."""
@@ -123,17 +132,36 @@ class AbstractValue:
     @staticmethod
     def of(preds: Iterable[ConcretePredicate]) -> Union["AbstractValue", _Bottom]:
         """The conjunction of ``preds``, or bottom on direct contradiction."""
-        conjuncts = frozenset(p for p in preds if p.kind is not TemplateKind.TOP)
-        if not conjuncts:
+        groups: dict[TemplateKind, set[tuple[int, ...]]] = {}
+        for p in preds:
+            groups.setdefault(p.kind, set()).add(p.args)
+        return AbstractValue.of_groups(groups)
+
+    @staticmethod
+    def of_groups(groups: dict[TemplateKind, set[tuple[int, ...]]]) -> Union["AbstractValue", _Bottom]:
+        """The conjunction of the facts given as their args grouped by kind,
+        or bottom on direct contradiction; a ``top`` group adds nothing.
+
+        The conjuncts are the interned predicates (``len_eq`` and the rest),
+        and ``by_kind`` is seeded from the groups, so a derived state is
+        grouped once, when it is made.
+        """
+        groups = {k: list(args) for k, args in groups.items() if args and k is not TemplateKind.TOP}
+        if not groups:
             return _TOP_VALUE
-        value = AbstractValue(conjuncts)
-        return BOTTOM if _contradicts(value) else value
+        if _contradicts(groups):
+            return BOTTOM
+        value = AbstractValue(frozenset(chain.from_iterable(starmap(_INTERNED[k], args) for k, args in groups.items())))
+        groups[TemplateKind.TOP] = [()]
+        value.__dict__["by_kind"] = groups  # where the cached property keeps its value
+        return value
 
     @cached_property
     def by_kind(self) -> dict[TemplateKind, list[tuple[int, ...]]]:
         """The args of the conjuncts grouped by template kind, with ``TOP: [()]``.
 
-        Built once per value; every reader of a value's structure uses it.
+        Built once per value (``of_groups`` seeds it); every reader of a
+        value's structure uses it.
         """
         groups: dict[TemplateKind, list[tuple[int, ...]]] = {TemplateKind.TOP: [()]}
         for p in self.conjuncts:
@@ -263,24 +291,17 @@ def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: Const
 # Meet with syntactic contradiction detection
 
 
-def _contradicts(value: AbstractValue) -> bool:
-    groups = value.by_kind
-    lens = {n for (n,) in groups.get(TemplateKind.LEN_EQ, ())}
-    if len(lens) > 1:
+def _contradicts(groups: dict[TemplateKind, list[tuple[int, ...]]]) -> bool:
+    """Whether facts, given as distinct args grouped by kind, directly
+    contradict each other."""
+    lens = groups.get(TemplateKind.LEN_EQ, ())
+    pins = groups.get(TemplateKind.CHAR_EQ, ())
+    char_eqs = dict(pins)
+    if len(lens) > 1 or len(char_eqs) < len(pins):  # two lengths, or two characters at one index
         return True
-    char_eqs: dict[int, int] = {}
-    for i, c in groups.get(TemplateKind.CHAR_EQ, ()):
-        if char_eqs.setdefault(i, c) != c:
-            return True
-    if any(n in lens for (n,) in groups.get(TemplateKind.LEN_NEQ, ())):
+    if lens and (lens[0] in groups.get(TemplateKind.LEN_NEQ, ()) or (char_eqs and max(char_eqs) >= lens[0][0])):
         return True
-    if any(char_eqs.get(i) == c for i, c in groups.get(TemplateKind.CHAR_NEQ, ())):
-        return True
-    if lens:
-        (n,) = lens
-        if any(i >= n for i in char_eqs):
-            return True
-    return False
+    return bool(char_eqs) and any(char_eqs.get(i) == c for i, c in groups.get(TemplateKind.CHAR_NEQ, ()))
 
 
 def meet(a: StateLike, b: StateLike) -> StateLike:

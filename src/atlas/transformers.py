@@ -11,7 +11,10 @@ is involved.  Learned matrices are tuples of integer rows.
 
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
-value, so the table is read for concat alone.
+value, so the table is read for concat alone.  It reads the table's
+compiled rules (``TransformerTable.rules``) and maps constants through
+their matrices itself, so ``apply_affine`` serves the validity check
+(training and bundle loading) only.
 
 A learned or loaded table is normalized: an output is dropped when the
 entry with ``top`` in place of an argument it does not read already has
@@ -117,14 +120,28 @@ def solve_linear(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> Opti
 
 
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
-    """Map the integer constants ``vec`` (ending in 1) through ``p``."""
+    """Map the integer constants ``vec`` (ending in 1) through ``p``.
+
+    ``check_valid`` calls it; the synthesizer computes the same map inline
+    over the compiled rules."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
+
+
+# The kinds whose first hole is a character index.
+_INDEXED = frozenset({TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ})
+
+
+def names_negative_index(kind: TemplateKind, args: tuple[int, ...]) -> bool:
+    """Whether the constants an affine map predicted for an output of
+    ``kind`` name a negative character index.  Such an output derives
+    nothing, both in ``check_valid`` and in the synthesizer."""
+    return kind in _INDEXED and args[0] < 0
 
 
 def instantiate_output(chi0: PredicateTemplate, args: tuple[int, ...]) -> Optional[ConcretePredicate]:
     """``chi0`` filled with the constants an affine map predicted, or None
     when they name a negative character index."""
-    if chi0.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ) and args[0] < 0:
+    if names_negative_index(chi0.kind, args):
         return None
     return chi0.instantiate(args)
 
@@ -461,11 +478,16 @@ class Transformer:
         return tuple(used)
 
 
+# A compiled table entry; see ``TransformerTable.rules``.
+Rule = tuple[TemplateKind, TemplateKind, bool, bool, tuple[tuple[TemplateKind, Matrix], ...]]
+
+
 class TransformerTable:
     """Concat transformers keyed by their pair of input template kinds."""
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
         self.entries: dict[tuple[TemplateKind, TemplateKind], Transformer] = {}
+        self._rules: Optional[list[Rule]] = None
         for t in transformers:
             self.add(t)
 
@@ -481,6 +503,24 @@ class TransformerTable:
             if len(m) != chi.holes or any(len(row) != width for row in m):
                 raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
         self.entries[(t.inputs[0].kind, t.inputs[1].kind)] = t
+        self._rules = None
+
+    @property
+    def rules(self) -> list[Rule]:
+        """The entries that have outputs, compiled for the synthesizer.
+
+        One rule ``(k1, k2, used1, used2, outputs)`` per such entry: its
+        input kinds, whether each argument's constants reach an output
+        (``Transformer.used_arguments``), and each output as its kind and
+        matrix.  Compiled on the first read after the last ``add``.
+        """
+        if self._rules is None:
+            self._rules = [
+                (t.inputs[0].kind, t.inputs[1].kind, *t.used_arguments, tuple((chi.kind, m) for chi, m in t.outputs))
+                for t in self.all()
+                if t.outputs
+            ]
+        return self._rules
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)

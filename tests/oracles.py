@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from atlas.domain import (
+    BOTTOM,
     TOP_PRED,
     AbstractValue,
     ConcretePredicate,
@@ -51,6 +52,41 @@ def abstract_eval(node: AstNode, e_in: str, templates, table: TransformerTable, 
         right = abstract_eval(node.children[1], e_in, templates, table, pool)
         return apply_transformer(table, (left, right))
     raise ValueError(f"not a string node: {node.op}")
+
+
+def state_embeds_scan(state: StateLike, out: str) -> bool:
+    """``state_embeds`` by scanning every offset and every admissible length.
+
+    The reference for the synthesizer's one-length test: it tries each
+    substring length the length facts allow at each offset of ``out``.
+    """
+    if state is BOTTOM:
+        return False
+    if not state.conjuncts:
+        return True
+    groups = state.by_kind
+    lens = groups.get(TemplateKind.LEN_EQ)
+    length = lens[0][0] if lens else None
+    pinned = dict(groups.get(TemplateKind.CHAR_EQ, ()))
+    neq_lens = {n for (n,) in groups.get(TemplateKind.LEN_NEQ, ())}
+    char_neqs = groups.get(TemplateKind.CHAR_NEQ, ())
+    min_len = max(pinned) + 1 if pinned else 0
+    for o in range(len(out) + 1):
+        limit = len(out) - o
+        if length is not None:
+            candidates = [length] if min_len <= length <= limit and length not in neq_lens else []
+        else:
+            candidates = [n for n in range(min_len, limit + 1) if n not in neq_lens]
+        if not candidates:
+            continue
+        if any(out[o + i] != chr(c) for i, c in pinned.items() if o + i < len(out)) or any(
+            o + i >= len(out) for i in pinned
+        ):
+            continue
+        for n in candidates:
+            if all(i >= n or ord(out[o + i]) != c for i, c in char_neqs):
+                return True
+    return False
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

@@ -73,19 +73,34 @@ def test_train_pass_and_bundle_set_up(worker, tmp_path):
         assert set(setup) == {"setup_s"}
 
 
-def test_traced_synth_pass_under_the_top_table(worker, monkeypatch):
-    # A refactor that moved a hot call out of the tracer's reach would leave
-    # its span empty here.
+def check_traced_synth_pass(worker, monkeypatch, workload, bundle=None):
+    """Drive one traced ``worker.synth`` pass over two quick eval tasks and
+    check its programs and its hot spans.
+
+    A refactor that moved a hot call out of the tracer's reach would leave
+    its span empty here.
+    """
     from spans import Tracer
 
     satisfies = bench_module("check").satisfies
     paths = [corpus_dir() / f"{name}.json" for name in ("eval_backup", "eval_quote")]
     monkeypatch.setattr(worker, "task_paths", lambda workload: paths)
     with Tracer("atlas").installed(worker.TARGETS) as tracer:
-        result = worker.synth(atlas, worker_args("synth-top", trace=True), tracer, time.perf_counter())
+        result = worker.synth(atlas, worker_args(workload, bundle=bundle, trace=True), tracer, time.perf_counter())
     assert [row["task"] for row in result["rows"]] == ["eval_backup", "eval_quote"]
     for row, path in zip(result["rows"], paths):
         examples = [(e["input"], e["output"]) for e in json.loads(path.read_text())["examples"]]
         assert row["program"] is not None and satisfies(row["program"], examples), row
     for name in ("synthesizer.run", "synthesizer.apply_transformer", "synthesizer.state_embeds", "domain.gamma_contains"):
         assert tracer.stats[name].calls > 0, name
+
+
+def test_traced_synth_pass_under_the_top_table(worker, monkeypatch):
+    check_traced_synth_pass(worker, monkeypatch, "synth-top")
+
+
+def test_traced_synth_pass_under_a_trained_bundle(worker, monkeypatch, tmp_path):
+    # Under the bundle, the states reach the compiled rules and the embed test.
+    bundle = tmp_path / "bundle.json"
+    worker.train(atlas, worker_args("train", write_bundle=str(bundle)), None, time.perf_counter())
+    check_traced_synth_pass(worker, monkeypatch, "synth-bundle", str(bundle))

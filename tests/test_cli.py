@@ -336,6 +336,20 @@ class TestExitCodes:
         [row] = read(out / "bench_report.json")["tasks"]
         assert row["task"] == "bad" and "task name must be a string" in row["error"]
 
+    @pytest.mark.parametrize("literals", ["!?", {"!": 1, "?": 2}], ids=["string", "dict"])
+    def test_non_list_literals_format_error(self, trained_dir, tmp_path, capsys, literals):
+        # A string or a dict would load as its characters or its keys.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        task = corpus / "bad.json"
+        task.write_text(json.dumps({"literals": literals, "examples": [{"input": "a", "output": "a!"}]}))
+        assert main(["synth", str(task), "--baseline-top"]) == 4
+        out = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--bundle", str(trained_dir / "bundle.json"), "-o", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        [row] = read(out / "bench_report.json")["tasks"]
+        assert row["task"] == "bad" and "literals must be a list of strings" in row["error"]
+
     def test_negative_max_size_usage_error(self):
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-size", "-3"]) == 3
 

@@ -38,7 +38,7 @@ from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, sta
 from atlas.transformers import Transformer, TransformerTable, concat_construct, top_table
 
 from conftest import E1, E2, E3, record_stream, table_outputs, with_outputs, with_top_copies
-from oracles import abstract_eval, full_abstraction, is_correct
+from oracles import abstract_eval, full_abstraction, is_correct, state_embeds_scan
 
 
 def val(*preds):
@@ -94,6 +94,50 @@ STATES = st.one_of(
         st.sets(st.sampled_from([LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ])),
     ),
 )
+
+
+def draw_state(data, table):
+    """A leaf state from ``STATES``, or the state ``table`` derives from two of them."""
+    left = data.draw(STATES)
+    if data.draw(st.booleans()):
+        return left
+    return apply_transformer(table, (left, data.draw(STATES)))
+
+
+# A table no training run learns: a coefficient of 2, outputs that predict
+# a negative character index, and a ``top`` output.
+HAND_MADE = TransformerTable(
+    Transformer("concat", inputs, outputs)
+    for inputs, outputs in [
+        ((LEN_EQ, LEN_EQ), ((LEN_EQ, ((2, 1, -1),)),)),
+        ((CHAR_EQ, LEN_EQ), ((CHAR_EQ, ((1, 0, -1, 0), (0, 1, 0, 0))),)),
+        ((CHAR_NEQ, TOP), ((CHAR_NEQ, ((1, 0, -2), (0, 1, 0))),)),
+        ((TOP, CHAR_EQ), ((TOP, ()), (LEN_NEQ, ((1, 0, 0),)))),
+        ((LEN_NEQ, LEN_EQ), ((LEN_NEQ, ((1, 1, 0),)),)),
+    ]
+)
+
+
+class TestApplyTransformerAgainstBruteForce:
+    @pytest.mark.parametrize("seed", [0, 1, 705])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_learned_tables(self, trained_at, seed, data):
+        table = trained_at[seed].table
+        left, right = draw_state(data, table), draw_state(data, table)
+        assert apply_transformer(table, (left, right)) == _brute_force_apply(table, left, right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hand_made_table(self, data):
+        left, right = draw_state(data, HAND_MADE), draw_state(data, HAND_MADE)
+        assert apply_transformer(HAND_MADE, (left, right)) == _brute_force_apply(HAND_MADE, left, right)
+
+    def test_hand_made_table_drops_a_negative_index_and_the_top_output(self):
+        left = val(char_eq(1, ord("a")), char_neq(1, ord("b")))
+        got = apply_transformer(HAND_MADE, (left, val(len_eq(2), char_eq(0, ord("z")))))
+        # Both char rules predict index 1 - 2; the top output adds nothing.
+        assert got.conjuncts == {len_neq(0)}
 
 
 def _brute_force_apply(table, left, right):
@@ -163,6 +207,39 @@ class TestStateEmbeds:
                 sub = out[i:j]
                 state = val(len_eq(len(sub)), *(char_eq(k, ord(c)) for k, c in enumerate(sub)))
                 assert state_embeds(state, out)
+
+
+@st.composite
+def embed_states(draw):
+    """Random states for ``state_embeds``: pinned characters, maybe a
+    length, a run of ``len !=`` facts at or next to the shortest length the
+    pins allow, and ``char !=`` facts that may lie past it."""
+    pins = draw(st.dictionaries(st.integers(0, 5), st.sampled_from("abc"), max_size=3))
+    preds = [char_eq(i, ord(c)) for i, c in pins.items()]
+    if draw(st.booleans()):
+        preds.append(len_eq(draw(st.integers(0, 8))))
+    start = max(0, max(pins, default=-1) + 1 + draw(st.integers(-1, 1)))
+    preds += [len_neq(n) for n in range(start, start + draw(st.integers(0, 4)))]
+    preds += [len_neq(n) for n in draw(st.sets(st.integers(0, 10), max_size=2))]
+    neqs = draw(st.sets(st.tuples(st.integers(0, 10), st.sampled_from("abc")), max_size=4))
+    preds += [char_neq(i, ord(c)) for i, c in neqs]
+    # Built directly, or met (which may give bottom and seeds ``by_kind``).
+    return val(*preds) if draw(st.booleans()) else AbstractValue.of(preds)
+
+
+class TestStateEmbedsAgainstTheScan:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.just(AbstractValue.top()), st.just(BOTTOM), embed_states()), st.text(alphabet="abc", max_size=12))
+    @example(val(len_neq(0), char_neq(0, ord("a"))), "")
+    def test_agrees_with_the_per_length_scan(self, state, out):
+        assert state_embeds(state, out) == state_embeds_scan(state, out)
+
+    def test_shortest_admissible_length_past_a_run_of_len_neq(self):
+        state = val(char_eq(0, ord("a")), len_neq(1), len_neq(2))
+        assert state_embeds(state, "xabc") and not state_embeds(state, "xab")
+
+    def test_char_neq_past_the_shortest_length_is_vacuous(self):
+        assert state_embeds(val(char_eq(0, ord("a")), char_neq(3, ord("a"))), "aaaa")
 
 
 class TestSynthesize:

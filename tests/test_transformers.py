@@ -4,7 +4,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atlas.cli import bundle_obj, canonical_json, load_bundle
 from atlas.domain import (
+    AbstractValue,
     CHAR_EQ,
     ConstantPool,
     LEN_EQ,
@@ -19,6 +21,7 @@ from atlas.domain import (
     len_neq,
     template_to_text,
 )
+from atlas.synthesizer import apply_transformer
 from atlas.transformers import (
     ExampleSet,
     InsufficientRank,
@@ -350,6 +353,26 @@ class TestNormalizedTable:
             (TOP, TOP, ((LEN_EQ, ((5,),)),)),
         )
         assert table_outputs(table.normalized()) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
+
+
+class TestCompiledRules:
+    def test_a_rule_added_after_use_is_applied(self):
+        left, right = AbstractValue(frozenset([len_eq(3)])), AbstractValue(frozenset([len_eq(2)]))
+        table = TransformerTable([Transformer("concat", (LEN_EQ, LEN_EQ), ())])
+        assert apply_transformer(table, (left, right)) is AbstractValue.top()
+        table.add(Transformer("concat", (LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),)))
+        assert apply_transformer(table, (left, right)).conjuncts == {len_eq(5)}
+
+    def test_only_entries_with_outputs_are_compiled(self, trained, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(canonical_json(bundle_obj(trained.templates, trained.table, 0, ["e1", "e2", "e3"])))
+        for table in (trained.table, trained.table.normalized(), load_bundle(path)[1]):
+            assert len(table) == 25 and len(table.rules) == 5
+            assert table.rules == [
+                (*(x.kind for x in t.inputs), *t.used_arguments, tuple((chi.kind, m) for chi, m in t.outputs))
+                for t in table.all()
+                if t.outputs
+            ]
 
 
 class TestSerialization:
