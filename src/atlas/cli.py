@@ -14,19 +14,12 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .domain import PredicateTemplate, TOP, template_from_text, template_to_text
+from .domain import TOP, TemplateKind, template_from_text, template_to_text
 from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import (
-    TransformerTable,
-    check_valid,
-    concat_construct,
-    top_table,
-    transformer_from_obj,
-    transformer_to_obj,
-)
+from .transformers import TransformerTable, check_valid, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -98,14 +91,16 @@ def bundle_obj(templates, table: TransformerTable, seed: int, task_names: list[s
     }
 
 
-def load_bundle(path: Path) -> tuple[list[PredicateTemplate], TransformerTable, dict]:
+def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     try:
         templates = [template_from_text(t) for t in obj["templates"]]
-        # Bundles written before tables were normalized carry redundant outputs.
+        # Every entry is checked, then the empty ones are dropped: older
+        # bundles hold all of them, and redundant outputs before tables were
+        # normalized.
         table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"]).normalized()
         provenance = obj.get("provenance", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -180,9 +175,9 @@ def cmd_train(args) -> int:
     return 0 if run.ok else 2
 
 
-def _load_bundle_or_top(args) -> tuple[list[PredicateTemplate], TransformerTable]:
+def _load_bundle_or_top(args) -> tuple[list[TemplateKind], TransformerTable]:
     if args.baseline_top:
-        return [TOP], top_table([concat_construct()])
+        return [TOP], TransformerTable()
     return load_bundle(Path(args.bundle))[:2]
 
 
@@ -211,7 +206,7 @@ def cmd_bench(args) -> int:
         raise CliError(f"{corpus}: not a directory")
     task_files = sorted(corpus.glob("*.json"))
     templates, table = load_bundle(Path(args.bundle))[:2]
-    baseline = top_table([concat_construct()])
+    baseline = TransformerTable()
     out_dir = Path(args.output)
 
     rows = []

@@ -1,10 +1,12 @@
 """Predicate templates, concrete predicates, abstract values, and the
 best-abstraction operator.
 
-A template is one of five kinds; a concrete predicate fills its integer
-holes (characters are code points).  An abstract value is a finite
-conjunction of concrete predicates over one string value, with a
-distinguished bottom whose concretization is empty.
+A template is a member of the ``TemplateKind`` enum, ``TOP``, ``LEN_EQ``,
+``LEN_NEQ``, ``CHAR_EQ`` or ``CHAR_NEQ``, and templates sort by their
+values.  A concrete predicate is a template with its integer holes filled
+(characters are code points).  An abstract value is a finite conjunction of
+concrete predicates over one string value, with a distinguished bottom
+whose concretization is empty.
 """
 
 from __future__ import annotations
@@ -17,28 +19,17 @@ from typing import Iterable, Union
 
 
 class TemplateKind(str, Enum):
+    """A predicate template: one of five kinds, ordered by value."""
+
     TOP = "top"
     LEN_EQ = "len-eq"
     LEN_NEQ = "len-neq"
     CHAR_EQ = "char-eq"
     CHAR_NEQ = "char-neq"
 
-
-_HOLES = {
-    TemplateKind.TOP: 0,
-    TemplateKind.LEN_EQ: 1,
-    TemplateKind.LEN_NEQ: 1,
-    TemplateKind.CHAR_EQ: 2,
-    TemplateKind.CHAR_NEQ: 2,
-}
-
-@dataclass(frozen=True, order=True)
-class PredicateTemplate:
-    kind: TemplateKind
-
     @property
     def holes(self) -> int:
-        return _HOLES[self.kind]
+        return _HOLES[self]
 
     def instantiate(self, args: tuple[int, ...]) -> "ConcretePredicate":
         return ConcretePredicate(self, args)
@@ -47,29 +38,21 @@ class PredicateTemplate:
         return template_to_text(self)
 
 
-TOP = PredicateTemplate(TemplateKind.TOP)
-LEN_EQ = PredicateTemplate(TemplateKind.LEN_EQ)
-LEN_NEQ = PredicateTemplate(TemplateKind.LEN_NEQ)
-CHAR_EQ = PredicateTemplate(TemplateKind.CHAR_EQ)
-CHAR_NEQ = PredicateTemplate(TemplateKind.CHAR_NEQ)
+TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ = TemplateKind
 
-ALL_TEMPLATES = {t.kind: t for t in (TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ)}
+_HOLES = {TOP: 0, LEN_EQ: 1, LEN_NEQ: 1, CHAR_EQ: 2, CHAR_NEQ: 2}
 
 
 @dataclass(frozen=True, order=True)
 class ConcretePredicate:
-    template: PredicateTemplate
+    kind: TemplateKind
     args: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.args) != self.template.holes:
-            raise ValueError(f"{self.template.kind.value} takes {self.template.holes} args")
-        if self.template.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ) and self.args[0] < 0:
+        if len(self.args) != self.kind.holes:
+            raise ValueError(f"{self.kind.value} takes {self.kind.holes} args")
+        if self.kind in (CHAR_EQ, CHAR_NEQ) and self.args[0] < 0:
             raise ValueError("character index must be nonnegative")
-
-    @property
-    def kind(self) -> TemplateKind:
-        return self.template.kind
 
     def __str__(self) -> str:
         return predicate_to_text(self)
@@ -99,10 +82,10 @@ TOP_PRED = ConcretePredicate(TOP, ())
 
 # The interned constructor of each kind that has holes.
 _INTERNED = {
-    TemplateKind.LEN_EQ: len_eq,
-    TemplateKind.LEN_NEQ: len_neq,
-    TemplateKind.CHAR_EQ: char_eq,
-    TemplateKind.CHAR_NEQ: char_neq,
+    LEN_EQ: len_eq,
+    LEN_NEQ: len_neq,
+    CHAR_EQ: char_eq,
+    CHAR_NEQ: char_neq,
 }
 
 
@@ -146,13 +129,13 @@ class AbstractValue:
         and ``by_kind`` is seeded from the groups, so a derived state is
         grouped once, when it is made.
         """
-        groups = {k: list(args) for k, args in groups.items() if args and k is not TemplateKind.TOP}
+        groups = {k: list(args) for k, args in groups.items() if args and k is not TOP}
         if not groups:
             return _TOP_VALUE
         if _contradicts(groups):
             return BOTTOM
         value = AbstractValue(frozenset(chain.from_iterable(starmap(_INTERNED[k], args) for k, args in groups.items())))
-        groups[TemplateKind.TOP] = [()]
+        groups[TOP] = [()]
         value.__dict__["by_kind"] = groups  # where the cached property keeps its value
         return value
 
@@ -163,14 +146,14 @@ class AbstractValue:
         Built once per value (``of_groups`` seeds it); every reader of a
         value's structure uses it.
         """
-        groups: dict[TemplateKind, list[tuple[int, ...]]] = {TemplateKind.TOP: [()]}
+        groups: dict[TemplateKind, list[tuple[int, ...]]] = {TOP: [()]}
         for p in self.conjuncts:
-            if p.kind is not TemplateKind.TOP:
+            if p.kind is not TOP:
                 groups.setdefault(p.kind, []).append(p.args)
         return groups
 
     def sorted_conjuncts(self) -> list[ConcretePredicate]:
-        return sorted(self.conjuncts, key=lambda p: (p.template.kind.value, p.args))
+        return sorted(self.conjuncts)
 
     def __str__(self) -> str:
         if not self.conjuncts:
@@ -189,16 +172,16 @@ StateLike = Union[AbstractValue, _Bottom]
 
 def _pred_holds(p: ConcretePredicate, s: str) -> bool:
     k = p.kind
-    if k is TemplateKind.TOP:
+    if k is TOP:
         return True
-    if k is TemplateKind.LEN_EQ:
+    if k is LEN_EQ:
         return len(s) == p.args[0]
-    if k is TemplateKind.LEN_NEQ:
+    if k is LEN_NEQ:
         return len(s) != p.args[0]
-    if k is TemplateKind.CHAR_EQ:
+    if k is CHAR_EQ:
         i, c = p.args
         return i < len(s) and ord(s[i]) == c
-    if k is TemplateKind.CHAR_NEQ:
+    if k is CHAR_NEQ:
         i, c = p.args
         return i >= len(s) or ord(s[i]) != c
     raise ValueError(k)
@@ -234,22 +217,21 @@ class ConstantPool:
         return ConstantPool(tuple(sorted(lengths)), tuple(sorted(indices)), tuple(sorted(chars)))
 
 
-def abstract(s: str, t: PredicateTemplate, pool: ConstantPool) -> list[ConcretePredicate]:
+def abstract(s: str, t: TemplateKind, pool: ConstantPool) -> list[ConcretePredicate]:
     """All pool-bounded best instantiations of ``t`` satisfied by ``s``.
 
     Equality templates yield the exact facts of ``s``; inequality templates
     enumerate the pool.  Every returned predicate holds of ``s``.
     """
-    k = t.kind
-    if k is TemplateKind.TOP:
+    if t is TOP:
         return [TOP_PRED]
-    if k is TemplateKind.LEN_EQ:
+    if t is LEN_EQ:
         return [len_eq(len(s))]
-    if k is TemplateKind.LEN_NEQ:
+    if t is LEN_NEQ:
         return [len_neq(m) for m in pool.lengths if m != len(s)]
-    if k is TemplateKind.CHAR_EQ:
+    if t is CHAR_EQ:
         return [char_eq(i, ord(s[i])) for i in pool.indices if i < len(s)]
-    if k is TemplateKind.CHAR_NEQ:
+    if t is CHAR_NEQ:
         return [
             char_neq(i, c)
             for i in pool.indices
@@ -257,16 +239,16 @@ def abstract(s: str, t: PredicateTemplate, pool: ConstantPool) -> list[ConcreteP
             for c in pool.chars
             if c != ord(s[i])
         ]
-    raise ValueError(k)
+    raise ValueError(t)
 
 
 # The equality kind whose facts about a value imply every fact of the
 # inequality kind: ``len = n`` implies each ``len != k``, and ``char i = c``
 # each ``char i != c'`` (both are generated at the indices of the value).
-_IMPLIED_BY = {TemplateKind.LEN_NEQ: TemplateKind.LEN_EQ, TemplateKind.CHAR_NEQ: TemplateKind.CHAR_EQ}
+_IMPLIED_BY = {LEN_NEQ: LEN_EQ, CHAR_NEQ: CHAR_EQ}
 
 
-def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: ConstantPool) -> AbstractValue:
+def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPool) -> AbstractValue:
     """Strongest conjunction expressible with the given templates that holds of ``s``, reduced.
 
     An inequality template contributes no facts when the matching equality
@@ -278,10 +260,9 @@ def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: Const
     ``transformers``).
     """
     templates = sorted(templates)
-    kinds = {t.kind for t in templates}
     preds = []
     for t in templates:
-        if t.kind is TemplateKind.TOP or _IMPLIED_BY.get(t.kind) in kinds:
+        if t is TOP or _IMPLIED_BY.get(t) in templates:
             continue
         preds.extend(abstract(s, t, pool))
     return AbstractValue(frozenset(preds))
@@ -294,18 +275,22 @@ def best_abstraction(s: str, templates: Iterable[PredicateTemplate], pool: Const
 def _contradicts(groups: dict[TemplateKind, list[tuple[int, ...]]]) -> bool:
     """Whether facts, given as distinct args grouped by kind, directly
     contradict each other."""
-    lens = groups.get(TemplateKind.LEN_EQ, ())
-    pins = groups.get(TemplateKind.CHAR_EQ, ())
+    lens = groups.get(LEN_EQ, ())
+    pins = groups.get(CHAR_EQ, ())
     char_eqs = dict(pins)
     if len(lens) > 1 or len(char_eqs) < len(pins):  # two lengths, or two characters at one index
         return True
-    if lens and (lens[0] in groups.get(TemplateKind.LEN_NEQ, ()) or (char_eqs and max(char_eqs) >= lens[0][0])):
+    if lens and (lens[0] in groups.get(LEN_NEQ, ()) or (char_eqs and max(char_eqs) >= lens[0][0])):
         return True
-    return bool(char_eqs) and any(char_eqs.get(i) == c for i, c in groups.get(TemplateKind.CHAR_NEQ, ()))
+    return bool(char_eqs) and any(char_eqs.get(i) == c for i, c in groups.get(CHAR_NEQ, ()))
 
 
 def meet(a: StateLike, b: StateLike) -> StateLike:
-    """Greatest lower bound; returns bottom on direct contradiction."""
+    """Greatest lower bound; returns bottom on direct contradiction.
+
+    Only tests call it.  It stays while the benchmark's worker
+    (``perfbench/worker.py``) traces it by name.
+    """
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
     return AbstractValue.of(a.conjuncts | b.conjuncts)
@@ -329,35 +314,29 @@ def _quote_char(c: int) -> str:
 
 def predicate_to_text(p: ConcretePredicate) -> str:
     k = p.kind
-    if k is TemplateKind.TOP:
+    if k is TOP:
         return "top"
-    if k is TemplateKind.LEN_EQ:
+    if k is LEN_EQ:
         return f"(len = {p.args[0]})"
-    if k is TemplateKind.LEN_NEQ:
+    if k is LEN_NEQ:
         return f"(len != {p.args[0]})"
-    if k is TemplateKind.CHAR_EQ:
+    if k is CHAR_EQ:
         return f"(char {p.args[0]} = {_quote_char(p.args[1])})"
-    if k is TemplateKind.CHAR_NEQ:
+    if k is CHAR_NEQ:
         return f"(char {p.args[0]} != {_quote_char(p.args[1])})"
     raise ValueError(k)
 
 
-def template_to_text(t: PredicateTemplate) -> str:
-    k = t.kind
-    if k is TemplateKind.TOP:
-        return "top"
-    if k is TemplateKind.LEN_EQ:
-        return "(len = c)"
-    if k is TemplateKind.LEN_NEQ:
-        return "(len != c)"
-    if k is TemplateKind.CHAR_EQ:
-        return "(char i = c)"
-    return "(char i != c)"
+_TEMPLATE_TEXT = {TOP: "top", LEN_EQ: "(len = c)", LEN_NEQ: "(len != c)", CHAR_EQ: "(char i = c)", CHAR_NEQ: "(char i != c)"}
 
 
-def template_from_text(text: str) -> PredicateTemplate:
+def template_to_text(t: TemplateKind) -> str:
+    return _TEMPLATE_TEXT[t]
+
+
+def template_from_text(text: str) -> TemplateKind:
     text = text.strip()
-    for t in ALL_TEMPLATES.values():
-        if template_to_text(t) == text:
+    for t in TemplateKind:
+        if _TEMPLATE_TEXT[t] == text:
             return t
     raise ValueError(f"unknown template {text!r}")

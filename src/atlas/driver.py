@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Optional
 
-from .domain import ConstantPool, PredicateTemplate, TOP
+from .domain import TOP, ConstantPool, TemplateKind
 from .dsl import Program
 from .interpolation import learn_abstract_domain
 from .synthesizer import SynthesisTask, Synthesizer, satisfies
-from .transformers import SamplingOracle, TransformerTable, concat_construct, learn_transformers, top_table
+from .transformers import SamplingOracle, TransformerTable, learn_transformers
 
 # Refinements of one problem before it is given up as ``NonProgress``.
 MAX_ITERATIONS_PER_PROBLEM = 25
@@ -37,12 +37,12 @@ class IterationRecord:
     program: Program
     correct: bool
     violated_example: Optional[tuple[str, str]]
-    templates_added: list[PredicateTemplate]
+    templates_added: list[TemplateKind]
     table_size: int
     enumerated: int
     # Abstraction state after this iteration's refinement (for the spurious
     # case this is the abstraction that must reject the program).
-    templates_after: list[PredicateTemplate] = field(default_factory=list)
+    templates_after: list[TemplateKind] = field(default_factory=list)
     table_after: Optional[TransformerTable] = None
 
 
@@ -64,7 +64,7 @@ class ProblemReport:
 
 @dataclass
 class TrainingRun:
-    templates: list[PredicateTemplate]
+    templates: list[TemplateKind]
     table: TransformerTable
     history: list[IterationRecord]
     reports: list[ProblemReport]
@@ -95,8 +95,8 @@ def learn_abstractions(
     )
     slot_cache: dict = {}
 
-    templates: list[PredicateTemplate] = [TOP]
-    table = top_table([concat_construct()])
+    templates: list[TemplateKind] = [TOP]
+    table = TransformerTable()
     history: list[IterationRecord] = []
     reports: list[ProblemReport] = []
     diagnostics: list[str] = []

@@ -23,8 +23,9 @@ from .dsl import (
     resolve_position,
 )
 from .domain import (
+    LEN_EQ,
+    LEN_NEQ,
     ConcretePredicate,
-    PredicateTemplate,
     TemplateKind,
     char_eq,
     char_neq,
@@ -170,7 +171,7 @@ def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: di
 
     if ast.op is Op.CONCAT:
         left, right = kids
-        if kind in (TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ):
+        if kind in (LEN_EQ, LEN_NEQ):
             _justify(t, left, len_eq(len(left.value)), ann)
             _justify(t, right, len_eq(len(right.value)), ann)
             return
@@ -186,7 +187,7 @@ def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: di
     if ast.op is Op.SUBSTR:
         subject, p1, p2 = kids
         i1 = p1.value
-        if kind in (TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ):
+        if kind in (LEN_EQ, LEN_NEQ):
             return  # the window length is fixed by the resolved positions
         i = fact.args[0]
         _justify(t, subject, char_eq(i1 + i, ord(subject.value[i1 + i])), ann)
@@ -199,9 +200,9 @@ def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: di
 # Template extraction
 
 
-def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[PredicateTemplate]:
+def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[TemplateKind]:
     """Templates extracted from the interpolants of every violated example."""
-    out: set[PredicateTemplate] = set()
+    out: set[TemplateKind] = set()
     for e_in, e_out in examples:
         try:
             actual = eval_node(p.root, e_in)
@@ -217,7 +218,7 @@ def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[Pr
             a = itp.at(node.uid)
             if a is True or a is False:
                 continue
-            out.add(a.template)  # forget the integer constants
+            out.add(a.kind)  # forget the integer constants
     return out
 
 

@@ -76,7 +76,6 @@ from .domain import (
     AbstractValue,
     BOTTOM,
     ConstantPool,
-    PredicateTemplate,
     StateLike,
     TemplateKind,
     best_abstraction,
@@ -244,7 +243,7 @@ class SynthResult:
 class Synthesizer:
     """Rank-ordered bottom-up enumerator over the string DSL."""
 
-    def __init__(self, task: SynthesisTask, templates: list[PredicateTemplate], table: TransformerTable):
+    def __init__(self, task: SynthesisTask, templates: list[TemplateKind], table: TransformerTable):
         self.task = task
         self.inputs = task.inputs
         self.outputs = task.outputs

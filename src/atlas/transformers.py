@@ -16,9 +16,11 @@ compiled rules (``TransformerTable.rules``) and maps constants through
 their matrices itself, so ``apply_affine`` serves the validity check
 (training and bundle loading) only.
 
-A learned or loaded table is normalized: an output is dropped when the
-entry with ``top`` in place of an argument it does not read already has
-it, so each fact is derived by one entry.
+A table stores only the entries that have outputs: a pair of input
+templates without an entry derives nothing, and the empty table is the
+all-top table.  A learned or loaded table is normalized: an output is
+dropped when the entry with ``top`` in place of an argument it does not
+read already has it, so each fact is derived by one entry.
 
 The synthesizer abstracts leaves in reduced form, without the inequality
 facts their equality facts imply (``best_abstraction``).  That is sound
@@ -44,16 +46,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .domain import (
-    TOP,
-    ConcretePredicate,
-    ConstantPool,
-    PredicateTemplate,
-    TemplateKind,
-    abstract,
-    len_neq,
-    TOP_PRED,
-)
+from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP, TOP_PRED, ConcretePredicate, ConstantPool, TemplateKind
+from .domain import abstract, len_neq, template_from_text, template_to_text
 
 
 class InsufficientRank(Exception):
@@ -128,7 +122,7 @@ def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
 
 
 # The kinds whose first hole is a character index.
-_INDEXED = frozenset({TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ})
+_INDEXED = frozenset({CHAR_EQ, CHAR_NEQ})
 
 
 def names_negative_index(kind: TemplateKind, args: tuple[int, ...]) -> bool:
@@ -138,17 +132,19 @@ def names_negative_index(kind: TemplateKind, args: tuple[int, ...]) -> bool:
     return kind in _INDEXED and args[0] < 0
 
 
-def instantiate_output(chi0: PredicateTemplate, args: tuple[int, ...]) -> Optional[ConcretePredicate]:
+def instantiate_output(chi0: TemplateKind, args: tuple[int, ...]) -> Optional[ConcretePredicate]:
     """``chi0`` filled with the constants an affine map predicted, or None
     when they name a negative character index."""
-    if names_negative_index(chi0.kind, args):
+    if names_negative_index(chi0, args):
         return None
     return chi0.instantiate(args)
 
 
 # ---------------------------------------------------------------------------
 # Constructs.  A construct is a concrete string operation with a fixed
-# number of string-typed arguments.
+# number of string-typed arguments.  Concat is the only one; the class stays
+# while the benchmark's worker (``perfbench/worker.py``) builds the top table
+# through ``top_table([concat_construct()])``.
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,8 @@ OUTPUT_CAP = 4
 class ExampleSet:
     """Rows of concrete transformer instances for one slot."""
 
-    input_templates: tuple[PredicateTemplate, ...]
-    output_template: PredicateTemplate
+    input_templates: tuple[TemplateKind, ...]
+    output_template: TemplateKind
     rows: list[tuple[tuple[ConcretePredicate, ...], ConcretePredicate]] = field(default_factory=list)
 
     @property
@@ -254,16 +250,16 @@ def _demand(p: ConcretePredicate, start: int, length: int, holds: bool):
     starts at ``start`` and has ``length`` characters: True, False, or one
     constraint ``(position in y, code point, equal)``."""
     k = p.kind
-    if k is TemplateKind.TOP:
+    if k is TOP:
         return holds
-    if k is TemplateKind.LEN_EQ:
+    if k is LEN_EQ:
         return (length == p.args[0]) == holds
-    if k is TemplateKind.LEN_NEQ:
+    if k is LEN_NEQ:
         return (length != p.args[0]) == holds
     i, c = p.args
     if i >= length:
-        return (k is TemplateKind.CHAR_NEQ) == holds
-    return (start + i, c, (k is TemplateKind.CHAR_EQ) == holds)
+        return (k is CHAR_NEQ) == holds
+    return (start + i, c, (k is CHAR_EQ) == holds)
 
 
 def _agree(x: tuple[int, int, bool], y: tuple[int, int, bool]) -> bool:
@@ -322,12 +318,12 @@ def _counterfactual(s: str, pred: ConcretePredicate, fill: str) -> str:
     """The string obtained by forcing ``s`` to satisfy the equality version
     of an inequality predicate (resize for length, substitute for chars)."""
     k = pred.kind
-    if k is TemplateKind.LEN_NEQ:
+    if k is LEN_NEQ:
         target = pred.args[0]
         if target <= len(s):
             return s[:target]
         return s + fill * (target - len(s))
-    if k is TemplateKind.CHAR_NEQ:
+    if k is CHAR_NEQ:
         i, c = pred.args
         return s[:i] + chr(c) + s[i + 1 :]
     return s
@@ -335,8 +331,8 @@ def _counterfactual(s: str, pred: ConcretePredicate, fill: str) -> str:
 
 def generate_examples(
     construct: Construct,
-    chi0: PredicateTemplate,
-    chis: tuple[PredicateTemplate, ...],
+    chi0: TemplateKind,
+    chis: tuple[TemplateKind, ...],
     oracle: SamplingOracle,
     pool: ConstantPool,
 ) -> ExampleSet:
@@ -356,12 +352,10 @@ def generate_examples(
     rank_now = 0
     stall = 0
     fill = oracle.alphabet[0]
-    neq_output = chi0.kind is TemplateKind.LEN_NEQ
-    if chi0.kind is TemplateKind.CHAR_NEQ:
+    neq_output = chi0 is LEN_NEQ
+    if chi0 is CHAR_NEQ:
         raise InsufficientRank("character-inequality outputs are not generated")
-    if neq_output and not any(
-        t.kind in (TemplateKind.LEN_NEQ, TemplateKind.CHAR_NEQ) for t in chis
-    ):
+    if neq_output and not any(t in (LEN_NEQ, CHAR_NEQ) for t in chis):
         raise InsufficientRank("no inequality inputs to pair against")
 
     for turn in range(MAX_SAMPLES):
@@ -384,7 +378,7 @@ def generate_examples(
         for sel in selections:
             if neq_output:
                 cf_args = [
-                    _counterfactual(s, p, fill) if p.kind in (TemplateKind.LEN_NEQ, TemplateKind.CHAR_NEQ) else s
+                    _counterfactual(s, p, fill) if p.kind in (LEN_NEQ, CHAR_NEQ) else s
                     for s, p in zip(args, sel)
                 ]
                 outputs = [len_neq(len(construct.apply(cf_args)))]
@@ -419,8 +413,8 @@ _BOX_CHARS = (ord("a"), ord("b"))
 
 
 def check_valid(
-    chis: tuple[PredicateTemplate, ...],
-    chi0: PredicateTemplate,
+    chis: tuple[TemplateKind, ...],
+    chi0: TemplateKind,
     p_matrix: Matrix,
 ) -> bool:
     """Check the candidate concat transformer ``chis -> chi0`` with matrix ``p_matrix``.
@@ -457,9 +451,11 @@ def check_valid(
 
 @dataclass(frozen=True)
 class Transformer:
-    op: str
-    inputs: tuple[PredicateTemplate, ...]
-    outputs: tuple[tuple[PredicateTemplate, Matrix], ...]
+    """A concat transformer: its two input templates and each output
+    template with its matrix."""
+
+    inputs: tuple[TemplateKind, ...]
+    outputs: tuple[tuple[TemplateKind, Matrix], ...]
 
     @cached_property
     def used_arguments(self) -> tuple[bool, ...]:
@@ -483,7 +479,12 @@ Rule = tuple[TemplateKind, TemplateKind, bool, bool, tuple[tuple[TemplateKind, M
 
 
 class TransformerTable:
-    """Concat transformers keyed by their pair of input template kinds."""
+    """Concat transformers keyed by their pair of input templates.
+
+    Only entries with outputs are stored.  A missing entry derives nothing,
+    so ``lookup`` returns None for it and the empty table is the all-top
+    table.
+    """
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
         self.entries: dict[tuple[TemplateKind, TemplateKind], Transformer] = {}
@@ -492,41 +493,40 @@ class TransformerTable:
             self.add(t)
 
     def add(self, t: Transformer):
-        """Add ``t``; ValueError unless it is a concat transformer whose
-        matrices map the input constants (plus 1) to the output holes."""
-        if t.op != "concat":
-            raise ValueError(f"transformers are kept for concat only, not {t.op!r}")
+        """Store ``t`` as the entry for its inputs, or remove that entry when
+        ``t`` has no outputs.  ValueError, empty or not, unless ``t`` has two
+        input templates and its matrices map their constants (plus 1) to the
+        output holes."""
         if len(t.inputs) != 2:
             raise ValueError(f"a concat transformer takes 2 input templates, not {len(t.inputs)}")
         width = sum(x.holes for x in t.inputs) + 1
         for chi, m in t.outputs:
             if len(m) != chi.holes or any(len(row) != width for row in m):
                 raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
-        self.entries[(t.inputs[0].kind, t.inputs[1].kind)] = t
+        if t.outputs:
+            self.entries[t.inputs] = t
+        else:
+            self.entries.pop(t.inputs, None)
         self._rules = None
 
     @property
     def rules(self) -> list[Rule]:
-        """The entries that have outputs, compiled for the synthesizer.
+        """The entries compiled for the synthesizer.
 
-        One rule ``(k1, k2, used1, used2, outputs)`` per such entry: its
-        input kinds, whether each argument's constants reach an output
-        (``Transformer.used_arguments``), and each output as its kind and
-        matrix.  Compiled on the first read after the last ``add``.
+        One rule ``(k1, k2, used1, used2, outputs)`` per entry: its input
+        templates, whether each argument's constants reach an output
+        (``Transformer.used_arguments``), and its outputs.  Compiled on the
+        first read after the last ``add``.
         """
         if self._rules is None:
-            self._rules = [
-                (t.inputs[0].kind, t.inputs[1].kind, *t.used_arguments, tuple((chi.kind, m) for chi, m in t.outputs))
-                for t in self.all()
-                if t.outputs
-            ]
+            self._rules = [(*t.inputs, *t.used_arguments, t.outputs) for t in self.all()]
         return self._rules
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)
 
     def all(self) -> list[Transformer]:
-        return [self.entries[k] for k in sorted(self.entries, key=lambda k: [x.value for x in k])]
+        return [self.entries[k] for k in sorted(self.entries)]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -541,24 +541,23 @@ class TransformerTable:
         nothing more and is dropped.  That entry has fewer non-top inputs,
         so a chain of such matches ends at an output that is kept: the
         drops are decided on this table together, and whatever is dropped
-        is still derived.  Entries are kept, empty or not; normalizing twice
-        changes nothing.
+        is still derived.  An entry left without outputs is not stored;
+        normalizing twice changes nothing.
         """
         return TransformerTable(
-            Transformer(t.op, t.inputs, tuple(o for o in t.outputs if not self._found_at_top(t, o)))
-            for t in self.all()
+            Transformer(t.inputs, tuple(o for o in t.outputs if not self._found_at_top(t, o))) for t in self.all()
         )
 
-    def _found_at_top(self, t: Transformer, output: tuple[PredicateTemplate, Matrix]) -> bool:
+    def _found_at_top(self, t: Transformer, output: tuple[TemplateKind, Matrix]) -> bool:
         chi, matrix = output
         start = 0
         for j, x in enumerate(t.inputs):
             cols = range(start, start + x.holes)
             start += x.holes
-            if x.kind is TemplateKind.TOP or any(row[c] for row in matrix for c in cols):
+            if x is TOP or any(row[c] for row in matrix for c in cols):
                 continue
-            kinds = [y.kind for y in t.inputs]
-            kinds[j] = TemplateKind.TOP
+            kinds = list(t.inputs)
+            kinds[j] = TOP
             at_top = self.lookup(tuple(kinds))
             narrowed = tuple(row[: cols.start] + row[cols.stop :] for row in matrix)
             if at_top is not None and (chi, narrowed) in at_top.outputs:
@@ -567,15 +566,14 @@ class TransformerTable:
 
 
 def top_table(constructs: Sequence[Construct]) -> TransformerTable:
-    """The initial table: one all-top transformer per construct."""
-    table = TransformerTable()
-    for c in constructs:
-        table.add(Transformer(c.op_id, (TOP,) * c.arity, ()))
-    return table
+    """The all-top table, which is empty: with no entry every derived state
+    is top.  ``constructs`` is not read; it stays while the benchmark's
+    worker (``perfbench/worker.py``) passes it."""
+    return TransformerTable()
 
 
 def learn_transformers(
-    templates: Iterable[PredicateTemplate],
+    templates: Iterable[TemplateKind],
     oracle: SamplingOracle,
     pool: ConstantPool,
     cache: dict,
@@ -586,8 +584,9 @@ def learn_transformers(
     template is fitted by exact linear solving over generated examples and
     kept only if ``check_valid`` accepts it.  Slots are seeded individually
     so results are reproducible, and kept in ``cache`` by slot.  The table
-    is returned normalized (``TransformerTable.normalized``): every entry is
-    present, but an output that a more general entry already derives is not.
+    is returned normalized (``TransformerTable.normalized``): an output that
+    a more general entry already derives is not in it, and neither is an
+    entry without outputs.
     """
     construct = concat_construct()
     templates = sorted(set(templates))
@@ -595,14 +594,14 @@ def learn_transformers(
     for chis in product(templates, repeat=construct.arity):
         outputs = []
         for chi0 in templates:
-            if chi0.kind is TemplateKind.TOP:
+            if chi0 is TOP:
                 continue
-            slot_id = f"{construct.op_id}|{','.join(t.kind.value for t in chis)}|{chi0.kind.value}"
+            slot_id = f"{construct.op_id}|{','.join(t.value for t in chis)}|{chi0.value}"
             if slot_id not in cache:
                 cache[slot_id] = _learn_slot(construct, chi0, chis, oracle, pool, slot_id)
             if cache[slot_id] is not None:
                 outputs.append(cache[slot_id])
-        table.add(Transformer(construct.op_id, chis, tuple(outputs)))
+        table.add(Transformer(chis, tuple(outputs)))
     return table.normalized()
 
 
@@ -642,10 +641,8 @@ def matrix_from_obj(obj: list) -> Matrix:
 
 
 def transformer_to_obj(t: Transformer) -> dict:
-    from .domain import template_to_text
-
     return {
-        "op": t.op,
+        "op": "concat",
         "inputs": [template_to_text(x) for x in t.inputs],
         "outputs": [
             {"template": template_to_text(chi), "matrix": matrix_to_obj(m)} for chi, m in t.outputs
@@ -654,10 +651,10 @@ def transformer_to_obj(t: Transformer) -> dict:
 
 
 def transformer_from_obj(obj: dict) -> Transformer:
-    from .domain import template_from_text
-
+    """The entry ``obj`` describes; ValueError unless its op is concat."""
+    if obj["op"] != "concat":
+        raise ValueError(f"transformers are kept for concat only, not {obj['op']!r}")
     return Transformer(
-        op=obj["op"],
         inputs=tuple(template_from_text(x) for x in obj["inputs"]),
         outputs=tuple(
             (template_from_text(o["template"]), matrix_from_obj(o["matrix"])) for o in obj["outputs"]

@@ -1,6 +1,6 @@
 import pytest
 
-from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ
+from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ, TemplateKind
 from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
 from atlas.transformers import SamplingOracle, Transformer, TransformerTable, learn_transformers
@@ -65,25 +65,24 @@ def open_table(table_a1):
 
 
 def with_outputs(table, keep):
-    """A copy of ``table`` with the outputs ``keep(entry, output)`` accepts; every entry stays."""
-    return TransformerTable(
-        Transformer(t.op, t.inputs, tuple(o for o in t.outputs if keep(t, o))) for t in table.all()
-    )
+    """A copy of ``table`` with the outputs ``keep(entry, output)`` accepts;
+    an entry left without outputs is not stored."""
+    return TransformerTable(Transformer(t.inputs, tuple(o for o in t.outputs if keep(t, o))) for t in table.all())
 
 
 def with_top_copies(table):
     """``table`` as learned before tables were normalized: every ``(char =, X)``
-    entry with X not top also has the outputs of ``(char =, top)``, with zero
-    columns for the right argument."""
-    at_top = table.lookup((CHAR_EQ.kind, TOP.kind)).outputs
-    entries = []
-    for t in table.all():
-        if t.inputs[0] == CHAR_EQ and t.inputs[1] != TOP:
-            zeros = (0,) * t.inputs[1].holes
+    entry with X not top, empty or not, also has the outputs of
+    ``(char =, top)``, with zero columns for the right argument."""
+    at_top = table.lookup((CHAR_EQ, TOP)).outputs
+    copied = []
+    for x in TemplateKind:
+        if x is not TOP:
+            entry = table.lookup((CHAR_EQ, x))
+            zeros = (0,) * x.holes
             copies = tuple((chi, tuple(row[:-1] + zeros + row[-1:] for row in m)) for chi, m in at_top)
-            t = Transformer(t.op, t.inputs, t.outputs + copies)
-        entries.append(t)
-    return TransformerTable(entries)
+            copied.append(Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies))
+    return TransformerTable([*table.all(), *copied])
 
 
 def table_outputs(table) -> list:

@@ -50,8 +50,10 @@ class TestTrain:
             "(len = c)",
             "top",
         ]
-        # Concat is the only construct learned: one entry per pair of input templates.
-        assert len(bundle["transformers"]) == 25
+        # Concat is the only construct learned: one entry per pair of input
+        # templates that has outputs, 5 of the 25 pairs.
+        assert len(bundle["transformers"]) == 5 and all(t["outputs"] for t in bundle["transformers"])
+        assert len({tuple(t["inputs"]) for t in bundle["transformers"]}) == 5
         assert {t["op"] for t in bundle["transformers"]} == {"concat"}
         assert all(set(t) == {"op", "inputs", "outputs"} for t in bundle["transformers"])
         entries = [e for t in bundle["transformers"] for o in t["outputs"] for row in o["matrix"] for e in row]

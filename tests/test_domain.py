@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atlas.domain import (
-    ALL_TEMPLATES,
     AbstractValue,
     BOTTOM,
     CHAR_EQ,
@@ -72,7 +71,7 @@ class TestAbstract:
         (p,) = abstract("x", TOP, POOL)
         assert p.kind is TemplateKind.TOP
 
-    @given(st.text(max_size=12), st.sampled_from(sorted(ALL_TEMPLATES.values())))
+    @given(st.text(max_size=12), st.sampled_from(sorted(TemplateKind)))
     def test_soundness(self, s, template):
         for p in abstract(s, template, POOL):
             assert gamma_contains(p, s)
@@ -127,21 +126,22 @@ class TestMeet:
 
 
 class TestMakeSymbolic:
-    """Forgetting a predicate's integer constants (its ``template``) is how
-    interpolation turns interpolant facts into new templates."""
+    """Forgetting a predicate's integer constants (its ``kind``, which is its
+    template) is how interpolation turns interpolant facts into new
+    templates."""
 
     def test_len_neq(self):
-        assert len_neq(7).template == LEN_NEQ
+        assert len_neq(7).kind is LEN_NEQ
 
     def test_len_eq(self):
-        assert len_eq(3).template == LEN_EQ
+        assert len_eq(3).kind is LEN_EQ
 
     def test_char_eq(self):
-        assert char_eq(2, ord("V")).template == CHAR_EQ
+        assert char_eq(2, ord("V")).kind is CHAR_EQ
 
     @given(st.sampled_from([LEN_EQ, LEN_NEQ]), st.integers(0, 20))
     def test_round_trip_through_instantiation(self, t, k):
-        assert t.instantiate((k,)).template == t
+        assert t.instantiate((k,)).kind is t
 
 
 class TestTextFormat:
@@ -164,8 +164,14 @@ class TestTextFormat:
             assert predicate_from_text(predicate_to_text(p)) == p
 
     def test_template_text_round_trip(self):
-        for t in ALL_TEMPLATES.values():
+        for t in TemplateKind:
             assert template_from_text(template_to_text(t)) == t
+            assert str(t) == f"{t}" == template_to_text(t)
+
+    def test_templates_sort_by_value(self):
+        # The order of bundle templates and of the slot ids that seed training.
+        assert sorted(TemplateKind) == [CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP]
+        assert [t.holes for t in sorted(TemplateKind)] == [2, 2, 1, 1, 0]
 
 
 class TestBestAbstraction:
@@ -176,12 +182,12 @@ class TestBestAbstraction:
 
     @given(st.text(max_size=10))
     def test_contains_own_value(self, s):
-        v = best_abstraction(s, sorted(ALL_TEMPLATES.values()), POOL)
+        v = best_abstraction(s, sorted(TemplateKind), POOL)
         assert gamma_contains(v, s)
 
     def test_reduced_drops_the_implied_inequalities(self):
-        full = full_abstraction("ab", ALL_TEMPLATES.values(), POOL)
-        reduced = best_abstraction("ab", ALL_TEMPLATES.values(), POOL)
+        full = full_abstraction("ab", TemplateKind, POOL)
+        reduced = best_abstraction("ab", TemplateKind, POOL)
         assert reduced.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
         assert reduced.conjuncts < full.conjuncts
 

@@ -15,7 +15,7 @@ from atlas.domain import (
 from atlas.driver import TrainConfig, learn_abstractions
 from atlas.dsl import Program, concat, const, input_, print_program
 from atlas.synthesizer import SynthesisTask, SynthResult, Synthesizer
-from atlas.transformers import concat_construct, top_table
+from atlas.transformers import TransformerTable
 
 from conftest import E1, E2, E3
 from oracles import abstract_eval, is_correct
@@ -144,7 +144,7 @@ class TestTimings:
 
         monkeypatch.setattr(driver, "Synthesizer", ScriptedSynthesizer)
         monkeypatch.setattr(driver, "learn_abstract_domain", lambda program, examples: set())
-        monkeypatch.setattr(driver, "learn_transformers", lambda *args: top_table([concat_construct()]))
+        monkeypatch.setattr(driver, "learn_transformers", lambda *args: TransformerTable())
         (report,) = learn_abstractions([("e1", E1)], TrainConfig(seed=0)).reports
         assert report.iterations == 4
         assert report.t_domain_ms == 2  # 1.8 ms; per-phase truncation gave 0

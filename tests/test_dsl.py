@@ -125,13 +125,13 @@ class TestRank:
         from atlas import synthesizer
         from atlas.domain import TOP
         from atlas.synthesizer import Synthesizer, SynthesisTask
-        from atlas.transformers import top_table, concat_construct
+        from atlas.transformers import TransformerTable
 
         from conftest import record_stream
 
         def synth_for(example, limit):
             task = SynthesisTask(examples=(example,), max_candidates=limit)
-            return Synthesizer(task, [TOP], top_table([concat_construct()]))
+            return Synthesizer(task, [TOP], TransformerTable())
 
         def assert_ranked(cands):
             keys = [rank_key(cand.node) for cand in cands]

@@ -279,24 +279,17 @@ class TestLearnTransformers:
     def test_length_domain_table_matches_known_rows(self, table_a1):
         def outputs(*kinds):
             t = table_a1.lookup(kinds)
-            return {(chi.kind, m) for chi, m in t.outputs}
+            return set(t.outputs)
 
         one_one_zero = as_matrix([[1, 1, 0]])
-        assert outputs(TemplateKind.LEN_EQ, TemplateKind.LEN_EQ) == {(TemplateKind.LEN_EQ, one_one_zero)}
-        assert outputs(TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ) == {(TemplateKind.LEN_NEQ, one_one_zero)}
-        assert outputs(TemplateKind.LEN_NEQ, TemplateKind.LEN_EQ) == {(TemplateKind.LEN_NEQ, one_one_zero)}
-        for kinds in [
-            (TemplateKind.TOP, TemplateKind.TOP),
-            (TemplateKind.TOP, TemplateKind.LEN_EQ),
-            (TemplateKind.TOP, TemplateKind.LEN_NEQ),
-            (TemplateKind.LEN_EQ, TemplateKind.TOP),
-            (TemplateKind.LEN_NEQ, TemplateKind.TOP),
-            (TemplateKind.LEN_NEQ, TemplateKind.LEN_NEQ),
-        ]:
-            assert table_a1.lookup(kinds).outputs == ()
+        assert outputs(LEN_EQ, LEN_EQ) == {(LEN_EQ, one_one_zero)}
+        assert outputs(LEN_EQ, LEN_NEQ) == {(LEN_NEQ, one_one_zero)}
+        assert outputs(LEN_NEQ, LEN_EQ) == {(LEN_NEQ, one_one_zero)}
+        for kinds in [(TOP, TOP), (TOP, LEN_EQ), (TOP, LEN_NEQ), (LEN_EQ, TOP), (LEN_NEQ, TOP), (LEN_NEQ, LEN_NEQ)]:
+            assert table_a1.lookup(kinds) is None  # no outputs, so not stored
 
     def test_char_domain_has_shift_row(self, table_a2):
-        t = table_a2.lookup((TemplateKind.LEN_EQ, TemplateKind.CHAR_EQ))
+        t = table_a2.lookup((LEN_EQ, CHAR_EQ))
         assert (CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 1, 0]])) in t.outputs
 
     def test_same_seed_same_table(self, learn_env):
@@ -308,15 +301,27 @@ class TestLearnTransformers:
 
     def test_only_concat_is_learned(self, table_a2):
         # Validity is decided for concat semantics only: a table keeps nothing else.
-        assert {t.op for t in table_a2.all()} == {"concat"}
-        with pytest.raises(ValueError):
-            TransformerTable().add(Transformer("rev", (LEN_EQ,), ((LEN_EQ, ((1, 0),)),)))
+        assert all(len(t.inputs) == 2 and transformer_to_obj(t)["op"] == "concat" for t in table_a2.all())
+        for outputs in (((LEN_EQ, ((1, 0),)),), ()):
+            with pytest.raises(ValueError, match="takes 2 input templates"):
+                TransformerTable().add(Transformer((LEN_EQ,), outputs))
+        rev = dict(transformer_to_obj(table_a2.lookup((LEN_EQ, LEN_EQ))), op="rev")
+        with pytest.raises(ValueError, match="concat only"):
+            transformer_from_obj(rev)
 
-    def test_every_slot_emitted(self, table_a1):
-        kinds = [TemplateKind.TOP, TemplateKind.LEN_EQ, TemplateKind.LEN_NEQ]
-        for k1 in kinds:
-            for k2 in kinds:
-                assert table_a1.lookup((k1, k2)) is not None
+    def test_every_slot_emitted(self, table_a1, learn_env):
+        # Every slot with an output is stored, and only those.
+        oracle, pool = learn_env
+        cache = {}
+        assert objs(learn_transformers([TOP, LEN_EQ, LEN_NEQ], oracle, pool, cache)) == objs(table_a1)
+        assert len(cache) == 3 * 3 * 2
+        learned = {tuple(slot.split("|")[1].split(",")) for slot, output in cache.items() if output is not None}
+        stored = {tuple(k.value for k in kinds) for kinds in table_a1.entries}
+        assert stored == learned == {("len-eq", "len-eq"), ("len-eq", "len-neq"), ("len-neq", "len-eq")}
+        for k1 in (TOP, LEN_EQ, LEN_NEQ):
+            for k2 in (TOP, LEN_EQ, LEN_NEQ):
+                entry = table_a1.lookup((k1, k2))
+                assert entry is None or entry.outputs
 
 
 def objs(table):
@@ -325,14 +330,15 @@ def objs(table):
 
 def concat_table(*entries):
     """A table of concat entries given as ``(left, right, ((template, rows), ...))``."""
-    return TransformerTable(Transformer("concat", (x, y), outputs) for x, y, outputs in entries)
+    return TransformerTable(Transformer((x, y), outputs) for x, y, outputs in entries)
 
 
 class TestNormalizedTable:
     def test_learned_tables_are_normalized(self, table_a1, table_a2):
         for table in (table_a1, table_a2):
             assert objs(table.normalized()) == objs(table)
-        assert len(table_a2) == 25  # empty entries are kept
+        # Only the entries with outputs are stored: 5 of the 25 pairs.
+        assert len(table_a2) == 5 and all(t.outputs for t in table_a2.all())
 
     def test_drops_the_copies_of_the_top_entry(self, table_a2):
         old = with_top_copies(table_a2)
@@ -358,21 +364,21 @@ class TestNormalizedTable:
 class TestCompiledRules:
     def test_a_rule_added_after_use_is_applied(self):
         left, right = AbstractValue(frozenset([len_eq(3)])), AbstractValue(frozenset([len_eq(2)]))
-        table = TransformerTable([Transformer("concat", (LEN_EQ, LEN_EQ), ())])
+        table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ())])
         assert apply_transformer(table, (left, right)) is AbstractValue.top()
-        table.add(Transformer("concat", (LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),)))
+        table.add(Transformer((LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),)))
         assert apply_transformer(table, (left, right)).conjuncts == {len_eq(5)}
+        # An empty entry added later removes the rule.
+        table.add(Transformer((LEN_EQ, LEN_EQ), ()))
+        assert len(table) == 0 and apply_transformer(table, (left, right)) is AbstractValue.top()
 
     def test_only_entries_with_outputs_are_compiled(self, trained, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(canonical_json(bundle_obj(trained.templates, trained.table, 0, ["e1", "e2", "e3"])))
         for table in (trained.table, trained.table.normalized(), load_bundle(path)[1]):
-            assert len(table) == 25 and len(table.rules) == 5
-            assert table.rules == [
-                (*(x.kind for x in t.inputs), *t.used_arguments, tuple((chi.kind, m) for chi, m in t.outputs))
-                for t in table.all()
-                if t.outputs
-            ]
+            # Every stored entry has outputs, and each is compiled.
+            assert len(table) == len(table.rules) == 5 and all(t.outputs for t in table.all())
+            assert table.rules == [(*t.inputs, *t.used_arguments, t.outputs) for t in table.all()]
 
 
 class TestSerialization:
@@ -387,7 +393,7 @@ class TestSerialization:
             assert transformer_from_obj(obj) == t
 
     def test_matrix_pairs(self, table_a1):
-        t = table_a1.lookup((TemplateKind.LEN_EQ, TemplateKind.LEN_EQ))
+        t = table_a1.lookup((LEN_EQ, LEN_EQ))
         obj = transformer_to_obj(t)
         assert obj["outputs"][0]["matrix"] == [[[1, 1], [1, 1], [0, 1]]]
 
