@@ -44,9 +44,22 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def write_text(path: Path, text: str, mode: str = "w"):
+    """Write (mode "w") or append (mode "a") ``text``; an OSError exits 4."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def write_json(path: Path, obj):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj), encoding="utf-8", newline="\n")
+    """Write ``obj`` as canonical JSON, making the missing parent directories."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{path.parent}: {exc}") from exc
+    write_text(path, canonical_json(obj))
 
 
 def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Optional[int]) -> tuple[str, SynthesisTask]:
@@ -98,11 +111,14 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
         raise CliError(f"{path}: {exc}") from exc
     try:
         templates = [template_from_text(t) for t in obj["templates"]]
-        # Every entry is checked, then the empty ones are dropped: older
-        # bundles hold all of them, and redundant outputs before tables were
-        # normalized.
+        # Each entry is checked before the empty ones are dropped: older
+        # bundles hold an entry for every pair of templates, and those
+        # written before tables were normalized hold redundant outputs.
         table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"]).normalized()
         provenance = obj.get("provenance", {})
+        training_tasks = provenance.get("training_tasks", [])
+        if not isinstance(training_tasks, list) or not all(isinstance(n, str) for n in training_tasks):
+            raise ValueError("provenance training_tasks must be a list of strings")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed bundle ({exc})") from exc
     # A hand-edited matrix would prune correct programs silently.
@@ -189,8 +205,7 @@ def cmd_synth(args) -> int:
     entry = run_log_entry(name, result, text)
     log_line = json.dumps(entry, sort_keys=True)
     if args.log:
-        with open(args.log, "a", encoding="utf-8") as fh:
-            fh.write(log_line + "\n")
+        write_text(Path(args.log), log_line + "\n", "a")
     else:
         print(log_line, file=sys.stderr)
     if result.program is None or not result.correct:
@@ -200,12 +215,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _print_bench_row(r: dict):
+    if "error" in r:
+        print(f"{r['task']:24} error: {r['error']}")
+        return
+    b = r["bundle"]["enumerated"] if r["bundle"]["correct"] else "-"
+    t = r["baseline"]["enumerated"] if r["baseline"]["correct"] else "-"
+    ratio = f"{r['ratio']:.1f}x" if r["ratio"] else "-"
+    print(f"{r['task']:24} {b!s:>9} {t!s:>9} {ratio:>8}")
+
+
 def cmd_bench(args) -> int:
+    """Compare the bundle with the top table on every task of the corpus.
+
+    A row is marked ``training`` when its task is one the bundle was trained
+    on (``provenance.training_tasks``); the aggregate covers the other,
+    held-out rows only, and the training rows are printed apart.
+    """
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise CliError(f"{corpus}: not a directory")
     task_files = sorted(corpus.glob("*.json"))
-    templates, table = load_bundle(Path(args.bundle))[:2]
+    templates, table, provenance = load_bundle(Path(args.bundle))
+    training_tasks = set(provenance.get("training_tasks", []))
     baseline = TransformerTable()
     out_dir = Path(args.output)
 
@@ -231,13 +263,16 @@ def cmd_bench(args) -> int:
             ratio = base["enumerated"] / max(1, bundle["enumerated"])
             wall_ratio = base["wall_us"] / max(1, bundle["wall_us"])
         rows.append({"task": name, "bundle": bundle, "baseline": base, "ratio": ratio, "wall_ratio": wall_ratio})
+    for r in rows:
+        r["training"] = r["task"] in training_tasks
 
-    solved_bundle = sum(1 for r in rows if r.get("bundle", {}).get("correct"))
-    solved_baseline = sum(1 for r in rows if r.get("baseline", {}).get("correct"))
-    ratios = [r["ratio"] for r in rows if r.get("ratio") is not None]
-    wall_ratios = [r["wall_ratio"] for r in rows if r.get("wall_ratio") is not None]
+    held_out = [r for r in rows if not r["training"]]
+    solved_bundle = sum(1 for r in held_out if r.get("bundle", {}).get("correct"))
+    solved_baseline = sum(1 for r in held_out if r.get("baseline", {}).get("correct"))
+    ratios = [r["ratio"] for r in held_out if r.get("ratio") is not None]
+    wall_ratios = [r["wall_ratio"] for r in held_out if r.get("wall_ratio") is not None]
     aggregate = {
-        "tasks": len(rows),
+        "tasks": len(held_out),
         "solved_bundle": solved_bundle,
         "solved_baseline": solved_baseline,
         "commonly_solved": len(ratios),
@@ -246,28 +281,25 @@ def cmd_bench(args) -> int:
     }
     report = {"aggregate": aggregate, "tasks": rows}
     write_json(out_dir / "bench_report.json", report)
-    with open(out_dir / "bench_log.jsonl", "w", encoding="utf-8") as fh:
-        for entry in log_lines:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_text(out_dir / "bench_log.jsonl", "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in log_lines))
 
     header = f"{'task':24} {'bundle':>9} {'baseline':>9} {'ratio':>8}"
     print(header)
     print("-" * len(header))
-    for r in rows:
-        if "error" in r:
-            print(f"{r['task']:24} error: {r['error']}")
-            continue
-        b = r["bundle"]["enumerated"] if r["bundle"]["correct"] else "-"
-        t = r["baseline"]["enumerated"] if r["baseline"]["correct"] else "-"
-        ratio = f"{r['ratio']:.1f}x" if r["ratio"] else "-"
-        print(f"{r['task']:24} {b!s:>9} {t!s:>9} {ratio:>8}")
+    for r in held_out:
+        _print_bench_row(r)
     med, med_wall = aggregate["median_enumeration_ratio"], aggregate["median_wall_ratio"]
-    summary = f"solved: bundle {solved_bundle}/{len(rows)}, baseline {solved_baseline}/{len(rows)}"
+    summary = f"solved: bundle {solved_bundle}/{len(held_out)}, baseline {solved_baseline}/{len(held_out)}"
     if med is not None:
         summary += f"; median ratio {med:.1f}x, median wall ratio {med_wall:.2f}x"
     else:
         summary += "; no commonly solved tasks"
     print(summary)
+    training = [r for r in rows if r["training"]]
+    if training:
+        print("the bundle's training tasks, not in the aggregate:")
+        for r in training:
+            _print_bench_row(r)
     return 0
 
 

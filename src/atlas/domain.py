@@ -327,7 +327,13 @@ def predicate_to_text(p: ConcretePredicate) -> str:
     raise ValueError(k)
 
 
-_TEMPLATE_TEXT = {TOP: "top", LEN_EQ: "(len = c)", LEN_NEQ: "(len != c)", CHAR_EQ: "(char i = c)", CHAR_NEQ: "(char i != c)"}
+_TEMPLATE_TEXT = {
+    TOP: "top",
+    LEN_EQ: "(len = c)",
+    LEN_NEQ: "(len != c)",
+    CHAR_EQ: "(char i = c)",
+    CHAR_NEQ: "(char i != c)",
+}
 
 
 def template_to_text(t: TemplateKind) -> str:

@@ -1,11 +1,19 @@
+import hashlib
 import json
+import statistics
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from atlas.cli import main
+from atlas.cli import bundle_obj, canonical_json, load_bundle, main
 from atlas.corpus import corpus_dir, eval_task_paths, training_task_paths
+from atlas.domain import template_from_text, template_to_text
 from atlas.transformers import matrix_from_obj
+
+# The seed-0 bundle as written while tables kept every entry: 25 entries,
+# 20 of them empty.
+DENSE_SEED0 = ("9952cbd837b3a5ef9630a8e4a6eb91300cd64760c58871ada9994b4af959b48a", 5651)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +41,15 @@ def synth_with_edited_entry(trained_dir, tmp_path, edit, inputs=("(len = c)", "(
 
 def schema(name: str) -> dict:
     return read(Path(__file__).parent.parent / f"src/atlas/schemas/{name}.schema.json")
+
+
+def dense_bundle(obj: dict) -> dict:
+    """The bundle ``obj`` in the older dense form: an entry for every pair of
+    its templates, in order, with no outputs where ``obj`` has no entry."""
+    stored = {tuple(t["inputs"]): t for t in obj["transformers"]}
+    kinds = sorted(map(template_from_text, obj["templates"]))
+    pairs = [tuple(map(template_to_text, pair)) for pair in product(kinds, repeat=2)]
+    return dict(obj, transformers=[stored.get(p, {"op": "concat", "inputs": list(p), "outputs": []}) for p in pairs])
 
 
 class TestTrain:
@@ -131,6 +148,37 @@ class TestOldBundle:
         want = expected("synth-bundle")
         assert synthesize_all(old_templates, loaded, want) == want
 
+    def test_dense_bundle_loads_sparse_and_solves_the_same(self, trained_dir, tmp_path):
+        from test_golden import expected, synthesize_all
+
+        raw = (trained_dir / "bundle.json").read_bytes()
+        dense = canonical_json(dense_bundle(json.loads(raw))).encode()
+        assert (hashlib.sha256(dense).hexdigest(), len(dense)) == DENSE_SEED0
+        entries = json.loads(dense)["transformers"]
+        assert len(entries) == 25 and sum(1 for t in entries if not t["outputs"]) == 20
+        path = tmp_path / "dense.json"
+        path.write_bytes(dense)
+
+        templates, table, prov = load_bundle(path)
+        assert len(table) == len(table.rules) == 5
+        assert canonical_json(bundle_obj(templates, table, prov["seed"], prov["training_tasks"])).encode() == raw
+        want = expected("synth-bundle")
+        assert synthesize_all(templates, table, want) == want
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda e: e.update(op="reverse"), lambda e: e["inputs"].append("top")],
+        ids=["other-op", "three-inputs"],
+    )
+    def test_dense_bundle_with_a_bad_empty_entry_format_error(self, trained_dir, tmp_path, capsys, edit):
+        # Every entry is checked before the empty ones are dropped.
+        obj = dense_bundle(read(trained_dir / "bundle.json"))
+        edit(next(t for t in obj["transformers"] if not t["outputs"]))
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps(obj))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        assert "malformed bundle" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_solves_task_with_bundle(self, trained_dir, capsys):
@@ -202,6 +250,36 @@ class TestBench:
         for entry in log:
             jsonschema.validate(entry, log_schema)
             assert "wall_us" in entry
+
+    def test_training_tasks_left_out_of_the_aggregate(self, trained_dir, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+
+        def bench(names, label):
+            corpus = tmp_path / label
+            corpus.mkdir()
+            for name in names:
+                (corpus / f"{name}.json").write_text((corpus_dir() / f"{name}.json").read_text())
+            out = tmp_path / f"{label}-out"
+            assert main(["bench", str(corpus), "--bundle", str(trained_dir / "bundle.json"), "-o", str(out)]) == 0
+            report = read(out / "bench_report.json")
+            jsonschema.validate(report, schema("bench_report"))
+            return report, capsys.readouterr().out
+
+        with_e1, printed = bench(["e1", "eval_backup", "eval_quote"], "with-e1")
+        held_out, _ = bench(["eval_backup", "eval_quote"], "held-out")
+        assert [(r["task"], r["training"]) for r in with_e1["tasks"]] == [
+            ("e1", True), ("eval_backup", False), ("eval_quote", False),
+        ]
+        # Wall ratios are timings, so they are checked against the rows of the same run.
+        aggregate = dict(with_e1["aggregate"])
+        wall_ratios = [r["wall_ratio"] for r in with_e1["tasks"] if not r["training"]]
+        assert aggregate.pop("median_wall_ratio") == statistics.median(wall_ratios)
+        del held_out["aggregate"]["median_wall_ratio"]
+        assert aggregate == held_out["aggregate"]
+        # The training task is printed apart, after the held-out summary.
+        summary, training = printed.split("\nsolved: ")[1].split("\n", 1)
+        assert summary.startswith("bundle 2/2, baseline 2/2")
+        assert training.startswith("the bundle's training tasks") and "\ne1 " in training
 
     def test_empty_corpus(self, trained_dir, tmp_path):
         corpus = tmp_path / "empty"
@@ -351,6 +429,35 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         [row] = read(out / "bench_report.json")["tasks"]
         assert row["task"] == "bad" and "literals must be a list of strings" in row["error"]
+
+    @pytest.mark.parametrize("command", ["train", "bench", "synth-log"])
+    def test_output_write_error_format_error(self, trained_dir, tmp_path, command):
+        # An existing file where an output directory goes, or a log in a missing directory.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        e1 = str(corpus_dir() / "e1.json")
+        argv = {
+            "train": ["train", e1, "-o", str(taken)],
+            "bench": ["bench", str(empty), "--bundle", str(trained_dir / "bundle.json"), "-o", str(taken)],
+            "synth-log": ["synth", e1, "--baseline-top", "--log", str(tmp_path / "missing" / "x.log")],
+        }[command]
+        assert main(argv) == 4
+        assert taken.read_text() == "" and not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "provenance", [[], {"training_tasks": "e1"}, {"training_tasks": [{}]}], ids=["list", "string", "dict-item"]
+    )
+    def test_bundle_with_malformed_provenance_format_error(self, trained_dir, tmp_path, capsys, provenance):
+        obj = read(trained_dir / "bundle.json")
+        obj["provenance"] = provenance
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps(obj))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["bench", str(empty), "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 4
+        assert "malformed bundle" in capsys.readouterr().err
 
     def test_negative_max_size_usage_error(self):
         assert main(["synth", str(corpus_dir() / "e1.json"), "--baseline-top", "--max-size", "-3"]) == 3
