@@ -54,12 +54,19 @@ def write_text(path: Path, text: str, mode: str = "w"):
 
 
 def write_json(path: Path, obj):
-    """Write ``obj`` as canonical JSON, making the missing parent directories."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"{path.parent}: {exc}") from exc
     write_text(path, canonical_json(obj))
+
+
+def output_dir(path: str) -> Path:
+    """Make the output directory ``path`` with its missing parents; an
+    OSError exits 4.  Commands call it before their work, so an unusable
+    output fails at once."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{out}: {exc}") from exc
+    return out
 
 
 def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Optional[int]) -> tuple[str, SynthesisTask]:
@@ -149,8 +156,8 @@ def run_log_entry(name: str, result, program_text: Optional[str]) -> dict:
 
 
 def cmd_train(args) -> int:
-    out_dir = Path(args.output)
     problems = [load_task(Path(p), args.max_size, args.max_candidates, args.timeout_ms) for p in args.tasks]
+    out_dir = output_dir(args.output)
     run = learn_abstractions(problems, TrainConfig(seed=args.seed))
 
     write_json(out_dir / "bundle.json", bundle_obj(run.templates, run.table, args.seed, [n for n, _ in problems]))
@@ -239,7 +246,7 @@ def cmd_bench(args) -> int:
     templates, table, provenance = load_bundle(Path(args.bundle))
     training_tasks = set(provenance.get("training_tasks", []))
     baseline = TransformerTable()
-    out_dir = Path(args.output)
+    out_dir = output_dir(args.output)
 
     rows = []
     log_lines = []

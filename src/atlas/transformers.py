@@ -9,6 +9,12 @@ the row check and the validity check decide implications between
 predicates exactly, by a small-model counterexample search; no sampling
 is involved.  Learned matrices are tuples of integer rows.
 
+The linear algebra is on integer rows, with one fraction-free reduction
+(``_reduce``).  Sampling reduces each valid row against an echelon basis
+of the slot's rows so far, so the rank grows by one reduction per row and
+sampling stops at full rank; ``solve_linear`` folds the rows of the system
+the same way and uses fractions only to back-substitute.
+
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
 value, so the table is read for concat alone.  It reads the table's
@@ -44,6 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP, TOP_PRED, ConcretePredicate, ConstantPool, TemplateKind
@@ -55,42 +62,46 @@ class InsufficientRank(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra.  Elimination is exact over the rationals; a learned
-# transformer matrix is a tuple of integer rows.
+# Linear algebra.  Rows are integer rows, reduced one at a time against an
+# echelon basis without fractions; a learned transformer matrix is a tuple
+# of integer rows.
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _eliminate(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan reduction of ``rows`` on their first ``n_cols`` columns.
+def _reduce(basis: dict[int, list[int]], row: Sequence[int], n_cols: int) -> tuple[list[int], Optional[int]]:
+    """Reduce the integer ``row`` against ``basis`` on its first ``n_cols`` columns.
 
-    Returns the reduced rows (pivot rows first) and the pivot columns.
+    ``basis`` maps a pivot column to the basis row whose first nonzero entry
+    is there.  Returns the reduced row and its pivot, the first nonzero
+    column of the ``n_cols``; the pivot is None when the row reduces to zero
+    there.  A row with a pivot is divided by the gcd of its entries, which
+    keeps the entries small; it can join ``basis`` under that pivot.
     """
-    work = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
+    row = list(row)
     for c in range(n_cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
+        if row[c] == 0:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        work[r] = [v / inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    return work, pivots
+        b = basis.get(c)
+        if b is None:
+            g = gcd(*row)
+            return [v // g for v in row], c
+        g = gcd(row[c], b[c])
+        f, p = row[c] // g, b[c] // g
+        row = [p * x - f * y for x, y in zip(row, b)]
+    return row, None
 
 
-def column_rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(_eliminate(rows, len(rows[0]))[1])
+def column_rank(rows: Sequence[Sequence[int]]) -> int:
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        reduced, pivot = _reduce(basis, row, len(row))
+        if pivot is not None:
+            basis[pivot] = reduced
+    return len(basis)
 
 
-def solve_linear(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+def solve_linear(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
     """Exact rational solution P with A P^T = B, or None if the system is inconsistent.
 
     Underdetermined but consistent systems are solved with free variables
@@ -101,16 +112,21 @@ def solve_linear(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> Opti
         return None
     n_in = len(a_rows[0])
     n_out = len(b_rows[0]) if b_rows else 0
-    # Reduce the augmented matrix [A | B] once.
-    work, pivots = _eliminate([list(a) + list(b) for a, b in zip(a_rows, b_rows)], n_in)
-    for row in work[len(pivots):]:
-        if any(v != 0 for v in row[n_in:]):
+    # Fold the rows of [A | B] into an echelon basis on A's columns.
+    basis: dict[int, list[int]] = {}
+    for a, b in zip(a_rows, b_rows):
+        row, pivot = _reduce(basis, [*a, *b], n_in)
+        if pivot is not None:
+            basis[pivot] = row
+        elif any(row[n_in:]):
             return None  # 0 = nonzero: inconsistent
+    # Back-substitute from the last pivot, with the free variables at 0.
     solution = [[Fraction(0)] * n_in for _ in range(n_out)]
-    for r, c in enumerate(pivots):
-        for j in range(n_out):
-            solution[j][c] = work[r][n_in + j]
-    return tuple(tuple(row) for row in solution)
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        for j, x in enumerate(solution):
+            x[c] = (row[n_in + j] - sum(row[k] * x[k] for k in range(c + 1, n_in))) / Fraction(row[c])
+    return tuple(tuple(x) for x in solution)
 
 
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
@@ -141,10 +157,10 @@ def instantiate_output(chi0: TemplateKind, args: tuple[int, ...]) -> Optional[Co
 
 
 # ---------------------------------------------------------------------------
-# Constructs.  A construct is a concrete string operation with a fixed
-# number of string-typed arguments.  Concat is the only one; the class stays
-# while the benchmark's worker (``perfbench/worker.py``) builds the top table
-# through ``top_table([concat_construct()])``.
+# Constructs.  Concat, ``a + b``, is the only construct, and the learner
+# applies it directly.  The class stays only while the benchmark's worker
+# (``perfbench/worker.py``) builds the top table through
+# ``top_table([concat_construct()])``.
 
 
 @dataclass(frozen=True)
@@ -152,9 +168,6 @@ class Construct:
     op_id: str
     arity: int
     fn: Callable[..., str]
-
-    def apply(self, args: Sequence[str]) -> str:
-        return self.fn(*args)
 
 
 def concat_construct() -> Construct:
@@ -212,6 +225,11 @@ OUTPUT_CAP = 4
 # Example sets
 
 
+def _a_row(inputs: tuple[ConcretePredicate, ...]) -> list[int]:
+    """The row of input constants, plus 1, of an example with ``inputs``."""
+    return [v for p in inputs for v in p.args] + [1]
+
+
 @dataclass
 class ExampleSet:
     """Rows of concrete transformer instances for one slot."""
@@ -225,7 +243,7 @@ class ExampleSet:
         return sum(t.holes for t in self.input_templates)
 
     def matrix_a(self) -> list[list[int]]:
-        return [[v for p in inputs for v in p.args] + [1] for inputs, _ in self.rows]
+        return [_a_row(inputs) for inputs, _ in self.rows]
 
     def matrix_b(self) -> list[list[int]]:
         return [list(p0.args) for _, p0 in self.rows]
@@ -298,60 +316,39 @@ def row_valid(inputs: tuple[ConcretePredicate, ConcretePredicate], output: Concr
 
 
 def _rotated(items: list, cap: int, turn: int) -> list:
-    if len(items) <= cap:
+    """``cap`` of ``items``, evenly spaced from a start that moves with ``turn``."""
+    n = len(items)
+    if n <= cap:
         return items
-    start = turn % len(items)
-    step = max(1, len(items) // cap)
-    picked = []
-    for t in range(cap):
-        picked.append(items[(start + t * step) % len(items)])
-    seen = set()
-    out = []
-    for x in picked:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
-def _counterfactual(s: str, pred: ConcretePredicate, fill: str) -> str:
-    """The string obtained by forcing ``s`` to satisfy the equality version
-    of an inequality predicate (resize for length, substitute for chars)."""
-    k = pred.kind
-    if k is LEN_NEQ:
-        target = pred.args[0]
-        if target <= len(s):
-            return s[:target]
-        return s + fill * (target - len(s))
-    if k is CHAR_NEQ:
-        i, c = pred.args
-        return s[:i] + chr(c) + s[i + 1 :]
-    return s
+    step = n // cap
+    return [items[(turn + t * step) % n] for t in range(cap)]
 
 
 def generate_examples(
-    construct: Construct,
     chi0: TemplateKind,
     chis: tuple[TemplateKind, ...],
     oracle: SamplingOracle,
     pool: ConstantPool,
 ) -> ExampleSet:
-    """Sample valid concrete transformer rows until the input matrix has full
+    """Sample valid concrete concat rows until the input matrix has full
     column rank.  Raises InsufficientRank when sampling stalls or the budget
     is exhausted.
+
+    Each valid row is reduced against an echelon basis of the rows kept so
+    far (``_reduce``), so the rank grows by one reduction per row.
 
     Rows for equality output templates pair the strongest abstractions of
     the sampled values.  Rows for the length-inequality output are generated
     by a counterfactual pairing: the forbidden output length is the one the
-    inputs' forbidden values would have produced.  Character-inequality
+    inputs' forbidden values would have produced, the forbidden length of a
+    ``len !=`` input and the length of any other.  Character-inequality
     outputs yield no rows.
     """
     examples = ExampleSet(chis, chi0)
     seen_rows: set = set()
-    target_rank = examples.n_constants + 1
-    rank_now = 0
+    n_cols = examples.n_constants + 1
+    basis: dict[int, list[int]] = {}
     stall = 0
-    fill = oracle.alphabet[0]
     neq_output = chi0 is LEN_NEQ
     if chi0 is CHAR_NEQ:
         raise InsufficientRank("character-inequality outputs are not generated")
@@ -359,29 +356,18 @@ def generate_examples(
         raise InsufficientRank("no inequality inputs to pair against")
 
     for turn in range(MAX_SAMPLES):
-        if rank_now >= target_rank:
+        if len(basis) >= n_cols:
             break
         if stall >= STALL_SAMPLES:
             raise InsufficientRank(f"no rank progress after {stall} samples")
-        args = tuple(oracle.draw_string() for _ in range(construct.arity))
-        out_val = construct.apply(args)
-
-        input_choices = []
-        for t, s in zip(chis, args):
-            cands = abstract(s, t, pool)
-            input_choices.append(_rotated(cands, INPUT_CAP, turn))
-        selections: list[tuple[ConcretePredicate, ...]] = [()]
-        for choice in input_choices:
-            selections = [sel + (p,) for sel in selections for p in choice]
+        args = (oracle.draw_string(), oracle.draw_string())
+        out_val = args[0] + args[1]
+        input_choices = [_rotated(abstract(s, t, pool), INPUT_CAP, turn) for t, s in zip(chis, args)]
 
         progressed = False
-        for sel in selections:
+        for sel in product(*input_choices):
             if neq_output:
-                cf_args = [
-                    _counterfactual(s, p, fill) if p.kind in (LEN_NEQ, CHAR_NEQ) else s
-                    for s, p in zip(args, sel)
-                ]
-                outputs = [len_neq(len(construct.apply(cf_args)))]
+                outputs = [len_neq(sum(p.args[0] if p.kind is LEN_NEQ else len(s) for s, p in zip(args, sel)))]
             else:
                 outputs = _rotated(abstract(out_val, chi0, pool), OUTPUT_CAP, turn)
             for p0 in outputs:
@@ -392,16 +378,14 @@ def generate_examples(
                 if not row_valid(sel, p0):
                     continue
                 examples.rows.append(row)
-                new_rank = column_rank(examples.matrix_a())
-                if new_rank > rank_now:
-                    rank_now = new_rank
+                reduced, pivot = _reduce(basis, _a_row(sel), n_cols)
+                if pivot is not None:
+                    basis[pivot] = reduced
                     progressed = True
         stall = 0 if progressed else stall + 1
 
-    if rank_now < target_rank:
-        raise InsufficientRank(
-            f"rank {rank_now} < {target_rank} after sampling budget"
-        )
+    if len(basis) < n_cols:
+        raise InsufficientRank(f"rank {len(basis)} < {n_cols} after sampling budget")
     return examples
 
 
@@ -588,27 +572,26 @@ def learn_transformers(
     a more general entry already derives is not in it, and neither is an
     entry without outputs.
     """
-    construct = concat_construct()
     templates = sorted(set(templates))
     table = TransformerTable()
-    for chis in product(templates, repeat=construct.arity):
+    for chis in product(templates, repeat=2):
         outputs = []
         for chi0 in templates:
             if chi0 is TOP:
                 continue
-            slot_id = f"{construct.op_id}|{','.join(t.value for t in chis)}|{chi0.value}"
+            slot_id = f"concat|{','.join(t.value for t in chis)}|{chi0.value}"
             if slot_id not in cache:
-                cache[slot_id] = _learn_slot(construct, chi0, chis, oracle, pool, slot_id)
+                cache[slot_id] = _learn_slot(chi0, chis, oracle, pool, slot_id)
             if cache[slot_id] is not None:
                 outputs.append(cache[slot_id])
         table.add(Transformer(chis, tuple(outputs)))
     return table.normalized()
 
 
-def _learn_slot(construct, chi0, chis, oracle, pool, slot_id):
+def _learn_slot(chi0, chis, oracle, pool, slot_id):
     slot_oracle = oracle.child(slot_id)
     try:
-        examples = generate_examples(construct, chi0, chis, slot_oracle, pool)
+        examples = generate_examples(chi0, chis, slot_oracle, pool)
     except InsufficientRank:
         return None
     solution = solve_linear(examples.matrix_a(), examples.matrix_b())

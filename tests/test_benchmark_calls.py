@@ -74,6 +74,27 @@ def test_train_pass_and_bundle_set_up(worker, tmp_path):
         assert set(setup) == {"setup_s"}
 
 
+def test_traced_train_pass(worker):
+    # Each layer of T_T, and T_A, has calls under the tracer.  Rank is kept
+    # inside ``generate_examples``, so ``column_rank``, like ``meet``, may
+    # read 0 calls.
+    from spans import Tracer
+
+    with Tracer("atlas").installed(worker.TARGETS) as tracer:
+        result = worker.train(atlas, worker_args("train", trace=True), tracer, time.perf_counter())
+    assert [row["task"] for row in result["rows"]] == ["e1", "e2", "e3"]
+    assert set(result["driver"]) == {"T_AGS_s", "T_A_s", "T_T_s"}
+    for name in (
+        "transformers.learn_transformers",
+        "transformers.generate_examples",
+        "transformers.row_valid",
+        "transformers.solve_linear",
+        "transformers.check_valid",
+        "interpolation.learn_abstract_domain",
+    ):
+        assert tracer.stats[name].calls > 0, name
+
+
 def check_traced_synth_pass(worker, monkeypatch, workload, bundle=None):
     """Drive one traced ``worker.synth`` pass over two quick eval tasks and
     check its programs and its hot spans.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import atlas.cli
 from atlas.cli import bundle_obj, canonical_json, load_bundle, main
 from atlas.corpus import corpus_dir, eval_task_paths, training_task_paths
 from atlas.domain import template_from_text, template_to_text
@@ -431,18 +432,23 @@ class TestExitCodes:
         assert row["task"] == "bad" and "literals must be a list of strings" in row["error"]
 
     @pytest.mark.parametrize("command", ["train", "bench", "synth-log"])
-    def test_output_write_error_format_error(self, trained_dir, tmp_path, command):
+    def test_output_write_error_format_error(self, trained_dir, tmp_path, monkeypatch, command):
         # An existing file where an output directory goes, or a log in a missing directory.
         taken = tmp_path / "taken"
         taken.write_text("")
-        empty = tmp_path / "empty"
-        empty.mkdir()
         e1 = str(corpus_dir() / "e1.json")
         argv = {
             "train": ["train", e1, "-o", str(taken)],
-            "bench": ["bench", str(empty), "--bundle", str(trained_dir / "bundle.json"), "-o", str(taken)],
+            "bench": ["bench", str(corpus_dir()), "--bundle", str(trained_dir / "bundle.json"), "-o", str(taken)],
             "synth-log": ["synth", e1, "--baseline-top", "--log", str(tmp_path / "missing" / "x.log")],
         }[command]
+        if command != "synth-log":
+            # train and bench check the output directory before any work.
+            def no_work(*args, **kwargs):
+                raise AssertionError("work ran before the output directory was checked")
+
+            monkeypatch.setattr(atlas.cli, "learn_abstractions", no_work)
+            monkeypatch.setattr(atlas.cli, "Synthesizer", no_work)
         assert main(argv) == 4
         assert taken.read_text() == "" and not (tmp_path / "missing").exists()
 

@@ -30,7 +30,6 @@ from atlas.transformers import (
     TransformerTable,
     check_valid,
     column_rank,
-    concat_construct,
     generate_examples,
     learn_transformers,
     row_valid,
@@ -168,26 +167,26 @@ class TestSamplingOracle:
 
 class TestGenerateExamples:
     def test_concat_length_rows(self):
-        ex = generate_examples(concat_construct(), LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
+        ex = generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
         assert full_rank(ex)
         for (p1, p2), p0 in ex.rows:
             assert p0.args[0] == p1.args[0] + p2.args[0]
 
     def test_counterfactual_rows_reach_full_rank(self):
-        ex = generate_examples(concat_construct(), LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
+        ex = generate_examples(LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
         assert full_rank(ex)
         for (p1, p2), p0 in ex.rows:
             assert p0.args[0] == p1.args[0] + p2.args[0]
 
     def test_no_affine_function_insufficient_rank(self):
         with pytest.raises(InsufficientRank):
-            generate_examples(concat_construct(), LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
+            generate_examples(LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
 
     def test_rows_are_sound_instances(self):
         # Every generated row holds of every pair of small strings its inputs admit.
         strings = small_strings()
         for chi0, chis in [(LEN_EQ, (LEN_EQ, LEN_EQ)), (LEN_NEQ, (LEN_EQ, LEN_NEQ)), (LEN_NEQ, (LEN_NEQ, LEN_EQ))]:
-            ex = generate_examples(concat_construct(), chi0, chis, oracle(), POOL)
+            ex = generate_examples(chi0, chis, oracle(), POOL)
             checked = 0
             for (p1, p2), p0 in ex.rows:
                 for a, b in product(strings, repeat=2):
