@@ -207,6 +207,9 @@ def _load_bundle_or_top(args) -> tuple[list[TemplateKind], TransformerTable]:
 def cmd_synth(args) -> int:
     name, task = load_task(Path(args.task), args.max_size, args.max_candidates, args.timeout_ms)
     templates, table = _load_bundle_or_top(args)
+    if args.log:
+        # Opened for append before the search, so that an unusable log fails at once.
+        write_text(Path(args.log), "", "a")
     result = Synthesizer(task, templates, table).run(require_correct=True)
     text = print_program(result.program) if result.program else None
     entry = run_log_entry(name, result, text)

@@ -29,13 +29,20 @@ all of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
 the vector and the expected outputs.  Each synthesizer therefore keeps a
 registry of the distinct vectors of pooled candidates, each with a small
-int id and its ``(accepted, embeds)`` verdict, plus a cache from pairs of
-child ids to the id of their concatenation's vector.  A candidate looks its
-vector up when it is made; a registered one reuses both, any other is
-computed afresh.  Only pooling registers, so the registry is never larger
-than the pools.  Interning every vector as it is made gives the same
-programs, but its peak RSS is past the benchmark's 10 % bound (about 30 %
-on training at seed 0).
+int id and its accept verdict (a pooled vector always embeds), plus a
+cache from pairs of child ids to the id of their concatenation's vector.
+``_batch`` gives a concatenation the cached vector and id of its child-id
+pair when there is one; every other candidate, leaf or concatenation, is
+made without states.  ``run`` derives those only after the dedup check,
+one example at a time, and prunes at the first state that does not embed
+its output: that candidate cannot be accepted either, since an output in a
+state's concretization embeds at offset 0.  Only a vector that embeds on
+every example is looked up in the registry; a registered one takes its
+verdict, and only then, for a concatenation, is its child-id pair cached.
+Any other is judged with ``gamma_contains``.  Only pooling registers, so
+the registry is never larger than the pools.  Interning every vector as it
+is made gives the same programs, but its peak RSS is past the benchmark's
+10 % bound (about 30 % on training at seed 0).
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  ``apply_transformer`` reads the table's compiled rules (one per
@@ -43,14 +50,16 @@ entry with outputs), maps the selected args inline and hands the derived
 args, grouped by kind, to ``AbstractValue.of_groups``, which checks them
 for contradiction and seeds the new state's ``by_kind``.
 ``state_embeds`` tests one substring length per offset, the smallest the
-state admits (see its docstring).  A memo keyed by the pair of child
-states would save only the repeated pairs (4,402 calls on 3,172 distinct
-per-task pairs under the seed-0 bundle on the 15 eval tasks), and it
-raised peak RSS on training at seed 0 from 22.7 to 26.0 MB, past the
-10 % bound.  The three functions the verdicts and states come from,
-``apply_transformer``, ``state_embeds`` and ``gamma_contains``, are
-called through this module's globals, so that a tracer which replaces them
-by name sees every call.
+state admits (see its docstring).  Under the seed-0 bundle the 15 eval
+tasks make 2,544 ``apply_transformer`` and 1,115 ``best_abstraction``
+calls; deriving every candidate's whole vector as it is made, duplicates
+included, would make 4,402 and 1,375.  A memo keyed by the pair of child
+states would save only the repeated pairs (the 2,544 calls are on 2,335
+distinct per-task pairs), and it raised peak RSS on training at seed 0
+from 22.7 to 26.0 MB, past the 10 % bound.  The three functions the
+verdicts and states come from, ``apply_transformer``, ``state_embeds`` and
+``gamma_contains``, are called through this module's globals, so that a
+tracer which replaces them by name sees every call.
 
 Most candidates are never kept and only the returned one's program is
 read, so candidates are made cheaply.  When the enumeration reaches the
@@ -68,6 +77,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add, mul
+from itertools import repeat
 from typing import Iterator, Optional
 
 from . import dsl
@@ -209,7 +219,10 @@ class Candidate:
     A leaf carries its AST node.  A concatenation carries its two child
     candidates in ``parts`` and builds ``dsl.concat`` of their nodes the
     first time ``node`` is read, then keeps it; its values are already the
-    sums of theirs.  ``sid`` is the registry id of ``states`` when that
+    sums of theirs.  ``states`` is None until ``run`` derives it, unless
+    the candidate was made with a cached vector; on a prune it holds the
+    states derived up to the first that does not embed, and the candidate
+    is discarded.  ``sid`` is the registry id of ``states`` when that
     vector is registered (always so once the candidate is pooled), else
     None.
     """
@@ -217,7 +230,7 @@ class Candidate:
     _node: Optional[AstNode]
     parts: Optional[tuple[Candidate, Candidate]]
     values: tuple[str, ...]
-    states: tuple[StateLike, ...]
+    states: Optional[tuple[StateLike, ...]]
     sid: Optional[int]
 
     @property
@@ -254,11 +267,12 @@ class Synthesizer:
         self.positions = self._position_pool()
         self._abstraction_cache: dict[str, StateLike] = {}
         # The registry of pooled state vectors: id by vector, vector and
-        # verdict by id.  ``_concats`` maps a pair of child ids to the id of
-        # the vector of their concatenation, once that vector is registered.
+        # accept verdict by id (a pooled vector always embeds).  ``_concats``
+        # maps a pair of child ids to the id of the vector of their
+        # concatenation, once that vector is registered.
         self._ids: dict[tuple[StateLike, ...], int] = {}
         self._vectors: list[tuple[StateLike, ...]] = []
-        self._verdicts: list[tuple[bool, bool]] = []
+        self._accepts: list[bool] = []
         self._concats: dict[tuple[int, int], int] = {}
 
     def _const_pool(self) -> list[str]:
@@ -298,8 +312,25 @@ class Synthesizer:
         return cached
 
     def _leaf(self, node: AstNode, values: tuple[str, ...]) -> Candidate:
-        states = tuple(self._abstract_value(v) for v in values)
-        return Candidate(node, None, values, states, self._ids.get(states))
+        return Candidate(node, None, values, None, None)
+
+    def _derive(self, cand: Candidate) -> bool:
+        """Set ``cand.states``, derived one example at a time up to the first
+        state that does not embed its output; True iff every state embeds."""
+        if cand.parts is None:
+            derived = map(self._abstract_value, cand.values)
+        else:
+            a, b = cand.parts
+            derived = map(apply_transformer, repeat(self.table), zip(a.states, b.states))
+        states = []
+        embeds = True
+        for state, out in zip(derived, self.outputs):
+            states.append(state)
+            if not state_embeds(state, out):
+                embeds = False
+                break
+        cand.states = tuple(states)
+        return embeds
 
     def _batch(self, size: int, pools: dict[int, list[Candidate]]) -> Iterator[Candidate]:
         """The candidates of AST size ``size`` in rank order; ``pools`` holds the kept ones of each smaller size."""
@@ -309,21 +340,13 @@ class Synthesizer:
             for s in self.consts:
                 yield self._leaf(dsl.const(s), (s,) * len(inputs))
             return
-        ids, vectors, concats = self._ids, self._vectors, self._concats
+        vectors, concats = self._vectors, self._concats
         for sa in range(1, size - 1):
             for a in pools[sa]:
                 for b in pools[size - 1 - sa]:
                     values = tuple(map(add, a.values, b.values))
-                    pair = (a.sid, b.sid)
-                    sid = concats.get(pair)
-                    if sid is None:
-                        states = tuple(apply_transformer(self.table, ab) for ab in zip(a.states, b.states))
-                        sid = ids.get(states)
-                        if sid is not None:
-                            concats[pair] = sid
-                    else:
-                        states = vectors[sid]
-                    yield Candidate(None, (a, b), values, states, sid)
+                    sid = concats.get((a.sid, b.sid))
+                    yield Candidate(None, (a, b), values, None if sid is None else vectors[sid], sid)
         if size == 4:
             lengths = tuple(map(len, inputs))
             rows = [(p, r) for p, r in zip(self.positions, self._position_table()) if r is not None]
@@ -339,7 +362,7 @@ class Synthesizer:
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
-        ids, vectors, verdicts = self._ids, self._vectors, self._verdicts
+        ids, vectors, accepts, concats = self._ids, self._vectors, self._accepts, self._concats
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[Candidate]] = {}
         result = SynthResult(program=None, correct=None)
@@ -360,25 +383,32 @@ class Synthesizer:
                         continue
                     seen.add(cand.values)
 
-                    if cand.sid is not None:
-                        accepted, embeds = verdicts[cand.sid]
-                    else:
+                    sid = cand.sid
+                    if sid is None:
+                        # A state that does not embed its output does not
+                        # contain it either, so the candidate is not accepted.
+                        if not self._derive(cand):
+                            result.pruned_abstract += 1
+                            continue
+                        sid = cand.sid = ids.get(cand.states)
+                        if sid is not None and cand.parts is not None:
+                            a, b = cand.parts
+                            concats[a.sid, b.sid] = sid
+                    if sid is None:
                         accepted = all(map(gamma_contains, cand.states, outputs))
-                        embeds = all(map(state_embeds, cand.states, outputs))
+                    else:
+                        accepted = accepts[sid]
                     if accepted and (not require_correct or cand.values == outputs):
                         result.program = Program(cand.node)
                         result.correct = cand.values == outputs
                         return result
-                    if not embeds:
-                        result.pruned_abstract += 1
-                        continue
 
                     # Pooled: a vector without an id is new, since only this registers.
-                    if cand.sid is None:
+                    if sid is None:
                         cand.sid = len(vectors)
                         ids[cand.states] = cand.sid
                         vectors.append(cand.states)
-                        verdicts.append((accepted, embeds))
+                        accepts.append(accepted)
                     kept.append(cand)
             result.reason = "exhausted"
             return result

@@ -442,13 +442,12 @@ class TestExitCodes:
             "bench": ["bench", str(corpus_dir()), "--bundle", str(trained_dir / "bundle.json"), "-o", str(taken)],
             "synth-log": ["synth", e1, "--baseline-top", "--log", str(tmp_path / "missing" / "x.log")],
         }[command]
-        if command != "synth-log":
-            # train and bench check the output directory before any work.
-            def no_work(*args, **kwargs):
-                raise AssertionError("work ran before the output directory was checked")
+        # Every command checks its output before any work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output was checked")
 
-            monkeypatch.setattr(atlas.cli, "learn_abstractions", no_work)
-            monkeypatch.setattr(atlas.cli, "Synthesizer", no_work)
+        monkeypatch.setattr(atlas.cli, "learn_abstractions", no_work)
+        monkeypatch.setattr(atlas.cli, "Synthesizer", no_work)
         assert main(argv) == 4
         assert taken.read_text() == "" and not (tmp_path / "missing").exists()
 

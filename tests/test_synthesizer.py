@@ -34,6 +34,8 @@ from atlas.dsl import (
     substr,
 )
 from atlas import synthesizer
+from atlas.cli import load_task
+from atlas.corpus import corpus_dir
 from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, state_embeds
 from atlas.transformers import Transformer, TransformerTable
 
@@ -234,6 +236,15 @@ class TestStateEmbedsAgainstTheScan:
     def test_agrees_with_the_per_length_scan(self, state, out):
         assert state_embeds(state, out) == state_embeds_scan(state, out)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.just(AbstractValue.top()), st.just(BOTTOM), embed_states()), st.text(alphabet="abc", max_size=12))
+    @example(val(len_eq(3), char_eq(0, ord("a")), char_neq(2, ord("a"))), "abc")
+    @example(val(len_neq(0), char_neq(1, ord("a"))), "ab")
+    def test_contained_output_embeds(self, state, out):
+        # ``run`` prunes at the first state that does not embed its output
+        # without testing acceptance; this is why that is safe.
+        assert state_embeds(state, out) or not gamma_contains(state, out)
+
     def test_shortest_admissible_length_past_a_run_of_len_neq(self):
         state = val(char_eq(0, ord("a")), len_neq(1), len_neq(2))
         assert state_embeds(state, "xabc") and not state_embeds(state, "xab")
@@ -297,6 +308,26 @@ class TestIsCorrect:
         assert not is_correct(p, SynthesisTask(examples=(("ab", "ab"),)))
 
 
+def derived_and_fresh(synth, cand):
+    """``(derived, fresh)``: the states ``run`` derived for ``cand`` (none if
+    it never did) and the candidate's whole vector by ``abstract_eval``.
+
+    Checks that ``derived`` is a prefix of ``fresh`` and that it stops at
+    the first state that does not embed its output, or runs to the end."""
+    fresh = tuple(abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
+    derived = cand.states or ()
+    shown = print_program(Program(cand.node))
+    assert derived == fresh[: len(derived)], shown
+    embeds = [state_embeds(s, out) for s, out in zip(derived, synth.outputs)]
+    assert all(embeds[:-1]), shown
+    assert len(derived) in (0, len(fresh)) or not embeds[-1], shown
+    return derived, fresh
+
+
+def last_fails_to_embed(states, outputs) -> bool:
+    return bool(states) and not state_embeds(states[-1], outputs[len(states) - 1])
+
+
 class TestEnumeratorProperties:
     def test_abstract_soundness_during_enumeration(self, table_a2):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
@@ -304,10 +335,13 @@ class TestEnumeratorProperties:
         result = synth.run(require_correct=True)
         assert result.correct
         assert len(stream) == result.enumerated
+        pruned = 0
         for _, _, cand in stream:
-            assert all(gamma_contains(st, v) for st, v in zip(cand.states, cand.values)), print_program(
-                Program(cand.node)
-            )
+            derived, fresh = derived_and_fresh(synth, cand)
+            assert all(gamma_contains(st, v) for st, v in zip(fresh, cand.values)), print_program(Program(cand.node))
+            pruned += last_fails_to_embed(derived, E2.outputs)
+        # The pruned candidates are those whose last derived state fails to embed.
+        assert pruned == result.pruned_abstract > 0
 
     def test_prune_safety_same_program_with_filter_off(self, table_a2, monkeypatch):
         on = [Synthesizer(task, FIVE_TEMPLATES, table_a2).run(require_correct=True) for task in (E1, E2)]
@@ -332,17 +366,23 @@ class TestEnumeratorProperties:
         result = Synthesizer(E3, [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ], table_a2).run(require_correct=True)
         assert result.deduped > 0
 
-    def test_minimal_rank_no_smaller_consistent_program(self, table_a1):
+    def test_minimal_rank_no_smaller_consistent_program(self, table_a1, trained):
         # Deterministic ranking contract: nothing the run enumerates before
         # the returned program, duplicates included, is abstractly consistent.
-        synth = Synthesizer(E1, [TOP, LEN_EQ, LEN_NEQ], table_a1)
-        stream = record_stream(synth)
-        result = synth.run(require_correct=False)
-        assert len(stream) == result.enumerated
-        *before, (_, _, last) = stream
-        assert last.node == result.program.root
-        for _, _, cand in before:
-            assert not all(gamma_contains(st, out) for st, out in zip(cand.states, E1.outputs))
+        # E1 under the length domain, and two eval tasks under the seed-0 bundle.
+        synths = {"e1": Synthesizer(E1, [TOP, LEN_EQ, LEN_NEQ], table_a1)}
+        for name in ("eval_backup", "eval_date_slash"):
+            _, task = load_task(corpus_dir() / f"{name}.json", 14, 200_000, None)
+            synths[name] = Synthesizer(task, trained.templates, trained.table)
+        for name, synth in synths.items():
+            stream = record_stream(synth)
+            result = synth.run(require_correct=False)
+            assert len(stream) == result.enumerated, name
+            *before, (_, _, last) = stream
+            assert last.node == result.program.root, name
+            for _, _, cand in before:
+                _, fresh = derived_and_fresh(synth, cand)
+                assert not all(gamma_contains(st, out) for st, out in zip(fresh, synth.outputs)), name
 
 
 FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
@@ -382,23 +422,27 @@ class TestStateVectorCache:
             if cand.values in seen:  # the run's dedup
                 continue
             seen.add(cand.values)
-            fresh = tuple(
-                abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in PHONES.inputs
-            )
-            assert cand.states == fresh, print_program(Program(cand.node))
+            derived, fresh = derived_and_fresh(synth, cand)
             reused += sid is not None
             accepted = all(gamma_contains(s, out) for s, out in zip(fresh, PHONES.outputs))
             embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
-            if cand.sid is not None:  # registered when made or when pooled
+            # A pruned candidate's states stop at the first that fails to embed.
+            assert derived == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
+            if cand.sid is not None:  # registered when made, when derived or when pooled
+                assert embeds
                 assert synth._vectors[cand.sid] == fresh
-                assert synth._verdicts[cand.sid] == (accepted, embeds)
+                assert synth._accepts[cand.sid] == accepted
             pooled += embeds
             pruned += not embeds
         assert reused > 0 or not reuses
         assert result.pruned_abstract == pruned
         assert result.deduped == len(judged) - len(seen)
         # Only pooled vectors are registered.
-        assert len(synth._ids) == len(synth._vectors) == len(synth._verdicts) <= pooled
+        assert len(synth._ids) == len(synth._vectors) == len(synth._accepts) <= pooled
+        # A cached pair names the vector of its children's concatenation.
+        for (i, j), k in synth._concats.items():
+            pairs = zip(synth._vectors[i], synth._vectors[j])
+            assert tuple(apply_transformer(table, ab) for ab in pairs) == synth._vectors[k]
 
     def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
@@ -417,7 +461,7 @@ class TestStateVectorCache:
         wrong = [
             cand
             for _, _, cand in stream
-            if not all(gamma_contains(st, v) for st, v in zip(cand.states, cand.values))
+            if not all(gamma_contains(st, v) for st, v in zip(cand.states or (), cand.values))
         ]
         assert any(cand.parts and (cand.parts[0].sid, cand.parts[1].sid) in cached for cand in wrong)
 
