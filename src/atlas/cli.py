@@ -19,7 +19,7 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import TransformerTable, check_valid, transformer_from_obj, transformer_to_obj
+from .transformers import Transformer, TransformerTable, check_valid, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -111,6 +111,11 @@ def bundle_obj(templates, table: TransformerTable, seed: int, task_names: list[s
     }
 
 
+def _inputs_text(t: Transformer) -> str:
+    """The input templates of ``t``, as ``(len = c),(char i = c)``."""
+    return ",".join(map(template_to_text, t.inputs))
+
+
 def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -121,7 +126,18 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
         # Each entry is checked before the empty ones are dropped: older
         # bundles hold an entry for every pair of templates, and those
         # written before tables were normalized hold redundant outputs.
-        table = TransformerTable(transformer_from_obj(t) for t in obj["transformers"]).normalized()
+        entries = [transformer_from_obj(t) for t in obj["transformers"]]
+        known = {TOP, *templates}
+        for t in entries:
+            outputs = [chi for chi, _ in t.outputs]
+            # The synthesizer abstracts leaves with the bundle's templates,
+            # so an entry that reads or derives another template is not of
+            # its domain; a top output derives nothing.
+            if not known.issuperset([*t.inputs, *outputs]):
+                raise ValueError(f"transformer {_inputs_text(t)} names a template the bundle does not have")
+            if TOP in outputs:
+                raise ValueError(f"transformer {_inputs_text(t)} has a top output")
+        table = TransformerTable(entries).normalized()
         provenance = obj.get("provenance", {})
         training_tasks = provenance.get("training_tasks", [])
         if not isinstance(training_tasks, list) or not all(isinstance(n, str) for n in training_tasks):
@@ -132,7 +148,7 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
     for t in table.all():
         for chi, matrix in t.outputs:
             if not check_valid(t.inputs, chi, matrix):
-                inputs = ",".join(map(template_to_text, t.inputs))
+                inputs = _inputs_text(t)
                 rows = [list(row) for row in matrix]
                 raise CliError(f"{path}: refuted transformer {inputs} -> {template_to_text(chi)} with matrix {rows}")
     return templates, table, provenance

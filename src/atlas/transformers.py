@@ -15,6 +15,21 @@ of the slot's rows so far, so the rank grows by one reduction per row and
 sampling stops at full rank; ``solve_linear`` folds the rows of the system
 the same way and uses fractions only to back-substitute.
 
+Whether a slot can reach full rank depends on its three templates alone,
+so a slot that cannot is refused before it draws a sample (``FILLABLE``).
+A ``len = c`` output needs both inputs ``len = c``; a ``len != c`` output
+one ``len = c`` and one ``len != c`` input, in either order; a
+``char i = c`` output a first input ``char i = c``, or a first input
+``len = c`` and a second input ``char i = c``; ``char i != c`` outputs are
+never generated.  The rule is exact: ``top`` and ``char i != c`` admit
+every length, ``len != y`` all but y, ``char i = c`` every length above i
+and ``len = n`` only n, and the characters at unconstrained positions are
+free, so an equality output holds only where the inputs fix it; a
+counterfactual ``len !=`` row without a ``len !=`` input is refuted by its
+own sampled pair, and in the other refused pairs every valid row has the
+``len !=`` constant 0, which keeps that column zero.  ``generate_examples``
+gives the cases.
+
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
 value, so the table is read for concat alone.  It reads the table's
@@ -324,6 +339,15 @@ def _rotated(items: list, cap: int, turn: int) -> list:
     return [items[(turn + t * step) % n] for t in range(cap)]
 
 
+# The input template pairs from which each output template can reach full
+# rank; every other slot is refused before sampling (see ``generate_examples``).
+FILLABLE: dict[TemplateKind, frozenset[tuple[TemplateKind, TemplateKind]]] = {
+    LEN_EQ: frozenset({(LEN_EQ, LEN_EQ)}),
+    LEN_NEQ: frozenset({(LEN_EQ, LEN_NEQ), (LEN_NEQ, LEN_EQ)}),
+    CHAR_EQ: frozenset({(CHAR_EQ, k) for k in TemplateKind} | {(LEN_EQ, CHAR_EQ)}),
+}
+
+
 def generate_examples(
     chi0: TemplateKind,
     chis: tuple[TemplateKind, ...],
@@ -331,8 +355,8 @@ def generate_examples(
     pool: ConstantPool,
 ) -> ExampleSet:
     """Sample valid concrete concat rows until the input matrix has full
-    column rank.  Raises InsufficientRank when sampling stalls or the budget
-    is exhausted.
+    column rank.  Raises InsufficientRank when the slot is refused, sampling
+    stalls or the budget is exhausted.
 
     Each valid row is reduced against an echelon basis of the rows kept so
     far (``_reduce``), so the rank grows by one reduction per row.
@@ -341,19 +365,38 @@ def generate_examples(
     the sampled values.  Rows for the length-inequality output are generated
     by a counterfactual pairing: the forbidden output length is the one the
     inputs' forbidden values would have produced, the forbidden length of a
-    ``len !=`` input and the length of any other.  Character-inequality
-    outputs yield no rows.
+    ``len !=`` input and the length of any other.
+
+    A slot that cannot reach full rank is refused before any draw
+    (``FILLABLE``): a ``len = c`` output needs both inputs ``len = c``; a
+    ``len != c`` output needs one ``len = c`` and one ``len != c`` input, in
+    either order; a ``char i = c`` output needs a first input
+    ``char i = c``, or a first input ``len = c`` and a second input
+    ``char i = c``; a ``char i != c`` output is never generated.
+
+    The rule is exact.  ``top`` and ``char i != c`` admit every length,
+    ``len != y`` every length but y, ``char i = c`` every length above i,
+    and ``len = n`` only n; the characters at unconstrained positions are
+    free, as ``row_valid`` assumes an unbounded alphabet.  So an equality
+    output is valid only where the inputs fix it: its length only when both
+    lengths are fixed, its character only when the first input pins it or
+    the first length is fixed and the second input pins it.  A ``len !=``
+    row built by the counterfactual pairing is never valid without a
+    ``len !=`` input, since the sampled pair is itself a counterexample.
+    In the other refused pairs every valid row has the ``len !=`` constant
+    0, so that column stays zero and the rank below full.  A refused slot
+    thus always ended in InsufficientRank, and as each slot draws from its
+    own child oracle, skipping its draws changes no other slot.
     """
+    if chis not in FILLABLE.get(chi0, ()):
+        inputs = ",".join(map(template_to_text, chis))
+        raise InsufficientRank(f"{inputs} -> {template_to_text(chi0)} cannot reach full rank")
     examples = ExampleSet(chis, chi0)
     seen_rows: set = set()
     n_cols = examples.n_constants + 1
     basis: dict[int, list[int]] = {}
     stall = 0
     neq_output = chi0 is LEN_NEQ
-    if chi0 is CHAR_NEQ:
-        raise InsufficientRank("character-inequality outputs are not generated")
-    if neq_output and not any(t in (LEN_NEQ, CHAR_NEQ) for t in chis):
-        raise InsufficientRank("no inequality inputs to pair against")
 
     for turn in range(MAX_SAMPLES):
         if len(basis) >= n_cols:

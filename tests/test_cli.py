@@ -394,6 +394,30 @@ class TestExitCodes:
         assert f"refuted transformer {text}" in err
         assert "Traceback" not in err
 
+    def test_bundle_entry_outside_its_templates_format_error(self, tmp_path, capsys):
+        # A sound entry that can never fire: no state of an all-top domain has a character fact.
+        pin = [[[1, 1], [0, 1], [0, 1], [0, 1], [0, 1]], [[0, 1], [1, 1], [0, 1], [0, 1], [0, 1]]]
+        entry = {
+            "op": "concat",
+            "inputs": ["(char i = c)", "(char i = c)"],
+            "outputs": [{"template": "(char i = c)", "matrix": pin}],
+        }
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"templates": ["top"], "transformers": [entry]}))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        err = capsys.readouterr().err
+        assert "(char i = c),(char i = c) names a template the bundle does not have" in err
+        assert "Traceback" not in err
+
+    def test_bundle_with_top_output_format_error(self, trained_dir, tmp_path, capsys):
+        def edit(entry):
+            entry["outputs"].append({"template": "top", "matrix": []})
+
+        assert synth_with_edited_entry(trained_dir, tmp_path, edit) == 4
+        err = capsys.readouterr().err
+        assert "(len = c),(len = c) has a top output" in err
+        assert "Traceback" not in err
+
     def test_train_without_tasks_usage_error(self, tmp_path):
         out = tmp_path / "o"
         assert main(["train", "-o", str(out)]) == 3

@@ -14,6 +14,7 @@ from atlas.domain import (
     TOP,
     TOP_PRED,
     TemplateKind,
+    abstract,
     char_eq,
     char_neq,
     gamma_contains,
@@ -23,6 +24,7 @@ from atlas.domain import (
 )
 from atlas.synthesizer import apply_transformer
 from atlas.transformers import (
+    FILLABLE,
     ExampleSet,
     InsufficientRank,
     SamplingOracle,
@@ -40,6 +42,7 @@ from atlas.transformers import (
 
 from conftest import table_outputs, with_outputs, with_top_copies
 from oracles import as_matrix, full_rank
+import test_golden_slots
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
 
@@ -182,6 +185,24 @@ class TestGenerateExamples:
         with pytest.raises(InsufficientRank):
             generate_examples(LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
 
+    def test_admitted_slot_stalls(self):
+        # Every draw is "", so the rows of (len =, len =) -> len = stay at rank 1.
+        empty = oracle()
+        empty.draw_string = lambda: ""
+        with pytest.raises(InsufficientRank, match="no rank progress after 25 samples"):
+            generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), empty, POOL)
+
+    @pytest.mark.parametrize("chi0", list(TemplateKind), ids=lambda k: k.value)
+    def test_refused_slot_draws_nothing(self, chi0):
+        for chis in product(TemplateKind, repeat=2):
+            if chis in FILLABLE.get(chi0, ()):
+                continue
+            source = oracle()
+            state = source.rng.getstate()
+            with pytest.raises(InsufficientRank, match="cannot reach full rank"):
+                generate_examples(chi0, chis, source, POOL)
+            assert source.rng.getstate() == state
+
     def test_rows_are_sound_instances(self):
         # Every generated row holds of every pair of small strings its inputs admit.
         strings = small_strings()
@@ -194,6 +215,42 @@ class TestGenerateExamples:
                         assert gamma_contains(p0, a + b)
                         checked += 1
             assert checked > 0
+
+
+def all_rows(chis, chi0, strings, pool):
+    """The valid rows ``generate_examples`` would build from every pair of
+    ``strings``, with every abstraction of each value instead of a rotated
+    cap of them."""
+    rows = set()
+    for a, b in product(strings, repeat=2):
+        for sel in product(abstract(a, chis[0], pool), abstract(b, chis[1], pool)):
+            if chi0 is LEN_NEQ:
+                outputs = [len_neq(sum(p.args[0] if p.kind is LEN_NEQ else len(s) for s, p in zip((a, b), sel)))]
+            else:
+                outputs = abstract(a + b, chi0, pool)
+            rows.update((sel, p0) for p0 in outputs if row_valid(sel, p0))
+    return rows
+
+
+class TestFillable:
+    def test_rule_is_exact_on_small_strings(self):
+        """For every output that is generated, the rows from every pair of
+        strings of length <= 3 over "ab" reach full rank exactly when
+        ``FILLABLE`` admits the slot."""
+        strings = small_strings(max_len=3, alphabet="ab")
+        pool = ConstantPool(tuple(range(5)), tuple(range(3)), (ord("a"), ord("b")))
+        mismatches = []
+        for chi0 in (LEN_EQ, LEN_NEQ, CHAR_EQ):
+            for chis in product(TemplateKind, repeat=2):
+                ex = ExampleSet(chis, chi0, sorted(all_rows(chis, chi0, strings, pool)))
+                if full_rank(ex) != (chis in FILLABLE[chi0]):
+                    mismatches.append((chis, chi0))
+        assert mismatches == []
+
+    def test_admits_exactly_the_learned_slots(self):
+        learned = {slot for slot, output in test_golden_slots.slot_map(0).items() if output is not None}
+        admitted = {f"concat|{k1.value},{k2.value}|{chi0.value}" for chi0, pairs in FILLABLE.items() for k1, k2 in pairs}
+        assert len(admitted) == 9 and admitted == learned
 
 
 class TestRowValid:
