@@ -123,12 +123,18 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
         raise CliError(f"{path}: {exc}") from exc
     try:
         templates = [template_from_text(t) for t in obj["templates"]]
+        for i, t in enumerate(templates):
+            if t in templates[:i]:
+                raise ValueError(f"template {template_to_text(t)} is listed twice")
         # Each entry is checked before the empty ones are dropped: older
         # bundles hold an entry for every pair of templates, and those
         # written before tables were normalized hold redundant outputs.
         entries = [transformer_from_obj(t) for t in obj["transformers"]]
         known = {TOP, *templates}
-        for t in entries:
+        for i, t in enumerate(entries):
+            # A later entry for the same inputs would replace the earlier.
+            if any(e.inputs == t.inputs for e in entries[:i]):
+                raise ValueError(f"transformer {_inputs_text(t)} is listed twice")
             outputs = [chi for chi, _ in t.outputs]
             # The synthesizer abstracts leaves with the bundle's templates,
             # so an entry that reads or derives another template is not of

@@ -3,32 +3,23 @@
 For every tuple of input predicate templates, we sample concrete runs of
 concat, abstract the sampled values into concrete predicate rows, keep the
 rows that are valid implications, solve the linear system relating input
-constants to output constants exactly over the rationals, and keep a
-solution only if it is integral and survives the validity check.  Both
-the row check and the validity check decide implications between
-predicates exactly, by a small-model counterexample search; no sampling
-is involved.  Learned matrices are tuples of integer rows.
+constants to output constants exactly, and keep a solution only if it is
+integral and survives the validity check.  Both the row check and the
+validity check decide implications between predicates exactly, by a
+small-model counterexample search; no sampling is involved.  Learned
+matrices are tuples of integer rows.
 
 The linear algebra is on integer rows, with one fraction-free reduction
-(``_reduce``).  Sampling reduces each valid row against an echelon basis
-of the slot's rows so far, so the rank grows by one reduction per row and
-sampling stops at full rank; ``solve_linear`` folds the rows of the system
-the same way and uses fractions only to back-substitute.
+(``_reduce``).  Each slot has one echelon basis of its rows ``[A | B]``
+(input constants plus 1, then output constants), with pivots on A's
+columns.  Sampling reduces each valid row into it once, and stops at full
+rank or at a row that contradicts the basis; ``solve_linear`` then
+back-substitutes in the basis, in integers, and finds no integral map
+when a division is not exact.
 
 Whether a slot can reach full rank depends on its three templates alone,
-so a slot that cannot is refused before it draws a sample (``FILLABLE``).
-A ``len = c`` output needs both inputs ``len = c``; a ``len != c`` output
-one ``len = c`` and one ``len != c`` input, in either order; a
-``char i = c`` output a first input ``char i = c``, or a first input
-``len = c`` and a second input ``char i = c``; ``char i != c`` outputs are
-never generated.  The rule is exact: ``top`` and ``char i != c`` admit
-every length, ``len != y`` all but y, ``char i = c`` every length above i
-and ``len = n`` only n, and the characters at unconstrained positions are
-free, so an equality output holds only where the inputs fix it; a
-counterfactual ``len !=`` row without a ``len !=`` input is refuted by its
-own sampled pair, and in the other refused pairs every valid row has the
-``len !=`` constant 0, which keeps that column zero.  ``generate_examples``
-gives the cases.
+so a slot that cannot is refused before it draws a sample (``FILLABLE``);
+``generate_examples`` gives the rule and why it is exact.
 
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
@@ -61,9 +52,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
@@ -72,8 +62,10 @@ from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP, TOP_PRED, ConcreteP
 from .domain import abstract, len_neq, template_from_text, template_to_text
 
 
-class InsufficientRank(Exception):
-    """Sampling exhausted without the example matrix reaching full column rank."""
+class EmptySlot(Exception):
+    """Sampling leaves a slot without a full-rank consistent system: the slot
+    is refused, sampling stalls or runs out of budget, or a row contradicts
+    the others."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +108,25 @@ def column_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def solve_linear(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Optional[tuple[tuple[Fraction, ...], ...]]:
-    """Exact rational solution P with A P^T = B, or None if the system is inconsistent.
+def solve_linear(basis: dict[int, list[int]]) -> Optional[Matrix]:
+    """The integer P with A P^T = B, from a full-rank echelon basis of ``[A | B]``.
 
-    Underdetermined but consistent systems are solved with free variables
-    fixed to zero; callers that need a unique answer must ensure A has full
-    column rank first.
+    ``basis`` holds one row per column of A, keyed by its pivot, as
+    ``generate_examples`` returns it.  The solution is unique, so it is
+    None as soon as a back-substitution step does not divide exactly.
     """
-    if not a_rows:
-        return None
-    n_in = len(a_rows[0])
-    n_out = len(b_rows[0]) if b_rows else 0
-    # Fold the rows of [A | B] into an echelon basis on A's columns.
-    basis: dict[int, list[int]] = {}
-    for a, b in zip(a_rows, b_rows):
-        row, pivot = _reduce(basis, [*a, *b], n_in)
-        if pivot is not None:
-            basis[pivot] = row
-        elif any(row[n_in:]):
-            return None  # 0 = nonzero: inconsistent
-    # Back-substitute from the last pivot, with the free variables at 0.
-    solution = [[Fraction(0)] * n_in for _ in range(n_out)]
-    for c in sorted(basis, reverse=True):
-        row = basis[c]
-        for j, x in enumerate(solution):
-            x[c] = (row[n_in + j] - sum(row[k] * x[k] for k in range(c + 1, n_in))) / Fraction(row[c])
-    return tuple(tuple(x) for x in solution)
+    n = len(basis)
+    solution = []
+    for j in range(len(basis[0]) - n):
+        x = [0] * n
+        for c in range(n - 1, -1, -1):
+            row = basis[c]
+            q, r = divmod(row[n + j] - sum(row[k] * x[k] for k in range(c + 1, n)), row[c])
+            if r:
+                return None
+            x[c] = q
+        solution.append(tuple(x))
+    return tuple(solution)
 
 
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
@@ -161,14 +146,6 @@ def names_negative_index(kind: TemplateKind, args: tuple[int, ...]) -> bool:
     ``kind`` name a negative character index.  Such an output derives
     nothing, both in ``check_valid`` and in the synthesizer."""
     return kind in _INDEXED and args[0] < 0
-
-
-def instantiate_output(chi0: TemplateKind, args: tuple[int, ...]) -> Optional[ConcretePredicate]:
-    """``chi0`` filled with the constants an affine map predicted, or None
-    when they name a negative character index."""
-    if names_negative_index(chi0, args):
-        return None
-    return chi0.instantiate(args)
 
 
 # ---------------------------------------------------------------------------
@@ -237,34 +214,6 @@ OUTPUT_CAP = 4
 
 
 # ---------------------------------------------------------------------------
-# Example sets
-
-
-def _a_row(inputs: tuple[ConcretePredicate, ...]) -> list[int]:
-    """The row of input constants, plus 1, of an example with ``inputs``."""
-    return [v for p in inputs for v in p.args] + [1]
-
-
-@dataclass
-class ExampleSet:
-    """Rows of concrete transformer instances for one slot."""
-
-    input_templates: tuple[TemplateKind, ...]
-    output_template: TemplateKind
-    rows: list[tuple[tuple[ConcretePredicate, ...], ConcretePredicate]] = field(default_factory=list)
-
-    @property
-    def n_constants(self) -> int:
-        return sum(t.holes for t in self.input_templates)
-
-    def matrix_a(self) -> list[list[int]]:
-        return [_a_row(inputs) for inputs, _ in self.rows]
-
-    def matrix_b(self) -> list[list[int]]:
-        return [list(p0.args) for _, p0 in self.rows]
-
-
-# ---------------------------------------------------------------------------
 # Row validity.  ``P1(a) & P2(b) => Q(a + b)`` is decided exactly, by a
 # search for a counterexample.  Once the lengths of a and b are fixed, each
 # of P1, P2 and not-Q reduces to true, to false, or to one constraint on
@@ -330,6 +279,11 @@ def row_valid(inputs: tuple[ConcretePredicate, ConcretePredicate], output: Concr
 # Example generation
 
 
+def _a_row(inputs: tuple[ConcretePredicate, ...]) -> list[int]:
+    """The input constants of ``inputs``, plus 1: a row of A."""
+    return [v for p in inputs for v in p.args] + [1]
+
+
 def _rotated(items: list, cap: int, turn: int) -> list:
     """``cap`` of ``items``, evenly spaced from a start that moves with ``turn``."""
     n = len(items)
@@ -353,13 +307,17 @@ def generate_examples(
     chis: tuple[TemplateKind, ...],
     oracle: SamplingOracle,
     pool: ConstantPool,
-) -> ExampleSet:
-    """Sample valid concrete concat rows until the input matrix has full
-    column rank.  Raises InsufficientRank when the slot is refused, sampling
-    stalls or the budget is exhausted.
+) -> dict[int, list[int]]:
+    """Sample valid concrete concat rows until their input constants have
+    full column rank, and return the echelon basis of the rows for
+    ``solve_linear``.  Raises EmptySlot when the slot is refused, sampling
+    stalls or the budget is exhausted, or the system is inconsistent.
 
-    Each valid row is reduced against an echelon basis of the rows kept so
-    far (``_reduce``), so the rank grows by one reduction per row.
+    Each valid row, its row of A (``_a_row``) followed by the output's
+    constants, is reduced once against the basis (``_reduce``).  A row
+    with a pivot on A's columns joins it, so the rank grows by one
+    reduction per row.  A row that reduces to zero on A but not on B
+    contradicts the rows before it: no affine map fits them all.
 
     Rows for equality output templates pair the strongest abstractions of
     the sampled values.  Rows for the length-inequality output are generated
@@ -385,15 +343,14 @@ def generate_examples(
     ``len !=`` input, since the sampled pair is itself a counterexample.
     In the other refused pairs every valid row has the ``len !=`` constant
     0, so that column stays zero and the rank below full.  A refused slot
-    thus always ended in InsufficientRank, and as each slot draws from its
+    thus always ended in EmptySlot, and as each slot draws from its
     own child oracle, skipping its draws changes no other slot.
     """
     if chis not in FILLABLE.get(chi0, ()):
         inputs = ",".join(map(template_to_text, chis))
-        raise InsufficientRank(f"{inputs} -> {template_to_text(chi0)} cannot reach full rank")
-    examples = ExampleSet(chis, chi0)
+        raise EmptySlot(f"{inputs} -> {template_to_text(chi0)} cannot reach full rank")
     seen_rows: set = set()
-    n_cols = examples.n_constants + 1
+    n_cols = sum(t.holes for t in chis) + 1
     basis: dict[int, list[int]] = {}
     stall = 0
     neq_output = chi0 is LEN_NEQ
@@ -402,7 +359,7 @@ def generate_examples(
         if len(basis) >= n_cols:
             break
         if stall >= STALL_SAMPLES:
-            raise InsufficientRank(f"no rank progress after {stall} samples")
+            raise EmptySlot(f"no rank progress after {stall} samples")
         args = (oracle.draw_string(), oracle.draw_string())
         out_val = args[0] + args[1]
         input_choices = [_rotated(abstract(s, t, pool), INPUT_CAP, turn) for t, s in zip(chis, args)]
@@ -420,16 +377,17 @@ def generate_examples(
                 seen_rows.add(row)
                 if not row_valid(sel, p0):
                     continue
-                examples.rows.append(row)
-                reduced, pivot = _reduce(basis, _a_row(sel), n_cols)
+                reduced, pivot = _reduce(basis, [*_a_row(sel), *p0.args], n_cols)
                 if pivot is not None:
                     basis[pivot] = reduced
                     progressed = True
+                elif any(reduced[n_cols:]):
+                    raise EmptySlot("inconsistent system")
         stall = 0 if progressed else stall + 1
 
     if len(basis) < n_cols:
-        raise InsufficientRank(f"rank {len(basis)} < {n_cols} after sampling budget")
-    return examples
+        raise EmptySlot(f"rank {len(basis)} < {n_cols} after sampling budget")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +422,8 @@ def check_valid(
         else:
             per_arg.append([t.instantiate((i, c)) for i in values for c in _BOX_CHARS])
     for sel in product(*per_arg):
-        vec = [v for p in sel for v in p.args]
-        vec.append(1)
-        predicted = instantiate_output(chi0, apply_affine(p_matrix, vec))
-        if predicted is None or not row_valid(sel, predicted):
+        args = apply_affine(p_matrix, _a_row(sel))
+        if names_negative_index(chi0, args) or not row_valid(sel, chi0.instantiate(args)):
             return False
     return True
 
@@ -632,16 +588,12 @@ def learn_transformers(
 
 
 def _learn_slot(chi0, chis, oracle, pool, slot_id):
-    slot_oracle = oracle.child(slot_id)
     try:
-        examples = generate_examples(chi0, chis, slot_oracle, pool)
-    except InsufficientRank:
+        basis = generate_examples(chi0, chis, oracle.child(slot_id), pool)
+    except EmptySlot:
         return None
-    solution = solve_linear(examples.matrix_a(), examples.matrix_b())
-    if solution is None or any(f.denominator != 1 for row in solution for f in row):
-        return None
-    p_matrix = tuple(tuple(int(f) for f in row) for row in solution)
-    if not check_valid(chis, chi0, p_matrix):
+    p_matrix = solve_linear(basis)
+    if p_matrix is None or not check_valid(chis, chi0, p_matrix):
         return None
     return (chi0, p_matrix)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from atlas.domain import (
     BOTTOM,
@@ -25,7 +25,7 @@ from atlas.domain import (
 from atlas.dsl import AstNode, Op, Program, eval_node
 from atlas.interpolation import Annotation, TreeInterpolant, TreeItpProblem
 from atlas.synthesizer import SynthesisTask, apply_transformer, satisfies
-from atlas.transformers import ExampleSet, Matrix, TransformerTable, column_rank
+from atlas.transformers import Matrix, TransformerTable, _reduce, column_rank
 
 
 def is_correct(p: Program, task: SynthesisTask) -> bool:
@@ -93,8 +93,20 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(operator.index(x) for x in row) for row in rows)
 
 
-def full_rank(examples: ExampleSet) -> bool:
-    return column_rank(examples.matrix_a()) == examples.n_constants + 1
+def fold(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> dict[int, list[int]]:
+    """The echelon basis of the rows of ``[A | B]``, with pivots on A's
+    columns, as ``generate_examples`` builds it for ``solve_linear``."""
+    basis: dict[int, list[int]] = {}
+    for row_a, row_b in zip(a, b):
+        row, pivot = _reduce(basis, [*row_a, *row_b], len(row_a))
+        if pivot is not None:
+            basis[pivot] = row
+    return basis
+
+
+def full_rank(rows: Iterable[Sequence[int]], n_cols: int) -> bool:
+    """Whether the first ``n_cols`` columns of the integer ``rows`` have full column rank."""
+    return column_rank([row[:n_cols] for row in rows]) == n_cols
 
 
 # ---------------------------------------------------------------------------

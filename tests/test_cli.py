@@ -418,6 +418,40 @@ class TestExitCodes:
         assert "(len = c),(len = c) has a top output" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["copy", "empty-copy"])
+    def test_bundle_with_duplicate_entry_format_error(self, trained_dir, tmp_path, capsys, empty):
+        # Loaded last, an empty copy would delete the sound entry before it.
+        obj = read(trained_dir / "bundle.json")
+        entry = next(t for t in obj["transformers"] if t["inputs"] == ["(len = c)", "(len = c)"])
+        obj["transformers"].append(dict(entry, outputs=[]) if empty else entry)
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps(obj))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        err = capsys.readouterr().err
+        assert "malformed bundle (transformer (len = c),(len = c) is listed twice)" in err
+        assert "Traceback" not in err
+
+    def test_bundle_with_repeated_template_format_error(self, trained_dir, tmp_path, capsys):
+        obj = read(trained_dir / "bundle.json")
+        obj["templates"].append("(len = c)")
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps(obj))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        err = capsys.readouterr().err
+        assert "malformed bundle (template (len = c) is listed twice)" in err
+        assert "Traceback" not in err
+
+    def test_infeasible_training_task_diagnostic_exit(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        task = tmp_path / "far.json"
+        task.write_text(json.dumps({"name": "far", "examples": [{"input": "abc", "output": "qwertyuiopzz"}]}))
+        out = tmp_path / "o"
+        # No program of size 1 maps "abc" to the output, so training reports it.
+        assert main(["train", str(task), "-o", str(out), "--max-size", "1"]) == 2
+        report = read(out / "report.json")
+        jsonschema.validate(report, schema("training_report"))
+        assert [p["diagnostic"] for p in report["problems"]] == ["InfeasibleProblem"]
+
     def test_train_without_tasks_usage_error(self, tmp_path):
         out = tmp_path / "o"
         assert main(["train", "-o", str(out)]) == 3

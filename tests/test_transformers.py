@@ -1,8 +1,7 @@
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from atlas.cli import bundle_obj, canonical_json, load_bundle
 from atlas.domain import (
@@ -22,11 +21,11 @@ from atlas.domain import (
     len_neq,
     template_to_text,
 )
+from atlas import transformers
 from atlas.synthesizer import apply_transformer
 from atlas.transformers import (
     FILLABLE,
-    ExampleSet,
-    InsufficientRank,
+    EmptySlot,
     SamplingOracle,
     Transformer,
     TransformerTable,
@@ -41,7 +40,7 @@ from atlas.transformers import (
 )
 
 from conftest import table_outputs, with_outputs, with_top_copies
-from oracles import as_matrix, full_rank
+from oracles import as_matrix, fold, full_rank
 import test_golden_slots
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
@@ -78,6 +77,17 @@ def int_systems(draw):
     return matrix(n), matrix(k)
 
 
+@st.composite
+def square_systems(draw):
+    """A small square integer system (A, B)."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+
+    def matrix(cols):
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=n, max_size=n))
+
+    return matrix(n), matrix(k)
+
+
 def det(m):
     if len(m) == 1:
         return m[0][0]
@@ -94,38 +104,58 @@ def rank_by_minors(m) -> int:
     return 0
 
 
+def cramer(a, b):
+    """Independent oracle: the integral solution of the square system
+    (A, B) with det A != 0 by Cramer's rule, or None if it is not integral."""
+    d = det(a)
+    solution = []
+    for j in range(len(b[0])):
+        x = []
+        for i in range(len(a)):
+            q, r = divmod(det([[*row[:i], rb[j], *row[i + 1 :]] for row, rb in zip(a, b)]), d)
+            if r:
+                return None
+            x.append(q)
+        solution.append(tuple(x))
+    return tuple(solution)
+
+
+def satisfies_map(basis, p) -> bool:
+    """Whether every row ``[a | b]`` of ``basis`` has b = P a."""
+    n = len(p[0])
+    return all([sum(x * y for x, y in zip(row, p_row)) for p_row in p] == row[n:] for row in basis.values())
+
+
 class TestSolveLinear:
     def test_worked_system(self):
-        p = solve_linear(as_matrix([[3, 2, 1], [1, 4, 1], [6, 4, 1]]), as_matrix([[5], [5], [10]]))
-        assert p == ((Fraction(1), Fraction(1), Fraction(0)),)
+        p = solve_linear(fold([[3, 2, 1], [1, 4, 1], [6, 4, 1]], [[5], [5], [10]]))
+        assert p == ((1, 1, 0),)
 
-    def test_inconsistent_is_null(self):
-        assert solve_linear(as_matrix([[1]]), as_matrix([[2]])) is not None
-        assert solve_linear(as_matrix([[1], [1]]), as_matrix([[2], [3]])) is None
+    def test_non_integral_is_null(self):
+        assert solve_linear(fold([[1]], [[2]])) == ((2,),)
+        assert solve_linear(fold([[2]], [[3]])) is None
 
     def test_constant_function(self):
-        p = solve_linear(as_matrix([[0, 1]]), as_matrix([[7]]))
-        assert p == ((Fraction(0), Fraction(7)),)
+        p = solve_linear(fold([[0, 1], [1, 1]], [[7], [7]]))
+        assert p == ((0, 7),)
 
     def test_exactness_no_rounding(self):
-        a = as_matrix([[2, 1], [5, 1]])
-        b = as_matrix([[1], [2]])
-        p = solve_linear(a, b)
-        for row_a, row_b in zip(a, b):
-            assert sum(x * y for x, y in zip(row_a, p[0])) == row_b[0]
+        # x = (1/3, 1/3) is not rounded to an integer map ...
+        assert solve_linear(fold([[2, 1], [5, 1]], [[1], [2]])) is None
+        # ... while the same A with an integral solution is solved exactly.
+        assert solve_linear(fold([[2, 1], [5, 1]], [[3], [6]])) == ((1, 1),)
 
     @given(
-        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
         st.integers(-5, 5),
         st.integers(-5, 5),
     )
-    def test_recovers_planted_affine_map(self, points, m, c):
-        a = as_matrix([[x, 1] for x, _ in points])
-        b = as_matrix([[m * x + c] for x, _ in points])
-        p = solve_linear(a, b)
-        assert p is not None
-        for row_a, row_b in zip(a, b):
-            assert sum(x * y for x, y in zip(row_a, p[0])) == row_b[0]
+    def test_recovers_planted_affine_map(self, xs, m, c):
+        basis = fold([[x, 1] for x in xs], [[m * x + c] for x in xs])
+        if len(set(xs)) < 2:
+            assert len(basis) == 1
+        else:
+            assert len(basis) == 2 and solve_linear(basis) == ((m, c),)
 
     def test_column_rank(self):
         assert column_rank(as_matrix([[3, 2, 1], [1, 4, 1], [6, 4, 1]])) == 3
@@ -136,18 +166,14 @@ class TestSolveLinear:
         a, _ = system
         assert column_rank(a) == rank_by_minors(a)
 
-    @given(int_systems())
-    def test_solve_linear_iff_consistent(self, system):
+    @given(square_systems())
+    def test_solve_linear_matches_cramer(self, system):
         a, b = system
-        p = solve_linear(a, b)
-        augmented = [row_a + row_b for row_a, row_b in zip(a, b)]
-        if rank_by_minors(a) < rank_by_minors(augmented):  # Rouche-Capelli: inconsistent
-            assert p is None
-        else:
-            assert p is not None
-            for row_a, row_b in zip(a, b):
-                assert [sum(x * y for x, y in zip(row_a, row_p)) for row_p in p] == row_b
-
+        assume(det(a) != 0)
+        p = solve_linear(fold(a, b))
+        assert p == cramer(a, b)
+        if p is not None:
+            assert [[sum(x * y for x, y in zip(row_a, row_p)) for row_p in p] for row_a in a] == b
 
 
 class TestSamplingOracle:
@@ -168,29 +194,49 @@ class TestSamplingOracle:
             assert len(s) <= 12 and set(s) <= set(a.alphabet)
 
 
+def kept_rows(monkeypatch) -> list:
+    """The rows that ``row_valid`` accepts from now on, in order."""
+    kept = []
+
+    def recording(inputs, output):
+        valid = row_valid(inputs, output)
+        if valid:
+            kept.append((inputs, output))
+        return valid
+
+    monkeypatch.setattr(transformers, "row_valid", recording)
+    return kept
+
+
 class TestGenerateExamples:
     def test_concat_length_rows(self):
-        ex = generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
-        assert full_rank(ex)
-        for (p1, p2), p0 in ex.rows:
-            assert p0.args[0] == p1.args[0] + p2.args[0]
+        basis = generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
+        assert full_rank(basis.values(), 3)
+        assert satisfies_map(basis, [[1, 1, 0]])
 
     def test_counterfactual_rows_reach_full_rank(self):
-        ex = generate_examples(LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
-        assert full_rank(ex)
-        for (p1, p2), p0 in ex.rows:
-            assert p0.args[0] == p1.args[0] + p2.args[0]
+        basis = generate_examples(LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
+        assert full_rank(basis.values(), 3)
+        assert satisfies_map(basis, [[1, 1, 0]])
 
     def test_no_affine_function_insufficient_rank(self):
-        with pytest.raises(InsufficientRank):
+        with pytest.raises(EmptySlot):
             generate_examples(LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
 
     def test_admitted_slot_stalls(self):
         # Every draw is "", so the rows of (len =, len =) -> len = stay at rank 1.
         empty = oracle()
         empty.draw_string = lambda: ""
-        with pytest.raises(InsufficientRank, match="no rank progress after 25 samples"):
+        with pytest.raises(EmptySlot, match="no rank progress after 25 samples"):
             generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), empty, POOL)
+
+    def test_inconsistent_system_ends_the_slot(self, monkeypatch):
+        # With every row accepted, (char i = c),(top) -> char i = c also
+        # keeps rows whose output character is not the first input's, and
+        # no affine map fits them all.
+        monkeypatch.setattr(transformers, "row_valid", lambda inputs, output: True)
+        with pytest.raises(EmptySlot, match="inconsistent system"):
+            generate_examples(CHAR_EQ, (CHAR_EQ, TOP), oracle(), POOL)
 
     @pytest.mark.parametrize("chi0", list(TemplateKind), ids=lambda k: k.value)
     def test_refused_slot_draws_nothing(self, chi0):
@@ -199,17 +245,20 @@ class TestGenerateExamples:
                 continue
             source = oracle()
             state = source.rng.getstate()
-            with pytest.raises(InsufficientRank, match="cannot reach full rank"):
+            with pytest.raises(EmptySlot, match="cannot reach full rank"):
                 generate_examples(chi0, chis, source, POOL)
             assert source.rng.getstate() == state
 
-    def test_rows_are_sound_instances(self):
-        # Every generated row holds of every pair of small strings its inputs admit.
+    def test_rows_are_sound_instances(self, monkeypatch):
+        # Every row kept holds of every pair of small strings its inputs admit.
         strings = small_strings()
+        kept = kept_rows(monkeypatch)
         for chi0, chis in [(LEN_EQ, (LEN_EQ, LEN_EQ)), (LEN_NEQ, (LEN_EQ, LEN_NEQ)), (LEN_NEQ, (LEN_NEQ, LEN_EQ))]:
-            ex = generate_examples(chi0, chis, oracle(), POOL)
+            kept.clear()
+            generate_examples(chi0, chis, oracle(), POOL)
             checked = 0
-            for (p1, p2), p0 in ex.rows:
+            for (p1, p2), p0 in kept:
+                assert (p1.kind, p2.kind, p0.kind) == (*chis, chi0)
                 for a, b in product(strings, repeat=2):
                     if gamma_contains(p1, a) and gamma_contains(p2, b):
                         assert gamma_contains(p0, a + b)
@@ -242,8 +291,8 @@ class TestFillable:
         mismatches = []
         for chi0 in (LEN_EQ, LEN_NEQ, CHAR_EQ):
             for chis in product(TemplateKind, repeat=2):
-                ex = ExampleSet(chis, chi0, sorted(all_rows(chis, chi0, strings, pool)))
-                if full_rank(ex) != (chis in FILLABLE[chi0]):
+                rows = [[*p1.args, *p2.args, 1] for (p1, p2), _ in all_rows(chis, chi0, strings, pool)]
+                if full_rank(rows, sum(t.holes for t in chis) + 1) != (chis in FILLABLE[chi0]):
                     mismatches.append((chis, chi0))
         assert mismatches == []
 
@@ -452,12 +501,3 @@ class TestSerialization:
         t = table_a1.lookup((LEN_EQ, LEN_EQ))
         obj = transformer_to_obj(t)
         assert obj["outputs"][0]["matrix"] == [[[1, 1], [1, 1], [0, 1]]]
-
-
-class TestExampleSetMatrices:
-    def test_shapes(self):
-        ex = ExampleSet((LEN_EQ, LEN_EQ), LEN_EQ)
-        ex.rows.append(((len_eq(3), len_eq(2)), len_eq(5)))
-        assert ex.matrix_a() == [[Fraction(3), Fraction(2), Fraction(1)]]
-        assert ex.matrix_b() == [[Fraction(5)]]
-        assert ex.n_constants == 2
