@@ -19,7 +19,7 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import Transformer, TransformerTable, check_valid, transformer_from_obj, transformer_to_obj
+from .transformers import TransformerTable, check_valid, inputs_text, json_array, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -111,38 +111,31 @@ def bundle_obj(templates, table: TransformerTable, seed: int, task_names: list[s
     }
 
 
-def _inputs_text(t: Transformer) -> str:
-    """The input templates of ``t``, as ``(len = c),(char i = c)``."""
-    return ",".join(map(template_to_text, t.inputs))
-
-
 def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     try:
-        templates = [template_from_text(t) for t in obj["templates"]]
+        templates = [template_from_text(t) for t in json_array(obj["templates"], "templates")]
         for i, t in enumerate(templates):
             if t in templates[:i]:
                 raise ValueError(f"template {template_to_text(t)} is listed twice")
         # Each entry is checked before the empty ones are dropped: older
         # bundles hold an entry for every pair of templates, and those
         # written before tables were normalized hold redundant outputs.
-        entries = [transformer_from_obj(t) for t in obj["transformers"]]
+        entries = [transformer_from_obj(t) for t in json_array(obj["transformers"], "transformers")]
         known = {TOP, *templates}
-        for i, t in enumerate(entries):
-            # A later entry for the same inputs would replace the earlier.
-            if any(e.inputs == t.inputs for e in entries[:i]):
-                raise ValueError(f"transformer {_inputs_text(t)} is listed twice")
+        for t in entries:
             outputs = [chi for chi, _ in t.outputs]
             # The synthesizer abstracts leaves with the bundle's templates,
             # so an entry that reads or derives another template is not of
             # its domain; a top output derives nothing.
             if not known.issuperset([*t.inputs, *outputs]):
-                raise ValueError(f"transformer {_inputs_text(t)} names a template the bundle does not have")
+                raise ValueError(f"transformer {inputs_text(t.inputs)} names a template the bundle does not have")
             if TOP in outputs:
-                raise ValueError(f"transformer {_inputs_text(t)} has a top output")
+                raise ValueError(f"transformer {inputs_text(t.inputs)} has a top output")
+        # The table rejects a second entry for the same inputs.
         table = TransformerTable(entries).normalized()
         provenance = obj.get("provenance", {})
         training_tasks = provenance.get("training_tasks", [])
@@ -154,7 +147,7 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
     for t in table.all():
         for chi, matrix in t.outputs:
             if not check_valid(t.inputs, chi, matrix):
-                inputs = _inputs_text(t)
+                inputs = inputs_text(t.inputs)
                 rows = [list(row) for row in matrix]
                 raise CliError(f"{path}: refuted transformer {inputs} -> {template_to_text(chi)} with matrix {rows}")
     return templates, table, provenance
@@ -168,7 +161,6 @@ def run_log_entry(name: str, result, program_text: Optional[str]) -> dict:
         "deduped": result.deduped,
         "result_program": program_text,
         "correct": bool(result.correct) if result.program is not None else False,
-        "wall_ms": result.wall_ms,
         "wall_us": result.wall_us,
     }
 
@@ -336,7 +328,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_itp(args) -> int:
-    name, task = load_task(Path(args.task), args.max_size, args.max_candidates, None)
+    # Only the examples are read; no search runs, so the bounds are the defaults.
+    _, task = load_task(Path(args.task), SynthesisTask.max_ast_size, SynthesisTask.max_candidates, None)
     try:
         program = parse_program(args.program)
     except ParseError as exc:
@@ -402,7 +395,6 @@ def build_parser() -> _Parser:
     p_dump = sub.add_parser("dump-itp", help="dump the interpolation tree for a spurious program")
     p_dump.add_argument("task")
     p_dump.add_argument("--program", required=True)
-    common(p_dump)
     p_dump.set_defaults(fn=cmd_dump_itp)
 
     return parser

@@ -11,11 +11,11 @@ whose concretization is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, starmap
-from typing import Iterable, Union
+from typing import Collection, Iterable, Union
 
 
 class TemplateKind(str, Enum):
@@ -104,9 +104,15 @@ BOTTOM = _Bottom()
 
 @dataclass(frozen=True)
 class AbstractValue:
-    """Conjunction of concrete predicates; the empty conjunction is top."""
+    """Conjunction of concrete predicates; the empty conjunction is top.
 
-    conjuncts: frozenset[ConcretePredicate] = frozenset()
+    Made by ``of_groups`` (or ``of``) only.  ``by_kind`` holds the args of
+    the conjuncts grouped by template kind, with ``TOP: [()]``, for every
+    reader of a value's structure; equality and hashing read ``conjuncts``.
+    """
+
+    conjuncts: frozenset[ConcretePredicate]
+    by_kind: dict[TemplateKind, list[tuple[int, ...]]] = field(compare=False, hash=False, repr=False)
 
     @staticmethod
     def top() -> "AbstractValue":
@@ -121,36 +127,19 @@ class AbstractValue:
         return AbstractValue.of_groups(groups)
 
     @staticmethod
-    def of_groups(groups: dict[TemplateKind, set[tuple[int, ...]]]) -> Union["AbstractValue", _Bottom]:
-        """The conjunction of the facts given as their args grouped by kind,
-        or bottom on direct contradiction; a ``top`` group adds nothing.
-
-        The conjuncts are the interned predicates (``len_eq`` and the rest),
-        and ``by_kind`` is seeded from the groups, so a derived state is
-        grouped once, when it is made.
-        """
+    def of_groups(groups: dict[TemplateKind, Collection[tuple[int, ...]]]) -> Union["AbstractValue", _Bottom]:
+        """The conjunction of the facts given as their distinct args grouped
+        by kind, or bottom on direct contradiction; a ``top`` group adds
+        nothing.  The conjuncts are the interned predicates (``len_eq`` and
+        the rest), and ``by_kind`` is the groups themselves."""
         groups = {k: list(args) for k, args in groups.items() if args and k is not TOP}
         if not groups:
             return _TOP_VALUE
         if _contradicts(groups):
             return BOTTOM
-        value = AbstractValue(frozenset(chain.from_iterable(starmap(_INTERNED[k], args) for k, args in groups.items())))
+        conjuncts = frozenset(chain.from_iterable(starmap(_INTERNED[k], args) for k, args in groups.items()))
         groups[TOP] = [()]
-        value.__dict__["by_kind"] = groups  # where the cached property keeps its value
-        return value
-
-    @cached_property
-    def by_kind(self) -> dict[TemplateKind, list[tuple[int, ...]]]:
-        """The args of the conjuncts grouped by template kind, with ``TOP: [()]``.
-
-        Built once per value (``of_groups`` seeds it); every reader of a
-        value's structure uses it.
-        """
-        groups: dict[TemplateKind, list[tuple[int, ...]]] = {TOP: [()]}
-        for p in self.conjuncts:
-            if p.kind is not TOP:
-                groups.setdefault(p.kind, []).append(p.args)
-        return groups
+        return AbstractValue(conjuncts, groups)
 
     def sorted_conjuncts(self) -> list[ConcretePredicate]:
         return sorted(self.conjuncts)
@@ -161,7 +150,7 @@ class AbstractValue:
         return " & ".join(str(p) for p in self.sorted_conjuncts())
 
 
-_TOP_VALUE = AbstractValue()
+_TOP_VALUE = AbstractValue(frozenset(), {TOP: [()]})
 
 StateLike = Union[AbstractValue, _Bottom]
 
@@ -248,7 +237,7 @@ def abstract(s: str, t: TemplateKind, pool: ConstantPool) -> list[ConcretePredic
 _IMPLIED_BY = {LEN_NEQ: LEN_EQ, CHAR_NEQ: CHAR_EQ}
 
 
-def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPool) -> AbstractValue:
+def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPool) -> StateLike:
     """Strongest conjunction expressible with the given templates that holds of ``s``, reduced.
 
     An inequality template contributes no facts when the matching equality
@@ -257,15 +246,15 @@ def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPo
     concatenation of reduced leaves gets a sound state, no stronger than the
     one from full leaves, since fewer conjuncts give fewer selections to map;
     under the tables training learns it has the same concretization (see
-    ``transformers``).
+    ``transformers``).  Every fact holds of ``s``, so it is never bottom.
     """
     templates = sorted(templates)
-    preds = []
+    groups = {}
     for t in templates:
         if t is TOP or _IMPLIED_BY.get(t) in templates:
             continue
-        preds.extend(abstract(s, t, pool))
-    return AbstractValue(frozenset(preds))
+        groups[t] = [p.args for p in abstract(s, t, pool)]
+    return AbstractValue.of_groups(groups)
 
 
 # ---------------------------------------------------------------------------

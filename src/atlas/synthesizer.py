@@ -45,18 +45,14 @@ is made gives the same programs, but its peak RSS is past the benchmark's
 10 % bound (about 30 % on training at seed 0).
 
 What is computed afresh is kept cheap instead of memoized per pair of
-states.  ``apply_transformer`` reads the table's compiled rules (one per
-entry with outputs), maps the selected args inline and hands the derived
-args, grouped by kind, to ``AbstractValue.of_groups``, which checks them
-for contradiction and seeds the new state's ``by_kind``.
+states.  ``apply_transformer`` reads the table's entries, maps the
+selected args inline and hands the derived args, grouped by kind, to
+``AbstractValue.of_groups``, the one constructor of a state, which checks
+them for contradiction and keeps the groups as the state's ``by_kind``.
 ``state_embeds`` tests one substring length per offset, the smallest the
-state admits (see its docstring).  Under the seed-0 bundle the 15 eval
-tasks make 2,544 ``apply_transformer`` and 1,115 ``best_abstraction``
-calls; deriving every candidate's whole vector as it is made, duplicates
-included, would make 4,402 and 1,375.  A memo keyed by the pair of child
-states would save only the repeated pairs (the 2,544 calls are on 2,335
-distinct per-task pairs), and it raised peak RSS on training at seed 0
-from 22.7 to 26.0 MB, past the 10 % bound.  The three functions the
+state admits (see its docstring).  A memo keyed by the pair of child
+states would save only the repeated pairs, and it raised peak RSS on
+training past the benchmark's 10 % bound.  The three functions the
 verdicts and states come from, ``apply_transformer``, ``state_embeds`` and
 ``gamma_contains``, are called through this module's globals, so that a
 tracer which replaces them by name sees every call.
@@ -133,27 +129,26 @@ def satisfies(p: Program, example: tuple[str, str]) -> bool:
 def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, StateLike]) -> StateLike:
     """Best state of the concatenation of two values with the given states.
 
-    Each compiled rule of the table (``TransformerTable.rules``, one per
-    entry with outputs) applies when both states have conjuncts of its
-    input kinds; top is always present.  Every selection of one conjunct
-    of each kind is mapped through the rule's output matrices, inline; an
-    argument whose constants no output reads contributes one
-    representative conjunct, and an output that names a negative character
-    index derives nothing.  The derived args are collected per kind and
-    met by ``AbstractValue.of_groups``; nothing derived gives top.
+    Each entry of the table (``TransformerTable.entries``) applies when both states have conjuncts of its input kinds; top is
+    always present.  Every selection of one conjunct of each kind is mapped
+    through the entry's output matrices, inline, and an output that names a
+    negative character index derives nothing.  The derived args are
+    collected per kind and met by ``AbstractValue.of_groups``; nothing
+    derived gives top.
     """
     left, right = arg_states
     if left is BOTTOM or right is BOTTOM:
         return BOTTOM
     left_groups, right_groups = left.by_kind, right.by_kind
     derived: dict[TemplateKind, set[tuple[int, ...]]] = {}
-    for k1, k2, used1, used2, outputs in table.rules:
+    for (k1, k2), entry in table.entries.items():
         args1 = left_groups.get(k1)
         args2 = right_groups.get(k2)
         if args1 is None or args2 is None:
             continue
-        for a1 in args1 if used1 else args1[:1]:
-            for a2 in args2 if used2 else args2[:1]:
+        outputs = entry.outputs
+        for a1 in args1:
+            for a2 in args2:
                 vec = (*a1, *a2, 1)
                 for kind, matrix in outputs:
                     args = tuple([sum(map(mul, row, vec)) for row in matrix])
@@ -249,7 +244,6 @@ class SynthResult:
     pruned_abstract: int = 0
     deduped: int = 0
     reason: str = "found"
-    wall_ms: int = 0
     wall_us: int = 0
 
 
@@ -414,4 +408,3 @@ class Synthesizer:
             return result
         finally:
             result.wall_us = (time.perf_counter_ns() - start) // 1000
-            result.wall_ms = result.wall_us // 1000

@@ -24,15 +24,16 @@ so a slot that cannot is refused before it draws a sample (``FILLABLE``);
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
 value, so the table is read for concat alone.  It reads the table's
-compiled rules (``TransformerTable.rules``) and maps constants through
-their matrices itself, so ``apply_affine`` serves the validity check
-(training and bundle loading) only.
+entries and maps constants through their matrices itself, so
+``apply_affine`` serves the validity check (training and bundle loading)
+only.
 
-A table stores only the entries that have outputs: a pair of input
-templates without an entry derives nothing, and the empty table is the
-all-top table.  A learned or loaded table is normalized: an output is
-dropped when the entry with ``top`` in place of an argument it does not
-read already has it, so each fact is derived by one entry.
+A table is built once and never changes, and it stores only the entries
+that have outputs: a pair of input templates without an entry derives
+nothing, and the empty table is the all-top table.  A learned or loaded
+table is normalized: an output is dropped when the entry with ``top`` in
+place of an argument it does not read already has it, so each fact is
+derived by one entry.
 
 The synthesizer abstracts leaves in reduced form, without the inequality
 facts their equality facts imply (``best_abstraction``).  That is sound
@@ -44,8 +45,10 @@ constant whose matrix the entry with ``len =`` in its place has as a
 ``len =`` output.  Then every fact derived from an implied ``len != k``
 (beside ``len = n``, k != n) is implied by the fact derived from
 ``len = n``, as the map is injective in that constant.  Every table that
-training builds at seeds 0-11 has that form; a hand-edited table that does
-not can lose precision but not soundness.
+``learn_transformers`` builds at seeds 0-39, over every domain, has that
+form, and reads every non-top argument of each entry in some output
+(``tests/test_transformers.py::test_learned_tables_keep_reduced_leaves_lossless``);
+a hand-edited table that does not can lose precision but not soundness.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
@@ -132,8 +134,7 @@ def solve_linear(basis: dict[int, list[int]]) -> Optional[Matrix]:
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
     """Map the integer constants ``vec`` (ending in 1) through ``p``.
 
-    ``check_valid`` calls it; the synthesizer computes the same map inline
-    over the compiled rules."""
+    ``check_valid`` calls it; the synthesizer computes the same map inline."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
 
 
@@ -347,8 +348,7 @@ def generate_examples(
     own child oracle, skipping its draws changes no other slot.
     """
     if chis not in FILLABLE.get(chi0, ()):
-        inputs = ",".join(map(template_to_text, chis))
-        raise EmptySlot(f"{inputs} -> {template_to_text(chi0)} cannot reach full rank")
+        raise EmptySlot(f"{inputs_text(chis)} -> {template_to_text(chi0)} cannot reach full rank")
     seen_rows: set = set()
     n_cols = sum(t.holes for t in chis) + 1
     basis: dict[int, list[int]] = {}
@@ -440,76 +440,42 @@ class Transformer:
     inputs: tuple[TemplateKind, ...]
     outputs: tuple[tuple[TemplateKind, Matrix], ...]
 
-    @cached_property
-    def used_arguments(self) -> tuple[bool, ...]:
-        """Which arguments' holes feed some output row with a nonzero coefficient.
 
-        An argument whose constants reach no output can be collapsed to one
-        representative conjunct when applying the transformer, which keeps
-        the cost proportional to the useful selections.
-        """
-        used = []
-        start = 0
-        for t in self.inputs:
-            cols = range(start, start + t.holes)
-            used.append(any(row[c] != 0 for _, m in self.outputs for row in m for c in cols))
-            start += t.holes
-        return tuple(used)
-
-
-# A compiled table entry; see ``TransformerTable.rules``.
-Rule = tuple[TemplateKind, TemplateKind, bool, bool, tuple[tuple[TemplateKind, Matrix], ...]]
+def inputs_text(kinds: Iterable[TemplateKind]) -> str:
+    """Input templates as ``(len = c),(char i = c)``."""
+    return ",".join(map(template_to_text, kinds))
 
 
 class TransformerTable:
     """Concat transformers keyed by their pair of input templates.
 
-    Only entries with outputs are stored.  A missing entry derives nothing,
-    so ``lookup`` returns None for it and the empty table is the all-top
-    table.
+    Built once from its entries, empty or not, and never changed.  Raises
+    ValueError unless each entry has two input templates, its matrices map
+    their constants (plus 1) to the output holes, and no other entry has
+    the same inputs.  ``entries`` holds only the entries with outputs, in
+    sorted key order.  A missing entry derives nothing, so ``lookup``
+    returns None for it and the empty table is the all-top table.
     """
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
-        self.entries: dict[tuple[TemplateKind, TemplateKind], Transformer] = {}
-        self._rules: Optional[list[Rule]] = None
+        given: dict[tuple[TemplateKind, TemplateKind], Transformer] = {}
         for t in transformers:
-            self.add(t)
-
-    def add(self, t: Transformer):
-        """Store ``t`` as the entry for its inputs, or remove that entry when
-        ``t`` has no outputs.  ValueError, empty or not, unless ``t`` has two
-        input templates and its matrices map their constants (plus 1) to the
-        output holes."""
-        if len(t.inputs) != 2:
-            raise ValueError(f"a concat transformer takes 2 input templates, not {len(t.inputs)}")
-        width = sum(x.holes for x in t.inputs) + 1
-        for chi, m in t.outputs:
-            if len(m) != chi.holes or any(len(row) != width for row in m):
-                raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
-        if t.outputs:
-            self.entries[t.inputs] = t
-        else:
-            self.entries.pop(t.inputs, None)
-        self._rules = None
-
-    @property
-    def rules(self) -> list[Rule]:
-        """The entries compiled for the synthesizer.
-
-        One rule ``(k1, k2, used1, used2, outputs)`` per entry: its input
-        templates, whether each argument's constants reach an output
-        (``Transformer.used_arguments``), and its outputs.  Compiled on the
-        first read after the last ``add``.
-        """
-        if self._rules is None:
-            self._rules = [(*t.inputs, *t.used_arguments, t.outputs) for t in self.all()]
-        return self._rules
+            if len(t.inputs) != 2:
+                raise ValueError(f"a concat transformer takes 2 input templates, not {len(t.inputs)}")
+            width = sum(x.holes for x in t.inputs) + 1
+            for chi, m in t.outputs:
+                if len(m) != chi.holes or any(len(row) != width for row in m):
+                    raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
+            if t.inputs in given:
+                raise ValueError(f"transformer {inputs_text(t.inputs)} is listed twice")
+            given[t.inputs] = t
+        self.entries = {k: given[k] for k in sorted(given) if given[k].outputs}
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)
 
     def all(self) -> list[Transformer]:
-        return [self.entries[k] for k in sorted(self.entries)]
+        return list(self.entries.values())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -572,7 +538,7 @@ def learn_transformers(
     entry without outputs.
     """
     templates = sorted(set(templates))
-    table = TransformerTable()
+    entries = []
     for chis in product(templates, repeat=2):
         outputs = []
         for chi0 in templates:
@@ -583,8 +549,8 @@ def learn_transformers(
                 cache[slot_id] = _learn_slot(chi0, chis, oracle, pool, slot_id)
             if cache[slot_id] is not None:
                 outputs.append(cache[slot_id])
-        table.add(Transformer(chis, tuple(outputs)))
-    return table.normalized()
+        entries.append(Transformer(chis, tuple(outputs)))
+    return TransformerTable(entries).normalized()
 
 
 def _learn_slot(chi0, chis, oracle, pool, slot_id):
@@ -614,8 +580,16 @@ def _matrix_entry(pair) -> int:
     return num
 
 
+def json_array(obj, what: str) -> list:
+    """``obj``, which must be a JSON array: an object or a string would be
+    read as its keys or its characters.  ValueError otherwise."""
+    if type(obj) is not list:
+        raise ValueError(f"{what} must be an array, not {type(obj).__name__}")
+    return obj
+
+
 def matrix_from_obj(obj: list) -> Matrix:
-    return tuple(tuple(_matrix_entry(pair) for pair in row) for row in obj)
+    return tuple(tuple(_matrix_entry(pair) for pair in json_array(row, "a matrix row")) for row in json_array(obj, "a matrix"))
 
 
 def transformer_to_obj(t: Transformer) -> dict:
@@ -633,8 +607,8 @@ def transformer_from_obj(obj: dict) -> Transformer:
     if obj["op"] != "concat":
         raise ValueError(f"transformers are kept for concat only, not {obj['op']!r}")
     return Transformer(
-        inputs=tuple(template_from_text(x) for x in obj["inputs"]),
+        inputs=tuple(template_from_text(x) for x in json_array(obj["inputs"], "inputs")),
         outputs=tuple(
-            (template_from_text(o["template"]), matrix_from_obj(o["matrix"])) for o in obj["outputs"]
+            (template_from_text(o["template"]), matrix_from_obj(o["matrix"])) for o in json_array(obj["outputs"], "outputs")
         ),
     )

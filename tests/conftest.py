@@ -75,14 +75,14 @@ def with_top_copies(table):
     entry with X not top, empty or not, also has the outputs of
     ``(char =, top)``, with zero columns for the right argument."""
     at_top = table.lookup((CHAR_EQ, TOP)).outputs
-    copied = []
+    copied = {}
     for x in TemplateKind:
         if x is not TOP:
             entry = table.lookup((CHAR_EQ, x))
             zeros = (0,) * x.holes
             copies = tuple((chi, tuple(row[:-1] + zeros + row[-1:] for row in m)) for chi, m in at_top)
-            copied.append(Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies))
-    return TransformerTable([*table.all(), *copied])
+            copied[CHAR_EQ, x] = Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies)
+    return TransformerTable([*(t for t in table.all() if t.inputs not in copied), *copied.values()])
 
 
 def table_outputs(table) -> list:

@@ -35,7 +35,7 @@ def is_correct(p: Program, task: SynthesisTask) -> bool:
 
 def full_abstraction(s: str, templates, pool: ConstantPool) -> AbstractValue:
     """``best_abstraction`` without the reduction: every fact of every template."""
-    return AbstractValue(frozenset(p for t in templates if t.holes for p in abstract(s, t, pool)))
+    return AbstractValue.of(p for t in templates if t.holes for p in abstract(s, t, pool))
 
 
 def abstract_eval(node: AstNode, e_in: str, templates, table: TransformerTable, pool: ConstantPool) -> StateLike:

@@ -87,32 +87,32 @@ class TestAbstract:
 
 class TestMeet:
     def test_top_identity(self):
-        v = AbstractValue(frozenset([len_eq(3)]))
+        v = AbstractValue.of([len_eq(3)])
         assert meet(AbstractValue.top(), v) == v
 
     def test_len_conflict(self):
-        assert meet(AbstractValue(frozenset([len_eq(3)])), AbstractValue(frozenset([len_eq(5)]))) is BOTTOM
+        assert meet(AbstractValue.of([len_eq(3)]), AbstractValue.of([len_eq(5)])) is BOTTOM
 
     def test_compatible_conjuncts(self):
         got = meet(
-            AbstractValue(frozenset([len_eq(3)])),
-            AbstractValue(frozenset([char_eq(1, ord("x"))])),
+            AbstractValue.of([len_eq(3)]),
+            AbstractValue.of([char_eq(1, ord("x"))]),
         )
         assert got.conjuncts == {len_eq(3), char_eq(1, ord("x"))}
 
     def test_char_conflicts(self):
-        a = AbstractValue(frozenset([char_eq(0, ord("a"))]))
-        assert meet(a, AbstractValue(frozenset([char_neq(0, ord("a"))]))) is BOTTOM
-        assert meet(a, AbstractValue(frozenset([char_eq(0, ord("b"))]))) is BOTTOM
+        a = AbstractValue.of([char_eq(0, ord("a"))])
+        assert meet(a, AbstractValue.of([char_neq(0, ord("a"))])) is BOTTOM
+        assert meet(a, AbstractValue.of([char_eq(0, ord("b"))])) is BOTTOM
 
     def test_char_index_beyond_length(self):
         assert meet(
-            AbstractValue(frozenset([len_eq(2)])),
-            AbstractValue(frozenset([char_eq(5, ord("a"))])),
+            AbstractValue.of([len_eq(2)]),
+            AbstractValue.of([char_eq(5, ord("a"))]),
         ) is BOTTOM
 
     def test_len_eq_neq_conflict(self):
-        assert meet(AbstractValue(frozenset([len_eq(3)])), AbstractValue(frozenset([len_neq(3)]))) is BOTTOM
+        assert meet(AbstractValue.of([len_eq(3)]), AbstractValue.of([len_neq(3)])) is BOTTOM
 
     def test_bottom_absorbs(self):
         assert meet(BOTTOM, AbstractValue.top()) is BOTTOM

@@ -44,7 +44,7 @@ from oracles import abstract_eval, full_abstraction, is_correct, state_embeds_sc
 
 
 def val(*preds):
-    return AbstractValue(frozenset(preds))
+    return AbstractValue.of(preds)
 
 
 class TestApplyTransformer:
@@ -225,8 +225,8 @@ def embed_states(draw):
     preds += [len_neq(n) for n in draw(st.sets(st.integers(0, 10), max_size=2))]
     neqs = draw(st.sets(st.tuples(st.integers(0, 10), st.sampled_from("abc")), max_size=4))
     preds += [char_neq(i, ord(c)) for i, c in neqs]
-    # Built directly, or met (which may give bottom and seeds ``by_kind``).
-    return val(*preds) if draw(st.booleans()) else AbstractValue.of(preds)
+    # Met, so a contradiction gives bottom.
+    return val(*preds)
 
 
 class TestStateEmbedsAgainstTheScan:

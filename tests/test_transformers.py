@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from atlas.cli import bundle_obj, canonical_json, load_bundle
+from atlas.driver import corpus_alphabet
 from atlas.domain import (
     AbstractValue,
     CHAR_EQ,
+    CHAR_NEQ,
     ConstantPool,
     LEN_EQ,
     LEN_NEQ,
@@ -409,7 +411,7 @@ class TestLearnTransformers:
         assert all(len(t.inputs) == 2 and transformer_to_obj(t)["op"] == "concat" for t in table_a2.all())
         for outputs in (((LEN_EQ, ((1, 0),)),), ()):
             with pytest.raises(ValueError, match="takes 2 input templates"):
-                TransformerTable().add(Transformer((LEN_EQ,), outputs))
+                TransformerTable([Transformer((LEN_EQ,), outputs)])
         rev = dict(transformer_to_obj(table_a2.lookup((LEN_EQ, LEN_EQ))), op="rev")
         with pytest.raises(ValueError, match="concat only"):
             transformer_from_obj(rev)
@@ -466,24 +468,64 @@ class TestNormalizedTable:
         assert table_outputs(table.normalized()) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
 
 
-class TestCompiledRules:
-    def test_a_rule_added_after_use_is_applied(self):
-        left, right = AbstractValue(frozenset([len_eq(3)])), AbstractValue(frozenset([len_eq(2)]))
-        table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ())])
-        assert apply_transformer(table, (left, right)) is AbstractValue.top()
-        table.add(Transformer((LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),)))
-        assert apply_transformer(table, (left, right)).conjuncts == {len_eq(5)}
-        # An empty entry added later removes the rule.
-        table.add(Transformer((LEN_EQ, LEN_EQ), ()))
-        assert len(table) == 0 and apply_transformer(table, (left, right)) is AbstractValue.top()
-
-    def test_only_entries_with_outputs_are_compiled(self, trained, tmp_path):
+class TestTableEntries:
+    def test_only_entries_with_outputs_are_stored(self, trained, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(canonical_json(bundle_obj(trained.templates, trained.table, 0, ["e1", "e2", "e3"])))
         for table in (trained.table, trained.table.normalized(), load_bundle(path)[1]):
-            # Every stored entry has outputs, and each is compiled.
-            assert len(table) == len(table.rules) == 5 and all(t.outputs for t in table.all())
-            assert table.rules == [(*t.inputs, *t.used_arguments, t.outputs) for t in table.all()]
+            assert len(table) == 5 and all(t.outputs for t in table.all())
+            # Stored, and read, in sorted key order.
+            assert list(table.entries) == sorted(table.entries)
+            assert table.all() == list(table.entries.values())
+
+    def test_an_empty_entry_derives_nothing(self):
+        left, right = AbstractValue.of([len_eq(3)]), AbstractValue.of([len_eq(2)])
+        table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ())])
+        assert len(table) == 0 and table.lookup((LEN_EQ, LEN_EQ)) is None
+        assert apply_transformer(table, (left, right)) is AbstractValue.top()
+        table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),))])
+        assert apply_transformer(table, (left, right)).conjuncts == {len_eq(5)}
+
+
+def test_learned_tables_keep_reduced_leaves_lossless(training_problems, learn_env):
+    """Every table ``learn_transformers`` builds at seeds 0-39, over each of
+    the 16 domains with top, with the oracle and pool training on e1-e3
+    builds:
+
+    - reads every non-top argument of each entry in some output, so
+      ``apply_transformer`` maps no selection it could have collapsed;
+    - has the form under which reduced leaves lose nothing (the
+      ``transformers`` module docstring): no entry with a ``char !=`` input
+      has an output, and each output of an entry with a ``len !=`` input is
+      a ``len !=`` output with a nonzero coefficient on that constant whose
+      matrix the entry with ``len =`` in its place has as a ``len =`` output.
+
+    A slot's result depends only on the seed and its own templates, so one
+    slot cache serves every domain at a seed.
+    """
+    _, pool = learn_env
+    alphabet = corpus_alphabet(training_problems)
+    learnable = [t for t in TemplateKind if t is not TOP]
+    domains = [(TOP, *extra) for r in range(len(learnable) + 1) for extra in combinations(learnable, r)]
+    assert len(domains) == 16
+    for seed in range(40):
+        oracle, cache = SamplingOracle(seed, alphabet), {}
+        for domain in domains:
+            table = learn_transformers(domain, oracle, pool, cache)
+            for t in table.all():
+                start = 0
+                for j, x in enumerate(t.inputs):
+                    col, start = start, start + x.holes
+                    where = (seed, domain, t.inputs, x)
+                    if x is TOP:
+                        continue
+                    assert any(row[c] for _, m in t.outputs for row in m for c in range(col, start)), where
+                    assert x is not CHAR_NEQ, where
+                    if x is LEN_NEQ:
+                        at_len_eq = table.lookup(t.inputs[:j] + (LEN_EQ,) + t.inputs[j + 1 :])
+                        for chi, m in t.outputs:
+                            assert chi is LEN_NEQ and m[0][col] != 0, where
+                            assert at_len_eq is not None and (LEN_EQ, m) in at_len_eq.outputs, where
 
 
 class TestSerialization:
