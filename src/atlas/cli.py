@@ -69,11 +69,18 @@ def output_dir(path: str) -> Path:
     return out
 
 
-def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Optional[int]) -> tuple[str, SynthesisTask]:
+def read_json(path: Path):
+    """The JSON value in ``path``.  A file that cannot be read, is not
+    UTF-8, is not JSON, holds an integer too long to convert or nests too
+    deeply to decode exits 4."""
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise CliError(f"{path}: {exc}") from exc
+
+
+def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Optional[int]) -> tuple[str, SynthesisTask]:
+    obj = read_json(path)
     try:
         examples = tuple((e["input"], e["output"]) for e in obj["examples"])
         name = obj.get("name", path.stem)
@@ -89,6 +96,11 @@ def load_task(path: Path, max_ast_size: int, max_candidates: int, timeout_ms: Op
     strings = [s for e in examples for s in e] + literals
     if not all(isinstance(s, str) for s in strings):
         raise CliError(f"{path}: example inputs, outputs and literals must be strings")
+    try:
+        # A lone surrogate such as "\ud800" is valid JSON, but no output can print or write it.
+        "".join([name, *strings]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CliError(f"{path}: task strings must be valid Unicode ({exc})") from exc
     task = SynthesisTask(
         examples=examples,
         max_ast_size=max_ast_size,
@@ -112,18 +124,15 @@ def bundle_obj(templates, table: TransformerTable, seed: int, task_names: list[s
 
 
 def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]:
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    obj = read_json(path)
     try:
         templates = [template_from_text(t) for t in json_array(obj["templates"], "templates")]
         for i, t in enumerate(templates):
             if t in templates[:i]:
                 raise ValueError(f"template {template_to_text(t)} is listed twice")
-        # Each entry is checked before the empty ones are dropped: older
-        # bundles hold an entry for every pair of templates, and those
-        # written before tables were normalized hold redundant outputs.
+        # Every entry is checked, with or without outputs, before the table
+        # drops the empty ones and normalization the redundant outputs that
+        # a hand-edited bundle may hold.
         entries = [transformer_from_obj(t) for t in json_array(obj["transformers"], "transformers")]
         known = {TOP, *templates}
         for t in entries:
@@ -195,9 +204,6 @@ def cmd_train(args) -> int:
         "problems": [
             {
                 "problem": r.problem,
-                "T_AGS_ms": r.t_ags_ms,
-                "T_A_ms": r.t_domain_ms,
-                "T_T_ms": r.t_transformers_ms,
                 "T_AGS_us": r.t_ags_us,
                 "T_A_us": r.t_domain_us,
                 "T_T_us": r.t_transformers_us,

@@ -52,10 +52,11 @@ class ProblemReport:
     iterations: int
     templates_added: list[str]
     table_size: int
+    # Phase times in whole ms, which the benchmark's worker
+    # (``perfbench/worker.py``) reads; timings.json has the µs below.
     t_ags_ms: int = 0
     t_domain_ms: int = 0
     t_transformers_ms: int = 0
-    # The same phases in µs, for the phases that round to 0 ms.
     t_ags_us: int = 0
     t_domain_us: int = 0
     t_transformers_us: int = 0

@@ -52,7 +52,6 @@ class TreeNode:
     uid: int
     name: str
     ast: Optional[AstNode]  # None for the dummy root
-    parent: Optional[int]
     children: list[int] = field(default_factory=list)
     value: Union[str, int, None] = None  # concrete value under the example input
     label: str = ""
@@ -62,7 +61,6 @@ class TreeNode:
 class TreeItpProblem:
     nodes: list[TreeNode]
     root: int
-    example_input: str
     expected_output: str
 
     def node(self, uid: int) -> TreeNode:
@@ -107,13 +105,13 @@ def construct_tree(p: Program, e_in: str, e_out: str) -> TreeItpProblem:
         raise NotSpurious(f"program satisfies {e_in!r} -> {e_out!r}")
 
     nodes: list[TreeNode] = []
-    root = TreeNode(uid=0, name="root", ast=None, parent=None, value=e_out)
+    root = TreeNode(uid=0, name="root", ast=None, value=e_out)
     nodes.append(root)
 
     def add(ast: AstNode, parent: int, subject: str) -> int:
         uid = len(nodes)
         name = "x" if ast.op is Op.INPUT else f"v{uid}"
-        node = TreeNode(uid=uid, name=name, ast=ast, parent=parent)
+        node = TreeNode(uid=uid, name=name, ast=ast)
         nodes.append(node)
         nodes[parent].children.append(uid)
         if ast.op in (Op.ABSPOS, Op.CPOS):
@@ -132,7 +130,7 @@ def construct_tree(p: Program, e_in: str, e_out: str) -> TreeItpProblem:
     add(p.root, 0, "")
     for node in nodes:
         node.label = _label_for(node, nodes)
-    return TreeItpProblem(nodes=nodes, root=0, example_input=e_in, expected_output=e_out)
+    return TreeItpProblem(nodes=nodes, root=0, expected_output=e_out)
 
 
 def _discriminator(actual: str, expected: str) -> ConcretePredicate:
@@ -205,12 +203,9 @@ def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[Te
     out: set[TemplateKind] = set()
     for e_in, e_out in examples:
         try:
-            actual = eval_node(p.root, e_in)
-        except EvalError:
-            continue  # no fact-level proof for a crashing run; other examples may teach
-        if actual == e_out:
-            continue
-        tree = construct_tree(p, e_in, e_out)
+            tree = construct_tree(p, e_in, e_out)
+        except (NotSpurious, EvalError):
+            continue  # satisfied, or no fact-level proof for a crashing run; other examples may teach
         itp = find_tree_itp(tree)
         for node in tree.nodes:
             if node.uid == tree.root:

@@ -568,16 +568,10 @@ def _learn_slot(chi0, chis, oracle, pool, slot_id):
 # Serialization (stable key order)
 
 
-def matrix_to_obj(m: Matrix) -> list:
-    """Entries are written as ``[numerator, denominator]`` pairs, always ``[n, 1]``."""
-    return [[[n, 1] for n in row] for row in m]
-
-
-def _matrix_entry(pair) -> int:
-    num, den = pair
-    if type(num) is not int or type(den) is not int or den != 1:  # bool is not an int here
-        raise ValueError(f"matrix entry {pair!r} is not an integer")
-    return num
+def _matrix_entry(n) -> int:
+    if type(n) is not int:  # bool is not an int here
+        raise ValueError(f"matrix entry {n!r} is not an integer")
+    return n
 
 
 def json_array(obj, what: str) -> list:
@@ -589,23 +583,18 @@ def json_array(obj, what: str) -> list:
 
 
 def matrix_from_obj(obj: list) -> Matrix:
-    return tuple(tuple(_matrix_entry(pair) for pair in json_array(row, "a matrix row")) for row in json_array(obj, "a matrix"))
+    return tuple(tuple(_matrix_entry(n) for n in json_array(row, "a matrix row")) for row in json_array(obj, "a matrix"))
 
 
 def transformer_to_obj(t: Transformer) -> dict:
     return {
-        "op": "concat",
         "inputs": [template_to_text(x) for x in t.inputs],
-        "outputs": [
-            {"template": template_to_text(chi), "matrix": matrix_to_obj(m)} for chi, m in t.outputs
-        ],
+        "outputs": [{"template": template_to_text(chi), "matrix": [list(row) for row in m]} for chi, m in t.outputs],
     }
 
 
 def transformer_from_obj(obj: dict) -> Transformer:
-    """The entry ``obj`` describes; ValueError unless its op is concat."""
-    if obj["op"] != "concat":
-        raise ValueError(f"transformers are kept for concat only, not {obj['op']!r}")
+    """The entry ``obj`` describes; keys other than its inputs and outputs are ignored."""
     return Transformer(
         inputs=tuple(template_from_text(x) for x in json_array(obj["inputs"], "inputs")),
         outputs=tuple(

@@ -15,9 +15,9 @@ from atlas.corpus import corpus_dir, eval_task_paths, training_task_paths
 from atlas.domain import template_from_text, template_to_text
 from atlas.transformers import matrix_from_obj
 
-# The seed-0 bundle as written while tables kept every entry: 25 entries,
-# 20 of them empty.
-DENSE_SEED0 = ("9952cbd837b3a5ef9630a8e4a6eb91300cd64760c58871ada9994b4af959b48a", 5651)
+# The seed-0 bundle in the dense form, with an entry for every pair of
+# templates: 25 entries, 20 of them empty.
+DENSE_SEED0 = ("01e8feb8e63fa5deb0df93ad5b2c2a65e0fce59d98eb91aea27d869ae9af70df", 3882)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def dense_bundle(obj: dict) -> dict:
     stored = {tuple(t["inputs"]): t for t in obj["transformers"]}
     kinds = sorted(map(template_from_text, obj["templates"]))
     pairs = [tuple(map(template_to_text, pair)) for pair in product(kinds, repeat=2)]
-    return dict(obj, transformers=[stored.get(p, {"op": "concat", "inputs": list(p), "outputs": []}) for p in pairs])
+    return dict(obj, transformers=[stored.get(p, {"inputs": list(p), "outputs": []}) for p in pairs])
 
 
 class TestTrain:
@@ -87,10 +87,9 @@ class TestTrain:
         # templates that has outputs, 5 of the 25 pairs.
         assert len(bundle["transformers"]) == 5 and all(t["outputs"] for t in bundle["transformers"])
         assert len({tuple(t["inputs"]) for t in bundle["transformers"]}) == 5
-        assert {t["op"] for t in bundle["transformers"]} == {"concat"}
-        assert all(set(t) == {"op", "inputs", "outputs"} for t in bundle["transformers"])
+        assert all(set(t) == {"inputs", "outputs"} for t in bundle["transformers"])
         entries = [e for t in bundle["transformers"] for o in t["outputs"] for row in o["matrix"] for e in row]
-        assert entries and all(type(n) is int and d == 1 for n, d in entries)
+        assert entries and all(type(n) is int for n in entries)
 
     def test_training_on_e1_only(self, tmp_path):
         out = tmp_path / "o"
@@ -108,9 +107,10 @@ class TestTrain:
         bundle = read(trained_dir / "bundle.json")
         jsonschema.validate(bundle, schema("bundle"))
         entry = next(t for t in bundle["transformers"] if t["outputs"])
-        entry["outputs"][0]["matrix"][0][0] = [1, 2]
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(bundle, schema("bundle"))
+        for value in ([1, 1], 0.5):
+            entry["outputs"][0]["matrix"][0][0] = value
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bundle, schema("bundle"))
 
     def test_timings_schema(self, trained_dir):
         jsonschema = pytest.importorskip("jsonschema")
@@ -120,14 +120,13 @@ class TestTrain:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(timings, schema("timings"))
 
-    def test_timings_have_ms_and_us_per_phase(self, trained_dir):
+    def test_timings_have_us_per_phase(self, trained_dir):
+        # One time unit: microseconds.
         problems = read(trained_dir / "timings.json")["problems"]
         assert [p["problem"] for p in problems] == ["e1", "e2", "e3"]
         for p in problems:
-            for phase in ("T_AGS", "T_A", "T_T"):
-                ms, us = p[f"{phase}_ms"], p[f"{phase}_us"]
-                assert type(ms) is int and type(us) is int
-                assert abs(us / 1000 - ms) <= 0.5 + 1e-9  # two roundings of one ns sum
+            assert set(p) == {"problem", "T_AGS_us", "T_A_us", "T_T_us"}
+            assert all(type(p[f"{phase}_us"]) is int for phase in ("T_AGS", "T_A", "T_T"))
         # e1 and e2 each refine their domain at least once.
         assert all(p["T_A_us"] > 0 for p in problems[:2])
 
@@ -183,8 +182,8 @@ class TestOldBundle:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda e: e.update(op="reverse"), lambda e: e["inputs"].append("top")],
-        ids=["other-op", "three-inputs"],
+        [lambda e: e.update(inputs=["bogus", "top"]), lambda e: e["inputs"].append("top")],
+        ids=["unknown-template", "three-inputs"],
     )
     def test_dense_bundle_with_a_bad_empty_entry_format_error(self, trained_dir, tmp_path, capsys, edit):
         # Every entry is checked before the empty ones are dropped.
@@ -194,6 +193,22 @@ class TestOldBundle:
         bundle.write_text(json.dumps(obj))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
         assert "malformed bundle" in capsys.readouterr().err
+
+
+    def test_bundle_with_pair_matrices_format_error(self, trained_dir, tmp_path, capsys):
+        # Bundles once wrote each matrix entry n as [n, 1] and tagged each entry "op": "concat".
+        obj = read(trained_dir / "bundle.json")
+        for t in obj["transformers"]:
+            t["op"] = "concat"
+            for o in t["outputs"]:
+                o["matrix"] = [[[n, 1] for n in row] for row in o["matrix"]]
+        for old in (obj, dense_bundle(obj)):
+            bundle = tmp_path / "old.json"
+            bundle.write_text(json.dumps(old))
+            assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+            err = capsys.readouterr().err
+            assert "malformed bundle (matrix entry [1, 1] is not an integer)" in err
+            assert "Traceback" not in err
 
 
 class TestSynth:
@@ -360,6 +375,39 @@ class TestExitCodes:
     def test_missing_file_io_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--baseline-top"]) == 4
 
+    @pytest.mark.parametrize("which", ["task", "bundle"])
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{", b"1" * 5000, b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "long-integer", "deep"]
+    )
+    def test_undecodable_json_format_error(self, tmp_path, capsys, which, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        argv = {
+            "task": ["synth", str(bad), "--baseline-top"],
+            "bundle": ["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bad)],
+        }[which]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "obj, command",
+        [
+            ({"examples": [{"input": "a", "output": "\ud800"}]}, "synth"),
+            ({"examples": [{"input": "a", "output": "a!"}], "literals": ["\ud800"]}, "synth"),
+            ({"examples": [{"input": "a", "output": "a!"}], "name": "\ud800"}, "train"),
+        ],
+        ids=["output", "literal", "name"],
+    )
+    def test_lone_surrogate_task_format_error(self, tmp_path, capsys, obj, command):
+        # Valid JSON that loads, but the program or the bundle could not be printed or written.
+        task = tmp_path / "bad.json"
+        task.write_text(json.dumps(obj))  # ASCII, with the surrogate as an escape
+        argv = {"synth": ["synth", str(task), "--baseline-top"], "train": ["train", str(task), "-o", str(tmp_path / "o")]}
+        assert main(argv[command]) == 4
+        err = capsys.readouterr().err
+        assert "task strings must be valid Unicode" in err and "Traceback" not in err
+
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == 3
 
@@ -368,21 +416,18 @@ class TestExitCodes:
         bundle.write_text(json.dumps({"templates": ["bogus"], "transformers": []}))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
 
-    @pytest.mark.parametrize("pair", [[1, 2], [5, True], [True, 1]], ids=["fraction", "bool-den", "bool-num"])
-    def test_bundle_with_fractional_matrix_entry_format_error(self, trained_dir, tmp_path, capsys, pair):
+    @pytest.mark.parametrize("value", [0.5, True], ids=["fraction", "bool-num"])
+    def test_bundle_with_fractional_matrix_entry_format_error(self, trained_dir, tmp_path, capsys, value):
         obj = read(trained_dir / "bundle.json")
         entry = next(t for t in obj["transformers"] if t["outputs"])
-        entry["outputs"][0]["matrix"][0][0] = pair
+        entry["outputs"][0]["matrix"][0][0] = value
         bundle = tmp_path / "bad.json"
         bundle.write_text(json.dumps(obj))
         assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
         assert "Traceback" not in capsys.readouterr().err
         # Rejected as an entry, not only when the changed matrix fails the validity check.
         with pytest.raises(ValueError, match="not an integer"):
-            matrix_from_obj([[pair]])
-
-    def test_bundle_with_other_op_format_error(self, trained_dir, tmp_path):
-        assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e.update(op="reverse")) == 4
+            matrix_from_obj([[value]])
 
     def test_bundle_with_three_input_templates_format_error(self, trained_dir, tmp_path):
         assert synth_with_edited_entry(trained_dir, tmp_path, lambda e: e["inputs"].append("top")) == 4
@@ -409,7 +454,7 @@ class TestExitCodes:
     )
     def test_bundle_with_refuted_matrix_format_error(self, trained_dir, tmp_path, capsys, inputs, row, text):
         def edit(entry):
-            entry["outputs"][0]["matrix"] = [[[n, 1] for n in row]]
+            entry["outputs"][0]["matrix"] = [row]
 
         assert synth_with_edited_entry(trained_dir, tmp_path, edit, inputs, task="eval_backup") == 4
         err = capsys.readouterr().err
@@ -418,9 +463,8 @@ class TestExitCodes:
 
     def test_bundle_entry_outside_its_templates_format_error(self, tmp_path, capsys):
         # A sound entry that can never fire: no state of an all-top domain has a character fact.
-        pin = [[[1, 1], [0, 1], [0, 1], [0, 1], [0, 1]], [[0, 1], [1, 1], [0, 1], [0, 1], [0, 1]]]
+        pin = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
         entry = {
-            "op": "concat",
             "inputs": ["(char i = c)", "(char i = c)"],
             "outputs": [{"template": "(char i = c)", "matrix": pin}],
         }

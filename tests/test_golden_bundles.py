@@ -16,9 +16,9 @@ from atlas.corpus import training_task_paths
 
 # seed -> (sha256, bytes, entries)
 BUNDLES = {
-    0: ("af9ac2a00fc85c902bad3ebce9363790581cc95d841575a2650eb854dde4373c", 3173, 5),
-    1: ("ea4947456890fce0f946e34fb489248f6db9c5ceec5963341f1a9428a0b0ac8e", 3173, 5),
-    705: ("0caa6a1170b10a961c53b8cb08d55d0aa659f2f518f858ecc3b2ac52d7ddf0c9", 3175, 5),
+    0: ("7e41605046d63b4e0d15786732bf1fbb7040acb4c010dece8d14640152cd0e92", 1844, 5),
+    1: ("590b76cd62939dc5ffb1cbc42dd6022269a6abf3dd81cf3ec7f7daf6c078b210", 1844, 5),
+    705: ("ecff01aa2a06591765b98b6bd92d0a315fff1c6405c87d147ca47d78c691369b", 1846, 5),
 }
 
 
