@@ -31,18 +31,16 @@ the vector and the expected outputs.  Each synthesizer therefore keeps a
 registry of the distinct vectors of pooled candidates, each with a small
 int id and its accept verdict (a pooled vector always embeds), plus a
 cache from pairs of child ids to the id of their concatenation's vector.
-``_batch`` gives a concatenation the cached vector and id of its child-id
-pair when there is one; every other candidate, leaf or concatenation, is
-made without states.  ``run`` derives those only after the dedup check,
+``_batch`` gives a concatenation the cached id of its child-id pair when
+there is one; every other candidate, leaf or concatenation, is made with
+None.  ``run`` derives the states of those only after the dedup check,
 one example at a time, and prunes at the first state that does not embed
 its output: that candidate cannot be accepted either, since an output in a
 state's concretization embeds at offset 0.  Only a vector that embeds on
 every example is looked up in the registry; a registered one takes its
 verdict, and only then, for a concatenation, is its child-id pair cached.
 Any other is judged with ``gamma_contains``.  Only pooling registers, so
-the registry is never larger than the pools.  Interning every vector as it
-is made gives the same programs, but its peak RSS is past the benchmark's
-10 % bound (about 30 % on training at seed 0).
+the registry is never larger than the pools.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  ``apply_transformer`` reads the table's entries, maps the
@@ -50,22 +48,30 @@ selected args inline and hands the derived args, grouped by kind, to
 ``AbstractValue.of_groups``, the one constructor of a state, which checks
 them for contradiction and keeps the groups as the state's ``by_kind``.
 ``state_embeds`` tests one substring length per offset, the smallest the
-state admits (see its docstring).  A memo keyed by the pair of child
-states would save only the repeated pairs, and it raised peak RSS on
-training past the benchmark's 10 % bound.  The three functions the
-verdicts and states come from, ``apply_transformer``, ``state_embeds`` and
+state admits (see its docstring).  The three functions the verdicts and
+states come from, ``apply_transformer``, ``state_embeds`` and
 ``gamma_contains``, are called through this module's globals, so that a
 tracer which replaces them by name sees every call.
 
 Most candidates are never kept and only the returned one's program is
-read, so candidates are made cheaply.  When the enumeration reaches the
-``substr`` leaves (size 4), it resolves every term of the position pool on
-every example input once, into a position table: a row of ints per
-position, or None when a ``cpos`` occurrence is missing on some input.  A
-``substr`` leaf is made only when its window is valid on every input,
-and its values are slices; no leaf is evaluated through the DSL.  A
-concatenation's values are the pairwise sums of its children's, and its
-AST node is built from the children's only when first read.
+read, so a candidate is a plain tuple record, laid out in ``_batch``: its
+values, the registry id of its vector or None, and either the number of its
+leaf or its two child records.  Records hold only ``str``, ``int``, ``None``
+and records, so CPython's cyclic collector untracks them and a full
+collection does not walk the pools.  A record that held an AST node, a
+state or any other class instance would stay tracked, and every full
+collection would walk the pools again.  So a record keeps no states: a
+pooled record's vector is ``_vectors[sid]``, and a vector that is not
+registered lives only inside ``run``.  No AST node is made while
+enumerating; ``_node`` builds the returned program's from its record.
+
+When the enumeration reaches the ``substr`` leaves (size 4), it resolves
+every term of the position pool on every example input once, into a
+position table: a row of ints per position, or None when a ``cpos``
+occurrence is missing on some input.  A ``substr`` leaf is made only when
+its window is valid on every input, and its values are slices; no leaf is
+evaluated through the DSL.  A concatenation's values are the pairwise sums
+of its children's.
 """
 
 from __future__ import annotations
@@ -207,35 +213,6 @@ def state_embeds(state: StateLike, out: str) -> bool:
 # The enumerator
 
 
-@dataclass(slots=True)
-class Candidate:
-    """A program with its per-example values and states.
-
-    A leaf carries its AST node.  A concatenation carries its two child
-    candidates in ``parts`` and builds ``dsl.concat`` of their nodes the
-    first time ``node`` is read, then keeps it; its values are already the
-    sums of theirs.  ``states`` is None until ``run`` derives it, unless
-    the candidate was made with a cached vector; on a prune it holds the
-    states derived up to the first that does not embed, and the candidate
-    is discarded.  ``sid`` is the registry id of ``states`` when that
-    vector is registered (always so once the candidate is pooled), else
-    None.
-    """
-
-    _node: Optional[AstNode]
-    parts: Optional[tuple[Candidate, Candidate]]
-    values: tuple[str, ...]
-    states: Optional[tuple[StateLike, ...]]
-    sid: Optional[int]
-
-    @property
-    def node(self) -> AstNode:
-        if self._node is None:
-            a, b = self.parts
-            self._node = dsl.concat(a.node, b.node)
-        return self._node
-
-
 @dataclass
 class SynthResult:
     program: Optional[Program]
@@ -305,50 +282,74 @@ class Synthesizer:
             self._abstraction_cache[value] = cached
         return cached
 
-    def _leaf(self, node: AstNode, values: tuple[str, ...]) -> Candidate:
-        return Candidate(node, None, values, None, None)
+    def _node(self, rec: tuple) -> AstNode:
+        """The AST node of record ``rec``, rebuilt from its leaf indexes (see ``_batch``)."""
+        if len(rec) == 3:
+            index, consts, positions = rec[2], self.consts, self.positions
+            if index == 0:
+                return dsl.input_()
+            if index <= len(consts):
+                return dsl.const(consts[index - 1])
+            i, j = divmod(index - 1 - len(consts), len(positions))
+            return dsl.substr(dsl.input_(), positions[i], positions[j])
+        return dsl.concat(self._node(rec[2]), self._node(rec[3]))
 
-    def _derive(self, cand: Candidate) -> bool:
-        """Set ``cand.states``, derived one example at a time up to the first
-        state that does not embed its output; True iff every state embeds."""
-        if cand.parts is None:
-            derived = map(self._abstract_value, cand.values)
+    def _derive(self, rec: tuple) -> tuple[tuple[StateLike, ...], bool]:
+        """The states of record ``rec``, derived one example at a time up to
+        the first that does not embed its output, and whether every state
+        embeds.  A concatenation's children are pooled, so their vectors are
+        registered."""
+        if len(rec) == 3:
+            derived = map(self._abstract_value, rec[0])
         else:
-            a, b = cand.parts
-            derived = map(apply_transformer, repeat(self.table), zip(a.states, b.states))
+            vectors = self._vectors
+            derived = map(apply_transformer, repeat(self.table), zip(vectors[rec[2][1]], vectors[rec[3][1]]))
         states = []
-        embeds = True
         for state, out in zip(derived, self.outputs):
             states.append(state)
             if not state_embeds(state, out):
-                embeds = False
-                break
-        cand.states = tuple(states)
-        return embeds
+                return tuple(states), False
+        return tuple(states), True
 
-    def _batch(self, size: int, pools: dict[int, list[Candidate]]) -> Iterator[Candidate]:
-        """The candidates of AST size ``size`` in rank order; ``pools`` holds the kept ones of each smaller size."""
+    def _batch(self, size: int, pools: dict[int, list[tuple]]) -> Iterator[tuple]:
+        """The records of AST size ``size`` in rank order; ``pools`` holds the
+        kept ones of each smaller size.
+
+        A leaf is ``(values, sid, leaf_index)`` and a concatenation is
+        ``(values, sid, left, right)``, with its two child records.
+        ``values`` is a tuple of ``str`` and ``sid`` the registry id of the
+        record's state vector or None.  ``leaf_index`` numbers the leaves
+        the synthesizer can make: 0 is the input, ``1 + i`` the constant
+        ``consts[i]``, and ``1 + len(consts) + i * len(positions) + j`` the
+        substring from ``positions[i]`` to ``positions[j]``; ``_node``
+        turns it back into the AST node.  A concatenation takes the id its
+        child-id pair has in the concat cache; every other record is made
+        with None.  Records hold only ``str``, ``int``, ``None`` and
+        records, so the cyclic collector untracks them, and the pools it
+        would otherwise walk on every full collection cost it nothing.  A
+        record that held an AST node, a state or any class instance would
+        stay tracked.
+        """
         inputs = self.inputs
         if size == 1:
-            yield self._leaf(dsl.input_(), inputs)
-            for s in self.consts:
-                yield self._leaf(dsl.const(s), (s,) * len(inputs))
+            yield inputs, None, 0
+            for i, s in enumerate(self.consts, 1):
+                yield (s,) * len(inputs), None, i
             return
-        vectors, concats = self._vectors, self._concats
+        concats = self._concats
         for sa in range(1, size - 1):
             for a in pools[sa]:
+                a_values, a_sid = a[0], a[1]
                 for b in pools[size - 1 - sa]:
-                    values = tuple(map(add, a.values, b.values))
-                    sid = concats.get((a.sid, b.sid))
-                    yield Candidate(None, (a, b), values, None if sid is None else vectors[sid], sid)
+                    yield tuple(map(add, a_values, b[0])), concats.get((a_sid, b[1])), a, b
         if size == 4:
             lengths = tuple(map(len, inputs))
-            rows = [(p, r) for p, r in zip(self.positions, self._position_table()) if r is not None]
-            for p1, r1 in rows:
-                for p2, r2 in rows:
+            base, width = 1 + len(self.consts), len(self.positions)
+            rows = [(k, r) for k, r in enumerate(self._position_table()) if r is not None]
+            for k1, r1 in rows:
+                for k2, r2 in rows:
                     if all(0 <= i1 <= i2 <= n for i1, i2, n in zip(r1, r2, lengths)):
-                        values = tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2))
-                        yield self._leaf(dsl.substr(dsl.input_(), p1, p2), values)
+                        yield tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2)), None, base + k1 * width + k2
 
     def run(self, require_correct: bool = False) -> SynthResult:
         start = time.perf_counter_ns()
@@ -358,53 +359,59 @@ class Synthesizer:
         outputs = self.outputs
         ids, vectors, accepts, concats = self._ids, self._vectors, self._accepts, self._concats
         seen: set[tuple[str, ...]] = set()
-        pools: dict[int, list[Candidate]] = {}
+        pools: dict[int, list[tuple]] = {}
         result = SynthResult(program=None, correct=None)
+        enumerated = pruned = deduped = 0
         try:
             for size in range(1, self.task.max_ast_size + 1):
                 pools[size] = kept = []
-                for cand in self._batch(size, pools):
-                    result.enumerated += 1
-                    if result.enumerated > budget:
+                for rec in self._batch(size, pools):
+                    enumerated += 1
+                    if enumerated > budget:
                         result.reason = "candidate-budget"
                         return result
-                    if deadline is not None and result.enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
+                    if deadline is not None and enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
                         result.reason = "timeout"
                         return result
 
-                    if cand.values in seen:
-                        result.deduped += 1
+                    values = rec[0]
+                    if values in seen:
+                        deduped += 1
                         continue
-                    seen.add(cand.values)
+                    seen.add(values)
 
-                    sid = cand.sid
+                    sid = rec[1]
                     if sid is None:
                         # A state that does not embed its output does not
                         # contain it either, so the candidate is not accepted.
-                        if not self._derive(cand):
-                            result.pruned_abstract += 1
+                        states, embeds = self._derive(rec)
+                        if not embeds:
+                            pruned += 1
                             continue
-                        sid = cand.sid = ids.get(cand.states)
-                        if sid is not None and cand.parts is not None:
-                            a, b = cand.parts
-                            concats[a.sid, b.sid] = sid
+                        sid = ids.get(states)
+                        if sid is not None and len(rec) == 4:
+                            concats[rec[2][1], rec[3][1]] = sid
                     if sid is None:
-                        accepted = all(map(gamma_contains, cand.states, outputs))
+                        accepted = all(map(gamma_contains, states, outputs))
                     else:
                         accepted = accepts[sid]
-                    if accepted and (not require_correct or cand.values == outputs):
-                        result.program = Program(cand.node)
-                        result.correct = cand.values == outputs
+                    if accepted and (not require_correct or values == outputs):
+                        result.program = Program(self._node(rec))
+                        result.correct = values == outputs
                         return result
 
-                    # Pooled: a vector without an id is new, since only this registers.
-                    if sid is None:
-                        cand.sid = len(vectors)
-                        ids[cand.states] = cand.sid
-                        vectors.append(cand.states)
-                        accepts.append(accepted)
-                    kept.append(cand)
+                    # A pooled record carries its vector's id.  A vector
+                    # without an id is new, since only pooling registers.
+                    if rec[1] is None:
+                        if sid is None:
+                            sid = len(vectors)
+                            ids[states] = sid
+                            vectors.append(states)
+                            accepts.append(accepted)
+                        rec = (values, sid, *rec[2:])
+                    kept.append(rec)
             result.reason = "exhausted"
             return result
         finally:
+            result.enumerated, result.pruned_abstract, result.deduped = enumerated, pruned, deduped
             result.wall_us = (time.perf_counter_ns() - start) // 1000

@@ -91,17 +91,32 @@ def table_outputs(table) -> list:
 
 
 def record_stream(synth) -> list:
-    """Wrap ``synth._batch`` so that each candidate it yields is logged as
-    ``(size, sid, candidate)``: its AST size, its registry id when it was
-    made, and the candidate.  A later ``synth.run()`` then leaves in the list
-    the stream it enumerated, in order."""
+    """Wrap ``synth._batch`` and ``synth._derive`` so that a later
+    ``synth.run()`` leaves in the list the stream it enumerated, in order:
+    ``[size, record, derived]`` for each record ``_batch`` yielded, with its
+    AST size and the states ``run`` derived for it (None if it derived none).
+    A record is logged as it was made, so its sid is its registry id then."""
     stream = []
-    batch = synth._batch
+    batch, derive = synth._batch, synth._derive
 
     def recording(size, pools):
-        for cand in batch(size, pools):
-            stream.append((size, cand.sid, cand))
-            yield cand
+        for rec in batch(size, pools):
+            stream.append([size, rec, None])
+            yield rec
 
-    synth._batch = recording
+    def deriving(rec):
+        states, embeds = derive(rec)
+        assert stream[-1][1] is rec, "run derives the record it was last given"
+        stream[-1][2] = states
+        return states, embeds
+
+    synth._batch, synth._derive = recording, deriving
     return stream
+
+
+def held_states(synth, rec, derived) -> tuple:
+    """The states ``run`` held for a logged record: those it derived, else
+    the registered vector it was made with, else none."""
+    if derived is not None:
+        return derived
+    return synth._vectors[rec[1]] if rec[1] is not None else ()

@@ -133,33 +133,35 @@ class TestRank:
             task = SynthesisTask(examples=(example,), max_candidates=limit)
             return Synthesizer(task, [TOP], TransformerTable())
 
-        def assert_ranked(cands):
-            keys = [rank_key(cand.node) for cand in cands]
+        def assert_ranked(synth, recs):
+            nodes = [synth._node(rec) for rec in recs]
+            keys = [rank_key(node) for node in nodes]
             for n, (previous, key) in enumerate(zip(keys, keys[1:]), 2):
-                assert previous < key, f"candidate {n}: {print_program(Program(cands[n - 1].node))}"
+                assert previous < key, f"candidate {n}: {print_program(Program(nodes[n - 1]))}"
 
         def keep_all(synth, limit):
-            """The first ``limit`` candidates when every candidate is pooled."""
-            pools, cands = {}, []
+            """The first ``limit`` records when every record is pooled."""
+            pools, recs = {}, []
             for size in range(1, synth.task.max_ast_size + 1):
                 pools[size] = []
-                for cand in synth._batch(size, pools):
-                    if len(cands) == limit:
-                        return cands
-                    pools[size].append(cand)
-                    cands.append(cand)
-            return cands
+                for rec in synth._batch(size, pools):
+                    if len(recs) == limit:
+                        return recs
+                    pools[size].append(rec)
+                    recs.append(rec)
+            return recs
 
-        kept_all = keep_all(synth_for(("ab", "abab"), 100), 100)
+        synth = synth_for(("ab", "abab"), 100)
+        kept_all = keep_all(synth, 100)
         assert len(kept_all) == 100
-        assert_ranked(kept_all)
+        assert_ranked(synth, kept_all)
 
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
         synth = synth_for(("ab.c", "c-ab"), 40_000)
         stream = record_stream(synth)
         result = synth.run(require_correct=True)
         assert len(stream) == result.enumerated == 40_001
-        assert_ranked([cand for _, _, cand in stream])
+        assert_ranked(synth, [rec for _, rec, _ in stream])
 
 
 # Bounded program generator for round-trip properties.

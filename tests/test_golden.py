@@ -3,8 +3,10 @@
 Training on e1-e3 with seed 0 and synthesizing the held-out tasks must give
 the program and the enumerated / pruned / deduped counts recorded in
 ``perfbench/reference-seed0.json``: all tasks under the learned bundle, and
-under the all-top table the tasks it solves within the candidate budget.  A
-change to the abstract hot path that alters pruning or dedup shows here.
+under the all-top table the tasks it solves within the candidate budget.
+The top table's other tasks must exhaust the budget with the recorded
+counts.  A change to the abstract hot path that alters pruning or dedup
+shows here.
 """
 
 import json
@@ -35,12 +37,28 @@ def expected(workload: str) -> dict:
     }
 
 
-def synthesize_all(templates, table, names) -> dict:
+def budget_exits(workload: str) -> dict:
+    return {
+        t["task"]: (t["reason"], t["enumerated"], t["pruned"], t["deduped"])
+        for t in REFERENCE[workload]["tasks"]
+        if t["reason"] != "found"
+    }
+
+
+def found_row(r) -> tuple:
+    return (str(r.program) if r.program else None, r.enumerated, r.pruned_abstract, r.deduped)
+
+
+def exit_row(r) -> tuple:
+    return (r.reason, r.enumerated, r.pruned_abstract, r.deduped)
+
+
+def synthesize_all(templates, table, names, row=found_row) -> dict:
     got = {}
     for name, task in map(load, eval_task_paths()):
         if name in names:
             r = Synthesizer(task, templates, table).run(require_correct=True)
-            got[name] = (str(r.program) if r.program else None, r.enumerated, r.pruned_abstract, r.deduped)
+            got[name] = row(r)
     return got
 
 
@@ -60,3 +78,9 @@ def test_top_table_programs_and_counts():
     want = expected("synth-top")
     assert len(want) == 10
     assert synthesize_all([TOP], top_table([concat_construct()]), want) == want
+
+
+def test_top_table_budget_exits():
+    want = budget_exits("synth-top")
+    assert len(want) == 5
+    assert synthesize_all([TOP], top_table([concat_construct()]), want, exit_row) == want

@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -39,7 +40,7 @@ from atlas.corpus import corpus_dir
 from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, state_embeds
 from atlas.transformers import Transformer, TransformerTable
 
-from conftest import E1, E2, E3, record_stream, table_outputs, with_outputs, with_top_copies
+from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
 from oracles import abstract_eval, full_abstraction, is_correct, state_embeds_scan
 
 
@@ -308,15 +309,16 @@ class TestIsCorrect:
         assert not is_correct(p, SynthesisTask(examples=(("ab", "ab"),)))
 
 
-def derived_and_fresh(synth, cand):
-    """``(derived, fresh)``: the states ``run`` derived for ``cand`` (none if
-    it never did) and the candidate's whole vector by ``abstract_eval``.
+def derived_and_fresh(synth, rec, derived):
+    """``(derived, fresh)``: the states ``run`` held for a logged record
+    (``held_states``) and the record's whole vector by ``abstract_eval``.
 
     Checks that ``derived`` is a prefix of ``fresh`` and that it stops at
     the first state that does not embed its output, or runs to the end."""
-    fresh = tuple(abstract_eval(cand.node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
-    derived = cand.states or ()
-    shown = print_program(Program(cand.node))
+    node = synth._node(rec)
+    fresh = tuple(abstract_eval(node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
+    derived = held_states(synth, rec, derived)
+    shown = print_program(Program(node))
     assert derived == fresh[: len(derived)], shown
     embeds = [state_embeds(s, out) for s, out in zip(derived, synth.outputs)]
     assert all(embeds[:-1]), shown
@@ -336,9 +338,9 @@ class TestEnumeratorProperties:
         assert result.correct
         assert len(stream) == result.enumerated
         pruned = 0
-        for _, _, cand in stream:
-            derived, fresh = derived_and_fresh(synth, cand)
-            assert all(gamma_contains(st, v) for st, v in zip(fresh, cand.values)), print_program(Program(cand.node))
+        for _, rec, derived in stream:
+            derived, fresh = derived_and_fresh(synth, rec, derived)
+            assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(synth._node(rec)))
             pruned += last_fails_to_embed(derived, E2.outputs)
         # The pruned candidates are those whose last derived state fails to embed.
         assert pruned == result.pruned_abstract > 0
@@ -378,10 +380,10 @@ class TestEnumeratorProperties:
             stream = record_stream(synth)
             result = synth.run(require_correct=False)
             assert len(stream) == result.enumerated, name
-            *before, (_, _, last) = stream
-            assert last.node == result.program.root, name
-            for _, _, cand in before:
-                _, fresh = derived_and_fresh(synth, cand)
+            *before, (_, last, _) = stream
+            assert synth._node(last) == result.program.root, name
+            for _, rec, derived in before:
+                _, fresh = derived_and_fresh(synth, rec, derived)
                 assert not all(gamma_contains(st, out) for st, out in zip(fresh, synth.outputs)), name
 
 
@@ -418,20 +420,22 @@ class TestStateVectorCache:
         # Over the budget, the last candidate is counted but not judged.
         judged = stream if result.reason == "exhausted" else stream[:-1]
         seen, pooled, pruned, reused = set(), 0, 0, 0
-        for _, sid, cand in judged:
-            if cand.values in seen:  # the run's dedup
+        for _, rec, derived in judged:
+            if rec[0] in seen:  # the run's dedup
                 continue
-            seen.add(cand.values)
-            derived, fresh = derived_and_fresh(synth, cand)
-            reused += sid is not None
+            seen.add(rec[0])
+            derived, fresh = derived_and_fresh(synth, rec, derived)
+            reused += rec[1] is not None
             accepted = all(gamma_contains(s, out) for s, out in zip(fresh, PHONES.outputs))
             embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
             assert derived == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
-            if cand.sid is not None:  # registered when made, when derived or when pooled
+            # Registered when made, else when derived or when pooled.
+            sid = rec[1] if rec[1] is not None else synth._ids.get(derived)
+            if sid is not None:
                 assert embeds
-                assert synth._vectors[cand.sid] == fresh
-                assert synth._accepts[cand.sid] == accepted
+                assert synth._vectors[sid] == fresh
+                assert synth._accepts[sid] == accepted
             pooled += embeds
             pruned += not embeds
         assert reused > 0 or not reuses
@@ -459,16 +463,16 @@ class TestStateVectorCache:
         stream = record_stream(synth)
         synth.run(require_correct=True)
         wrong = [
-            cand
-            for _, _, cand in stream
-            if not all(gamma_contains(st, v) for st, v in zip(cand.states or (), cand.values))
+            rec
+            for _, rec, derived in stream
+            if not all(gamma_contains(st, v) for st, v in zip(held_states(synth, rec, derived), rec[0]))
         ]
-        assert any(cand.parts and (cand.parts[0].sid, cand.parts[1].sid) in cached for cand in wrong)
+        assert any(len(rec) == 4 and (rec[2][1], rec[3][1]) in cached for rec in wrong)
 
 
 def size4_leaves(synth):
     """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
-    return [(cand.node, cand.values) for cand in synth._batch(4, {1: [], 2: []})]
+    return [(synth._node(rec), rec[0]) for rec in synth._batch(4, {1: [], 2: []})]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -500,17 +504,16 @@ class TestPositionTable:
 
 
 class TestLazyNode:
-    """A candidate's node, built on first read, is the program its size and values describe."""
+    """A record's node, rebuilt from its leaves, is the program its size and values describe."""
 
     @staticmethod
-    def check(stream, inputs):
-        for size, _, cand in stream:
-            node = cand.node
+    def check(synth, stream, inputs):
+        for size, rec, _ in stream:
+            node = synth._node(rec)
             assert node.size == size, print_program(Program(node))
-            assert tuple(eval_node(node, x) for x in inputs) == cand.values, print_program(Program(node))
-            if cand.parts is not None:
-                a, b = cand.parts
-                assert node == concat(a.node, b.node), print_program(Program(node))
+            assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(Program(node))
+            if len(rec) == 4:
+                assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(Program(node))
 
     def test_first_candidates_under_the_top_table(self, monkeypatch):
         # Nothing is accepted, so the run enumerates up to its budget.
@@ -521,16 +524,50 @@ class TestLazyNode:
         result = synth.run(require_correct=True)
         assert result.reason == "candidate-budget"
         assert len(stream) == result.enumerated == 20_001
-        assert any(cand.parts is not None for _, _, cand in stream)
-        self.check(stream, E2.inputs)
+        assert any(len(rec) == 4 for _, rec, _ in stream)
+        self.check(synth, stream, E2.inputs)
 
     def test_full_run_of_e2(self, table_a2):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
         stream = record_stream(synth)
         result = synth.run(require_correct=True)
         assert len(stream) == result.enumerated
-        assert stream[-1][2].node == result.program.root
-        self.check(stream, E2.inputs)
+        assert synth._node(stream[-1][1]) == result.program.root
+        self.check(synth, stream, E2.inputs)
+
+
+class TestRecords:
+    def test_records_are_untracked_by_the_collector(self, monkeypatch):
+        # A record holding a node, a state or any class instance stays
+        # tracked, and every full collection then walks the pools.
+        monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
+        task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        stream = record_stream(synth)
+        assert synth.run(require_correct=True).reason == "candidate-budget"
+        # A collection untracks a tuple only when its items are untracked
+        # already, and it may visit a record before its children; but each
+        # one untracks every record whose children it found untracked.  So
+        # collect until a collection untracks nothing more.
+        tracked = [rec for _, rec, _ in stream]
+        while tracked:
+            gc.collect()
+            left = [rec for rec in tracked if gc.is_tracked(rec)]
+            if len(left) == len(tracked):
+                break
+            tracked = left
+        assert not tracked, f"{len(tracked)} of {len(stream)} records tracked, first {tracked[0]!r:.200}"
+
+    def test_timeout_exit(self):
+        # Under top, eval_wrap_dir exhausts the 200,000 budget when it has time.
+        _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 200_000, 1)
+        result = Synthesizer(task, [TOP], TransformerTable()).run(require_correct=True)
+        assert result.reason == "timeout"
+        assert result.program is None
+        assert 0 < result.enumerated < task.max_candidates
+        assert result.enumerated % 256 == 0
+        assert result.deduped + result.pruned_abstract <= result.enumerated
+        assert result.wall_us > 0
 
 
 def unreduced_eval(node, e_in, templates, table, pool):
