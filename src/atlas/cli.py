@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .domain import TOP, TemplateKind, template_from_text, template_to_text
+from .domain import CHAR_NEQ, TOP, TemplateKind, template_from_text, template_to_text
 from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
@@ -144,6 +144,9 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
                 raise ValueError(f"transformer {inputs_text(t.inputs)} names a template the bundle does not have")
             if TOP in outputs:
                 raise ValueError(f"transformer {inputs_text(t.inputs)} has a top output")
+            # ``check_valid``'s box passes unsound ones: (char i = c),top -> (char i != c), [[1, 0, 0], [0, 0, 0]].
+            if CHAR_NEQ in outputs:
+                raise ValueError(f"transformer {inputs_text(t.inputs)} has a {CHAR_NEQ} output")
         # The table rejects a second entry for the same inputs.
         table = TransformerTable(entries).normalized()
         provenance = obj.get("provenance", {})

@@ -5,17 +5,18 @@ A template is a member of the ``TemplateKind`` enum, ``TOP``, ``LEN_EQ``,
 ``LEN_NEQ``, ``CHAR_EQ`` or ``CHAR_NEQ``, and templates sort by their
 values.  A concrete predicate is a template with its integer holes filled
 (characters are code points).  An abstract value is a finite conjunction of
-concrete predicates over one string value, with a distinguished bottom
-whose concretization is empty.
+concrete predicates over one string value, kept in four plain fields with
+its ``char =`` facts as runs of known characters (``AbstractValue``), with
+a distinguished bottom whose concretization is empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, starmap
-from typing import Collection, Iterable, Union
+from itertools import groupby
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class TemplateKind(str, Enum):
@@ -81,12 +82,7 @@ def char_neq(i: int, c: int) -> ConcretePredicate:
 TOP_PRED = ConcretePredicate(TOP, ())
 
 # The interned constructor of each kind that has holes.
-_INTERNED = {
-    LEN_EQ: len_eq,
-    LEN_NEQ: len_neq,
-    CHAR_EQ: char_eq,
-    CHAR_NEQ: char_neq,
-}
+_INTERNED = {LEN_EQ: len_eq, LEN_NEQ: len_neq, CHAR_EQ: char_eq, CHAR_NEQ: char_neq}
 
 
 class _Bottom:
@@ -102,17 +98,23 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
-class AbstractValue:
-    """Conjunction of concrete predicates; the empty conjunction is top.
-
-    Made by ``of_groups`` (or ``of``) only.  ``by_kind`` holds the args of
-    the conjuncts grouped by template kind, with ``TOP: [()]``, for every
-    reader of a value's structure; equality and hashing read ``conjuncts``.
+class AbstractValue(NamedTuple):
+    """A conjunction of concrete predicates about one string, as four plain
+    fields: ``length`` (the ``len =`` value or None), the sorted
+    ``len_neqs``, the ``char =`` facts as ``segments`` (runs of known
+    characters: sorted, non-overlapping, maximal ``(offset, substring)``
+    pairs) and the sorted ``(index, code point)`` pairs of ``char_neqs``.
+    Contradictory facts give ``BOTTOM`` instead (``state_of``), so each
+    conjunction has one form, and equality and hashing are the tuple's.
+    ``top()`` is the shared value without facts; ``conjuncts`` lists the
+    predicates.  A derived value's runs are its arguments' runs, copied or
+    shifted: no other ``char =`` output is sound (``TransformerTable``).
     """
 
-    conjuncts: frozenset[ConcretePredicate]
-    by_kind: dict[TemplateKind, list[tuple[int, ...]]] = field(compare=False, hash=False, repr=False)
+    length: Optional[int]
+    len_neqs: tuple[int, ...]
+    segments: tuple[tuple[int, str], ...]
+    char_neqs: tuple[tuple[int, int], ...]
 
     @staticmethod
     def top() -> "AbstractValue":
@@ -121,38 +123,60 @@ class AbstractValue:
     @staticmethod
     def of(preds: Iterable[ConcretePredicate]) -> Union["AbstractValue", _Bottom]:
         """The conjunction of ``preds``, or bottom on direct contradiction."""
-        groups: dict[TemplateKind, set[tuple[int, ...]]] = {}
+        facts: dict[TemplateKind, set] = {k: set() for k in TemplateKind}
         for p in preds:
-            groups.setdefault(p.kind, set()).add(p.args)
-        return AbstractValue.of_groups(groups)
-
-    @staticmethod
-    def of_groups(groups: dict[TemplateKind, Collection[tuple[int, ...]]]) -> Union["AbstractValue", _Bottom]:
-        """The conjunction of the facts given as their distinct args grouped
-        by kind, or bottom on direct contradiction; a ``top`` group adds
-        nothing.  The conjuncts are the interned predicates (``len_eq`` and
-        the rest), and ``by_kind`` is the groups themselves."""
-        groups = {k: list(args) for k, args in groups.items() if args and k is not TOP}
-        if not groups:
-            return _TOP_VALUE
-        if _contradicts(groups):
+            facts[p.kind].add(p.args)
+        pins = dict(facts[CHAR_EQ])
+        if len(pins) < len(facts[CHAR_EQ]):  # two characters at one index
             return BOTTOM
-        conjuncts = frozenset(chain.from_iterable(starmap(_INTERNED[k], args) for k, args in groups.items()))
-        groups[TOP] = [()]
-        return AbstractValue(conjuncts, groups)
+        runs = _index_runs(tuple(sorted(pins)))
+        segments = tuple((a, "".join(chr(pins[i]) for i in range(a, b))) for a, b in runs)
+        return state_of(facts[LEN_EQ], facts[LEN_NEQ], segments, facts[CHAR_NEQ])
 
-    def sorted_conjuncts(self) -> list[ConcretePredicate]:
-        return sorted(self.conjuncts)
+    def args(self, kind: TemplateKind) -> Sequence[tuple[int, ...]]:
+        """The args of the value's conjuncts of template ``kind``, sorted; ``[()]`` for top."""
+        if kind is TOP:
+            return [()]
+        if kind is LEN_EQ:
+            return [] if self.length is None else [(self.length,)]
+        if kind is LEN_NEQ:
+            return [(n,) for n in self.len_neqs]
+        if kind is CHAR_EQ:
+            return [(off + j, ord(ch)) for off, run in self.segments for j, ch in enumerate(run)]
+        return self.char_neqs
+
+    @property
+    def conjuncts(self) -> frozenset[ConcretePredicate]:
+        return frozenset(_INTERNED[k](*a) for k in _INTERNED for a in self.args(k))
 
     def __str__(self) -> str:
-        if not self.conjuncts:
-            return "top"
-        return " & ".join(str(p) for p in self.sorted_conjuncts())
+        return " & ".join(map(str, sorted(self.conjuncts))) or "top"
 
 
-_TOP_VALUE = AbstractValue(frozenset(), {TOP: [()]})
+_TOP_VALUE = AbstractValue(None, (), (), ())
 
 StateLike = Union[AbstractValue, _Bottom]
+
+
+def state_of(lengths: Collection, len_neqs: Collection, segments: tuple, char_neqs: Collection) -> StateLike:
+    """The value with these facts, given as distinct args per kind and
+    ``segments`` in a value's form, or the shared top without facts.  Two
+    lengths, a run past the length, the length among ``len_neqs`` or a
+    ``char !=`` fact on a run's character give bottom."""
+    length = None
+    if lengths:
+        if len(lengths) > 1:
+            return BOTTOM
+        ((length,),) = lengths
+        if (length,) in len_neqs or (segments and segments[-1][0] + len(segments[-1][1]) > length):
+            return BOTTOM
+    if char_neqs and segments:
+        pinned = {off + j: ord(ch) for off, run in segments for j, ch in enumerate(run)}
+        if any(pinned.get(i) == c for i, c in char_neqs):
+            return BOTTOM
+    if length is None and not (len_neqs or segments or char_neqs):
+        return _TOP_VALUE
+    return AbstractValue(length, tuple(sorted(n for (n,) in len_neqs)), segments, tuple(sorted(char_neqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +206,13 @@ def gamma_contains(p: Union[ConcretePredicate, StateLike], s: str) -> bool:
         return False
     if isinstance(p, ConcretePredicate):
         return _pred_holds(p, s)
-    return all(_pred_holds(q, s) for q in p.conjuncts)
+    n = len(s)
+    return (
+        p.length in (None, n)
+        and n not in p.len_neqs
+        and all(s.startswith(run, off) for off, run in p.segments)
+        and all(i >= n or ord(s[i]) != c for i, c in p.char_neqs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,65 +251,48 @@ def abstract(s: str, t: TemplateKind, pool: ConstantPool) -> list[ConcretePredic
     if t is CHAR_EQ:
         return [char_eq(i, ord(s[i])) for i in pool.indices if i < len(s)]
     if t is CHAR_NEQ:
-        return [
-            char_neq(i, c)
-            for i in pool.indices
-            if i < len(s)
-            for c in pool.chars
-            if c != ord(s[i])
-        ]
+        return [char_neq(i, c) for i in pool.indices if i < len(s) for c in pool.chars if c != ord(s[i])]
     raise ValueError(t)
 
 
-# The equality kind whose facts about a value imply every fact of the
-# inequality kind: ``len = n`` implies each ``len != k``, and ``char i = c``
-# each ``char i != c'`` (both are generated at the indices of the value).
-_IMPLIED_BY = {LEN_NEQ: LEN_EQ, CHAR_NEQ: CHAR_EQ}
+@lru_cache(maxsize=None)
+def _index_runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Distinct character indices as ``(start, stop)`` runs of consecutive ints."""
+    groups = groupby(enumerate(sorted(set(indices))), lambda p: p[1] - p[0])
+    return tuple((run[0][1], run[-1][1] + 1) for run in (list(g) for _, g in groups))
 
 
 def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPool) -> StateLike:
     """Strongest conjunction expressible with the given templates that holds of ``s``, reduced.
 
-    An inequality template contributes no facts when the matching equality
-    template is in the domain: they would all be implied, so the reduced
-    conjunction has the concretization of the full one.  Under any table a
-    concatenation of reduced leaves gets a sound state, no stronger than the
-    one from full leaves, since fewer conjuncts give fewer selections to map;
-    under the tables training learns it has the same concretization (see
-    ``transformers``).  Every fact holds of ``s``, so it is never bottom.
+    The facts ``abstract`` gives, built straight into the fields: one run
+    per run of consecutive pool indices below ``len(s)``.  An inequality
+    template adds no facts when its equality template is in the domain:
+    ``len = n`` implies each ``len != k``, and ``char i = c`` each ``char i
+    != c'``, so the reduced conjunction has the full one's concretization.
+    Under any table a concatenation of reduced leaves gets a sound state,
+    no stronger than the one from full leaves, since fewer conjuncts give
+    fewer selections to map; under the tables training learns it has the
+    same concretization (see ``transformers``).  Never bottom.
     """
-    templates = sorted(templates)
-    groups = {}
-    for t in templates:
-        if t is TOP or _IMPLIED_BY.get(t) in templates:
-            continue
-        groups[t] = [p.args for p in abstract(s, t, pool)]
-    return AbstractValue.of_groups(groups)
+    kinds, n = set(templates), len(s)
+    lengths = {(n,)} if LEN_EQ in kinds else ()
+    len_neqs = {(m,) for m in pool.lengths if m != n} if LEN_NEQ in kinds and not lengths else ()
+    segments, char_neqs = (), ()
+    if CHAR_EQ in kinds:
+        segments = tuple((start, s[start:stop]) for start, stop in _index_runs(pool.indices) if start < n)
+    elif CHAR_NEQ in kinds:
+        char_neqs = {p.args for p in abstract(s, CHAR_NEQ, pool)}
+    return state_of(lengths, len_neqs, segments, char_neqs)
 
 
 # ---------------------------------------------------------------------------
-# Meet with syntactic contradiction detection
-
-
-def _contradicts(groups: dict[TemplateKind, list[tuple[int, ...]]]) -> bool:
-    """Whether facts, given as distinct args grouped by kind, directly
-    contradict each other."""
-    lens = groups.get(LEN_EQ, ())
-    pins = groups.get(CHAR_EQ, ())
-    char_eqs = dict(pins)
-    if len(lens) > 1 or len(char_eqs) < len(pins):  # two lengths, or two characters at one index
-        return True
-    if lens and (lens[0] in groups.get(LEN_NEQ, ()) or (char_eqs and max(char_eqs) >= lens[0][0])):
-        return True
-    return bool(char_eqs) and any(char_eqs.get(i) == c for i, c in groups.get(CHAR_NEQ, ()))
+# Meet
 
 
 def meet(a: StateLike, b: StateLike) -> StateLike:
-    """Greatest lower bound; returns bottom on direct contradiction.
-
-    Only tests call it.  It stays while the benchmark's worker
-    (``perfbench/worker.py``) traces it by name.
-    """
+    """Greatest lower bound, bottom on direct contradiction.  Only tests
+    call it; it stays while ``perfbench/worker.py`` traces it by name."""
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
     return AbstractValue.of(a.conjuncts | b.conjuncts)
@@ -302,18 +315,12 @@ def _quote_char(c: int) -> str:
 
 
 def predicate_to_text(p: ConcretePredicate) -> str:
-    k = p.kind
-    if k is TOP:
+    if p.kind is TOP:
         return "top"
-    if k is LEN_EQ:
-        return f"(len = {p.args[0]})"
-    if k is LEN_NEQ:
-        return f"(len != {p.args[0]})"
-    if k is CHAR_EQ:
-        return f"(char {p.args[0]} = {_quote_char(p.args[1])})"
-    if k is CHAR_NEQ:
-        return f"(char {p.args[0]} != {_quote_char(p.args[1])})"
-    raise ValueError(k)
+    op = "=" if p.kind in (LEN_EQ, CHAR_EQ) else "!="
+    if p.kind.holes == 1:
+        return f"(len {op} {p.args[0]})"
+    return f"(char {p.args[0]} {op} {_quote_char(p.args[1])})"
 
 
 _TEMPLATE_TEXT = {

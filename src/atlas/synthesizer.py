@@ -4,15 +4,11 @@ Programs are enumerated in rank order with a per-example abstract state
 attached to every subprogram.  Closed subterms (the input leaf, constant
 strings, and substring extractions of the input) are described by the
 strongest conjunction the current domain can express about their concrete
-value; concatenations are described by applying the learned transformer
-table to their children's states.  A leaf's state is in reduced form: it
-keeps no ``len !=`` or ``char !=`` fact that its ``len =`` or ``char =``
-facts imply (``best_abstraction``).  Every state is sound whatever the
-table: a concatenation derives a subset of what it would derive from the
-unreduced states, and only facts that hold.  Under the tables training
-learns it derives no implied fact either (see ``transformers``), so each
-fact is derived once, and the concretizations, and so every verdict, are
-those of the unreduced states.  A subprogram is dropped when its state
+value, in reduced form (``best_abstraction``); concatenations are
+described by applying the learned transformer table to their children's
+states.  Every state is sound whatever the table, and under the tables
+training learns the reduction changes no concretization, and so no
+verdict (see ``transformers``).  A subprogram is dropped when its state
 cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
@@ -43,27 +39,26 @@ Any other is judged with ``gamma_contains``.  Only pooling registers, so
 the registry is never larger than the pools.
 
 What is computed afresh is kept cheap instead of memoized per pair of
-states.  ``apply_transformer`` reads the table's entries, maps the
-selected args inline and hands the derived args, grouped by kind, to
-``AbstractValue.of_groups``, the one constructor of a state, which checks
-them for contradiction and keeps the groups as the state's ``by_kind``.
-``state_embeds`` tests one substring length per offset, the smallest the
-state admits (see its docstring).  The three functions the verdicts and
-states come from, ``apply_transformer``, ``state_embeds`` and
-``gamma_contains``, are called through this module's globals, so that a
-tracer which replaces them by name sees every call.
+states.  A state is a tuple of four plain fields (``AbstractValue``),
+with its ``char =`` facts as runs of known characters, and it hashes and
+compares as a tuple.  Every ``char =`` output a table holds copies the
+left runs or shifts the right ones by the left length, since no other
+shape is sound on ``check_valid``'s box (``TransformerTable``).  So
+``apply_transformer`` moves whole runs, and ``state_embeds`` finds the
+first run in the output and checks the rest with ``startswith``.  The
+three functions the verdicts and states come from, ``apply_transformer``,
+``state_embeds`` and ``gamma_contains``, are called through this module's
+globals, so that a tracer which replaces them by name sees every call.
 
 Most candidates are never kept and only the returned one's program is
 read, so a candidate is a plain tuple record, laid out in ``_batch``: its
 values, the registry id of its vector or None, and either the number of its
 leaf or its two child records.  Records hold only ``str``, ``int``, ``None``
 and records, so CPython's cyclic collector untracks them and a full
-collection does not walk the pools.  A record that held an AST node, a
-state or any other class instance would stay tracked, and every full
-collection would walk the pools again.  So a record keeps no states: a
-pooled record's vector is ``_vectors[sid]``, and a vector that is not
-registered lives only inside ``run``.  No AST node is made while
-enumerating; ``_node`` builds the returned program's from its record.
+collection does not walk the pools; a record that held an AST node, a state
+or any other class instance would stay tracked.  So a pooled record's
+vector is ``_vectors[sid]``, and one not registered lives only inside
+``run``.  ``_node`` builds the returned program's AST from its record.
 
 When the enumeration reaches the ``substr`` leaves (size 4), it resolves
 every term of the position pool on every example input once, into a
@@ -79,23 +74,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add, mul
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterator, Optional
 
 from . import dsl
 from .dsl import AstNode, EvalError, Program
-from .domain import (
-    AbstractValue,
-    BOTTOM,
-    ConstantPool,
-    StateLike,
-    TemplateKind,
-    best_abstraction,
-    gamma_contains,
-)
+from .domain import CHAR_NEQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, best_abstraction, gamma_contains, state_of
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
-from .transformers import TransformerTable, apply_affine, names_negative_index  # noqa: F401
+from .transformers import TransformerTable, apply_affine  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -135,32 +122,35 @@ def satisfies(p: Program, example: tuple[str, str]) -> bool:
 def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, StateLike]) -> StateLike:
     """Best state of the concatenation of two values with the given states.
 
-    Each entry of the table (``TransformerTable.entries``) applies when both states have conjuncts of its input kinds; top is
-    always present.  Every selection of one conjunct of each kind is mapped
-    through the entry's output matrices, inline, and an output that names a
-    negative character index derives nothing.  The derived args are
-    collected per kind and met by ``AbstractValue.of_groups``; nothing
-    derived gives top.
+    An entry applies when the left state has a conjunct of its first input
+    kind and the right state one of its second (top is always present).
+    Its ``char =`` outputs are copies or the shift, the only shapes sound
+    on ``check_valid``'s box (``TransformerTable``): a copy passes the left
+    runs through, and the shift moves the right runs by the left
+    ``length``; as the left runs end by that length, the two meet at most
+    there, where they join.  Any other output maps each selection of one
+    conjunct per input kind through its matrix, unless it names a negative
+    character index.  ``state_of`` meets the derived facts.
     """
     left, right = arg_states
     if left is BOTTOM or right is BOTTOM:
         return BOTTOM
-    left_groups, right_groups = left.by_kind, right.by_kind
-    derived: dict[TemplateKind, set[tuple[int, ...]]] = {}
-    for (k1, k2), entry in table.entries.items():
-        args1 = left_groups.get(k1)
-        args2 = right_groups.get(k2)
-        if args1 is None or args2 is None:
-            continue
-        outputs = entry.outputs
-        for a1 in args1:
-            for a2 in args2:
-                vec = (*a1, *a2, 1)
-                for kind, matrix in outputs:
-                    args = tuple([sum(map(mul, row, vec)) for row in matrix])
-                    if not names_negative_index(kind, args):
-                        derived.setdefault(kind, set()).add(args)
-    return AbstractValue.of_groups(derived)
+    derived = {LEN_EQ: set(), LEN_NEQ: set(), CHAR_NEQ: set()}
+    for k1, k2, outputs in table.affine:
+        for a1, a2 in product(left.args(k1), right.args(k2)):
+            vec = (*a1, *a2, 1)
+            for kind, matrix in outputs:
+                args = tuple([sum(map(mul, row, vec)) for row in matrix])
+                if kind is not CHAR_NEQ or args[0] >= 0:
+                    derived[kind].add(args)
+    segments = left.segments if left.segments and any(map(right.args, table.copies)) else ()
+    if table.shift and right.segments and left.length is not None:
+        shifted = tuple((left.length + off, run) for off, run in right.segments)
+        if segments and segments[-1][0] + len(segments[-1][1]) == shifted[0][0]:
+            shifted = ((segments[-1][0], segments[-1][1] + shifted[0][1]), *shifted[1:])
+            segments = segments[:-1]
+        segments += shifted
+    return state_of(derived[LEN_EQ], derived[LEN_NEQ], segments, derived[CHAR_NEQ])
 
 
 # ---------------------------------------------------------------------------
@@ -170,42 +160,35 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
 def state_embeds(state: StateLike, out: str) -> bool:
     """True iff some contiguous substring of ``out`` satisfies the state.
 
-    One length decides every offset.  Shortening a substring that
-    satisfies the state, to a length the length facts admit that still
-    covers every ``char =`` index, keeps every ``char =`` and ``char !=``
-    fact true: a ``char !=`` fact at or past the new end holds vacuously.
-    So the smallest admissible length ``n`` works at an offset whenever
-    any length does, and it does not depend on the offset.  It is the
-    ``len =`` value if there is one (when that value is forbidden or too
-    short for a ``char =`` index, nothing embeds), else the least length
-    past every ``char =`` index that no ``len !=`` fact forbids.  Each
-    offset up to ``len(out) - n`` is then tested against the ``char =``
-    facts and the ``char !=`` facts below ``n``: O(|out| * facts).
+    One length decides every offset: shortening a substring that satisfies
+    the state, to a length the length facts admit that still covers every
+    run, keeps every character fact true (a ``char !=`` fact past the new
+    end holds vacuously).  That smallest length ``n`` is ``length`` when
+    known (a state is consistent), else the least one past every run that
+    no ``len !=`` fact forbids.  The offsets where the first run occurs
+    (``str.find``) are checked with ``startswith`` per other run and
+    against the ``char !=`` facts below ``n``.
     """
     if state is BOTTOM:
         return False
-    groups = state.by_kind
-    pinned = groups.get(TemplateKind.CHAR_EQ, ())
-    neq_lens = {n for (n,) in groups.get(TemplateKind.LEN_NEQ, ())}
-    n = max(i for i, _ in pinned) + 1 if pinned else 0
-    lens = groups.get(TemplateKind.LEN_EQ)
-    if lens:
-        length = lens[0][0]
-        if length < n or length in neq_lens:
-            return False
+    length, len_neqs, segments, char_neqs = state
+    n = segments[-1][0] + len(segments[-1][1]) if segments else 0
+    while n in len_neqs:
+        n += 1
+    if length is not None:
         n = length
-    else:
-        while n in neq_lens:
-            n += 1
-    # (index, character, whether the substring's character there must equal it)
-    checks = [(i, chr(c), True) for i, c in pinned]
-    checks += [(i, chr(c), False) for i, c in groups.get(TemplateKind.CHAR_NEQ, ()) if i < n]
-    for o in range(len(out) - n + 1):
-        for i, ch, equal in checks:
-            if (out[o + i] == ch) != equal:
-                break
-        else:
+    last = len(out) - n
+    if last < 0:
+        return False
+    neqs = [(i, chr(c)) for i, c in char_neqs if i < n]
+    (first_at, first), rest = segments[0] if segments else (0, ""), segments[1:]
+    stop = last + first_at + len(first)
+    p = out.find(first, first_at, stop)
+    while p >= 0:
+        o = p - first_at
+        if all(out.startswith(run, o + off) for off, run in rest) and all(out[o + i] != ch for i, ch in neqs):
             return True
+        p = out.find(first, p + 1, stop)
     return False
 
 
@@ -324,11 +307,7 @@ class Synthesizer:
         substring from ``positions[i]`` to ``positions[j]``; ``_node``
         turns it back into the AST node.  A concatenation takes the id its
         child-id pair has in the concat cache; every other record is made
-        with None.  Records hold only ``str``, ``int``, ``None`` and
-        records, so the cyclic collector untracks them, and the pools it
-        would otherwise walk on every full collection cost it nothing.  A
-        record that held an AST node, a state or any class instance would
-        stay tracked.
+        with None.
         """
         inputs = self.inputs
         if size == 1:

@@ -23,10 +23,10 @@ so a slot that cannot is refused before it draws a sample (``FILLABLE``);
 
 Concat is the only construct learned: the synthesizer abstracts every
 closed subterm (the input, constants and substrings) straight from its
-value, so the table is read for concat alone.  It reads the table's
-entries and maps constants through their matrices itself, so
-``apply_affine`` serves the validity check (training and bundle loading)
-only.
+value, so the table is read for concat alone.  It reads each ``char =``
+output as the copy or shift rule the table compiles it to, and maps the
+other constants through their matrices itself, so ``apply_affine`` serves
+the validity check (training and bundle loading) only.
 
 A table is built once and never changes, and it stores only the entries
 that have outputs: a pair of input templates without an entry derives
@@ -37,18 +37,15 @@ derived by one entry.
 
 The synthesizer abstracts leaves in reduced form, without the inequality
 facts their equality facts imply (``best_abstraction``).  That is sound
-under any table, since a subset of the true input facts maps to a subset
-of the derived facts, which all hold.  It loses nothing when no entry with
-a ``char !=`` input has an output, and each output of an entry with a
-``len !=`` input is a ``len !=`` output with a nonzero coefficient on that
-constant whose matrix the entry with ``len =`` in its place has as a
-``len =`` output.  Then every fact derived from an implied ``len != k``
-(beside ``len = n``, k != n) is implied by the fact derived from
-``len = n``, as the map is injective in that constant.  Every table that
-``learn_transformers`` builds at seeds 0-39, over every domain, has that
-form, and reads every non-top argument of each entry in some output
-(``tests/test_transformers.py::test_learned_tables_keep_reduced_leaves_lossless``);
-a hand-edited table that does not can lose precision but not soundness.
+under any table: a subset of the true input facts maps to a subset of the
+derived facts.  It loses nothing when no entry with a ``char !=`` input
+has an output, and each output of an entry with a ``len !=`` input is a
+``len !=`` output, injective in that constant, whose matrix the entry with
+``len =`` in its place has as a ``len =`` output: a fact derived from an
+implied ``len != k`` is then implied by the one derived from ``len = n``.
+``test_learned_tables_keep_reduced_leaves_lossless`` checks that learned
+tables have that form and read every non-top argument of each entry; a
+hand-edited table that does not can lose precision but not soundness.
 """
 
 from __future__ import annotations
@@ -136,17 +133,6 @@ def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
 
     ``check_valid`` calls it; the synthesizer computes the same map inline."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
-
-
-# The kinds whose first hole is a character index.
-_INDEXED = frozenset({CHAR_EQ, CHAR_NEQ})
-
-
-def names_negative_index(kind: TemplateKind, args: tuple[int, ...]) -> bool:
-    """Whether the constants an affine map predicted for an output of
-    ``kind`` name a negative character index.  Such an output derives
-    nothing, both in ``check_valid`` and in the synthesizer."""
-    return kind in _INDEXED and args[0] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +409,8 @@ def check_valid(
             per_arg.append([t.instantiate((i, c)) for i in values for c in _BOX_CHARS])
     for sel in product(*per_arg):
         args = apply_affine(p_matrix, _a_row(sel))
-        if names_negative_index(chi0, args) or not row_valid(sel, chi0.instantiate(args)):
+        # An output that names a negative character index derives nothing.
+        if (chi0 in (CHAR_EQ, CHAR_NEQ) and args[0] < 0) or not row_valid(sel, chi0.instantiate(args)):
             return False
     return True
 
@@ -455,6 +442,15 @@ class TransformerTable:
     the same inputs.  ``entries`` holds only the entries with outputs, in
     sorted key order.  A missing entry derives nothing, so ``lookup``
     returns None for it and the empty table is the all-top table.
+
+    Each ``char =`` output is compiled once: a copy (first input ``char
+    =``, matrix ``[[1, 0, 0...], [0, 1, 0...]]``) keeps the left character
+    facts, and ``copies`` lists its second inputs; the shift (``(len =, char
+    =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``) moves the right ones by the left
+    length.  Any other shape raises ValueError, and none is sound: at each
+    point of ``check_valid``'s box the only sound ``char =`` fact is the
+    pinned one, or the right one moved by the left length, and the box
+    holds affinely independent points.  ``affine`` holds the other outputs.
     """
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
@@ -470,6 +466,21 @@ class TransformerTable:
                 raise ValueError(f"transformer {inputs_text(t.inputs)} is listed twice")
             given[t.inputs] = t
         self.entries = {k: given[k] for k in sorted(given) if given[k].outputs}
+        self.copies: list[TemplateKind] = []
+        self.shift, self.affine = False, []
+        for (k1, k2), t in self.entries.items():
+            for m in [m for chi, m in t.outputs if chi is CHAR_EQ]:
+                zeros = (0,) * (len(m[0]) - 2)
+                if k1 is CHAR_EQ and m == ((1, 0, *zeros), (0, 1, *zeros)):
+                    self.copies.append(k2)
+                elif (k1, k2, m) == (LEN_EQ, CHAR_EQ, ((1, 1, 0, 0), (0, 0, 1, 0))):
+                    self.shift = True
+                else:
+                    rows = [list(row) for row in m]
+                    raise ValueError(f"transformer {inputs_text(t.inputs)} -> {CHAR_EQ} with matrix {rows} is neither a copy nor a shift")
+            outputs = tuple(o for o in t.outputs if o[0] not in (CHAR_EQ, TOP))
+            if outputs:
+                self.affine.append((k1, k2, outputs))
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)

@@ -64,7 +64,9 @@ def state_embeds_scan(state: StateLike, out: str) -> bool:
         return False
     if not state.conjuncts:
         return True
-    groups = state.by_kind
+    groups: dict[TemplateKind, list[tuple[int, ...]]] = {}
+    for p in state.conjuncts:
+        groups.setdefault(p.kind, []).append(p.args)
     lens = groups.get(TemplateKind.LEN_EQ)
     length = lens[0][0] if lens else None
     pinned = dict(groups.get(TemplateKind.CHAR_EQ, ()))

@@ -461,6 +461,25 @@ class TestExitCodes:
         assert f"refuted transformer {text}" in err
         assert "Traceback" not in err
 
+    def test_bundle_with_char_neq_output_format_error(self, tmp_path, capsys):
+        # (char i = c),top -> (char i != c) with [[1, 0, 0], [0, 0, 0]] passes the
+        # box check, but says a[i] is not U+0000: it used to prune this task's answer.
+        copy = {"template": "(char i = c)", "matrix": [[1, 0, 0], [0, 1, 0]]}
+        neq = {"template": "(char i != c)", "matrix": [[1, 0, 0], [0, 0, 0]]}
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"examples": [{"input": "\0x", "output": "\0xy"}, {"input": "\0ab", "output": "\0aby"}]}))
+        exits = []
+        for outputs in ([copy, neq], [copy]):
+            entry = {"inputs": ["(char i = c)", "top"], "outputs": outputs}
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(json.dumps({"templates": ["(char i != c)", "(char i = c)", "top"], "transformers": [entry]}))
+            exits.append(main(["synth", str(task), "--bundle", str(bundle)]))
+        assert exits == [4, 0]
+        out, err = capsys.readouterr()
+        assert "malformed bundle (transformer (char i = c),top has a (char i != c) output)" in err
+        assert "Traceback" not in err
+        assert '(concat (input) (const "y"))' in out
+
     def test_bundle_entry_outside_its_templates_format_error(self, tmp_path, capsys):
         # A sound entry that can never fire: no state of an all-top domain has a character fact.
         pin = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]

@@ -191,6 +191,19 @@ class TestBestAbstraction:
         assert reduced.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
         assert reduced.conjuncts < full.conjuncts
 
+    @given(
+        st.text(alphabet="abz", max_size=8),
+        st.sets(st.sampled_from(sorted(TemplateKind))),
+        st.lists(st.integers(0, 9), unique=True),
+    )
+    def test_is_the_conjunction_of_the_unimplied_facts(self, s, templates, indices):
+        # Indices with gaps, in any order, make one run per run of consecutive indices.
+        pool = ConstantPool(POOL.lengths, tuple(indices), tuple(map(ord, "abz")))
+        implied = {LEN_NEQ} if LEN_EQ in templates else set()
+        implied |= {CHAR_NEQ} if CHAR_EQ in templates else set()
+        facts = [p for t in templates - implied if t is not TOP for p in abstract(s, t, pool)]
+        assert best_abstraction(s, templates, pool) == AbstractValue.of(facts)
+
     def test_reduced_keeps_inequalities_without_their_equality(self):
         templates = [TOP, LEN_NEQ, CHAR_NEQ]
         assert best_abstraction("ab", templates, POOL) == full_abstraction("ab", templates, POOL)

@@ -14,6 +14,7 @@ from atlas.domain import (
     LEN_NEQ,
     TOP,
     TOP_PRED,
+    best_abstraction,
     char_eq,
     char_neq,
     gamma_contains,
@@ -108,17 +109,63 @@ def draw_state(data, table):
 
 
 # A table no training run learns: a coefficient of 2, outputs that predict
-# a negative character index, and a ``top`` output.
+# a negative character index, derived ``char !=`` facts beside copied
+# ``char =`` ones, and a ``top`` output.
 HAND_MADE = TransformerTable(
     Transformer(inputs, outputs)
     for inputs, outputs in [
         ((LEN_EQ, LEN_EQ), ((LEN_EQ, ((2, 1, -1),)),)),
-        ((CHAR_EQ, LEN_EQ), ((CHAR_EQ, ((1, 0, -1, 0), (0, 1, 0, 0))),)),
+        ((CHAR_EQ, LEN_EQ), ((CHAR_NEQ, ((1, 0, -1, 0), (0, 1, 0, 0))),)),
+        ((CHAR_EQ, CHAR_NEQ), ((CHAR_EQ, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),)),
         ((CHAR_NEQ, TOP), ((CHAR_NEQ, ((1, 0, -2), (0, 1, 0))),)),
         ((TOP, CHAR_EQ), ((TOP, ()), (LEN_NEQ, ((1, 0, 0),)))),
         ((LEN_NEQ, LEN_EQ), ((LEN_NEQ, ((1, 1, 0),)),)),
     ]
 )
+
+
+# Leaf states as the synthesizer makes them, reduced and built straight into
+# their fields, over pools whose character indices may have gaps; or unreduced.
+LEAVES = st.one_of(
+    STATES,
+    st.builds(
+        lambda s, templates, indices: best_abstraction(s, templates, ConstantPool(_STATE_POOL.lengths, indices, _STATE_POOL.chars)),
+        st.text(alphabet="abz", max_size=6),
+        st.sets(st.sampled_from([TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ])),
+        st.lists(st.integers(0, 6), unique=True).map(sorted).map(tuple),
+    ),
+)
+
+
+def witness_strings(data, state):
+    """Strings over "abz" one edit from one that fits the state's length and segments."""
+    end = state.segments[-1][0] + len(state.segments[-1][1]) if state.segments else 0
+    chars = ["a"] * (state.length if state.length is not None else end + data.draw(st.integers(0, 2)))
+    for off, run in state.segments:
+        chars[off : off + len(run)] = run
+    return sorted(neighbours("".join(chars)))
+
+
+class TestStateFields:
+    """A state's four fields describe the conjunction its ``conjuncts`` list."""
+
+    @pytest.mark.parametrize("which", ["seed-0", "seed-1", "seed-705", "hand-made"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fields_agree_with_the_conjuncts(self, trained_at, which, data):
+        table = HAND_MADE if which == "hand-made" else trained_at[int(which[5:])].table
+        state = data.draw(LEAVES)
+        if data.draw(st.booleans()):
+            state = apply_transformer(table, (state, data.draw(LEAVES)))
+        if state is BOTTOM:
+            return
+        # Sorted, non-empty, apart and maximal runs.
+        segments = state.segments
+        assert all(run for _, run in segments)
+        assert all(a + len(run) < b for (a, run), (b, _) in zip(segments, segments[1:]))
+        assert AbstractValue.of(state.conjuncts) == state
+        for s in witness_strings(data, state) + data.draw(st.lists(ABZ, max_size=4)):
+            assert gamma_contains(state, s) == all(gamma_contains(p, s) for p in state.conjuncts), s
 
 
 class TestApplyTransformerAgainstBruteForce:

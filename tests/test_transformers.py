@@ -1,9 +1,11 @@
+import json
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from atlas.cli import bundle_obj, canonical_json, load_bundle
+from atlas.cli import bundle_obj, canonical_json, load_bundle, main
+from atlas.corpus import corpus_dir
 from atlas.driver import corpus_alphabet
 from atlas.domain import (
     AbstractValue,
@@ -380,6 +382,62 @@ class TestCheckValid:
         ]
         assert len(cases) == 978
         assert disagreements == []
+
+
+def copy_matrix(width):
+    """The matrix that keeps the first input's ``char =`` fact."""
+    zeros = (0,) * (width - 2)
+    return ((1, 0, *zeros), (0, 1, *zeros))
+
+
+class TestCharEqShapes:
+    """Every ``char =`` output that passes ``check_valid`` is a copy or a
+    shift, the two rules ``TransformerTable`` compiles."""
+
+    def test_check_valid_accepts_only_copy_and_shift(self):
+        # Entries in {-1, 0, 1}; in {0, 1} for the wide matrices of pairs
+        # other than (len =, char =) and (char =, len =), to keep the scan short.
+        accepted = set()
+        for inputs in product(sorted(TemplateKind), repeat=2):
+            width = sum(k.holes for k in inputs) + 1
+            values = (-1, 0, 1) if width <= 3 or set(inputs) == {LEN_EQ, CHAR_EQ} else (0, 1)
+            for flat in product(values, repeat=2 * width):
+                m = (flat[:width], flat[width:])
+                if check_valid(inputs, CHAR_EQ, m):
+                    accepted.add((inputs, m))
+        copies = {((CHAR_EQ, k), copy_matrix(k.holes + 3)) for k in TemplateKind}
+        assert accepted == copies | {((LEN_EQ, CHAR_EQ), ((1, 1, 0, 0), (0, 0, 1, 0)))}
+
+    @pytest.mark.parametrize(
+        "inputs, m",
+        [
+            ((CHAR_EQ, LEN_EQ), ((1, 0, -1, 0), (0, 1, 0, 0))),
+            ((LEN_EQ, CHAR_EQ), ((1, 0, 0, 0), (0, 0, 1, 0))),
+            ((CHAR_EQ, CHAR_EQ), ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0))),
+            ((TOP, CHAR_EQ), ((1, 0, 0), (0, 1, 0))),
+        ],
+    )
+    def test_table_refuses_another_shape(self, inputs, m):
+        with pytest.raises(ValueError, match="is neither a copy nor a shift"):
+            TransformerTable([Transformer(inputs, ((CHAR_EQ, m),))])
+
+    def test_table_compiles_copies_and_the_shift(self, table_a2):
+        assert table_a2.copies == [TOP] and table_a2.shift
+        assert all(chi is not CHAR_EQ for _, _, outputs in table_a2.affine for chi, _ in outputs)
+        old = with_top_copies(table_a2)
+        assert sorted(old.copies) == sorted(TemplateKind)
+
+    def test_bundle_with_another_shape_format_error(self, tmp_path, capsys):
+        entry = {
+            "inputs": ["(char i = c)", "(len = c)"],
+            "outputs": [{"template": "(char i = c)", "matrix": [[1, 0, -1, 0], [0, 1, 0, 0]]}],
+        }
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"templates": ["(char i = c)", "(len = c)", "top"], "transformers": [entry]}))
+        assert main(["synth", str(corpus_dir() / "e1.json"), "--bundle", str(bundle)]) == 4
+        err = capsys.readouterr().err
+        assert "(char i = c),(len = c) -> (char i = c) with matrix [[1, 0, -1, 0], [0, 1, 0, 0]]" in err
+        assert "Traceback" not in err
 
 
 class TestLearnTransformers:
