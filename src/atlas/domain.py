@@ -155,7 +155,14 @@ class AbstractValue(NamedTuple):
 
 _TOP_VALUE = AbstractValue(None, (), (), ())
 
-StateLike = Union[AbstractValue, _Bottom]
+# An exact state, whose concretization is one string, is that ``str`` (see
+# ``synthesizer``); ``widen`` gives its ``AbstractValue``.
+StateLike = Union[str, AbstractValue, _Bottom]
+
+
+def widen(v: str) -> AbstractValue:
+    """The ``AbstractValue`` of the exact state ``v``: its length and one run."""
+    return AbstractValue(len(v), (), ((0, v),) if v else (), ())
 
 
 def state_of(lengths: Collection, len_neqs: Collection, segments: tuple, char_neqs: Collection) -> StateLike:
@@ -201,7 +208,10 @@ def _pred_holds(p: ConcretePredicate, s: str) -> bool:
 
 
 def gamma_contains(p: Union[ConcretePredicate, StateLike], s: str) -> bool:
-    """Membership of ``s`` in the concretization of a predicate or value."""
+    """Membership of ``s`` in the concretization of a predicate or value; an
+    exact state's is ``==``, so ``require_correct`` accepts iff values equal outputs."""
+    if p.__class__ is str:
+        return p == s
     if p is BOTTOM:
         return False
     if isinstance(p, ConcretePredicate):

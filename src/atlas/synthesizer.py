@@ -13,6 +13,17 @@ cannot describe any substring of some expected output (no completion could
 then be consistent), and a complete candidate is accepted when every
 expected output lies in the concretization of its state.
 
+A state whose concretization is one string is that ``str`` (exact).  Under
+a table that ``keeps_exact`` (it has the ``len =`` sum ``[[1, 1, 0]]``, the
+copy with second input ``top`` and the shift) and templates with ``len =``
+and ``char =``, leaves up to the pool's index prefix from 0 are exact.  A
+sound table derives only facts of ``a + b``, and those entries pin all of
+it, so two exact children give their concatenation; a mixed pair widens
+the ``str``.  On a ``str``, ``state_embeds`` is ``in`` and
+``gamma_contains`` is ``==``.  A sound state's concretization holds its
+value, so with ``require_correct`` a candidate is accepted iff its values
+equal the expected outputs.
+
 ``run`` is the one search loop.  It walks the AST sizes in order, and
 ``_batch`` yields the candidates of one size, building concatenations from
 the pools of kept candidates of the smaller sizes.  For each candidate,
@@ -39,7 +50,7 @@ Any other is judged with ``gamma_contains``.  Only pooling registers, so
 the registry is never larger than the pools.
 
 What is computed afresh is kept cheap instead of memoized per pair of
-states.  A state is a tuple of four plain fields (``AbstractValue``),
+states.  A state that is not exact is four plain fields (``AbstractValue``),
 with its ``char =`` facts as runs of known characters, and it hashes and
 compares as a tuple.  Every ``char =`` output a table holds copies the
 left runs or shifts the right ones by the left length, since no other
@@ -79,7 +90,7 @@ from typing import Iterator, Optional
 
 from . import dsl
 from .dsl import AstNode, EvalError, Program
-from .domain import CHAR_NEQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, best_abstraction, gamma_contains, state_of
+from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, _index_runs, best_abstraction, gamma_contains, state_of, widen
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
 from .transformers import TransformerTable, apply_affine  # noqa: F401
@@ -122,6 +133,8 @@ def satisfies(p: Program, example: tuple[str, str]) -> bool:
 def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, StateLike]) -> StateLike:
     """Best state of the concatenation of two values with the given states.
 
+    Two exact states give their concatenation (see the module docstring);
+    an exact state beside an ``AbstractValue`` is widened.
     An entry applies when the left state has a conjunct of its first input
     kind and the right state one of its second (top is always present).
     Its ``char =`` outputs are copies or the shift, the only shapes sound
@@ -133,6 +146,12 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
     character index.  ``state_of`` meets the derived facts.
     """
     left, right = arg_states
+    if left.__class__ is str:
+        if right.__class__ is str:
+            return left + right
+        left = widen(left)
+    elif right.__class__ is str:
+        right = widen(right)
     if left is BOTTOM or right is BOTTOM:
         return BOTTOM
     derived = {LEN_EQ: set(), LEN_NEQ: set(), CHAR_NEQ: set()}
@@ -158,7 +177,8 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
 
 
 def state_embeds(state: StateLike, out: str) -> bool:
-    """True iff some contiguous substring of ``out`` satisfies the state.
+    """True iff some contiguous substring of ``out`` satisfies the state:
+    for an exact state, iff it is a substring of ``out``.
 
     One length decides every offset: shortening a substring that satisfies
     the state, to a length the length facts admit that still covers every
@@ -169,6 +189,8 @@ def state_embeds(state: StateLike, out: str) -> bool:
     (``str.find``) are checked with ``startswith`` per other run and
     against the ``char !=`` facts below ``n``.
     """
+    if state.__class__ is str:
+        return state in out
     if state is BOTTOM:
         return False
     length, len_neqs, segments, char_neqs = state
@@ -220,6 +242,9 @@ class Synthesizer:
         self.consts = self._const_pool()
         self.positions = self._position_pool()
         self._abstraction_cache: dict[str, StateLike] = {}
+        # Leaves up to this length are exact (see the module docstring); -1 when none is.
+        start, stop = _index_runs(self.pool.indices)[0]
+        self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
         # The registry of pooled state vectors: id by vector, vector and
         # accept verdict by id (a pooled vector always embeds).  ``_concats``
         # maps a pair of child ids to the id of the vector of their
@@ -261,7 +286,7 @@ class Synthesizer:
     def _abstract_value(self, value: str) -> StateLike:
         cached = self._abstraction_cache.get(value)
         if cached is None:
-            cached = best_abstraction(value, self.templates, self.pool)
+            cached = value if len(value) <= self._exact_len else best_abstraction(value, self.templates, self.pool)
             self._abstraction_cache[value] = cached
         return cached
 

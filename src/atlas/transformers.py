@@ -451,6 +451,8 @@ class TransformerTable:
     point of ``check_valid``'s box the only sound ``char =`` fact is the
     pinned one, or the right one moved by the left length, and the box
     holds affinely independent points.  ``affine`` holds the other outputs.
+
+    ``keeps_exact``: it has the ``len =`` sum, the top copy and the shift.
     """
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
@@ -481,6 +483,8 @@ class TransformerTable:
             outputs = tuple(o for o in t.outputs if o[0] not in (CHAR_EQ, TOP))
             if outputs:
                 self.affine.append((k1, k2, outputs))
+        len_sum = self.entries.get((LEN_EQ, LEN_EQ))
+        self.keeps_exact = self.shift and TOP in self.copies and len_sum is not None and (LEN_EQ, ((1, 1, 0),)) in len_sum.outputs
 
     def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
         return self.entries.get(kinds)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from atlas.domain import (
@@ -21,10 +22,11 @@ from atlas.domain import (
     gamma_contains,
     len_eq,
     len_neq,
+    widen,
 )
 from atlas.dsl import AstNode, Op, Program, eval_node
 from atlas.interpolation import Annotation, TreeInterpolant, TreeItpProblem
-from atlas.synthesizer import SynthesisTask, apply_transformer, satisfies
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, satisfies
 from atlas.transformers import Matrix, TransformerTable, _reduce, column_rank
 
 
@@ -52,6 +54,70 @@ def abstract_eval(node: AstNode, e_in: str, templates, table: TransformerTable, 
         right = abstract_eval(node.children[1], e_in, templates, table, pool)
         return apply_transformer(table, (left, right))
     raise ValueError(f"not a string node: {node.op}")
+
+
+def contradicts(p: ConcretePredicate, q: ConcretePredicate) -> bool:
+    """Whether ``p`` and ``q`` hold of no string together: two lengths, a
+    length and its ``len !=``, a character at or past the length, two
+    characters at one index, or a character and its ``char !=``."""
+    for a, b in ((p, q), (q, p)):
+        if a.kind is TemplateKind.LEN_EQ and (
+            (b.kind is TemplateKind.LEN_EQ and b.args != a.args)
+            or (b.kind is TemplateKind.LEN_NEQ and b.args == a.args)
+            or (b.kind is TemplateKind.CHAR_EQ and b.args[0] >= a.args[0])
+        ):
+            return True
+        if a.kind is TemplateKind.CHAR_EQ and b.kind in (TemplateKind.CHAR_EQ, TemplateKind.CHAR_NEQ):
+            if a.args[0] == b.args[0] and (a.args[1] == b.args[1]) == (b.kind is TemplateKind.CHAR_NEQ):
+                return True
+    return False
+
+
+def meet_predicates(preds: Iterable[ConcretePredicate]):
+    """The conjunction of ``preds`` as a frozenset without ``top``, or BOTTOM
+    when two of them contradict.
+
+    Over an unbounded alphabet a conjunction of these predicates is
+    satisfiable unless two of them contradict (``contradicts``): infinitely
+    many lengths and characters remain for the ``!=`` facts to exclude.
+    """
+    facts = frozenset(p for p in preds if p.kind is not TemplateKind.TOP)
+    if any(contradicts(p, q) for p, q in combinations(facts, 2)):
+        return BOTTOM
+    return facts
+
+
+def facts_of(state: StateLike):
+    """The conjuncts of a state, an exact one widened, or BOTTOM."""
+    if state is BOTTOM:
+        return BOTTOM
+    return (widen(state) if isinstance(state, str) else state).conjuncts
+
+
+def substring_search(synth: Synthesizer) -> tuple:
+    """The synthesizer's enumeration with each candidate's values as its
+    states: a candidate is pruned unless every value is a substring of its
+    example's output, and accepted iff the values equal the outputs.
+    Returns the accepted record or None, and the reason and the enumerated,
+    pruned and deduped counts as ``run`` gives them with ``require_correct``."""
+    outputs, budget, seen, pools = synth.outputs, synth.task.max_candidates, set(), {}
+    enumerated = pruned = deduped = 0
+    for size in range(1, synth.task.max_ast_size + 1):
+        pools[size] = kept = []
+        for rec in synth._batch(size, pools):
+            enumerated += 1
+            if enumerated > budget:
+                return None, "candidate-budget", enumerated, pruned, deduped
+            if rec[0] in seen:
+                deduped += 1
+            elif not all(map(operator.contains, outputs, rec[0])):
+                pruned += 1
+            elif rec[0] == outputs:
+                return rec, "found", enumerated, pruned, deduped
+            else:
+                kept.append(rec)
+            seen.add(rec[0])
+    return None, "exhausted", enumerated, pruned, deduped
 
 
 def state_embeds_scan(state: StateLike, out: str) -> bool:

@@ -1,4 +1,5 @@
 import gc
+import operator
 from itertools import product
 
 import pytest
@@ -14,13 +15,14 @@ from atlas.domain import (
     LEN_NEQ,
     TOP,
     TOP_PRED,
+    _index_runs,
     best_abstraction,
     char_eq,
     char_neq,
     gamma_contains,
     len_eq,
     len_neq,
-    meet,
+    widen,
 )
 from atlas.dsl import (
     EvalError,
@@ -42,7 +44,7 @@ from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, sta
 from atlas.transformers import Transformer, TransformerTable
 
 from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
-from oracles import abstract_eval, full_abstraction, is_correct, state_embeds_scan
+from oracles import abstract_eval, facts_of, full_abstraction, is_correct, meet_predicates, state_embeds_scan, substring_search
 
 
 def val(*preds):
@@ -84,7 +86,7 @@ class TestApplyTransformer:
     @given(st.data())
     def test_equals_brute_force_over_the_whole_table(self, table_a2, data):
         left, right = data.draw(STATES), data.draw(STATES)
-        assert apply_transformer(table_a2, (left, right)) == _brute_force_apply(table_a2, left, right)
+        assert facts_of(apply_transformer(table_a2, (left, right))) == _brute_force_apply(table_a2, left, right)
 
 
 # Unreduced leaf states over random subsets of the learnable templates, plus top and bottom.
@@ -175,13 +177,21 @@ class TestApplyTransformerAgainstBruteForce:
     def test_learned_tables(self, trained_at, seed, data):
         table = trained_at[seed].table
         left, right = draw_state(data, table), draw_state(data, table)
-        assert apply_transformer(table, (left, right)) == _brute_force_apply(table, left, right)
+        assert facts_of(apply_transformer(table, (left, right))) == _brute_force_apply(table, left, right)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_hand_made_table(self, data):
         left, right = draw_state(data, HAND_MADE), draw_state(data, HAND_MADE)
-        assert apply_transformer(HAND_MADE, (left, right)) == _brute_force_apply(HAND_MADE, left, right)
+        assert facts_of(apply_transformer(HAND_MADE, (left, right))) == _brute_force_apply(HAND_MADE, left, right)
+
+    def test_hand_made_table_meets_a_derived_char_neq_against_a_copied_run(self):
+        # The copy keeps char 0 = 'a' and char 1 = 'a'; the (char =, len =)
+        # output derives char 0 != 'a' from char 1 = 'a' and len 1.
+        left = full_abstraction("aa", [CHAR_EQ], _STATE_POOL)
+        right = full_abstraction("b", [LEN_EQ, CHAR_NEQ], _STATE_POOL)
+        assert _brute_force_apply(HAND_MADE, left, right) is BOTTOM
+        assert apply_transformer(HAND_MADE, (left, right)) is BOTTOM
 
     def test_hand_made_table_drops_a_negative_index_and_the_top_output(self):
         left = val(char_eq(1, ord("a")), char_neq(1, ord("b")))
@@ -191,10 +201,12 @@ class TestApplyTransformerAgainstBruteForce:
 
 
 def _brute_force_apply(table, left, right):
-    """Every entry, every selection of one conjunct per argument, every output, met together."""
+    """Every entry, every selection of one conjunct per argument, every
+    output, met together by ``meet_predicates``, which shares no code with
+    the domain: the facts of the result, or BOTTOM."""
     if left is BOTTOM or right is BOTTOM:
         return BOTTOM
-    result = AbstractValue.top()
+    derived = []
     for entry in table.all():
         per_arg = [
             [TOP_PRED] if t == TOP else [p for p in state.conjuncts if p.kind is t]
@@ -206,8 +218,8 @@ def _brute_force_apply(table, left, right):
                 args = tuple(sum(a * b for a, b in zip(row, vec)) for row in matrix)
                 if chi in (CHAR_EQ, CHAR_NEQ) and args[0] < 0:
                     continue
-                result = meet(result, val(chi.instantiate(args)))
-    return result
+                derived.append(chi.instantiate(args))
+    return meet_predicates(derived)
 
 
 class TestAbstractEval:
@@ -356,17 +368,24 @@ class TestIsCorrect:
         assert not is_correct(p, SynthesisTask(examples=(("ab", "ab"),)))
 
 
+def widened(states) -> tuple:
+    """``states`` with each exact ``str`` state widened to its ``AbstractValue``."""
+    return tuple(widen(s) if isinstance(s, str) else s for s in states)
+
+
 def derived_and_fresh(synth, rec, derived):
     """``(derived, fresh)``: the states ``run`` held for a logged record
-    (``held_states``) and the record's whole vector by ``abstract_eval``.
+    (``held_states``) and the record's whole vector by ``abstract_eval``,
+    which builds no exact states.
 
-    Checks that ``derived`` is a prefix of ``fresh`` and that it stops at
-    the first state that does not embed its output, or runs to the end."""
+    Checks that ``derived``, widened, is a prefix of ``fresh`` and that it
+    stops at the first state that does not embed its output, or runs to the
+    end."""
     node = synth._node(rec)
     fresh = tuple(abstract_eval(node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
     derived = held_states(synth, rec, derived)
     shown = print_program(Program(node))
-    assert derived == fresh[: len(derived)], shown
+    assert widened(derived) == fresh[: len(derived)], shown
     embeds = [state_embeds(s, out) for s, out in zip(derived, synth.outputs)]
     assert all(embeds[:-1]), shown
     assert len(derived) in (0, len(fresh)) or not embeds[-1], shown
@@ -476,12 +495,12 @@ class TestStateVectorCache:
             accepted = all(gamma_contains(s, out) for s, out in zip(fresh, PHONES.outputs))
             embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
-            assert derived == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
+            assert widened(derived) == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
             # Registered when made, else when derived or when pooled.
             sid = rec[1] if rec[1] is not None else synth._ids.get(derived)
             if sid is not None:
                 assert embeds
-                assert synth._vectors[sid] == fresh
+                assert widened(synth._vectors[sid]) == fresh
                 assert synth._accepts[sid] == accepted
             pooled += embeds
             pruned += not embeds
@@ -658,8 +677,12 @@ class TestReducedLeaves:
     under the learned tables it keeps the concretization of the full leaves."""
 
     def test_closed_table_reduces_leaves(self, table_a2):
+        # The leaf is exact, and best_abstraction, which the synthesizer
+        # skips for it, gives its widened form: no implied inequality.
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
-        state = synth._abstract_value("ab")
+        assert synth._abstract_value("ab") == "ab"
+        state = best_abstraction("ab", FIVE_TEMPLATES, synth.pool)
+        assert state == widen("ab")
         assert state.conjuncts == {len_eq(2), char_eq(0, ord("a")), char_eq(1, ord("b"))}
 
     def test_open_table_loses_precision_not_soundness(self, open_table):
@@ -709,3 +732,124 @@ class TestNormalizedTableIsExact:
         assert table_outputs(once.normalized()) == table_outputs(once)
         left, right = data.draw(STATES), data.draw(STATES)
         assert apply_transformer(once, (left, right)) == apply_transformer(table, (left, right))
+
+
+def corpus_tasks(budget):
+    """The 18 corpus tasks by name, at the CLI's size limit and ``budget`` candidates."""
+    return {p.stem: load_task(p, 14, budget, None)[1] for p in sorted(corpus_dir().glob("*.json"))}
+
+
+def not_substrings(values, outputs) -> bool:
+    return not all(map(operator.contains, outputs, values))
+
+
+class TestSubstringCheck:
+    """A candidate's values lie in its states' concretizations, so a state
+    whose value is a substring of its output embeds in it: under a sound
+    table the synthesizer prunes only what the substring check prunes."""
+
+    @pytest.mark.parametrize("which", ["seed-0", "seed-1", "seed-705", "hand-made"])
+    def test_pruned_candidates_have_a_value_that_is_not_a_substring(self, trained_at, which):
+        if which == "hand-made":
+            # HAND_MADE's len = entry (2 len(a) + len(b) - 1) is unsound; without
+            # the len = template only its sound entries fire.
+            templates, table = [TOP, LEN_NEQ, CHAR_EQ], HAND_MADE
+        else:
+            run = trained_at[int(which[5:])]
+            templates, table = run.templates, run.table
+        pruned = 0
+        for name, task in corpus_tasks(20_000).items():
+            synth = Synthesizer(task, templates, table)
+            stream = record_stream(synth)
+            synth.run(require_correct=True)
+            for _, rec, derived in stream:
+                if last_fails_to_embed(derived, task.outputs):
+                    pruned += 1
+                    assert not_substrings(rec[0], task.outputs), (name, print_program(Program(synth._node(rec))))
+        assert pruned > 0
+
+    def test_an_unsound_table_prunes_a_substring(self):
+        # Under the len = template HAND_MADE's unsound entry makes
+        # (concat (input) (const "2018")) too long for "CAV2018".
+        synth = Synthesizer(E1, FIVE_TEMPLATES, HAND_MADE)
+        stream = record_stream(synth)
+        synth.run(require_correct=True)
+        assert any(
+            last_fails_to_embed(derived, E1.outputs) and not not_substrings(rec[0], E1.outputs) for _, rec, derived in stream
+        )
+
+    def test_the_seed_0_bundle_searches_as_the_substring_check(self, trained):
+        for name, task in corpus_tasks(200_000).items():
+            result = Synthesizer(task, trained.templates, trained.table).run(require_correct=True)
+            reference = Synthesizer(task, trained.templates, trained.table)
+            rec, *counts = substring_search(reference)
+            program = None if rec is None else Program(reference._node(rec))
+            got = [result.reason, result.enumerated, result.pruned_abstract, result.deduped]
+            assert (result.program, got) == (program, counts), name
+
+
+# The three entries that keep states exact, each as an output filter for ``with_outputs``.
+EXACT_ENTRIES = {
+    "len-sum": lambda t, o: t.inputs == (LEN_EQ, LEN_EQ) and o == (LEN_EQ, ((1, 1, 0),)),
+    "top-copy": lambda t, o: t.inputs == (CHAR_EQ, TOP) and o[0] is CHAR_EQ,
+    "shift": lambda t, o: t.inputs == (LEN_EQ, CHAR_EQ) and o[0] is CHAR_EQ,
+}
+
+
+def without(table, entry):
+    return with_outputs(table, lambda t, o: not EXACT_ENTRIES[entry](t, o))
+
+
+def run_states(synth) -> list:
+    """Every state a ``require_correct`` run of ``synth`` held."""
+    stream = record_stream(synth)
+    synth.run(require_correct=True)
+    return [s for _, rec, derived in stream for s in held_states(synth, rec, derived)]
+
+
+class TestExactStates:
+    """Under a table that keeps exactness, a state that pins its value is that ``str``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 705])
+    def test_learned_tables_keep_exactness_and_need_all_three_entries(self, trained_at, seed):
+        table = trained_at[seed].table
+        assert table.keeps_exact
+        for entry, present in EXACT_ENTRIES.items():
+            assert any(present(t, o) for t in table.all() for o in t.outputs), entry
+            assert not without(table, entry).keeps_exact, entry
+        assert not HAND_MADE.keeps_exact and not TransformerTable().keeps_exact
+
+    @pytest.mark.parametrize("case", ["len-sum", "top-copy", "shift", "no-char-eq", "no-len-eq"])
+    def test_no_exact_state_unless_table_and_templates_keep_it(self, trained, case):
+        task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
+        assert any(isinstance(s, str) for s in run_states(Synthesizer(task, trained.templates, trained.table)))
+        templates, table = trained.templates, trained.table
+        if case.startswith("no-"):
+            templates = [t for t in templates if t is not {"no-char-eq": CHAR_EQ, "no-len-eq": LEN_EQ}[case]]
+        else:
+            table = without(table, case)
+        states = run_states(Synthesizer(task, templates, table))
+        assert states and not any(isinstance(s, str) for s in states)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=ABZ, b=ABZ, out=st.text(alphabet="abz", max_size=10))
+    def test_exact_pairs_concatenate_and_widen_to_the_same_concretization(self, trained, a, b, out):
+        table = trained.table
+        assert apply_transformer(table, (a, b)) == a + b
+        strings = sorted(neighbours(a + b) | {out})
+        for pair in ((widen(a), widen(b)), (widen(a), b), (a, widen(b))):
+            got = apply_transformer(table, pair)
+            assert [gamma_contains(got, s) for s in strings] == [s == a + b for s in strings], pair
+        for v in (a, b, a + b):
+            assert state_embeds(v, out) == state_embeds(widen(v), out) == (v in out)
+            assert [gamma_contains(v, s) for s in strings] == [gamma_contains(widen(v), s) for s in strings]
+
+    def test_a_leaf_past_the_index_prefix_stays_an_abstract_value(self, trained):
+        synth = Synthesizer(E2, trained.templates, trained.table)
+        ((start, stop), *_) = _index_runs(synth.pool.indices)
+        assert start == 0
+        assert synth._abstract_value("x" * stop) == "x" * stop
+        state = synth._abstract_value("x" * (stop + 1))
+        assert isinstance(state, AbstractValue)
+        assert state == best_abstraction("x" * (stop + 1), trained.templates, synth.pool)
+        assert gamma_contains(state, "x" * stop + "y")
