@@ -8,6 +8,7 @@ of ``substr``.  All values are immutable and evaluation is pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -95,6 +96,8 @@ def abspos(k: int) -> AstNode:
 
 
 def cpos(char: int, j: int) -> AstNode:
+    if not 0 <= char <= sys.maxunicode:
+        raise ValueError(f"cpos character code {char} is not a code point")
     if j == 0:
         raise ValueError("cpos occurrence index must be nonzero")
     return AstNode(Op.CPOS, literal=(char, j))
@@ -289,7 +292,11 @@ class _Parser:
         elif head == "cpos":
             c = self.int_atom()
             self.skip_ws()
-            result = cpos(c, self.int_atom())
+            j = self.int_atom()
+            try:
+                result = cpos(c, j)
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
         elif head == "concat":
             a = self.node()
             b = self.node()
@@ -308,10 +315,14 @@ class _Parser:
 
 def parse_program(text: str) -> Program:
     parser = _Parser(text)
-    node = parser.node()
+    try:
+        node = parser.node()
+        typed = well_typed(node)
+    except RecursionError:
+        raise parser.error("program nests too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input")
-    if not well_typed(node) or node.op not in _STRING_OPS:
+    if not typed or node.op not in _STRING_OPS:
         raise parser.error("program is not a well-typed string expression")
     return Program(node)

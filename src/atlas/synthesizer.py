@@ -35,19 +35,19 @@ A candidate's state vector (its tuple of per-example states) determines
 all of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
 the vector and the expected outputs.  Each synthesizer therefore keeps a
-registry of the distinct vectors of pooled candidates, each with a small
-int id and its accept verdict (a pooled vector always embeds), plus a
-cache from pairs of child ids to the id of their concatenation's vector.
-``_batch`` gives a concatenation the cached id of its child-id pair when
-there is one; every other candidate, leaf or concatenation, is made with
-None.  ``run`` derives the states of those only after the dedup check,
-one example at a time, and prunes at the first state that does not embed
-its output: that candidate cannot be accepted either, since an output in a
-state's concretization embeds at offset 0.  Only a vector that embeds on
-every example is looked up in the registry; a registered one takes its
-verdict, and only then, for a concatenation, is its child-id pair cached.
-Any other is judged with ``gamma_contains``.  Only pooling registers, so
-the registry is never larger than the pools.
+registry that interns vectors, each with a small int id, plus a cache from
+pairs of child ids to the id of their concatenation's vector.  ``_batch``
+gives a concatenation the cached id of its child-id pair when there is
+one; every other candidate, leaf or concatenation, is made with None.
+``run`` derives the states of those only after the dedup check, one
+example at a time, and prunes at the first state that does not embed its
+output: that candidate cannot be accepted either, since an output in a
+state's concretization embeds at offset 0.  A vector that embeds on every
+example is registered then, with its child-id pair for a concatenation, so
+every derived vector that embeds is registered, and all of them are pooled
+except the accepted one.  A candidate is accepted when (with
+``require_correct``, checked first) its values equal the expected outputs
+and ``gamma_contains`` holds on every example.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  A state that is not exact is four plain fields (``AbstractValue``),
@@ -245,13 +245,11 @@ class Synthesizer:
         # Leaves up to this length are exact (see the module docstring); -1 when none is.
         start, stop = _index_runs(self.pool.indices)[0]
         self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
-        # The registry of pooled state vectors: id by vector, vector and
-        # accept verdict by id (a pooled vector always embeds).  ``_concats``
-        # maps a pair of child ids to the id of the vector of their
-        # concatenation, once that vector is registered.
+        # The registry of derived state vectors that embed: id by vector and
+        # vector by id.  ``_concats`` maps a pair of child ids to the id of
+        # the vector of their concatenation.
         self._ids: dict[tuple[StateLike, ...], int] = {}
         self._vectors: list[tuple[StateLike, ...]] = []
-        self._accepts: list[bool] = []
         self._concats: dict[tuple[int, int], int] = {}
 
     def _const_pool(self) -> list[str]:
@@ -361,7 +359,7 @@ class Synthesizer:
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
-        ids, vectors, accepts, concats = self._ids, self._vectors, self._accepts, self._concats
+        ids, vectors, concats = self._ids, self._vectors, self._concats
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[tuple]] = {}
         result = SynthResult(program=None, correct=None)
@@ -393,26 +391,16 @@ class Synthesizer:
                             pruned += 1
                             continue
                         sid = ids.get(states)
-                        if sid is not None and len(rec) == 4:
+                        if sid is None:
+                            sid = ids[states] = len(vectors)
+                            vectors.append(states)
+                        if len(rec) == 4:
                             concats[rec[2][1], rec[3][1]] = sid
-                    if sid is None:
-                        accepted = all(map(gamma_contains, states, outputs))
-                    else:
-                        accepted = accepts[sid]
-                    if accepted and (not require_correct or values == outputs):
+                        rec = (values, sid, *rec[2:])
+                    if (not require_correct or values == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
                         result.program = Program(self._node(rec))
                         result.correct = values == outputs
                         return result
-
-                    # A pooled record carries its vector's id.  A vector
-                    # without an id is new, since only pooling registers.
-                    if rec[1] is None:
-                        if sid is None:
-                            sid = len(vectors)
-                            ids[states] = sid
-                            vectors.append(states)
-                            accepts.append(accepted)
-                        rec = (values, sid, *rec[2:])
                     kept.append(rec)
             result.reason = "exhausted"
             return result

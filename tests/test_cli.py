@@ -343,6 +343,27 @@ class TestDumpItp:
     def test_bad_program_usage_error(self):
         assert main(["dump-itp", str(corpus_dir() / "e1.json"), "--program", "(concat"]) == 3
 
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ("(cpos 65 0)", "occurrence index must be nonzero"),
+            ("(substr (input) (abspos 0) (cpos 99999999 1))", "code 99999999 is not a code point"),
+            ("(substr (input) (abspos 0) (cpos -5 1))", "code -5 is not a code point"),
+            ("(concat " * 450 + "(input)" + " (input))" * 450, "nests too deeply"),
+        ],
+        ids=["cpos-zero", "cpos-past-unicode", "cpos-negative", "concat-450-deep"],
+    )
+    def test_malformed_program_usage_error(self, capsys, program, message):
+        assert main(["dump-itp", str(corpus_dir() / "e1.json"), "--program", program]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad program: ") and message in err
+        assert "Traceback" not in err
+
+    def test_program_300_deep_runs(self, capsys):
+        program = "(concat " * 300 + "(input)" + " (input))" * 300
+        assert main(["dump-itp", str(corpus_dir() / "e1.json"), "--program", program]) == 0
+        assert capsys.readouterr().out.startswith("root | ")
+
     def test_program_failing_on_every_example(self, capsys):
         code = main([
             "dump-itp", str(corpus_dir() / "e1.json"),

@@ -461,8 +461,32 @@ FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
 PHONES = SynthesisTask(examples=(*E2.examples, ("408.555.1234", "408-555-1234")))
 
 
+def watch_gamma_contains(monkeypatch, stream) -> list:
+    """Replace the synthesizer module's ``gamma_contains`` by a wrapper that
+    logs, for each call, the values of the record ``run`` is judging (the
+    last one ``stream`` holds, see ``record_stream``)."""
+    judged_values = []
+
+    def watching(state, out):
+        judged_values.append(stream[-1][1][0])
+        return gamma_contains(state, out)
+
+    monkeypatch.setattr(synthesizer, "gamma_contains", watching)
+    return judged_values
+
+
 class TestStateVectorCache:
     """The registry and the concat cache give what a fresh evaluation gives."""
+
+    @pytest.fixture
+    def domains(self, trained, table_a1, table_a2):
+        """Templates and table by domain name."""
+        return {
+            "bundle": (trained.templates, trained.table),
+            "five": (FIVE_TEMPLATES, table_a2),
+            "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
+            "top": ([TOP], TransformerTable()),
+        }
 
     @pytest.mark.parametrize(
         "domain, limit, reuses",
@@ -472,20 +496,19 @@ class TestStateVectorCache:
             ("top", 20_000, True),
         ],
     )
-    def test_cached_states_and_verdicts_equal_fresh_ones(self, table_a1, table_a2, domain, limit, reuses):
-        templates, table = {
-            "five": (FIVE_TEMPLATES, table_a2),
-            "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
-            "top": ([TOP], TransformerTable()),
-        }[domain]
+    def test_cached_states_and_verdicts_equal_fresh_ones(self, monkeypatch, domains, domain, limit, reuses):
+        templates, table = domains[domain]
         synth = Synthesizer(SynthesisTask(examples=PHONES.examples, max_candidates=limit), templates, table)
         stream = record_stream(synth)
+        judged_values = watch_gamma_contains(monkeypatch, stream)
         result = synth.run(require_correct=True)
         assert result.program is None
         assert len(stream) == result.enumerated
+        # No candidate's values equal the outputs, so none is judged.
+        assert judged_values == []
         # Over the budget, the last candidate is counted but not judged.
         judged = stream if result.reason == "exhausted" else stream[:-1]
-        seen, pooled, pruned, reused = set(), 0, 0, 0
+        seen, pooled, pruned, reused, embedding = set(), 0, 0, 0, set()
         for _, rec, derived in judged:
             if rec[0] in seen:  # the run's dedup
                 continue
@@ -496,23 +519,58 @@ class TestStateVectorCache:
             embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
             assert widened(derived) == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
-            # Registered when made, else when derived or when pooled.
+            # Registered when made or when derived, exactly when it embeds.
             sid = rec[1] if rec[1] is not None else synth._ids.get(derived)
+            assert (sid is not None) == embeds
             if sid is not None:
-                assert embeds
                 assert widened(synth._vectors[sid]) == fresh
-                assert synth._accepts[sid] == accepted
+                # A concatenation's child-id pair is cached once it embeds.
+                if len(rec) == 4:
+                    assert synth._concats[rec[2][1], rec[3][1]] == sid
+            # The run's verdict: nothing was accepted.
+            assert not (accepted and rec[0] == PHONES.outputs)
+            if rec[1] is None and embeds:
+                embedding.add(derived)
             pooled += embeds
             pruned += not embeds
         assert reused > 0 or not reuses
         assert result.pruned_abstract == pruned
         assert result.deduped == len(judged) - len(seen)
-        # Only pooled vectors are registered.
-        assert len(synth._ids) == len(synth._vectors) == len(synth._accepts) <= pooled
+        # The registry interns every derived vector that embeds, and only
+        # those, so each registered vector embeds.
+        assert synth._ids == {v: i for i, v in enumerate(synth._vectors)}
+        assert set(synth._vectors) == embedding
+        # Nothing was found, so every registered vector is pooled.
+        assert len(synth._vectors) <= pooled
         # A cached pair names the vector of its children's concatenation.
         for (i, j), k in synth._concats.items():
             pairs = zip(synth._vectors[i], synth._vectors[j])
             assert tuple(apply_transformer(table, ab) for ab in pairs) == synth._vectors[k]
+
+    @pytest.mark.parametrize("domain", ["five", "length", "top"])
+    @pytest.mark.parametrize("task", [E1, E2], ids=["e1", "e2"])
+    def test_require_correct_judges_only_values_equal_to_the_outputs(self, monkeypatch, domains, domain, task):
+        templates, table = domains[domain]
+        synth = Synthesizer(task, templates, table)
+        judged_values = watch_gamma_contains(monkeypatch, record_stream(synth))
+        result = synth.run(require_correct=True)
+        assert result.correct
+        assert judged_values and set(judged_values) == {task.outputs}
+
+    @pytest.mark.parametrize("domain", ["bundle", "length", "top"])
+    @pytest.mark.parametrize("task", [E2, SynthesisTask(examples=PHONES.examples, max_candidates=8_000)], ids=["solved", "unsolved"])
+    def test_a_second_run_repeats_the_first(self, domains, domain, task):
+        templates, table = domains[domain]
+
+        def outcome(r):
+            return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
+
+        synth = Synthesizer(task, templates, table)
+        first = outcome(synth.run(require_correct=True))
+        assert synth._vectors
+        assert (first[2] == "found") == (task is E2)
+        assert outcome(synth.run(require_correct=True)) == first
+        assert outcome(Synthesizer(task, templates, table).run(require_correct=True)) == first
 
     def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
