@@ -111,15 +111,19 @@ def substr(x: AstNode, p1: AstNode, p2: AstNode) -> AstNode:
     return AstNode(Op.SUBSTR, children=(x, p1, p2))
 
 
+# The result types each composite operator takes, child by child.
+_SIGNATURE = {Op.CONCAT: (_STRING_OPS, _STRING_OPS), Op.SUBSTR: (_STRING_OPS, _POS_OPS, _POS_OPS)}
+
+
 def well_typed(node: AstNode) -> bool:
     """Operator children must match the signature; substr takes (string, pos, pos)."""
-    if node.op is Op.CONCAT:
-        return all(c.op in _STRING_OPS and well_typed(c) for c in node.children)
-    if node.op is Op.SUBSTR:
-        x, p1, p2 = node.children
-        return x.op in _STRING_OPS and p1.op in _POS_OPS and p2.op in _POS_OPS and all(
-            well_typed(c) for c in node.children
-        )
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        for child, ops in zip(node.children, _SIGNATURE.get(node.op, ())):
+            if child.op not in ops:
+                return False
+            stack.append(child)
     return True
 
 
@@ -227,6 +231,13 @@ def print_program(p: Program) -> str:
     return _print_node(p.root)
 
 
+# The most operators a term of a parsed program may sit under.  Evaluation,
+# printing and interpolation recurse once per level, so this keeps a parsed
+# program runnable under CPython's default recursion limit of 1000, with
+# room for the caller's frames.
+MAX_DEPTH = 400
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -278,51 +289,65 @@ class _Parser:
             raise self.error(f"expected integer, got {tok!r}") from None
 
     def node(self) -> AstNode:
-        self.skip_ws()
-        self.expect("(")
-        self.skip_ws()
-        head = self.atom()
-        self.skip_ws()
+        """One term.  The operators still open are kept on a list, not on
+        the call stack, so the depth a term may nest to is ``MAX_DEPTH``
+        whatever the caller's stack."""
+        open_ops: list[tuple[Op, list[AstNode]]] = []
+        while True:
+            self.skip_ws()
+            self.expect("(")
+            self.skip_ws()
+            head = self.atom()
+            self.skip_ws()
+            if head in ("concat", "substr"):
+                if len(open_ops) == MAX_DEPTH:
+                    raise self.error("program nests too deeply")
+                open_ops.append((Op(head), []))
+                continue
+            result = self.leaf(head)
+            self.skip_ws()
+            self.expect(")")
+            # Close every operator that ``result`` completes.
+            while open_ops:
+                op, children = open_ops[-1]
+                children.append(result)
+                if len(children) < _ARITY[op]:
+                    break
+                open_ops.pop()
+                result = AstNode(op, tuple(children))
+                self.skip_ws()
+                self.expect(")")
+            else:
+                return result
+
+    def leaf(self, head: str) -> AstNode:
+        """The leaf term named ``head``, after its operator."""
         if head == "input":
-            result = input_()
-        elif head == "const":
-            result = const(self.string())
-        elif head == "abspos":
-            result = abspos(self.int_atom())
-        elif head == "cpos":
+            return input_()
+        if head == "const":
+            return const(self.string())
+        if head == "abspos":
+            return abspos(self.int_atom())
+        if head == "cpos":
             c = self.int_atom()
             self.skip_ws()
             j = self.int_atom()
             try:
-                result = cpos(c, j)
+                return cpos(c, j)
             except ValueError as exc:
                 raise self.error(str(exc)) from None
-        elif head == "concat":
-            a = self.node()
-            b = self.node()
-            result = concat(a, b)
-        elif head == "substr":
-            x = self.node()
-            p1 = self.node()
-            p2 = self.node()
-            result = substr(x, p1, p2)
-        else:
-            raise self.error(f"unknown operator {head!r}")
-        self.skip_ws()
-        self.expect(")")
-        return result
+        raise self.error(f"unknown operator {head!r}")
 
 
 def parse_program(text: str) -> Program:
+    """The program ``text`` prints as.  Raises ParseError on malformed text,
+    on a term nested under more than ``MAX_DEPTH`` operators ("program nests
+    too deeply") and on a program that is not a well-typed string term."""
     parser = _Parser(text)
-    try:
-        node = parser.node()
-        typed = well_typed(node)
-    except RecursionError:
-        raise parser.error("program nests too deeply") from None
+    node = parser.node()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input")
-    if not typed or node.op not in _STRING_OPS:
+    if not well_typed(node) or node.op not in _STRING_OPS:
         raise parser.error("program is not a well-typed string expression")
     return Program(node)

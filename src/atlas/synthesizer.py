@@ -71,22 +71,27 @@ or any other class instance would stay tracked.  So a pooled record's
 vector is ``_vectors[sid]``, and one not registered lives only inside
 ``run``.  ``_node`` builds the returned program's AST from its record.
 
-When the enumeration reaches the ``substr`` leaves (size 4), it resolves
-every term of the position pool on every example input once, into a
-position table: a row of ints per position, or None when a ``cpos``
-occurrence is missing on some input.  A ``substr`` leaf is made only when
-its window is valid on every input, and its values are slices; no leaf is
-evaluated through the DSL.  A concatenation's values are the pairwise sums
-of its children's.
+The position pool is a list of plain literals in rank order (``int`` k for
+``abspos k``, ``(char, j)`` for ``cpos char j``), built in that order, so no
+position is an AST node and none is sorted.  When the enumeration reaches
+the ``substr`` leaves (size 4), it resolves the pool on the example inputs
+once, through one index per input of the boundaries after each
+character's occurrences, into a position table.  The table holds a row of
+boundaries only for a position that is a boundary of every input (inside
+``0..len(x)``); one whose ``cpos`` occurrence is missing, or whose
+``abspos`` is past the end, on some input has no row.  A ``substr`` leaf
+pairs two rows whose windows do not run backwards on any input, and its
+values are slices; no leaf is evaluated through the DSL.  A
+concatenation's values are the pairwise sums of its children's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, getitem, le, mul
 from itertools import product, repeat
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from . import dsl
 from .dsl import AstNode, EvalError, Program
@@ -94,6 +99,10 @@ from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, St
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
 from .transformers import TransformerTable, apply_affine  # noqa: F401
+
+# A position literal: ``k`` stands for ``abspos k`` and ``(char, j)`` for
+# ``cpos char j``.
+Position = Union[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -218,6 +227,11 @@ def state_embeds(state: StateLike, out: str) -> bool:
 # The enumerator
 
 
+def position_node(p: Position) -> AstNode:
+    """The ``abspos`` or ``cpos`` node of position literal ``p``."""
+    return dsl.abspos(p) if p.__class__ is int else dsl.cpos(*p)
+
+
 @dataclass
 class SynthResult:
     program: Optional[Program]
@@ -260,26 +274,35 @@ class Synthesizer:
                     subs.add(out[i:j])
         return sorted(s for s in subs if s)
 
-    def _position_pool(self) -> list[AstNode]:
+    def _position_pool(self) -> list[Position]:
+        """The position literals in ``dsl.rank_key`` order: ``abspos``
+        before ``cpos``, ``abspos`` by k, ``cpos`` by character, then j."""
         max_len = max((len(s) for s in self.inputs + self.outputs), default=0)
-        ks = list(range(0, min(12, max_len) + 1)) + [-1]
-        positions = [dsl.abspos(k) for k in sorted(set(ks))]
         chars = sorted({ord(c) for s in self.inputs for c in s})
-        for c in chars:
-            for j in (1, 2, 3, -1, -2, -3):
-                positions.append(dsl.cpos(c, j))
-        positions.sort(key=dsl.rank_key)
-        return positions
+        return [-1, *range(min(12, max_len) + 1), *((c, j) for c in chars for j in (-3, -2, -1, 1, 2, 3))]
 
-    def _position_table(self) -> list[Optional[tuple[int, ...]]]:
-        """Each position of the pool resolved on each input; None when it fails on one."""
-        rows = []
-        for p in self.positions:
-            try:
-                rows.append(tuple(dsl.resolve_position(p, x) for x in self.inputs))
-            except EvalError:
-                rows.append(None)
-        return rows
+    def _position_table(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(k, row)`` for each position ``positions[k]`` that resolves to a
+        boundary of every input, ``row`` holding those boundaries in input
+        order; ``dsl.resolve_position`` gives the same boundaries."""
+        columns = []
+        for x in self.inputs:
+            n = len(x)
+            # The boundaries after each character's occurrences, by code.
+            after: dict[int, list[int]] = {}
+            for i, c in enumerate(x, 1):
+                after.setdefault(ord(c), []).append(i)
+            column = []
+            for p in self.positions:
+                if p.__class__ is int:
+                    i = p if p >= 0 else n + p + 1
+                    column.append(i if 0 <= i <= n else None)
+                else:
+                    c, j = p
+                    occ = after.get(c, ())
+                    column.append(occ[j - 1 if j > 0 else j] if len(occ) >= abs(j) else None)
+            columns.append(column)
+        return [(k, row) for k, row in enumerate(zip(*columns)) if None not in row]
 
     def _abstract_value(self, value: str) -> StateLike:
         cached = self._abstraction_cache.get(value)
@@ -289,7 +312,10 @@ class Synthesizer:
         return cached
 
     def _node(self, rec: tuple) -> AstNode:
-        """The AST node of record ``rec``, rebuilt from its leaf indexes (see ``_batch``)."""
+        """The AST node of record ``rec``, rebuilt from its leaf indexes (see
+        ``_batch``).  It is called only for the returned program, and it is
+        the only place the ``abspos`` and ``cpos`` nodes of the position
+        literals are made."""
         if len(rec) == 3:
             index, consts, positions = rec[2], self.consts, self.positions
             if index == 0:
@@ -297,7 +323,7 @@ class Synthesizer:
             if index <= len(consts):
                 return dsl.const(consts[index - 1])
             i, j = divmod(index - 1 - len(consts), len(positions))
-            return dsl.substr(dsl.input_(), positions[i], positions[j])
+            return dsl.substr(dsl.input_(), position_node(positions[i]), position_node(positions[j]))
         return dsl.concat(self._node(rec[2]), self._node(rec[3]))
 
     def _derive(self, rec: tuple) -> tuple[tuple[StateLike, ...], bool]:
@@ -328,9 +354,11 @@ class Synthesizer:
         the synthesizer can make: 0 is the input, ``1 + i`` the constant
         ``consts[i]``, and ``1 + len(consts) + i * len(positions) + j`` the
         substring from ``positions[i]`` to ``positions[j]``; ``_node``
-        turns it back into the AST node.  A concatenation takes the id its
-        child-id pair has in the concat cache; every other record is made
-        with None.
+        turns it back into the AST node, so no node is made here.  A
+        concatenation takes the id its child-id pair has in the concat
+        cache; every other record is made with None.  The substrings pair
+        the rows of ``_position_table``, which are valid boundaries already,
+        so a pair is kept when no window runs backwards.
         """
         inputs = self.inputs
         if size == 1:
@@ -345,13 +373,13 @@ class Synthesizer:
                 for b in pools[size - 1 - sa]:
                     yield tuple(map(add, a_values, b[0])), concats.get((a_sid, b[1])), a, b
         if size == 4:
-            lengths = tuple(map(len, inputs))
             base, width = 1 + len(self.consts), len(self.positions)
-            rows = [(k, r) for k, r in enumerate(self._position_table()) if r is not None]
+            rows = self._position_table()
             for k1, r1 in rows:
+                first = base + k1 * width
                 for k2, r2 in rows:
-                    if all(0 <= i1 <= i2 <= n for i1, i2, n in zip(r1, r2, lengths)):
-                        yield tuple(x[i1:i2] for x, i1, i2 in zip(inputs, r1, r2)), None, base + k1 * width + k2
+                    if all(map(le, r1, r2)):
+                        yield tuple(map(getitem, inputs, map(slice, r1, r2))), None, first + k2
 
     def run(self, require_correct: bool = False) -> SynthResult:
         start = time.perf_counter_ns()

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,3 +209,40 @@ class TestTextFormat:
     def test_escapes(self):
         p = prog(const('say "hi" \\ bye'))
         assert parse_program(print_program(p)) == p
+
+
+def nested(shape, depth):
+    """A program whose deepest term sits under ``depth`` operators."""
+    if shape == "concat":
+        return "(concat " * depth + "(input)" + " (input))" * depth
+    # The positions of the innermost substr sit under ``depth`` operators.
+    return "(concat (input) " * (depth - 1) + "(substr (input) (abspos 0) (abspos 1))" + ")" * (depth - 1)
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", ["concat", "substr"])
+    @pytest.mark.parametrize("deep_caller", [False, True], ids=["shallow-caller", "deep-caller"])
+    def test_limit_parses_and_one_more_does_not(self, shape, deep_caller):
+        # A deep caller parses from a helper recursed to within 30 frames
+        # of the interpreter's recursion limit.
+        levels = sys.getrecursionlimit() - stack_depth() - 30 if deep_caller else 0
+
+        def parse(text, n=levels):
+            return parse(text, n - 1) if n else parse_program(text)
+
+        text = nested(shape, dsl.MAX_DEPTH)
+        # Comparing nodes this deep recurses past the limit; their text does not.
+        assert print_program(parse(text)) == text
+        with pytest.raises(ParseError, match="program nests too deeply"):
+            parse(nested(shape, dsl.MAX_DEPTH + 1))
+
+    def test_depth_is_counted_in_operators(self):
+        assert parse_program(nested("concat", 1)).root == concat(input_(), input_())
+        assert parse_program(nested("substr", 1)).root == substr(input_(), abspos(0), abspos(1))

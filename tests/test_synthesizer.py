@@ -28,19 +28,23 @@ from atlas.dsl import (
     EvalError,
     Op,
     Program,
+    abspos,
     concat,
     const,
+    cpos,
     eval_node,
     evaluate,
     input_,
     parse_program,
     print_program,
+    rank_key,
+    resolve_position,
     substr,
 )
-from atlas import synthesizer
+from atlas import dsl, synthesizer
 from atlas.cli import load_task
 from atlas.corpus import corpus_dir
-from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, state_embeds
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, position_node, state_embeds
 from atlas.transformers import Transformer, TransformerTable
 
 from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
@@ -608,6 +612,16 @@ EXAMPLES = st.lists(
 )
 
 
+# Repeated characters, a character some inputs lack, inputs of different
+# lengths (some past the 12 of the largest pooled ``abspos``) and a non-BMP
+# character.
+WIDE_EXAMPLES = st.lists(
+    st.tuples(st.text(alphabet="aab.\U0001f600", max_size=16), st.text(alphabet="ab", max_size=3)),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestPositionTable:
     @settings(max_examples=60, deadline=None)
     @given(EXAMPLES)
@@ -617,14 +631,61 @@ class TestPositionTable:
         task = SynthesisTask(examples=tuple(examples), max_ast_size=4)
         synth = Synthesizer(task, [TOP], TransformerTable())
         want = []
-        for p1 in synth.positions:
-            for p2 in synth.positions:
+        positions = [position_node(p) for p in synth.positions]
+        for p1 in positions:
+            for p2 in positions:
                 node = substr(input_(), p1, p2)
                 try:
                     want.append((node, tuple(eval_node(node, x) for x in task.inputs)))
                 except EvalError:
                     continue
         assert size4_leaves(synth) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(WIDE_EXAMPLES)
+    @example([("a.a.b", "a"), ("b\U0001f600b", "b"), ("", "")])
+    def test_positions_are_the_pool_in_rank_order(self, examples):
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=4)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        nodes = [position_node(p) for p in synth.positions]
+        assert nodes == sorted(nodes, key=rank_key)
+        max_len = max(len(s) for e in examples for s in e)
+        chars = {ord(c) for e in examples for c in e[0]}
+        pool = {abspos(k) for k in (-1, *range(min(12, max_len) + 1))}
+        pool |= {cpos(c, j) for c in chars for j in (1, 2, 3, -1, -2, -3)}
+        assert len(nodes) == len(pool) and set(nodes) == pool
+
+    @settings(max_examples=60, deadline=None)
+    @given(WIDE_EXAMPLES)
+    @example([("a.a.b", "a"), ("ab", "b")])  # "." is missing from the second input
+    @example([("aaaa", "a"), ("a", "a")])  # a 2nd and 3rd "a" only in the first
+    @example([("\U0001f600a\U0001f600", "a"), ("a" * 14, "a")])  # non-BMP; lengths 3 and 14
+    def test_rows_are_the_resolved_boundaries(self, examples):
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=4)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        want = []
+        for k, p in enumerate(synth.positions):
+            try:
+                row = tuple(resolve_position(position_node(p), x) for x in task.inputs)
+            except EvalError:
+                continue
+            if all(0 <= i <= len(x) for i, x in zip(row, task.inputs)):
+                want.append((k, row))
+        assert synth._position_table() == want
+
+    def test_no_position_node_before_the_returned_program(self, monkeypatch, trained):
+        want = parse_program("(substr (input) (abspos 0) (cpos 92 -1))")
+        calls = []
+        for name in ("abspos", "cpos"):
+            make = getattr(dsl, name)
+            monkeypatch.setattr(dsl, name, lambda *args, make=make: calls.append(args) or make(*args))
+        synth = Synthesizer(E3, trained.templates, trained.table)
+        leaves = list(synth._batch(4, {1: [], 2: []}))
+        assert leaves and synth.positions and not calls
+        result = synth.run(require_correct=True)
+        # Only ``_node`` of the returned record makes its position nodes.
+        assert result.program == want
+        assert calls == [(0,), (92, -1)]
 
 
 class TestLazyNode:
