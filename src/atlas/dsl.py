@@ -23,9 +23,6 @@ class Op(Enum):
     SUBSTR = "substr"
 
 
-# Enumeration / ranking order of operators.  Leaves first, then composites.
-_OP_ORDER = {Op.INPUT: 0, Op.CONST: 1, Op.ABSPOS: 2, Op.CPOS: 3, Op.CONCAT: 4, Op.SUBSTR: 5}
-
 _ARITY = {Op.INPUT: 0, Op.CONST: 0, Op.ABSPOS: 0, Op.CPOS: 0, Op.CONCAT: 2, Op.SUBSTR: 3}
 
 # Result types, used by the well-formedness check.
@@ -61,6 +58,31 @@ class AstNode:
     def __post_init__(self):
         if len(self.children) != _ARITY[self.op]:
             raise ValueError(f"{self.op.value} expects {_ARITY[self.op]} children")
+
+    # Equality and hashing walk the tree on a list, not on the call stack, so
+    # a term ``MAX_DEPTH`` deep compares and hashes from a caller at any depth.
+
+    def __eq__(self, other):
+        if other.__class__ is not AstNode:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if a.op is not b.op or a.literal != b.literal:
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # A node's arity is fixed by its operator, so the pre-order list of
+        # (operator, literal) pairs determines the tree.
+        preorder, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            preorder.append((node.op, node.literal))
+            stack.extend(reversed(node.children))
+        return hash(tuple(preorder))
 
     @property
     def size(self) -> int:
@@ -181,27 +203,11 @@ def evaluate(p: Program, x: str) -> str:
 # ---------------------------------------------------------------------------
 # Ranking.  Programs are totally ordered by AST size, ties broken by a
 # deterministic lexicographic key on (operator, literal, children keys),
-# where each child is keyed by its size first.  The key order equals the
-# enumerator's generation order, which goes by left-child size.
-
-
-def _literal_key(node: AstNode):
-    if node.op is Op.CONST:
-        return (node.literal,)
-    if node.op is Op.ABSPOS:
-        return (node.literal,)
-    if node.op is Op.CPOS:
-        return node.literal
-    return ()
-
-
-def _struct_key(node: AstNode):
-    return (_OP_ORDER[node.op], _literal_key(node), tuple((c.size, _struct_key(c)) for c in node.children))
-
-
-def rank_key(p: Union[Program, AstNode]) -> tuple:
-    node = p.root if isinstance(p, Program) else p
-    return (node.size, _struct_key(node))
+# where each child is keyed by its size first.  Operators go leaves first:
+# input, const, abspos, cpos, concat, substr.  A const is keyed by its
+# string, an abspos by k and a cpos by (character code, j).  The key order
+# equals the enumerator's generation order, which goes by left-child size;
+# the tests hold the key (``rank_key`` in ``tests/oracles.py``).
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ equal the expected outputs.
 the pools of kept candidates of the smaller sizes.  For each candidate,
 ``run`` counts it, checks the budget and the deadline, drops it when its
 values repeat an earlier candidate's, and gets its verdict once.  It then
-returns it, prunes it, or pools it.
+returns it, prunes it, or pools it.  The deadline is read at every 256th
+candidate, so a run that times out has counted a multiple of 256.  A
+level's pool is read from two sizes up only, so a level is left unpooled
+when there is no such size or when the concatenations of its own size and
+the next one alone pass the budget: the run ends before it is read.
 
 A candidate's state vector (its tuple of per-example states) determines
 all of its abstract work: the states of a concatenation depend only on the
@@ -45,9 +49,20 @@ output: that candidate cannot be accepted either, since an output in a
 state's concretization embeds at offset 0.  A vector that embeds on every
 example is registered then, with its child-id pair for a concatenation, so
 every derived vector that embeds is registered, and all of them are pooled
-except the accepted one.  A candidate is accepted when (with
+except the accepted one and those of an unpooled level.  A candidate is accepted when (with
 ``require_correct``, checked first) its values equal the expected outputs
 and ``gamma_contains`` holds on every example.
+
+Under a weak domain nearly every concatenation takes its vector from the
+cache, and then it only has to be counted, deduped and pooled.  With
+``require_correct``, ``_batch`` yields the concatenations of one left record
+with a whole pool as one bulk run when every child-id pair of them is
+cached and some output does not start with the left record's value on its
+example, so that none of them is the outputs; ``run`` takes such a run with
+set and list operations instead of one loop step per candidate.  Without
+``require_correct`` a candidate is accepted on its vector alone, and a
+vector registered by a run with ``require_correct`` may be accepted, so
+every candidate goes through the loop.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  A state that is not exact is four plain fields (``AbstractValue``),
@@ -89,8 +104,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import add, getitem, le, mul
-from itertools import product, repeat
+from operator import add, getitem, itemgetter, le, mul, not_
+from itertools import compress, product, repeat
 from typing import Iterator, Optional, Union
 
 from . import dsl
@@ -275,8 +290,8 @@ class Synthesizer:
         return sorted(s for s in subs if s)
 
     def _position_pool(self) -> list[Position]:
-        """The position literals in ``dsl.rank_key`` order: ``abspos``
-        before ``cpos``, ``abspos`` by k, ``cpos`` by character, then j."""
+        """The position literals in rank order: ``abspos`` before ``cpos``,
+        ``abspos`` by k, ``cpos`` by character, then j."""
         max_len = max((len(s) for s in self.inputs + self.outputs), default=0)
         chars = sorted({ord(c) for s in self.inputs for c in s})
         return [-1, *range(min(12, max_len) + 1), *((c, j) for c in chars for j in (-3, -2, -1, 1, 2, 3))]
@@ -343,7 +358,7 @@ class Synthesizer:
                 return tuple(states), False
         return tuple(states), True
 
-    def _batch(self, size: int, pools: dict[int, list[tuple]]) -> Iterator[tuple]:
+    def _batch(self, size: int, pools: dict[int, list[tuple]], bulk: bool = True) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order; ``pools`` holds the
         kept ones of each smaller size.
 
@@ -356,9 +371,19 @@ class Synthesizer:
         substring from ``positions[i]`` to ``positions[j]``; ``_node``
         turns it back into the AST node, so no node is made here.  A
         concatenation takes the id its child-id pair has in the concat
-        cache; every other record is made with None.  The substrings pair
-        the rows of ``_position_table``, which are valid boundaries already,
-        so a pair is kept when no window runs backwards.
+        cache when it is yielded; every other record is made with None.
+        The substrings pair the rows of ``_position_table``, which are valid
+        boundaries already, so a pair is kept when no window runs backwards.
+
+        With ``bulk``, the concatenations of one left record ``a`` with every
+        record of one pool are yielded as one bulk run when the concat cache
+        holds every child-id pair of them and some output does not start
+        with ``a``'s value on its example, so that no value of the run is
+        the outputs.  A bulk run is ``(values, sids, a, pool)``, with
+        ``values`` and ``sids`` lists in the pool's order: its records are
+        ``zip(values, sids, repeat(a), pool)``.  The values are built a
+        column per example, before ``run`` makes any record of the run, so
+        that a collection finds them untracked when it comes to the records.
         """
         inputs = self.inputs
         if size == 1:
@@ -366,11 +391,25 @@ class Synthesizer:
             for i, s in enumerate(self.consts, 1):
                 yield (s,) * len(inputs), None, i
             return
-        concats = self._concats
+        concats, outputs = self._concats, self.outputs
         for sa in range(1, size - 1):
+            pool = pools[size - 1 - sa]
+            if not pool:
+                continue
+            columns, first_sid = None, pool[0][1]
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
-                for b in pools[size - 1 - sa]:
+                if bulk and (a_sid, first_sid) in concats and not all(map(str.startswith, outputs, a_values)):
+                    if columns is None:
+                        columns = tuple(zip(*map(itemgetter(0), pool)))
+                        b_sids = list(map(itemgetter(1), pool))
+                        distinct = dict.fromkeys(b_sids)
+                    if all(map(concats.__contains__, zip(repeat(a_sid), distinct))):
+                        sid_of = {b_sid: concats[a_sid, b_sid] for b_sid in distinct}
+                        values = list(zip(*[map(add, repeat(x), col) for x, col in zip(a_values, columns)]))
+                        yield values, list(map(sid_of.__getitem__, b_sids)), a, pool
+                        continue
+                for b in pool:
                     yield tuple(map(add, a_values, b[0])), concats.get((a_sid, b[1])), a, b
         if size == 4:
             base, width = 1 + len(self.consts), len(self.positions)
@@ -382,20 +421,63 @@ class Synthesizer:
                         yield tuple(map(getitem, inputs, map(slice, r1, r2))), None, first + k2
 
     def run(self, require_correct: bool = False) -> SynthResult:
+        """Enumerate in rank order until a candidate is accepted, the budget
+        or the deadline is passed, or the sizes run out.
+
+        With ``require_correct`` a candidate is accepted only when its
+        values are the outputs, and ``_batch`` yields bulk runs.  A bulk run
+        is cut at the budget, and the deadline is read once for it: when the
+        deadline has passed, the run stops at its first multiple of 256, as
+        the per-candidate check at every 256th candidate would.  A level no
+        later level can read is not pooled (see the module docstring).
+        """
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
         ids, vectors, concats = self._ids, self._vectors, self._concats
+        max_size = self.task.max_ast_size
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[tuple]] = {}
+        lengths = [0]  # the length of each pool, by size
+        following = 0
         result = SynthResult(program=None, correct=None)
         enumerated = pruned = deduped = 0
         try:
-            for size in range(1, self.task.max_ast_size + 1):
+            for size in range(1, max_size + 1):
+                # The concatenations of sizes ``size`` and ``size + 1`` come
+                # before size ``size + 2``, the first to read this level's pool.
+                here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
+                pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for rec in self._batch(size, pools):
+                for rec in self._batch(size, pools, require_correct):
+                    values = rec[0]
+                    if values.__class__ is list:
+                        # A bulk run: every vector is cached and no value is
+                        # the outputs, so its records are only counted,
+                        # deduped and pooled.
+                        first, enumerated = enumerated + 1, enumerated + len(values)
+                        reason = None
+                        if enumerated > budget:
+                            reason, enumerated = "candidate-budget", budget + 1
+                        if deadline is not None:
+                            tick = -(-first // 256) * 256
+                            if tick <= min(enumerated, budget) and time.perf_counter_ns() > deadline:
+                                reason, enumerated = "timeout", tick
+                        if reason is not None:
+                            values = values[: enumerated - first]
+                        # The values of a run are distinct, as its pool's are.
+                        repeated = list(map(seen.__contains__, values))
+                        seen.update(values)
+                        deduped += repeated.count(True)
+                        if pooled:
+                            kept.extend(compress(zip(values, rec[1], repeat(rec[2]), rec[3]), map(not_, repeated)))
+                        if reason is not None:
+                            result.reason = reason
+                            return result
+                        continue
+
                     enumerated += 1
                     if enumerated > budget:
                         result.reason = "candidate-budget"
@@ -404,7 +486,6 @@ class Synthesizer:
                         result.reason = "timeout"
                         return result
 
-                    values = rec[0]
                     if values in seen:
                         deduped += 1
                         continue
@@ -429,7 +510,9 @@ class Synthesizer:
                         result.program = Program(self._node(rec))
                         result.correct = values == outputs
                         return result
-                    kept.append(rec)
+                    if pooled:
+                        kept.append(rec)
+                lengths.append(len(kept))
             result.reason = "exhausted"
             return result
         finally:

@@ -5,6 +5,8 @@ from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
 from atlas.transformers import SamplingOracle, Transformer, TransformerTable, learn_transformers
 
+from oracles import batch_records
+
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
 E2 = SynthesisTask(examples=(("510.220.5586", "510-220-5586"),))
@@ -91,18 +93,28 @@ def table_outputs(table) -> list:
 
 
 def record_stream(synth) -> list:
-    """Wrap ``synth._batch`` and ``synth._derive`` so that a later
-    ``synth.run()`` leaves in the list the stream it enumerated, in order:
-    ``[size, record, derived]`` for each record ``_batch`` yielded, with its
-    AST size and the states ``run`` derived for it (None if it derived none).
-    A record is logged as it was made, so its sid is its registry id then."""
-    stream = []
-    batch, derive = synth._batch, synth._derive
+    """Wrap ``synth._batch``, ``synth._derive`` and ``synth.run`` so that a
+    later ``synth.run()`` leaves in the list the stream it enumerated, in
+    order: ``[size, record, derived]`` for each candidate, with its AST size
+    and the states ``run`` derived for it (None if it derived none).
 
-    def recording(size, pools):
-        for rec in batch(size, pools):
-            stream.append([size, rec, None])
-            yield rec
+    A record is logged as ``_batch`` made it, so its sid is its registry id
+    then.  Each candidate of a bulk run is logged as its record,
+    ``(a + b values, concats[a_sid, b_sid], a, b)``; after the run, one that
+    ``run`` pooled is replaced by the pooled record, which must equal it.
+    The stream is cut to the candidates the run counted."""
+    stream, bulk = [], set()
+    batch, derive, run = synth._batch, synth._derive, synth.run
+    run_pools = {}  # the pools ``run`` passes to ``_batch``, by size
+
+    def recording(size, pools, *flag):
+        run_pools.update(pools)
+        for item in batch(size, pools, *flag):
+            records = batch_records(synth, item)
+            if records[0] is not item:
+                bulk.update(range(len(stream), len(stream) + len(records)))
+            stream.extend([size, rec, None] for rec in records)
+            yield item
 
     def deriving(rec):
         states, embeds = derive(rec)
@@ -110,7 +122,24 @@ def record_stream(synth) -> list:
         stream[-1][2] = states
         return states, embeds
 
-    synth._batch, synth._derive = recording, deriving
+    def running(*args, **kwargs):
+        result = run(*args, **kwargs)
+        del stream[result.enumerated :]
+        # Over the budget or the deadline, the last candidate is counted only.
+        judged = stream if result.reason in ("found", "exhausted") else stream[:-1]
+        pooled = {rec[0]: rec for pool in run_pools.values() for rec in pool}
+        seen = set()
+        for i, (size, rec, _) in enumerate(judged):
+            # An unpooled level's pool is empty; in any other, each new value
+            # of a bulk run is pooled.
+            if i in bulk and rec[0] not in seen and run_pools[size]:
+                assert pooled[rec[0]] == rec
+                stream[i][1] = pooled[rec[0]]
+            seen.add(rec[0])
+        bulk.clear()
+        return result
+
+    synth._batch, synth._derive, synth.run = recording, deriving, running
     return stream
 
 

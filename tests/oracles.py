@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from atlas.domain import (
     BOTTOM,
@@ -94,6 +94,16 @@ def facts_of(state: StateLike):
     return (widen(state) if isinstance(state, str) else state).conjuncts
 
 
+def batch_records(synth: Synthesizer, item: tuple) -> list:
+    """The records of one ``synth._batch`` item: the record itself, or each
+    candidate of a bulk run ``(values, sids, a, pool)`` as
+    ``(a + b values, concats[a_sid, b_sid], a, b)``, for ``b`` in the pool."""
+    if item[0].__class__ is not list:
+        return [item]
+    _, _, a, pool = item
+    return [(tuple(map(operator.add, a[0], b[0])), synth._concats[a[1], b[1]], a, b) for b in pool]
+
+
 def substring_search(synth: Synthesizer) -> tuple:
     """The synthesizer's enumeration with each candidate's values as its
     states: a candidate is pruned unless every value is a substring of its
@@ -104,7 +114,7 @@ def substring_search(synth: Synthesizer) -> tuple:
     enumerated = pruned = deduped = 0
     for size in range(1, synth.task.max_ast_size + 1):
         pools[size] = kept = []
-        for rec in synth._batch(size, pools):
+        for rec in (rec for item in synth._batch(size, pools) for rec in batch_records(synth, item)):
             enumerated += 1
             if enumerated > budget:
                 return None, "candidate-budget", enumerated, pruned, deduped
@@ -118,6 +128,31 @@ def substring_search(synth: Synthesizer) -> tuple:
                 kept.append(rec)
             seen.add(rec[0])
     return None, "exhausted", enumerated, pruned, deduped
+
+
+# The rank key the enumerator's order is checked against, as ``atlas.dsl``
+# defines the ranking: AST size, then (operator, literal, children keys),
+# with each child keyed by its size first.
+_OP_ORDER = {Op.INPUT: 0, Op.CONST: 1, Op.ABSPOS: 2, Op.CPOS: 3, Op.CONCAT: 4, Op.SUBSTR: 5}
+
+
+def _literal_key(node: AstNode):
+    if node.op is Op.CONST:
+        return (node.literal,)
+    if node.op is Op.ABSPOS:
+        return (node.literal,)
+    if node.op is Op.CPOS:
+        return node.literal
+    return ()
+
+
+def _struct_key(node: AstNode):
+    return (_OP_ORDER[node.op], _literal_key(node), tuple((c.size, _struct_key(c)) for c in node.children))
+
+
+def rank_key(p: Union[Program, AstNode]) -> tuple:
+    node = p.root if isinstance(p, Program) else p
+    return (node.size, _struct_key(node))
 
 
 def state_embeds_scan(state: StateLike, out: str) -> bool:

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,13 +18,12 @@ from atlas.dsl import (
     input_,
     parse_program,
     print_program,
-    rank_key,
     resolve_position,
     substr,
     well_typed,
 )
 
-from oracles import FactSet, exact_facts
+from oracles import FactSet, exact_facts, rank_key
 
 
 def prog(node):
@@ -130,6 +130,7 @@ class TestRank:
         from atlas.transformers import TransformerTable
 
         from conftest import record_stream
+        from oracles import batch_records
 
         def synth_for(example, limit):
             task = SynthesisTask(examples=(example,), max_candidates=limit)
@@ -146,7 +147,7 @@ class TestRank:
             pools, recs = {}, []
             for size in range(1, synth.task.max_ast_size + 1):
                 pools[size] = []
-                for rec in synth._batch(size, pools):
+                for rec in (rec for item in synth._batch(size, pools) for rec in batch_records(synth, item)):
                     if len(recs) == limit:
                         return recs
                     pools[size].append(rec)
@@ -238,7 +239,6 @@ class TestDepthLimit:
             return parse(text, n - 1) if n else parse_program(text)
 
         text = nested(shape, dsl.MAX_DEPTH)
-        # Comparing nodes this deep recurses past the limit; their text does not.
         assert print_program(parse(text)) == text
         with pytest.raises(ParseError, match="program nests too deeply"):
             parse(nested(shape, dsl.MAX_DEPTH + 1))
@@ -246,3 +246,27 @@ class TestDepthLimit:
     def test_depth_is_counted_in_operators(self):
         assert parse_program(nested("concat", 1)).root == concat(input_(), input_())
         assert parse_program(nested("substr", 1)).root == substr(input_(), abspos(0), abspos(1))
+
+    @pytest.mark.parametrize("shape", ["concat", "substr"])
+    @pytest.mark.parametrize("caller", [0, 300], ids=["shallow-caller", "caller-300-deep"])
+    def test_deepest_programs_compare_and_hash(self, shape, caller):
+        text = nested(shape, dsl.MAX_DEPTH)
+        a, b = parse_program(text).root, parse_program(text).root
+        # The two differ only in their deepest term.
+        other = parse_program(text.replace(" (input))", ' (const "x"))', 1).replace("(abspos 1)", "(abspos 2)")).root
+
+        def at_depth(f, n=caller):
+            return at_depth(f, n - 1) if n else f()
+
+        assert a is not b
+        assert at_depth(lambda: a == b and hash(a) == hash(b))
+        assert at_depth(lambda: a != other and not a == other)
+
+
+class TestEquality:
+    @given(_programs(), _programs())
+    def test_equality_and_hash_agree_with_the_fields(self, a, b):
+        copy = parse_program(print_program(Program(a))).root
+        assert copy is not a and copy == a and hash(copy) == hash(a)
+        assert (a == b) == (astuple(a) == astuple(b))
+        assert a != astuple(a)

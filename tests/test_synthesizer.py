@@ -1,6 +1,7 @@
 import gc
 import operator
-from itertools import product
+from itertools import product, repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +38,6 @@ from atlas.dsl import (
     input_,
     parse_program,
     print_program,
-    rank_key,
     resolve_position,
     substr,
 )
@@ -48,7 +48,7 @@ from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, pos
 from atlas.transformers import Transformer, TransformerTable
 
 from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
-from oracles import abstract_eval, facts_of, full_abstraction, is_correct, meet_predicates, state_embeds_scan, substring_search
+from oracles import abstract_eval, batch_records, facts_of, full_abstraction, is_correct, meet_predicates, rank_key, state_embeds_scan, substring_search
 
 
 def val(*preds):
@@ -565,10 +565,6 @@ class TestStateVectorCache:
     @pytest.mark.parametrize("task", [E2, SynthesisTask(examples=PHONES.examples, max_candidates=8_000)], ids=["solved", "unsolved"])
     def test_a_second_run_repeats_the_first(self, domains, domain, task):
         templates, table = domains[domain]
-
-        def outcome(r):
-            return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
-
         synth = Synthesizer(task, templates, table)
         first = outcome(synth.run(require_correct=True))
         assert synth._vectors
@@ -596,6 +592,10 @@ class TestStateVectorCache:
             if not all(gamma_contains(st, v) for st, v in zip(held_states(synth, rec, derived), rec[0]))
         ]
         assert any(len(rec) == 4 and (rec[2][1], rec[3][1]) in cached for rec in wrong)
+
+
+def outcome(r) -> tuple:
+    return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
 
 
 def size4_leaves(synth):
@@ -972,3 +972,96 @@ class TestExactStates:
         assert isinstance(state, AbstractValue)
         assert state == best_abstraction("x" * (stop + 1), trained.templates, synth.pool)
         assert gamma_contains(state, "x" * stop + "y")
+
+
+def per_record(synth) -> list:
+    """Make ``synth._batch`` yield each bulk run as its records, one at a
+    time, after checking the run's values and sids against them.  Returns
+    the list of the lengths of the bulk runs expanded."""
+    batch, expanded = synth._batch, []
+
+    def expanding(size, pools, *flag):
+        for item in batch(size, pools, *flag):
+            records = batch_records(synth, item)
+            if records[0] is not item:
+                values, sids, a, pool = item
+                assert list(zip(values, sids, repeat(a), pool)) == records
+                expanded.append(len(records))
+            yield from records
+
+    synth._batch = expanding
+    return expanded
+
+
+class TestBulkRuns:
+    """With ``require_correct``, a run of concatenations whose vectors are all
+    cached and none of which is the outputs is taken in bulk."""
+
+    @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4_097, 20_000, 200_000])
+    @pytest.mark.parametrize("domain", ["top", "seed-0"])
+    def test_bulk_runs_change_no_outcome(self, trained, domain, budget):
+        templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
+        expanded = 0
+        for name, task in corpus_tasks(budget).items():
+            reference = Synthesizer(task, templates, table)
+            runs = per_record(reference)
+            got = outcome(Synthesizer(task, templates, table).run(require_correct=True))
+            assert got == outcome(reference.run(require_correct=True)), name
+            expanded += len(runs)
+        assert expanded or domain != "top" or budget < 4_097
+
+    def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch):
+        _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 200_000, 1)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        batch, items, late = synth._batch, [], []
+
+        def watching(size, pools, *flag):
+            for item in batch(size, pools, *flag):
+                items.append(item)
+                # The clock passes the deadline at the first bulk run that
+                # holds a multiple of 256 wherever it starts.
+                if item[0].__class__ is list and len(item[0]) >= 256:
+                    late.append(item)
+                yield item
+
+        monkeypatch.setattr(synthesizer, "time", SimpleNamespace(perf_counter_ns=lambda: 10**18 if late else 0))
+        synth._batch = watching
+        result = synth.run(require_correct=True)
+        assert result.reason == "timeout"
+        assert result.enumerated % 256 == 0
+        # The run stopped inside that bulk run: it asked for nothing after it.
+        assert items[-1] is late[0]
+
+    def test_a_run_without_require_correct_after_one_with_it_repeats_a_fresh_one(self, table_a1):
+        # A vector registered by a run with require_correct may be accepted on
+        # its own, so a run without it takes no bulk run.
+        _, task = load_task(corpus_dir() / "eval_dirname.json", 14, 20_000, None)
+        templates = [TOP, LEN_EQ, LEN_NEQ]
+        synth = Synthesizer(task, templates, table_a1)
+        synth.run(require_correct=True)
+        again = outcome(synth.run(require_correct=False))
+        fresh = outcome(Synthesizer(task, templates, table_a1).run(require_correct=False))
+        assert again == fresh
+        assert fresh[0] == '(concat (const "/bi") (const "/usr/b"))' and fresh[3] == 228
+
+    def test_a_level_the_budget_cuts_is_not_pooled(self):
+        # Under top every new value embeds, so every level a later level reads
+        # is pooled; the budget ends the run inside the last one.
+        _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 20_000, None)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        stream, batch, kept = record_stream(synth), synth._batch, {}
+
+        def keeping(size, pools, *flag):
+            kept.update(pools)
+            yield from batch(size, pools, *flag)
+
+        synth._batch = keeping
+        result = synth.run(require_correct=True)
+        assert result.reason == "candidate-budget"
+        cut = stream[-1][0]
+        seen, new = set(), 0
+        for size, rec, _ in stream[:-1]:
+            new += size == cut and rec[0] not in seen
+            seen.add(rec[0])
+        assert new > 0 and kept[cut] == []
+        assert kept[1] and kept[3]
