@@ -190,38 +190,19 @@ def state_of(lengths: Collection, len_neqs: Collection, segments: tuple, char_ne
 # Concretization membership
 
 
-def _pred_holds(p: ConcretePredicate, s: str) -> bool:
-    k = p.kind
-    if k is TOP:
-        return True
-    if k is LEN_EQ:
-        return len(s) == p.args[0]
-    if k is LEN_NEQ:
-        return len(s) != p.args[0]
-    if k is CHAR_EQ:
-        i, c = p.args
-        return i < len(s) and ord(s[i]) == c
-    if k is CHAR_NEQ:
-        i, c = p.args
-        return i >= len(s) or ord(s[i]) != c
-    raise ValueError(k)
-
-
-def gamma_contains(p: Union[ConcretePredicate, StateLike], s: str) -> bool:
-    """Membership of ``s`` in the concretization of a predicate or value; an
-    exact state's is ``==``, so ``require_correct`` accepts iff values equal outputs."""
-    if p.__class__ is str:
-        return p == s
-    if p is BOTTOM:
+def gamma_contains(state: StateLike, s: str) -> bool:
+    """Membership of ``s`` in the concretization of a state; an exact state's
+    is ``==``, so ``require_correct`` accepts iff values equal outputs."""
+    if state.__class__ is str:
+        return state == s
+    if state is BOTTOM:
         return False
-    if isinstance(p, ConcretePredicate):
-        return _pred_holds(p, s)
     n = len(s)
     return (
-        p.length in (None, n)
-        and n not in p.len_neqs
-        and all(s.startswith(run, off) for off, run in p.segments)
-        and all(i >= n or ord(s[i]) != c for i, c in p.char_neqs)
+        state.length in (None, n)
+        and n not in state.len_neqs
+        and all(s.startswith(run, off) for off, run in state.segments)
+        and all(i >= n or ord(s[i]) != c for i, c in state.char_neqs)
     )
 
 

@@ -59,8 +59,8 @@ class AstNode:
         if len(self.children) != _ARITY[self.op]:
             raise ValueError(f"{self.op.value} expects {_ARITY[self.op]} children")
 
-    # Equality and hashing walk the tree on a list, not on the call stack, so
-    # a term ``MAX_DEPTH`` deep compares and hashes from a caller at any depth.
+    # Equality, hashing and size walk the tree on a list, not on the call
+    # stack, so a term ``MAX_DEPTH`` deep is handled from a caller at any depth.
 
     def __eq__(self, other):
         if other.__class__ is not AstNode:
@@ -86,7 +86,11 @@ class AstNode:
 
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        size, stack = 0, [self]
+        while stack:
+            size += 1
+            stack.extend(stack.pop().children)
+        return size
 
 
 @dataclass(frozen=True)

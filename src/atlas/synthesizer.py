@@ -38,7 +38,7 @@ the next one alone pass the budget: the run ends before it is read.
 A candidate's state vector (its tuple of per-example states) determines
 all of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
-the vector and the expected outputs.  Each synthesizer therefore keeps a
+the vector and the expected outputs.  Each run therefore starts an empty
 registry that interns vectors, each with a small int id, plus a cache from
 pairs of child ids to the id of their concatenation's vector.  ``_batch``
 gives a concatenation the cached id of its child-id pair when there is
@@ -47,22 +47,23 @@ one; every other candidate, leaf or concatenation, is made with None.
 example at a time, and prunes at the first state that does not embed its
 output: that candidate cannot be accepted either, since an output in a
 state's concretization embeds at offset 0.  A vector that embeds on every
-example is registered then, with its child-id pair for a concatenation, so
-every derived vector that embeds is registered, and all of them are pooled
-except the accepted one and those of an unpooled level.  A candidate is accepted when (with
+example is registered then, with its child-id pair for a concatenation, and
+the candidate is judged before anything else: it is accepted when (with
 ``require_correct``, checked first) its values equal the expected outputs
-and ``gamma_contains`` holds on every example.
+and ``gamma_contains`` holds on every example.  So every derived vector
+that embeds is registered, and all of them are pooled except the accepted
+one and those of an unpooled level.
 
 Under a weak domain nearly every concatenation takes its vector from the
-cache, and then it only has to be counted, deduped and pooled.  With
-``require_correct``, ``_batch`` yields the concatenations of one left record
-with a whole pool as one bulk run when every child-id pair of them is
-cached and some output does not start with the left record's value on its
-example, so that none of them is the outputs; ``run`` takes such a run with
-set and list operations instead of one loop step per candidate.  Without
-``require_correct`` a candidate is accepted on its vector alone, and a
-vector registered by a run with ``require_correct`` may be accepted, so
-every candidate goes through the loop.
+cache, and then it only has to be counted, deduped and pooled.  ``_batch``
+yields the concatenations of one left record with a whole pool as one bulk
+run when every child-id pair of them is cached and some output does not
+start with the left record's value on its example.  No candidate of such a
+run can be accepted, in either mode: with ``require_correct`` none of its
+values is the outputs, and without it a candidate is accepted on its vector
+alone, and each vector in the run's registry is that of a candidate the run
+has judged and not accepted.  So ``run`` takes a bulk run with set and list
+operations instead of one loop step per candidate.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  A state that is not exact is four plain fields (``AbstractValue``),
@@ -274,12 +275,8 @@ class Synthesizer:
         # Leaves up to this length are exact (see the module docstring); -1 when none is.
         start, stop = _index_runs(self.pool.indices)[0]
         self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
-        # The registry of derived state vectors that embed: id by vector and
-        # vector by id.  ``_concats`` maps a pair of child ids to the id of
-        # the vector of their concatenation.
-        self._ids: dict[tuple[StateLike, ...], int] = {}
-        self._vectors: list[tuple[StateLike, ...]] = []
-        self._concats: dict[tuple[int, int], int] = {}
+        # The registry of the current run (see ``run``), empty before the first.
+        self._ids, self._vectors, self._concats = {}, [], {}
 
     def _const_pool(self) -> list[str]:
         subs: set[str] = set(self.task.literals)
@@ -358,7 +355,7 @@ class Synthesizer:
                 return tuple(states), False
         return tuple(states), True
 
-    def _batch(self, size: int, pools: dict[int, list[tuple]], bulk: bool = True) -> Iterator[tuple]:
+    def _batch(self, size: int, pools: dict[int, list[tuple]]) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order; ``pools`` holds the
         kept ones of each smaller size.
 
@@ -375,15 +372,16 @@ class Synthesizer:
         The substrings pair the rows of ``_position_table``, which are valid
         boundaries already, so a pair is kept when no window runs backwards.
 
-        With ``bulk``, the concatenations of one left record ``a`` with every
-        record of one pool are yielded as one bulk run when the concat cache
-        holds every child-id pair of them and some output does not start
-        with ``a``'s value on its example, so that no value of the run is
-        the outputs.  A bulk run is ``(values, sids, a, pool)``, with
-        ``values`` and ``sids`` lists in the pool's order: its records are
-        ``zip(values, sids, repeat(a), pool)``.  The values are built a
-        column per example, before ``run`` makes any record of the run, so
-        that a collection finds them untracked when it comes to the records.
+        The concatenations of one left record ``a`` with every record of one
+        pool are yielded as one bulk run when the concat cache holds every
+        child-id pair of them and some output does not start with ``a``'s
+        value on its example, so that (see the module docstring) none of its
+        candidates can be accepted.  A bulk run is ``(values, sids, a,
+        pool)``, with ``values`` and ``sids`` lists in the pool's order: its
+        records are ``zip(values, sids, repeat(a), pool)``.  The values are
+        built a column per example, before ``run`` makes any record of the
+        run, so that a collection finds them untracked when it comes to the
+        records.
         """
         inputs = self.inputs
         if size == 1:
@@ -399,7 +397,7 @@ class Synthesizer:
             columns, first_sid = None, pool[0][1]
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
-                if bulk and (a_sid, first_sid) in concats and not all(map(str.startswith, outputs, a_values)):
+                if (a_sid, first_sid) in concats and not all(map(str.startswith, outputs, a_values)):
                     if columns is None:
                         columns = tuple(zip(*map(itemgetter(0), pool)))
                         b_sids = list(map(itemgetter(1), pool))
@@ -425,10 +423,11 @@ class Synthesizer:
         or the deadline is passed, or the sizes run out.
 
         With ``require_correct`` a candidate is accepted only when its
-        values are the outputs, and ``_batch`` yields bulk runs.  A bulk run
-        is cut at the budget, and the deadline is read once for it: when the
-        deadline has passed, the run stops at its first multiple of 256, as
-        the per-candidate check at every 256th candidate would.  A level no
+        values are the outputs.  The registry starts empty, so each vector
+        in it was registered and judged by this run.  A bulk run is cut at
+        the budget, and the deadline is read once for it: when the deadline
+        has passed, the run stops at its first multiple of 256, as the
+        per-candidate check at every 256th candidate would.  A level no
         later level can read is not pooled (see the module docstring).
         """
         start = time.perf_counter_ns()
@@ -436,7 +435,10 @@ class Synthesizer:
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
-        ids, vectors, concats = self._ids, self._vectors, self._concats
+        # The run's registry of derived state vectors that embed: id by vector
+        # and vector by id, and the id of a concatenation's vector by the pair
+        # of its child ids.
+        self._ids, self._vectors, self._concats = ids, vectors, concats = {}, [], {}
         max_size = self.task.max_ast_size
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[tuple]] = {}
@@ -451,12 +453,12 @@ class Synthesizer:
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for rec in self._batch(size, pools, require_correct):
+                for rec in self._batch(size, pools):
                     values = rec[0]
                     if values.__class__ is list:
-                        # A bulk run: every vector is cached and no value is
-                        # the outputs, so its records are only counted,
-                        # deduped and pooled.
+                        # A bulk run: every vector is cached and none of its
+                        # candidates can be accepted, so its records are only
+                        # counted, deduped and pooled.
                         first, enumerated = enumerated + 1, enumerated + len(values)
                         reason = None
                         if enumerated > budget:

@@ -107,9 +107,9 @@ def record_stream(synth) -> list:
     batch, derive, run = synth._batch, synth._derive, synth.run
     run_pools = {}  # the pools ``run`` passes to ``_batch``, by size
 
-    def recording(size, pools, *flag):
+    def recording(size, pools):
         run_pools.update(pools)
-        for item in batch(size, pools, *flag):
+        for item in batch(size, pools):
             records = batch_records(synth, item)
             if records[0] is not item:
                 bulk.update(range(len(stream), len(stream) + len(records)))

@@ -19,7 +19,6 @@ from atlas.domain import (
     best_abstraction,
     char_eq,
     char_neq,
-    gamma_contains,
     len_eq,
     len_neq,
     widen,
@@ -71,6 +70,22 @@ def contradicts(p: ConcretePredicate, q: ConcretePredicate) -> bool:
             if a.args[0] == b.args[0] and (a.args[1] == b.args[1]) == (b.kind is TemplateKind.CHAR_NEQ):
                 return True
     return False
+
+
+def pred_holds(p: ConcretePredicate, s: str) -> bool:
+    """Whether ``s`` satisfies the concrete predicate ``p``: the
+    predicate-level reference for ``gamma_contains``, which takes states."""
+    k = p.kind
+    if k is TemplateKind.TOP:
+        return True
+    if k is TemplateKind.LEN_EQ:
+        return len(s) == p.args[0]
+    if k is TemplateKind.LEN_NEQ:
+        return len(s) != p.args[0]
+    i, c = p.args
+    if k is TemplateKind.CHAR_EQ:
+        return i < len(s) and ord(s[i]) == c
+    return i >= len(s) or ord(s[i]) != c
 
 
 def meet_predicates(preds: Iterable[ConcretePredicate]):
@@ -357,7 +372,7 @@ def check_interpolant(t: TreeItpProblem, itp: TreeInterpolant) -> bool:
         return False
     top = t.child_of_root()
     a = itp.at(top.uid)
-    if a is True or (a is not False and gamma_contains(a, t.expected_output)):
+    if a is True or (a is not False and pred_holds(a, t.expected_output)):
         return False  # does not contradict the root label v' = e_out
 
     for node in t.nodes:
@@ -370,7 +385,7 @@ def check_interpolant(t: TreeItpProblem, itp: TreeInterpolant) -> bool:
             return False
         ast = node.ast
         if ast.op in (Op.INPUT, Op.CONST):
-            if not gamma_contains(a, node.value):
+            if not pred_holds(a, node.value):
                 return False
             continue
         if ast.op in (Op.ABSPOS, Op.CPOS):

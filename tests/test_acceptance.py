@@ -26,7 +26,7 @@ from atlas.interpolation import construct_tree, find_tree_itp
 from atlas.transformers import solve_linear
 
 from conftest import E1, E2, E3
-from oracles import abstract_eval, as_matrix, check_interpolant, fold
+from oracles import abstract_eval, as_matrix, check_interpolant, fold, pred_holds
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -141,7 +141,7 @@ def _fuzz_transformer(entry, rng, pool, trials):
         for chi, matrix in entry.outputs:
             predicted = tuple(sum(f * v for f, v in zip(row, vec)) for row in matrix)
             pred = chi.instantiate(predicted)
-            if not gamma_contains(pred, out_val):
+            if not pred_holds(pred, out_val):
                 return f"concat{tuple(t.value for t in entry.inputs)} -> {pred} on {args!r}"
     return None
 

@@ -24,26 +24,26 @@ from atlas.domain import (
     template_to_text,
 )
 
-from oracles import full_abstraction, predicate_from_text
+from oracles import full_abstraction, pred_holds, predicate_from_text
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
 
 
 class TestGamma:
     def test_len_eq(self):
-        assert gamma_contains(len_eq(5), "CAV18")
+        assert gamma_contains(AbstractValue.of([len_eq(5)]), "CAV18")
 
     def test_len_neq_refutes(self):
-        assert not gamma_contains(len_neq(7), "CAV2018")
+        assert not gamma_contains(AbstractValue.of([len_neq(7)]), "CAV2018")
 
     def test_char_eq(self):
-        assert gamma_contains(char_eq(0, ord("C")), "CAV")
+        assert gamma_contains(AbstractValue.of([char_eq(0, ord("C"))]), "CAV")
 
     def test_char_eq_false_beyond_length(self):
-        assert not gamma_contains(char_eq(5, ord("x")), "abc")
+        assert not gamma_contains(AbstractValue.of([char_eq(5, ord("x"))]), "abc")
 
     def test_char_neq_true_beyond_length(self):
-        assert gamma_contains(char_neq(5, ord("x")), "abc")
+        assert gamma_contains(AbstractValue.of([char_neq(5, ord("x"))]), "abc")
 
     def test_top_and_bottom(self):
         assert gamma_contains(AbstractValue.top(), "anything")
@@ -74,14 +74,14 @@ class TestAbstract:
     @given(st.text(max_size=12), st.sampled_from(sorted(TemplateKind)))
     def test_soundness(self, s, template):
         for p in abstract(s, template, POOL):
-            assert gamma_contains(p, s)
+            assert pred_holds(p, s)
 
     @given(st.text(min_size=0, max_size=10))
     def test_len_eq_is_strongest(self, s):
         # Best-ness: the equality abstraction implies every satisfied instance.
         (p,) = abstract(s, LEN_EQ, POOL)
         for k in range(0, 14):
-            if gamma_contains(len_eq(k), s):
+            if pred_holds(len_eq(k), s):
                 assert p == len_eq(k)
 
 

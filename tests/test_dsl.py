@@ -220,6 +220,11 @@ def nested(shape, depth):
     return "(concat (input) " * (depth - 1) + "(substr (input) (abspos 0) (abspos 1))" + ")" * (depth - 1)
 
 
+def called_from_depth(n: int, f):
+    """``f()`` called from ``n`` extra frames down the stack."""
+    return called_from_depth(n - 1, f) if n else f()
+
+
 def stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -254,13 +259,17 @@ class TestDepthLimit:
         a, b = parse_program(text).root, parse_program(text).root
         # The two differ only in their deepest term.
         other = parse_program(text.replace(" (input))", ' (const "x"))', 1).replace("(abspos 1)", "(abspos 2)")).root
-
-        def at_depth(f, n=caller):
-            return at_depth(f, n - 1) if n else f()
-
         assert a is not b
-        assert at_depth(lambda: a == b and hash(a) == hash(b))
-        assert at_depth(lambda: a != other and not a == other)
+        assert called_from_depth(caller, lambda: a == b and hash(a) == hash(b))
+        assert called_from_depth(caller, lambda: a != other and not a == other)
+
+    @pytest.mark.parametrize("shape", ["concat", "substr"])
+    @pytest.mark.parametrize("caller", [0, 300], ids=["shallow-caller", "caller-300-deep"])
+    def test_deepest_programs_have_their_size(self, shape, caller):
+        text = nested(shape, dsl.MAX_DEPTH)
+        program = parse_program(text)
+        # Every node opens one parenthesis.
+        assert called_from_depth(caller, lambda: program.size) == text.count("(")
 
 
 class TestEquality:

@@ -48,7 +48,18 @@ from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, pos
 from atlas.transformers import Transformer, TransformerTable
 
 from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
-from oracles import abstract_eval, batch_records, facts_of, full_abstraction, is_correct, meet_predicates, rank_key, state_embeds_scan, substring_search
+from oracles import (
+    abstract_eval,
+    batch_records,
+    facts_of,
+    full_abstraction,
+    is_correct,
+    meet_predicates,
+    pred_holds,
+    rank_key,
+    state_embeds_scan,
+    substring_search,
+)
 
 
 def val(*preds):
@@ -171,7 +182,7 @@ class TestStateFields:
         assert all(a + len(run) < b for (a, run), (b, _) in zip(segments, segments[1:]))
         assert AbstractValue.of(state.conjuncts) == state
         for s in witness_strings(data, state) + data.draw(st.lists(ABZ, max_size=4)):
-            assert gamma_contains(state, s) == all(gamma_contains(p, s) for p in state.conjuncts), s
+            assert gamma_contains(state, s) == all(pred_holds(p, s) for p in state.conjuncts), s
 
 
 class TestApplyTransformerAgainstBruteForce:
@@ -561,16 +572,23 @@ class TestStateVectorCache:
         assert result.correct
         assert judged_values and set(judged_values) == {task.outputs}
 
+    @pytest.mark.parametrize("modes", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("domain", ["bundle", "length", "top"])
     @pytest.mark.parametrize("task", [E2, SynthesisTask(examples=PHONES.examples, max_candidates=8_000)], ids=["solved", "unsolved"])
-    def test_a_second_run_repeats_the_first(self, domains, domain, task):
+    def test_a_second_run_repeats_the_first(self, domains, domain, task, modes):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
-        first = outcome(synth.run(require_correct=True))
+        synth.run(require_correct=modes[0])
         assert synth._vectors
-        assert (first[2] == "found") == (task is E2)
-        assert outcome(synth.run(require_correct=True)) == first
-        assert outcome(Synthesizer(task, templates, table).run(require_correct=True)) == first
+        fresh = Synthesizer(task, templates, table)
+        streams = record_stream(synth), record_stream(fresh)
+        second = outcome(synth.run(require_correct=modes[1]))
+        assert second == outcome(fresh.run(require_correct=modes[1]))
+        assert (second[2] == "found") == (task is E2) or not modes[1]
+        # Nothing of the first run is left: the second run makes, derives and
+        # registers what a fresh synthesizer's only run does.
+        assert streams[0] == streams[1]
+        assert (synth._ids, synth._vectors, synth._concats) == (fresh._ids, fresh._vectors, fresh._concats)
 
     def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
@@ -579,11 +597,6 @@ class TestStateVectorCache:
         table = TransformerTable([*(t for t in table_a1.all() if t.inputs != unsound.inputs), unsound])
         task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table)
-        # A first run fills the registry and the concat cache, so that the
-        # second run's checked candidates take the cached path.
-        synth.run(require_correct=True)
-        cached = dict(synth._concats)
-        assert cached
         stream = record_stream(synth)
         synth.run(require_correct=True)
         wrong = [
@@ -591,7 +604,10 @@ class TestStateVectorCache:
             for _, rec, derived in stream
             if not all(gamma_contains(st, v) for st, v in zip(held_states(synth, rec, derived), rec[0]))
         ]
-        assert any(len(rec) == 4 and (rec[2][1], rec[3][1]) in cached for rec in wrong)
+        # Some wrong states are derived, and some are taken later in the same
+        # run from the concat cache: a record made with a sid took that path.
+        assert any(rec[1] is None for rec in wrong)
+        assert any(len(rec) == 4 and rec[1] is not None for rec in wrong)
 
 
 def outcome(r) -> tuple:
@@ -980,8 +996,8 @@ def per_record(synth) -> list:
     the list of the lengths of the bulk runs expanded."""
     batch, expanded = synth._batch, []
 
-    def expanding(size, pools, *flag):
-        for item in batch(size, pools, *flag):
+    def expanding(size, pools):
+        for item in batch(size, pools):
             records = batch_records(synth, item)
             if records[0] is not item:
                 values, sids, a, pool = item
@@ -994,29 +1010,36 @@ def per_record(synth) -> list:
 
 
 class TestBulkRuns:
-    """With ``require_correct``, a run of concatenations whose vectors are all
-    cached and none of which is the outputs is taken in bulk."""
+    """In both modes, a run of concatenations whose vectors are all cached and
+    none of which is the outputs is taken in bulk."""
 
     @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4_097, 20_000, 200_000])
-    @pytest.mark.parametrize("domain", ["top", "seed-0"])
-    def test_bulk_runs_change_no_outcome(self, trained, domain, budget):
-        templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
+    @pytest.mark.parametrize("domain", ["top", "length", "seed-0"])
+    @pytest.mark.parametrize("require_correct", [True, False])
+    def test_bulk_runs_change_no_outcome(self, trained, table_a1, domain, require_correct, budget):
+        templates, table = {
+            "top": ([TOP], TransformerTable()),
+            "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
+            "seed-0": (trained.templates, trained.table),
+        }[domain]
         expanded = 0
         for name, task in corpus_tasks(budget).items():
             reference = Synthesizer(task, templates, table)
             runs = per_record(reference)
-            got = outcome(Synthesizer(task, templates, table).run(require_correct=True))
-            assert got == outcome(reference.run(require_correct=True)), name
+            got = outcome(Synthesizer(task, templates, table).run(require_correct=require_correct))
+            assert got == outcome(reference.run(require_correct=require_correct)), name
             expanded += len(runs)
-        assert expanded or domain != "top" or budget < 4_097
+        # Without require_correct, top accepts the input at once.
+        takes_bulk = {"top": require_correct, "length": True, "seed-0": False}[domain]
+        assert expanded or not takes_bulk or budget < 4_097
 
     def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch):
         _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 200_000, 1)
         synth = Synthesizer(task, [TOP], TransformerTable())
         batch, items, late = synth._batch, [], []
 
-        def watching(size, pools, *flag):
-            for item in batch(size, pools, *flag):
+        def watching(size, pools):
+            for item in batch(size, pools):
                 items.append(item)
                 # The clock passes the deadline at the first bulk run that
                 # holds a multiple of 256 wherever it starts.
@@ -1033,8 +1056,8 @@ class TestBulkRuns:
         assert items[-1] is late[0]
 
     def test_a_run_without_require_correct_after_one_with_it_repeats_a_fresh_one(self, table_a1):
-        # A vector registered by a run with require_correct may be accepted on
-        # its own, so a run without it takes no bulk run.
+        # Each run starts its own registry, so no vector registered by the run
+        # with require_correct is taken, or accepted, by the run without it.
         _, task = load_task(corpus_dir() / "eval_dirname.json", 14, 20_000, None)
         templates = [TOP, LEN_EQ, LEN_NEQ]
         synth = Synthesizer(task, templates, table_a1)
@@ -1051,9 +1074,9 @@ class TestBulkRuns:
         synth = Synthesizer(task, [TOP], TransformerTable())
         stream, batch, kept = record_stream(synth), synth._batch, {}
 
-        def keeping(size, pools, *flag):
+        def keeping(size, pools):
             kept.update(pools)
-            yield from batch(size, pools, *flag)
+            yield from batch(size, pools)
 
         synth._batch = keeping
         result = synth.run(require_correct=True)

@@ -20,7 +20,6 @@ from atlas.domain import (
     abstract,
     char_eq,
     char_neq,
-    gamma_contains,
     len_eq,
     len_neq,
     template_to_text,
@@ -44,7 +43,7 @@ from atlas.transformers import (
 )
 
 from conftest import table_outputs, with_outputs, with_top_copies
-from oracles import as_matrix, fold, full_rank
+from oracles import as_matrix, fold, full_rank, pred_holds
 import test_golden_slots
 
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
@@ -264,8 +263,8 @@ class TestGenerateExamples:
             for (p1, p2), p0 in kept:
                 assert (p1.kind, p2.kind, p0.kind) == (*chis, chi0)
                 for a, b in product(strings, repeat=2):
-                    if gamma_contains(p1, a) and gamma_contains(p2, b):
-                        assert gamma_contains(p0, a + b)
+                    if pred_holds(p1, a) and pred_holds(p2, b):
+                        assert pred_holds(p0, a + b)
                         checked += 1
             assert checked > 0
 
@@ -314,8 +313,8 @@ class TestRowValid:
         strings = small_strings()
         inputs, outputs = small_predicates(), small_predicates(extra_lengths=[-1])
         ys = {a + b for a in strings for b in strings}
-        fails = {q: frozenset(y for y in ys if not gamma_contains(q, y)) for q in outputs}
-        admitted = {p: [s for s in strings if gamma_contains(p, s)] for p in inputs}
+        fails = {q: frozenset(y for y in ys if not pred_holds(q, y)) for q in outputs}
+        admitted = {p: [s for s in strings if pred_holds(p, s)] for p in inputs}
         mismatches = []
         for p1, p2 in product(inputs, repeat=2):
             concats = {a + b for a in admitted[p1] for b in admitted[p2]}
