@@ -210,8 +210,11 @@ def evaluate(p: Program, x: str) -> str:
 # where each child is keyed by its size first.  Operators go leaves first:
 # input, const, abspos, cpos, concat, substr.  A const is keyed by its
 # string, an abspos by k and a cpos by (character code, j).  The key order
-# equals the enumerator's generation order, which goes by left-child size;
-# the tests hold the key (``rank_key`` in ``tests/oracles.py``).
+# equals the enumerator's generation order, which goes by left-child size.
+# The tests hold the key (``rank_key`` in ``tests/oracles.py``) and check the
+# order through ``reference_search`` there, a search built from this module
+# alone: its candidates are in key order, and the synthesizer's run returns
+# and pools what it does.
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,20 @@ returns it, prunes it, or pools it.  The deadline is read at every 256th
 candidate, so a run that times out has counted a multiple of 256.  A
 level's pool is read from two sizes up only, so a level is left unpooled
 when there is no such size or when the concatenations of its own size and
-the next one alone pass the budget: the run ends before it is read.
+the next one alone pass the budget: the run ends before it is read.  Past
+size 4, the last with leaves, a concatenation of size ``s`` has a child of
+size ``s // 2`` or more, so the run is exhausted at the first such ``s``
+whose pools from size ``s // 2`` up are all empty: no later size can have a
+candidate either, and the sizes up to ``max_ast_size`` are not walked.
 
 A candidate's state vector (its tuple of per-example states) determines
 all of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
-the vector and the expected outputs.  Each run therefore starts an empty
-registry that interns vectors, each with a small int id, plus a cache from
-pairs of child ids to the id of their concatenation's vector.  ``_batch``
+the vector and the expected outputs.  Each run therefore keeps, in locals
+of ``run``, a registry that interns vectors, each with a small int id, plus
+a cache from pairs of child ids to the id of their concatenation's vector;
+it passes the cache to ``_batch`` and the list of vectors by id to
+``_derive``, and a ``Synthesizer`` holds neither between runs.  ``_batch``
 gives a concatenation the cached id of its child-id pair when there is
 one; every other candidate, leaf or concatenation, is made with None.
 ``run`` derives the states of those only after the dedup check, one
@@ -84,8 +90,9 @@ leaf or its two child records.  Records hold only ``str``, ``int``, ``None``
 and records, so CPython's cyclic collector untracks them and a full
 collection does not walk the pools; a record that held an AST node, a state
 or any other class instance would stay tracked.  So a pooled record's
-vector is ``_vectors[sid]``, and one not registered lives only inside
-``run``.  ``_node`` builds the returned program's AST from its record.
+vector is ``vectors[sid]`` in its run's registry, and one not registered
+lives only inside ``run``.  ``_node`` builds the returned program's AST from
+its record.
 
 The position pool is a list of plain literals in rank order (``int`` k for
 ``abspos k``, ``(char, j)`` for ``cpos char j``), built in that order, so no
@@ -275,8 +282,6 @@ class Synthesizer:
         # Leaves up to this length are exact (see the module docstring); -1 when none is.
         start, stop = _index_runs(self.pool.indices)[0]
         self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
-        # The registry of the current run (see ``run``), empty before the first.
-        self._ids, self._vectors, self._concats = {}, [], {}
 
     def _const_pool(self) -> list[str]:
         subs: set[str] = set(self.task.literals)
@@ -338,15 +343,14 @@ class Synthesizer:
             return dsl.substr(dsl.input_(), position_node(positions[i]), position_node(positions[j]))
         return dsl.concat(self._node(rec[2]), self._node(rec[3]))
 
-    def _derive(self, rec: tuple) -> tuple[tuple[StateLike, ...], bool]:
+    def _derive(self, rec: tuple, vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
         """The states of record ``rec``, derived one example at a time up to
         the first that does not embed its output, and whether every state
         embeds.  A concatenation's children are pooled, so their vectors are
-        registered."""
+        registered: ``vectors`` is the run's list of vectors by id."""
         if len(rec) == 3:
             derived = map(self._abstract_value, rec[0])
         else:
-            vectors = self._vectors
             derived = map(apply_transformer, repeat(self.table), zip(vectors[rec[2][1]], vectors[rec[3][1]]))
         states = []
         for state, out in zip(derived, self.outputs):
@@ -355,9 +359,10 @@ class Synthesizer:
                 return tuple(states), False
         return tuple(states), True
 
-    def _batch(self, size: int, pools: dict[int, list[tuple]]) -> Iterator[tuple]:
+    def _batch(self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int]) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order; ``pools`` holds the
-        kept ones of each smaller size.
+        kept ones of each smaller size, and ``concats`` is the run's cache
+        from pairs of child ids to the id of their concatenation's vector.
 
         A leaf is ``(values, sid, leaf_index)`` and a concatenation is
         ``(values, sid, left, right)``, with its two child records.
@@ -389,7 +394,7 @@ class Synthesizer:
             for i, s in enumerate(self.consts, 1):
                 yield (s,) * len(inputs), None, i
             return
-        concats, outputs = self._concats, self.outputs
+        outputs = self.outputs
         for sa in range(1, size - 1):
             pool = pools[size - 1 - sa]
             if not pool:
@@ -423,12 +428,14 @@ class Synthesizer:
         or the deadline is passed, or the sizes run out.
 
         With ``require_correct`` a candidate is accepted only when its
-        values are the outputs.  The registry starts empty, so each vector
-        in it was registered and judged by this run.  A bulk run is cut at
-        the budget, and the deadline is read once for it: when the deadline
-        has passed, the run stops at its first multiple of 256, as the
-        per-candidate check at every 256th candidate would.  A level no
-        later level can read is not pooled (see the module docstring).
+        values are the outputs.  The registry is local to the run and passed
+        to ``_batch`` and ``_derive``, so each vector in it was registered
+        and judged by this run.  A bulk run is cut at the budget, and the
+        deadline is read once for it: when the deadline has passed, the run
+        stops at its first multiple of 256, as the per-candidate check at
+        every 256th candidate would.  A level no later level can read is not
+        pooled, and the run is exhausted at the first size past the leaves
+        that no two pools can fill (see the module docstring).
         """
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
@@ -438,7 +445,7 @@ class Synthesizer:
         # The run's registry of derived state vectors that embed: id by vector
         # and vector by id, and the id of a concatenation's vector by the pair
         # of its child ids.
-        self._ids, self._vectors, self._concats = ids, vectors, concats = {}, [], {}
+        ids, vectors, concats = {}, [], {}
         max_size = self.task.max_ast_size
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[tuple]] = {}
@@ -448,12 +455,17 @@ class Synthesizer:
         enumerated = pruned = deduped = 0
         try:
             for size in range(1, max_size + 1):
+                # Past the leaves, each candidate of this size has a child of
+                # size ``size // 2`` or more; with none pooled, no later size
+                # has a candidate either.
+                if size > 4 and not any(lengths[size // 2 :]):
+                    break
                 # The concatenations of sizes ``size`` and ``size + 1`` come
                 # before size ``size + 2``, the first to read this level's pool.
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for rec in self._batch(size, pools):
+                for rec in self._batch(size, pools, concats):
                     values = rec[0]
                     if values.__class__ is list:
                         # A bulk run: every vector is cached and none of its
@@ -497,7 +509,7 @@ class Synthesizer:
                     if sid is None:
                         # A state that does not embed its output does not
                         # contain it either, so the candidate is not accepted.
-                        states, embeds = self._derive(rec)
+                        states, embeds = self._derive(rec, vectors)
                         if not embeds:
                             pruned += 1
                             continue

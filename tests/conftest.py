@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ, TemplateKind
@@ -5,7 +7,7 @@ from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas.synthesizer import SynthesisTask
 from atlas.transformers import SamplingOracle, Transformer, TransformerTable, learn_transformers
 
-from oracles import batch_records
+from oracles import term_node
 
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
@@ -92,60 +94,40 @@ def table_outputs(table) -> list:
     return [(t.inputs, o) for t in table.all() for o in t.outputs]
 
 
-def record_stream(synth) -> list:
-    """Wrap ``synth._batch``, ``synth._derive`` and ``synth.run`` so that a
-    later ``synth.run()`` leaves in the list the stream it enumerated, in
-    order: ``[size, record, derived]`` for each candidate, with its AST size
-    and the states ``run`` derived for it (None if it derived none).
+def watch_run(synth) -> SimpleNamespace:
+    """Wrap ``synth._batch`` and ``synth._derive`` so that a later
+    ``synth.run()`` leaves in the returned namespace what it passed them and
+    got from them: ``pools``, the run's pools by size; ``concats`` and
+    ``vectors``, its registry's concat cache and vectors by id; ``derived``,
+    ``(record, states, embeds)`` for each record it derived, in order; and
+    ``last``, the last item ``_batch`` yielded, which is the candidate the
+    run is judging."""
+    seen = SimpleNamespace(pools={}, concats=None, vectors=None, derived=[], last=None)
+    batch, derive = synth._batch, synth._derive
 
-    A record is logged as ``_batch`` made it, so its sid is its registry id
-    then.  Each candidate of a bulk run is logged as its record,
-    ``(a + b values, concats[a_sid, b_sid], a, b)``; after the run, one that
-    ``run`` pooled is replaced by the pooled record, which must equal it.
-    The stream is cut to the candidates the run counted."""
-    stream, bulk = [], set()
-    batch, derive, run = synth._batch, synth._derive, synth.run
-    run_pools = {}  # the pools ``run`` passes to ``_batch``, by size
-
-    def recording(size, pools):
-        run_pools.update(pools)
-        for item in batch(size, pools):
-            records = batch_records(synth, item)
-            if records[0] is not item:
-                bulk.update(range(len(stream), len(stream) + len(records)))
-            stream.extend([size, rec, None] for rec in records)
+    def batching(size, pools, concats):
+        seen.pools, seen.concats = pools, concats
+        for item in batch(size, pools, concats):
+            seen.last = item
             yield item
 
-    def deriving(rec):
-        states, embeds = derive(rec)
-        assert stream[-1][1] is rec, "run derives the record it was last given"
-        stream[-1][2] = states
+    def deriving(rec, vectors):
+        seen.vectors = vectors
+        states, embeds = derive(rec, vectors)
+        seen.derived.append((rec, states, embeds))
         return states, embeds
 
-    def running(*args, **kwargs):
-        result = run(*args, **kwargs)
-        del stream[result.enumerated :]
-        # Over the budget or the deadline, the last candidate is counted only.
-        judged = stream if result.reason in ("found", "exhausted") else stream[:-1]
-        pooled = {rec[0]: rec for pool in run_pools.values() for rec in pool}
-        seen = set()
-        for i, (size, rec, _) in enumerate(judged):
-            # An unpooled level's pool is empty; in any other, each new value
-            # of a bulk run is pooled.
-            if i in bulk and rec[0] not in seen and run_pools[size]:
-                assert pooled[rec[0]] == rec
-                stream[i][1] = pooled[rec[0]]
-            seen.add(rec[0])
-        bulk.clear()
-        return result
-
-    synth._batch, synth._derive, synth.run = recording, deriving, running
-    return stream
+    synth._batch, synth._derive = batching, deriving
+    return seen
 
 
-def held_states(synth, rec, derived) -> tuple:
-    """The states ``run`` held for a logged record: those it derived, else
-    the registered vector it was made with, else none."""
-    if derived is not None:
-        return derived
-    return synth._vectors[rec[1]] if rec[1] is not None else ()
+def assert_pools_match(synth, seen, found):
+    """Each level's pool in the run ``seen`` watched holds, in order, the
+    values and programs of the candidates ``reference_search`` kept at that
+    size (``found.kept``).  A level the run left unpooled, which is one of
+    the last two it reached, holds none instead."""
+    last = max(seen.pools)
+    for size, pool in seen.pools.items():
+        got = [(rec[0], synth._node(rec)) for rec in pool]
+        want = [(rec[0], term_node(rec)) for rec in found.kept[size]]
+        assert got == want or (got == [] and size >= last - 1), size

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import operator
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from atlas.domain import (
@@ -23,9 +25,9 @@ from atlas.domain import (
     len_neq,
     widen,
 )
-from atlas.dsl import AstNode, Op, Program, eval_node
+from atlas.dsl import AstNode, EvalError, Op, Program, abspos, concat, const, cpos, eval_node, input_, substr
 from atlas.interpolation import Annotation, TreeInterpolant, TreeItpProblem
-from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, satisfies
+from atlas.synthesizer import SynthesisTask, apply_transformer, satisfies
 from atlas.transformers import Matrix, TransformerTable, _reduce, column_rank
 
 
@@ -109,42 +111,6 @@ def facts_of(state: StateLike):
     return (widen(state) if isinstance(state, str) else state).conjuncts
 
 
-def batch_records(synth: Synthesizer, item: tuple) -> list:
-    """The records of one ``synth._batch`` item: the record itself, or each
-    candidate of a bulk run ``(values, sids, a, pool)`` as
-    ``(a + b values, concats[a_sid, b_sid], a, b)``, for ``b`` in the pool."""
-    if item[0].__class__ is not list:
-        return [item]
-    _, _, a, pool = item
-    return [(tuple(map(operator.add, a[0], b[0])), synth._concats[a[1], b[1]], a, b) for b in pool]
-
-
-def substring_search(synth: Synthesizer) -> tuple:
-    """The synthesizer's enumeration with each candidate's values as its
-    states: a candidate is pruned unless every value is a substring of its
-    example's output, and accepted iff the values equal the outputs.
-    Returns the accepted record or None, and the reason and the enumerated,
-    pruned and deduped counts as ``run`` gives them with ``require_correct``."""
-    outputs, budget, seen, pools = synth.outputs, synth.task.max_candidates, set(), {}
-    enumerated = pruned = deduped = 0
-    for size in range(1, synth.task.max_ast_size + 1):
-        pools[size] = kept = []
-        for rec in (rec for item in synth._batch(size, pools) for rec in batch_records(synth, item)):
-            enumerated += 1
-            if enumerated > budget:
-                return None, "candidate-budget", enumerated, pruned, deduped
-            if rec[0] in seen:
-                deduped += 1
-            elif not all(map(operator.contains, outputs, rec[0])):
-                pruned += 1
-            elif rec[0] == outputs:
-                return rec, "found", enumerated, pruned, deduped
-            else:
-                kept.append(rec)
-            seen.add(rec[0])
-    return None, "exhausted", enumerated, pruned, deduped
-
-
 # The rank key the enumerator's order is checked against, as ``atlas.dsl``
 # defines the ranking: AST size, then (operator, literal, children keys),
 # with each child keyed by its size first.
@@ -205,6 +171,144 @@ def state_embeds_scan(state: StateLike, out: str) -> bool:
             if all(i >= n or ord(out[o + i]) != c for i, c in char_neqs):
                 return True
     return False
+
+
+def state_holds(state: StateLike, s: str) -> bool:
+    """Whether ``s`` lies in the concretization of ``state``, an
+    ``AbstractValue`` or BOTTOM: whether every conjunct holds of it."""
+    return state is not BOTTOM and all(pred_holds(p, s) for p in state.conjuncts)
+
+
+@dataclass
+class SearchOutcome:
+    """What ``reference_search`` found, in the fields ``outcome`` tests read
+    off a ``SynthResult``, and ``kept``: by AST size, the candidates kept for
+    larger sizes, in order, as ``(values, states, term)``, where ``term``
+    is a leaf's AST node or the pair of a concatenation's children."""
+
+    program: Optional[Program] = None
+    correct: Optional[bool] = None
+    reason: str = "exhausted"
+    enumerated: int = 0
+    pruned_abstract: int = 0
+    deduped: int = 0
+    kept: dict[int, list] = field(default_factory=dict)
+
+
+def term_node(rec: tuple) -> AstNode:
+    """The AST node of a candidate ``reference_search`` kept or logged."""
+    term = rec[2]
+    return term if isinstance(term, AstNode) else concat(term_node(term[0]), term_node(term[1]))
+
+
+@lru_cache(maxsize=64)
+def _leaves(examples: tuple, literals: tuple) -> dict[int, tuple]:
+    """The leaves of each size with their values, in rank order, as
+    ``(values, node)``: size 1 is the input, then the constants, and size 4
+    the substrings of the input that evaluate on every input.  Cached per
+    task, as tuples, since every search of a task reads the same leaves."""
+    inputs, outputs = [x for x, _ in examples], [y for _, y in examples]
+    consts = {s for s in literals if s}
+    consts |= {y[i:j] for y in outputs for i in range(len(y)) for j in range(i + 1, min(i + 6, len(y)) + 1)}
+    max_len = max(len(s) for s in inputs + outputs)
+    positions = [abspos(k) for k in range(-1, min(12, max_len) + 1)]
+    positions += [cpos(ord(c), j) for c in set("".join(inputs)) for j in (-3, -2, -1, 1, 2, 3)]
+    positions.sort(key=rank_key)
+    ones = [(tuple(eval_node(node, x) for x in inputs), node) for node in [input_(), *sorted(map(const, consts), key=rank_key)]]
+    fours = []
+    # A substring's key orders it by its first position, then its second.
+    for node in (substr(input_(), p, q) for p in positions for q in positions):
+        try:
+            fours.append((tuple(eval_node(node, x) for x in inputs), node))
+        except EvalError:
+            continue
+    return {1: tuple(ones), 4: tuple(fours)}
+
+
+def reference_search(
+    task: SynthesisTask, templates, table: TransformerTable, require_correct: bool, log: Optional[list] = None
+) -> SearchOutcome:
+    """The synthesizer's search, restated from the DSL alone: the first
+    candidate in rank order (``rank_key``) whose states accept the outputs.
+
+    The leaves are the input; the constants, which are the task's literals
+    and every substring of one to six characters of an output; and
+    ``substr(input, p, q)`` over the positions ``abspos k`` for ``-1 <= k
+    <= min(12, m)``, ``m`` the longest input or output, and ``cpos c j``
+    for each character ``c`` of an input and ``0 < |j| <= 3``, when it
+    evaluates on every input.  A size's candidates are its concatenations,
+    of each kept candidate of each smaller size with each of the size that
+    completes it, left size first, then its leaves (substrings rank after
+    concatenations).  As a concatenation's key orders it by its left size,
+    then by its left child's key and then its right child's, a size is in
+    rank order when the sizes it reads are.
+
+    Each candidate is counted against ``max_candidates``, then dropped when
+    its values repeat an earlier candidate's.  Its states are each value's
+    ``best_abstraction`` for a leaf and the children's states through
+    ``apply_transformer`` for a concatenation, memoized with the embed
+    verdict per pair of child state vectors.  It is pruned unless every
+    state embeds its output (``state_embeds_scan``), returned when (with
+    ``require_correct``, its values are the outputs and) every output lies
+    in its state (``state_holds``), and kept otherwise.  The AST is built only for the
+    returned program; with ``log``, each counted candidate's record is
+    appended to it, its states None.
+    """
+    inputs, outputs, budget = task.inputs, task.outputs, task.max_candidates
+    pool = ConstantPool.default(inputs + outputs)
+    leaves = _leaves(task.examples, task.literals)
+    # The states and embed verdict of a concatenation, by its children's states.
+    derived: dict = {}
+    seen: set = set()
+    found = SearchOutcome()
+    enumerated = pruned = deduped = 0
+    # The kept records hold AST nodes and states, which the cyclic collector
+    # tracks, so each collection would walk them all; none is in a cycle.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for size in range(1, task.max_ast_size + 1):
+            found.kept[size] = level = []
+            pairs = (
+                (tuple(map(operator.add, a[0], b[0])), (a, b))
+                for sa in range(1, size - 1)
+                for a in found.kept[sa]
+                for b in found.kept[size - 1 - sa]
+            )
+            for values, term in chain(pairs, leaves.get(size, ())):
+                enumerated += 1
+                if log is not None:
+                    log.append((values, None, term))
+                if enumerated > budget:
+                    found.reason = "candidate-budget"
+                    return found
+                if values in seen:
+                    deduped += 1
+                    continue
+                seen.add(values)
+                if isinstance(term, AstNode):
+                    states = tuple(best_abstraction(v, templates, pool) for v in values)
+                    embed = all(map(state_embeds_scan, states, outputs))
+                else:
+                    key = (term[0][1], term[1][1])
+                    got = derived.get(key)
+                    if got is None:
+                        states = tuple(apply_transformer(table, pair) for pair in zip(*key))
+                        got = derived[key] = states, all(map(state_embeds_scan, states, outputs))
+                    states, embed = got
+                if not embed:
+                    pruned += 1
+                    continue
+                rec = (values, states, term)
+                if (not require_correct or values == outputs) and all(map(state_holds, states, outputs)):
+                    found.program, found.correct, found.reason = Program(term_node(rec)), values == outputs, "found"
+                    return found
+                level.append(rec)
+        return found
+    finally:
+        found.enumerated, found.pruned_abstract, found.deduped = enumerated, pruned, deduped
+        if collecting:
+            gc.enable()
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:

@@ -118,53 +118,39 @@ class TestRank:
         assert sorted(keys) == sorted(keys, reverse=True)[::-1]
 
     def test_matches_enumeration_order(self, monkeypatch):
-        # Oracle: the synthesizer's generation stream is the ranking order,
-        # both when every candidate is pooled and when the run pools (only
-        # new values, since every state is top).  The second case runs past
-        # candidate 27,424, where a child key blind to child sizes first
-        # breaks the order (two size-7 concats whose left children differ in
-        # size); nothing is accepted there, so the run reaches its budget.
+        # Oracle: the reference search (``oracles.reference_search``)
+        # enumerates in ranking order, duplicates included, and the
+        # synthesizer's run pools, in order, what it keeps (the run and the
+        # reference return the same outcomes, see ``TestBulkRuns``).  Under
+        # top with nothing accepted every new value is pooled, and the run
+        # goes past candidate 27,424, where a child key blind to child sizes
+        # first breaks the order (two size-7 concats whose left children
+        # differ in size), up to its budget.
+        import oracles
         from atlas import synthesizer
         from atlas.domain import TOP
         from atlas.synthesizer import Synthesizer, SynthesisTask
         from atlas.transformers import TransformerTable
 
-        from conftest import record_stream
-        from oracles import batch_records
-
-        def synth_for(example, limit):
-            task = SynthesisTask(examples=(example,), max_candidates=limit)
-            return Synthesizer(task, [TOP], TransformerTable())
-
-        def assert_ranked(synth, recs):
-            nodes = [synth._node(rec) for rec in recs]
-            keys = [rank_key(node) for node in nodes]
-            for n, (previous, key) in enumerate(zip(keys, keys[1:]), 2):
-                assert previous < key, f"candidate {n}: {print_program(Program(nodes[n - 1]))}"
-
-        def keep_all(synth, limit):
-            """The first ``limit`` records when every record is pooled."""
-            pools, recs = {}, []
-            for size in range(1, synth.task.max_ast_size + 1):
-                pools[size] = []
-                for rec in (rec for item in synth._batch(size, pools) for rec in batch_records(synth, item)):
-                    if len(recs) == limit:
-                        return recs
-                    pools[size].append(rec)
-                    recs.append(rec)
-            return recs
-
-        synth = synth_for(("ab", "abab"), 100)
-        kept_all = keep_all(synth, 100)
-        assert len(kept_all) == 100
-        assert_ranked(synth, kept_all)
+        from conftest import assert_pools_match, watch_run
+        from oracles import reference_search, term_node
 
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
-        synth = synth_for(("ab.c", "c-ab"), 40_000)
-        stream = record_stream(synth)
+        monkeypatch.setattr(oracles, "state_holds", lambda state, s: False)
+        task = SynthesisTask(examples=(("ab.c", "c-ab"),), max_candidates=40_000)
+        log = []
+        found = reference_search(task, [TOP], TransformerTable(), True, log)
+        assert found.reason == "candidate-budget" and len(log) == found.enumerated == 40_001
+        nodes = [term_node(rec) for rec in log]
+        keys = [rank_key(node) for node in nodes]
+        for n, (previous, key) in enumerate(zip(keys, keys[1:]), 2):
+            assert previous < key, f"candidate {n}: {print_program(Program(nodes[n - 1]))}"
+
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        seen = watch_run(synth)
         result = synth.run(require_correct=True)
-        assert len(stream) == result.enumerated == 40_001
-        assert_ranked(synth, [rec for _, rec, _ in stream])
+        assert (result.reason, result.enumerated, result.deduped) == (found.reason, found.enumerated, found.deduped)
+        assert_pools_match(synth, seen, found)
 
 
 # Bounded program generator for round-trip properties.

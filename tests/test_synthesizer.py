@@ -1,6 +1,6 @@
 import gc
 import operator
-from itertools import product, repeat
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -47,18 +47,19 @@ from atlas.corpus import corpus_dir
 from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, position_node, state_embeds
 from atlas.transformers import Transformer, TransformerTable
 
-from conftest import E1, E2, E3, held_states, record_stream, table_outputs, with_outputs, with_top_copies
+import oracles
+from conftest import E1, E2, E3, assert_pools_match, table_outputs, watch_run, with_outputs, with_top_copies
 from oracles import (
     abstract_eval,
-    batch_records,
     facts_of,
     full_abstraction,
     is_correct,
     meet_predicates,
     pred_holds,
     rank_key,
+    reference_search,
     state_embeds_scan,
-    substring_search,
+    term_node,
 )
 
 
@@ -388,41 +389,56 @@ def widened(states) -> tuple:
     return tuple(widen(s) if isinstance(s, str) else s for s in states)
 
 
-def derived_and_fresh(synth, rec, derived):
-    """``(derived, fresh)``: the states ``run`` held for a logged record
-    (``held_states``) and the record's whole vector by ``abstract_eval``,
-    which builds no exact states.
+def fresh_states(synth, node) -> tuple:
+    """The states of ``node`` on each example input by ``abstract_eval``,
+    which builds no exact states."""
+    return tuple(abstract_eval(node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
 
-    Checks that ``derived``, widened, is a prefix of ``fresh`` and that it
+
+def check_derived(synth, rec, derived) -> tuple:
+    """The fresh states of a record ``run`` derived the states ``derived``
+    for, after checking that ``derived``, widened, is a prefix of them that
     stops at the first state that does not embed its output, or runs to the
     end."""
     node = synth._node(rec)
-    fresh = tuple(abstract_eval(node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
-    derived = held_states(synth, rec, derived)
+    fresh = fresh_states(synth, node)
     shown = print_program(Program(node))
     assert widened(derived) == fresh[: len(derived)], shown
     embeds = [state_embeds(s, out) for s, out in zip(derived, synth.outputs)]
     assert all(embeds[:-1]), shown
-    assert len(derived) in (0, len(fresh)) or not embeds[-1], shown
-    return derived, fresh
+    assert len(derived) == len(fresh) or not embeds[-1], shown
+    return fresh
 
 
 def last_fails_to_embed(states, outputs) -> bool:
     return bool(states) and not state_embeds(states[-1], outputs[len(states) - 1])
 
 
+def pooled_records(seen) -> list:
+    """Every record in the pools of the run ``seen`` watched (``watch_run``)."""
+    return [rec for pool in seen.pools.values() for rec in pool]
+
+
+def outcome(r) -> tuple:
+    return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
+
+
 class TestEnumeratorProperties:
     def test_abstract_soundness_during_enumeration(self, table_a2):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         result = synth.run(require_correct=True)
         assert result.correct
-        assert len(stream) == result.enumerated
+        assert outcome(result) == outcome(reference_search(E2, FIVE_TEMPLATES, table_a2, True))
         pruned = 0
-        for _, rec, derived in stream:
-            derived, fresh = derived_and_fresh(synth, rec, derived)
+        for rec, derived, embeds in seen.derived:
+            fresh = check_derived(synth, rec, derived)
             assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(synth._node(rec)))
-            pruned += last_fails_to_embed(derived, E2.outputs)
+            assert embeds != last_fails_to_embed(derived, E2.outputs)
+            pruned += not embeds
+        # A pooled record's registered vector is its fresh one, so it holds its value.
+        for rec in pooled_records(seen):
+            assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
         # The pruned candidates are those whose last derived state fails to embed.
         assert pruned == result.pruned_abstract > 0
 
@@ -450,21 +466,25 @@ class TestEnumeratorProperties:
         assert result.deduped > 0
 
     def test_minimal_rank_no_smaller_consistent_program(self, table_a1, trained):
-        # Deterministic ranking contract: nothing the run enumerates before
-        # the returned program, duplicates included, is abstractly consistent.
-        # E1 under the length domain, and two eval tasks under the seed-0 bundle.
+        # Deterministic ranking contract: nothing enumerated before the
+        # returned program, duplicates included, is abstractly consistent.
+        # The reference enumerates in rank order, and the run returns what
+        # it returns after as many candidates.  E1 under the length domain,
+        # and two eval tasks under the seed-0 bundle.
         synths = {"e1": Synthesizer(E1, [TOP, LEN_EQ, LEN_NEQ], table_a1)}
         for name in ("eval_backup", "eval_date_slash"):
             _, task = load_task(corpus_dir() / f"{name}.json", 14, 200_000, None)
             synths[name] = Synthesizer(task, trained.templates, trained.table)
         for name, synth in synths.items():
-            stream = record_stream(synth)
+            log = []
+            found = reference_search(synth.task, synth.templates, synth.table, False, log)
             result = synth.run(require_correct=False)
-            assert len(stream) == result.enumerated, name
-            *before, (_, last, _) = stream
-            assert synth._node(last) == result.program.root, name
-            for _, rec, derived in before:
-                _, fresh = derived_and_fresh(synth, rec, derived)
+            assert outcome(result) == outcome(found), name
+            assert len(log) == result.enumerated, name
+            *before, last = log
+            assert term_node(last) == result.program.root, name
+            for rec in before:
+                fresh = fresh_states(synth, term_node(rec))
                 assert not all(gamma_contains(st, out) for st, out in zip(fresh, synth.outputs)), name
 
 
@@ -476,14 +496,14 @@ FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
 PHONES = SynthesisTask(examples=(*E2.examples, ("408.555.1234", "408-555-1234")))
 
 
-def watch_gamma_contains(monkeypatch, stream) -> list:
+def watch_gamma_contains(monkeypatch, seen) -> list:
     """Replace the synthesizer module's ``gamma_contains`` by a wrapper that
     logs, for each call, the values of the record ``run`` is judging (the
-    last one ``stream`` holds, see ``record_stream``)."""
+    last one ``_batch`` yielded, see ``watch_run``)."""
     judged_values = []
 
     def watching(state, out):
-        judged_values.append(stream[-1][1][0])
+        judged_values.append(seen.last[0])
         return gamma_contains(state, out)
 
     monkeypatch.setattr(synthesizer, "gamma_contains", watching)
@@ -513,61 +533,52 @@ class TestStateVectorCache:
     )
     def test_cached_states_and_verdicts_equal_fresh_ones(self, monkeypatch, domains, domain, limit, reuses):
         templates, table = domains[domain]
-        synth = Synthesizer(SynthesisTask(examples=PHONES.examples, max_candidates=limit), templates, table)
-        stream = record_stream(synth)
-        judged_values = watch_gamma_contains(monkeypatch, stream)
+        task = SynthesisTask(examples=PHONES.examples, max_candidates=limit)
+        synth = Synthesizer(task, templates, table)
+        seen = watch_run(synth)
+        judged_values = watch_gamma_contains(monkeypatch, seen)
         result = synth.run(require_correct=True)
         assert result.program is None
-        assert len(stream) == result.enumerated
+        assert outcome(result) == outcome(reference_search(task, templates, table, True))
         # No candidate's values equal the outputs, so none is judged.
         assert judged_values == []
-        # Over the budget, the last candidate is counted but not judged.
-        judged = stream if result.reason == "exhausted" else stream[:-1]
-        seen, pooled, pruned, reused, embedding = set(), 0, 0, 0, set()
-        for _, rec, derived in judged:
-            if rec[0] in seen:  # the run's dedup
-                continue
-            seen.add(rec[0])
-            derived, fresh = derived_and_fresh(synth, rec, derived)
-            reused += rec[1] is not None
-            accepted = all(gamma_contains(s, out) for s, out in zip(fresh, PHONES.outputs))
-            embeds = all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
+        vectors, concats, embedding = seen.vectors, seen.concats, set()
+        for rec, derived, embeds in seen.derived:
+            fresh = check_derived(synth, rec, derived)
+            assert embeds == all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
             assert widened(derived) == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
-            # Registered when made or when derived, exactly when it embeds.
-            sid = rec[1] if rec[1] is not None else synth._ids.get(derived)
-            assert (sid is not None) == embeds
-            if sid is not None:
-                assert widened(synth._vectors[sid]) == fresh
-                # A concatenation's child-id pair is cached once it embeds.
-                if len(rec) == 4:
-                    assert synth._concats[rec[2][1], rec[3][1]] == sid
-            # The run's verdict: nothing was accepted.
-            assert not (accepted and rec[0] == PHONES.outputs)
-            if rec[1] is None and embeds:
+            # Registered when derived, exactly when it embeds; a
+            # concatenation's child-id pair is cached then.
+            assert (derived in vectors) == embeds
+            if embeds:
                 embedding.add(derived)
-            pooled += embeds
-            pruned += not embeds
+                if len(rec) == 4:
+                    assert vectors[concats[rec[2][1], rec[3][1]]] == derived
+        # Each new candidate the run judged was derived, or made with its
+        # cached vector; over the budget, the last one is counted only.
+        judged = result.enumerated - (result.reason == "candidate-budget")
+        reused = judged - result.deduped - len(seen.derived)
         assert reused > 0 or not reuses
-        assert result.pruned_abstract == pruned
-        assert result.deduped == len(judged) - len(seen)
+        assert result.pruned_abstract == sum(not embeds for _, _, embeds in seen.derived)
         # The registry interns every derived vector that embeds, and only
         # those, so each registered vector embeds.
-        assert synth._ids == {v: i for i, v in enumerate(synth._vectors)}
-        assert set(synth._vectors) == embedding
-        # Nothing was found, so every registered vector is pooled.
-        assert len(synth._vectors) <= pooled
+        assert len(set(vectors)) == len(vectors)
+        assert set(vectors) == embedding
+        # A pooled record's vector is its fresh one.
+        for rec in pooled_records(seen):
+            assert widened(vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
         # A cached pair names the vector of its children's concatenation.
-        for (i, j), k in synth._concats.items():
-            pairs = zip(synth._vectors[i], synth._vectors[j])
-            assert tuple(apply_transformer(table, ab) for ab in pairs) == synth._vectors[k]
+        for (i, j), k in concats.items():
+            pairs = zip(vectors[i], vectors[j])
+            assert tuple(apply_transformer(table, ab) for ab in pairs) == vectors[k]
 
     @pytest.mark.parametrize("domain", ["five", "length", "top"])
     @pytest.mark.parametrize("task", [E1, E2], ids=["e1", "e2"])
     def test_require_correct_judges_only_values_equal_to_the_outputs(self, monkeypatch, domains, domain, task):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
-        judged_values = watch_gamma_contains(monkeypatch, record_stream(synth))
+        judged_values = watch_gamma_contains(monkeypatch, watch_run(synth))
         result = synth.run(require_correct=True)
         assert result.correct
         assert judged_values and set(judged_values) == {task.outputs}
@@ -578,17 +589,17 @@ class TestStateVectorCache:
     def test_a_second_run_repeats_the_first(self, domains, domain, task, modes):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
+        first = watch_run(synth)
         synth.run(require_correct=modes[0])
-        assert synth._vectors
+        assert first.vectors
         fresh = Synthesizer(task, templates, table)
-        streams = record_stream(synth), record_stream(fresh)
+        watched = watch_run(synth), watch_run(fresh)
         second = outcome(synth.run(require_correct=modes[1]))
         assert second == outcome(fresh.run(require_correct=modes[1]))
         assert (second[2] == "found") == (task is E2) or not modes[1]
-        # Nothing of the first run is left: the second run makes, derives and
-        # registers what a fresh synthesizer's only run does.
-        assert streams[0] == streams[1]
-        assert (synth._ids, synth._vectors, synth._concats) == (fresh._ids, fresh._vectors, fresh._concats)
+        # Nothing of the first run is left: the second run makes, derives,
+        # registers and pools what a fresh synthesizer's only run does.
+        assert vars(watched[0]) == vars(watched[1])
 
     def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
@@ -597,26 +608,24 @@ class TestStateVectorCache:
         table = TransformerTable([*(t for t in table_a1.all() if t.inputs != unsound.inputs), unsound])
         task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table)
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         synth.run(require_correct=True)
-        wrong = [
-            rec
-            for _, rec, derived in stream
-            if not all(gamma_contains(st, v) for st, v in zip(held_states(synth, rec, derived), rec[0]))
-        ]
+
+        def wrong(states, values) -> bool:
+            return not all(gamma_contains(st, v) for st, v in zip(states, values))
+
         # Some wrong states are derived, and some are taken later in the same
-        # run from the concat cache: a record made with a sid took that path.
-        assert any(rec[1] is None for rec in wrong)
-        assert any(len(rec) == 4 and rec[1] is not None for rec in wrong)
-
-
-def outcome(r) -> tuple:
-    return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
+        # run from the concat cache: a pooled concatenation the run did not
+        # derive took that path.
+        assert any(wrong(derived, rec[0]) for rec, derived, _ in seen.derived)
+        derived_values = {rec[0] for rec, _, _ in seen.derived}
+        cached = [rec for rec in pooled_records(seen) if len(rec) == 4 and rec[0] not in derived_values]
+        assert any(wrong(seen.vectors[rec[1]], rec[0]) for rec in cached)
 
 
 def size4_leaves(synth):
     """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
-    return [(synth._node(rec), rec[0]) for rec in synth._batch(4, {1: [], 2: []})]
+    return [(synth._node(rec), rec[0]) for rec in synth._batch(4, {1: [], 2: []}, {})]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -696,7 +705,7 @@ class TestPositionTable:
             make = getattr(dsl, name)
             monkeypatch.setattr(dsl, name, lambda *args, make=make: calls.append(args) or make(*args))
         synth = Synthesizer(E3, trained.templates, trained.table)
-        leaves = list(synth._batch(4, {1: [], 2: []}))
+        leaves = list(synth._batch(4, {1: [], 2: []}, {}))
         assert leaves and synth.positions and not calls
         result = synth.run(require_correct=True)
         # Only ``_node`` of the returned record makes its position nodes.
@@ -708,10 +717,13 @@ class TestLazyNode:
     """A record's node, rebuilt from its leaves, is the program its size and values describe."""
 
     @staticmethod
-    def check(synth, stream, inputs):
-        for size, rec, _ in stream:
+    def check(synth, seen, inputs):
+        """Each pooled record, at its size, and each record the run derived."""
+        records = [(size, rec) for size, pool in seen.pools.items() for rec in pool]
+        records += [(None, rec) for rec, _, _ in seen.derived]
+        for size, rec in records:
             node = synth._node(rec)
-            assert node.size == size, print_program(Program(node))
+            assert size is None or node.size == size, print_program(Program(node))
             assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(Program(node))
             if len(rec) == 4:
                 assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(Program(node))
@@ -719,22 +731,26 @@ class TestLazyNode:
     def test_first_candidates_under_the_top_table(self, monkeypatch):
         # Nothing is accepted, so the run enumerates up to its budget.
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
+        monkeypatch.setattr(oracles, "state_holds", lambda state, s: False)
         task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         result = synth.run(require_correct=True)
-        assert result.reason == "candidate-budget"
-        assert len(stream) == result.enumerated == 20_001
-        assert any(len(rec) == 4 for _, rec, _ in stream)
-        self.check(synth, stream, E2.inputs)
+        assert result.reason == "candidate-budget" and result.enumerated == 20_001
+        found = reference_search(task, [TOP], TransformerTable(), True)
+        assert outcome(result) == outcome(found)
+        assert any(len(rec) == 4 for rec in pooled_records(seen))
+        assert_pools_match(synth, seen, found)
+        self.check(synth, seen, E2.inputs)
 
     def test_full_run_of_e2(self, table_a2):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         result = synth.run(require_correct=True)
-        assert len(stream) == result.enumerated
-        assert synth._node(stream[-1][1]) == result.program.root
-        self.check(synth, stream, E2.inputs)
+        found = reference_search(E2, FIVE_TEMPLATES, table_a2, True)
+        assert outcome(result) == outcome(found)
+        assert_pools_match(synth, seen, found)
+        self.check(synth, seen, E2.inputs)
 
 
 class TestRecords:
@@ -744,20 +760,21 @@ class TestRecords:
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
         task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         assert synth.run(require_correct=True).reason == "candidate-budget"
         # A collection untracks a tuple only when its items are untracked
         # already, and it may visit a record before its children; but each
         # one untracks every record whose children it found untracked.  So
         # collect until a collection untracks nothing more.
-        tracked = [rec for _, rec, _ in stream]
+        records = pooled_records(seen) + [rec for rec, _, _ in seen.derived]
+        tracked = records
         while tracked:
             gc.collect()
             left = [rec for rec in tracked if gc.is_tracked(rec)]
             if len(left) == len(tracked):
                 break
             tracked = left
-        assert not tracked, f"{len(tracked)} of {len(stream)} records tracked, first {tracked[0]!r:.200}"
+        assert not tracked, f"{len(tracked)} of {len(records)} records tracked, first {tracked[0]!r:.200}"
 
     def test_timeout_exit(self):
         # Under top, eval_wrap_dir exhausts the 200,000 budget when it has time.
@@ -895,10 +912,10 @@ class TestSubstringCheck:
         pruned = 0
         for name, task in corpus_tasks(20_000).items():
             synth = Synthesizer(task, templates, table)
-            stream = record_stream(synth)
+            seen = watch_run(synth)
             synth.run(require_correct=True)
-            for _, rec, derived in stream:
-                if last_fails_to_embed(derived, task.outputs):
+            for rec, _, embeds in seen.derived:
+                if not embeds:
                     pruned += 1
                     assert not_substrings(rec[0], task.outputs), (name, print_program(Program(synth._node(rec))))
         assert pruned > 0
@@ -907,20 +924,21 @@ class TestSubstringCheck:
         # Under the len = template HAND_MADE's unsound entry makes
         # (concat (input) (const "2018")) too long for "CAV2018".
         synth = Synthesizer(E1, FIVE_TEMPLATES, HAND_MADE)
-        stream = record_stream(synth)
+        seen = watch_run(synth)
         synth.run(require_correct=True)
-        assert any(
-            last_fails_to_embed(derived, E1.outputs) and not not_substrings(rec[0], E1.outputs) for _, rec, derived in stream
-        )
+        assert any(not embeds and not not_substrings(rec[0], E1.outputs) for rec, _, embeds in seen.derived)
 
-    def test_the_seed_0_bundle_searches_as_the_substring_check(self, trained):
+    def test_the_seed_0_bundle_searches_as_the_substring_check(self, trained, monkeypatch):
+        # The substring check is the reference with each candidate's values
+        # as its states: a value embeds iff it is a substring of its output,
+        # and is accepted iff it is the output.
+        monkeypatch.setattr(oracles, "best_abstraction", lambda value, templates, pool: value)
+        monkeypatch.setattr(oracles, "apply_transformer", lambda table, pair: pair[0] + pair[1])
+        monkeypatch.setattr(oracles, "state_embeds_scan", lambda value, out: value in out)
+        monkeypatch.setattr(oracles, "state_holds", operator.eq)
         for name, task in corpus_tasks(200_000).items():
             result = Synthesizer(task, trained.templates, trained.table).run(require_correct=True)
-            reference = Synthesizer(task, trained.templates, trained.table)
-            rec, *counts = substring_search(reference)
-            program = None if rec is None else Program(reference._node(rec))
-            got = [result.reason, result.enumerated, result.pruned_abstract, result.deduped]
-            assert (result.program, got) == (program, counts), name
+            assert outcome(result) == outcome(reference_search(task, [], None, True)), name
 
 
 # The three entries that keep states exact, each as an output filter for ``with_outputs``.
@@ -936,10 +954,12 @@ def without(table, entry):
 
 
 def run_states(synth) -> list:
-    """Every state a ``require_correct`` run of ``synth`` held."""
-    stream = record_stream(synth)
+    """Every state a ``require_correct`` run of ``synth`` held: those it
+    derived, which include every vector it registered and so every one it
+    took from its concat cache."""
+    seen = watch_run(synth)
     synth.run(require_correct=True)
-    return [s for _, rec, derived in stream for s in held_states(synth, rec, derived)]
+    return [s for _, states, _ in seen.derived for s in states]
 
 
 class TestExactStates:
@@ -990,23 +1010,35 @@ class TestExactStates:
         assert gamma_contains(state, "x" * stop + "y")
 
 
-def per_record(synth) -> list:
-    """Make ``synth._batch`` yield each bulk run as its records, one at a
-    time, after checking the run's values and sids against them.  Returns
-    the list of the lengths of the bulk runs expanded."""
-    batch, expanded = synth._batch, []
+def count_bulk_runs(synth) -> list:
+    """Wrap ``synth._batch`` so that a later run leaves in the returned list
+    the length of each bulk run it was given."""
+    batch, lengths = synth._batch, []
 
-    def expanding(size, pools):
-        for item in batch(size, pools):
-            records = batch_records(synth, item)
-            if records[0] is not item:
-                values, sids, a, pool = item
-                assert list(zip(values, sids, repeat(a), pool)) == records
-                expanded.append(len(records))
-            yield from records
+    def counting(size, pools, concats):
+        for item in batch(size, pools, concats):
+            if item[0].__class__ is list:
+                lengths.append(len(item[0]))
+            yield item
 
-    synth._batch = expanding
-    return expanded
+    synth._batch = counting
+    return lengths
+
+
+def check_against_the_reference(task, templates, table, require_correct, pools) -> list:
+    """Check that a run of ``task`` has the outcome of ``reference_search``,
+    and with ``pools`` that it pools what the reference keeps.  Returns the
+    lengths of the run's bulk runs.  The reference's candidates are not
+    kept past its check, so no later run's collections walk them."""
+    synth = Synthesizer(task, templates, table)
+    # Only when asked: the watcher's log of derived states grows with the run.
+    seen, runs = watch_run(synth) if pools else None, count_bulk_runs(synth)
+    got = outcome(synth.run(require_correct=require_correct))
+    found = reference_search(task, templates, table, require_correct)
+    assert got == outcome(found), task
+    if pools:
+        assert_pools_match(synth, seen, found)
+    return runs
 
 
 class TestBulkRuns:
@@ -1022,24 +1054,20 @@ class TestBulkRuns:
             "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
             "seed-0": (trained.templates, trained.table),
         }[domain]
-        expanded = 0
+        bulk = 0
         for name, task in corpus_tasks(budget).items():
-            reference = Synthesizer(task, templates, table)
-            runs = per_record(reference)
-            got = outcome(Synthesizer(task, templates, table).run(require_correct=require_correct))
-            assert got == outcome(reference.run(require_correct=require_correct)), name
-            expanded += len(runs)
+            bulk += len(check_against_the_reference(task, templates, table, require_correct, pools=domain == "seed-0"))
         # Without require_correct, top accepts the input at once.
         takes_bulk = {"top": require_correct, "length": True, "seed-0": False}[domain]
-        assert expanded or not takes_bulk or budget < 4_097
+        assert bulk or not takes_bulk or budget < 4_097
 
     def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch):
         _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 200_000, 1)
         synth = Synthesizer(task, [TOP], TransformerTable())
         batch, items, late = synth._batch, [], []
 
-        def watching(size, pools):
-            for item in batch(size, pools):
+        def watching(size, pools, concats):
+            for item in batch(size, pools, concats):
                 items.append(item)
                 # The clock passes the deadline at the first bulk run that
                 # holds a multiple of 256 wherever it starts.
@@ -1072,19 +1100,56 @@ class TestBulkRuns:
         # is pooled; the budget ends the run inside the last one.
         _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 20_000, None)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        stream, batch, kept = record_stream(synth), synth._batch, {}
-
-        def keeping(size, pools):
-            kept.update(pools)
-            yield from batch(size, pools)
-
-        synth._batch = keeping
+        seen = watch_run(synth)
         result = synth.run(require_correct=True)
         assert result.reason == "candidate-budget"
-        cut = stream[-1][0]
-        seen, new = set(), 0
-        for size, rec, _ in stream[:-1]:
-            new += size == cut and rec[0] not in seen
-            seen.add(rec[0])
-        assert new > 0 and kept[cut] == []
-        assert kept[1] and kept[3]
+        found = reference_search(task, [TOP], TransformerTable(), True)
+        assert outcome(result) == outcome(found)
+        # The reference kept new values at the size the budget cut, which
+        # the run left unpooled.
+        cut = max(seen.pools)
+        assert found.kept[cut] and seen.pools[cut] == []
+        assert seen.pools[1] and seen.pools[3]
+
+
+class TestEmptySizes:
+    def test_a_task_no_pair_of_pools_can_grow_is_exhausted_at_once(self, trained):
+        # One input with two outputs: nothing is accepted, and the seed-0
+        # bundle pools no candidate past size 4.  The run stops at the first
+        # size no two pools can fill, with the counts it has at any size
+        # limit past it, and does not walk the sizes up to the limit.
+        results = []
+        for max_size in (14, 30, 10**9):
+            task = SynthesisTask(examples=(("a", "x"), ("a", "y")), max_ast_size=max_size, timeout_ms=1000)
+            results.append(outcome(Synthesizer(task, trained.templates, trained.table).run(require_correct=True)))
+        assert results == [("None", None, "exhausted", 25, *results[0][4:])] * 3
+        task = SynthesisTask(examples=(("a", "x"), ("a", "y")), max_ast_size=30)
+        assert outcome(reference_search(task, trained.templates, trained.table, True)) == results[0]
+
+
+# Small tasks: empty strings, inputs that lack a character another input
+# has (so its ``cpos`` positions have no boundary there) and outputs that
+# share few substrings with the inputs.
+SMALL_EXAMPLES = st.lists(
+    st.tuples(st.text(alphabet="ab./", max_size=8), st.text(alphabet="ab./", max_size=4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestReferenceSearch:
+    @pytest.mark.parametrize("domain", ["top", "seed-0"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        examples=SMALL_EXAMPLES,
+        max_size=st.integers(1, 9),
+        budget=st.integers(1, 3_000),
+        require_correct=st.booleans(),
+    )
+    @example(examples=[("a.b", "b/"), ("ab", "")], max_size=9, budget=3_000, require_correct=True)
+    @example(examples=[("a.a.a/", "a."), ("aa/a.", "/a")], max_size=6, budget=3_000, require_correct=True)
+    @example(examples=[("", "a"), ("/", "./")], max_size=7, budget=3_000, require_correct=False)
+    def test_run_equals_the_reference_on_small_tasks(self, trained, domain, examples, max_size, budget, require_correct):
+        templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
+        check_against_the_reference(task, templates, table, require_correct, pools=True)

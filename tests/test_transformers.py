@@ -367,6 +367,14 @@ class TestCheckValid:
         assert check_valid((LEN_EQ, CHAR_EQ), CHAR_EQ, p)
         assert not check_valid((LEN_EQ, CHAR_EQ), CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 0, 97]]))
 
+    def test_an_offset_past_the_box_fails_at_len_a_5(self):
+        # len(a + b) != 3 len(a) + len(b) - 10 is false when len(a) = 5.
+        assert not row_valid((len_eq(5), len_eq(0)), len_neq(5))
+
+    @pytest.mark.xfail(strict=True, reason="check_valid samples a box of lengths 0-4 and 9-11, without 5 (ROADMAP item 5)")
+    def test_refutes_an_offset_that_fails_past_the_box(self):
+        assert not check_valid((LEN_EQ, LEN_EQ), LEN_NEQ, as_matrix([[3, 1, -10]]))
+
     def test_agrees_with_larger_box_on_length_slots(self):
         """Small coefficients over constants 0-12, and sum-plus-offset maps
         with offsets -20..20 over constants 0-25."""
