@@ -25,51 +25,55 @@ value, so with ``require_correct`` a candidate is accepted iff its values
 equal the expected outputs.
 
 ``run`` is the one search loop.  It walks the AST sizes in order, and
-``_batch`` yields the candidates of one size, building concatenations from
-the pools of kept candidates of the smaller sizes.  For each candidate,
-``run`` counts it, checks the budget and the deadline, drops it when its
-values repeat an earlier candidate's, and gets its verdict once.  It then
-returns it, prunes it, or pools it.  The deadline is read at every 256th
-candidate, so a run that times out has counted a multiple of 256.  A
-level's pool is read from two sizes up only, so a level is left unpooled
-when there is no such size or when the concatenations of its own size and
-the next one alone pass the budget: the run ends before it is read.  Past
-size 4, the last with leaves, a concatenation of size ``s`` has a child of
-size ``s // 2`` or more, so the run is exhausted at the first such ``s``
-whose pools from size ``s // 2`` up are all empty: no later size can have a
-candidate either, and the sizes up to ``max_ast_size`` are not walked.
+``_batch`` yields the candidates of one size as runs of at most 256,
+building concatenations from the pools of kept candidates of the smaller
+sizes.  ``run`` cuts each run once, at the budget and then at the deadline,
+which it reads before any of the run's candidates and only when the run
+holds a multiple of 256 (it holds one at most); so a run that times out has
+counted a multiple of 256.  For each candidate, ``run`` counts it, drops it
+when its values repeat an earlier candidate's, and gets its verdict once.
+It then returns it, prunes it, or pools it.  A level's pool is read from
+two sizes up only, so a level is left unpooled when there is no such size
+or when the concatenations of its own size and the next one alone pass the
+budget: the run ends before it is read.  Past size 4, the last with leaves,
+a concatenation of size ``s`` has a child of size ``s // 2`` or more, so
+the run is exhausted at the first such ``s`` whose pools from size
+``s // 2`` up are all empty: no later size can have a candidate either, and
+the sizes up to ``max_ast_size`` are not walked.
 
-A candidate's state vector (its tuple of per-example states) determines
-all of its abstract work: the states of a concatenation depend only on the
+A candidate's state vector (its tuple of per-example states) determines all
+of its abstract work: the states of a concatenation depend only on the
 children's vectors and the table, and the accept and embed verdicts only on
 the vector and the expected outputs.  Each run therefore keeps, in locals
 of ``run``, a registry that interns vectors, each with a small int id, plus
 a cache from pairs of child ids to the id of their concatenation's vector;
 it passes the cache to ``_batch`` and the list of vectors by id to
 ``_derive``, and a ``Synthesizer`` holds neither between runs.  ``_batch``
-gives a concatenation the cached id of its child-id pair when there is
-one; every other candidate, leaf or concatenation, is made with None.
-``run`` derives the states of those only after the dedup check, one
-example at a time, and prunes at the first state that does not embed its
-output: that candidate cannot be accepted either, since an output in a
-state's concretization embeds at offset 0.  A vector that embeds on every
-example is registered then, with its child-id pair for a concatenation, and
-the candidate is judged before anything else: it is accepted when (with
+gives a concatenation the cached id of its child-id pair when it makes the
+candidate's run, and None when there is none; every leaf is made with None.
+``run`` derives the states of those only after the dedup check, one example
+at a time, and prunes at the first state that does not embed its output:
+that candidate cannot be accepted either, since an output in a state's
+concretization embeds at offset 0.  A vector that embeds on every example
+is registered then, with its child-id pair for a concatenation, and the
+candidate is judged before anything else: it is accepted when (with
 ``require_correct``, checked first) its values equal the expected outputs
 and ``gamma_contains`` holds on every example.  So every derived vector
 that embeds is registered, and all of them are pooled except the accepted
-one and those of an unpooled level.
+one and those of an unpooled level.  A pair cached by a candidate of a run
+is derived again by a later candidate of the same run: an id is read only
+when its run is made.
 
 Under a weak domain nearly every concatenation takes its vector from the
-cache, and then it only has to be counted, deduped and pooled.  ``_batch``
-yields the concatenations of one left record with a whole pool as one bulk
-run when every child-id pair of them is cached and some output does not
-start with the left record's value on its example.  No candidate of such a
-run can be accepted, in either mode: with ``require_correct`` none of its
-values is the outputs, and without it a candidate is accepted on its vector
-alone, and each vector in the run's registry is that of a candidate the run
-has judged and not accepted.  So ``run`` takes a bulk run with set and list
-operations instead of one loop step per candidate.
+cache, and then it only has to be counted, deduped and pooled.  A
+concatenation run pairs one left record with a slice of a pool, so when
+every child-id pair of it is cached and some output does not start with the
+left record's value on its example, no candidate of the run can be
+accepted, in either mode: with ``require_correct`` none of its values is
+the outputs, and without it a candidate is accepted on its vector alone,
+and each vector in the run's registry is that of a candidate the run has
+judged and not accepted.  ``run`` takes such a run with set and list
+operations, and every other run one candidate at a time.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  A state that is not exact is four plain fields (``AbstractValue``),
@@ -83,16 +87,16 @@ three functions the verdicts and states come from, ``apply_transformer``,
 ``state_embeds`` and ``gamma_contains``, are called through this module's
 globals, so that a tracer which replaces them by name sees every call.
 
-Most candidates are never kept and only the returned one's program is
-read, so a candidate is a plain tuple record, laid out in ``_batch``: its
-values, the registry id of its vector or None, and either the number of its
-leaf or its two child records.  Records hold only ``str``, ``int``, ``None``
+Most candidates are never kept and only the returned one's program is read,
+so a candidate is a plain tuple record, laid out in ``_batch``: its values,
+the registry id of its vector or None, and its two child records, or None
+and the number of its leaf.  Records hold only ``str``, ``int``, ``None``
 and records, so CPython's cyclic collector untracks them and a full
 collection does not walk the pools; a record that held an AST node, a state
 or any other class instance would stay tracked.  So a pooled record's
 vector is ``vectors[sid]`` in its run's registry, and one not registered
-lives only inside ``run``.  ``_node`` builds the returned program's AST from
-its record.
+lives only inside ``run``.  ``_node`` builds the returned program's AST
+from its record.
 
 The position pool is a list of plain literals in rank order (``int`` k for
 ``abspos k``, ``(char, j)`` for ``cpos char j``), built in that order, so no
@@ -113,8 +117,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add, getitem, itemgetter, le, mul, not_
-from itertools import compress, product, repeat
-from typing import Iterator, Optional, Union
+from itertools import compress, islice, product, repeat
+from typing import Iterable, Iterator, Optional, Union
 
 from . import dsl
 from .dsl import AstNode, EvalError, Program
@@ -126,6 +130,10 @@ from .transformers import TransformerTable, apply_affine  # noqa: F401
 # A position literal: ``k`` stands for ``abspos k`` and ``(char, j)`` for
 # ``cpos char j``.
 Position = Union[int, tuple[int, int]]
+
+# The most records one run of ``_batch`` holds, and the deadline's period:
+# a run holds at most one multiple of 256.
+RUN = 256
 
 
 @dataclass(frozen=True)
@@ -333,8 +341,8 @@ class Synthesizer:
         ``_batch``).  It is called only for the returned program, and it is
         the only place the ``abspos`` and ``cpos`` nodes of the position
         literals are made."""
-        if len(rec) == 3:
-            index, consts, positions = rec[2], self.consts, self.positions
+        if rec[2] is None:
+            index, consts, positions = rec[3], self.consts, self.positions
             if index == 0:
                 return dsl.input_()
             if index <= len(consts):
@@ -348,7 +356,7 @@ class Synthesizer:
         the first that does not embed its output, and whether every state
         embeds.  A concatenation's children are pooled, so their vectors are
         registered: ``vectors`` is the run's list of vectors by id."""
-        if len(rec) == 3:
+        if rec[2] is None:
             derived = map(self._abstract_value, rec[0])
         else:
             derived = map(apply_transformer, repeat(self.table), zip(vectors[rec[2][1]], vectors[rec[3][1]]))
@@ -360,68 +368,60 @@ class Synthesizer:
         return tuple(states), True
 
     def _batch(self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int]) -> Iterator[tuple]:
-        """The records of AST size ``size`` in rank order; ``pools`` holds the
-        kept ones of each smaller size, and ``concats`` is the run's cache
-        from pairs of child ids to the id of their concatenation's vector.
+        """The records of AST size ``size`` in rank order, as runs of at most
+        ``RUN`` records; ``pools`` holds the kept ones of each smaller size,
+        and ``concats`` is the run's cache from pairs of child ids to the id
+        of their concatenation's vector.
 
-        A leaf is ``(values, sid, leaf_index)`` and a concatenation is
-        ``(values, sid, left, right)``, with its two child records.
-        ``values`` is a tuple of ``str`` and ``sid`` the registry id of the
-        record's state vector or None.  ``leaf_index`` numbers the leaves
-        the synthesizer can make: 0 is the input, ``1 + i`` the constant
-        ``consts[i]``, and ``1 + len(consts) + i * len(positions) + j`` the
-        substring from ``positions[i]`` to ``positions[j]``; ``_node``
-        turns it back into the AST node, so no node is made here.  A
-        concatenation takes the id its child-id pair has in the concat
-        cache when it is yielded; every other record is made with None.
-        The substrings pair the rows of ``_position_table``, which are valid
+        A record is ``(values, sid, left, right)``: ``values`` is a tuple of
+        ``str`` and ``sid`` the registry id of the record's state vector or
+        None.  A concatenation has its two child records as ``left`` and
+        ``right``; a leaf has ``left`` None and its leaf index as ``right``.
+        The leaf index numbers the leaves the synthesizer can make: 0 is the
+        input, ``1 + i`` the constant ``consts[i]``, and ``1 + len(consts) +
+        i * len(positions) + j`` the substring from ``positions[i]`` to
+        ``positions[j]``; ``_node`` turns it back into the AST node, so no
+        node is made here.
+
+        A run is ``(values, sids, left, kids)``, where ``values`` and
+        ``sids`` are lists and ``kids`` a sequence, one item per record in
+        rank order: its records are ``zip(values, sids, repeat(left),
+        kids)``.  The leaves of size 1, and the substring leaves of size 4,
+        come in runs with ``left`` None and every sid None.  A concatenation
+        run pairs one left record with a slice of one pool, and takes each
+        child-id pair's id in the concat cache when the run is yielded, None
+        when it has none.  Its values are built a column
+        per example, before ``run`` makes any record of the run, so that a
+        collection finds them untracked when it comes to the records.  The
+        substrings pair the rows of ``_position_table``, which are valid
         boundaries already, so a pair is kept when no window runs backwards.
-
-        The concatenations of one left record ``a`` with every record of one
-        pool are yielded as one bulk run when the concat cache holds every
-        child-id pair of them and some output does not start with ``a``'s
-        value on its example, so that (see the module docstring) none of its
-        candidates can be accepted.  A bulk run is ``(values, sids, a,
-        pool)``, with ``values`` and ``sids`` lists in the pool's order: its
-        records are ``zip(values, sids, repeat(a), pool)``.  The values are
-        built a column per example, before ``run`` makes any record of the
-        run, so that a collection finds them untracked when it comes to the
-        records.
         """
         inputs = self.inputs
         if size == 1:
-            yield inputs, None, 0
-            for i, s in enumerate(self.consts, 1):
-                yield (s,) * len(inputs), None, i
+            yield from _leaf_runs([(inputs, 0), *(((s,) * len(inputs), i) for i, s in enumerate(self.consts, 1))])
             return
-        outputs = self.outputs
         for sa in range(1, size - 1):
-            pool = pools[size - 1 - sa]
-            if not pool:
+            if not pools[sa]:
                 continue
-            columns, first_sid = None, pool[0][1]
+            pool = pools[size - 1 - sa]
+            # Each slice of the pool: its value columns, one per example, its
+            # sids and its records.
+            parts = [pool[i : i + RUN] for i in range(0, len(pool), RUN)]
+            slices = [(list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part) for part in parts]
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
-                if (a_sid, first_sid) in concats and not all(map(str.startswith, outputs, a_values)):
-                    if columns is None:
-                        columns = tuple(zip(*map(itemgetter(0), pool)))
-                        b_sids = list(map(itemgetter(1), pool))
-                        distinct = dict.fromkeys(b_sids)
-                    if all(map(concats.__contains__, zip(repeat(a_sid), distinct))):
-                        sid_of = {b_sid: concats[a_sid, b_sid] for b_sid in distinct}
-                        values = list(zip(*[map(add, repeat(x), col) for x, col in zip(a_values, columns)]))
-                        yield values, list(map(sid_of.__getitem__, b_sids)), a, pool
-                        continue
-                for b in pool:
-                    yield tuple(map(add, a_values, b[0])), concats.get((a_sid, b[1])), a, b
+                for columns, b_sids, part in slices:
+                    values = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
+                    yield values, list(map(concats.get, zip(repeat(a_sid), b_sids))), a, part
         if size == 4:
             base, width = 1 + len(self.consts), len(self.positions)
             rows = self._position_table()
-            for k1, r1 in rows:
-                first = base + k1 * width
-                for k2, r2 in rows:
-                    if all(map(le, r1, r2)):
-                        yield tuple(map(getitem, inputs, map(slice, r1, r2))), None, first + k2
+            yield from _leaf_runs(
+                (tuple(map(getitem, inputs, map(slice, r1, r2))), base + k1 * width + k2)
+                for k1, r1 in rows
+                for k2, r2 in rows
+                if all(map(le, r1, r2))
+            )
 
     def run(self, require_correct: bool = False) -> SynthResult:
         """Enumerate in rank order until a candidate is accepted, the budget
@@ -430,12 +430,14 @@ class Synthesizer:
         With ``require_correct`` a candidate is accepted only when its
         values are the outputs.  The registry is local to the run and passed
         to ``_batch`` and ``_derive``, so each vector in it was registered
-        and judged by this run.  A bulk run is cut at the budget, and the
-        deadline is read once for it: when the deadline has passed, the run
-        stops at its first multiple of 256, as the per-candidate check at
-        every 256th candidate would.  A level no later level can read is not
-        pooled, and the run is exhausted at the first size past the leaves
-        that no two pools can fill (see the module docstring).
+        and judged by this run.  Each run of ``_batch`` is cut once: at the
+        budget, and then, when the deadline has passed, at the one multiple
+        of 256 it can hold, with the clock read before any of its records.
+        It is then taken with set operations when none of its candidates
+        can be accepted, and candidate by candidate otherwise (see the
+        module docstring).  A level no later level can read is not pooled,
+        and the run is exhausted at the first size past the leaves that no
+        two pools can fill.
         """
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
@@ -465,70 +467,73 @@ class Synthesizer:
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for rec in self._batch(size, pools, concats):
-                    values = rec[0]
-                    if values.__class__ is list:
-                        # A bulk run: every vector is cached and none of its
-                        # candidates can be accepted, so its records are only
-                        # counted, deduped and pooled.
-                        first, enumerated = enumerated + 1, enumerated + len(values)
-                        reason = None
-                        if enumerated > budget:
-                            reason, enumerated = "candidate-budget", budget + 1
-                        if deadline is not None:
-                            tick = -(-first // 256) * 256
-                            if tick <= min(enumerated, budget) and time.perf_counter_ns() > deadline:
-                                reason, enumerated = "timeout", tick
-                        if reason is not None:
-                            values = values[: enumerated - first]
-                        # The values of a run are distinct, as its pool's are.
+                for values, sids, left, kids in self._batch(size, pools, concats):
+                    # ``last`` counts the run's last candidate: past the
+                    # budget, or at its multiple of 256 once the deadline has
+                    # passed, it is counted and ends the search unjudged.
+                    last, reason = enumerated + len(values), None
+                    if last > budget:
+                        last, reason = budget + 1, "candidate-budget"
+                    if deadline is not None:
+                        tick = min(last, budget) // RUN * RUN
+                        if tick > enumerated and time.perf_counter_ns() > deadline:
+                            last, reason = tick, "timeout"
+                    if reason is not None:
+                        values = values[: last - enumerated - 1]
+                    if left is not None and None not in sids and not all(map(str.startswith, outputs, left[0])):
+                        # Every vector is cached and none of the candidates
+                        # can be accepted, so they are only counted, deduped
+                        # and pooled.  The values of a run are distinct, as
+                        # its pool's are.
+                        enumerated += len(values)
                         repeated = list(map(seen.__contains__, values))
                         seen.update(values)
                         deduped += repeated.count(True)
                         if pooled:
-                            kept.extend(compress(zip(values, rec[1], repeat(rec[2]), rec[3]), map(not_, repeated)))
-                        if reason is not None:
-                            result.reason = reason
-                            return result
-                        continue
-
-                    enumerated += 1
-                    if enumerated > budget:
-                        result.reason = "candidate-budget"
+                            kept.extend(compress(zip(values, sids, repeat(left), kids), map(not_, repeated)))
+                    else:
+                        for v, sid, right in zip(values, sids, kids):
+                            enumerated += 1
+                            if v in seen:
+                                deduped += 1
+                                continue
+                            seen.add(v)
+                            if sid is None:
+                                # A state that does not embed its output does
+                                # not contain it either, so the candidate is
+                                # not accepted.
+                                states, embeds = self._derive((v, None, left, right), vectors)
+                                if not embeds:
+                                    pruned += 1
+                                    continue
+                                sid = ids.get(states)
+                                if sid is None:
+                                    sid = ids[states] = len(vectors)
+                                    vectors.append(states)
+                                if left is not None:
+                                    concats[left[1], right[1]] = sid
+                            rec = (v, sid, left, right)
+                            if (not require_correct or v == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
+                                result.program = Program(self._node(rec))
+                                result.correct = v == outputs
+                                return result
+                            if pooled:
+                                kept.append(rec)
+                    if reason is not None:
+                        result.reason, enumerated = reason, last
                         return result
-                    if deadline is not None and enumerated % 256 == 0 and time.perf_counter_ns() > deadline:
-                        result.reason = "timeout"
-                        return result
-
-                    if values in seen:
-                        deduped += 1
-                        continue
-                    seen.add(values)
-
-                    sid = rec[1]
-                    if sid is None:
-                        # A state that does not embed its output does not
-                        # contain it either, so the candidate is not accepted.
-                        states, embeds = self._derive(rec, vectors)
-                        if not embeds:
-                            pruned += 1
-                            continue
-                        sid = ids.get(states)
-                        if sid is None:
-                            sid = ids[states] = len(vectors)
-                            vectors.append(states)
-                        if len(rec) == 4:
-                            concats[rec[2][1], rec[3][1]] = sid
-                        rec = (values, sid, *rec[2:])
-                    if (not require_correct or values == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
-                        result.program = Program(self._node(rec))
-                        result.correct = values == outputs
-                        return result
-                    if pooled:
-                        kept.append(rec)
                 lengths.append(len(kept))
             result.reason = "exhausted"
             return result
         finally:
             result.enumerated, result.pruned_abstract, result.deduped = enumerated, pruned, deduped
             result.wall_us = (time.perf_counter_ns() - start) // 1000
+
+
+def _leaf_runs(leaves: Iterable[tuple[tuple[str, ...], int]]) -> Iterator[tuple]:
+    """Runs of at most ``RUN`` of ``leaves``, each a pair of values and leaf
+    index, taken as each run is asked for."""
+    leaves = iter(leaves)
+    while chunk := list(islice(leaves, RUN)):
+        values, kids = zip(*chunk)
+        yield list(values), [None] * len(values), None, kids

@@ -4,10 +4,15 @@ For every tuple of input predicate templates, we sample concrete runs of
 concat, abstract the sampled values into concrete predicate rows, keep the
 rows that are valid implications, solve the linear system relating input
 constants to output constants exactly, and keep a solution only if it is
-integral and survives the validity check.  Both the row check and the
-validity check decide implications between predicates exactly, by a
-small-model counterexample search; no sampling is involved.  Learned
-matrices are tuples of integer rows.
+integral and survives the validity check.  The row check (``row_valid``)
+decides one implication between concrete predicates exactly, by a
+small-model counterexample search.  The validity check (``check_valid``)
+decides each instantiation of a matrix's input templates in a finite box
+of constants exactly, through ``row_valid``, and so is not a proof for all
+constants: an offset that first fails outside the box passes it
+(``TestCheckValid::test_refutes_an_offset_that_fails_past_the_box`` is a
+strict xfail; ROADMAP item 5).  Learned matrices are tuples of integer
+rows.
 
 The linear algebra is on integer rows, with one fraction-free reduction
 (``_reduce``).  Each slot has one echelon basis of its rows ``[A | B]``

@@ -99,17 +99,13 @@ def watch_run(synth) -> SimpleNamespace:
     ``synth.run()`` leaves in the returned namespace what it passed them and
     got from them: ``pools``, the run's pools by size; ``concats`` and
     ``vectors``, its registry's concat cache and vectors by id; ``derived``,
-    ``(record, states, embeds)`` for each record it derived, in order; and
-    ``last``, the last item ``_batch`` yielded, which is the candidate the
-    run is judging."""
-    seen = SimpleNamespace(pools={}, concats=None, vectors=None, derived=[], last=None)
+    ``(record, states, embeds)`` for each record it derived, in order."""
+    seen = SimpleNamespace(pools={}, concats=None, vectors=None, derived=[])
     batch, derive = synth._batch, synth._derive
 
     def batching(size, pools, concats):
         seen.pools, seen.concats = pools, concats
-        for item in batch(size, pools, concats):
-            seen.last = item
-            yield item
+        return batch(size, pools, concats)
 
     def deriving(rec, vectors):
         seen.vectors = vectors

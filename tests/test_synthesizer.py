@@ -1,7 +1,8 @@
 import gc
 import operator
-from itertools import product
+from itertools import product, repeat
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -496,18 +497,35 @@ FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
 PHONES = SynthesisTask(examples=(*E2.examples, ("408.555.1234", "408-555-1234")))
 
 
-def watch_gamma_contains(monkeypatch, seen) -> list:
-    """Replace the synthesizer module's ``gamma_contains`` by a wrapper that
-    logs, for each call, the values of the record ``run`` is judging (the
-    last one ``_batch`` yielded, see ``watch_run``)."""
-    judged_values = []
+def watch_gamma_contains(monkeypatch, synth) -> SimpleNamespace:
+    """Replace the synthesizer module's ``gamma_contains`` by a wrapper and
+    wrap ``synth._node``, so that a later ``synth.run()`` leaves in the
+    returned namespace ``states``, the state of each ``gamma_contains``
+    call in order; ``count``, the number of candidates it judged; and
+    ``accepted``, the record whose program it returned (``run`` makes the
+    node of that record only), or None.  ``run`` judges a candidate by
+    calling ``gamma_contains`` on its examples in order up to the first
+    that fails, and returns it when none fails, so a call starts a
+    candidate's judgement when it is the first or follows a failed one."""
+    judged = SimpleNamespace(states=[], count=0, failed=True, accepted=None)
+    node = synth._node
 
     def watching(state, out):
-        judged_values.append(seen.last[0])
-        return gamma_contains(state, out)
+        judged.states.append(state)
+        judged.count += judged.failed
+        judged.failed = not gamma_contains(state, out)
+        return not judged.failed
+
+    def accepting(rec):
+        # ``_node`` makes the children's nodes through this wrapper too,
+        # after the returned record's call.
+        if judged.accepted is None:
+            judged.accepted = rec
+        return node(rec)
 
     monkeypatch.setattr(synthesizer, "gamma_contains", watching)
-    return judged_values
+    synth._node = accepting
+    return judged
 
 
 class TestStateVectorCache:
@@ -536,12 +554,12 @@ class TestStateVectorCache:
         task = SynthesisTask(examples=PHONES.examples, max_candidates=limit)
         synth = Synthesizer(task, templates, table)
         seen = watch_run(synth)
-        judged_values = watch_gamma_contains(monkeypatch, seen)
+        judged = watch_gamma_contains(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert result.program is None
         assert outcome(result) == outcome(reference_search(task, templates, table, True))
         # No candidate's values equal the outputs, so none is judged.
-        assert judged_values == []
+        assert judged.states == []
         vectors, concats, embedding = seen.vectors, seen.concats, set()
         for rec, derived, embeds in seen.derived:
             fresh = check_derived(synth, rec, derived)
@@ -553,7 +571,7 @@ class TestStateVectorCache:
             assert (derived in vectors) == embeds
             if embeds:
                 embedding.add(derived)
-                if len(rec) == 4:
+                if rec[2] is not None:
                     assert vectors[concats[rec[2][1], rec[3][1]]] == derived
         # Each new candidate the run judged was derived, or made with its
         # cached vector; over the budget, the last one is counted only.
@@ -578,10 +596,13 @@ class TestStateVectorCache:
     def test_require_correct_judges_only_values_equal_to_the_outputs(self, monkeypatch, domains, domain, task):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
-        judged_values = watch_gamma_contains(monkeypatch, watch_run(synth))
+        seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert result.correct
-        assert judged_values and set(judged_values) == {task.outputs}
+        # The calls hold one vector, once: that of the returned candidate,
+        # whose values are the outputs.
+        assert judged.accepted[0] == task.outputs
+        assert judged.states == list(seen.vectors[judged.accepted[1]])
 
     @pytest.mark.parametrize("modes", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("domain", ["bundle", "length", "top"])
@@ -619,13 +640,19 @@ class TestStateVectorCache:
         # derive took that path.
         assert any(wrong(derived, rec[0]) for rec, derived, _ in seen.derived)
         derived_values = {rec[0] for rec, _, _ in seen.derived}
-        cached = [rec for rec in pooled_records(seen) if len(rec) == 4 and rec[0] not in derived_values]
+        cached = [rec for rec in pooled_records(seen) if rec[2] is not None and rec[0] not in derived_values]
         assert any(wrong(seen.vectors[rec[1]], rec[0]) for rec in cached)
+
+
+def run_records(run) -> Iterator[tuple]:
+    """The records of a run ``(values, sids, left, kids)`` of ``_batch``."""
+    values, sids, left, kids = run
+    return zip(values, sids, repeat(left), kids)
 
 
 def size4_leaves(synth):
     """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
-    return [(synth._node(rec), rec[0]) for rec in synth._batch(4, {1: [], 2: []}, {})]
+    return [(synth._node(rec), rec[0]) for run in synth._batch(4, {1: [], 2: []}, {}) for rec in run_records(run)]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -725,7 +752,7 @@ class TestLazyNode:
             node = synth._node(rec)
             assert size is None or node.size == size, print_program(Program(node))
             assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(Program(node))
-            if len(rec) == 4:
+            if rec[2] is not None:
                 assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(Program(node))
 
     def test_first_candidates_under_the_top_table(self, monkeypatch):
@@ -739,7 +766,7 @@ class TestLazyNode:
         assert result.reason == "candidate-budget" and result.enumerated == 20_001
         found = reference_search(task, [TOP], TransformerTable(), True)
         assert outcome(result) == outcome(found)
-        assert any(len(rec) == 4 for rec in pooled_records(seen))
+        assert any(rec[2] is not None for rec in pooled_records(seen))
         assert_pools_match(synth, seen, found)
         self.check(synth, seen, E2.inputs)
 
@@ -1010,34 +1037,52 @@ class TestExactStates:
         assert gamma_contains(state, "x" * stop + "y")
 
 
-def count_bulk_runs(synth) -> list:
-    """Wrap ``synth._batch`` so that a later run leaves in the returned list
-    the length of each bulk run it was given."""
-    batch, lengths = synth._batch, []
+def takes_bulk(synth, run) -> bool:
+    """Whether ``synth.run`` takes ``run``, a run of ``_batch``, with set
+    operations: it is a concatenation run whose vectors are all cached,
+    and some output does not start with its left record's value."""
+    values, sids, left, kids = run
+    return left is not None and None not in sids and not all(map(str.startswith, synth.outputs, left[0]))
+
+
+def count_bulk_runs(synth) -> SimpleNamespace:
+    """Wrap ``synth._batch`` so that a later run leaves in the returned
+    namespace the length of each run it was given (``lengths``), and of
+    each one ``takes_bulk`` holds for (``bulk``)."""
+    batch, counts = synth._batch, SimpleNamespace(lengths=[], bulk=[])
 
     def counting(size, pools, concats):
-        for item in batch(size, pools, concats):
-            if item[0].__class__ is list:
-                lengths.append(len(item[0]))
-            yield item
+        for run in batch(size, pools, concats):
+            counts.lengths.append(len(run[0]))
+            if takes_bulk(synth, run):
+                counts.bulk.append(len(run[0]))
+            yield run
 
     synth._batch = counting
-    return lengths
+    return counts
 
 
-def check_against_the_reference(task, templates, table, require_correct, pools) -> list:
+def check_against_the_reference(task, templates, table, require_correct, pools) -> SimpleNamespace:
     """Check that a run of ``task`` has the outcome of ``reference_search``,
     and with ``pools`` that it pools what the reference keeps.  Returns the
-    lengths of the run's bulk runs.  The reference's candidates are not
-    kept past its check, so no later run's collections walk them."""
+    lengths of its runs (``count_bulk_runs``) and, as ``unjudged``, how many
+    of the candidates it counted it neither dropped as repeats, pruned nor
+    judged, leaving out the one counted past the budget.  Without
+    ``require_correct`` those are the new candidates ``run`` took with set
+    operations.  The reference's candidates are not kept past its check,
+    so no later run's collections walk them."""
     synth = Synthesizer(task, templates, table)
     # Only when asked: the watcher's log of derived states grows with the run.
     seen, runs = watch_run(synth) if pools else None, count_bulk_runs(synth)
-    got = outcome(synth.run(require_correct=require_correct))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        judged = watch_gamma_contains(monkeypatch, synth)
+        result = synth.run(require_correct=require_correct)
     found = reference_search(task, templates, table, require_correct)
-    assert got == outcome(found), task
+    assert outcome(result) == outcome(found), task
     if pools:
         assert_pools_match(synth, seen, found)
+    runs.unjudged = result.enumerated - result.deduped - result.pruned_abstract - judged.count
+    runs.unjudged -= result.reason == "candidate-budget"
     return runs
 
 
@@ -1045,43 +1090,117 @@ class TestBulkRuns:
     """In both modes, a run of concatenations whose vectors are all cached and
     none of which is the outputs is taken in bulk."""
 
-    @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4_097, 20_000, 200_000])
-    @pytest.mark.parametrize("domain", ["top", "length", "seed-0"])
-    @pytest.mark.parametrize("require_correct", [True, False])
-    def test_bulk_runs_change_no_outcome(self, trained, table_a1, domain, require_correct, budget):
-        templates, table = {
+    @pytest.fixture
+    def domains(self, trained, table_a1):
+        """Templates and table by domain name."""
+        return {
             "top": ([TOP], TransformerTable()),
             "length": ([TOP, LEN_EQ, LEN_NEQ], table_a1),
             "seed-0": (trained.templates, trained.table),
-        }[domain]
-        bulk = 0
-        for name, task in corpus_tasks(budget).items():
-            bulk += len(check_against_the_reference(task, templates, table, require_correct, pools=domain == "seed-0"))
-        # Without require_correct, top accepts the input at once.
-        takes_bulk = {"top": require_correct, "length": True, "seed-0": False}[domain]
-        assert bulk or not takes_bulk or budget < 4_097
+        }
 
-    def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch):
-        _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 200_000, 1)
-        synth = Synthesizer(task, [TOP], TransformerTable())
-        batch, items, late = synth._batch, [], []
+    @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4_097, 20_000, 200_000])
+    @pytest.mark.parametrize("domain", ["top", "length", "seed-0"])
+    @pytest.mark.parametrize("require_correct", [True, False])
+    def test_bulk_runs_change_no_outcome(self, domains, domain, require_correct, budget):
+        templates, table = domains[domain]
+        bulk, longest, unjudged = 0, [], 0
+        for name, task in corpus_tasks(budget).items():
+            runs = check_against_the_reference(task, templates, table, require_correct, pools=domain == "seed-0")
+            bulk += len(runs.bulk)
+            longest.append(max(runs.lengths))
+            if not require_correct:
+                # Only the set-operation branch leaves a new candidate
+                # unjudged, and only in the runs ``takes_bulk`` names.
+                assert 0 <= runs.unjudged <= sum(runs.bulk), name
+                unjudged += runs.unjudged
+        # Every run holds at most 256 records, the deadline's period.
+        assert max(longest) <= 256
+        # Without require_correct, top accepts the input at once.
+        expects_bulk = {"top": require_correct, "length": True, "seed-0": False}[domain]
+        assert bulk or not expects_bulk or budget < 4_097
+        # Seen from outside ``run``: it took candidates with set operations.
+        assert unjudged or require_correct or not expects_bulk or budget < 4_097
+
+    @staticmethod
+    def late_run(monkeypatch, synth, is_late) -> SimpleNamespace:
+        """Patch the clock so that a later ``synth.run()`` passes its deadline
+        at the first run of ``_batch`` that ``is_late(run, counted)`` accepts,
+        ``counted`` the number of records of the runs before it, and leave in
+        the returned namespace the runs it was given (``items``), that run
+        (``late``) and ``counted`` then (``counted``), how many records it
+        had derived when it was given each run (``derived``), and, for each
+        clock read, how many runs it had been given and records derived by
+        then (``reads``)."""
+        seen = watch_run(synth)
+        batch, watched = synth._batch, SimpleNamespace(items=[], late=None, counted=0, derived=[], reads=[])
 
         def watching(size, pools, concats):
             for item in batch(size, pools, concats):
-                items.append(item)
-                # The clock passes the deadline at the first bulk run that
-                # holds a multiple of 256 wherever it starts.
-                if item[0].__class__ is list and len(item[0]) >= 256:
-                    late.append(item)
+                watched.items.append(item)
+                watched.derived.append(len(seen.derived))
+                if watched.late is None:
+                    if is_late(item, watched.counted):
+                        watched.late = item
+                    else:
+                        watched.counted += len(item[0])
                 yield item
 
-        monkeypatch.setattr(synthesizer, "time", SimpleNamespace(perf_counter_ns=lambda: 10**18 if late else 0))
+        def clock():
+            watched.reads.append((len(watched.items), len(seen.derived)))
+            return 0 if watched.late is None else 10**18
+
+        monkeypatch.setattr(synthesizer, "time", SimpleNamespace(perf_counter_ns=clock))
         synth._batch = watching
-        result = synth.run(require_correct=True)
+        return watched
+
+    def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
+        # Under the length table without require_correct, a candidate taken
+        # one at a time that is neither a repeat nor pruned is judged.
+        _, task = load_task(corpus_dir() / "e3.json", 14, 200_000, 1)
+        synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
+        judged = watch_gamma_contains(monkeypatch, synth)
+        judged_before = []
+
+        def is_late(run, counted):
+            # A bulk run that holds a multiple of 256.
+            late = takes_bulk(synth, run) and (counted + len(run[0])) // 256 * 256 > counted
+            if late:
+                judged_before.append(judged.count)
+            return late
+
+        watched = self.late_run(monkeypatch, synth, is_late)
+        result = synth.run()
         assert result.reason == "timeout"
         assert result.enumerated % 256 == 0
         # The run stopped inside that bulk run: it asked for nothing after it.
-        assert items[-1] is late[0]
+        assert watched.items[-1] is watched.late
+        # It took some new candidates of that run and judged none of them, so
+        # it took them with set operations.
+        taken = watched.late[0][: result.enumerated - watched.counted - 1]
+        assert set(taken) - {v for run in watched.items[:-1] for v in run[0]}
+        assert judged.count == judged_before[0]
+
+    def test_a_deadline_passed_inside_a_run_taken_candidate_by_candidate_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
+        # PHONES has no solution, so only the deadline ends the run early.
+        task = SynthesisTask(examples=PHONES.examples, timeout_ms=1_000)
+        synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
+        watched = self.late_run(
+            monkeypatch, synth, lambda run, _: run[2] is not None and len(run[0]) == 256 and not takes_bulk(synth, run)
+        )
+        result = synth.run(require_correct=True)
+        assert result.reason == "timeout"
+        assert result.enumerated % 256 == 0
+        assert watched.items[-1] is watched.late
+        # The late run derived records, which the set-operation branch never
+        # does.
+        assert watched.reads[-1][1] > watched.derived[-1]
+        # Between the start and the end, the clock is read at most once per
+        # run, before the run derives any of its records.
+        reads = watched.reads[1:-1]
+        assert reads and len({n for n, _ in reads}) == len(reads)
+        assert all(derived == watched.derived[n - 1] for n, derived in reads)
+        assert reads[-1][0] == len(watched.items)
 
     def test_a_run_without_require_correct_after_one_with_it_repeats_a_fresh_one(self, table_a1):
         # Each run starts its own registry, so no vector registered by the run
