@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .domain import CHAR_NEQ, TOP, TemplateKind, template_from_text, template_to_text
+from .domain import TOP, TemplateKind, template_from_text, template_to_text
 from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
@@ -131,24 +131,18 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
             if t in templates[:i]:
                 raise ValueError(f"template {template_to_text(t)} is listed twice")
         # Every entry is checked, with or without outputs, before the table
-        # drops the empty ones and normalization the redundant outputs that
-        # a hand-edited bundle may hold.
+        # drops the empty ones and the redundant outputs that a hand-edited
+        # bundle may hold.
         entries = [transformer_from_obj(t) for t in json_array(obj["transformers"], "transformers")]
         known = {TOP, *templates}
         for t in entries:
-            outputs = [chi for chi, _ in t.outputs]
             # The synthesizer abstracts leaves with the bundle's templates,
             # so an entry that reads or derives another template is not of
-            # its domain; a top output derives nothing.
-            if not known.issuperset([*t.inputs, *outputs]):
+            # its domain.
+            if not known.issuperset([*t.inputs, *(chi for chi, _ in t.outputs)]):
                 raise ValueError(f"transformer {inputs_text(t.inputs)} names a template the bundle does not have")
-            if TOP in outputs:
-                raise ValueError(f"transformer {inputs_text(t.inputs)} has a top output")
-            # ``check_valid``'s box passes unsound ones: (char i = c),top -> (char i != c), [[1, 0, 0], [0, 0, 0]].
-            if CHAR_NEQ in outputs:
-                raise ValueError(f"transformer {inputs_text(t.inputs)} has a {CHAR_NEQ} output")
-        # The table rejects a second entry for the same inputs.
-        table = TransformerTable(entries).normalized()
+        # The table refuses top and char != outputs and a second entry for the same inputs.
+        table = TransformerTable(entries)
         provenance = obj.get("provenance", {})
         training_tasks = provenance.get("training_tasks", [])
         if not isinstance(training_tasks, list) or not all(isinstance(n, str) for n in training_tasks):
@@ -374,8 +368,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-size", type=_positive_int, default=14, help="maximum AST size")
-        p.add_argument("--max-candidates", type=_positive_int, default=200_000)
+        p.add_argument("--max-size", type=_positive_int, default=SynthesisTask.max_ast_size, help="maximum AST size")
+        p.add_argument("--max-candidates", type=_positive_int, default=SynthesisTask.max_candidates)
         p.add_argument("--timeout-ms", type=_positive_int, default=60_000)
 
     p_train = sub.add_parser("train", help="learn an abstraction bundle from task files")

@@ -122,7 +122,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from . import dsl
 from .dsl import AstNode, EvalError, Program
-from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, _index_runs, best_abstraction, gamma_contains, state_of, widen
+from .domain import CHAR_EQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, _index_runs, best_abstraction, gamma_contains, state_of, widen
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
 from .transformers import TransformerTable, apply_affine  # noqa: F401
@@ -181,9 +181,10 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
     on ``check_valid``'s box (``TransformerTable``): a copy passes the left
     runs through, and the shift moves the right runs by the left
     ``length``; as the left runs end by that length, the two meet at most
-    there, where they join.  Any other output maps each selection of one
-    conjunct per input kind through its matrix, unless it names a negative
-    character index.  ``state_of`` meets the derived facts.
+    there, where they join.  Its other outputs, ``len =`` and ``len !=``
+    (no table holds another kind), map each selection of one conjunct per
+    input kind through their matrices.  ``state_of`` meets the derived
+    facts.
     """
     left, right = arg_states
     if left.__class__ is str:
@@ -194,14 +195,12 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
         right = widen(right)
     if left is BOTTOM or right is BOTTOM:
         return BOTTOM
-    derived = {LEN_EQ: set(), LEN_NEQ: set(), CHAR_NEQ: set()}
+    derived = {LEN_EQ: set(), LEN_NEQ: set()}
     for k1, k2, outputs in table.affine:
         for a1, a2 in product(left.args(k1), right.args(k2)):
             vec = (*a1, *a2, 1)
             for kind, matrix in outputs:
-                args = tuple([sum(map(mul, row, vec)) for row in matrix])
-                if kind is not CHAR_NEQ or args[0] >= 0:
-                    derived[kind].add(args)
+                derived[kind].add(tuple([sum(map(mul, row, vec)) for row in matrix]))
     segments = left.segments if left.segments and any(map(right.args, table.copies)) else ()
     if table.shift and right.segments and left.length is not None:
         shifted = tuple((left.length + off, run) for off, run in right.segments)
@@ -209,7 +208,7 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
             shifted = ((segments[-1][0], segments[-1][1] + shifted[0][1]), *shifted[1:])
             segments = segments[:-1]
         segments += shifted
-    return state_of(derived[LEN_EQ], derived[LEN_NEQ], segments, derived[CHAR_NEQ])
+    return state_of(derived[LEN_EQ], derived[LEN_NEQ], segments, ())
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +329,11 @@ class Synthesizer:
         return [(k, row) for k, row in enumerate(zip(*columns)) if None not in row]
 
     def _abstract_value(self, value: str) -> StateLike:
+        if len(value) <= self._exact_len:
+            return value
         cached = self._abstraction_cache.get(value)
         if cached is None:
-            cached = value if len(value) <= self._exact_len else best_abstraction(value, self.templates, self.pool)
-            self._abstraction_cache[value] = cached
+            cached = self._abstraction_cache[value] = best_abstraction(value, self.templates, self.pool)
         return cached
 
     def _node(self, rec: tuple) -> AstNode:

@@ -35,10 +35,10 @@ the validity check (training and bundle loading) only.
 
 A table is built once and never changes, and it stores only the entries
 that have outputs: a pair of input templates without an entry derives
-nothing, and the empty table is the all-top table.  A learned or loaded
-table is normalized: an output is dropped when the entry with ``top`` in
-place of an argument it does not read already has it, so each fact is
-derived by one entry.
+nothing, and the empty table is the all-top table.  Every table is
+normalized: an output is dropped when the entry with ``top`` in place of
+an argument it does not read already has it, so each fact is derived by
+one entry.
 
 The synthesizer abstracts leaves in reduced form, without the inequality
 facts their equality facts imply (``best_abstraction``).  That is sound
@@ -443,10 +443,25 @@ class TransformerTable:
 
     Built once from its entries, empty or not, and never changed.  Raises
     ValueError unless each entry has two input templates, its matrices map
-    their constants (plus 1) to the output holes, and no other entry has
-    the same inputs.  ``entries`` holds only the entries with outputs, in
-    sorted key order.  A missing entry derives nothing, so ``lookup``
-    returns None for it and the empty table is the all-top table.
+    their constants (plus 1) to the output holes, no output is ``top`` or
+    ``char !=``, and no other entry has the same inputs.  A ``top`` output
+    derives nothing.  A ``char !=`` output is never learned (``FILLABLE``
+    has none), and ``check_valid``'s box passes unsound ones, such as
+    ``(char i = c),top -> (char i != c)`` with ``[[1, 0, 0], [0, 0, 0]]``,
+    which says a[i] is not U+0000.
+
+    The entries are normalized as they are given.  Every state has the top
+    kind, so an entry is always read together with the entry that has
+    ``top`` in place of one of its arguments.  An output that reads none of
+    that argument's holes, and that this other entry has too (less the
+    argument's zero columns), derives nothing more and is dropped.  That
+    entry has fewer non-top inputs, so a chain of such matches ends at an
+    output that is kept: the drops are decided on the given entries
+    together, and whatever is dropped is still derived.  So building a
+    table from another's entries changes nothing.  ``entries`` holds only
+    the entries left with outputs, in sorted key order.  A missing entry
+    derives nothing, so ``lookup`` returns None for it and the empty table
+    is the all-top table.
 
     Each ``char =`` output is compiled once: a copy (first input ``char
     =``, matrix ``[[1, 0, 0...], [0, 1, 0...]]``) keeps the left character
@@ -455,7 +470,8 @@ class TransformerTable:
     length.  Any other shape raises ValueError, and none is sound: at each
     point of ``check_valid``'s box the only sound ``char =`` fact is the
     pinned one, or the right one moved by the left length, and the box
-    holds affinely independent points.  ``affine`` holds the other outputs.
+    holds affinely independent points.  ``affine`` holds the ``len =`` and
+    ``len !=`` outputs.
 
     ``keeps_exact``: it has the ``len =`` sum, the top copy and the shift.
     """
@@ -467,12 +483,15 @@ class TransformerTable:
                 raise ValueError(f"a concat transformer takes 2 input templates, not {len(t.inputs)}")
             width = sum(x.holes for x in t.inputs) + 1
             for chi, m in t.outputs:
+                if chi in (TOP, CHAR_NEQ):
+                    raise ValueError(f"transformer {inputs_text(t.inputs)} has a {chi} output")
                 if len(m) != chi.holes or any(len(row) != width for row in m):
                     raise ValueError(f"a matrix for {chi} over {width - 1} input constants must be {chi.holes} x {width}")
             if t.inputs in given:
                 raise ValueError(f"transformer {inputs_text(t.inputs)} is listed twice")
             given[t.inputs] = t
-        self.entries = {k: given[k] for k in sorted(given) if given[k].outputs}
+        kept = {k: tuple(o for o in given[k].outputs if not _found_at_top(given, k, o)) for k in sorted(given)}
+        self.entries = {k: Transformer(k, outputs) for k, outputs in kept.items() if outputs}
         self.copies: list[TemplateKind] = []
         self.shift, self.affine = False, []
         for (k1, k2), t in self.entries.items():
@@ -485,7 +504,7 @@ class TransformerTable:
                 else:
                     rows = [list(row) for row in m]
                     raise ValueError(f"transformer {inputs_text(t.inputs)} -> {CHAR_EQ} with matrix {rows} is neither a copy nor a shift")
-            outputs = tuple(o for o in t.outputs if o[0] not in (CHAR_EQ, TOP))
+            outputs = tuple(o for o in t.outputs if o[0] is not CHAR_EQ)
             if outputs:
                 self.affine.append((k1, k2, outputs))
         len_sum = self.entries.get((LEN_EQ, LEN_EQ))
@@ -500,38 +519,24 @@ class TransformerTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def normalized(self) -> "TransformerTable":
-        """The table without the outputs that another entry already derives.
 
-        Every state has the top kind, so an entry is always read together
-        with the entry that has ``top`` in place of one of its arguments.
-        An output that reads none of that argument's holes, and that this
-        other entry has too (less the argument's zero columns), derives
-        nothing more and is dropped.  That entry has fewer non-top inputs,
-        so a chain of such matches ends at an output that is kept: the
-        drops are decided on this table together, and whatever is dropped
-        is still derived.  An entry left without outputs is not stored;
-        normalizing twice changes nothing.
-        """
-        return TransformerTable(
-            Transformer(t.inputs, tuple(o for o in t.outputs if not self._found_at_top(t, o))) for t in self.all()
-        )
-
-    def _found_at_top(self, t: Transformer, output: tuple[TemplateKind, Matrix]) -> bool:
-        chi, matrix = output
-        start = 0
-        for j, x in enumerate(t.inputs):
-            cols = range(start, start + x.holes)
-            start += x.holes
-            if x is TOP or any(row[c] for row in matrix for c in cols):
-                continue
-            kinds = list(t.inputs)
-            kinds[j] = TOP
-            at_top = self.lookup(tuple(kinds))
-            narrowed = tuple(row[: cols.start] + row[cols.stop :] for row in matrix)
-            if at_top is not None and (chi, narrowed) in at_top.outputs:
-                return True
-        return False
+def _found_at_top(given: dict, inputs: tuple[TemplateKind, TemplateKind], output: tuple[TemplateKind, Matrix]) -> bool:
+    """Whether the given entry with ``top`` in place of an argument that
+    ``output`` of entry ``inputs`` does not read has it too (``TransformerTable``)."""
+    chi, matrix = output
+    start = 0
+    for j, x in enumerate(inputs):
+        cols = range(start, start + x.holes)
+        start += x.holes
+        if x is TOP or any(row[c] for row in matrix for c in cols):
+            continue
+        kinds = list(inputs)
+        kinds[j] = TOP
+        at_top = given.get(tuple(kinds))
+        narrowed = tuple(row[: cols.start] + row[cols.stop :] for row in matrix)
+        if at_top is not None and (chi, narrowed) in at_top.outputs:
+            return True
+    return False
 
 
 def top_table(constructs: Sequence[Construct]) -> TransformerTable:
@@ -553,9 +558,9 @@ def learn_transformers(
     template is fitted by exact linear solving over generated examples and
     kept only if ``check_valid`` accepts it.  Slots are seeded individually
     so results are reproducible, and kept in ``cache`` by slot.  The table
-    is returned normalized (``TransformerTable.normalized``): an output that
-    a more general entry already derives is not in it, and neither is an
-    entry without outputs.
+    normalizes the entries (``TransformerTable``): an output that a more
+    general entry already derives is not in it, and neither is an entry
+    without outputs.
     """
     templates = sorted(set(templates))
     entries = []
@@ -570,7 +575,7 @@ def learn_transformers(
             if cache[slot_id] is not None:
                 outputs.append(cache[slot_id])
         entries.append(Transformer(chis, tuple(outputs)))
-    return TransformerTable(entries).normalized()
+    return TransformerTable(entries)
 
 
 def _learn_slot(chi0, chis, oracle, pool, slot_id):

@@ -69,29 +69,42 @@ def open_table(table_a1):
 
 
 def with_outputs(table, keep):
-    """A copy of ``table`` with the outputs ``keep(entry, output)`` accepts;
-    an entry left without outputs is not stored."""
-    return TransformerTable(Transformer(t.inputs, tuple(o for o in t.outputs if keep(t, o))) for t in table.all())
+    """A table of the outputs of ``table`` that ``keep(entry, output)`` accepts."""
+    return TransformerTable(outputs_kept(table.all(), keep))
 
 
-def with_top_copies(table):
-    """``table`` as learned before tables were normalized: every ``(char =, X)``
-    entry with X not top, empty or not, also has the outputs of
-    ``(char =, top)``, with zero columns for the right argument."""
+def outputs_kept(entries, keep) -> list:
+    """``entries`` with the outputs ``keep(entry, output)`` accepts; an entry
+    left without outputs is dropped."""
+    kept = (Transformer(t.inputs, tuple(o for o in t.outputs if keep(t, o))) for t in entries)
+    return [t for t in kept if t.outputs]
+
+
+def entries_with_top_copies(table) -> list:
+    """The entries of ``table`` as learned before tables were normalized, in
+    sorted key order: every ``(char =, X)`` entry with X not top, empty or
+    not, also has the outputs of ``(char =, top)``, with zero columns for
+    the right argument.  No table holds them: ``TransformerTable`` drops the
+    copies again."""
     at_top = table.lookup((CHAR_EQ, TOP)).outputs
-    copied = {}
+    entries = dict(table.entries)
     for x in TemplateKind:
         if x is not TOP:
             entry = table.lookup((CHAR_EQ, x))
             zeros = (0,) * x.holes
             copies = tuple((chi, tuple(row[:-1] + zeros + row[-1:] for row in m)) for chi, m in at_top)
-            copied[CHAR_EQ, x] = Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies)
-    return TransformerTable([*(t for t in table.all() if t.inputs not in copied), *copied.values()])
+            entries[CHAR_EQ, x] = Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies)
+    return [entries[k] for k in sorted(entries)]
 
 
 def table_outputs(table) -> list:
     """Every ``(inputs, output)`` pair of ``table``."""
-    return [(t.inputs, o) for t in table.all() for o in t.outputs]
+    return entry_outputs(table.all())
+
+
+def entry_outputs(entries) -> list:
+    """Every ``(inputs, output)`` pair of ``entries``."""
+    return [(t.inputs, o) for t in entries for o in t.outputs]
 
 
 def watch_run(synth) -> SimpleNamespace:

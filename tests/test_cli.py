@@ -146,14 +146,14 @@ class TestOldBundle:
         from atlas.cli import load_bundle
         from atlas.transformers import transformer_to_obj
 
-        from conftest import table_outputs, with_top_copies
+        from conftest import entries_with_top_copies, entry_outputs, table_outputs
         from test_golden import expected, synthesize_all
 
         templates, table, prov = load_bundle(trained_dir / "bundle.json")
         old = read(trained_dir / "bundle.json")
-        old_table = with_top_copies(table)
-        old["transformers"] = [transformer_to_obj(t) for t in old_table.all()]
-        assert len(table_outputs(old_table)) == len(table_outputs(table)) + 4
+        old_entries = entries_with_top_copies(table)
+        old["transformers"] = [transformer_to_obj(t) for t in old_entries]
+        assert len(entry_outputs(old_entries)) == len(table_outputs(table)) + 4
         path = tmp_path / "old.json"
         path.write_text(json.dumps(old))
 

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -42,7 +43,7 @@ from atlas.transformers import (
     transformer_to_obj,
 )
 
-from conftest import table_outputs, with_outputs, with_top_copies
+from conftest import entries_with_top_copies, entry_outputs, outputs_kept, table_outputs
 from oracles import as_matrix, fold, full_rank, pred_holds
 import test_golden_slots
 
@@ -431,8 +432,9 @@ class TestCharEqShapes:
     def test_table_compiles_copies_and_the_shift(self, table_a2):
         assert table_a2.copies == [TOP] and table_a2.shift
         assert all(chi is not CHAR_EQ for _, _, outputs in table_a2.affine for chi, _ in outputs)
-        old = with_top_copies(table_a2)
-        assert sorted(old.copies) == sorted(TemplateKind)
+        # Without the (char =, top) copy, the copies for the other second inputs are kept.
+        old = outputs_kept(entries_with_top_copies(table_a2), lambda t, o: t.inputs != (CHAR_EQ, TOP))
+        assert sorted(TransformerTable(old).copies) == sorted(k for k in TemplateKind if k is not TOP)
 
     def test_bundle_with_another_shape_format_error(self, tmp_path, capsys):
         entry = {
@@ -503,21 +505,22 @@ def concat_table(*entries):
 
 
 class TestNormalizedTable:
-    def test_learned_tables_are_normalized(self, table_a1, table_a2):
-        for table in (table_a1, table_a2):
-            assert objs(table.normalized()) == objs(table)
+    def test_learned_tables_are_normalized(self, table_a1, table_a2, trained_at, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(canonical_json(bundle_obj(trained_at[0].templates, trained_at[0].table, 0, ["e1", "e2", "e3"])))
+        for table in (table_a1, table_a2, *(run.table for run in trained_at.values()), load_bundle(path)[1]):
+            assert objs(TransformerTable(table.all())) == objs(table)
         # Only the entries with outputs are stored: 5 of the 25 pairs.
         assert len(table_a2) == 5 and all(t.outputs for t in table_a2.all())
 
     def test_drops_the_copies_of_the_top_entry(self, table_a2):
-        old = with_top_copies(table_a2)
-        assert len(table_outputs(old)) == len(table_outputs(table_a2)) + 4
-        assert objs(old.normalized()) == objs(table_a2)
+        old = entries_with_top_copies(table_a2)
+        assert len(entry_outputs(old)) == len(table_outputs(table_a2)) + 4
+        assert objs(TransformerTable(old)) == objs(table_a2)
 
     def test_keeps_an_output_the_top_entry_lacks(self, table_a2):
-        old = with_top_copies(table_a2)
-        lacking = with_outputs(old, lambda t, o: t.inputs != (CHAR_EQ, TOP))
-        assert objs(lacking.normalized()) == objs(lacking)
+        lacking = outputs_kept(entries_with_top_copies(table_a2), lambda t, o: t.inputs != (CHAR_EQ, TOP))
+        assert table_outputs(TransformerTable(lacking)) == entry_outputs(lacking)
 
     def test_drops_along_a_chain_to_the_all_top_entry(self):
         # Each output reads neither argument; only the (top, top) one stays.
@@ -527,18 +530,42 @@ class TestNormalizedTable:
             (LEN_EQ, TOP, ((LEN_EQ, ((0, 5),)),)),
             (TOP, TOP, ((LEN_EQ, ((5,),)),)),
         )
-        assert table_outputs(table.normalized()) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
+        assert table_outputs(table) == [((TOP, TOP), (LEN_EQ, ((5,),)))]
 
 
 class TestTableEntries:
     def test_only_entries_with_outputs_are_stored(self, trained, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(canonical_json(bundle_obj(trained.templates, trained.table, 0, ["e1", "e2", "e3"])))
-        for table in (trained.table, trained.table.normalized(), load_bundle(path)[1]):
+        # Every pair of templates, with the old copies or empty, in reverse order.
+        given = {t.inputs: t for t in entries_with_top_copies(trained.table)}
+        dense = [given.get(k, Transformer(k, ())) for k in product(sorted(TemplateKind), repeat=2)][::-1]
+        for table in (trained.table, TransformerTable(dense), load_bundle(path)[1]):
             assert len(table) == 5 and all(t.outputs for t in table.all())
             # Stored, and read, in sorted key order.
             assert list(table.entries) == sorted(table.entries)
             assert table.all() == list(table.entries.values())
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, message",
+        [
+            ((TOP, CHAR_EQ), ((TOP, ()), (LEN_NEQ, ((1, 0, 0),))), "transformer top,(char i = c) has a top output"),
+            (
+                (CHAR_EQ, LEN_EQ),
+                ((CHAR_NEQ, ((1, 0, -1, 0), (0, 1, 0, 0))),),
+                "transformer (char i = c),(len = c) has a (char i != c) output",
+            ),
+            # Passes check_valid's box, but says a[i] is not U+0000.
+            (
+                (CHAR_EQ, TOP),
+                ((CHAR_EQ, copy_matrix(3)), (CHAR_NEQ, ((1, 0, 0), (0, 0, 0)))),
+                "transformer (char i = c),top has a (char i != c) output",
+            ),
+        ],
+    )
+    def test_refuses_a_top_or_char_neq_output(self, inputs, outputs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransformerTable([Transformer(inputs, outputs)])
 
     def test_an_empty_entry_derives_nothing(self):
         left, right = AbstractValue.of([len_eq(3)]), AbstractValue.of([len_eq(2)])
