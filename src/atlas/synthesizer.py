@@ -22,7 +22,10 @@ it, so two exact children give their concatenation; a mixed pair widens
 the ``str``.  On a ``str``, ``state_embeds`` is ``in`` and
 ``gamma_contains`` is ``==``.  A sound state's concretization holds its
 value, so with ``require_correct`` a candidate is accepted iff its values
-equal the expected outputs.
+equal the expected outputs.  A record is exact when its vector (below) is
+its values.  ``state_of`` never returns a ``str``, so only an exact record
+has a vector of ``str`` states, and the concatenation of two exact records
+is exact: its vector is its values, with nothing to derive.
 
 ``run`` is the one search loop.  It walks the AST sizes in order, and
 ``_batch`` yields the candidates of one size as runs of at most 256,
@@ -47,33 +50,46 @@ children's vectors and the table, and the accept and embed verdicts only on
 the vector and the expected outputs.  Each run therefore keeps, in locals
 of ``run``, a registry that interns vectors, each with a small int id, plus
 a cache from pairs of child ids to the id of their concatenation's vector;
-it passes the cache to ``_batch`` and the list of vectors by id to
-``_derive``, and a ``Synthesizer`` holds neither between runs.  ``_batch``
-gives a concatenation the cached id of its child-id pair when it makes the
-candidate's run, and None when there is none; every leaf is made with None.
-``run`` derives the states of those only after the dedup check, one example
-at a time, and prunes at the first state that does not embed its output:
-that candidate cannot be accepted either, since an output in a state's
-concretization embeds at offset 0.  A vector that embeds on every example
-is registered then, with its child-id pair for a concatenation, and the
-candidate is judged before anything else: it is accepted when (with
-``require_correct``, checked first) its values equal the expected outputs
-and ``gamma_contains`` holds on every example.  So every derived vector
-that embeds is registered, and all of them are pooled except the accepted
-one and those of an unpooled level.  A pair cached by a candidate of a run
-is derived again by a later candidate of the same run: an id is read only
-when its run is made.
+it passes the cache and the list of vectors by id to ``_batch``, and the
+list to ``_derive``, and a ``Synthesizer`` holds neither between runs.
+``_batch`` gives a concatenation the cached id of its child-id pair when it
+makes the candidate's run, and None when there is none; every leaf is made
+with None, and so is each record of an exact run (below), which reads no
+id.  Unless it takes their exact run in bulk, ``run`` derives the states of
+those only after the dedup check, one example at a time, and prunes at the
+first state that does not embed its output: that candidate cannot be
+accepted either, since an output in a state's concretization embeds at
+offset 0.  A vector that embeds on every example is registered then, with
+its child-id pair for a concatenation, and the candidate is judged before
+anything else: it is accepted when (with ``require_correct``, checked
+first) its values equal the expected outputs and ``gamma_contains`` holds
+on every example.  A pair cached by a candidate of a run is derived again
+by a later candidate of the same run: an id is read only when its run is
+made.  So the registry holds every derived vector that embeds and the
+values of each pooled candidate of an exact run, and the candidates of all
+of them are pooled except the accepted one and those of an unpooled level.
 
-Under a weak domain nearly every concatenation takes its vector from the
-cache, and then it only has to be counted, deduped and pooled.  A
-concatenation run pairs one left record with a slice of a pool, so when
-every child-id pair of it is cached and some output does not start with the
-left record's value on its example, no candidate of the run can be
+Most concatenations need no derivation: under a weak domain nearly every
+one takes its vector from the cache, and under a table that keeps
+exactness nearly every one pairs two exact records.  A concatenation run
+pairs one left record with a slice of a pool.  ``_batch`` makes it an
+exact run when the left record and every record of the slice are exact,
+and then each of its vectors is its values.  When every child-id pair of a
+run is cached, or the run is exact, and some output does not start with
+the left record's value on its example, no candidate of the run can be
 accepted, in either mode: with ``require_correct`` none of its values is
-the outputs, and without it a candidate is accepted on its vector alone,
-and each vector in the run's registry is that of a candidate the run has
-judged and not accepted.  ``run`` takes such a run with set and list
-operations, and every other run one candidate at a time.
+the outputs, and without it a candidate is accepted on its vector alone;
+an exact vector describes its values alone, which are not the outputs, and
+each cached vector is that of a candidate the run has judged and not
+accepted.  ``run`` takes such a run with set and list operations: it
+counts and dedups its candidates and pools the new ones, and of an exact
+run it first prunes each new candidate whose values are not all
+substrings of their outputs (through ``state_embeds``), and registers the
+rest as it pools them.  It caches no pair of an exact run: values are
+deduped, so no two records have one exact vector, and no exact pair is
+made twice.  Every other run is taken one candidate at a time; there a
+concatenation of exact records whose left value starts every output is
+derived, and may be accepted.
 
 What is computed afresh is kept cheap instead of memoized per pair of
 states.  A state that is not exact is four plain fields (``AbstractValue``),
@@ -367,11 +383,14 @@ class Synthesizer:
                 return tuple(states), False
         return tuple(states), True
 
-    def _batch(self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int]) -> Iterator[tuple]:
+    def _batch(
+        self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
+    ) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order, as runs of at most
         ``RUN`` records; ``pools`` holds the kept ones of each smaller size,
-        and ``concats`` is the run's cache from pairs of child ids to the id
-        of their concatenation's vector.
+        ``concats`` is the run's cache from pairs of child ids to the id of
+        their concatenation's vector, and ``vectors`` its list of vectors by
+        id.
 
         A record is ``(values, sid, left, right)``: ``values`` is a tuple of
         ``str`` and ``sid`` the registry id of the record's state vector or
@@ -388,11 +407,15 @@ class Synthesizer:
         rank order: its records are ``zip(values, sids, repeat(left),
         kids)``.  The leaves of size 1, and the substring leaves of size 4,
         come in runs with ``left`` None and every sid None.  A concatenation
-        run pairs one left record with a slice of one pool, and takes each
-        child-id pair's id in the concat cache when the run is yielded, None
-        when it has none.  Its values are built a column
-        per example, before ``run`` makes any record of the run, so that a
-        collection finds them untracked when it comes to the records.  The
+        run pairs one left record with a slice of one pool.  It is an exact
+        run, with sids None, when the left record and every record of the
+        slice are exact (their registered vectors are their values), decided
+        once per slice and once per left record: each of its vectors is its
+        values.  Any other concatenation run takes each child-id pair's id
+        in the concat cache when the run is yielded, None when it has none.
+        A concatenation run's values are built a column per example, before
+        ``run`` makes any record of the run, so that a collection finds them
+        untracked when it comes to the records.  The
         substrings pair the rows of ``_position_table``, which are valid
         boundaries already, so a pair is kept when no window runs backwards.
         """
@@ -405,14 +428,18 @@ class Synthesizer:
                 continue
             pool = pools[size - 1 - sa]
             # Each slice of the pool: its value columns, one per example, its
-            # sids and its records.
+            # sids, its records and whether they are all exact.
             parts = [pool[i : i + RUN] for i in range(0, len(pool), RUN)]
-            slices = [(list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part) for part in parts]
+            slices = [
+                (list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part, all(vectors[b[1]] == b[0] for b in part))
+                for part in parts
+            ]
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
-                for columns, b_sids, part in slices:
+                a_exact = vectors[a_sid] == a_values
+                for columns, b_sids, part, exact in slices:
                     values = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
-                    yield values, list(map(concats.get, zip(repeat(a_sid), b_sids))), a, part
+                    yield values, None if a_exact and exact else list(map(concats.get, zip(repeat(a_sid), b_sids))), a, part
         if size == 4:
             base, width = 1 + len(self.consts), len(self.positions)
             rows = self._position_table()
@@ -433,21 +460,35 @@ class Synthesizer:
         and judged by this run.  Each run of ``_batch`` is cut once: at the
         budget, and then, when the deadline has passed, at the one multiple
         of 256 it can hold, with the clock read before any of its records.
-        It is then taken with set operations when none of its candidates
-        can be accepted, and candidate by candidate otherwise (see the
-        module docstring).  A level no later level can read is not pooled,
-        and the run is exhausted at the first size past the leaves that no
-        two pools can fill.
+        A concatenation run whose vectors are all cached, or an exact run
+        (sids None: all its records are exact, so each vector is its
+        values), is then taken with set operations when some output does
+        not start with its left value: none of its values are the outputs,
+        and a cached vector is one this run judged and did not accept, so
+        none of its candidates can be accepted.  An exact run's new
+        candidates are pruned when a value is not a substring of its output.
+        Every other run is taken candidate by candidate (see the module
+        docstring).  A level no later level can read is not pooled, and the
+        run is exhausted at the first size past the leaves that no two pools
+        can fill.
         """
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
-        # The run's registry of derived state vectors that embed: id by vector
-        # and vector by id, and the id of a concatenation's vector by the pair
-        # of its child ids.
+        # The run's registry of the state vectors that embed: id by vector and
+        # vector by id, and the id of a concatenation's vector by the pair of
+        # its child ids.
         ids, vectors, concats = {}, [], {}
+
+        def register(states: tuple[StateLike, ...]) -> int:
+            sid = ids.get(states)
+            if sid is None:
+                sid = ids[states] = len(vectors)
+                vectors.append(states)
+            return sid
+
         max_size = self.task.max_ast_size
         seen: set[tuple[str, ...]] = set()
         pools: dict[int, list[tuple]] = {}
@@ -467,7 +508,7 @@ class Synthesizer:
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for values, sids, left, kids in self._batch(size, pools, concats):
+                for values, sids, left, kids in self._batch(size, pools, concats, vectors):
                     # ``last`` counts the run's last candidate: past the
                     # budget, or at its multiple of 256 once the deadline has
                     # passed, it is counted and ends the search unjudged.
@@ -480,19 +521,26 @@ class Synthesizer:
                             last, reason = tick, "timeout"
                     if reason is not None:
                         values = values[: last - enumerated - 1]
-                    if left is not None and None not in sids and not all(map(str.startswith, outputs, left[0])):
-                        # Every vector is cached and none of the candidates
-                        # can be accepted, so they are only counted, deduped
-                        # and pooled.  The values of a run are distinct, as
-                        # its pool's are.
+                    if left is not None and (sids is None or None not in sids) and not all(map(str.startswith, outputs, left[0])):
+                        # None of the candidates can be accepted, so they are
+                        # only counted, deduped, pruned when exact and pooled.
+                        # The values of a run are distinct, as its pool's are.
                         enumerated += len(values)
                         repeated = list(map(seen.__contains__, values))
                         seen.update(values)
-                        deduped += repeated.count(True)
+                        dups = repeated.count(True)
+                        deduped += dups
+                        fresh = map(not_, repeated)
+                        if sids is None:
+                            # An exact run: each vector is its values.
+                            fresh = [not r and all(map(state_embeds, v, outputs)) for r, v in zip(repeated, values)]
+                            pruned += len(values) - dups - fresh.count(True)
+                            if pooled:
+                                sids = [register(v) if f else None for f, v in zip(fresh, values)]
                         if pooled:
-                            kept.extend(compress(zip(values, sids, repeat(left), kids), map(not_, repeated)))
+                            kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
                     else:
-                        for v, sid, right in zip(values, sids, kids):
+                        for v, sid, right in zip(values, repeat(None) if sids is None else sids, kids):
                             enumerated += 1
                             if v in seen:
                                 deduped += 1
@@ -506,10 +554,7 @@ class Synthesizer:
                                 if not embeds:
                                     pruned += 1
                                     continue
-                                sid = ids.get(states)
-                                if sid is None:
-                                    sid = ids[states] = len(vectors)
-                                    vectors.append(states)
+                                sid = register(states)
                                 if left is not None:
                                     concats[left[1], right[1]] = sid
                             rec = (v, sid, left, right)

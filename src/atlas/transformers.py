@@ -414,8 +414,10 @@ def check_valid(
             per_arg.append([t.instantiate((i, c)) for i in values for c in _BOX_CHARS])
     for sel in product(*per_arg):
         args = apply_affine(p_matrix, _a_row(sel))
-        # An output that names a negative character index derives nothing.
-        if (chi0 in (CHAR_EQ, CHAR_NEQ) and args[0] < 0) or not row_valid(sel, chi0.instantiate(args)):
+        # A ``char =`` output that names a negative index derives nothing.
+        # No caller passes a ``char !=`` output: training fills none
+        # (``FILLABLE``) and ``TransformerTable`` refuses one.
+        if (chi0 is CHAR_EQ and args[0] < 0) or not row_valid(sel, chi0.instantiate(args)):
             return False
     return True
 

@@ -111,17 +111,19 @@ def watch_run(synth) -> SimpleNamespace:
     """Wrap ``synth._batch`` and ``synth._derive`` so that a later
     ``synth.run()`` leaves in the returned namespace what it passed them and
     got from them: ``pools``, the run's pools by size; ``concats`` and
-    ``vectors``, its registry's concat cache and vectors by id; ``derived``,
-    ``(record, states, embeds)`` for each record it derived, in order."""
-    seen = SimpleNamespace(pools={}, concats=None, vectors=None, derived=[])
+    ``vectors``, its registry's concat cache and vectors by id; ``runs``,
+    every run ``_batch`` yielded, in order; ``derived``, ``(record, states,
+    embeds)`` for each record it derived, in order."""
+    seen = SimpleNamespace(pools={}, concats=None, vectors=None, runs=[], derived=[])
     batch, derive = synth._batch, synth._derive
 
-    def batching(size, pools, concats):
-        seen.pools, seen.concats = pools, concats
-        return batch(size, pools, concats)
+    def batching(size, pools, concats, vectors):
+        seen.pools, seen.concats, seen.vectors = pools, concats, vectors
+        for run in batch(size, pools, concats, vectors):
+            seen.runs.append(run)
+            yield run
 
     def deriving(rec, vectors):
-        seen.vectors = vectors
         states, embeds = derive(rec, vectors)
         seen.derived.append((rec, states, embeds))
         return states, embeds

@@ -412,6 +412,40 @@ def pooled_records(seen) -> list:
     return [rec for pool in seen.pools.values() for rec in pool]
 
 
+def exact_run_candidates(synth, seen, result) -> list:
+    """``(record, embeds)`` for each new candidate of the exact runs (sids
+    None) that the run ``seen`` watched took with set operations
+    (``takes_bulk``), in order, up to the last candidate it took past the
+    dedup check.  ``embeds`` says whether each of its values is a substring
+    of its output, as its vector is its values.  A candidate is new when no
+    earlier one of the run has its values."""
+    taken, known, n = [], set(), result.enumerated - (result.reason == "candidate-budget")
+    for run in seen.runs:
+        values, sids, left, kids = run
+        values = values[:n]
+        n -= len(values)
+        bulk = sids is None and takes_bulk(synth, run)
+        for v, kid in zip(values, kids):
+            if bulk and v not in known:
+                taken.append(((v, None, left, kid), not not_substrings(v, synth.outputs)))
+            known.add(v)
+    return taken
+
+
+def check_exact_run_candidates(synth, seen, result) -> list:
+    """The exact-run candidates of the run ``seen`` watched
+    (``exact_run_candidates``), after checking that each one's fresh states
+    hold its values and embed exactly when its values are substrings: so
+    each one the run pruned fails to embed."""
+    taken = exact_run_candidates(synth, seen, result)
+    for rec, embeds in taken:
+        node = synth._node(rec)
+        fresh = fresh_states(synth, node)
+        assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(node))
+        assert embeds == all(map(state_embeds, fresh, synth.outputs)), print_program(Program(node))
+    return taken
+
+
 def outcome(r) -> tuple:
     return str(r.program), r.correct, r.reason, r.enumerated, r.pruned_abstract, r.deduped
 
@@ -429,16 +463,27 @@ class TestEnumeratorProperties:
             assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(synth._node(rec)))
             assert embeds != last_fails_to_embed(derived, E2.outputs)
             pruned += not embeds
+        taken = check_exact_run_candidates(synth, seen, result)
+        pruned += sum(not embeds for _, embeds in taken)
         # A pooled record's registered vector is its fresh one, so it holds its value.
         for rec in pooled_records(seen):
             assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
-        # The pruned candidates are those whose last derived state fails to embed.
+        # The pruned candidates are those whose last derived state fails to
+        # embed and the exact-run candidates whose values are not substrings.
         assert pruned == result.pruned_abstract > 0
+        assert taken
 
-    def test_prune_safety_same_program_with_filter_off(self, table_a2, monkeypatch):
-        on = [Synthesizer(task, FIVE_TEMPLATES, table_a2).run(require_correct=True) for task in (E1, E2)]
+    def test_prune_safety_same_program_with_filter_off(self, table_a2, trained, monkeypatch):
+        # E1 and E2 under the five-template table; under the seed-0 bundle,
+        # where exact runs prune through the same name, eval_phone_dash and
+        # E3, whose longest leaves are not exact.  Without pruning,
+        # eval_proto_host passes 200,000 candidates, as under top.
+        _, phone_dash = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
+        synths = [lambda task=task: Synthesizer(task, FIVE_TEMPLATES, table_a2) for task in (E1, E2)]
+        synths += [lambda task=task: Synthesizer(task, trained.templates, trained.table) for task in (phone_dash, E3)]
+        on = [synth().run(require_correct=True) for synth in synths]
         monkeypatch.setattr(synthesizer, "state_embeds", lambda state, out: True)
-        off = [Synthesizer(task, FIVE_TEMPLATES, table_a2).run(require_correct=True) for task in (E1, E2)]
+        off = [synth().run(require_correct=True) for synth in synths]
         for a, b in zip(on, off):
             assert a.program == b.program
             assert a.correct and b.correct
@@ -565,16 +610,27 @@ class TestStateVectorCache:
                 embedding.add(derived)
                 if rec[2] is not None:
                     assert vectors[concats[rec[2][1], rec[3][1]]] == derived
-        # Each new candidate the run judged was derived, or made with its
-        # cached vector; over the budget, the last one is counted only.
+        # Each new candidate the run judged was derived, taken in an exact
+        # run, or made with its cached vector; over the budget, the last one
+        # is counted only.
+        taken = check_exact_run_candidates(synth, seen, result)
         judged = result.enumerated - (result.reason == "candidate-budget")
-        reused = judged - result.deduped - len(seen.derived)
+        reused = judged - result.deduped - len(seen.derived) - len(taken)
         assert reused > 0 or not reuses
-        assert result.pruned_abstract == sum(not embeds for _, _, embeds in seen.derived)
-        # The registry interns every derived vector that embeds, and only
-        # those, so each registered vector embeds.
+        pruned = sum(not embeds for _, _, embeds in seen.derived) + sum(not embeds for _, embeds in taken)
+        assert result.pruned_abstract == pruned
+        # An exact-run candidate that embeds is pooled, unless its level is
+        # not.  The registry interns every derived vector that embeds and
+        # the values of each pooled exact-run candidate, and only those, so
+        # each registered vector embeds.
+        pooled = {rec[0] for rec in pooled_records(seen)}
+        exact = set()
+        for rec, embeds in taken:
+            if embeds and seen.pools[synth._node(rec).size]:
+                assert rec[0] in pooled, print_program(Program(synth._node(rec)))
+                exact.add(rec[0])
         assert len(set(vectors)) == len(vectors)
-        assert set(vectors) == embedding
+        assert set(vectors) == embedding | exact
         # A pooled record's vector is its fresh one.
         for rec in pooled_records(seen):
             assert widened(vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
@@ -644,7 +700,7 @@ def run_records(run) -> Iterator[tuple]:
 
 def size4_leaves(synth):
     """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
-    return [(synth._node(rec), rec[0]) for run in synth._batch(4, {1: [], 2: []}, {}) for rec in run_records(run)]
+    return [(synth._node(rec), rec[0]) for run in synth._batch(4, {1: [], 2: []}, {}, []) for rec in run_records(run)]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -724,7 +780,7 @@ class TestPositionTable:
             make = getattr(dsl, name)
             monkeypatch.setattr(dsl, name, lambda *args, make=make: calls.append(args) or make(*args))
         synth = Synthesizer(E3, trained.templates, trained.table)
-        leaves = list(synth._batch(4, {1: [], 2: []}, {}))
+        leaves = list(synth._batch(4, {1: [], 2: []}, {}, []))
         assert leaves and synth.positions and not calls
         result = synth.run(require_correct=True)
         # Only ``_node`` of the returned record makes its position nodes.
@@ -1032,10 +1088,11 @@ class TestExactStates:
 
 def takes_bulk(synth, run) -> bool:
     """Whether ``synth.run`` takes ``run``, a run of ``_batch``, with set
-    operations: it is a concatenation run whose vectors are all cached,
-    and some output does not start with its left record's value."""
+    operations: it is a concatenation run whose vectors are all cached, or
+    an exact run (sids None), and some output does not start with its left
+    record's value."""
     values, sids, left, kids = run
-    return left is not None and None not in sids and not all(map(str.startswith, synth.outputs, left[0]))
+    return left is not None and (sids is None or None not in sids) and not all(map(str.startswith, synth.outputs, left[0]))
 
 
 def count_bulk_runs(synth) -> SimpleNamespace:
@@ -1044,8 +1101,8 @@ def count_bulk_runs(synth) -> SimpleNamespace:
     each one ``takes_bulk`` holds for (``bulk``)."""
     batch, counts = synth._batch, SimpleNamespace(lengths=[], bulk=[])
 
-    def counting(size, pools, concats):
-        for run in batch(size, pools, concats):
+    def counting(size, pools, concats, vectors):
+        for run in batch(size, pools, concats, vectors):
             counts.lengths.append(len(run[0]))
             if takes_bulk(synth, run):
                 counts.bulk.append(len(run[0]))
@@ -1080,8 +1137,9 @@ def check_against_the_reference(task, templates, table, require_correct, pools) 
 
 
 class TestBulkRuns:
-    """In both modes, a run of concatenations whose vectors are all cached and
-    none of which is the outputs is taken in bulk."""
+    """In both modes, a run of concatenations whose vectors are all cached,
+    or whose records are all exact, and none of which is the outputs is
+    taken in bulk."""
 
     @pytest.fixture
     def domains(self, trained, table_a1):
@@ -1110,7 +1168,7 @@ class TestBulkRuns:
         # Every run holds at most 256 records, the deadline's period.
         assert max(longest) <= 256
         # Without require_correct, top accepts the input at once.
-        expects_bulk = {"top": require_correct, "length": True, "seed-0": False}[domain]
+        expects_bulk = {"top": require_correct, "length": True, "seed-0": True}[domain]
         assert bulk or not expects_bulk or budget < 4_097
         # Seen from outside ``run``: it took candidates with set operations.
         assert unjudged or require_correct or not expects_bulk or budget < 4_097
@@ -1128,8 +1186,8 @@ class TestBulkRuns:
         seen = watch_run(synth)
         batch, watched = synth._batch, SimpleNamespace(items=[], late=None, counted=0, derived=[], reads=[])
 
-        def watching(size, pools, concats):
-            for item in batch(size, pools, concats):
+        def watching(size, pools, concats, vectors):
+            for item in batch(size, pools, concats, vectors):
                 watched.items.append(item)
                 watched.derived.append(len(seen.derived))
                 if watched.late is None:
@@ -1194,6 +1252,24 @@ class TestBulkRuns:
         assert reads and len({n for n, _ in reads}) == len(reads)
         assert all(derived == watched.derived[n - 1] for n, derived in reads)
         assert reads[-1][0] == len(watched.items)
+
+    def test_exact_runs_are_taken_in_bulk(self, trained):
+        # Under the seed-0 bundle a concatenation of two exact records is
+        # derived only when its left value starts every output; every other
+        # one is taken in an exact run.
+        _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
+        synth = Synthesizer(task, trained.templates, trained.table)
+        seen = watch_run(synth)
+        result = synth.run(require_correct=True)
+        assert result.correct
+
+        def exact(rec) -> bool:
+            return seen.vectors[rec[1]] == rec[0]
+
+        pairs = [rec for rec, _, _ in seen.derived if rec[2] is not None and exact(rec[2]) and exact(rec[3])]
+        assert pairs and all(all(map(str.startswith, task.outputs, rec[2][0])) for rec in pairs)
+        taken = exact_run_candidates(synth, seen, result)
+        assert any(embeds for _, embeds in taken) and not all(embeds for _, embeds in taken)
 
     def test_a_run_without_require_correct_after_one_with_it_repeats_a_fresh_one(self, table_a1):
         # Each run starts its own registry, so no vector registered by the run
