@@ -96,7 +96,7 @@ states.  A state that is not exact is four plain fields (``AbstractValue``),
 with its ``char =`` facts as runs of known characters, and it hashes and
 compares as a tuple.  Every ``char =`` output a table holds copies the
 left runs or shifts the right ones by the left length, since no other
-shape is sound on ``check_valid``'s box (``TransformerTable``).  So
+shape is sound (``check_valid``, ``TransformerTable``).  So
 ``apply_transformer`` moves whole runs, and ``state_embeds`` finds the
 first run in the output and checks the rest with ``startswith``.  The
 three functions the verdicts and states come from, ``apply_transformer``,
@@ -193,8 +193,8 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
     an exact state beside an ``AbstractValue`` is widened.
     An entry applies when the left state has a conjunct of its first input
     kind and the right state one of its second (top is always present).
-    Its ``char =`` outputs are copies or the shift, the only shapes sound
-    on ``check_valid``'s box (``TransformerTable``): a copy passes the left
+    Its ``char =`` outputs are copies or the shift, the only sound shapes
+    (``check_valid``, ``TransformerTable``): a copy passes the left
     runs through, and the shift moves the right runs by the left
     ``length``; as the left runs end by that length, the two meet at most
     there, where they join.  Its other outputs, ``len =`` and ``len !=``

@@ -7,12 +7,12 @@ constants to output constants exactly, and keep a solution only if it is
 integral and survives the validity check.  The row check (``row_valid``)
 decides one implication between concrete predicates exactly, by a
 small-model counterexample search.  The validity check (``check_valid``)
-decides each instantiation of a matrix's input templates in a finite box
-of constants exactly, through ``row_valid``, and so is not a proof for all
-constants: an offset that first fails outside the box passes it
-(``TestCheckValid::test_refutes_an_offset_that_fails_past_the_box`` is a
-strict xfail; ROADMAP item 5).  Learned matrices are tuples of integer
-rows.
+decides a matrix for all instantiations of its input templates at once:
+a ``char =`` or ``len =`` output is sound only in the one shape its
+inputs pin, and a ``len !=`` output is refuted by an exact integer
+solution of at most four small systems; ``counterexample`` names the
+instantiation where an unsound one fails.  Learned matrices are tuples of
+integer rows.
 
 The linear algebra is on integer rows, with one fraction-free reduction
 (``_reduce``).  Each slot has one echelon basis of its rows ``[A | B]``
@@ -31,7 +31,7 @@ closed subterm (the input, constants and substrings) straight from its
 value, so the table is read for concat alone.  It reads each ``char =``
 output as the copy or shift rule the table compiles it to, and maps the
 other constants through their matrices itself, so ``apply_affine`` serves
-the validity check (training and bundle loading) only.
+``counterexample`` only.
 
 A table is built once and never changes, and it stores only the entries
 that have outputs: a pair of input templates without an entry derives
@@ -57,12 +57,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP, TOP_PRED, ConcretePredicate, ConstantPool, TemplateKind
+from .domain import CHAR_EQ, CHAR_NEQ, LEN_EQ, LEN_NEQ, TOP, ConcretePredicate, ConstantPool, TemplateKind
 from .domain import abstract, len_neq, template_from_text, template_to_text
 
 
@@ -136,7 +137,7 @@ def solve_linear(basis: dict[int, list[int]]) -> Optional[Matrix]:
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
     """Map the integer constants ``vec`` (ending in 1) through ``p``.
 
-    ``check_valid`` calls it; the synthesizer computes the same map inline."""
+    ``counterexample`` calls it; the synthesizer computes the same map inline."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
 
 
@@ -382,10 +383,26 @@ def generate_examples(
 
 
 # ---------------------------------------------------------------------------
-# Candidate validity (the final soundness gate for a learned affine map)
+# Candidate validity (the final soundness gate for a learned affine map),
+# decided for all constants: a character code is in 0..sys.maxunicode and
+# every other constant is a nonnegative integer.
 
-# Two distinct characters tell a character carried through from a constant one.
-_BOX_CHARS = (ord("a"), ord("b"))
+# An instantiation at which a transformer fails: its input predicates and
+# the output constants its matrix maps them to.
+Counterexample = tuple[tuple[ConcretePredicate, ...], tuple[int, ...]]
+
+
+def char_eq_rule(inputs: tuple[TemplateKind, ...], m: Matrix) -> Optional[str]:
+    """The rule that the ``char =`` output with matrix ``m`` over ``inputs``
+    is: "copy" (first input ``char =``, ``[[1, 0, 0...], [0, 1, 0...]]``),
+    "shift" (``(len =, char =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``), or None
+    for any other shape, none of which is sound (``check_valid``)."""
+    zeros = (0,) * (len(m[0]) - 2)
+    if inputs[0] is CHAR_EQ and m == ((1, 0, *zeros), (0, 1, *zeros)):
+        return "copy"
+    if (*inputs, m) == (LEN_EQ, CHAR_EQ, ((1, 1, 0, 0), (0, 0, 1, 0))):
+        return "shift"
+    return None
 
 
 def check_valid(
@@ -393,33 +410,210 @@ def check_valid(
     chi0: TemplateKind,
     p_matrix: Matrix,
 ) -> bool:
-    """Check the candidate concat transformer ``chis -> chi0`` with matrix ``p_matrix``.
+    """Whether the concat transformer ``chis -> chi0`` with matrix ``p_matrix``
+    is sound: at every instantiation of the input templates, the output the
+    matrix maps the constants to holds of a + b for all strings a and b of
+    the inputs.  ``counterexample`` names an instantiation where it fails.
 
-    The input templates are instantiated over a finite box: lengths and
-    indices in 0-4 and within one of ``|c|`` for each constant term ``c``
-    of the matrix, characters one of two distinct characters.  Each
-    instantiation is mapped through the matrix, and the predicted output
-    must follow from the inputs for all strings (``row_valid``).  The
-    constant terms put the box where an offset such as
-    ``len != x + y - 40`` first fails (y = 40).
+    The inputs of an instantiation are always satisfiable.  Each admits a
+    set of lengths, ``len = n`` only n, ``len != n`` all but n, ``char i =
+    c`` every length above i, ``top`` and ``char i != c`` every length, and
+    every character is free but the one a ``char i = c`` input pins at
+    index i of its own string (``row_valid`` assumes an unbounded alphabet).
+    The instantiations hold 0 and every unit vector of constants, and two
+    affine maps that agree there are equal.
+
+    ``char =`` output: sound iff it is the copy or the shift
+    (``char_eq_rule``).  A character of a + b is pinned only at index i
+    under a first input ``char i = c``, to c, or at n + j under ``(len =
+    n),(char j = d)``, to d: anywhere else the character is free or the
+    index may lie past the end, as the length of a is not fixed.  So a sound
+    matrix maps every instantiation to that pinned fact, and only the copy
+    or the shift does; under any other pair nothing is sound.
+
+    ``len =`` output: sound iff the inputs are ``(len =, len =)`` and the
+    matrix is ``[[1, 1, 0]]``.  Any other input admits two lengths, so the
+    length of a + b is not fixed.  Under ``(len = n),(len = m)`` it is n + m,
+    and the only affine map equal to n + m on N² is that one.
+
+    So an unsound ``char =`` or ``len =`` matrix fails at 0 or at a unit
+    vector, and ``counterexample`` finds it there with ``row_valid``.
+
+    ``len !=`` output, ``len(a + b) != e`` with e affine in the constants:
+    unsound iff some instantiation admits lengths la and lb with la + lb =
+    e.  The lengths an input admits are one interval, or two for ``len !=
+    n`` ([0, n - 1] when n >= 1, and [n + 1, ∞)), with bounds affine in its
+    constants, and the sums of two nonempty intervals are the interval of
+    the sums of their bounds.  So it is unsound iff, for one of at most four
+    choices of pieces, ``lo1 + lo2 <= e <= hi1 + hi2`` has a solution in
+    integer constants, an exact integer problem in at most 4 unknowns
+    (``_len_neq_refutation``).
+
+    A ``top`` output is sound.  A ``char !=`` output raises ValueError:
+    training fills none (``FILLABLE``) and ``TransformerTable`` refuses one.
     """
-    values = sorted(set(range(5)) | _near(abs(row[-1]) for row in p_matrix))
-    per_arg: list[list[ConcretePredicate]] = []
-    for t in chis:
-        if t.holes == 0:
-            per_arg.append([TOP_PRED])
-        elif t.holes == 1:
-            per_arg.append([t.instantiate((v,)) for v in values])
-        else:
-            per_arg.append([t.instantiate((i, c)) for i in values for c in _BOX_CHARS])
-    for sel in product(*per_arg):
-        args = apply_affine(p_matrix, _a_row(sel))
+    return counterexample(chis, chi0, p_matrix) is None
+
+
+def counterexample(chis: tuple[TemplateKind, ...], chi0: TemplateKind, p_matrix: Matrix) -> Optional[Counterexample]:
+    """An instantiation at which the transformer fails, or None when it is
+    sound; ``check_valid`` gives the decision and its proof."""
+    if chi0 is TOP:
+        return None
+    if chi0 is LEN_NEQ:
+        x = _len_neq_refutation(chis, p_matrix[0])
+        return None if x is None else _instance(chis, p_matrix, x)
+    if chi0 is LEN_EQ:
+        sound = chis == (LEN_EQ, LEN_EQ) and p_matrix == ((1, 1, 0),)
+    elif chi0 is CHAR_EQ:
+        sound = char_eq_rule(chis, p_matrix) is not None
+    else:
+        raise ValueError(f"a {chi0} output is not decided")
+    if sound:
+        return None
+    n = sum(t.holes for t in chis)
+    for k in range(-1, n):  # 0, then each unit vector
+        inputs, args = _instance(chis, p_matrix, [int(j == k) for j in range(n)])
         # A ``char =`` output that names a negative index derives nothing.
-        # No caller passes a ``char !=`` output: training fills none
-        # (``FILLABLE``) and ``TransformerTable`` refuses one.
-        if (chi0 is CHAR_EQ and args[0] < 0) or not row_valid(sel, chi0.instantiate(args)):
-            return False
-    return True
+        if (chi0 is CHAR_EQ and args[0] < 0) or not row_valid(inputs, chi0.instantiate(args)):
+            return inputs, args
+    raise AssertionError(f"{inputs_text(chis)} -> {chi0} with matrix {p_matrix} holds at 0 and every unit vector")
+
+
+def _instance(chis: tuple[TemplateKind, ...], p_matrix: Matrix, x: Sequence[int]) -> Counterexample:
+    """The input predicates with the constants ``x``, and the output constants."""
+    inputs, col = [], 0
+    for t in chis:
+        inputs.append(t.instantiate(tuple(x[col : col + t.holes])))
+        col += t.holes
+    return tuple(inputs), apply_affine(p_matrix, (*x, 1))
+
+
+# The lengths each template admits, as intervals (lo, hi, least): lo and hi
+# are (coefficient of its first constant, constant term), hi None when
+# unbounded, and the interval is nonempty when that constant is >= least.
+_LENGTHS = {
+    TOP: [((0, 0), None, 0)],
+    LEN_EQ: [((1, 0), (1, 0), 0)],
+    LEN_NEQ: [((0, 0), (1, -1), 1), ((1, 1), None, 0)],
+    CHAR_EQ: [((1, 1), None, 0)],
+    CHAR_NEQ: [((0, 0), None, 0)],
+}
+
+
+def _len_neq_refutation(chis: tuple[TemplateKind, ...], e: Sequence[int]) -> Optional[list[int]]:
+    """Constants at which the inputs ``chis`` admit a + b with ``len(a + b)``
+    equal to the affine row ``e`` over them, or None (``check_valid``)."""
+    cols = (0, chis[0].holes)
+    most = [None] * (len(e) - 1)
+    for col, kind in zip(cols, chis):
+        if kind.holes == 2:
+            most[col + 1] = sys.maxunicode
+    for pieces in product(*(_LENGTHS[kind] for kind in chis)):
+        # e - lo1 - lo2 >= 0, hi1 + hi2 - e >= 0, and each piece nonempty.
+        above, below, low = list(e), [-v for v in e], [0] * len(most)
+        for col, (lo, hi, least) in zip(cols, pieces):
+            above[col] -= lo[0]
+            above[-1] -= lo[1]
+            if hi is None:
+                below = None
+            elif below is not None:
+                below[col] += hi[0]
+                below[-1] += hi[1]
+            if least:
+                low[col] = least
+        # With both bounded, both inputs are ``len =`` or ``len !=``: two constants.
+        x = _maximize(above, low, most) if below is None else _solve_pair(low, above, below)
+        if x is not None:
+            return x
+    return None
+
+
+def _maximize(g: Sequence[int], low: Sequence[int], most: Sequence[Optional[int]]) -> Optional[list[int]]:
+    """Integers x with ``low <= x <= most`` (no bound where ``most`` is None)
+    at which the affine row ``g`` is at least 0, or None.  Each unknown
+    takes the end of its range that ``g`` favours; an unbounded one that
+    ``g`` rises with is then raised as far as ``g`` needs."""
+    x = [hi if a > 0 and hi is not None else lo for a, lo, hi in zip(g, low, most)]
+    value = sum(a * v for a, v in zip(g, x)) + g[-1]
+    if value < 0:
+        j = next((j for j, (a, hi) in enumerate(zip(g, most)) if a > 0 and hi is None), None)
+        if j is None:
+            return None
+        x[j] -= value // g[j]
+    return x
+
+
+def _solve_pair(low: Sequence[int], g1: Sequence[int], g2: Sequence[int]) -> Optional[list[int]]:
+    """Integers (n, m) >= ``low`` with ``a n + b m + c >= 0`` for both rows
+    ``(a, b, c)``, ``g1`` and ``g2``, or None.
+
+    For a fixed m, n lies between bounds ``n >= -(b m + c) / a`` (a > 0,
+    and n >= low[0]) and ``n <= (b m + c) / -a`` (a < 0).  The rows with a =
+    0, and each lower bound paired with each upper one (Fourier–Motzkin),
+    leave an interval of m where the bounds meet over the reals; as n >=
+    low[0] is an integer bound, they meet over the integers too unless g1
+    and g2 bound n from opposite sides.  Then the number of n at m is a sum
+    of two floors, and the least m where it is nonzero is found by bisection
+    on its prefix sums (``_floor_sum``).  The gap between the two bounds is
+    periodic in m, with period the product of their coefficients of n, or
+    grows with m and is at least 1 from some m on.  No step counts to a
+    bound: the work grows with the number of digits of the coefficients.
+    """
+    span = [low[1], None]
+
+    def narrow(b: int, c: int) -> bool:
+        """Narrow ``span`` to the m with ``b m + c >= 0``; False if there is none."""
+        if b > 0:
+            span[0] = max(span[0], -(c // b))
+        elif b < 0:
+            span[1] = c // -b if span[1] is None else min(span[1], c // -b)
+        return b != 0 or c >= 0
+
+    rows = [(1, 0, -low[0]), g1, g2]
+    lowers = [r for r in rows if r[0] > 0]
+    uppers = [(-a, b, c) for a, b, c in rows if a < 0]  # -a n <= b m + c
+    if not all(narrow(b, c) for a, b, c in rows if a == 0):
+        return None
+    if not all(narrow(a1 * b2 + a2 * b1, a1 * c2 + a2 * c1) for a1, b1, c1 in lowers for a2, b2, c2 in uppers):
+        return None
+    lo, hi = span
+    if uppers and len(lowers) == 2:
+        (a1, b1, c1), (a2, b2, c2) = lowers[1], uppers[0]
+        slope = a1 * b2 + a2 * b1
+        if hi is None:
+            # The upper bound less the lower is (slope m + k) / (a1 a2), k = a1 c2 + a2 c1.
+            hi = max(lo, -((a1 * c2 + a2 * c1 - a1 * a2) // slope)) if slope > 0 else lo + a1 * a2 - 1
+
+        def count(t: int) -> int:
+            """The n between the two bounds, summed over m in [lo, lo + t)."""
+            return _floor_sum(t, a2, b2, b2 * lo + c2) + _floor_sum(t, a1, b1, b1 * lo + c1) + t
+
+        if hi < lo or not count(hi - lo + 1):
+            return None
+        first, last = 1, hi - lo + 1
+        while first < last:
+            mid = (first + last) // 2
+            first, last = (first, mid) if count(mid) else (mid + 1, last)
+        lo += first - 1
+    elif hi is not None and hi < lo:
+        return None
+    return [max(-((b * lo + c) // a) for a, b, c in lowers), lo]
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of ``floor((a i + b) / m)`` over i in [0, n), for m > 0, by
+    Euclid-like reduction in O(log) steps."""
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +642,9 @@ class TransformerTable:
     their constants (plus 1) to the output holes, no output is ``top`` or
     ``char !=``, and no other entry has the same inputs.  A ``top`` output
     derives nothing.  A ``char !=`` output is never learned (``FILLABLE``
-    has none), and ``check_valid``'s box passes unsound ones, such as
-    ``(char i = c),top -> (char i != c)`` with ``[[1, 0, 0], [0, 0, 0]]``,
-    which says a[i] is not U+0000.
+    has none) and ``check_valid`` does not decide one; unsound ones are
+    easy to write, such as ``(char i = c),top -> (char i != c)`` with
+    ``[[1, 0, 0], [0, 0, 0]]``, which says a[i] is not U+0000.
 
     The entries are normalized as they are given.  Every state has the top
     kind, so an entry is always read together with the entry that has
@@ -469,11 +663,10 @@ class TransformerTable:
     =``, matrix ``[[1, 0, 0...], [0, 1, 0...]]``) keeps the left character
     facts, and ``copies`` lists its second inputs; the shift (``(len =, char
     =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``) moves the right ones by the left
-    length.  Any other shape raises ValueError, and none is sound: at each
-    point of ``check_valid``'s box the only sound ``char =`` fact is the
-    pinned one, or the right one moved by the left length, and the box
-    holds affinely independent points.  ``affine`` holds the ``len =`` and
-    ``len !=`` outputs.
+    length.  Any other shape raises ValueError (``char_eq_rule``), and none
+    is sound: the only sound ``char =`` fact is the character an input
+    pins, kept in place or moved by the left length (``check_valid`` gives
+    the proof).  ``affine`` holds the ``len =`` and ``len !=`` outputs.
 
     ``keeps_exact``: it has the ``len =`` sum, the top copy and the shift.
     """
@@ -498,14 +691,14 @@ class TransformerTable:
         self.shift, self.affine = False, []
         for (k1, k2), t in self.entries.items():
             for m in [m for chi, m in t.outputs if chi is CHAR_EQ]:
-                zeros = (0,) * (len(m[0]) - 2)
-                if k1 is CHAR_EQ and m == ((1, 0, *zeros), (0, 1, *zeros)):
-                    self.copies.append(k2)
-                elif (k1, k2, m) == (LEN_EQ, CHAR_EQ, ((1, 1, 0, 0), (0, 0, 1, 0))):
-                    self.shift = True
-                else:
+                rule = char_eq_rule(t.inputs, m)
+                if rule is None:
                     rows = [list(row) for row in m]
                     raise ValueError(f"transformer {inputs_text(t.inputs)} -> {CHAR_EQ} with matrix {rows} is neither a copy nor a shift")
+                if rule == "copy":
+                    self.copies.append(k2)
+                else:
+                    self.shift = True
             outputs = tuple(o for o in t.outputs if o[0] is not CHAR_EQ)
             if outputs:
                 self.affine.append((k1, k2, outputs))

@@ -482,9 +482,21 @@ class TestExitCodes:
         assert f"refuted transformer {text}" in err
         assert "Traceback" not in err
 
+    def test_found_bundle_names_the_failing_instantiation(self, trained_dir, tmp_path, capsys):
+        # len(a + b) != 3 len(a) + len(b) - 10 holds at every length of a but 5;
+        # it used to load and prune correct programs.
+        def edit(entry):
+            entry["outputs"].append({"template": "(len != c)", "matrix": [[3, 1, -10]]})
+
+        assert synth_with_edited_entry(trained_dir, tmp_path, edit) == 4
+        err = capsys.readouterr().err
+        refuted = "refuted transformer (len = c),(len = c) -> (len != c) with matrix [[3, 1, -10]]"
+        assert f"{refuted}: fails at (len = 5),(len = 0) -> (len != 5)" in err
+        assert "Traceback" not in err
+
     def test_bundle_with_char_neq_output_format_error(self, tmp_path, capsys):
-        # (char i = c),top -> (char i != c) with [[1, 0, 0], [0, 0, 0]] passes the
-        # box check, but says a[i] is not U+0000: it used to prune this task's answer.
+        # (char i = c),top -> (char i != c) with [[1, 0, 0], [0, 0, 0]] says a[i] is
+        # not U+0000, which is unsound: it used to load and prune this task's answer.
         copy = {"template": "(char i = c)", "matrix": [[1, 0, 0], [0, 1, 0]]}
         neq = {"template": "(char i != c)", "matrix": [[1, 0, 0], [0, 0, 0]]}
         task = tmp_path / "task.json"

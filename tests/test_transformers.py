@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import time
 from itertools import combinations, product
 
 import pytest
@@ -35,6 +37,7 @@ from atlas.transformers import (
     TransformerTable,
     check_valid,
     column_rank,
+    counterexample,
     generate_examples,
     learn_transformers,
     row_valid,
@@ -372,9 +375,94 @@ class TestCheckValid:
         # len(a + b) != 3 len(a) + len(b) - 10 is false when len(a) = 5.
         assert not row_valid((len_eq(5), len_eq(0)), len_neq(5))
 
-    @pytest.mark.xfail(strict=True, reason="check_valid samples a box of lengths 0-4 and 9-11, without 5 (ROADMAP item 5)")
     def test_refutes_an_offset_that_fails_past_the_box(self):
         assert not check_valid((LEN_EQ, LEN_EQ), LEN_NEQ, as_matrix([[3, 1, -10]]))
+
+    @pytest.mark.parametrize(
+        "chis, chi0, row, witness",
+        [
+            # len(a + b) != 3 len(a) + len(b) - 10: the bundle entry of ROADMAP's "Found".
+            ((LEN_EQ, LEN_EQ), LEN_NEQ, [3, 1, -10], ((len_eq(5), len_eq(0)), (5,))),
+            ((LEN_EQ, LEN_NEQ), LEN_NEQ, [1, 1, -40], ((len_eq(0), len_neq(40)), (0,))),
+            ((LEN_EQ, LEN_EQ), LEN_EQ, [1, 0, 0], ((len_eq(0), len_eq(1)), (0,))),
+        ],
+        ids=["found-offset", "offset-40", "projection"],
+    )
+    def test_refutes_with_a_witness_row_valid_rejects(self, chis, chi0, row, witness):
+        assert counterexample(chis, chi0, as_matrix([row])) == witness
+        inputs, args = witness
+        assert not row_valid(inputs, chi0.instantiate(args))
+
+    def test_proves_every_entry_learned_at_three_seeds(self, trained_at):
+        for seed in (0, 1, 705):
+            outputs = entry_outputs(entries_with_top_copies(trained_at[seed].table))
+            assert len(outputs) == 9
+            assert [(inputs, chi) for inputs, (chi, m) in outputs if not check_valid(inputs, chi, m)] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_row_valid_on_random_instantiations(self, data):
+        """An accepted length matrix holds at random constants; a refuted one
+        fails at its witness.  The inputs range over every kind, as each
+        admits a set of lengths."""
+        kinds = st.sampled_from(sorted(TemplateKind))
+        chis = data.draw(st.tuples(kinds, kinds))
+        chi0 = data.draw(st.sampled_from((LEN_EQ, LEN_NEQ)))
+        n = sum(t.holes for t in chis)
+        row = (*data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), data.draw(st.integers(-30, 30)))
+        witness = counterexample(chis, chi0, (row,))
+        assert check_valid(chis, chi0, (row,)) == (witness is None)
+        if witness is not None:
+            inputs, args = witness
+            assert not row_valid(inputs, chi0.instantiate(args))
+            return
+        for _ in range(10):
+            x = data.draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+            k = chis[0].holes
+            inputs = (chis[0].instantiate(tuple(x[:k])), chis[1].instantiate(tuple(x[k:])))
+            assert row_valid(inputs, chi0.instantiate((sum(a * b for a, b in zip(row, [*x, 1])),)))
+
+    def test_decides_huge_coefficients_in_milliseconds(self):
+        """No step of the decision counts up to a coefficient."""
+        big = 10**18
+        cases = [
+            # 10^18 n - (10^18 - 1) m = 5 has solutions in N^2; 2 * 10^18 (n - m) = -1 has none.
+            ((LEN_EQ, LEN_EQ), [big + 1, 2 - big, -5], True),
+            ((LEN_EQ, LEN_EQ), [2 * big + 1, 1 - 2 * big, 1], False),
+            ((LEN_EQ, LEN_NEQ), [big, 1 - big, 7], True),
+            ((LEN_NEQ, LEN_NEQ), [big + 1, -big, 3], True),
+            ((LEN_NEQ, LEN_EQ), [-big, -big, -1], False),
+            ((CHAR_EQ, LEN_NEQ), [big, -big, 3, 1, -5], True),
+        ]
+        for chis, row, refuted in cases:
+            start = time.perf_counter()
+            witness = counterexample(chis, LEN_NEQ, (tuple(row),))
+            assert time.perf_counter() - start < 0.1
+            assert (witness is not None) == refuted
+            if witness is not None:
+                inputs, args = witness
+                assert not row_valid(inputs, len_neq(*args))
+
+    def test_character_codes_end_at_maxunicode(self):
+        # len(a + b) != c - k, under a first input (char i = c), fails only where c - k >= 1.
+        assert check_valid((CHAR_EQ, TOP), LEN_NEQ, ((0, 1, -sys.maxunicode),))
+        facts, args = counterexample((CHAR_EQ, TOP), LEN_NEQ, ((0, 1, 1 - sys.maxunicode),))
+        assert facts == (char_eq(0, sys.maxunicode), TOP_PRED) and args == (1,)
+
+    def test_refutes_other_char_eq_shapes_at_0_or_a_unit_vector(self):
+        for inputs, m in [
+            ((CHAR_EQ, TOP), ((1, 0, 0), (0, 1, 1))),
+            ((LEN_EQ, CHAR_EQ), ((1, 1, 0, 0), (0, 0, 0, 97))),
+            ((LEN_EQ, CHAR_EQ), ((0, 1, 0, 0), (0, 0, 1, 0))),
+            ((TOP, CHAR_EQ), ((1, 0, 0), (0, 1, 0))),
+        ]:
+            facts, args = counterexample(inputs, CHAR_EQ, m)
+            assert set(sum((f.args for f in facts), ())) <= {0, 1}
+            assert not row_valid(facts, char_eq(*args))
+
+    def test_does_not_decide_a_char_neq_output(self):
+        with pytest.raises(ValueError, match="not decided"):
+            check_valid((CHAR_EQ, TOP), CHAR_NEQ, ((1, 0, 0), (0, 0, 0)))
 
     def test_agrees_with_larger_box_on_length_slots(self):
         """Small coefficients over constants 0-12, and sum-plus-offset maps
@@ -555,7 +643,7 @@ class TestTableEntries:
                 ((CHAR_NEQ, ((1, 0, -1, 0), (0, 1, 0, 0))),),
                 "transformer (char i = c),(len = c) has a (char i != c) output",
             ),
-            # Passes check_valid's box, but says a[i] is not U+0000.
+            # Unsound: says a[i] is not U+0000.
             (
                 (CHAR_EQ, TOP),
                 ((CHAR_EQ, copy_matrix(3)), (CHAR_NEQ, ((1, 0, 0), (0, 0, 0)))),
