@@ -1,9 +1,11 @@
-"""Print the size of the design: the lines, code lines and docstring lines
-of each module in ``src/atlas``, and the bytes and table entries of the
-seed-0 bundle trained in-process on the corpus tasks e1-e3.
+"""Print the size of the design: the lines, code lines, docstring lines
+and comment-only lines of each module in ``src/atlas``, and the bytes and
+table entries of the seed-0 bundle trained in-process on the corpus tasks
+e1-e3.
 
 A code line holds a token other than a comment or a docstring; a
-docstring line is a line of a module, class or function docstring.  The
+docstring line is a line of a module, class or function docstring; a
+comment-only line holds a comment and neither code nor docstring.  The
 bundle is the one ``atlas train`` writes for those tasks at seed 0.
 
     python scripts/design_size.py
@@ -31,18 +33,22 @@ NOT_CODE = {
 }
 
 
-def count(source: str) -> tuple[int, int, int]:
-    """``(lines, code lines, docstring lines)`` of the Python ``source``."""
+def count(source: str) -> tuple[int, int, int, int]:
+    """``(lines, code lines, docstring lines, comment-only lines)`` of the
+    Python ``source``."""
     docs: set[int] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             if ast.get_docstring(node, clean=False) is not None:
                 docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     code: set[int] = set()
+    comments: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in NOT_CODE:
+        if tok.type == tokenize.COMMENT:
+            comments.add(tok.start[0])
+        elif tok.type not in NOT_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(source.splitlines()), len(code - docs), len(docs)
+    return len(source.splitlines()), len(code - docs), len(docs), len(comments - code - docs)
 
 
 def seed0_bundle() -> tuple[int, int]:
@@ -62,9 +68,9 @@ def seed0_bundle() -> tuple[int, int]:
 def main() -> int:
     rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted((ROOT / "src" / "atlas").glob("*.py"))]
     rows.append(("total", *map(sum, zip(*(row[1:] for row in rows)))))
-    print(f"{'src/atlas':<18} {'lines':>6} {'code':>6} {'docstring':>9}")
-    for name, lines, code, docs in rows:
-        print(f"{name:<18} {lines:>6,} {code:>6,} {docs:>9,}")
+    print(f"{'src/atlas':<18} {'lines':>6} {'code':>6} {'docstring':>9} {'comment':>7}")
+    for name, lines, code, docs, comments in rows:
+        print(f"{name:<18} {lines:>6,} {code:>6,} {docs:>9,} {comments:>7,}")
     size, entries = seed0_bundle()
     print(f"seed-0 bundle: {size:,} bytes, {entries} table entries")
     return 0

@@ -19,7 +19,7 @@ from .driver import TrainConfig, learn_abstractions
 from .dsl import EvalError, ParseError, parse_program, print_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
-from .transformers import TransformerTable, check_valid, counterexample, inputs_text, json_array, transformer_from_obj, transformer_to_obj
+from .transformers import TransformerTable, counterexample, inputs_text, json_array, transformer_from_obj, transformer_to_obj
 
 USAGE_ERROR = 3
 IO_ERROR = 4
@@ -149,13 +149,13 @@ def load_bundle(path: Path) -> tuple[list[TemplateKind], TransformerTable, dict]
             raise ValueError("provenance training_tasks must be a list of strings")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed bundle ({exc})") from exc
-    # A hand-edited matrix would prune correct programs silently.  The table
-    # has refused every char = shape but the copy and the shift, which are
-    # sound, so a refuted output is a length fact.
+    # A hand-edited matrix would prune correct programs silently; a refuted
+    # output is a length fact (invariant copy-or-shift).
     for t in table.all():
         for chi, matrix in t.outputs:
-            if not check_valid(t.inputs, chi, matrix):
-                facts, args = counterexample(t.inputs, chi, matrix)
+            witness = counterexample(t.inputs, chi, matrix)
+            if witness is not None:
+                facts, args = witness
                 inputs = inputs_text(t.inputs)
                 rows = [list(row) for row in matrix]
                 raise CliError(

@@ -107,8 +107,7 @@ class AbstractValue(NamedTuple):
     Contradictory facts give ``BOTTOM`` instead (``state_of``), so each
     conjunction has one form, and equality and hashing are the tuple's.
     ``top()`` is the shared value without facts; ``conjuncts`` lists the
-    predicates.  A derived value's runs are its arguments' runs, copied or
-    shifted: no other ``char =`` output is sound (``TransformerTable``).
+    predicates.
     """
 
     length: Optional[int]
@@ -155,8 +154,8 @@ class AbstractValue(NamedTuple):
 
 _TOP_VALUE = AbstractValue(None, (), (), ())
 
-# An exact state, whose concretization is one string, is that ``str`` (see
-# ``synthesizer``); ``widen`` gives its ``AbstractValue``.
+# An exact state, whose concretization is one string, is that ``str``
+# (invariant exact-states); ``widen`` gives its ``AbstractValue``.
 StateLike = Union[str, AbstractValue, _Bottom]
 
 
@@ -191,8 +190,8 @@ def state_of(lengths: Collection, len_neqs: Collection, segments: tuple, char_ne
 
 
 def gamma_contains(state: StateLike, s: str) -> bool:
-    """Membership of ``s`` in the concretization of a state; an exact state's
-    is ``==``, so ``require_correct`` accepts iff values equal outputs."""
+    """Membership of ``s`` in the concretization of a state; on an exact
+    state it is ``==`` (invariant exact-states)."""
     if state.__class__ is str:
         return state == s
     if state is BOTTOM:
@@ -258,13 +257,9 @@ def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPo
 
     The facts ``abstract`` gives, built straight into the fields: one run
     per run of consecutive pool indices below ``len(s)``.  An inequality
-    template adds no facts when its equality template is in the domain:
-    ``len = n`` implies each ``len != k``, and ``char i = c`` each ``char i
-    != c'``, so the reduced conjunction has the full one's concretization.
-    Under any table a concatenation of reduced leaves gets a sound state,
-    no stronger than the one from full leaves, since fewer conjuncts give
-    fewer selections to map; under the tables training learns it has the
-    same concretization (see ``transformers``).  Never bottom.
+    template adds no facts when its equality template is in the domain, as
+    ``len = n`` implies each ``len != k`` and ``char i = c`` each ``char i
+    != c'`` (invariant reduced-leaves).  Never bottom.
     """
     kinds, n = set(templates), len(s)
     lengths = {(n,)} if LEN_EQ in kinds else ()

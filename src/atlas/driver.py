@@ -38,7 +38,6 @@ class IterationRecord:
     correct: bool
     violated_example: Optional[tuple[str, str]]
     templates_added: list[TemplateKind]
-    table_size: int
     enumerated: int
     # Abstraction state after this iteration's refinement (for the spurious
     # case this is the abstraction that must reject the program).
@@ -128,7 +127,7 @@ def learn_abstractions(
             if violated is None:
                 history.append(
                     IterationRecord(
-                        name, iteration, result.program, True, None, [], len(table),
+                        name, iteration, result.program, True, None, [],
                         result.enumerated, list(templates), table,
                     )
                 )
@@ -146,7 +145,7 @@ def learn_abstractions(
 
             history.append(
                 IterationRecord(
-                    name, iteration, result.program, False, violated, added, len(table),
+                    name, iteration, result.program, False, violated, added,
                     result.enumerated, list(templates), table,
                 )
             )

@@ -4,6 +4,14 @@ Programs are ASTs over six operators.  String-typed terms are built from
 ``input``, ``const`` literals, ``concat`` and ``substr``; position-typed
 terms (``abspos``, ``cpos``) appear only as the second and third children
 of ``substr``.  All values are immutable and evaluation is pure.
+
+Invariant rank-order: programs are totally ordered by AST size, ties
+broken by a lexicographic key on (operator, literal, children's keys),
+each child keyed by its size first.  Operators go leaves first: input,
+const, abspos, cpos, concat, substr; a const is keyed by its string, an
+abspos by k and a cpos by (character code, j).  The synthesizer generates
+candidates in this order, by left-child size.  The tests hold the key and
+check the order against a search built from this module alone.
 """
 
 from __future__ import annotations
@@ -202,19 +210,6 @@ def eval_node(node: AstNode, x: str) -> str:
 def evaluate(p: Program, x: str) -> str:
     """Run ``p`` on the input string.  Raises EvalError on defined failures."""
     return eval_node(p.root, x)
-
-
-# ---------------------------------------------------------------------------
-# Ranking.  Programs are totally ordered by AST size, ties broken by a
-# deterministic lexicographic key on (operator, literal, children keys),
-# where each child is keyed by its size first.  Operators go leaves first:
-# input, const, abspos, cpos, concat, substr.  A const is keyed by its
-# string, an abspos by k and a cpos by (character code, j).  The key order
-# equals the enumerator's generation order, which goes by left-child size.
-# The tests hold the key (``rank_key`` in ``tests/oracles.py``) and check the
-# order through ``reference_search`` there, a search built from this module
-# alone: its candidates are in key order, and the synthesizer's run returns
-# and pools what it does.
 
 
 # ---------------------------------------------------------------------------

@@ -1,131 +1,95 @@
 """Abstraction-guided bottom-up synthesizer.
 
-Programs are enumerated in rank order with a per-example abstract state
-attached to every subprogram.  Closed subterms (the input leaf, constant
-strings, and substring extractions of the input) are described by the
-strongest conjunction the current domain can express about their concrete
-value, in reduced form (``best_abstraction``); concatenations are
-described by applying the learned transformer table to their children's
-states.  Every state is sound whatever the table, and under the tables
-training learns the reduction changes no concretization, and so no
-verdict (see ``transformers``).  A subprogram is dropped when its state
-cannot describe any substring of some expected output (no completion could
-then be consistent), and a complete candidate is accepted when every
-expected output lies in the concretization of its state.
+Programs are enumerated in rank order (invariant rank-order), with a
+per-example abstract state attached to every subprogram.  Closed subterms
+(the input, constant strings and substrings of the input) get the
+strongest conjunction the domain expresses about their value
+(invariant reduced-leaves); a concatenation applies the transformer table
+to its children's states.  A subprogram is pruned when its state cannot
+describe a substring of some expected output, since no completion could
+then be consistent, and a candidate is accepted when every expected
+output lies in the concretization of its state.
 
-A state whose concretization is one string is that ``str`` (exact).  Under
-a table that ``keeps_exact`` (it has the ``len =`` sum ``[[1, 1, 0]]``, the
-copy with second input ``top`` and the shift) and templates with ``len =``
-and ``char =``, leaves up to the pool's index prefix from 0 are exact.  A
+``run`` walks the AST sizes in order; ``_batch`` yields the candidates of
+one size as runs of at most ``RUN``, built from the pools of kept
+candidates of smaller sizes.  ``apply_transformer``, ``state_embeds`` and
+``gamma_contains`` are called through this module's globals, so that a
+tracer which replaces them by name sees every call.
+
+Invariant exact-states: a state whose concretization is one string is
+that ``str``, and a record is exact when its vector is its values.  Under
+a table that ``keeps_exact`` (the ``len =`` sum, the copy with second
+input ``top`` and the shift) and templates with ``len =`` and ``char =``,
+the leaves up to the pool's index prefix from 0 are pinned whole.  A
 sound table derives only facts of ``a + b``, and those entries pin all of
-it, so two exact children give their concatenation; a mixed pair widens
-the ``str``.  On a ``str``, ``state_embeds`` is ``in`` and
-``gamma_contains`` is ``==``.  A sound state's concretization holds its
-value, so with ``require_correct`` a candidate is accepted iff its values
-equal the expected outputs.  A record is exact when its vector (below) is
-its values.  ``state_of`` never returns a ``str``, so only an exact record
-has a vector of ``str`` states, and the concatenation of two exact records
-is exact: its vector is its values, with nothing to derive.
+it, so two exact states give their concatenation; an exact state beside
+an ``AbstractValue`` is widened.  On a ``str``, ``state_embeds`` is
+``in`` and ``gamma_contains`` is ``==``; a sound state's concretization
+holds its value, so with ``require_correct`` a candidate is accepted iff
+its values equal the outputs.  Only an exact record has a vector of
+``str`` states (``state_of`` never returns one), and two exact records
+concatenate to an exact one.
 
-``run`` is the one search loop.  It walks the AST sizes in order, and
-``_batch`` yields the candidates of one size as runs of at most 256,
-building concatenations from the pools of kept candidates of the smaller
-sizes.  ``run`` cuts each run once, at the budget and then at the deadline,
-which it reads before any of the run's candidates and only when the run
-holds a multiple of 256 (it holds one at most); so a run that times out has
-counted a multiple of 256.  For each candidate, ``run`` counts it, drops it
-when its values repeat an earlier candidate's, and gets its verdict once.
-It then returns it, prunes it, or pools it.  A level's pool is read from
-two sizes up only, so a level is left unpooled when there is no such size
-or when the concatenations of its own size and the next one alone pass the
-budget: the run ends before it is read.  Past size 4, the last with leaves,
-a concatenation of size ``s`` has a child of size ``s // 2`` or more, so
-the run is exhausted at the first such ``s`` whose pools from size
-``s // 2`` up are all empty: no later size can have a candidate either, and
-the sizes up to ``max_ast_size`` are not walked.
+Invariant records: a candidate is a tuple ``(values, sid, left, right)``:
+its values (a ``str`` per example), its vector's registry id or None, and
+its two child records, or None and its leaf index (0 the input, ``1 + i``
+the constant ``consts[i]``, ``1 + len(consts) + i * len(positions) + j``
+the substring from ``positions[i]`` to ``positions[j]``).  Records hold
+only ``str``, ``int``, ``None`` and records, so CPython's cyclic collector
+untracks them and a full collection does not walk the pools.  So vectors
+live in the registry, ``_node`` builds only the returned program's AST,
+and a run's values are built a column per example before its records.  A
+run of ``_batch`` is ``(values, sids, left, kids)``, one item per record
+in rank order: its records are ``zip(values, sids, repeat(left), kids)``.
 
-A candidate's state vector (its tuple of per-example states) determines all
-of its abstract work: the states of a concatenation depend only on the
-children's vectors and the table, and the accept and embed verdicts only on
-the vector and the expected outputs.  Each run therefore keeps, in locals
-of ``run``, a registry that interns vectors, each with a small int id, plus
-a cache from pairs of child ids to the id of their concatenation's vector;
-it passes the cache and the list of vectors by id to ``_batch``, and the
-list to ``_derive``, and a ``Synthesizer`` holds neither between runs.
-``_batch`` gives a concatenation the cached id of its child-id pair when it
-makes the candidate's run, and None when there is none; every leaf is made
-with None, and so is each record of an exact run (below), which reads no
-id.  Unless it takes their exact run in bulk, ``run`` derives the states of
-those only after the dedup check, one example at a time, and prunes at the
-first state that does not embed its output: that candidate cannot be
-accepted either, since an output in a state's concretization embeds at
-offset 0.  A vector that embeds on every example is registered then, with
-its child-id pair for a concatenation, and the candidate is judged before
-anything else: it is accepted when (with ``require_correct``, checked
-first) its values equal the expected outputs and ``gamma_contains`` holds
-on every example.  A pair cached by a candidate of a run is derived again
-by a later candidate of the same run: an id is read only when its run is
-made.  So the registry holds every derived vector that embeds and the
-values of each pooled candidate of an exact run, and the candidates of all
-of them are pooled except the accepted one and those of an unpooled level.
+Invariant registry: a candidate's state vector determines all its
+abstract work, since a concatenation's states depend only on its
+children's vectors and the table, and the verdicts only on the vector and
+the outputs.  Each ``run`` keeps in locals a registry that gives each
+vector that embeds on every example an int id, and a cache from child-id
+pairs to their concatenation's id; no ``Synthesizer`` holds them between
+runs.  ``_batch`` gives a concatenation its pair's cached id when it makes
+the run, else None, and every leaf None.  Unless its run is taken in
+bulk, a candidate with None is derived after the dedup check, one example
+at a time, and pruned at the first state that does not embed its output
+(an output in a concretization embeds at offset 0, so it could not be
+accepted); else its vector is registered, with its pair, and the
+candidate judged.  A pair cached within a run is derived again by later
+candidates of that run.
 
-Most concatenations need no derivation: under a weak domain nearly every
-one takes its vector from the cache, and under a table that keeps
-exactness nearly every one pairs two exact records.  A concatenation run
-pairs one left record with a slice of a pool.  ``_batch`` makes it an
-exact run when the left record and every record of the slice are exact,
-and then each of its vectors is its values.  When every child-id pair of a
-run is cached, or the run is exact, and some output does not start with
-the left record's value on its example, no candidate of the run can be
-accepted, in either mode: with ``require_correct`` none of its values is
-the outputs, and without it a candidate is accepted on its vector alone;
-an exact vector describes its values alone, which are not the outputs, and
-each cached vector is that of a candidate the run has judged and not
-accepted.  ``run`` takes such a run with set and list operations: it
-counts and dedups its candidates and pools the new ones, and of an exact
-run it first prunes each new candidate whose values are not all
-substrings of their outputs (through ``state_embeds``), and registers the
-rest as it pools them.  It caches no pair of an exact run: values are
-deduped, so no two records have one exact vector, and no exact pair is
-made twice.  Every other run is taken one candidate at a time; there a
-concatenation of exact records whose left value starts every output is
-derived, and may be accepted.
+Invariant bulk-runs: a concatenation run pairs one left record with a
+slice of a pool, and is exact, with sids None, when all of them are
+exact.  When a run is exact or has every child-id pair cached, and some
+output does not start with the left value on its example, no candidate
+of it can be accepted in either mode: none of its values are the
+outputs, an exact vector describes its values alone, and a cached vector
+is one this run judged and did not accept.  ``run`` takes such a run with
+set and list operations: it counts and dedups the candidates and pools
+the new ones; of an exact run it first prunes each whose values are not
+all substrings of their outputs, and registers the rest.  It caches no
+exact pair, since values are deduped.  Other runs are taken one
+candidate at a time.
 
-What is computed afresh is kept cheap instead of memoized per pair of
-states.  A state that is not exact is four plain fields (``AbstractValue``),
-with its ``char =`` facts as runs of known characters, and it hashes and
-compares as a tuple.  Every ``char =`` output a table holds copies the
-left runs or shifts the right ones by the left length, since no other
-shape is sound (``check_valid``, ``TransformerTable``).  So
-``apply_transformer`` moves whole runs, and ``state_embeds`` finds the
-first run in the output and checks the rest with ``startswith``.  The
-three functions the verdicts and states come from, ``apply_transformer``,
-``state_embeds`` and ``gamma_contains``, are called through this module's
-globals, so that a tracer which replaces them by name sees every call.
+Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
+budget and then, when the deadline has passed, at the one multiple of
+``RUN`` the run can hold, with the clock read before any of its
+candidates.  The candidate at the cut is counted and ends the search
+unjudged, so a search that times out has counted a multiple of ``RUN``.
 
-Most candidates are never kept and only the returned one's program is read,
-so a candidate is a plain tuple record, laid out in ``_batch``: its values,
-the registry id of its vector or None, and its two child records, or None
-and the number of its leaf.  Records hold only ``str``, ``int``, ``None``
-and records, so CPython's cyclic collector untracks them and a full
-collection does not walk the pools; a record that held an AST node, a state
-or any other class instance would stay tracked.  So a pooled record's
-vector is ``vectors[sid]`` in its run's registry, and one not registered
-lives only inside ``run``.  ``_node`` builds the returned program's AST
-from its record.
+Invariant pooled-levels: a level's pool is read from two sizes up only,
+so it is not pooled when there is no such size, or when the
+concatenations of its own size and the next alone pass the budget, which
+ends the search before it is read.  Past size 4, the last with leaves, a
+concatenation of size ``s`` has a child of size ``s // 2`` or more, so
+the search is exhausted at the first such ``s`` whose pools from ``s //
+2`` up are all empty, and no later size is walked.
 
-The position pool is a list of plain literals in rank order (``int`` k for
-``abspos k``, ``(char, j)`` for ``cpos char j``), built in that order, so no
-position is an AST node and none is sorted.  When the enumeration reaches
-the ``substr`` leaves (size 4), it resolves the pool on the example inputs
-once, through one index per input of the boundaries after each
-character's occurrences, into a position table.  The table holds a row of
-boundaries only for a position that is a boundary of every input (inside
-``0..len(x)``); one whose ``cpos`` occurrence is missing, or whose
-``abspos`` is past the end, on some input has no row.  A ``substr`` leaf
-pairs two rows whose windows do not run backwards on any input, and its
-values are slices; no leaf is evaluated through the DSL.  A
-concatenation's values are the pairwise sums of its children's.
+Invariant position-table: positions are plain literals in rank order,
+``k`` for ``abspos k`` and ``(char, j)`` for ``cpos char j``, never nodes.
+At size 4 they are resolved once, into a row of boundaries for each
+position that is a boundary of every input, as ``dsl.resolve_position``
+gives it; a ``substr`` leaf pairs two rows whose windows do not run
+backwards on any input, and its values are slices.
 """
 
 from __future__ import annotations
@@ -143,12 +107,10 @@ from .domain import CHAR_EQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, T
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
 from .transformers import TransformerTable, apply_affine  # noqa: F401
 
-# A position literal: ``k`` stands for ``abspos k`` and ``(char, j)`` for
-# ``cpos char j``.
+# A position literal (invariant position-table).
 Position = Union[int, tuple[int, int]]
 
-# The most records one run of ``_batch`` holds, and the deadline's period:
-# a run holds at most one multiple of 256.
+# The most records one run of ``_batch`` holds (invariant budget-cut).
 RUN = 256
 
 
@@ -189,18 +151,15 @@ def satisfies(p: Program, example: tuple[str, str]) -> bool:
 def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, StateLike]) -> StateLike:
     """Best state of the concatenation of two values with the given states.
 
-    Two exact states give their concatenation (see the module docstring);
-    an exact state beside an ``AbstractValue`` is widened.
-    An entry applies when the left state has a conjunct of its first input
-    kind and the right state one of its second (top is always present).
-    Its ``char =`` outputs are copies or the shift, the only sound shapes
-    (``check_valid``, ``TransformerTable``): a copy passes the left
-    runs through, and the shift moves the right runs by the left
-    ``length``; as the left runs end by that length, the two meet at most
-    there, where they join.  Its other outputs, ``len =`` and ``len !=``
-    (no table holds another kind), map each selection of one conjunct per
-    input kind through their matrices.  ``state_of`` meets the derived
-    facts.
+    Two exact states give their concatenation, and one beside an
+    ``AbstractValue`` is widened (invariant exact-states).  An entry applies
+    when the left state has a conjunct of its first input kind and the
+    right state one of its second (top is always present).  A copy passes
+    the left runs through and the shift moves the right runs by the left
+    ``length`` (invariant copy-or-shift); the left runs end by that length,
+    so the two meet at most there, where they join.  The ``len =`` and
+    ``len !=`` outputs map each selection of one conjunct per input kind
+    through their matrices, and ``state_of`` meets the derived facts.
     """
     left, right = arg_states
     if left.__class__ is str:
@@ -233,7 +192,7 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
 
 def state_embeds(state: StateLike, out: str) -> bool:
     """True iff some contiguous substring of ``out`` satisfies the state:
-    for an exact state, iff it is a substring of ``out``.
+    for an exact state, iff it is a substring (invariant exact-states).
 
     One length decides every offset: shortening a substring that satisfies
     the state, to a length the length facts admit that still covers every
@@ -302,7 +261,7 @@ class Synthesizer:
         self.consts = self._const_pool()
         self.positions = self._position_pool()
         self._abstraction_cache: dict[str, StateLike] = {}
-        # Leaves up to this length are exact (see the module docstring); -1 when none is.
+        # Leaves up to this length are exact (invariant exact-states); -1 when none is.
         start, stop = _index_runs(self.pool.indices)[0]
         self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
 
@@ -324,7 +283,7 @@ class Synthesizer:
     def _position_table(self) -> list[tuple[int, tuple[int, ...]]]:
         """``(k, row)`` for each position ``positions[k]`` that resolves to a
         boundary of every input, ``row`` holding those boundaries in input
-        order; ``dsl.resolve_position`` gives the same boundaries."""
+        order (invariant position-table)."""
         columns = []
         for x in self.inputs:
             n = len(x)
@@ -353,10 +312,8 @@ class Synthesizer:
         return cached
 
     def _node(self, rec: tuple) -> AstNode:
-        """The AST node of record ``rec``, rebuilt from its leaf indexes (see
-        ``_batch``).  It is called only for the returned program, and it is
-        the only place the ``abspos`` and ``cpos`` nodes of the position
-        literals are made."""
+        """The AST node of record ``rec``, rebuilt from its leaf indexes; it
+        is called only for the returned program (invariant records)."""
         if rec[2] is None:
             index, consts, positions = rec[3], self.consts, self.positions
             if index == 0:
@@ -370,8 +327,8 @@ class Synthesizer:
     def _derive(self, rec: tuple, vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
         """The states of record ``rec``, derived one example at a time up to
         the first that does not embed its output, and whether every state
-        embeds.  A concatenation's children are pooled, so their vectors are
-        registered: ``vectors`` is the run's list of vectors by id."""
+        embeds; ``vectors`` holds the run's vectors by id (invariant
+        registry)."""
         if rec[2] is None:
             derived = map(self._abstract_value, rec[0])
         else:
@@ -387,38 +344,12 @@ class Synthesizer:
         self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
     ) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order, as runs of at most
-        ``RUN`` records; ``pools`` holds the kept ones of each smaller size,
-        ``concats`` is the run's cache from pairs of child ids to the id of
-        their concatenation's vector, and ``vectors`` its list of vectors by
-        id.
-
-        A record is ``(values, sid, left, right)``: ``values`` is a tuple of
-        ``str`` and ``sid`` the registry id of the record's state vector or
-        None.  A concatenation has its two child records as ``left`` and
-        ``right``; a leaf has ``left`` None and its leaf index as ``right``.
-        The leaf index numbers the leaves the synthesizer can make: 0 is the
-        input, ``1 + i`` the constant ``consts[i]``, and ``1 + len(consts) +
-        i * len(positions) + j`` the substring from ``positions[i]`` to
-        ``positions[j]``; ``_node`` turns it back into the AST node, so no
-        node is made here.
-
-        A run is ``(values, sids, left, kids)``, where ``values`` and
-        ``sids`` are lists and ``kids`` a sequence, one item per record in
-        rank order: its records are ``zip(values, sids, repeat(left),
-        kids)``.  The leaves of size 1, and the substring leaves of size 4,
-        come in runs with ``left`` None and every sid None.  A concatenation
-        run pairs one left record with a slice of one pool.  It is an exact
-        run, with sids None, when the left record and every record of the
-        slice are exact (their registered vectors are their values), decided
-        once per slice and once per left record: each of its vectors is its
-        values.  Any other concatenation run takes each child-id pair's id
-        in the concat cache when the run is yielded, None when it has none.
-        A concatenation run's values are built a column per example, before
-        ``run`` makes any record of the run, so that a collection finds them
-        untracked when it comes to the records.  The
-        substrings pair the rows of ``_position_table``, which are valid
-        boundaries already, so a pair is kept when no window runs backwards.
-        """
+        ``RUN`` records (invariant records).  ``pools`` holds the kept
+        records of each smaller size; ``concats`` and ``vectors`` are the
+        run's cache of child-id pairs and its vectors by id (invariant
+        registry).  A concatenation run is exact when all its records are
+        (invariant bulk-runs), and the substrings pair the rows of
+        ``_position_table`` (invariant position-table)."""
         inputs = self.inputs
         if size == 1:
             yield from _leaf_runs([(inputs, 0), *(((s,) * len(inputs), i) for i, s in enumerate(self.consts, 1))])
@@ -452,34 +383,19 @@ class Synthesizer:
 
     def run(self, require_correct: bool = False) -> SynthResult:
         """Enumerate in rank order until a candidate is accepted, the budget
-        or the deadline is passed, or the sizes run out.
-
-        With ``require_correct`` a candidate is accepted only when its
-        values are the outputs.  The registry is local to the run and passed
-        to ``_batch`` and ``_derive``, so each vector in it was registered
-        and judged by this run.  Each run of ``_batch`` is cut once: at the
-        budget, and then, when the deadline has passed, at the one multiple
-        of 256 it can hold, with the clock read before any of its records.
-        A concatenation run whose vectors are all cached, or an exact run
-        (sids None: all its records are exact, so each vector is its
-        values), is then taken with set operations when some output does
-        not start with its left value: none of its values are the outputs,
-        and a cached vector is one this run judged and did not accept, so
-        none of its candidates can be accepted.  An exact run's new
-        candidates are pruned when a value is not a substring of its output.
-        Every other run is taken candidate by candidate (see the module
-        docstring).  A level no later level can read is not pooled, and the
-        run is exhausted at the first size past the leaves that no two pools
-        can fill.
-        """
+        or the deadline is passed, or the sizes run out.  With
+        ``require_correct`` a candidate is accepted only when its values are
+        the outputs.  The run keeps its own registry (invariant registry),
+        takes the runs of ``_batch`` that cannot be accepted in bulk
+        (invariant bulk-runs), cuts at the budget and the deadline
+        (invariant budget-cut), and pools only the levels a later size
+        reads (invariant pooled-levels)."""
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
         budget = self.task.max_candidates
         outputs = self.outputs
-        # The run's registry of the state vectors that embed: id by vector and
-        # vector by id, and the id of a concatenation's vector by the pair of
-        # its child ids.
+        # The registry: id by vector, vector by id, and id by child-id pair.
         ids, vectors, concats = {}, [], {}
 
         def register(states: tuple[StateLike, ...]) -> int:
@@ -498,20 +414,15 @@ class Synthesizer:
         enumerated = pruned = deduped = 0
         try:
             for size in range(1, max_size + 1):
-                # Past the leaves, each candidate of this size has a child of
-                # size ``size // 2`` or more; with none pooled, no later size
-                # has a candidate either.
+                # Exhausted: no later size has a candidate (invariant pooled-levels).
                 if size > 4 and not any(lengths[size // 2 :]):
                     break
-                # The concatenations of sizes ``size`` and ``size + 1`` come
-                # before size ``size + 2``, the first to read this level's pool.
+                # This size's and the next one's concatenations come before this pool is read.
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
                 for values, sids, left, kids in self._batch(size, pools, concats, vectors):
-                    # ``last`` counts the run's last candidate: past the
-                    # budget, or at its multiple of 256 once the deadline has
-                    # passed, it is counted and ends the search unjudged.
+                    # ``last`` counts the run's last candidate (invariant budget-cut).
                     last, reason = enumerated + len(values), None
                     if last > budget:
                         last, reason = budget + 1, "candidate-budget"
@@ -522,8 +433,7 @@ class Synthesizer:
                     if reason is not None:
                         values = values[: last - enumerated - 1]
                     if left is not None and (sids is None or None not in sids) and not all(map(str.startswith, outputs, left[0])):
-                        # None of the candidates can be accepted, so they are
-                        # only counted, deduped, pruned when exact and pooled.
+                        # No candidate can be accepted (invariant bulk-runs).
                         # The values of a run are distinct, as its pool's are.
                         enumerated += len(values)
                         repeated = list(map(seen.__contains__, values))
@@ -547,9 +457,7 @@ class Synthesizer:
                                 continue
                             seen.add(v)
                             if sid is None:
-                                # A state that does not embed its output does
-                                # not contain it either, so the candidate is
-                                # not accepted.
+                                # Pruned when a state does not embed (invariant registry).
                                 states, embeds = self._derive((v, None, left, right), vectors)
                                 if not embeds:
                                     pruned += 1
@@ -577,7 +485,7 @@ class Synthesizer:
 
 def _leaf_runs(leaves: Iterable[tuple[tuple[str, ...], int]]) -> Iterator[tuple]:
     """Runs of at most ``RUN`` of ``leaves``, each a pair of values and leaf
-    index, taken as each run is asked for."""
+    index, taken as each run is asked for (invariant records)."""
     leaves = iter(leaves)
     while chunk := list(islice(leaves, RUN)):
         values, kids = zip(*chunk)

@@ -1,56 +1,92 @@
 """Data-driven synthesis of sound affine abstract transformers for ``concat``.
 
-For every tuple of input predicate templates, we sample concrete runs of
-concat, abstract the sampled values into concrete predicate rows, keep the
-rows that are valid implications, solve the linear system relating input
-constants to output constants exactly, and keep a solution only if it is
-integral and survives the validity check.  The row check (``row_valid``)
-decides one implication between concrete predicates exactly, by a
-small-model counterexample search.  The validity check (``check_valid``)
-decides a matrix for all instantiations of its input templates at once:
-a ``char =`` or ``len =`` output is sound only in the one shape its
-inputs pin, and a ``len !=`` output is refuted by an exact integer
-solution of at most four small systems; ``counterexample`` names the
-instantiation where an unsound one fails.  Learned matrices are tuples of
-integer rows.
+For each slot, a pair of input templates and an output template, we
+sample concrete runs of concat, abstract the values into concrete
+predicate rows, keep the rows that are valid implications (``row_valid``
+decides one exactly), solve the linear system relating input constants to
+output constants exactly, and keep an integral solution only if
+``check_valid`` proves it.  Concat is the only construct learned: the
+synthesizer abstracts every closed subterm straight from its value.
 
 The linear algebra is on integer rows, with one fraction-free reduction
 (``_reduce``).  Each slot has one echelon basis of its rows ``[A | B]``
 (input constants plus 1, then output constants), with pivots on A's
-columns.  Sampling reduces each valid row into it once, and stops at full
-rank or at a row that contradicts the basis; ``solve_linear`` then
-back-substitutes in the basis, in integers, and finds no integral map
-when a division is not exact.
+columns; ``solve_linear`` back-substitutes in it, in integers.
 
-Whether a slot can reach full rank depends on its three templates alone,
-so a slot that cannot is refused before it draws a sample (``FILLABLE``);
-``generate_examples`` gives the rule and why it is exact.
+The proofs below use what an instantiation of input templates admits: its
+inputs are always satisfiable; ``len = n`` admits only the length n,
+``len != n`` all but n, ``char i = c`` every length above i, and ``top``
+and ``char i != c`` every length; every character is free but the one a
+``char i = c`` input pins at index i of its own string (``row_valid``
+assumes an unbounded alphabet).  A character code is in
+``0..sys.maxunicode``, and every other constant a nonnegative integer.
 
-Concat is the only construct learned: the synthesizer abstracts every
-closed subterm (the input, constants and substrings) straight from its
-value, so the table is read for concat alone.  It reads each ``char =``
-output as the copy or shift rule the table compiles it to, and maps the
-other constants through their matrices itself, so ``apply_affine`` serves
-``counterexample`` only.
+Invariant exact-check: ``check_valid`` accepts a matrix iff, at every
+instantiation of the input templates, the output it maps the constants to
+holds of a + b for all strings a and b of the inputs; ``counterexample``
+names an instantiation where an unsound one fails.  The instantiations
+hold 0 and every unit vector of constants, and two affine maps that agree
+there are equal.  A ``char =`` output is sound iff it is the copy or the
+shift (invariant copy-or-shift).  A ``len =`` output is sound iff the
+inputs are ``(len =, len =)`` and the matrix ``[[1, 1, 0]]``: any other
+input admits two lengths, and the only affine map equal to n + m on N² is
+that one.  So an unsound ``char =`` or ``len =`` matrix fails at 0 or a
+unit vector, where ``row_valid`` finds it.  A ``len !=`` output,
+``len(a + b) != e`` with e affine in the constants, is unsound iff some
+instantiation admits lengths la and lb with la + lb = e.  An input admits
+one interval of lengths, or two for ``len != n`` ([0, n - 1] when n >= 1,
+and [n + 1, ∞)), with bounds affine in its constants, and the sums of two
+nonempty intervals are the interval of the sums of their bounds.  So it is
+unsound iff, for one of at most four choices of pieces, ``lo1 + lo2 <= e
+<= hi1 + hi2`` has a solution in integer constants, an exact problem in
+at most 4 unknowns (``_len_neq_refutation``).  A ``top`` output is sound;
+no ``char !=`` output is learned (invariant fillable) or decided.
 
-A table is built once and never changes, and it stores only the entries
-that have outputs: a pair of input templates without an entry derives
-nothing, and the empty table is the all-top table.  Every table is
-normalized: an output is dropped when the entry with ``top`` in place of
-an argument it does not read already has it, so each fact is derived by
-one entry.
+Invariant copy-or-shift: a ``char =`` output is sound iff it is the copy
+(first input ``char =``, matrix ``[[1, 0, 0...], [0, 1, 0...]]``) or the
+shift (``(len =, char =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``), so a table
+refuses every other shape (``char_eq_rule``).  A character of a + b is
+pinned only at index i under a first input ``char i = c``, to c, or at n
++ j under ``(len = n),(char j = d)``, to d: anywhere else it is free, or
+the index may lie past the end as the length of a is not fixed.  A sound
+matrix maps every instantiation to that pinned fact, and only the copy
+or the shift does.
 
-The synthesizer abstracts leaves in reduced form, without the inequality
-facts their equality facts imply (``best_abstraction``).  That is sound
-under any table: a subset of the true input facts maps to a subset of the
-derived facts.  It loses nothing when no entry with a ``char !=`` input
-has an output, and each output of an entry with a ``len !=`` input is a
-``len !=`` output, injective in that constant, whose matrix the entry with
-``len =`` in its place has as a ``len =`` output: a fact derived from an
-implied ``len != k`` is then implied by the one derived from ``len = n``.
-``test_learned_tables_keep_reduced_leaves_lossless`` checks that learned
-tables have that form and read every non-top argument of each entry; a
-hand-edited table that does not can lose precision but not soundness.
+Invariant fillable: a slot that cannot reach full rank is refused before
+it draws a sample (``FILLABLE``).  A ``len = c`` output needs both inputs
+``len = c``; a ``len != c`` output one ``len = c`` and one ``len != c``
+input, in either order; a ``char i = c`` output a first input ``char i =
+c``, or a first input ``len = c`` and a second ``char i = c``; no ``char
+i != c`` output is learned.  The rule is exact: an equality output is
+valid only where the inputs fix it, its length only when both lengths are
+fixed, its character only when the first input pins it or the first
+length is fixed and the second input pins it.  A ``len !=`` row of the
+counterfactual pairing (``generate_examples``) is never valid without a
+``len !=`` input, since the sampled pair is a counterexample; in the
+other refused pairs every valid row has the ``len !=`` constant 0, so that
+column stays zero.  Each slot draws from its own child oracle, so
+skipping a refused slot's draws changes no other slot.
+
+Invariant normalized-table: a table never changes and stores only
+entries with outputs, and it drops an output that the entry with ``top``
+in place of an argument it does not read also has (less that argument's
+zero columns).  No derived state changes: every state has the top kind,
+so both entries are read together, and the other entry has fewer non-top
+inputs, so a chain of such matches ends at a kept output.  The drops are
+decided on the given entries together, so building a table from
+another's entries changes nothing; a missing entry derives nothing, so
+the empty table is the all-top table.
+
+Invariant reduced-leaves: the synthesizer abstracts leaves without the
+inequality facts their equality facts imply (``best_abstraction``), which
+is sound under any table: a subset of the true input facts maps to a
+subset of the derived facts.  It loses nothing when no entry with a
+``char !=`` input has an output, and each output of an entry with a
+``len !=`` input is a ``len !=`` output, injective in that constant, whose
+matrix the entry with ``len =`` in its place has as a ``len =`` output: a
+fact derived from an implied ``len != k`` is then implied by the one
+derived from ``len = n``.  Learned tables have that form; a hand-edited
+table that does not can lose precision but not soundness.
 """
 
 from __future__ import annotations
@@ -135,9 +171,8 @@ def solve_linear(basis: dict[int, list[int]]) -> Optional[Matrix]:
 
 
 def apply_affine(p: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
-    """Map the integer constants ``vec`` (ending in 1) through ``p``.
-
-    ``counterexample`` calls it; the synthesizer computes the same map inline."""
+    """Map the integer constants ``vec`` (ending in 1) through ``p``; only
+    ``counterexample`` calls it."""
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in p)
 
 
@@ -287,7 +322,7 @@ def _rotated(items: list, cap: int, turn: int) -> list:
 
 
 # The input template pairs from which each output template can reach full
-# rank; every other slot is refused before sampling (see ``generate_examples``).
+# rank (invariant fillable).
 FILLABLE: dict[TemplateKind, frozenset[tuple[TemplateKind, TemplateKind]]] = {
     LEN_EQ: frozenset({(LEN_EQ, LEN_EQ)}),
     LEN_NEQ: frozenset({(LEN_EQ, LEN_NEQ), (LEN_NEQ, LEN_EQ)}),
@@ -303,41 +338,15 @@ def generate_examples(
 ) -> dict[int, list[int]]:
     """Sample valid concrete concat rows until their input constants have
     full column rank, and return the echelon basis of the rows for
-    ``solve_linear``.  Raises EmptySlot when the slot is refused, sampling
-    stalls or the budget is exhausted, or the system is inconsistent.
+    ``solve_linear``.  Raises EmptySlot when the slot is refused (invariant
+    fillable), sampling stalls or the budget is exhausted, or a row that
+    reduces to zero on A but not on B contradicts the rows before it.
 
-    Each valid row, its row of A (``_a_row``) followed by the output's
-    constants, is reduced once against the basis (``_reduce``).  A row
-    with a pivot on A's columns joins it, so the rank grows by one
-    reduction per row.  A row that reduces to zero on A but not on B
-    contradicts the rows before it: no affine map fits them all.
-
-    Rows for equality output templates pair the strongest abstractions of
-    the sampled values.  Rows for the length-inequality output are generated
-    by a counterfactual pairing: the forbidden output length is the one the
-    inputs' forbidden values would have produced, the forbidden length of a
-    ``len !=`` input and the length of any other.
-
-    A slot that cannot reach full rank is refused before any draw
-    (``FILLABLE``): a ``len = c`` output needs both inputs ``len = c``; a
-    ``len != c`` output needs one ``len = c`` and one ``len != c`` input, in
-    either order; a ``char i = c`` output needs a first input
-    ``char i = c``, or a first input ``len = c`` and a second input
-    ``char i = c``; a ``char i != c`` output is never generated.
-
-    The rule is exact.  ``top`` and ``char i != c`` admit every length,
-    ``len != y`` every length but y, ``char i = c`` every length above i,
-    and ``len = n`` only n; the characters at unconstrained positions are
-    free, as ``row_valid`` assumes an unbounded alphabet.  So an equality
-    output is valid only where the inputs fix it: its length only when both
-    lengths are fixed, its character only when the first input pins it or
-    the first length is fixed and the second input pins it.  A ``len !=``
-    row built by the counterfactual pairing is never valid without a
-    ``len !=`` input, since the sampled pair is itself a counterexample.
-    In the other refused pairs every valid row has the ``len !=`` constant
-    0, so that column stays zero and the rank below full.  A refused slot
-    thus always ended in EmptySlot, and as each slot draws from its
-    own child oracle, skipping its draws changes no other slot.
+    Rows for equality outputs pair the strongest abstractions of the
+    sampled values.  Rows for a ``len !=`` output use a counterfactual
+    pairing: the forbidden output length is the one the inputs' forbidden
+    values would have produced, the forbidden length of a ``len !=`` input
+    and the length of any other.
     """
     if chis not in FILLABLE.get(chi0, ()):
         raise EmptySlot(f"{inputs_text(chis)} -> {template_to_text(chi0)} cannot reach full rank")
@@ -383,9 +392,8 @@ def generate_examples(
 
 
 # ---------------------------------------------------------------------------
-# Candidate validity (the final soundness gate for a learned affine map),
-# decided for all constants: a character code is in 0..sys.maxunicode and
-# every other constant is a nonnegative integer.
+# Candidate validity, the soundness gate for a learned affine map (invariant
+# exact-check).
 
 # An instantiation at which a transformer fails: its input predicates and
 # the output constants its matrix maps them to.
@@ -394,9 +402,8 @@ Counterexample = tuple[tuple[ConcretePredicate, ...], tuple[int, ...]]
 
 def char_eq_rule(inputs: tuple[TemplateKind, ...], m: Matrix) -> Optional[str]:
     """The rule that the ``char =`` output with matrix ``m`` over ``inputs``
-    is: "copy" (first input ``char =``, ``[[1, 0, 0...], [0, 1, 0...]]``),
-    "shift" (``(len =, char =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``), or None
-    for any other shape, none of which is sound (``check_valid``)."""
+    is, "copy" or "shift", or None for any other shape (invariant
+    copy-or-shift)."""
     zeros = (0,) * (len(m[0]) - 2)
     if inputs[0] is CHAR_EQ and m == ((1, 0, *zeros), (0, 1, *zeros)):
         return "copy"
@@ -411,53 +418,14 @@ def check_valid(
     p_matrix: Matrix,
 ) -> bool:
     """Whether the concat transformer ``chis -> chi0`` with matrix ``p_matrix``
-    is sound: at every instantiation of the input templates, the output the
-    matrix maps the constants to holds of a + b for all strings a and b of
-    the inputs.  ``counterexample`` names an instantiation where it fails.
-
-    The inputs of an instantiation are always satisfiable.  Each admits a
-    set of lengths, ``len = n`` only n, ``len != n`` all but n, ``char i =
-    c`` every length above i, ``top`` and ``char i != c`` every length, and
-    every character is free but the one a ``char i = c`` input pins at
-    index i of its own string (``row_valid`` assumes an unbounded alphabet).
-    The instantiations hold 0 and every unit vector of constants, and two
-    affine maps that agree there are equal.
-
-    ``char =`` output: sound iff it is the copy or the shift
-    (``char_eq_rule``).  A character of a + b is pinned only at index i
-    under a first input ``char i = c``, to c, or at n + j under ``(len =
-    n),(char j = d)``, to d: anywhere else the character is free or the
-    index may lie past the end, as the length of a is not fixed.  So a sound
-    matrix maps every instantiation to that pinned fact, and only the copy
-    or the shift does; under any other pair nothing is sound.
-
-    ``len =`` output: sound iff the inputs are ``(len =, len =)`` and the
-    matrix is ``[[1, 1, 0]]``.  Any other input admits two lengths, so the
-    length of a + b is not fixed.  Under ``(len = n),(len = m)`` it is n + m,
-    and the only affine map equal to n + m on N² is that one.
-
-    So an unsound ``char =`` or ``len =`` matrix fails at 0 or at a unit
-    vector, and ``counterexample`` finds it there with ``row_valid``.
-
-    ``len !=`` output, ``len(a + b) != e`` with e affine in the constants:
-    unsound iff some instantiation admits lengths la and lb with la + lb =
-    e.  The lengths an input admits are one interval, or two for ``len !=
-    n`` ([0, n - 1] when n >= 1, and [n + 1, ∞)), with bounds affine in its
-    constants, and the sums of two nonempty intervals are the interval of
-    the sums of their bounds.  So it is unsound iff, for one of at most four
-    choices of pieces, ``lo1 + lo2 <= e <= hi1 + hi2`` has a solution in
-    integer constants, an exact integer problem in at most 4 unknowns
-    (``_len_neq_refutation``).
-
-    A ``top`` output is sound.  A ``char !=`` output raises ValueError:
-    training fills none (``FILLABLE``) and ``TransformerTable`` refuses one.
-    """
+    is sound at every instantiation of its input templates (invariant
+    exact-check).  Raises ValueError on a ``char !=`` output."""
     return counterexample(chis, chi0, p_matrix) is None
 
 
 def counterexample(chis: tuple[TemplateKind, ...], chi0: TemplateKind, p_matrix: Matrix) -> Optional[Counterexample]:
     """An instantiation at which the transformer fails, or None when it is
-    sound; ``check_valid`` gives the decision and its proof."""
+    sound (invariant exact-check)."""
     if chi0 is TOP:
         return None
     if chi0 is LEN_NEQ:
@@ -503,7 +471,7 @@ _LENGTHS = {
 
 def _len_neq_refutation(chis: tuple[TemplateKind, ...], e: Sequence[int]) -> Optional[list[int]]:
     """Constants at which the inputs ``chis`` admit a + b with ``len(a + b)``
-    equal to the affine row ``e`` over them, or None (``check_valid``)."""
+    equal to the affine row ``e`` over them, or None (invariant exact-check)."""
     cols = (0, chis[0].holes)
     most = [None] * (len(e) - 1)
     for col, kind in zip(cols, chis):
@@ -635,40 +603,20 @@ def inputs_text(kinds: Iterable[TemplateKind]) -> str:
 
 
 class TransformerTable:
-    """Concat transformers keyed by their pair of input templates.
+    """Concat transformers keyed by their pair of input templates, built once
+    and normalized (invariant normalized-table).
 
-    Built once from its entries, empty or not, and never changed.  Raises
-    ValueError unless each entry has two input templates, its matrices map
-    their constants (plus 1) to the output holes, no output is ``top`` or
-    ``char !=``, and no other entry has the same inputs.  A ``top`` output
-    derives nothing.  A ``char !=`` output is never learned (``FILLABLE``
-    has none) and ``check_valid`` does not decide one; unsound ones are
-    easy to write, such as ``(char i = c),top -> (char i != c)`` with
-    ``[[1, 0, 0], [0, 0, 0]]``, which says a[i] is not U+0000.
-
-    The entries are normalized as they are given.  Every state has the top
-    kind, so an entry is always read together with the entry that has
-    ``top`` in place of one of its arguments.  An output that reads none of
-    that argument's holes, and that this other entry has too (less the
-    argument's zero columns), derives nothing more and is dropped.  That
-    entry has fewer non-top inputs, so a chain of such matches ends at an
-    output that is kept: the drops are decided on the given entries
-    together, and whatever is dropped is still derived.  So building a
-    table from another's entries changes nothing.  ``entries`` holds only
-    the entries left with outputs, in sorted key order.  A missing entry
-    derives nothing, so ``lookup`` returns None for it and the empty table
-    is the all-top table.
-
-    Each ``char =`` output is compiled once: a copy (first input ``char
-    =``, matrix ``[[1, 0, 0...], [0, 1, 0...]]``) keeps the left character
-    facts, and ``copies`` lists its second inputs; the shift (``(len =, char
-    =)``, ``[[1, 1, 0, 0], [0, 0, 1, 0]]``) moves the right ones by the left
-    length.  Any other shape raises ValueError (``char_eq_rule``), and none
-    is sound: the only sound ``char =`` fact is the character an input
-    pins, kept in place or moved by the left length (``check_valid`` gives
-    the proof).  ``affine`` holds the ``len =`` and ``len !=`` outputs.
-
-    ``keeps_exact``: it has the ``len =`` sum, the top copy and the shift.
+    Raises ValueError unless each entry has two input templates, its
+    matrices map their constants (plus 1) to the output holes, no output is
+    ``top`` or ``char !=``, no two entries have the same inputs, and each
+    ``char =`` output is the copy or the shift (invariant copy-or-shift).  A
+    ``top`` output derives nothing, and a ``char !=`` one is easy to write
+    unsound, such as ``(char i = c),top -> (char i != c)`` with ``[[1, 0,
+    0], [0, 0, 0]]``, which says a[i] is not U+0000.  ``copies`` lists the
+    second inputs of the copies, ``shift`` says whether the shift is there,
+    ``affine`` holds the other outputs, and ``keeps_exact`` says whether it
+    has the ``len =`` sum, the top copy and the shift (invariant
+    exact-states).
     """
 
     def __init__(self, transformers: Iterable[Transformer] = ()):
@@ -717,7 +665,8 @@ class TransformerTable:
 
 def _found_at_top(given: dict, inputs: tuple[TemplateKind, TemplateKind], output: tuple[TemplateKind, Matrix]) -> bool:
     """Whether the given entry with ``top`` in place of an argument that
-    ``output`` of entry ``inputs`` does not read has it too (``TransformerTable``)."""
+    ``output`` of entry ``inputs`` does not read has it too (invariant
+    normalized-table)."""
     chi, matrix = output
     start = 0
     for j, x in enumerate(inputs):
@@ -749,13 +698,10 @@ def learn_transformers(
 ) -> TransformerTable:
     """Build the full concat transformer table for the given abstract domain.
 
-    One transformer per pair of input templates; each candidate output
-    template is fitted by exact linear solving over generated examples and
-    kept only if ``check_valid`` accepts it.  Slots are seeded individually
-    so results are reproducible, and kept in ``cache`` by slot.  The table
-    normalizes the entries (``TransformerTable``): an output that a more
-    general entry already derives is not in it, and neither is an entry
-    without outputs.
+    Each slot's output is fitted over generated examples and kept only if
+    ``check_valid`` accepts it; slots are seeded individually and kept in
+    ``cache`` by slot.  The table normalizes the entries (invariant
+    normalized-table).
     """
     templates = sorted(set(templates))
     entries = []

@@ -118,7 +118,7 @@ class TestRank:
         assert sorted(keys) == sorted(keys, reverse=True)[::-1]
 
     def test_matches_enumeration_order(self, monkeypatch):
-        # Oracle: the reference search (``oracles.reference_search``)
+        # (invariant rank-order) Oracle: the reference search (``oracles.reference_search``)
         # enumerates in ranking order, duplicates included, and the
         # synthesizer's run pools, in order, what it keeps (the run and the
         # reference return the same outcomes, see ``TestBulkRuns``).  Under

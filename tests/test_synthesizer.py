@@ -566,7 +566,8 @@ def watch_gamma_contains(monkeypatch, synth) -> SimpleNamespace:
 
 
 class TestStateVectorCache:
-    """The registry and the concat cache give what a fresh evaluation gives."""
+    """The registry and the concat cache give what a fresh evaluation gives
+    (invariant registry)."""
 
     @pytest.fixture
     def domains(self, trained, table_a1, table_a2):
@@ -723,6 +724,9 @@ WIDE_EXAMPLES = st.lists(
 
 
 class TestPositionTable:
+    """Substring leaves come from the resolved position table (invariant
+    position-table)."""
+
     @settings(max_examples=60, deadline=None)
     @given(EXAMPLES)
     @example([("a.b", "b"), ("ab", "a")])  # "." has no occurrence in the second input
@@ -831,7 +835,8 @@ class TestLazyNode:
 class TestRecords:
     def test_records_are_untracked_by_the_collector(self, monkeypatch):
         # A record holding a node, a state or any class instance stays
-        # tracked, and every full collection then walks the pools.
+        # tracked, and every full collection then walks the pools
+        # (invariant records).
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
         task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
         synth = Synthesizer(task, [TOP], TransformerTable())
@@ -901,7 +906,8 @@ def reduced_and_unreduced(data, table):
 
 class TestReducedLeaves:
     """Leaves are always in reduced form.  That is sound under any table, and
-    under the learned tables it keeps the concretization of the full leaves."""
+    under the learned tables it keeps the concretization of the full leaves
+    (invariant reduced-leaves)."""
 
     def test_closed_table_reduces_leaves(self, table_a2):
         # The leaf is exact, and best_abstraction, which the synthesizer
@@ -948,6 +954,9 @@ class TestReducedLeaves:
 
 
 class TestNormalizedTableIsExact:
+    """Normalizing a table changes no derived state (invariant
+    normalized-table)."""
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_normalizing_keeps_every_derived_state(self, table_a2, data):
@@ -1039,7 +1048,8 @@ def run_states(synth) -> list:
 
 
 class TestExactStates:
-    """Under a table that keeps exactness, a state that pins its value is that ``str``."""
+    """Under a table that keeps exactness, a state that pins its value is that
+    ``str`` (invariant exact-states)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 705])
     def test_learned_tables_keep_exactness_and_need_all_three_entries(self, trained_at, seed):
@@ -1139,7 +1149,8 @@ def check_against_the_reference(task, templates, table, require_correct, pools) 
 class TestBulkRuns:
     """In both modes, a run of concatenations whose vectors are all cached,
     or whose records are all exact, and none of which is the outputs is
-    taken in bulk."""
+    taken in bulk (invariant bulk-runs); a deadline cuts a run at a multiple
+    of 256 (invariant budget-cut)."""
 
     @pytest.fixture
     def domains(self, trained, table_a1):
@@ -1206,7 +1217,7 @@ class TestBulkRuns:
         return watched
 
     def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
-        # Under the length table without require_correct, a candidate taken
+        # (invariant budget-cut) Under the length table without require_correct, a candidate taken
         # one at a time that is neither a repeat nor pruned is judged.
         _, task = load_task(corpus_dir() / "e3.json", 14, 200_000, 1)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
@@ -1233,7 +1244,8 @@ class TestBulkRuns:
         assert judged.count == judged_before[0]
 
     def test_a_deadline_passed_inside_a_run_taken_candidate_by_candidate_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
-        # PHONES has no solution, so only the deadline ends the run early.
+        # (invariant budget-cut) PHONES has no solution, so only the deadline
+        # ends the run early.
         task = SynthesisTask(examples=PHONES.examples, timeout_ms=1_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
         watched = self.late_run(
@@ -1285,7 +1297,8 @@ class TestBulkRuns:
 
     def test_a_level_the_budget_cuts_is_not_pooled(self):
         # Under top every new value embeds, so every level a later level reads
-        # is pooled; the budget ends the run inside the last one.
+        # is pooled; the budget ends the run inside the last one (invariant
+        # pooled-levels).
         _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 20_000, None)
         synth = Synthesizer(task, [TOP], TransformerTable())
         seen = watch_run(synth)
@@ -1305,7 +1318,8 @@ class TestEmptySizes:
         # One input with two outputs: nothing is accepted, and the seed-0
         # bundle pools no candidate past size 4.  The run stops at the first
         # size no two pools can fill, with the counts it has at any size
-        # limit past it, and does not walk the sizes up to the limit.
+        # limit past it, and does not walk the sizes up to the limit
+        # (invariant pooled-levels).
         results = []
         for max_size in (14, 30, 10**9):
             task = SynthesisTask(examples=(("a", "x"), ("a", "y")), max_ast_size=max_size, timeout_ms=1000)
@@ -1326,6 +1340,9 @@ SMALL_EXAMPLES = st.lists(
 
 
 class TestReferenceSearch:
+    """``run`` returns and pools what a search in rank order does (invariant
+    rank-order)."""
+
     @pytest.mark.parametrize("domain", ["top", "seed-0"])
     @settings(max_examples=100, deadline=None)
     @given(

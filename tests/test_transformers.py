@@ -289,6 +289,9 @@ def all_rows(chis, chi0, strings, pool):
 
 
 class TestFillable:
+    """``FILLABLE`` refuses exactly the slots that cannot reach full rank
+    (invariant fillable)."""
+
     def test_rule_is_exact_on_small_strings(self):
         """For every output that is generated, the rows from every pair of
         strings of length <= 3 over "ab" reach full rank exactly when
@@ -343,6 +346,9 @@ def valid_over_box(chis, chi0, p, bound):
 
 
 class TestCheckValid:
+    """``check_valid`` decides soundness for all constants, and
+    ``counterexample`` names where it fails (invariant exact-check)."""
+
     def test_sum_matrix_is_valid(self):
         p = as_matrix([[1, 1, 0]])
         assert check_valid((LEN_EQ, LEN_EQ), LEN_EQ, p)
@@ -488,7 +494,8 @@ def copy_matrix(width):
 
 class TestCharEqShapes:
     """Every ``char =`` output that passes ``check_valid`` is a copy or a
-    shift, the two rules ``TransformerTable`` compiles."""
+    shift, the two rules ``TransformerTable`` compiles (invariant
+    copy-or-shift)."""
 
     def test_check_valid_accepts_only_copy_and_shift(self):
         # Entries in {-1, 0, 1}; in {0, 1} for the wide matrices of pairs
@@ -593,6 +600,9 @@ def concat_table(*entries):
 
 
 class TestNormalizedTable:
+    """Tables keep only the outputs no entry with ``top`` in place of an
+    unread argument has (invariant normalized-table)."""
+
     def test_learned_tables_are_normalized(self, table_a1, table_a2, trained_at, tmp_path):
         path = tmp_path / "bundle.json"
         path.write_text(canonical_json(bundle_obj(trained_at[0].templates, trained_at[0].table, 0, ["e1", "e2", "e3"])))
@@ -671,8 +681,8 @@ def test_learned_tables_keep_reduced_leaves_lossless(training_problems, learn_en
 
     - reads every non-top argument of each entry in some output, so
       ``apply_transformer`` maps no selection it could have collapsed;
-    - has the form under which reduced leaves lose nothing (the
-      ``transformers`` module docstring): no entry with a ``char !=`` input
+    - has the form under which reduced leaves lose nothing (invariant
+      reduced-leaves): no entry with a ``char !=`` input
       has an output, and each output of an entry with a ``len !=`` input is
       a ``len !=`` output with a nonzero coefficient on that constant whose
       matrix the entry with ``len =`` in its place has as a ``len =`` output.
