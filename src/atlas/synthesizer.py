@@ -21,14 +21,13 @@ that ``str``, and a record is exact when its vector is its values.  Under
 a table that ``keeps_exact`` (the ``len =`` sum, the copy with second
 input ``top`` and the shift) and templates with ``len =`` and ``char =``,
 the leaves up to the pool's index prefix from 0 are pinned whole.  A
-sound table derives only facts of ``a + b``, and those entries pin all of
-it, so two exact states give their concatenation; an exact state beside
-an ``AbstractValue`` is widened.  On a ``str``, ``state_embeds`` is
-``in`` and ``gamma_contains`` is ``==``; a sound state's concretization
-holds its value, so with ``require_correct`` a candidate is accepted iff
-its values equal the outputs.  Only an exact record has a vector of
-``str`` states (``state_of`` never returns one), and two exact records
-concatenate to an exact one.
+sound table derives only facts of ``a + b``, which those entries pin, so
+two exact records concatenate to an exact one; an exact state beside an
+``AbstractValue`` is widened.  Only an exact record has a vector of
+``str`` states (``state_of`` never returns one).  On a ``str``,
+``state_embeds`` is ``in`` and ``gamma_contains`` is ``==``, so an exact
+candidate is accepted, in both modes, iff its values are the outputs; a
+sound state holds its value, so with ``require_correct`` any is.
 
 Invariant records: a candidate is a tuple ``(values, sid, left, right)``:
 its values (a ``str`` per example), its vector's registry id or None, and
@@ -40,7 +39,7 @@ untracks them and a full collection does not walk the pools.  So vectors
 live in the registry, ``_node`` builds only the returned program's AST,
 and a run's values are built a column per example before its records.  A
 run of ``_batch`` is ``(values, sids, left, kids)``, one item per record
-in rank order: its records are ``zip(values, sids, repeat(left), kids)``.
+in rank order, or sids None when the run is exact (invariant bulk-runs).
 
 Invariant registry: a candidate's state vector determines all its
 abstract work, since a concatenation's states depend only on its
@@ -49,26 +48,26 @@ the outputs.  Each ``run`` keeps in locals a registry that gives each
 vector that embeds on every example an int id, and a cache from child-id
 pairs to their concatenation's id; no ``Synthesizer`` holds them between
 runs.  ``_batch`` gives a concatenation its pair's cached id when it makes
-the run, else None, and every leaf None.  Unless its run is taken in
-bulk, a candidate with None is derived after the dedup check, one example
-at a time, and pruned at the first state that does not embed its output
-(an output in a concretization embeds at offset 0, so it could not be
-accepted); else its vector is registered, with its pair, and the
-candidate judged.  A pair cached within a run is derived again by later
-candidates of that run.
+the run, else None, and a leaf None.  Unless taken in bulk, a candidate
+with None is derived after the dedup check, one example at a time, and
+pruned at the first state that does not embed its output (an output in a
+concretization embeds at offset 0, so it could not be accepted); else its
+vector is registered, with its pair, and the candidate judged.  A pair
+cached within a run is derived again by later candidates of that run.
 
-Invariant bulk-runs: a concatenation run pairs one left record with a
-slice of a pool, and is exact, with sids None, when all of them are
-exact.  When a run is exact or has every child-id pair cached, and some
-output does not start with the left value on its example, no candidate
-of it can be accepted in either mode: none of its values are the
-outputs, an exact vector describes its values alone, and a cached vector
-is one this run judged and did not accept.  ``run`` takes such a run with
-set and list operations: it counts and dedups the candidates and pools
-the new ones; of an exact run it first prunes each whose values are not
-all substrings of their outputs, and registers the rest.  It caches no
-exact pair, since values are deduped.  Other runs are taken one
-candidate at a time.
+Invariant bulk-runs: a run is exact, with sids None, when all its
+records are: a leaf run when no value is longer than the leaves pinned
+whole, a concatenation run (a left record and a slice of a pool) when its
+left record and slice are.  Of an exact run only the first candidate
+whose values are the outputs can be accepted (invariant exact-states); of
+a run whose child-id pairs are all cached, none when some output does not
+start with the left value, as a cached vector is one this run judged and
+did not accept.  ``run`` takes such a run up to that candidate with set
+and list operations: it counts, dedups in order (a leaf run can repeat a
+value) and pools the new candidates; of an exact run it first prunes
+each whose values are not all substrings of their outputs, and registers
+the rest, caching no pair.  The rest is taken one at a time, with that
+candidate's values as its vector, as is every other run.
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -89,7 +88,8 @@ Invariant position-table: positions are plain literals in rank order,
 At size 4 they are resolved once, into a row of boundaries for each
 position that is a boundary of every input, as ``dsl.resolve_position``
 gives it; a ``substr`` leaf pairs two rows whose windows do not run
-backwards on any input, and its values are slices.
+backwards on any input, and its values are slices.  Equal rows give equal
+windows, so each distinct pair's is built once and shared.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add, getitem, itemgetter, le, mul, not_
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from . import dsl
@@ -325,10 +325,9 @@ class Synthesizer:
         return dsl.concat(self._node(rec[2]), self._node(rec[3]))
 
     def _derive(self, rec: tuple, vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
-        """The states of record ``rec``, derived one example at a time up to
-        the first that does not embed its output, and whether every state
-        embeds; ``vectors`` holds the run's vectors by id (invariant
-        registry)."""
+        """The states of record ``rec`` up to the first that does not embed
+        its output, and whether all embed; ``vectors`` holds the run's
+        vectors by id (invariant registry)."""
         if rec[2] is None:
             derived = map(self._abstract_value, rec[0])
         else:
@@ -347,12 +346,10 @@ class Synthesizer:
         ``RUN`` records (invariant records).  ``pools`` holds the kept
         records of each smaller size; ``concats`` and ``vectors`` are the
         run's cache of child-id pairs and its vectors by id (invariant
-        registry).  A concatenation run is exact when all its records are
-        (invariant bulk-runs), and the substrings pair the rows of
-        ``_position_table`` (invariant position-table)."""
-        inputs = self.inputs
+        registry)."""
+        inputs, exact_len = self.inputs, self._exact_len
         if size == 1:
-            yield from _leaf_runs([(inputs, 0), *(((s,) * len(inputs), i) for i, s in enumerate(self.consts, 1))])
+            yield from _leaf_runs([inputs, *((s,) * len(inputs) for s in self.consts)], range(1 + len(self.consts)), exact_len)
             return
         for sa in range(1, size - 1):
             if not pools[sa]:
@@ -372,24 +369,29 @@ class Synthesizer:
                     values = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
                     yield values, None if a_exact and exact else list(map(concats.get, zip(repeat(a_sid), b_sids))), a, part
         if size == 4:
-            base, width = 1 + len(self.consts), len(self.positions)
-            rows = self._position_table()
-            yield from _leaf_runs(
-                (tuple(map(getitem, inputs, map(slice, r1, r2))), base + k1 * width + k2)
-                for k1, r1 in rows
-                for k2, r2 in rows
-                if all(map(le, r1, r2))
-            )
+            yield from _leaf_runs(*self._substring_leaves(), exact_len)
+
+    def _substring_leaves(self) -> tuple[Iterator[tuple[str, ...]], Iterator[int]]:
+        """The values and the leaf indexes of the ``substr`` leaves, in rank
+        order (invariant position-table)."""
+        inputs, rows, width = self.inputs, self._position_table(), len(self.positions)
+        ends, indexes = [r for _, r in rows], [1 + len(self.consts) + k for k, _ in rows]
+        # By distinct row: its windows to each distinct row, then to every
+        # row; None where one runs backwards.
+        distinct = set(ends)
+        windows = {r1: {r2: tuple(map(getitem, inputs, map(slice, r1, r2))) if all(map(le, r1, r2)) else None for r2 in distinct} for r1 in distinct}
+        windows = {r1: list(map(by_end.__getitem__, ends)) for r1, by_end in windows.items()}
+        values = chain.from_iterable(compress(windows[r1], windows[r1]) for r1 in ends)
+        return values, chain.from_iterable(compress(map(add, repeat(k1 * width), indexes), windows[r1]) for k1, r1 in rows)
 
     def run(self, require_correct: bool = False) -> SynthResult:
         """Enumerate in rank order until a candidate is accepted, the budget
         or the deadline is passed, or the sizes run out.  With
         ``require_correct`` a candidate is accepted only when its values are
         the outputs.  The run keeps its own registry (invariant registry),
-        takes the runs of ``_batch`` that cannot be accepted in bulk
-        (invariant bulk-runs), cuts at the budget and the deadline
-        (invariant budget-cut), and pools only the levels a later size
-        reads (invariant pooled-levels)."""
+        takes in bulk what cannot be accepted (invariant bulk-runs), cuts at
+        the budget and the deadline (invariant budget-cut), and pools only
+        the levels a later size reads (invariant pooled-levels)."""
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
@@ -432,12 +434,18 @@ class Synthesizer:
                             last, reason = tick, "timeout"
                     if reason is not None:
                         values = values[: last - enumerated - 1]
-                    if left is not None and (sids is None or None not in sids) and not all(map(str.startswith, outputs, left[0])):
+                    rest = ()  # the values, sids and kids taken one at a time
+                    if sids is None and outputs in values:
+                        # Taken one at a time from the one candidate that can
+                        # be accepted (invariant bulk-runs).
+                        n = values.index(outputs)
+                        rest = values[n:], [register(outputs), *repeat(None, len(values) - n - 1)], kids[n:]
+                        values = values[:n]
+                    if sids is None or None not in sids and not all(map(str.startswith, outputs, left[0])):
                         # No candidate can be accepted (invariant bulk-runs).
-                        # The values of a run are distinct, as its pool's are.
                         enumerated += len(values)
-                        repeated = list(map(seen.__contains__, values))
-                        seen.update(values)
+                        # In order, as a leaf run can repeat a value.
+                        repeated = [v in seen or seen.add(v) for v in values]
                         dups = repeated.count(True)
                         deduped += dups
                         fresh = map(not_, repeated)
@@ -450,28 +458,29 @@ class Synthesizer:
                         if pooled:
                             kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
                     else:
-                        for v, sid, right in zip(values, repeat(None) if sids is None else sids, kids):
-                            enumerated += 1
-                            if v in seen:
-                                deduped += 1
+                        rest = values, sids, kids
+                    for v, sid, right in zip(*rest):
+                        enumerated += 1
+                        if v in seen:
+                            deduped += 1
+                            continue
+                        seen.add(v)
+                        if sid is None:
+                            # Pruned when a state does not embed (invariant registry).
+                            states, embeds = self._derive((v, None, left, right), vectors)
+                            if not embeds:
+                                pruned += 1
                                 continue
-                            seen.add(v)
-                            if sid is None:
-                                # Pruned when a state does not embed (invariant registry).
-                                states, embeds = self._derive((v, None, left, right), vectors)
-                                if not embeds:
-                                    pruned += 1
-                                    continue
-                                sid = register(states)
-                                if left is not None:
-                                    concats[left[1], right[1]] = sid
-                            rec = (v, sid, left, right)
-                            if (not require_correct or v == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
-                                result.program = Program(self._node(rec))
-                                result.correct = v == outputs
-                                return result
-                            if pooled:
-                                kept.append(rec)
+                            sid = register(states)
+                            if left is not None:
+                                concats[left[1], right[1]] = sid
+                        rec = (v, sid, left, right)
+                        if (not require_correct or v == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
+                            result.program = Program(self._node(rec))
+                            result.correct = v == outputs
+                            return result
+                        if pooled:
+                            kept.append(rec)
                     if reason is not None:
                         result.reason, enumerated = reason, last
                         return result
@@ -483,10 +492,11 @@ class Synthesizer:
             result.wall_us = (time.perf_counter_ns() - start) // 1000
 
 
-def _leaf_runs(leaves: Iterable[tuple[tuple[str, ...], int]]) -> Iterator[tuple]:
-    """Runs of at most ``RUN`` of ``leaves``, each a pair of values and leaf
-    index, taken as each run is asked for (invariant records)."""
-    leaves = iter(leaves)
-    while chunk := list(islice(leaves, RUN)):
-        values, kids = zip(*chunk)
-        yield list(values), [None] * len(values), None, kids
+def _leaf_runs(values: Iterable[tuple[str, ...]], kids: Iterable[int], exact_len: int) -> Iterator[tuple]:
+    """Runs of at most ``RUN`` leaves, cut from their values and leaf
+    indexes as each run is asked for (invariant records); exact, with sids
+    None, when no value is longer than ``exact_len`` (invariant bulk-runs)."""
+    values, kids = iter(values), iter(kids)
+    while chunk := list(islice(values, RUN)):
+        exact = max(map(len, chain.from_iterable(chunk))) <= exact_len
+        yield chunk, None if exact else [None] * len(chunk), None, list(islice(kids, RUN))

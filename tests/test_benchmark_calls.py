@@ -91,13 +91,15 @@ def test_traced_train_pass(worker):
         "transformers.solve_linear",
         "transformers.check_valid",
         "interpolation.learn_abstract_domain",
+        "synthesizer.apply_transformer",
+        "synthesizer.state_embeds",
     ):
         assert tracer.stats[name].calls > 0, name
 
 
-def check_traced_synth_pass(worker, monkeypatch, workload, bundle=None):
-    """Drive one traced ``worker.synth`` pass over two quick eval tasks and
-    check its programs and its hot spans.
+def check_traced_synth_pass(worker, monkeypatch, workload, bundle=None, extra=()):
+    """Drive one traced ``worker.synth`` pass over two quick eval tasks, and
+    the task files ``extra``, and check its programs and its hot spans.
 
     A refactor that moved a hot call out of the tracer's reach would leave
     its span empty here.
@@ -105,11 +107,11 @@ def check_traced_synth_pass(worker, monkeypatch, workload, bundle=None):
     from spans import Tracer
 
     satisfies = bench_module("check").satisfies
-    paths = [corpus_dir() / f"{name}.json" for name in ("eval_backup", "eval_quote")]
+    paths = [corpus_dir() / f"{name}.json" for name in ("eval_backup", "eval_quote")] + list(extra)
     monkeypatch.setattr(worker, "task_paths", lambda workload: paths)
     with Tracer("atlas").installed(worker.TARGETS) as tracer:
         result = worker.synth(atlas, worker_args(workload, bundle=bundle, trace=True), tracer, time.perf_counter())
-    assert [row["task"] for row in result["rows"]] == ["eval_backup", "eval_quote"]
+    assert [row["task"] for row in result["rows"]] == [path.stem for path in paths]
     for row, path in zip(result["rows"], paths):
         examples = [(e["input"], e["output"]) for e in json.loads(path.read_text())["examples"]]
         assert row["program"] is not None and satisfies(row["program"], examples), row
@@ -122,7 +124,13 @@ def test_traced_synth_pass_under_the_top_table(worker, monkeypatch):
 
 
 def test_traced_synth_pass_under_a_trained_bundle(worker, monkeypatch, tmp_path):
-    # Under the bundle, the states reach the compiled rules and the embed test.
+    # Under the bundle, the states reach the compiled rules and the embed
+    # test.  The two eval tasks' values are all exact, so their runs are
+    # taken in bulk; the third task's inputs are longer than the leaves the
+    # bundle pins whole, so its concatenations go through the rules.
     bundle = tmp_path / "bundle.json"
     worker.train(atlas, worker_args("train", write_bundle=str(bundle)), None, time.perf_counter())
-    check_traced_synth_pass(worker, monkeypatch, "synth-bundle", str(bundle))
+    long_names = tmp_path / "long_names.json"
+    examples = [{"input": name, "output": f"{name}.bak"} for name in ("report-2019-final-v2.txt", "notes-on-the-meeting.md")]
+    long_names.write_text(json.dumps({"name": "long_names", "examples": examples}))
+    check_traced_synth_pass(worker, monkeypatch, "synth-bundle", str(bundle), [long_names])

@@ -412,38 +412,66 @@ def pooled_records(seen) -> list:
     return [rec for pool in seen.pools.values() for rec in pool]
 
 
-def exact_run_candidates(synth, seen, result) -> list:
-    """``(record, embeds)`` for each new candidate of the exact runs (sids
-    None) that the run ``seen`` watched took with set operations
-    (``takes_bulk``), in order, up to the last candidate it took past the
-    dedup check.  ``embeds`` says whether each of its values is a substring
-    of its output, as its vector is its values.  A candidate is new when no
-    earlier one of the run has its values."""
-    taken, known, n = [], set(), result.enumerated - (result.reason == "candidate-budget")
-    for run in seen.runs:
-        values, sids, left, kids = run
-        values = values[:n]
-        n -= len(values)
-        bulk = sids is None and takes_bulk(synth, run)
-        for v, kid in zip(values, kids):
-            if bulk and v not in known:
-                taken.append(((v, None, left, kid), not not_substrings(v, synth.outputs)))
-            known.add(v)
-    return taken
+def watch_bulk_tests(monkeypatch, synth, seen) -> list:
+    """Replace the synthesizer module's ``state_embeds`` by a wrapper, so
+    that a later ``synth.run()``, watched by ``seen`` (``watch_run``), leaves
+    in the returned list ``[record, embeds]`` for each candidate it tested
+    outside ``_derive``, in order: the new candidates of the exact runs it
+    took with set operations (invariant bulk-runs).  A test calls
+    ``state_embeds`` on the candidate's values, one example at a time up to
+    the first that does not embed.  Each tested candidate is matched to the
+    first record, in the order ``_batch`` yielded them, that is past the one
+    matched before and whose values no earlier record had; that record must
+    be in the run ``_batch`` yielded last and hold the values tested."""
+    tested, derive = [], synth._derive
+    at = SimpleNamespace(inside=False, run=0, index=0, example=0, known=set())
+
+    def deriving(rec, vectors):
+        at.inside = True
+        try:
+            return derive(rec, vectors)
+        finally:
+            at.inside = False
+
+    def embedding(state, out):
+        embeds = state_embeds(state, out)
+        if at.inside:
+            return embeds
+        if at.example == 0:
+            while True:
+                values, _, left, kids = seen.runs[at.run]
+                if at.index == len(values):
+                    at.run, at.index = at.run + 1, 0
+                    continue
+                v, kid = values[at.index], kids[at.index]
+                at.index += 1
+                if v not in at.known:
+                    at.known.add(v)
+                    if at.run == len(seen.runs) - 1:
+                        break
+            tested.append([(v, None, left, kid), True])
+        rec = tested[-1][0]
+        assert state == rec[0][at.example], print_program(Program(synth._node(rec)))
+        at.example += 1
+        if not embeds or at.example == len(synth.outputs):
+            tested[-1][1], at.example = embeds, 0
+        return embeds
+
+    monkeypatch.setattr(synthesizer, "state_embeds", embedding)
+    synth._derive = deriving
+    return tested
 
 
-def check_exact_run_candidates(synth, seen, result) -> list:
-    """The exact-run candidates of the run ``seen`` watched
-    (``exact_run_candidates``), after checking that each one's fresh states
-    hold its values and embed exactly when its values are substrings: so
-    each one the run pruned fails to embed."""
-    taken = exact_run_candidates(synth, seen, result)
-    for rec, embeds in taken:
+def check_bulk_tests(synth, tested) -> list:
+    """``tested`` (``watch_bulk_tests``), after checking that each tested
+    candidate's fresh states hold its values and embed exactly when the run
+    found its values embed: so each one the run pruned fails to embed."""
+    for rec, embeds in tested:
         node = synth._node(rec)
         fresh = fresh_states(synth, node)
         assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(node))
         assert embeds == all(map(state_embeds, fresh, synth.outputs)), print_program(Program(node))
-    return taken
+    return tested
 
 
 def outcome(r) -> tuple:
@@ -451,9 +479,10 @@ def outcome(r) -> tuple:
 
 
 class TestEnumeratorProperties:
-    def test_abstract_soundness_during_enumeration(self, table_a2):
+    def test_abstract_soundness_during_enumeration(self, table_a2, monkeypatch):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
         seen = watch_run(synth)
+        tested = watch_bulk_tests(monkeypatch, synth, seen)
         result = synth.run(require_correct=True)
         assert result.correct
         assert outcome(result) == outcome(reference_search(E2, FIVE_TEMPLATES, table_a2, True))
@@ -463,13 +492,13 @@ class TestEnumeratorProperties:
             assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(synth._node(rec)))
             assert embeds != last_fails_to_embed(derived, E2.outputs)
             pruned += not embeds
-        taken = check_exact_run_candidates(synth, seen, result)
+        taken = check_bulk_tests(synth, tested)
         pruned += sum(not embeds for _, embeds in taken)
         # A pooled record's registered vector is its fresh one, so it holds its value.
         for rec in pooled_records(seen):
             assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
         # The pruned candidates are those whose last derived state fails to
-        # embed and the exact-run candidates whose values are not substrings.
+        # embed and those tested in bulk that fail to embed.
         assert pruned == result.pruned_abstract > 0
         assert taken
 
@@ -593,6 +622,7 @@ class TestStateVectorCache:
         synth = Synthesizer(task, templates, table)
         seen = watch_run(synth)
         judged = watch_gamma_contains(monkeypatch, synth)
+        tested = watch_bulk_tests(monkeypatch, synth, seen)
         result = synth.run(require_correct=True)
         assert result.program is None
         assert outcome(result) == outcome(reference_search(task, templates, table, True))
@@ -611,19 +641,19 @@ class TestStateVectorCache:
                 embedding.add(derived)
                 if rec[2] is not None:
                     assert vectors[concats[rec[2][1], rec[3][1]]] == derived
-        # Each new candidate the run judged was derived, taken in an exact
-        # run, or made with its cached vector; over the budget, the last one
-        # is counted only.
-        taken = check_exact_run_candidates(synth, seen, result)
+        # Each new candidate the run judged was derived, tested in bulk, or
+        # made with its cached vector; over the budget, the last one is
+        # counted only.
+        taken = check_bulk_tests(synth, tested)
         judged = result.enumerated - (result.reason == "candidate-budget")
         reused = judged - result.deduped - len(seen.derived) - len(taken)
         assert reused > 0 or not reuses
         pruned = sum(not embeds for _, _, embeds in seen.derived) + sum(not embeds for _, embeds in taken)
         assert result.pruned_abstract == pruned
-        # An exact-run candidate that embeds is pooled, unless its level is
-        # not.  The registry interns every derived vector that embeds and
-        # the values of each pooled exact-run candidate, and only those, so
-        # each registered vector embeds.
+        # A candidate tested in bulk that embeds is pooled, unless its level
+        # is not.  The registry interns every derived vector that embeds and
+        # the values of each pooled candidate tested in bulk, and only those,
+        # so each registered vector embeds.
         pooled = {rec[0] for rec in pooled_records(seen)}
         exact = set()
         for rec, embeds in taken:
@@ -776,6 +806,37 @@ class TestPositionTable:
             if all(0 <= i <= len(x) for i, x in zip(row, task.inputs)):
                 want.append((k, row))
         assert synth._position_table() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.text(alphabet="aa.", max_size=20), st.text(alphabet="a.", max_size=3)), min_size=1, max_size=3))
+    @example([("a", "a"), ("a", ".")])  # every abspos past 1 is -1, and cpos a 1 is cpos a -1
+    @example([("a" * 20, "a"), ("a" * 9, "a")])  # runs of exact leaves and of longer ones
+    def test_leaf_runs_equal_every_pair_of_rows(self, trained, examples):
+        # Short inputs of few characters resolve many positions to the same
+        # boundaries; the runs are those of a plain enumeration of the pairs
+        # of rows, and a run is exact iff no value of it is longer than the
+        # leaves the bundle pins whole (invariant exact-states).
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=4)
+        synth = Synthesizer(task, trained.templates, trained.table)
+        rows, base, width = synth._position_table(), 1 + len(synth.consts), len(synth.positions)
+        want = [
+            (tuple(x[i:j] for x, i, j in zip(task.inputs, r1, r2)), base + k1 * width + k2)
+            for k1, r1 in rows
+            for k2, r2 in rows
+            if all(i <= j for i, j in zip(r1, r2))
+        ]
+        runs = list(synth._batch(4, {1: [], 2: []}, {}, []))
+        assert [leaf for run in runs for leaf in zip(run[0], run[3])] == want
+        assert [len(run[0]) for run in runs] == [len(want[i : i + 256]) for i in range(0, len(want), 256)]
+        for values, sids, left, _ in runs:
+            exact = max(len(s) for v in values for s in v) <= synth._exact_len
+            assert left is None and (sids is None if exact else sids == [None] * len(values))
+        # Leaves whose two rows are equal share one values tuple.
+        by_rows = {}
+        boundaries = dict(rows)
+        for values, index in (leaf for run in runs for leaf in zip(run[0], run[3])):
+            k1, k2 = divmod(index - base, width)
+            assert by_rows.setdefault((boundaries[k1], boundaries[k2]), values) is values
 
     def test_no_position_node_before_the_returned_program(self, monkeypatch, trained):
         want = parse_program("(substr (input) (abspos 0) (cpos 92 -1))")
@@ -1039,12 +1100,13 @@ def without(table, entry):
 
 
 def run_states(synth) -> list:
-    """Every state a ``require_correct`` run of ``synth`` held: those it
-    derived, which include every vector it registered and so every one it
-    took from its concat cache."""
+    """Every state a ``require_correct`` run of ``synth`` registered or
+    derived: the vectors it registered, which include the values of the
+    exact candidates it took in bulk, and the states of each record it
+    derived, pruned ones included."""
     seen = watch_run(synth)
     synth.run(require_correct=True)
-    return [s for _, states, _ in seen.derived for s in states]
+    return [s for states in seen.vectors for s in states] + [s for _, states, _ in seen.derived for s in states]
 
 
 class TestExactStates:
@@ -1098,11 +1160,12 @@ class TestExactStates:
 
 def takes_bulk(synth, run) -> bool:
     """Whether ``synth.run`` takes ``run``, a run of ``_batch``, with set
-    operations: it is a concatenation run whose vectors are all cached, or
-    an exact run (sids None), and some output does not start with its left
-    record's value."""
+    operations (invariant bulk-runs): an exact run (sids None), up to its
+    first candidate whose values are the outputs, or a concatenation run
+    whose vectors are all cached when some output does not start with its
+    left record's value."""
     values, sids, left, kids = run
-    return left is not None and (sids is None or None not in sids) and not all(map(str.startswith, synth.outputs, left[0]))
+    return sids is None or None not in sids and not all(map(str.startswith, synth.outputs, left[0]))
 
 
 def count_bulk_runs(synth) -> SimpleNamespace:
@@ -1147,10 +1210,10 @@ def check_against_the_reference(task, templates, table, require_correct, pools) 
 
 
 class TestBulkRuns:
-    """In both modes, a run of concatenations whose vectors are all cached,
-    or whose records are all exact, and none of which is the outputs is
-    taken in bulk (invariant bulk-runs); a deadline cuts a run at a multiple
-    of 256 (invariant budget-cut)."""
+    """In both modes, an exact run up to its candidate whose values are the
+    outputs, and a run of concatenations whose vectors are all cached and
+    none of which is the outputs, are taken in bulk (invariant bulk-runs);
+    a deadline cuts a run at a multiple of 256 (invariant budget-cut)."""
 
     @pytest.fixture
     def domains(self, trained, table_a1):
@@ -1265,13 +1328,14 @@ class TestBulkRuns:
         assert all(derived == watched.derived[n - 1] for n, derived in reads)
         assert reads[-1][0] == len(watched.items)
 
-    def test_exact_runs_are_taken_in_bulk(self, trained):
-        # Under the seed-0 bundle a concatenation of two exact records is
-        # derived only when its left value starts every output; every other
-        # one is taken in an exact run.
+    def test_exact_runs_are_taken_in_bulk(self, trained, monkeypatch):
+        # Under the seed-0 bundle no concatenation of two exact records is
+        # derived, not even one whose left value starts every output: it is
+        # taken in an exact run, and tested there.
         _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
         synth = Synthesizer(task, trained.templates, trained.table)
         seen = watch_run(synth)
+        tested = watch_bulk_tests(monkeypatch, synth, seen)
         result = synth.run(require_correct=True)
         assert result.correct
 
@@ -1279,9 +1343,39 @@ class TestBulkRuns:
             return seen.vectors[rec[1]] == rec[0]
 
         pairs = [rec for rec, _, _ in seen.derived if rec[2] is not None and exact(rec[2]) and exact(rec[3])]
-        assert pairs and all(all(map(str.startswith, task.outputs, rec[2][0])) for rec in pairs)
-        taken = exact_run_candidates(synth, seen, result)
-        assert any(embeds for _, embeds in taken) and not all(embeds for _, embeds in taken)
+        assert not pairs
+        assert any(rec[2] is not None and all(map(str.startswith, task.outputs, rec[2][0])) for rec, _ in tested)
+        assert any(embeds for _, embeds in tested) and not all(embeds for _, embeds in tested)
+
+    def test_an_exact_task_derives_no_candidate(self, trained, monkeypatch):
+        # Under the seed-0 bundle every value of eval_phone_dash is exact:
+        # no candidate is derived and no state goes through the rules, and
+        # the returned one is judged on its values, which are the outputs.
+        # E3's longest leaves are not exact, so leaves are derived there.
+        calls = []
+        monkeypatch.setattr(synthesizer, "apply_transformer", lambda table, pair: calls.append(pair) or apply_transformer(table, pair))
+        _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
+        synth = Synthesizer(task, trained.templates, trained.table)
+        seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
+        assert synth.run(require_correct=True).correct
+        assert not seen.derived and not calls
+        assert judged.accepted[0] == task.outputs and judged.states == list(task.outputs) and judged.count == 1
+        synth = Synthesizer(E3, trained.templates, trained.table)
+        seen = watch_run(synth)
+        assert synth.run(require_correct=True).correct
+        assert any(rec[2] is None for rec, _, _ in seen.derived)
+
+    @pytest.mark.parametrize("require_correct", [True, False])
+    def test_budgets_around_an_accepted_substring_leaf(self, trained, require_correct):
+        # The answer is a substring leaf in the second of two exact leaf
+        # runs, found at 310 candidates: a budget of 309 cuts that run just
+        # before it (invariant budget-cut).
+        examples = (("user=alice;id=7", "alice;"), ("grp=staff;id=42", "staff;"))
+        found = Synthesizer(SynthesisTask(examples=examples), trained.templates, trained.table).run(require_correct)
+        assert str(found.program) == "(substr (input) (cpos 61 -2) (cpos 59 -1))" and found.enumerated == 310
+        for budget in (309, 310, 311):
+            task = SynthesisTask(examples=examples, max_candidates=budget)
+            check_against_the_reference(task, trained.templates, trained.table, require_correct, pools=True)
 
     def test_a_run_without_require_correct_after_one_with_it_repeats_a_fresh_one(self, table_a1):
         # Each run starts its own registry, so no vector registered by the run
