@@ -54,7 +54,6 @@ class TreeNode:
     ast: Optional[AstNode]  # None for the dummy root
     children: list[int] = field(default_factory=list)
     value: Union[str, int, None] = None  # concrete value under the example input
-    label: str = ""
 
 
 @dataclass
@@ -128,8 +127,6 @@ def construct_tree(p: Program, e_in: str, e_out: str) -> TreeItpProblem:
         return uid
 
     add(p.root, 0, "")
-    for node in nodes:
-        node.label = _label_for(node, nodes)
     return TreeItpProblem(nodes=nodes, root=0, expected_output=e_out)
 
 
@@ -226,5 +223,5 @@ def dump_tree(t: TreeItpProblem, itp: Optional[TreeInterpolant] = None) -> str:
         else:
             ann = itp.at(node.uid)
             a = "false" if ann is False else "true" if ann is True else str(ann)
-        lines.append(f"{node.name} | {node.label} | {node.value!r} | {a}")
+        lines.append(f"{node.name} | {_label_for(node, t.nodes)} | {node.value!r} | {a}")
     return "\n".join(lines)

@@ -48,26 +48,25 @@ the outputs.  Each ``run`` keeps in locals a registry that gives each
 vector that embeds on every example an int id, and a cache from child-id
 pairs to their concatenation's id; no ``Synthesizer`` holds them between
 runs.  ``_batch`` gives a concatenation its pair's cached id when it makes
-the run, else None, and a leaf None.  Unless taken in bulk, a candidate
-with None is derived after the dedup check, one example at a time, and
-pruned at the first state that does not embed its output (an output in a
-concretization embeds at offset 0, so it could not be accepted); else its
-vector is registered, with its pair, and the candidate judged.  A pair
-cached within a run is derived again by later candidates of that run.
+the run, else None, and a leaf None.  A candidate with None is derived
+after the dedup check, one example at a time, and pruned at the first
+state that does not embed its output (an output in a concretization
+embeds at offset 0, so it could not be accepted); else its vector is
+registered, with its pair, and the candidate judged.  A pair cached
+within a run is derived again by later candidates of that run.
 
-Invariant bulk-runs: a run is exact, with sids None, when all its
-records are: a leaf run when no value is longer than the leaves pinned
-whole, a concatenation run (a left record and a slice of a pool) when its
-left record and slice are.  Of an exact run only the first candidate
-whose values are the outputs can be accepted (invariant exact-states); of
-a run whose child-id pairs are all cached, none when some output does not
-start with the left value, as a cached vector is one this run judged and
-did not accept.  ``run`` takes such a run up to that candidate with set
-and list operations: it counts, dedups in order (a leaf run can repeat a
+Invariant bulk-runs: a run is exact, with sids None, when all its records
+are: a leaf run when no value is longer than the leaves pinned whole, a
+concatenation run (a left record and a slice of a pool) when its left
+record and slice are.  Of a run whose vectors are all known, only a
+candidate whose values are the outputs can be accepted: with
+``require_correct`` any other is refused, and without it an exact one is
+iff (invariant exact-states) and a cached vector, one this run did not
+accept, fails ``gamma_contains``.  ``run`` takes the run in bulk up to
+that candidate: it counts, dedups in order (a leaf run can repeat a
 value) and pools the new candidates; of an exact run it first prunes
-each whose values are not all substrings of their outputs, and registers
-the rest, caching no pair.  The rest is taken one at a time, with that
-candidate's values as its vector, as is every other run.
+those not substrings of their outputs and registers the rest, caching no
+pair.  The run's tail goes one at a time, as does every other run.
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -385,13 +384,13 @@ class Synthesizer:
         return values, chain.from_iterable(compress(map(add, repeat(k1 * width), indexes), windows[r1]) for k1, r1 in rows)
 
     def run(self, require_correct: bool = False) -> SynthResult:
-        """Enumerate in rank order until a candidate is accepted, the budget
-        or the deadline is passed, or the sizes run out.  With
-        ``require_correct`` a candidate is accepted only when its values are
-        the outputs.  The run keeps its own registry (invariant registry),
-        takes in bulk what cannot be accepted (invariant bulk-runs), cuts at
-        the budget and the deadline (invariant budget-cut), and pools only
-        the levels a later size reads (invariant pooled-levels)."""
+        """Enumerate in rank order until a candidate is accepted (with
+        ``require_correct``, only one whose values are the outputs), or the
+        budget, the deadline or the sizes run out (invariant budget-cut).
+        The run keeps its own registry (invariant registry), takes in bulk
+        each run whose vectors are all known, up to its candidate equal to
+        the outputs (invariant bulk-runs), and pools only the levels a later
+        size reads (invariant pooled-levels)."""
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
@@ -435,14 +434,13 @@ class Synthesizer:
                     if reason is not None:
                         values = values[: last - enumerated - 1]
                     rest = ()  # the values, sids and kids taken one at a time
-                    if sids is None and outputs in values:
-                        # Taken one at a time from the one candidate that can
-                        # be accepted (invariant bulk-runs).
-                        n = values.index(outputs)
-                        rest = values[n:], [register(outputs), *repeat(None, len(values) - n - 1)], kids[n:]
-                        values = values[:n]
-                    if sids is None or None not in sids and not all(map(str.startswith, outputs, left[0])):
-                        # No candidate can be accepted (invariant bulk-runs).
+                    if sids is None or None not in sids:
+                        # Every vector is known: taken in bulk up to the first
+                        # candidate whose values are the outputs (invariant bulk-runs).
+                        if outputs in values:
+                            n = values.index(outputs)
+                            rest = values[n:], sids[n:] if sids else [register(outputs)], kids[n:]
+                            values = values[:n]
                         enumerated += len(values)
                         # In order, as a leaf run can repeat a value.
                         repeated = [v in seen or seen.add(v) for v in values]

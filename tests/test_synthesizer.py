@@ -1158,14 +1158,13 @@ class TestExactStates:
         assert gamma_contains(state, "x" * stop + "y")
 
 
-def takes_bulk(synth, run) -> bool:
-    """Whether ``synth.run`` takes ``run``, a run of ``_batch``, with set
-    operations (invariant bulk-runs): an exact run (sids None), up to its
-    first candidate whose values are the outputs, or a concatenation run
-    whose vectors are all cached when some output does not start with its
-    left record's value."""
-    values, sids, left, kids = run
-    return sids is None or None not in sids and not all(map(str.startswith, synth.outputs, left[0]))
+def takes_bulk(run) -> bool:
+    """Whether ``run``, a run of ``_batch``, has every vector known, exact
+    (sids None) or cached, so that ``Synthesizer.run`` takes it with set
+    operations up to its first candidate whose values are the outputs
+    (invariant bulk-runs)."""
+    sids = run[1]
+    return sids is None or None not in sids
 
 
 def count_bulk_runs(synth) -> SimpleNamespace:
@@ -1177,7 +1176,7 @@ def count_bulk_runs(synth) -> SimpleNamespace:
     def counting(size, pools, concats, vectors):
         for run in batch(size, pools, concats, vectors):
             counts.lengths.append(len(run[0]))
-            if takes_bulk(synth, run):
+            if takes_bulk(run):
                 counts.bulk.append(len(run[0]))
             yield run
 
@@ -1210,10 +1209,10 @@ def check_against_the_reference(task, templates, table, require_correct, pools) 
 
 
 class TestBulkRuns:
-    """In both modes, an exact run up to its candidate whose values are the
-    outputs, and a run of concatenations whose vectors are all cached and
-    none of which is the outputs, are taken in bulk (invariant bulk-runs);
-    a deadline cuts a run at a multiple of 256 (invariant budget-cut)."""
+    """In both modes, a run whose vectors are all known, exact or cached, is
+    taken in bulk up to its first candidate whose values are the outputs
+    (invariant bulk-runs); a deadline cuts a run at a multiple of 256
+    (invariant budget-cut)."""
 
     @pytest.fixture
     def domains(self, trained, table_a1):
@@ -1289,7 +1288,7 @@ class TestBulkRuns:
 
         def is_late(run, counted):
             # A bulk run that holds a multiple of 256.
-            late = takes_bulk(synth, run) and (counted + len(run[0])) // 256 * 256 > counted
+            late = takes_bulk(run) and (counted + len(run[0])) // 256 * 256 > counted
             if late:
                 judged_before.append(judged.count)
             return late
@@ -1312,7 +1311,7 @@ class TestBulkRuns:
         task = SynthesisTask(examples=PHONES.examples, timeout_ms=1_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
         watched = self.late_run(
-            monkeypatch, synth, lambda run, _: run[2] is not None and len(run[0]) == 256 and not takes_bulk(synth, run)
+            monkeypatch, synth, lambda run, _: run[2] is not None and len(run[0]) == 256 and not takes_bulk(run)
         )
         result = synth.run(require_correct=True)
         assert result.reason == "timeout"
@@ -1330,8 +1329,10 @@ class TestBulkRuns:
 
     def test_exact_runs_are_taken_in_bulk(self, trained, monkeypatch):
         # Under the seed-0 bundle no concatenation of two exact records is
-        # derived, not even one whose left value starts every output: it is
-        # taken in an exact run, and tested there.
+        # derived: every vector of its run is known, so the run is taken in
+        # bulk up to its candidate equal to the outputs, and each candidate
+        # before it, even one whose left value starts every output, is
+        # tested there.
         _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
         synth = Synthesizer(task, trained.templates, trained.table)
         seen = watch_run(synth)
@@ -1346,6 +1347,38 @@ class TestBulkRuns:
         assert not pairs
         assert any(rec[2] is not None and all(map(str.startswith, task.outputs, rec[2][0])) for rec, _ in tested)
         assert any(embeds for _, embeds in tested) and not all(embeds for _, embeds in tested)
+
+    def test_runs_with_every_vector_known_are_judged_only_at_the_outputs(self, table_a1, monkeypatch):
+        # The length table keeps no state exact, so a run whose vectors are
+        # all known is all cached. Without require_correct it holds no
+        # candidate that can be accepted but one whose values are the outputs,
+        # which is accepted, whatever its left value (invariant bulk-runs).
+        # So ``gamma_contains`` judges a candidate of such a run only as the
+        # last, returned one, and only when its values are the outputs.
+        prefixed = 0
+        for name, task in corpus_tasks(20_000).items():
+            if not name.startswith("eval_"):
+                continue
+            synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
+            seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
+            watching, runs = synthesizer.gamma_contains, []  # the run of each judgement
+
+            def judging(state, out):
+                count = judged.count
+                verdict = watching(state, out)
+                if judged.count > count:
+                    runs.append(seen.runs[-1])
+                return verdict
+
+            monkeypatch.setattr(synthesizer, "gamma_contains", judging)
+            result = synth.run()
+            known = [i for i, run in enumerate(runs) if takes_bulk(run)]
+            assert known in ([], [len(runs) - 1]), name
+            assert not known or result.correct, name
+            cached = [run for run in seen.runs if run[1] is not None and takes_bulk(run)]
+            prefixed += sum(all(map(str.startswith, task.outputs, run[2][0])) for run in cached)
+        # Some cached runs have a left value that starts every output.
+        assert prefixed
 
     def test_an_exact_task_derives_no_candidate(self, trained, monkeypatch):
         # Under the seed-0 bundle every value of eval_phone_dash is exact:
