@@ -1,7 +1,7 @@
 """Print the size of the design: the lines, code lines, docstring lines
-and comment-only lines of each module in ``src/atlas``, and the bytes and
-table entries of the seed-0 bundle trained in-process on the corpus tasks
-e1-e3.
+and comment-only lines of each module in ``src/atlas`` and of the test
+files in ``tests/`` together, and the bytes and table entries of the
+seed-0 bundle trained in-process on the corpus tasks e1-e3.
 
 A code line holds a token other than a comment or a docstring; a
 docstring line is a line of a module, class or function docstring; a
@@ -65,9 +65,17 @@ def seed0_bundle() -> tuple[int, int]:
     return len(data), len(run.table)
 
 
-def main() -> int:
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted((ROOT / "src" / "atlas").glob("*.py"))]
+def table(directory: Path) -> list[tuple[str, int, int, int, int]]:
+    """A ``count`` row for each Python file of ``directory``, by name, and
+    their total."""
+    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted(directory.glob("*.py"))]
     rows.append(("total", *map(sum, zip(*(row[1:] for row in rows)))))
+    return rows
+
+
+def main() -> int:
+    rows = table(ROOT / "src" / "atlas")
+    rows.append(("tests/ total", *table(ROOT / "tests")[-1][1:]))
     print(f"{'src/atlas':<18} {'lines':>6} {'code':>6} {'docstring':>9} {'comment':>7}")
     for name, lines, code, docs, comments in rows:
         print(f"{name:<18} {lines:>6,} {code:>6,} {docs:>9,} {comments:>7,}")

@@ -16,7 +16,7 @@ from typing import Optional
 from . import __version__
 from .domain import TOP, TemplateKind, template_from_text, template_to_text
 from .driver import TrainConfig, learn_abstractions
-from .dsl import EvalError, ParseError, parse_program, print_program
+from .dsl import EvalError, ParseError, parse_program
 from .interpolation import NotSpurious, construct_tree, dump_tree, find_tree_itp
 from .synthesizer import SynthesisTask, Synthesizer
 from .transformers import TransformerTable, counterexample, inputs_text, json_array, transformer_from_obj, transformer_to_obj
@@ -234,7 +234,7 @@ def cmd_synth(args) -> int:
         # Opened for append before the search, so that an unusable log fails at once.
         write_text(Path(args.log), "", "a")
     result = Synthesizer(task, templates, table).run(require_correct=True)
-    text = print_program(result.program) if result.program else None
+    text = str(result.program) if result.program else None
     entry = run_log_entry(name, result, text)
     log_line = json.dumps(entry, sort_keys=True)
     if args.log:
@@ -285,7 +285,7 @@ def cmd_bench(args) -> int:
         per_mode = {}
         for mode, (tpl, tbl) in {"bundle": (templates, table), "baseline": ([TOP], baseline)}.items():
             result = Synthesizer(task, tpl, tbl).run(require_correct=True)
-            text = print_program(result.program) if result.program else None
+            text = str(result.program) if result.program else None
             entry = run_log_entry(name, result, text)
             entry["mode"] = mode
             log_lines.append(entry)
@@ -345,11 +345,10 @@ def cmd_dump_itp(args) -> int:
         raise CliError(f"bad program: {exc}", USAGE_ERROR) from exc
     for e_in, e_out in task.examples:
         try:
-            tree = construct_tree(program, e_in, e_out)
+            nodes = construct_tree(program, e_in, e_out)
         except (NotSpurious, EvalError):
             continue  # satisfied, or fails to run: no fact-level proof to dump
-        itp = find_tree_itp(tree)
-        print(dump_tree(tree, itp))
+        print(dump_tree(nodes, find_tree_itp(nodes)))
         return 0
     print("program satisfies or fails on every example; nothing to refute", file=sys.stderr)
     return 0

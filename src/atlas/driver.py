@@ -16,7 +16,7 @@ from time import perf_counter_ns
 from typing import Optional
 
 from .domain import TOP, ConstantPool, TemplateKind
-from .dsl import Program
+from .dsl import AstNode
 from .interpolation import learn_abstract_domain
 from .synthesizer import SynthesisTask, Synthesizer, satisfies
 from .transformers import SamplingOracle, TransformerTable, learn_transformers
@@ -34,7 +34,7 @@ class TrainConfig:
 class IterationRecord:
     problem: str
     iteration: int
-    program: Program
+    program: AstNode
     correct: bool
     violated_example: Optional[tuple[str, str]]
     templates_added: list[TemplateKind]
@@ -102,7 +102,8 @@ def learn_abstractions(
     diagnostics: list[str] = []
 
     for name, task in problems:
-        report = ProblemReport(problem=name, iterations=0, templates_added=[], table_size=len(table))
+        added_names: list[str] = []
+        diagnostic = None
         # Phase times in ns, rounded to ms once per problem: per-iteration
         # truncation would count every sub-millisecond phase as 0.
         t_ags = t_domain = t_transformers = 0
@@ -110,7 +111,7 @@ def learn_abstractions(
         while True:
             iteration += 1
             if iteration > MAX_ITERATIONS_PER_PROBLEM:
-                report.diagnostic = "NonProgress"
+                diagnostic = "NonProgress"
                 diagnostics.append(f"NonProgress on {name}: iteration cap {MAX_ITERATIONS_PER_PROBLEM} hit")
                 break
             t0 = perf_counter_ns()
@@ -119,46 +120,43 @@ def learn_abstractions(
             t_ags += perf_counter_ns() - t0
 
             if result.program is None:
-                report.diagnostic = "InfeasibleProblem"
+                diagnostic = "InfeasibleProblem"
                 diagnostics.append(f"InfeasibleProblem on {name}: synthesizer returned null ({result.reason})")
                 break
 
             violated = next((ex for ex in task.examples if not satisfies(result.program, ex)), None)
-            if violated is None:
-                history.append(
-                    IterationRecord(
-                        name, iteration, result.program, True, None, [],
-                        result.enumerated, list(templates), table,
-                    )
-                )
-                break
+            added: list[TemplateKind] = []
+            if violated is not None:
+                t0 = perf_counter_ns()
+                new_templates = learn_abstract_domain(result.program, list(task.examples))
+                t_domain += perf_counter_ns() - t0
+                added = sorted(t for t in new_templates if t not in templates)
+                templates = sorted(set(templates) | new_templates)
 
-            t0 = perf_counter_ns()
-            new_templates = learn_abstract_domain(result.program, list(task.examples))
-            t_domain += perf_counter_ns() - t0
-            added = sorted(t for t in new_templates if t not in templates)
-            templates = sorted(set(templates) | new_templates)
-
-            t0 = perf_counter_ns()
-            table = learn_transformers(templates, oracle, learn_pool, slot_cache)
-            t_transformers += perf_counter_ns() - t0
-
+                t0 = perf_counter_ns()
+                table = learn_transformers(templates, oracle, learn_pool, slot_cache)
+                t_transformers += perf_counter_ns() - t0
             history.append(
                 IterationRecord(
-                    name, iteration, result.program, False, violated, added,
+                    name, iteration, result.program, violated is None, violated, added,
                     result.enumerated, list(templates), table,
                 )
             )
-            report.templates_added.extend(str(t) for t in added)
-        report.iterations = iteration
-        report.table_size = len(table)
-        report.t_ags_ms = round(t_ags / 1_000_000)
-        report.t_domain_ms = round(t_domain / 1_000_000)
-        report.t_transformers_ms = round(t_transformers / 1_000_000)
-        report.t_ags_us = round(t_ags / 1_000)
-        report.t_domain_us = round(t_domain / 1_000)
-        report.t_transformers_us = round(t_transformers / 1_000)
-        reports.append(report)
+            if violated is None:
+                break
+            added_names.extend(map(str, added))
+        reports.append(
+            ProblemReport(
+                name, iteration, added_names, len(table),
+                t_ags_ms=round(t_ags / 1_000_000),
+                t_domain_ms=round(t_domain / 1_000_000),
+                t_transformers_ms=round(t_transformers / 1_000_000),
+                t_ags_us=round(t_ags / 1_000),
+                t_domain_us=round(t_domain / 1_000),
+                t_transformers_us=round(t_transformers / 1_000),
+                diagnostic=diagnostic,
+            )
+        )
 
     return TrainingRun(templates=templates, table=table, history=history, reports=reports, diagnostics=diagnostics)
 

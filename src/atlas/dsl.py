@@ -1,9 +1,11 @@
 """String-transformation DSL: syntax, concrete semantics, ranking, text format.
 
-Programs are ASTs over six operators.  String-typed terms are built from
-``input``, ``const`` literals, ``concat`` and ``substr``; position-typed
-terms (``abspos``, ``cpos``) appear only as the second and third children
-of ``substr``.  All values are immutable and evaluation is pure.
+A program is its root ``AstNode``, an AST over six operators, and
+``str()`` prints it as the s-expression ``parse_program`` reads.
+String-typed terms are built from ``input``, ``const`` literals,
+``concat`` and ``substr``; position-typed terms (``abspos``, ``cpos``)
+appear only as the second and third children of ``substr``.  All values
+are immutable and evaluation is pure.
 
 Invariant rank-order: programs are totally ordered by AST size, ties
 broken by a lexicographic key on (operator, literal, children's keys),
@@ -100,15 +102,6 @@ class AstNode:
             stack.extend(stack.pop().children)
         return size
 
-
-@dataclass(frozen=True)
-class Program:
-    root: AstNode
-
-    @property
-    def size(self) -> int:
-        return self.root.size
-
     def __str__(self) -> str:
         return print_program(self)
 
@@ -191,6 +184,7 @@ def resolve_position(node: AstNode, x: str) -> int:
 
 
 def eval_node(node: AstNode, x: str) -> str:
+    """Run ``node`` on the input string.  Raises EvalError on defined failures."""
     if node.op is Op.INPUT:
         return x
     if node.op is Op.CONST:
@@ -207,16 +201,11 @@ def eval_node(node: AstNode, x: str) -> str:
     raise ValueError(f"not a string-typed node: {node.op}")
 
 
-def evaluate(p: Program, x: str) -> str:
-    """Run ``p`` on the input string.  Raises EvalError on defined failures."""
-    return eval_node(p.root, x)
-
-
 # ---------------------------------------------------------------------------
 # Text format: s-expressions, lowercase operators, UTF-8.
 
 
-def _print_node(node: AstNode) -> str:
+def print_program(node: AstNode) -> str:
     if node.op is Op.INPUT:
         return "(input)"
     if node.op is Op.CONST:
@@ -228,15 +217,11 @@ def _print_node(node: AstNode) -> str:
         char, j = node.literal
         return f"(cpos {char} {j})"
     if node.op is Op.CONCAT:
-        return f"(concat {_print_node(node.children[0])} {_print_node(node.children[1])})"
+        return f"(concat {print_program(node.children[0])} {print_program(node.children[1])})"
     if node.op is Op.SUBSTR:
         x, p1, p2 = node.children
-        return f"(substr {_print_node(x)} {_print_node(p1)} {_print_node(p2)})"
+        return f"(substr {print_program(x)} {print_program(p1)} {print_program(p2)})"
     raise ValueError(node.op)
-
-
-def print_program(p: Program) -> str:
-    return _print_node(p.root)
 
 
 # The most operators a term of a parsed program may sit under.  Evaluation,
@@ -347,7 +332,7 @@ class _Parser:
         raise self.error(f"unknown operator {head!r}")
 
 
-def parse_program(text: str) -> Program:
+def parse_program(text: str) -> AstNode:
     """The program ``text`` prints as.  Raises ParseError on malformed text,
     on a term nested under more than ``MAX_DEPTH`` operators ("program nests
     too deeply") and on a program that is not a well-typed string term."""
@@ -358,4 +343,4 @@ def parse_program(text: str) -> Program:
         raise parser.error("trailing input")
     if not well_typed(node) or node.op not in _STRING_OPS:
         raise parser.error("program is not a well-typed string expression")
-    return Program(node)
+    return node

@@ -1,12 +1,17 @@
 """Tree interpolation over spurious programs.
 
 Given a program that fails an input-output pair, we build a labeled tree
-(the program AST plus a dummy root asserting the expected output), whose
-label conjunction is unsatisfiable, then annotate it bottom-up with length
-and character facts: the root gets false, the root's child gets a fact that
+(the program AST under a root asserting the expected output), whose label
+conjunction is unsatisfiable, then annotate it bottom-up with length and
+character facts: the root gets false, the root's child gets a fact that
 discriminates the actual output from the expected one, and every inner fact
 is justified by exact equality facts on the children.  Forgetting the
 integer constants of those facts yields new predicate templates.
+
+The tree is the list of its nodes in pre-order: the root first, holding
+the expected output, then the program's root, then the rest of the AST.
+A node's children are indices into that list, and the interpolant is a
+list with one annotation per node.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .dsl import (
     AstNode,
     EvalError,
     Op,
-    Program,
     eval_node,
     resolve_position,
 )
@@ -38,10 +42,6 @@ class NotSpurious(Exception):
     """The program satisfies the example; there is nothing to refute."""
 
 
-class ItpFailure(Exception):
-    """No discriminating fact exists (impossible for distinct strings)."""
-
-
 # Annotations: False at the root, True for uninformative nodes, otherwise a
 # single predicate over the node's own value.
 Annotation = Union[bool, ConcretePredicate]
@@ -49,32 +49,10 @@ Annotation = Union[bool, ConcretePredicate]
 
 @dataclass
 class TreeNode:
-    uid: int
     name: str
-    ast: Optional[AstNode]  # None for the dummy root
+    ast: Optional[AstNode]  # None for the root
     children: list[int] = field(default_factory=list)
     value: Union[str, int, None] = None  # concrete value under the example input
-
-
-@dataclass
-class TreeItpProblem:
-    nodes: list[TreeNode]
-    root: int
-    expected_output: str
-
-    def node(self, uid: int) -> TreeNode:
-        return self.nodes[uid]
-
-    def child_of_root(self) -> TreeNode:
-        return self.nodes[self.nodes[self.root].children[0]]
-
-
-@dataclass
-class TreeInterpolant:
-    annotations: dict[int, Annotation]
-
-    def at(self, uid: int) -> Annotation:
-        return self.annotations[uid]
 
 
 def _label_for(node: TreeNode, tree_nodes: list[TreeNode]) -> str:
@@ -92,27 +70,26 @@ def _label_for(node: TreeNode, tree_nodes: list[TreeNode]) -> str:
     return f"{node.name} = {ast.op.value}({kids})"
 
 
-def construct_tree(p: Program, e_in: str, e_out: str) -> TreeItpProblem:
-    """Build the interpolation problem for ``p`` on a violated example.
+def construct_tree(p: AstNode, e_in: str, e_out: str) -> list[TreeNode]:
+    """The pre-order node list of the interpolation problem for ``p`` on a
+    violated example: the root first, holding ``e_out``, then ``p``.
 
     Every node carries its concrete value under ``e_in``; positions carry
     their resolved boundary index.  Raises NotSpurious if the program in
     fact satisfies the example, and propagates EvalError.
     """
-    actual = eval_node(p.root, e_in)
+    actual = eval_node(p, e_in)
     if actual == e_out:
         raise NotSpurious(f"program satisfies {e_in!r} -> {e_out!r}")
 
-    nodes: list[TreeNode] = []
-    root = TreeNode(uid=0, name="root", ast=None, value=e_out)
-    nodes.append(root)
+    nodes = [TreeNode(name="root", ast=None, value=e_out)]
 
-    def add(ast: AstNode, parent: int, subject: str) -> int:
-        uid = len(nodes)
-        name = "x" if ast.op is Op.INPUT else f"v{uid}"
-        node = TreeNode(uid=uid, name=name, ast=ast)
+    def add(ast: AstNode, parent: int, subject: str):
+        index = len(nodes)
+        name = "x" if ast.op is Op.INPUT else f"v{index}"
+        node = TreeNode(name=name, ast=ast)
         nodes.append(node)
-        nodes[parent].children.append(uid)
+        nodes[parent].children.append(index)
         if ast.op in (Op.ABSPOS, Op.CPOS):
             node.value = resolve_position(ast, subject)
         else:
@@ -120,72 +97,68 @@ def construct_tree(p: Program, e_in: str, e_out: str) -> TreeItpProblem:
         if ast.op is Op.SUBSTR:
             inner = eval_node(ast.children[0], e_in)
             for c in ast.children:
-                add(c, uid, inner)
+                add(c, index, inner)
         else:
             for c in ast.children:
-                add(c, uid, "")
-        return uid
+                add(c, index, "")
 
-    add(p.root, 0, "")
-    return TreeItpProblem(nodes=nodes, root=0, expected_output=e_out)
+    add(p, 0, "")
+    return nodes
 
 
 def _discriminator(actual: str, expected: str) -> ConcretePredicate:
-    """A fact true of ``actual`` that refutes equality with ``expected``.
+    """A fact true of ``actual`` that refutes equality with ``expected``,
+    which differs from it.
 
     Lengths are preferred; otherwise the smallest differing index.
     """
     if len(actual) != len(expected):
         return len_neq(len(expected))
-    for i, (a, b) in enumerate(zip(actual, expected)):
-        if a != b:
-            return char_neq(i, ord(b))
-    raise ItpFailure("strings are equal")
+    i = next(i for i, (a, b) in enumerate(zip(actual, expected)) if a != b)
+    return char_neq(i, ord(expected[i]))
 
 
-def find_tree_itp(t: TreeItpProblem) -> TreeInterpolant:
-    """Compute a tree interpolant by goal-directed fact propagation."""
-    ann: dict[int, Annotation] = {n.uid: True for n in t.nodes}
-    ann[t.root] = False
-
-    top = t.child_of_root()
-    goal = _discriminator(top.value, t.expected_output)
-    _justify(t, top, goal, ann)
-    return TreeInterpolant(ann)
+def find_tree_itp(nodes: list[TreeNode]) -> list[Annotation]:
+    """A tree interpolant, one annotation per node, by goal-directed fact
+    propagation."""
+    ann: list[Annotation] = [False] + [True] * (len(nodes) - 1)
+    _justify(nodes, 1, _discriminator(nodes[1].value, nodes[0].value), ann)
+    return ann
 
 
-def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: dict[int, Annotation]):
-    """Annotate ``node`` with ``fact`` and its descendants with the exact
-    equality facts that make the local entailment hold."""
-    ann[node.uid] = fact
+def _justify(nodes: list[TreeNode], index: int, fact: ConcretePredicate, ann: list[Annotation]):
+    """Annotate node ``index`` with ``fact`` and its descendants with the
+    exact equality facts that make the local entailment hold."""
+    ann[index] = fact
+    node = nodes[index]
     ast = node.ast
     if ast.op in (Op.INPUT, Op.CONST):
         return  # the leaf label is definitional; the fact holds of its value
-    kids = [t.node(c) for c in node.children]
     kind = fact.kind
 
     if ast.op is Op.CONCAT:
-        left, right = kids
+        left, right = node.children
+        l_value, r_value = nodes[left].value, nodes[right].value
         if kind in (LEN_EQ, LEN_NEQ):
-            _justify(t, left, len_eq(len(left.value)), ann)
-            _justify(t, right, len_eq(len(right.value)), ann)
+            _justify(nodes, left, len_eq(len(l_value)), ann)
+            _justify(nodes, right, len_eq(len(r_value)), ann)
             return
         i = fact.args[0]
-        l1 = len(left.value)
+        l1 = len(l_value)
         if i < l1:
-            _justify(t, left, char_eq(i, ord(left.value[i])), ann)
+            _justify(nodes, left, char_eq(i, ord(l_value[i])), ann)
         else:
-            _justify(t, left, len_eq(l1), ann)
-            _justify(t, right, char_eq(i - l1, ord(right.value[i - l1])), ann)
+            _justify(nodes, left, len_eq(l1), ann)
+            _justify(nodes, right, char_eq(i - l1, ord(r_value[i - l1])), ann)
         return
 
     if ast.op is Op.SUBSTR:
-        subject, p1, p2 = kids
-        i1 = p1.value
+        subject, p1, _ = node.children
+        i1 = nodes[p1].value
         if kind in (LEN_EQ, LEN_NEQ):
             return  # the window length is fixed by the resolved positions
         i = fact.args[0]
-        _justify(t, subject, char_eq(i1 + i, ord(subject.value[i1 + i])), ann)
+        _justify(nodes, subject, char_eq(i1 + i, ord(nodes[subject].value[i1 + i])), ann)
         return
 
     raise ValueError(f"cannot justify through {ast.op}")
@@ -195,33 +168,22 @@ def _justify(t: TreeItpProblem, node: TreeNode, fact: ConcretePredicate, ann: di
 # Template extraction
 
 
-def learn_abstract_domain(p: Program, examples: list[tuple[str, str]]) -> set[TemplateKind]:
+def learn_abstract_domain(p: AstNode, examples: list[tuple[str, str]]) -> set[TemplateKind]:
     """Templates extracted from the interpolants of every violated example."""
     out: set[TemplateKind] = set()
     for e_in, e_out in examples:
         try:
-            tree = construct_tree(p, e_in, e_out)
+            nodes = construct_tree(p, e_in, e_out)
         except (NotSpurious, EvalError):
             continue  # satisfied, or no fact-level proof for a crashing run; other examples may teach
-        itp = find_tree_itp(tree)
-        for node in tree.nodes:
-            if node.uid == tree.root:
-                continue
-            a = itp.at(node.uid)
-            if a is True or a is False:
-                continue
-            out.add(a.kind)  # forget the integer constants
+        out.update(a.kind for a in find_tree_itp(nodes) if not isinstance(a, bool))  # forget the integer constants
     return out
 
 
-def dump_tree(t: TreeItpProblem, itp: Optional[TreeInterpolant] = None) -> str:
+def dump_tree(nodes: list[TreeNode], itp: list[Annotation]) -> str:
     """One line per node: ``node-id | label | concrete-value | interpolant``."""
     lines = []
-    for node in t.nodes:
-        if itp is None:
-            a = ""
-        else:
-            ann = itp.at(node.uid)
-            a = "false" if ann is False else "true" if ann is True else str(ann)
-        lines.append(f"{node.name} | {_label_for(node, t.nodes)} | {node.value!r} | {a}")
+    for node, a in zip(nodes, itp):
+        text = "false" if a is False else "true" if a is True else str(a)
+        lines.append(f"{node.name} | {_label_for(node, nodes)} | {node.value!r} | {text}")
     return "\n".join(lines)

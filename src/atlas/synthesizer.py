@@ -100,7 +100,7 @@ from itertools import chain, compress, islice, product, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from . import dsl
-from .dsl import AstNode, EvalError, Program
+from .dsl import AstNode, EvalError
 from .domain import CHAR_EQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, _index_runs, best_abstraction, gamma_contains, state_of, widen
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
@@ -134,11 +134,11 @@ class SynthesisTask:
         return tuple(e[1] for e in self.examples)
 
 
-def satisfies(p: Program, example: tuple[str, str]) -> bool:
+def satisfies(p: AstNode, example: tuple[str, str]) -> bool:
     """True iff ``p`` runs on the example's input and returns its output."""
     e_in, e_out = example
     try:
-        return dsl.evaluate(p, e_in) == e_out
+        return dsl.eval_node(p, e_in) == e_out
     except EvalError:
         return False
 
@@ -238,7 +238,7 @@ def position_node(p: Position) -> AstNode:
 
 @dataclass
 class SynthResult:
-    program: Optional[Program]
+    program: Optional[AstNode]
     correct: Optional[bool]
     enumerated: int = 0
     pruned_abstract: int = 0
@@ -474,7 +474,7 @@ class Synthesizer:
                                 concats[left[1], right[1]] = sid
                         rec = (v, sid, left, right)
                         if (not require_correct or v == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
-                            result.program = Program(self._node(rec))
+                            result.program = self._node(rec)
                             result.correct = v == outputs
                             return result
                         if pooled:

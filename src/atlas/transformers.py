@@ -653,9 +653,6 @@ class TransformerTable:
         len_sum = self.entries.get((LEN_EQ, LEN_EQ))
         self.keeps_exact = self.shift and TOP in self.copies and len_sum is not None and (LEN_EQ, ((1, 1, 0),)) in len_sum.outputs
 
-    def lookup(self, kinds: tuple[TemplateKind, TemplateKind]) -> Optional[Transformer]:
-        return self.entries.get(kinds)
-
     def all(self) -> list[Transformer]:
         return list(self.entries.values())
 

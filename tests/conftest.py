@@ -86,11 +86,11 @@ def entries_with_top_copies(table) -> list:
     not, also has the outputs of ``(char =, top)``, with zero columns for
     the right argument.  No table holds them: ``TransformerTable`` drops the
     copies again."""
-    at_top = table.lookup((CHAR_EQ, TOP)).outputs
+    at_top = table.entries.get((CHAR_EQ, TOP)).outputs
     entries = dict(table.entries)
     for x in TemplateKind:
         if x is not TOP:
-            entry = table.lookup((CHAR_EQ, x))
+            entry = table.entries.get((CHAR_EQ, x))
             zeros = (0,) * x.holes
             copies = tuple((chi, tuple(row[:-1] + zeros + row[-1:] for row in m)) for chi, m in at_top)
             entries[CHAR_EQ, x] = Transformer((CHAR_EQ, x), (entry.outputs if entry else ()) + copies)

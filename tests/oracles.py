@@ -7,7 +7,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from atlas.domain import (
     BOTTOM,
@@ -25,13 +25,13 @@ from atlas.domain import (
     len_neq,
     widen,
 )
-from atlas.dsl import AstNode, EvalError, Op, Program, abspos, concat, const, cpos, eval_node, input_, substr
-from atlas.interpolation import Annotation, TreeInterpolant, TreeItpProblem
+from atlas.dsl import AstNode, EvalError, Op, abspos, concat, const, cpos, eval_node, input_, substr
+from atlas.interpolation import Annotation, TreeNode
 from atlas.synthesizer import SynthesisTask, apply_transformer, satisfies
 from atlas.transformers import Matrix, TransformerTable, _reduce, column_rank
 
 
-def is_correct(p: Program, task: SynthesisTask) -> bool:
+def is_correct(p: AstNode, task: SynthesisTask) -> bool:
     """True iff ``p`` maps every example input of ``task`` to its output."""
     return all(satisfies(p, ex) for ex in task.examples)
 
@@ -131,8 +131,7 @@ def _struct_key(node: AstNode):
     return (_OP_ORDER[node.op], _literal_key(node), tuple((c.size, _struct_key(c)) for c in node.children))
 
 
-def rank_key(p: Union[Program, AstNode]) -> tuple:
-    node = p.root if isinstance(p, Program) else p
+def rank_key(node: AstNode) -> tuple:
     return (node.size, _struct_key(node))
 
 
@@ -186,7 +185,7 @@ class SearchOutcome:
     larger sizes, in order, as ``(values, states, term)``, where ``term``
     is a leaf's AST node or the pair of a concatenation's children."""
 
-    program: Optional[Program] = None
+    program: Optional[AstNode] = None
     correct: Optional[bool] = None
     reason: str = "exhausted"
     enumerated: int = 0
@@ -301,7 +300,7 @@ def reference_search(
                     continue
                 rec = (values, states, term)
                 if (not require_correct or values == outputs) and all(map(state_holds, states, outputs)):
-                    found.program, found.correct, found.reason = Program(term_node(rec)), values == outputs, "found"
+                    found.program, found.correct, found.reason = term_node(rec), values == outputs, "found"
                     return found
                 level.append(rec)
         return found
@@ -463,26 +462,23 @@ def _fact_entails(derived: FactSet, goal: ConcretePredicate) -> bool:
     return False
 
 
-def check_interpolant(t: TreeItpProblem, itp: TreeInterpolant) -> bool:
+def check_interpolant(nodes: list[TreeNode], itp: list[Annotation]) -> bool:
     """Verify the two defining conditions of a tree interpolant.
 
     The root must be annotated false; at every other node the children's
     annotations plus the node's own (definitional) label must entail the
     node's annotation; and the root child's annotation must refute the
     expected output.  Each annotation only mentions its own node, so the
-    shared-vocabulary condition holds structurally.
+    shared-vocabulary condition holds structurally.  ``nodes`` is in
+    pre-order: the root, holding the expected output, then its one child.
     """
-    if itp.at(t.root) is not False:
+    if len(itp) != len(nodes) or itp[0] is not False:
         return False
-    top = t.child_of_root()
-    a = itp.at(top.uid)
-    if a is True or (a is not False and pred_holds(a, t.expected_output)):
+    a = itp[1]
+    if a is True or (a is not False and pred_holds(a, nodes[0].value)):
         return False  # does not contradict the root label v' = e_out
 
-    for node in t.nodes:
-        if node.uid == t.root:
-            continue
-        a = itp.at(node.uid)
+    for node, a in zip(nodes[1:], itp[1:]):
         if a is True:
             continue
         if a is False:
@@ -495,17 +491,11 @@ def check_interpolant(t: TreeItpProblem, itp: TreeInterpolant) -> bool:
         if ast.op in (Op.ABSPOS, Op.CPOS):
             return False  # position leaves carry no string predicates
         if ast.op is Op.CONCAT:
-            left, right = (t.node(c) for c in node.children)
-            derived = exact_facts(
-                Op.CONCAT,
-                [_facts_from_annotation(itp.at(left.uid)), _facts_from_annotation(itp.at(right.uid))],
-            )
+            left, right = node.children
+            derived = exact_facts(Op.CONCAT, [_facts_from_annotation(itp[left]), _facts_from_annotation(itp[right])])
         elif ast.op is Op.SUBSTR:
-            subject, p1, p2 = (t.node(c) for c in node.children)
-            derived = exact_facts(
-                Op.SUBSTR,
-                [_facts_from_annotation(itp.at(subject.uid)), p1.value, p2.value],
-            )
+            subject, p1, p2 = node.children
+            derived = exact_facts(Op.SUBSTR, [_facts_from_annotation(itp[subject]), nodes[p1].value, nodes[p2].value])
         else:
             return False
         if not _fact_entails(derived, a):

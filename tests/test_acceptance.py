@@ -21,7 +21,7 @@ from atlas.domain import (
     gamma_contains,
 )
 from atlas.driver import TrainConfig, learn_abstractions
-from atlas.dsl import Program, concat, const, input_, print_program
+from atlas.dsl import concat, const, input_, print_program
 from atlas.interpolation import construct_tree, find_tree_itp
 from atlas.transformers import solve_linear
 
@@ -65,7 +65,7 @@ def test_criterion_2_concat_table(walkthrough):
     one_one_zero = as_matrix([[1, 1, 0]])
 
     def outputs(k1, k2):
-        entry = table.lookup((k1, k2))
+        entry = table.entries.get((k1, k2))
         return set(entry.outputs) if entry else set()  # a missing entry has no outputs
 
     K = TemplateKind
@@ -92,14 +92,14 @@ def test_criterion_3_linear_solve_golden():
 
 
 def test_criterion_4_interpolation_golden():
-    program = Program(concat(input_(), const("18")))
-    tree = construct_tree(program, "CAV", "CAV2018")
-    itp = find_tree_itp(tree)
-    top_ann = itp.at(tree.child_of_root().uid)
+    program = concat(input_(), const("18"))
+    nodes = construct_tree(program, "CAV", "CAV2018")
+    itp = find_tree_itp(nodes)
+    top_ann = itp[1]
     ok = (
-        itp.at(tree.root) is False
+        itp[0] is False
         and str(top_ann) == "(len != 7)"
-        and check_interpolant(tree, itp)
+        and check_interpolant(nodes, itp)
     )
     report("criterion 4: tree interpolant for the suffix program", ok, f"root child: {top_ann}")
 
@@ -175,7 +175,7 @@ def test_criterion_6_progress_property(walkthrough):
         task = tasks[h.problem]
         pool = ConstantPool.default(list(task.inputs) + list(task.outputs))
         e_in, e_out = h.violated_example
-        state = abstract_eval(h.program.root, e_in, h.templates_after, h.table_after, pool)
+        state = abstract_eval(h.program, e_in, h.templates_after, h.table_after, pool)
         if not gamma_contains(state, e_out):
             rejected += 1
     report(

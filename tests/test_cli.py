@@ -321,7 +321,42 @@ class TestBench:
         assert read(out / "bench_report.json")["aggregate"]["tasks"] == 0
 
 
+# ``atlas dump-itp`` on e1.json, in full: the first example each program
+# fails is interpolated, and (cpos 83 1) cannot run on "CAV", so its dump is
+# of "SAS".
+E1_DUMPS = {
+    '(concat (input) (const "18"))': """\
+root | v1 = 'CAV2018' | 'CAV2018' | false
+v1 | v1 = concat(x, v3) | 'CAV18' | (len != 7)
+x | x = 'CAV' | 'CAV' | (len = 3)
+v3 | v3 = '18' | '18' | (len = 2)
+""",
+    "(substr (input) (abspos 0) (cpos 83 1))": """\
+root | v1 = 'SAS2018' | 'SAS2018' | false
+v1 | v1 = substr(x, v3, v4) | 'S' | (len != 7)
+x | x = 'SAS' | 'SAS' | true
+v3 | v3 = 0 | 0 | true
+v4 | v4 = 1 | 1 | true
+""",
+    '(concat (substr (input) (abspos 0) (abspos 2)) (const "x"))': """\
+root | v1 = 'CAV2018' | 'CAV2018' | false
+v1 | v1 = concat(v2, v6) | 'CAx' | (len != 7)
+v2 | v2 = substr(x, v4, v5) | 'CA' | (len = 2)
+x | x = 'CAV' | 'CAV' | true
+v4 | v4 = 0 | 0 | true
+v5 | v5 = 2 | 2 | true
+v6 | v6 = 'x' | 'x' | (len = 1)
+""",
+}
+
+
 class TestDumpItp:
+    @pytest.mark.parametrize("program", E1_DUMPS)
+    def test_golden_dump(self, capsys, program):
+        assert main(["dump-itp", str(corpus_dir() / "e1.json"), "--program", program]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (E1_DUMPS[program], "")
+
     def test_dump_format(self, capsys):
         code = main([
             "dump-itp", str(corpus_dir() / "e1.json"),

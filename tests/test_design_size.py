@@ -44,6 +44,27 @@ def test_counts_lines_code_lines_and_docstring_lines():
     assert design_size().count(SOURCE) == (12, 5, 3, 1)
 
 
+def test_table_has_a_row_per_file_and_their_total(tmp_path):
+    (tmp_path / "b.py").write_text(SOURCE)
+    (tmp_path / "a.py").write_text("x = 1\n\n# A comment.\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert design_size().table(tmp_path) == [
+        ("a.py", 3, 1, 0, 1),
+        ("b.py", 12, 5, 3, 1),
+        ("total", 15, 6, 3, 2),
+    ]
+
+
+def test_main_prints_the_tests_total(monkeypatch, capsys):
+    module = design_size()
+    monkeypatch.setattr(module, "seed0_bundle", lambda: (0, 0))
+    assert module.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    tests_total = module.table(ROOT / "tests")[-1]
+    assert tests_total[1] == sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (ROOT / "tests").glob("*.py"))
+    assert lines[-2].split() == ["tests/", "total", *(f"{n:,}" for n in tests_total[1:])]
+
+
 DEFINITION = re.compile(r"^Invariant ([a-z-]+):", re.MULTILINE)
 CITATION = re.compile(r"\(invariant\s+([a-z-]+)\)")
 

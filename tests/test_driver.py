@@ -13,7 +13,7 @@ from atlas.domain import (
     gamma_contains,
 )
 from atlas.driver import TrainConfig, learn_abstractions
-from atlas.dsl import Program, concat, const, input_, print_program
+from atlas.dsl import concat, const, input_, print_program
 from atlas.synthesizer import SynthesisTask, SynthResult, Synthesizer
 from atlas.transformers import TransformerTable
 
@@ -66,7 +66,7 @@ class TestProgress:
             task = tasks[h.problem]
             pool = ConstantPool.default(list(task.inputs) + list(task.outputs))
             e_in, e_out = h.violated_example
-            state = abstract_eval(h.program.root, e_in, h.templates_after, h.table_after, pool)
+            state = abstract_eval(h.program, e_in, h.templates_after, h.table_after, pool)
             assert not gamma_contains(state, e_out), (
                 f"{h.problem} iteration {h.iteration}: {print_program(h.program)} survived refinement"
             )
@@ -132,7 +132,7 @@ class TestTimings:
         # program: four search phases and three domain and transformer phases.
         ticks = itertools.count(step=600_000)
         monkeypatch.setattr(driver, "perf_counter_ns", lambda: next(ticks))
-        spurious, correct = Program(input_()), Program(concat(input_(), const("2018")))
+        spurious, correct = input_(), concat(input_(), const("2018"))
         answers = iter([spurious] * 3 + [correct])
 
         class ScriptedSynthesizer:

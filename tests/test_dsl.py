@@ -9,12 +9,11 @@ from atlas.dsl import (
     EvalError,
     Op,
     ParseError,
-    Program,
     abspos,
     concat,
     const,
     cpos,
-    evaluate,
+    eval_node,
     input_,
     parse_program,
     print_program,
@@ -26,16 +25,12 @@ from atlas.dsl import (
 from oracles import FactSet, exact_facts, rank_key
 
 
-def prog(node):
-    return Program(node)
-
-
 class TestEval:
     def test_concat_suffix(self):
-        assert evaluate(prog(concat(input_(), const("18"))), "CAV") == "CAV18"
+        assert eval_node(concat(input_(), const("18")), "CAV") == "CAV18"
 
     def test_concat_year(self):
-        assert evaluate(prog(concat(input_(), const("2018"))), "CAV") == "CAV2018"
+        assert eval_node(concat(input_(), const("2018")), "CAV") == "CAV2018"
 
     def test_substr_path_prefix(self):
         # Independent oracle: the window must end just past the last backslash.
@@ -43,8 +38,8 @@ class TestEval:
         last = max(i for i, ch in enumerate(x) if ch == "\\")
         expected = x[0 : last + 1]
         assert expected == "\\Company\\Code\\"
-        p = prog(substr(input_(), abspos(0), cpos(92, -1)))
-        assert evaluate(p, x) == expected
+        p = substr(input_(), abspos(0), cpos(92, -1))
+        assert eval_node(p, x) == expected
 
     def test_abspos_negative(self):
         assert resolve_position(abspos(-1), "abcd") == 4
@@ -59,17 +54,17 @@ class TestEval:
 
     def test_cpos_missing_occurrence(self):
         with pytest.raises(EvalError) as exc:
-            evaluate(prog(substr(input_(), abspos(0), cpos(ord("."), 2))), "a.b")
+            eval_node(substr(input_(), abspos(0), cpos(ord("."), 2)), "a.b")
         assert exc.value.kind == EvalError.MISSING_OCCURRENCE
 
     def test_substr_out_of_bounds(self):
         with pytest.raises(EvalError) as exc:
-            evaluate(prog(substr(input_(), abspos(3), abspos(1))), "abcd")
+            eval_node(substr(input_(), abspos(3), abspos(1)), "abcd")
         assert exc.value.kind == EvalError.OUT_OF_BOUNDS
 
     def test_eval_is_deterministic(self):
-        p = prog(concat(substr(input_(), abspos(1), abspos(-1)), const("!")))
-        assert evaluate(p, "hello") == evaluate(p, "hello") == "ello!"
+        p = concat(substr(input_(), abspos(1), abspos(-1)), const("!"))
+        assert eval_node(p, "hello") == eval_node(p, "hello") == "ello!"
 
 
 class TestWellTyped:
@@ -144,7 +139,7 @@ class TestRank:
         nodes = [term_node(rec) for rec in log]
         keys = [rank_key(node) for node in nodes]
         for n, (previous, key) in enumerate(zip(keys, keys[1:]), 2):
-            assert previous < key, f"candidate {n}: {print_program(Program(nodes[n - 1]))}"
+            assert previous < key, f"candidate {n}: {print_program(nodes[n - 1])}"
 
         synth = Synthesizer(task, [TOP], TransformerTable())
         seen = watch_run(synth)
@@ -174,10 +169,8 @@ def _programs(depth=3):
 
 class TestTextFormat:
     def test_parse_examples(self):
-        p = parse_program('(concat (input) (const "18"))')
-        assert p.root == concat(input_(), const("18"))
-        p = parse_program('(substr (input) (abspos 0) (cpos 92 -1))')
-        assert p.root == substr(input_(), abspos(0), cpos(92, -1))
+        assert parse_program('(concat (input) (const "18"))') == concat(input_(), const("18"))
+        assert parse_program('(substr (input) (abspos 0) (cpos 92 -1))') == substr(input_(), abspos(0), cpos(92, -1))
 
     def test_malformed_raises_with_position(self):
         with pytest.raises(ParseError) as exc:
@@ -190,11 +183,11 @@ class TestTextFormat:
 
     @given(_programs())
     def test_round_trip(self, node):
-        p = Program(node)
-        assert parse_program(print_program(p)) == p
+        assert parse_program(print_program(node)) == node
+        assert str(node) == print_program(node)
 
     def test_escapes(self):
-        p = prog(const('say "hi" \\ bye'))
+        p = const('say "hi" \\ bye')
         assert parse_program(print_program(p)) == p
 
 
@@ -235,16 +228,16 @@ class TestDepthLimit:
             parse(nested(shape, dsl.MAX_DEPTH + 1))
 
     def test_depth_is_counted_in_operators(self):
-        assert parse_program(nested("concat", 1)).root == concat(input_(), input_())
-        assert parse_program(nested("substr", 1)).root == substr(input_(), abspos(0), abspos(1))
+        assert parse_program(nested("concat", 1)) == concat(input_(), input_())
+        assert parse_program(nested("substr", 1)) == substr(input_(), abspos(0), abspos(1))
 
     @pytest.mark.parametrize("shape", ["concat", "substr"])
     @pytest.mark.parametrize("caller", [0, 300], ids=["shallow-caller", "caller-300-deep"])
     def test_deepest_programs_compare_and_hash(self, shape, caller):
         text = nested(shape, dsl.MAX_DEPTH)
-        a, b = parse_program(text).root, parse_program(text).root
+        a, b = parse_program(text), parse_program(text)
         # The two differ only in their deepest term.
-        other = parse_program(text.replace(" (input))", ' (const "x"))', 1).replace("(abspos 1)", "(abspos 2)")).root
+        other = parse_program(text.replace(" (input))", ' (const "x"))', 1).replace("(abspos 1)", "(abspos 2)"))
         assert a is not b
         assert called_from_depth(caller, lambda: a == b and hash(a) == hash(b))
         assert called_from_depth(caller, lambda: a != other and not a == other)
@@ -261,7 +254,7 @@ class TestDepthLimit:
 class TestEquality:
     @given(_programs(), _programs())
     def test_equality_and_hash_agree_with_the_fields(self, a, b):
-        copy = parse_program(print_program(Program(a))).root
+        copy = parse_program(print_program(a))
         assert copy is not a and copy == a and hash(copy) == hash(a)
         assert (a == b) == (astuple(a) == astuple(b))
         assert a != astuple(a)

@@ -29,13 +29,11 @@ from atlas.domain import (
 from atlas.dsl import (
     EvalError,
     Op,
-    Program,
     abspos,
     concat,
     const,
     cpos,
     eval_node,
-    evaluate,
     input_,
     parse_program,
     print_program,
@@ -94,7 +92,7 @@ class TestApplyTransformer:
 
     def test_missing_entry_behaves_as_top(self, table_a1):
         # table_a1 has no entries for character templates: those pairs add nothing.
-        assert table_a1.lookup((CHAR_EQ, CHAR_EQ)) is None
+        assert table_a1.entries.get((CHAR_EQ, CHAR_EQ)) is None
         left = val(len_eq(3), char_eq(0, ord("a")))
         right = val(len_eq(2), char_eq(1, ord("b")))
         assert apply_transformer(table_a1, (left, right)).conjuncts == {len_eq(5)}
@@ -235,14 +233,14 @@ class TestAbstractEval:
     def test_suffix_program_tracks_length(self, table_a1):
         p = parse_program('(concat (input) (const "2018"))')
         pool = ConstantPool.default(["CAV", "CAV2018"])
-        state = abstract_eval(p.root, "CAV", [TOP, LEN_EQ, LEN_NEQ], table_a1, pool)
+        state = abstract_eval(p, "CAV", [TOP, LEN_EQ, LEN_NEQ], table_a1, pool)
         assert len_eq(7) in state.conjuncts
         assert gamma_contains(state, "CAV2018")
 
     def test_closed_substr_is_exact(self, table_a2):
         p = parse_program("(substr (input) (abspos 0) (cpos 92 -1))")
         pool = ConstantPool.default(["\\a\\b.c"])
-        state = abstract_eval(p.root, "\\a\\b.c", [TOP, LEN_EQ, CHAR_EQ], table_a2, pool)
+        state = abstract_eval(p, "\\a\\b.c", [TOP, LEN_EQ, CHAR_EQ], table_a2, pool)
         assert len_eq(3) in state.conjuncts  # the window is "\a\"
         assert char_eq(0, ord("\\")) in state.conjuncts
 
@@ -328,9 +326,9 @@ class TestSynthesize:
         assert result.program is not None
         # Concretely equivalent to appending "2018" on every training input.
         for e_in, e_out in E1.examples:
-            assert evaluate(result.program, e_in) == e_out
+            assert eval_node(result.program, e_in) == e_out
         state = abstract_eval(
-            result.program.root, "CAV", [TOP, LEN_EQ, LEN_NEQ], table_a1,
+            result.program, "CAV", [TOP, LEN_EQ, LEN_NEQ], table_a1,
             ConstantPool.default(["CAV", "CAV2018"]),
         )
         assert len_eq(7) in state.conjuncts
@@ -363,14 +361,14 @@ class TestSynthesize:
 
 class TestIsCorrect:
     def test_correct_program(self):
-        assert is_correct(Program(concat(input_(), const("2018"))), E1)
+        assert is_correct(concat(input_(), const("2018")), E1)
 
     def test_wrong_program(self):
-        assert not is_correct(Program(concat(input_(), const("18"))), E1)
+        assert not is_correct(concat(input_(), const("18")), E1)
 
     def test_identity(self):
         task = SynthesisTask(examples=(("a", "a"),))
-        assert is_correct(Program(input_()), task)
+        assert is_correct(input_(), task)
 
     def test_eval_error_counts_as_incorrect(self):
         p = parse_program("(substr (input) (abspos 5) (abspos 9))")
@@ -395,7 +393,7 @@ def check_derived(synth, rec, derived) -> tuple:
     end."""
     node = synth._node(rec)
     fresh = fresh_states(synth, node)
-    shown = print_program(Program(node))
+    shown = print_program(node)
     assert widened(derived) == fresh[: len(derived)], shown
     embeds = [state_embeds(s, out) for s, out in zip(derived, synth.outputs)]
     assert all(embeds[:-1]), shown
@@ -451,7 +449,7 @@ def watch_bulk_tests(monkeypatch, synth, seen) -> list:
                         break
             tested.append([(v, None, left, kid), True])
         rec = tested[-1][0]
-        assert state == rec[0][at.example], print_program(Program(synth._node(rec)))
+        assert state == rec[0][at.example], print_program(synth._node(rec))
         at.example += 1
         if not embeds or at.example == len(synth.outputs):
             tested[-1][1], at.example = embeds, 0
@@ -469,8 +467,8 @@ def check_bulk_tests(synth, tested) -> list:
     for rec, embeds in tested:
         node = synth._node(rec)
         fresh = fresh_states(synth, node)
-        assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(node))
-        assert embeds == all(map(state_embeds, fresh, synth.outputs)), print_program(Program(node))
+        assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(node)
+        assert embeds == all(map(state_embeds, fresh, synth.outputs)), print_program(node)
     return tested
 
 
@@ -489,7 +487,7 @@ class TestEnumeratorProperties:
         pruned = 0
         for rec, derived, embeds in seen.derived:
             fresh = check_derived(synth, rec, derived)
-            assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(Program(synth._node(rec)))
+            assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(synth._node(rec))
             assert embeds != last_fails_to_embed(derived, E2.outputs)
             pruned += not embeds
         taken = check_bulk_tests(synth, tested)
@@ -549,7 +547,7 @@ class TestEnumeratorProperties:
             assert outcome(result) == outcome(found), name
             assert len(log) == result.enumerated, name
             *before, last = log
-            assert term_node(last) == result.program.root, name
+            assert term_node(last) == result.program, name
             for rec in before:
                 fresh = fresh_states(synth, term_node(rec))
                 assert not all(gamma_contains(st, out) for st, out in zip(fresh, synth.outputs)), name
@@ -658,7 +656,7 @@ class TestStateVectorCache:
         exact = set()
         for rec, embeds in taken:
             if embeds and seen.pools[synth._node(rec).size]:
-                assert rec[0] in pooled, print_program(Program(synth._node(rec)))
+                assert rec[0] in pooled, print_program(synth._node(rec))
                 exact.add(rec[0])
         assert len(set(vectors)) == len(vectors)
         assert set(vectors) == embedding | exact
@@ -863,10 +861,10 @@ class TestLazyNode:
         records += [(None, rec) for rec, _, _ in seen.derived]
         for size, rec in records:
             node = synth._node(rec)
-            assert size is None or node.size == size, print_program(Program(node))
-            assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(Program(node))
+            assert size is None or node.size == size, print_program(node)
+            assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(node)
             if rec[2] is not None:
-                assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(Program(node))
+                assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(node)
 
     def test_first_candidates_under_the_top_table(self, monkeypatch):
         # Nothing is accepted, so the run enumerates up to its budget.
@@ -1063,7 +1061,7 @@ class TestSubstringCheck:
             for rec, _, embeds in seen.derived:
                 if not embeds:
                     pruned += 1
-                    assert not_substrings(rec[0], task.outputs), (name, print_program(Program(synth._node(rec))))
+                    assert not_substrings(rec[0], task.outputs), (name, print_program(synth._node(rec)))
         assert pruned > 0
 
     def test_an_unsound_table_prunes_a_substring(self):

@@ -547,7 +547,7 @@ class TestCharEqShapes:
 class TestLearnTransformers:
     def test_length_domain_table_matches_known_rows(self, table_a1):
         def outputs(*kinds):
-            t = table_a1.lookup(kinds)
+            t = table_a1.entries.get(kinds)
             return set(t.outputs)
 
         one_one_zero = as_matrix([[1, 1, 0]])
@@ -555,10 +555,10 @@ class TestLearnTransformers:
         assert outputs(LEN_EQ, LEN_NEQ) == {(LEN_NEQ, one_one_zero)}
         assert outputs(LEN_NEQ, LEN_EQ) == {(LEN_NEQ, one_one_zero)}
         for kinds in [(TOP, TOP), (TOP, LEN_EQ), (TOP, LEN_NEQ), (LEN_EQ, TOP), (LEN_NEQ, TOP), (LEN_NEQ, LEN_NEQ)]:
-            assert table_a1.lookup(kinds) is None  # no outputs, so not stored
+            assert table_a1.entries.get(kinds) is None  # no outputs, so not stored
 
     def test_char_domain_has_shift_row(self, table_a2):
-        t = table_a2.lookup((LEN_EQ, CHAR_EQ))
+        t = table_a2.entries.get((LEN_EQ, CHAR_EQ))
         assert (CHAR_EQ, as_matrix([[1, 1, 0, 0], [0, 0, 1, 0]])) in t.outputs
 
     def test_same_seed_same_table(self, learn_env):
@@ -586,7 +586,7 @@ class TestLearnTransformers:
         assert stored == learned == {("len-eq", "len-eq"), ("len-eq", "len-neq"), ("len-neq", "len-eq")}
         for k1 in (TOP, LEN_EQ, LEN_NEQ):
             for k2 in (TOP, LEN_EQ, LEN_NEQ):
-                entry = table_a1.lookup((k1, k2))
+                entry = table_a1.entries.get((k1, k2))
                 assert entry is None or entry.outputs
 
 
@@ -668,7 +668,7 @@ class TestTableEntries:
     def test_an_empty_entry_derives_nothing(self):
         left, right = AbstractValue.of([len_eq(3)]), AbstractValue.of([len_eq(2)])
         table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ())])
-        assert len(table) == 0 and table.lookup((LEN_EQ, LEN_EQ)) is None
+        assert len(table) == 0 and table.entries.get((LEN_EQ, LEN_EQ)) is None
         assert apply_transformer(table, (left, right)) is AbstractValue.top()
         table = TransformerTable([Transformer((LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 1, 0),)),))])
         assert apply_transformer(table, (left, right)).conjuncts == {len_eq(5)}
@@ -709,7 +709,7 @@ def test_learned_tables_keep_reduced_leaves_lossless(training_problems, learn_en
                     assert any(row[c] for _, m in t.outputs for row in m for c in range(col, start)), where
                     assert x is not CHAR_NEQ, where
                     if x is LEN_NEQ:
-                        at_len_eq = table.lookup(t.inputs[:j] + (LEN_EQ,) + t.inputs[j + 1 :])
+                        at_len_eq = table.entries.get(t.inputs[:j] + (LEN_EQ,) + t.inputs[j + 1 :])
                         for chi, m in t.outputs:
                             assert chi is LEN_NEQ and m[0][col] != 0, where
                             assert at_len_eq is not None and (LEN_EQ, m) in at_len_eq.outputs, where
@@ -727,6 +727,6 @@ class TestSerialization:
             assert transformer_from_obj(obj) == t
 
     def test_matrix_rows(self, table_a1):
-        t = table_a1.lookup((LEN_EQ, LEN_EQ))
+        t = table_a1.entries.get((LEN_EQ, LEN_EQ))
         obj = transformer_to_obj(t)
         assert obj == {"inputs": ["(len = c)", "(len = c)"], "outputs": [{"template": "(len = c)", "matrix": [[1, 1, 0]]}]}
