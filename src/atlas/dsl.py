@@ -193,12 +193,15 @@ def eval_node(node: AstNode, x: str) -> str:
         return eval_node(node.children[0], x) + eval_node(node.children[1], x)
     if node.op is Op.SUBSTR:
         subject = eval_node(node.children[0], x)
-        i1 = resolve_position(node.children[1], subject)
-        i2 = resolve_position(node.children[2], subject)
-        if not (0 <= i1 <= i2 <= len(subject)):
-            raise EvalError(EvalError.OUT_OF_BOUNDS, f"bad window [{i1}, {i2}) for length {len(subject)}")
-        return subject[i1:i2]
+        return window(subject, resolve_position(node.children[1], subject), resolve_position(node.children[2], subject))
     raise ValueError(f"not a string-typed node: {node.op}")
+
+
+def window(subject: str, i1: int, i2: int) -> str:
+    """A ``substr``'s value; EvalError unless ``0 <= i1 <= i2 <= len(subject)``."""
+    if not (0 <= i1 <= i2 <= len(subject)):
+        raise EvalError(EvalError.OUT_OF_BOUNDS, f"bad window [{i1}, {i2}) for length {len(subject)}")
+    return subject[i1:i2]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .dsl import (
     Op,
     eval_node,
     resolve_position,
+    window,
 )
 from .domain import (
     LEN_EQ,
@@ -74,17 +75,14 @@ def construct_tree(p: AstNode, e_in: str, e_out: str) -> list[TreeNode]:
     """The pre-order node list of the interpolation problem for ``p`` on a
     violated example: the root first, holding ``e_out``, then ``p``.
 
-    Every node carries its concrete value under ``e_in``; positions carry
-    their resolved boundary index.  Raises NotSpurious if the program in
-    fact satisfies the example, and propagates EvalError.
+    Every node carries its value under ``e_in``, computed once from its
+    children's; positions carry their resolved boundary index.  Raises
+    NotSpurious if the program satisfies the example; propagates EvalError.
     """
-    actual = eval_node(p, e_in)
-    if actual == e_out:
-        raise NotSpurious(f"program satisfies {e_in!r} -> {e_out!r}")
-
     nodes = [TreeNode(name="root", ast=None, value=e_out)]
 
     def add(ast: AstNode, parent: int, subject: str):
+        # Append ``ast``'s subtree and return its value (a position's in ``subject``).
         index = len(nodes)
         name = "x" if ast.op is Op.INPUT else f"v{index}"
         node = TreeNode(name=name, ast=ast)
@@ -92,17 +90,17 @@ def construct_tree(p: AstNode, e_in: str, e_out: str) -> list[TreeNode]:
         nodes[parent].children.append(index)
         if ast.op in (Op.ABSPOS, Op.CPOS):
             node.value = resolve_position(ast, subject)
+        elif ast.op is Op.CONCAT:
+            node.value = add(ast.children[0], index, "") + add(ast.children[1], index, "")
+        elif ast.op is Op.SUBSTR:
+            inner = add(ast.children[0], index, "")
+            node.value = window(inner, add(ast.children[1], index, inner), add(ast.children[2], index, inner))
         else:
             node.value = eval_node(ast, e_in)
-        if ast.op is Op.SUBSTR:
-            inner = eval_node(ast.children[0], e_in)
-            for c in ast.children:
-                add(c, index, inner)
-        else:
-            for c in ast.children:
-                add(c, index, "")
+        return node.value
 
-    add(p, 0, "")
+    if add(p, 0, "") == e_out:
+        raise NotSpurious(f"program satisfies {e_in!r} -> {e_out!r}")
     return nodes
 
 

@@ -41,32 +41,36 @@ and a run's values are built a column per example before its records.  A
 run of ``_batch`` is ``(values, sids, left, kids)``, one item per record
 in rank order, or sids None when the run is exact (invariant bulk-runs).
 
-Invariant registry: a candidate's state vector determines all its
-abstract work, since a concatenation's states depend only on its
-children's vectors and the table, and the verdicts only on the vector and
-the outputs.  Each ``run`` keeps in locals a registry that gives each
-vector that embeds on every example an int id, and a cache from child-id
-pairs to their concatenation's id; no ``Synthesizer`` holds them between
-runs.  ``_batch`` gives a concatenation its pair's cached id when it makes
-the run, else None, and a leaf None.  A candidate with None is derived
+Invariant registry: a candidate's state vector determines all its abstract
+work: a concatenation's states depend only on its children's vectors and
+the table, the verdicts only on the vector and the outputs.  Each ``run``
+keeps in locals a registry giving each vector that embeds on every example
+an int id, and a cache from child-id pairs to their concatenation's id,
+whose entries never change.  ``_batch`` gives a concatenation its pair's
+cached id when it makes the run, else None, and a leaf None; a slice
+reuses its last lookup's sids while the left id and the cache's size stay,
+so ``run`` never mutates a sids list.  A candidate with None is derived
 after the dedup check, one example at a time, and pruned at the first
-state that does not embed its output (an output in a concretization
-embeds at offset 0, so it could not be accepted); else its vector is
-registered, with its pair, and the candidate judged.  A pair cached
-within a run is derived again by later candidates of that run.
+state that does not embed its output (an output in a concretization embeds
+at offset 0, so it could not be accepted); else its vector is registered,
+with its pair, and the candidate judged.  Later candidates of its run
+derive that pair again.
 
 Invariant bulk-runs: a run is exact, with sids None, when all its records
 are: a leaf run when no value is longer than the leaves pinned whole, a
-concatenation run (a left record and a slice of a pool) when its left
-record and slice are.  Of a run whose vectors are all known, only a
-candidate whose values are the outputs can be accepted: with
-``require_correct`` any other is refused, and without it an exact one is
-iff (invariant exact-states) and a cached vector, one this run did not
-accept, fails ``gamma_contains``.  ``run`` takes the run in bulk up to
-that candidate: it counts, dedups in order (a leaf run can repeat a
-value) and pools the new candidates; of an exact run it first prunes
-those not substrings of their outputs and registers the rest, caching no
-pair.  The run's tail goes one at a time, as does every other run.
+concatenation run when its left record and its pool slice are.  Of a run
+whose vectors are all known, only a candidate whose values are the outputs
+can be accepted: with ``require_correct`` any other is refused, and
+without it an exact one is iff (invariant exact-states) and a cached
+vector, one this run did not accept, fails ``gamma_contains``.  ``run``
+takes the run in bulk up to that candidate, which a cached run holds only
+if its left value starts every output, and the rest one at a time, as
+every other run.  It counts, dedups and pools the new candidates: a cached
+run's values are distinct (a pool's are, and one left value concatenates
+injectively), so by set operations, with a mask of the new ones only when
+pooled; an exact run's in order (a leaf run can repeat a value), pruning
+those not substrings of their outputs and registering the rest, caching no
+pair.
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -342,10 +346,8 @@ class Synthesizer:
         self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
     ) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order, as runs of at most
-        ``RUN`` records (invariant records).  ``pools`` holds the kept
-        records of each smaller size; ``concats`` and ``vectors`` are the
-        run's cache of child-id pairs and its vectors by id (invariant
-        registry)."""
+        ``RUN`` (invariant records), from ``pools``, the kept records by size,
+        and the run's ``concats`` and ``vectors`` (invariant registry)."""
         inputs, exact_len = self.inputs, self._exact_len
         if size == 1:
             yield from _leaf_runs([inputs, *((s,) * len(inputs) for s in self.consts)], range(1 + len(self.consts)), exact_len)
@@ -355,18 +357,25 @@ class Synthesizer:
                 continue
             pool = pools[size - 1 - sa]
             # Each slice of the pool: its value columns, one per example, its
-            # sids, its records and whether they are all exact.
+            # sids, its records, whether they are all exact, and its last
+            # lookup's key and sids (invariant registry).
             parts = [pool[i : i + RUN] for i in range(0, len(pool), RUN)]
             slices = [
-                (list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part, all(vectors[b[1]] == b[0] for b in part))
+                [list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part, all(vectors[b[1]] == b[0] for b in part), None, None]
                 for part in parts
             ]
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
                 a_exact = vectors[a_sid] == a_values
-                for columns, b_sids, part, exact in slices:
+                for s in slices:
+                    columns, b_sids, part, exact, key, sids = s
                     values = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
-                    yield values, None if a_exact and exact else list(map(concats.get, zip(repeat(a_sid), b_sids))), a, part
+                    if a_exact and exact:
+                        sids = None
+                    elif key != (a_sid, len(concats)):
+                        sids = s[5] = list(map(concats.get, zip(repeat(a_sid), b_sids)))
+                        s[4] = a_sid, len(concats)
+                    yield values, sids, a, part
         if size == 4:
             yield from _leaf_runs(*self._substring_leaves(), exact_len)
 
@@ -386,11 +395,10 @@ class Synthesizer:
     def run(self, require_correct: bool = False) -> SynthResult:
         """Enumerate in rank order until a candidate is accepted (with
         ``require_correct``, only one whose values are the outputs), or the
-        budget, the deadline or the sizes run out (invariant budget-cut).
-        The run keeps its own registry (invariant registry), takes in bulk
-        each run whose vectors are all known, up to its candidate equal to
-        the outputs (invariant bulk-runs), and pools only the levels a later
-        size reads (invariant pooled-levels)."""
+        budget, the deadline or the sizes run out (invariant budget-cut),
+        with its own registry (invariant registry), runs taken in bulk
+        (invariant bulk-runs) and only the pools read later (invariant
+        pooled-levels)."""
         start = time.perf_counter_ns()
         timeout_ms = self.task.timeout_ms
         deadline = None if timeout_ms is None else start + timeout_ms * 1_000_000
@@ -437,22 +445,27 @@ class Synthesizer:
                     if sids is None or None not in sids:
                         # Every vector is known: taken in bulk up to the first
                         # candidate whose values are the outputs (invariant bulk-runs).
-                        if outputs in values:
+                        if (sids is None or all(map(str.startswith, outputs, left[0]))) and outputs in values:
                             n = values.index(outputs)
                             rest = values[n:], sids[n:] if sids else [register(outputs)], kids[n:]
                             values = values[:n]
                         enumerated += len(values)
-                        # In order, as a leaf run can repeat a value.
-                        repeated = [v in seen or seen.add(v) for v in values]
-                        dups = repeated.count(True)
-                        deduped += dups
-                        fresh = map(not_, repeated)
                         if sids is None:
-                            # An exact run: each vector is its values.
+                            # An exact run: in order, as a leaf run can repeat a
+                            # value, and each vector is its values.
+                            repeated = [v in seen or seen.add(v) for v in values]
+                            dups = repeated.count(True)
                             fresh = [not r and all(map(state_embeds, v, outputs)) for r, v in zip(repeated, values)]
                             pruned += len(values) - dups - fresh.count(True)
                             if pooled:
                                 sids = [register(v) if f else None for f, v in zip(fresh, values)]
+                        else:
+                            # A cached run: its values are distinct.
+                            fresh = map(not_, list(map(seen.__contains__, values))) if pooled else None
+                            dups = len(seen) + len(values)
+                            seen.update(values)
+                            dups -= len(seen)
+                        deduped += dups
                         if pooled:
                             kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
                     else:

@@ -53,19 +53,19 @@ matrix maps every instantiation to that pinned fact, and only the copy
 or the shift does.
 
 Invariant fillable: a slot that cannot reach full rank is refused before
-it draws a sample (``FILLABLE``).  A ``len = c`` output needs both inputs
-``len = c``; a ``len != c`` output one ``len = c`` and one ``len != c``
-input, in either order; a ``char i = c`` output a first input ``char i =
-c``, or a first input ``len = c`` and a second ``char i = c``; no ``char
-i != c`` output is learned.  The rule is exact: an equality output is
-valid only where the inputs fix it, its length only when both lengths are
-fixed, its character only when the first input pins it or the first
-length is fixed and the second input pins it.  A ``len !=`` row of the
-counterfactual pairing (``generate_examples``) is never valid without a
-``len !=`` input, since the sampled pair is a counterexample; in the
-other refused pairs every valid row has the ``len !=`` constant 0, so that
-column stays zero.  Each slot draws from its own child oracle, so
-skipping a refused slot's draws changes no other slot.
+it derives its oracle (``FILLABLE``).  A ``len = c`` output needs both
+inputs ``len = c``; a ``len != c`` output one ``len = c`` and one ``len
+!= c`` input, in either order; a ``char i = c`` output a first input
+``char i = c``, or a first input ``len = c`` and a second ``char i = c``;
+no ``char i != c`` output is learned.  The rule is exact: an equality
+output is valid only where the inputs fix it, its length only when both
+lengths are fixed, its character only when the first input pins it or
+the first length is fixed and the second input pins it.  A ``len !=`` row
+of the counterfactual pairing (``generate_examples``) is never valid
+without a ``len !=`` input, since the sampled pair is a counterexample;
+in the other refused pairs every valid row has the ``len !=`` constant 0,
+so that column stays zero.  Each slot draws from its own child oracle,
+which ``child`` derives without a draw, so a refused slot changes no other.
 
 Invariant normalized-table: a table never changes and stores only
 entries with outputs, and it drops an output that the entry with ``top``
@@ -335,12 +335,13 @@ def generate_examples(
     chis: tuple[TemplateKind, ...],
     oracle: SamplingOracle,
     pool: ConstantPool,
+    slot_id: str,
 ) -> dict[int, list[int]]:
-    """Sample valid concrete concat rows until their input constants have
-    full column rank, and return the echelon basis of the rows for
-    ``solve_linear``.  Raises EmptySlot when the slot is refused (invariant
-    fillable), sampling stalls or the budget is exhausted, or a row that
-    reduces to zero on A but not on B contradicts the rows before it.
+    """Sample valid concat rows from ``oracle.child(slot_id)`` until their
+    input constants have full column rank, and return their echelon basis
+    for ``solve_linear``.  Raises EmptySlot when the slot is refused
+    (invariant fillable), sampling stalls or the budget runs out, or a row
+    reducing to zero on A but not on B contradicts the rows before it.
 
     Rows for equality outputs pair the strongest abstractions of the
     sampled values.  Rows for a ``len !=`` output use a counterfactual
@@ -350,6 +351,7 @@ def generate_examples(
     """
     if chis not in FILLABLE.get(chi0, ()):
         raise EmptySlot(f"{inputs_text(chis)} -> {template_to_text(chi0)} cannot reach full rank")
+    oracle = oracle.child(slot_id)
     seen_rows: set = set()
     n_cols = sum(t.holes for t in chis) + 1
     basis: dict[int, list[int]] = {}
@@ -718,7 +720,7 @@ def learn_transformers(
 
 def _learn_slot(chi0, chis, oracle, pool, slot_id):
     try:
-        basis = generate_examples(chi0, chis, oracle.child(slot_id), pool)
+        basis = generate_examples(chi0, chis, oracle, pool, slot_id)
     except EmptySlot:
         return None
     p_matrix = solve_linear(basis)

@@ -13,6 +13,7 @@ from atlas.domain import (
     gamma_contains,
     len_neq,
 )
+from atlas import dsl, interpolation
 from atlas.dsl import EvalError, abspos, concat, const, cpos, eval_node, input_, substr
 from atlas.interpolation import (
     NotSpurious,
@@ -55,6 +56,33 @@ class TestConstructTree:
         nodes = construct_tree(p, "\\a\\b", "zzz")
         pos_values = [n.value for n in nodes if n.ast is not None and n.ast.op.value in ("abspos", "cpos")]
         assert pos_values == [0, 3]
+
+    def test_eval_node_calls_grow_linearly_with_depth(self, monkeypatch):
+        # Each node's value is computed once, from its children's: building
+        # the tree of (concat ... (input) (const "a")) nested d deep calls
+        # ``eval_node`` about once per node, not once per node and level
+        # (162,002 times at 400 deep when each subtree was evaluated again
+        # at each of its nodes).  Counted through the wrapped name, which
+        # ``eval_node``'s own recursion also goes through.
+        calls, evaluate = [], dsl.eval_node
+
+        def counting(node, x):
+            calls.append(node)
+            return evaluate(node, x)
+
+        monkeypatch.setattr(dsl, "eval_node", counting)
+        monkeypatch.setattr(interpolation, "eval_node", counting)
+        counts = {}
+        for depth in (50, 100, 200, 400):
+            node = input_()
+            for _ in range(depth):
+                node = concat(node, const("a"))
+            calls.clear()
+            nodes = construct_tree(node, "x", "y")
+            assert nodes[1].value == "x" + "a" * depth
+            counts[depth] = len(calls)
+        assert all(count <= 2 * depth + 2 for depth, count in counts.items()), counts
+        assert counts[400] <= 2 * counts[200] <= 4 * counts[100] <= 8 * counts[50], counts
 
 
 class TestFindTreeItp:
@@ -246,3 +274,5 @@ def test_tree_is_the_preorder_node_list(node, e_in, e_out):
             assert tuple(nodes[c].ast for c in n.children) == n.ast.children
     assert sorted(parents) == list(range(1, len(nodes)))
     assert len(find_tree_itp(nodes)) == len(nodes)
+    # Each string node holds its value, as evaluated on its own.
+    assert all(n.value == eval_node(n.ast, e_in) for n in nodes[1:] if n.ast.op.value not in ("abspos", "cpos"))

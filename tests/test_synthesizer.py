@@ -1483,3 +1483,63 @@ class TestReferenceSearch:
         templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
         check_against_the_reference(task, templates, table, require_correct, pools=True)
+
+
+def check_cached_runs(synth) -> SimpleNamespace:
+    """Wrap ``synth._batch`` so that a later ``synth.run()`` checks each run
+    as it is yielded: a cached run (sids not None, none of them None) is a
+    concatenation run with pairwise-distinct values (invariant bulk-runs),
+    and a concatenation run's sids are what a fresh lookup of each
+    ``(left id, right id)`` pair in the concat cache gives then (invariant
+    registry).  The returned namespace counts the cached runs (``cached``)
+    and the runs whose sids list an earlier run was given (``shared``), and
+    keeps each sids list given with a copy made then (``given``)."""
+    batch, seen = synth._batch, SimpleNamespace(cached=0, shared=0, given={})
+
+    def checking(size, pools, concats, vectors):
+        for run in batch(size, pools, concats, vectors):
+            values, sids, left, kids = run
+            if sids is not None and None not in sids:
+                assert left is not None and len(set(values)) == len(values)
+                seen.cached += 1
+            if sids is not None and left is not None:
+                assert sids == [concats.get((left[1], b[1])) for b in kids]
+                seen.shared += id(sids) in seen.given
+                seen.given.setdefault(id(sids), (sids, list(sids)))
+            yield run
+
+    synth._batch = checking
+    return seen
+
+
+class TestCachedRuns:
+    """``run`` takes a cached run with set operations, which counts its
+    repeats right only because its values are distinct, and ``_batch``
+    reuses a slice's lookups while the left id and the cache size are
+    unchanged, which gives the sids only because a cache entry never
+    changes (invariants bulk-runs and registry)."""
+
+    @pytest.mark.parametrize("domain", ["top", "length"])
+    def test_corpus_runs(self, table_a1, domain):
+        templates, table = ([TOP], TransformerTable()) if domain == "top" else ([TOP, LEN_EQ, LEN_NEQ], table_a1)
+        cached = shared = 0
+        for name, task in corpus_tasks(20_000).items():
+            synth = Synthesizer(task, templates, table)
+            seen = check_cached_runs(synth)
+            for require_correct in (True, False):
+                synth.run(require_correct=require_correct)
+            # No sids list was changed after it was given.
+            assert all(sids == copy for sids, copy in seen.given.values()), name
+            cached, shared = cached + seen.cached, shared + seen.shared
+        # The checks saw cached runs, and sids lists reused across runs.
+        assert cached and shared
+
+    @pytest.mark.parametrize("domain", ["top", "length"])
+    @settings(max_examples=60, deadline=None)
+    @given(examples=SMALL_EXAMPLES, max_size=st.integers(1, 9), require_correct=st.booleans())
+    def test_small_tasks(self, table_a1, domain, examples, max_size, require_correct):
+        templates, table = ([TOP], TransformerTable()) if domain == "top" else ([TOP, LEN_EQ, LEN_NEQ], table_a1)
+        synth = Synthesizer(SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=3_000), templates, table)
+        seen = check_cached_runs(synth)
+        synth.run(require_correct=require_correct)
+        assert all(sids == copy for sids, copy in seen.given.values())

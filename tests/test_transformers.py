@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from atlas.cli import bundle_obj, canonical_json, load_bundle, main
 from atlas.corpus import corpus_dir
-from atlas.driver import corpus_alphabet
+from atlas.driver import TrainConfig, corpus_alphabet, learn_abstractions
 from atlas.domain import (
     AbstractValue,
     CHAR_EQ,
@@ -53,8 +53,9 @@ import test_golden_slots
 POOL = ConstantPool.default(["CAV2018", "510.220.5586"])
 
 
-def oracle(tag="t"):
-    return SamplingOracle(0, "CAV2018510.-").child(tag)
+def oracle():
+    """The parent oracle of the slots ``generate_examples`` is given here."""
+    return SamplingOracle(0, "CAV2018510.-")
 
 
 def small_strings(max_len=4, alphabet="abz"):
@@ -217,25 +218,24 @@ def kept_rows(monkeypatch) -> list:
 
 class TestGenerateExamples:
     def test_concat_length_rows(self):
-        basis = generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL)
+        basis = generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL, "t")
         assert full_rank(basis.values(), 3)
         assert satisfies_map(basis, [[1, 1, 0]])
 
     def test_counterfactual_rows_reach_full_rank(self):
-        basis = generate_examples(LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL)
+        basis = generate_examples(LEN_NEQ, (LEN_EQ, LEN_NEQ), oracle(), POOL, "t")
         assert full_rank(basis.values(), 3)
         assert satisfies_map(basis, [[1, 1, 0]])
 
     def test_no_affine_function_insufficient_rank(self):
         with pytest.raises(EmptySlot):
-            generate_examples(LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL)
+            generate_examples(LEN_EQ, (LEN_NEQ, LEN_NEQ), oracle(), POOL, "t")
 
-    def test_admitted_slot_stalls(self):
+    def test_admitted_slot_stalls(self, monkeypatch):
         # Every draw is "", so the rows of (len =, len =) -> len = stay at rank 1.
-        empty = oracle()
-        empty.draw_string = lambda: ""
+        monkeypatch.setattr(SamplingOracle, "draw_string", lambda self: "")
         with pytest.raises(EmptySlot, match="no rank progress after 25 samples"):
-            generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), empty, POOL)
+            generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL, "t")
 
     def test_inconsistent_system_ends_the_slot(self, monkeypatch):
         # With every row accepted, (char i = c),(top) -> char i = c also
@@ -243,18 +243,40 @@ class TestGenerateExamples:
         # no affine map fits them all.
         monkeypatch.setattr(transformers, "row_valid", lambda inputs, output: True)
         with pytest.raises(EmptySlot, match="inconsistent system"):
-            generate_examples(CHAR_EQ, (CHAR_EQ, TOP), oracle(), POOL)
+            generate_examples(CHAR_EQ, (CHAR_EQ, TOP), oracle(), POOL, "t")
 
     @pytest.mark.parametrize("chi0", list(TemplateKind), ids=lambda k: k.value)
-    def test_refused_slot_draws_nothing(self, chi0):
+    def test_refused_slot_draws_nothing(self, monkeypatch, chi0):
+        # Every derivation and draw of any oracle, the slot's child included,
+        # is recorded on the class (invariant fillable).
+        calls = []
+        for name in ("child", "draw_length", "draw_char", "draw_string"):
+            method = getattr(SamplingOracle, name)
+            monkeypatch.setattr(SamplingOracle, name, lambda self, *args, _name=name, _method=method: calls.append(_name) or _method(self, *args))
         for chis in product(TemplateKind, repeat=2):
             if chis in FILLABLE.get(chi0, ()):
                 continue
             source = oracle()
             state = source.rng.getstate()
             with pytest.raises(EmptySlot, match="cannot reach full rank"):
-                generate_examples(chi0, chis, source, POOL)
-            assert source.rng.getstate() == state
+                generate_examples(chi0, chis, source, POOL, "t")
+            assert calls == [] and source.rng.getstate() == state, (chi0, chis)
+        # The recorder sees a fillable slot derive its child and draw.
+        generate_examples(LEN_EQ, (LEN_EQ, LEN_EQ), oracle(), POOL, "t")
+        assert calls[0] == "child" and "draw_string" in calls
+
+    def test_training_derives_an_oracle_only_for_a_fillable_slot(self, monkeypatch, training_problems):
+        # Seed-0 training tries 100 slots and refuses 91 before deriving
+        # their oracles (invariant fillable): 9 children are derived, one
+        # per fillable slot.
+        tried, derived = [], []
+        generate, child = transformers.generate_examples, SamplingOracle.child
+        monkeypatch.setattr(transformers, "generate_examples", lambda *args: tried.append(args) or generate(*args))
+        monkeypatch.setattr(SamplingOracle, "child", lambda self, tag: derived.append(tag) or child(self, tag))
+        learn_abstractions(training_problems, TrainConfig(seed=0))
+        assert len(tried) == len({args[-1] for args in tried}) == 100
+        fillable = [args[-1] for args in tried if args[1] in FILLABLE.get(args[0], ())]
+        assert derived == fillable and len(derived) == 9
 
     def test_rows_are_sound_instances(self, monkeypatch):
         # Every row kept holds of every pair of small strings its inputs admit.
@@ -262,7 +284,7 @@ class TestGenerateExamples:
         kept = kept_rows(monkeypatch)
         for chi0, chis in [(LEN_EQ, (LEN_EQ, LEN_EQ)), (LEN_NEQ, (LEN_EQ, LEN_NEQ)), (LEN_NEQ, (LEN_NEQ, LEN_EQ))]:
             kept.clear()
-            generate_examples(chi0, chis, oracle(), POOL)
+            generate_examples(chi0, chis, oracle(), POOL, "t")
             checked = 0
             for (p1, p2), p0 in kept:
                 assert (p1.kind, p2.kind, p0.kind) == (*chis, chi0)
