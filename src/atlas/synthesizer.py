@@ -12,9 +12,9 @@ output lies in the concretization of its state.
 
 ``run`` walks the AST sizes in order; ``_batch`` yields the candidates of
 one size as runs of at most ``RUN``, built from the pools of kept
-candidates of smaller sizes.  ``apply_transformer``, ``state_embeds`` and
-``gamma_contains`` are called through this module's globals, so that a
-tracer which replaces them by name sees every call.
+candidates of smaller sizes.  ``apply_transformer``, ``state_embeds``,
+``exact_embeds`` and ``gamma_contains`` are called through this module's
+globals, so that a tracer which replaces them by name sees every call.
 
 Invariant exact-states: a state whose concretization is one string is
 that ``str``, and a record is exact when its vector is its values.  Under
@@ -65,12 +65,17 @@ without it an exact one is iff (invariant exact-states) and a cached
 vector, one this run did not accept, fails ``gamma_contains``.  ``run``
 takes the run in bulk up to that candidate, which a cached run holds only
 if its left value starts every output, and the rest one at a time, as
-every other run.  It counts, dedups and pools the new candidates: a cached
-run's values are distinct (a pool's are, and one left value concatenates
-injectively), so by set operations, with a mask of the new ones only when
-pooled; an exact run's in order (a leaf run can repeat a value), pruning
-those not substrings of their outputs and registering the rest, caching no
-pair.
+every other run.  It counts, dedups and pools the new candidates.  A
+cached run's values are distinct (a pool's are, and one left value
+concatenates injectively), so it is deduped by set operations, with a mask
+of its new candidates only when pooled; an exact run is deduped in order,
+since a leaf run can repeat a value.  An exact run's new candidates are
+pruned by one ``exact_embeds`` call, which tests each example only on the
+candidates that passed the examples before, so it stops where a test one
+candidate at a time would; the rest are registered and pooled in one
+pass, caching no pair.  None of their vectors is registered yet: a
+registered vector of ``str`` states is the values of a candidate in
+``seen``, or the outputs, which the bulk part of a run does not hold.
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -229,6 +234,18 @@ def state_embeds(state: StateLike, out: str) -> bool:
             return True
         p = out.find(first, p + 1, stop)
     return False
+
+
+def exact_embeds(values: list[tuple[str, ...]], live: list[int], outputs: tuple[str, ...]) -> list[int]:
+    """The indexes in ``live`` of the exact candidates among ``values``
+    whose every state embeds its output, that is, whose every value is a
+    substring of it (invariant exact-states).  Tested a column at a time:
+    each example only on the candidates that passed the ones before."""
+    for k, out in enumerate(outputs):
+        if not live:
+            break
+        live = list(compress(live, map(out.__contains__, map(itemgetter(k), map(values.__getitem__, live)))))
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +468,27 @@ class Synthesizer:
                             values = values[:n]
                         enumerated += len(values)
                         if sids is None:
-                            # An exact run: in order, as a leaf run can repeat a
-                            # value, and each vector is its values.
-                            repeated = [v in seen or seen.add(v) for v in values]
-                            dups = repeated.count(True)
-                            fresh = [not r and all(map(state_embeds, v, outputs)) for r, v in zip(repeated, values)]
-                            pruned += len(values) - dups - fresh.count(True)
-                            if pooled:
-                                sids = [register(v) if f else None for f, v in zip(fresh, values)]
+                            # An exact run: each vector is its values.
+                            live = [i for i, v in enumerate(values) if not (v in seen or seen.add(v))]
+                            dups = len(values) - len(live)
+                            live = exact_embeds(values, live, outputs)
+                            pruned += len(values) - dups - len(live)
+                            if pooled and live:
+                                # None of their vectors is registered yet (invariant bulk-runs).
+                                fresh = list(map(values.__getitem__, live))
+                                sids = range(len(vectors), len(vectors) + len(fresh))
+                                vectors.extend(fresh)
+                                ids.update(zip(fresh, sids))
+                                kept.extend(zip(fresh, sids, repeat(left), map(kids.__getitem__, live)))
                         else:
                             # A cached run: its values are distinct.
                             fresh = map(not_, list(map(seen.__contains__, values))) if pooled else None
                             dups = len(seen) + len(values)
                             seen.update(values)
                             dups -= len(seen)
+                            if pooled:
+                                kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
                         deduped += dups
-                        if pooled:
-                            kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
                     else:
                         rest = values, sids, kids
                     for v, sid, right in zip(*rest):

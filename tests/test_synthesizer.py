@@ -43,8 +43,8 @@ from atlas.dsl import (
 from atlas import dsl, synthesizer
 from atlas.cli import load_task
 from atlas.corpus import corpus_dir
-from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, position_node, state_embeds
-from atlas.transformers import Transformer, TransformerTable
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, exact_embeds, position_node, state_embeds
+from atlas.transformers import Transformer, TransformerTable, counterexample
 
 import oracles
 from conftest import (
@@ -410,53 +410,51 @@ def pooled_records(seen) -> list:
     return [rec for pool in seen.pools.values() for rec in pool]
 
 
+class WatchedOutput(str):
+    """An output that logs each ``in`` test made against it as ``(k, value)``,
+    ``k`` its example."""
+
+    def __contains__(self, value):
+        self.log.append((self.k, value))
+        return str.__contains__(self, value)
+
+
 def watch_bulk_tests(monkeypatch, synth, seen) -> list:
-    """Replace the synthesizer module's ``state_embeds`` by a wrapper, so
+    """Replace the synthesizer module's ``exact_embeds`` by a wrapper, so
     that a later ``synth.run()``, watched by ``seen`` (``watch_run``), leaves
     in the returned list ``[record, embeds]`` for each candidate it tested
-    outside ``_derive``, in order: the new candidates of the exact runs it
-    took with set operations (invariant bulk-runs).  A test calls
-    ``state_embeds`` on the candidate's values, one example at a time up to
-    the first that does not embed.  Each tested candidate is matched to the
-    first record, in the order ``_batch`` yielded them, that is past the one
-    matched before and whose values no earlier record had; that record must
-    be in the run ``_batch`` yielded last and hold the values tested."""
-    tested, derive = [], synth._derive
-    at = SimpleNamespace(inside=False, run=0, index=0, example=0, known=set())
+    in bulk, in order: the new candidates of the exact runs (invariant
+    bulk-runs).  Each call must be on the values of the run ``_batch``
+    yielded last, which is exact and was not tested before, as ``run`` cut
+    them, with the indexes of those no earlier record had.  It must test
+    each example a column at a time, ``in`` the output, on the candidates
+    that passed the examples before, and return those that pass all."""
+    tested, log = [], []
+    at = SimpleNamespace(run=0, known=set())
 
-    def deriving(rec, vectors):
-        at.inside = True
-        try:
-            return derive(rec, vectors)
-        finally:
-            at.inside = False
+    def embedding(values, live, outputs):
+        assert outputs == synth.outputs and len(seen.runs) > at.run
+        for run in seen.runs[at.run : -1]:
+            at.known.update(run[0])
+        at.run = len(seen.runs)
+        run_values, sids, left, kids = seen.runs[-1]
+        assert sids is None and values == run_values[: len(values)]
+        new = [i for i, v in enumerate(values) if not (v in at.known or at.known.add(v))]
+        assert live == new
+        log.clear()
+        watched = [WatchedOutput(out) for out in outputs]
+        for k, out in enumerate(watched):
+            out.k, out.log = k, log
+        kept = exact_embeds(values, live, tuple(watched))
+        expected = []
+        for k, out in enumerate(outputs):
+            expected += [(k, values[i][k]) for i in live]
+            live = [i for i in live if values[i][k] in out]
+        assert log == expected and kept == live
+        tested.extend([(values[i], None, left, kids[i]), i in kept] for i in new)
+        return kept
 
-    def embedding(state, out):
-        embeds = state_embeds(state, out)
-        if at.inside:
-            return embeds
-        if at.example == 0:
-            while True:
-                values, _, left, kids = seen.runs[at.run]
-                if at.index == len(values):
-                    at.run, at.index = at.run + 1, 0
-                    continue
-                v, kid = values[at.index], kids[at.index]
-                at.index += 1
-                if v not in at.known:
-                    at.known.add(v)
-                    if at.run == len(seen.runs) - 1:
-                        break
-            tested.append([(v, None, left, kid), True])
-        rec = tested[-1][0]
-        assert state == rec[0][at.example], print_program(synth._node(rec))
-        at.example += 1
-        if not embeds or at.example == len(synth.outputs):
-            tested[-1][1], at.example = embeds, 0
-        return embeds
-
-    monkeypatch.setattr(synthesizer, "state_embeds", embedding)
-    synth._derive = deriving
+    monkeypatch.setattr(synthesizer, "exact_embeds", embedding)
     return tested
 
 
@@ -502,14 +500,16 @@ class TestEnumeratorProperties:
 
     def test_prune_safety_same_program_with_filter_off(self, table_a2, trained, monkeypatch):
         # E1 and E2 under the five-template table; under the seed-0 bundle,
-        # where exact runs prune through the same name, eval_phone_dash and
-        # E3, whose longest leaves are not exact.  Without pruning,
+        # where exact runs prune through ``exact_embeds``, eval_phone_dash
+        # and E3, whose longest leaves are not exact.  Both names pass
+        # everything, so no prune is left.  Without pruning,
         # eval_proto_host passes 200,000 candidates, as under top.
         _, phone_dash = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
         synths = [lambda task=task: Synthesizer(task, FIVE_TEMPLATES, table_a2) for task in (E1, E2)]
         synths += [lambda task=task: Synthesizer(task, trained.templates, trained.table) for task in (phone_dash, E3)]
         on = [synth().run(require_correct=True) for synth in synths]
         monkeypatch.setattr(synthesizer, "state_embeds", lambda state, out: True)
+        monkeypatch.setattr(synthesizer, "exact_embeds", lambda values, live, outputs: live)
         off = [synth().run(require_correct=True) for synth in synths]
         for a, b in zip(on, off):
             assert a.program == b.program
@@ -1484,6 +1484,73 @@ class TestReferenceSearch:
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
         check_against_the_reference(task, templates, table, require_correct, pools=True)
 
+
+def sound_outputs(k1, k2) -> list:
+    """The outputs a drawn table may give the entry ``(k1, k2)``: the
+    ``len =`` sum, the copy and the shift, where their inputs match."""
+    outputs = []
+    if (k1, k2) == (LEN_EQ, LEN_EQ):
+        outputs.append((LEN_EQ, ((1, 1, 0),)))
+    if k1 is CHAR_EQ:
+        zeros = (0,) * (k2.holes + 1)
+        outputs.append((CHAR_EQ, ((1, 0, *zeros), (0, 1, *zeros))))
+    if (k1, k2) == (LEN_EQ, CHAR_EQ):
+        outputs.append((CHAR_EQ, ((1, 1, 0, 0), (0, 0, 1, 0))))
+    return outputs
+
+
+@st.composite
+def sound_tables(draw) -> tuple[list, TransformerTable]:
+    """A template set with ``top`` and a sound table over it: each pair of
+    its templates gets a subset of ``sound_outputs`` and, with ``len !=``
+    in the set, up to two ``len !=`` rows with coefficients in -2..2, each
+    kept only where ``counterexample`` finds none.  The table is built
+    through ``TransformerTable``, so it is normalized as a learned one is."""
+    templates = [TOP, *(k for k in (LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ) if draw(st.booleans()))]
+    entries = []
+    for k1, k2 in product(templates, repeat=2):
+        # Each offered output three times in four, so that about one table in
+        # seven keeps states exact.
+        outputs = [o for o in sound_outputs(k1, k2) if draw(st.integers(0, 3))]
+        if LEN_NEQ in templates:
+            rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (k1.holes + k2.holes + 1)), max_size=2))
+            outputs += [(LEN_NEQ, (row,)) for row in rows if counterexample((k1, k2), LEN_NEQ, (row,)) is None]
+        if outputs:
+            entries.append(Transformer((k1, k2), tuple(outputs)))
+    return templates, TransformerTable(entries)
+
+
+# Drawable domains: three templates and only the three exact entries, which
+# keep states exact; and the top copy with the ``len !=`` row a + 1 - b
+# over two lengths, which prunes where the copy alone does not.
+EXACT_DOMAIN = [TOP, LEN_EQ, CHAR_EQ], TransformerTable(
+    [Transformer(pair, tuple(sound_outputs(*pair))) for pair in ((LEN_EQ, LEN_EQ), (LEN_EQ, CHAR_EQ), (CHAR_EQ, TOP))]
+)
+LEN_NEQ_DOMAIN = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ], TransformerTable(
+    [Transformer((CHAR_EQ, TOP), tuple(sound_outputs(CHAR_EQ, TOP))), Transformer((LEN_EQ, LEN_EQ), ((LEN_NEQ, ((1, -1, 1),)),))]
+)
+
+
+class TestRandomSoundTables:
+    """``run`` returns and pools what a search in rank order does under any
+    sound table (invariant rank-order), whichever of the exact entries and
+    templates it has (invariants exact-states and bulk-runs)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        domain=sound_tables(),
+        examples=SMALL_EXAMPLES,
+        max_size=st.integers(1, 9),
+        budget=st.integers(1, 3_000),
+        require_correct=st.booleans(),
+    )
+    @example(domain=EXACT_DOMAIN, examples=[("ab.ba", "ba/ab"), ("b.a", "a/b")], max_size=9, budget=3_000, require_correct=True)
+    @example(domain=EXACT_DOMAIN, examples=[("ab.ba", "ba/ab"), ("b.a", "a/b")], max_size=9, budget=3_000, require_correct=False)
+    @example(domain=LEN_NEQ_DOMAIN, examples=[(".b", "./"), ("//aa.", "./b")], max_size=7, budget=3_000, require_correct=True)
+    def test_run_equals_the_reference(self, domain, examples, max_size, budget, require_correct):
+        templates, table = domain
+        task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
+        check_against_the_reference(task, templates, table, require_correct, pools=True)
 
 def check_cached_runs(synth) -> SimpleNamespace:
     """Wrap ``synth._batch`` so that a later ``synth.run()`` checks each run
