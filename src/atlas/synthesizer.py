@@ -52,9 +52,11 @@ reuses its last lookup's sids while the left id and the cache's size stay,
 so ``run`` never mutates a sids list.  A candidate with None is derived
 after the dedup check, one example at a time, and pruned at the first
 state that does not embed its output (an output in a concretization embeds
-at offset 0, so it could not be accepted); else its vector is registered,
-with its pair, and the candidate judged.  Later candidates of its run
-derive that pair again.
+at offset 0, so it could not be accepted); else its vector is looked up or
+added by value, its pair cached, and the candidate judged.  Later
+candidates of its run derive that pair again.  An exact candidate taken in
+bulk gets a new id and is not looked up by value: its vector is its
+values, and dedup comes before derivation, so no later lookup asks for it.
 
 Invariant bulk-runs: a run is exact, with sids None, when all its records
 are: a leaf run when no value is longer than the leaves pinned whole, a
@@ -72,10 +74,8 @@ of its new candidates only when pooled; an exact run is deduped in order,
 since a leaf run can repeat a value.  An exact run's new candidates are
 pruned by one ``exact_embeds`` call, which tests each example only on the
 candidates that passed the examples before, so it stops where a test one
-candidate at a time would; the rest are registered and pooled in one
-pass, caching no pair.  None of their vectors is registered yet: a
-registered vector of ``str`` states is the values of a candidate in
-``seen``, or the outputs, which the bulk part of a run does not hold.
+candidate at a time would; the rest are pooled in one pass, each with a
+new id, caching no pair (invariant registry).
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -474,11 +474,10 @@ class Synthesizer:
                             live = exact_embeds(values, live, outputs)
                             pruned += len(values) - dups - len(live)
                             if pooled and live:
-                                # None of their vectors is registered yet (invariant bulk-runs).
+                                # New ids, never looked up by value (invariant registry).
                                 fresh = list(map(values.__getitem__, live))
                                 sids = range(len(vectors), len(vectors) + len(fresh))
                                 vectors.extend(fresh)
-                                ids.update(zip(fresh, sids))
                                 kept.extend(zip(fresh, sids, repeat(left), map(kids.__getitem__, live)))
                         else:
                             # A cached run: its values are distinct.

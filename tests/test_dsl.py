@@ -127,7 +127,7 @@ class TestRank:
         from atlas.synthesizer import Synthesizer, SynthesisTask
         from atlas.transformers import TransformerTable
 
-        from conftest import assert_pools_match, watch_run
+        from conftest import assert_pools_match, record
         from oracles import reference_search, term_node
 
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
@@ -142,7 +142,7 @@ class TestRank:
             assert previous < key, f"candidate {n}: {print_program(nodes[n - 1])}"
 
         synth = Synthesizer(task, [TOP], TransformerTable())
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert (result.reason, result.enumerated, result.deduped) == (found.reason, found.enumerated, found.deduped)
         assert_pools_match(synth, seen, found)

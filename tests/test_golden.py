@@ -19,7 +19,7 @@ from atlas.corpus import eval_task_paths, training_task_paths
 from atlas.domain import TOP
 from atlas.driver import TrainConfig, learn_abstractions
 from atlas.synthesizer import Synthesizer
-from atlas.transformers import concat_construct, top_table
+from atlas.transformers import TransformerTable
 
 REFERENCE = json.loads((Path(__file__).parent.parent / "perfbench" / "reference-seed0.json").read_text())
 
@@ -77,10 +77,10 @@ def test_bundle_programs_and_counts(trained):
 def test_top_table_programs_and_counts():
     want = expected("synth-top")
     assert len(want) == 10
-    assert synthesize_all([TOP], top_table([concat_construct()]), want) == want
+    assert synthesize_all([TOP], TransformerTable(), want) == want
 
 
 def test_top_table_budget_exits():
     want = budget_exits("synth-top")
     assert len(want) == 5
-    assert synthesize_all([TOP], top_table([concat_construct()]), want, exit_row) == want
+    assert synthesize_all([TOP], TransformerTable(), want, exit_row) == want

@@ -1,7 +1,6 @@
 import gc
 import operator
 from itertools import product, repeat
-from types import SimpleNamespace
 from typing import Iterator
 
 import pytest
@@ -43,7 +42,7 @@ from atlas.dsl import (
 from atlas import dsl, synthesizer
 from atlas.cli import load_task
 from atlas.corpus import corpus_dir
-from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, exact_embeds, position_node, state_embeds
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, position_node, state_embeds
 from atlas.transformers import Transformer, TransformerTable, counterexample
 
 import oracles
@@ -55,8 +54,8 @@ from conftest import (
     entries_with_top_copies,
     entry_outputs,
     outputs_kept,
+    record,
     table_outputs,
-    watch_run,
     with_outputs,
 )
 from oracles import (
@@ -405,61 +404,8 @@ def last_fails_to_embed(states, outputs) -> bool:
     return bool(states) and not state_embeds(states[-1], outputs[len(states) - 1])
 
 
-def pooled_records(seen) -> list:
-    """Every record in the pools of the run ``seen`` watched (``watch_run``)."""
-    return [rec for pool in seen.pools.values() for rec in pool]
-
-
-class WatchedOutput(str):
-    """An output that logs each ``in`` test made against it as ``(k, value)``,
-    ``k`` its example."""
-
-    def __contains__(self, value):
-        self.log.append((self.k, value))
-        return str.__contains__(self, value)
-
-
-def watch_bulk_tests(monkeypatch, synth, seen) -> list:
-    """Replace the synthesizer module's ``exact_embeds`` by a wrapper, so
-    that a later ``synth.run()``, watched by ``seen`` (``watch_run``), leaves
-    in the returned list ``[record, embeds]`` for each candidate it tested
-    in bulk, in order: the new candidates of the exact runs (invariant
-    bulk-runs).  Each call must be on the values of the run ``_batch``
-    yielded last, which is exact and was not tested before, as ``run`` cut
-    them, with the indexes of those no earlier record had.  It must test
-    each example a column at a time, ``in`` the output, on the candidates
-    that passed the examples before, and return those that pass all."""
-    tested, log = [], []
-    at = SimpleNamespace(run=0, known=set())
-
-    def embedding(values, live, outputs):
-        assert outputs == synth.outputs and len(seen.runs) > at.run
-        for run in seen.runs[at.run : -1]:
-            at.known.update(run[0])
-        at.run = len(seen.runs)
-        run_values, sids, left, kids = seen.runs[-1]
-        assert sids is None and values == run_values[: len(values)]
-        new = [i for i, v in enumerate(values) if not (v in at.known or at.known.add(v))]
-        assert live == new
-        log.clear()
-        watched = [WatchedOutput(out) for out in outputs]
-        for k, out in enumerate(watched):
-            out.k, out.log = k, log
-        kept = exact_embeds(values, live, tuple(watched))
-        expected = []
-        for k, out in enumerate(outputs):
-            expected += [(k, values[i][k]) for i in live]
-            live = [i for i in live if values[i][k] in out]
-        assert log == expected and kept == live
-        tested.extend([(values[i], None, left, kids[i]), i in kept] for i in new)
-        return kept
-
-    monkeypatch.setattr(synthesizer, "exact_embeds", embedding)
-    return tested
-
-
 def check_bulk_tests(synth, tested) -> list:
-    """``tested`` (``watch_bulk_tests``), after checking that each tested
+    """``tested`` (``Recording.tested``), after checking that each tested
     candidate's fresh states hold its values and embed exactly when the run
     found its values embed: so each one the run pruned fails to embed."""
     for rec, embeds in tested:
@@ -477,22 +423,18 @@ def outcome(r) -> tuple:
 class TestEnumeratorProperties:
     def test_abstract_soundness_during_enumeration(self, table_a2, monkeypatch):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
-        seen = watch_run(synth)
-        tested = watch_bulk_tests(monkeypatch, synth, seen)
+        seen = record(monkeypatch, synth, check=True)
         result = synth.run(require_correct=True)
         assert result.correct
         assert outcome(result) == outcome(reference_search(E2, FIVE_TEMPLATES, table_a2, True))
         pruned = 0
-        for rec, derived, embeds in seen.derived:
+        for rec, derived, embeds in seen.derived():
             fresh = check_derived(synth, rec, derived)
             assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(synth._node(rec))
             assert embeds != last_fails_to_embed(derived, E2.outputs)
             pruned += not embeds
-        taken = check_bulk_tests(synth, tested)
+        taken = check_bulk_tests(synth, seen.tested())
         pruned += sum(not embeds for _, embeds in taken)
-        # A pooled record's registered vector is its fresh one, so it holds its value.
-        for rec in pooled_records(seen):
-            assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
         # The pruned candidates are those whose last derived state fails to
         # embed and those tested in bulk that fail to embed.
         assert pruned == result.pruned_abstract > 0
@@ -561,37 +503,6 @@ FIVE_TEMPLATES = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ]
 PHONES = SynthesisTask(examples=(*E2.examples, ("408.555.1234", "408-555-1234")))
 
 
-def watch_gamma_contains(monkeypatch, synth) -> SimpleNamespace:
-    """Replace the synthesizer module's ``gamma_contains`` by a wrapper and
-    wrap ``synth._node``, so that a later ``synth.run()`` leaves in the
-    returned namespace ``states``, the state of each ``gamma_contains``
-    call in order; ``count``, the number of candidates it judged; and
-    ``accepted``, the record whose program it returned (``run`` makes the
-    node of that record only), or None.  ``run`` judges a candidate by
-    calling ``gamma_contains`` on its examples in order up to the first
-    that fails, and returns it when none fails, so a call starts a
-    candidate's judgement when it is the first or follows a failed one."""
-    judged = SimpleNamespace(states=[], count=0, failed=True, accepted=None)
-    node = synth._node
-
-    def watching(state, out):
-        judged.states.append(state)
-        judged.count += judged.failed
-        judged.failed = not gamma_contains(state, out)
-        return not judged.failed
-
-    def accepting(rec):
-        # ``_node`` makes the children's nodes through this wrapper too,
-        # after the returned record's call.
-        if judged.accepted is None:
-            judged.accepted = rec
-        return node(rec)
-
-    monkeypatch.setattr(synthesizer, "gamma_contains", watching)
-    synth._node = accepting
-    return judged
-
-
 class TestStateVectorCache:
     """The registry and the concat cache give what a fresh evaluation gives
     (invariant registry)."""
@@ -618,16 +529,14 @@ class TestStateVectorCache:
         templates, table = domains[domain]
         task = SynthesisTask(examples=PHONES.examples, max_candidates=limit)
         synth = Synthesizer(task, templates, table)
-        seen = watch_run(synth)
-        judged = watch_gamma_contains(monkeypatch, synth)
-        tested = watch_bulk_tests(monkeypatch, synth, seen)
+        seen = record(monkeypatch, synth, check=True)
         result = synth.run(require_correct=True)
         assert result.program is None
         assert outcome(result) == outcome(reference_search(task, templates, table, True))
         # No candidate's values equal the outputs, so none is judged.
-        assert judged.states == []
-        vectors, concats, embedding = seen.vectors, seen.concats, set()
-        for rec, derived, embeds in seen.derived:
+        assert seen.calls["gamma_contains"] == 0
+        vectors, concats, embedding, records = seen.vectors, seen.concats, set(), seen.derived()
+        for rec, derived, embeds in records:
             fresh = check_derived(synth, rec, derived)
             assert embeds == all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
@@ -642,17 +551,17 @@ class TestStateVectorCache:
         # Each new candidate the run judged was derived, tested in bulk, or
         # made with its cached vector; over the budget, the last one is
         # counted only.
-        taken = check_bulk_tests(synth, tested)
+        taken = check_bulk_tests(synth, seen.tested())
         judged = result.enumerated - (result.reason == "candidate-budget")
-        reused = judged - result.deduped - len(seen.derived) - len(taken)
+        reused = judged - result.deduped - len(records) - len(taken)
         assert reused > 0 or not reuses
-        pruned = sum(not embeds for _, _, embeds in seen.derived) + sum(not embeds for _, embeds in taken)
+        pruned = sum(not embeds for _, _, embeds in records) + sum(not embeds for _, embeds in taken)
         assert result.pruned_abstract == pruned
         # A candidate tested in bulk that embeds is pooled, unless its level
-        # is not.  The registry interns every derived vector that embeds and
+        # is not.  The registry holds every derived vector that embeds and
         # the values of each pooled candidate tested in bulk, and only those,
         # so each registered vector embeds.
-        pooled = {rec[0] for rec in pooled_records(seen)}
+        pooled = {rec[0] for rec in seen.pooled()}
         exact = set()
         for rec, embeds in taken:
             if embeds and seen.pools[synth._node(rec).size]:
@@ -661,7 +570,7 @@ class TestStateVectorCache:
         assert len(set(vectors)) == len(vectors)
         assert set(vectors) == embedding | exact
         # A pooled record's vector is its fresh one.
-        for rec in pooled_records(seen):
+        for rec in seen.pooled():
             assert widened(vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
         # A cached pair names the vector of its children's concatenation.
         for (i, j), k in concats.items():
@@ -673,40 +582,44 @@ class TestStateVectorCache:
     def test_require_correct_judges_only_values_equal_to_the_outputs(self, monkeypatch, domains, domain, task):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
-        seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
+        seen = record(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert result.correct
         # The calls hold one vector, once: that of the returned candidate,
         # whose values are the outputs.
-        assert judged.accepted[0] == task.outputs
-        assert judged.states == list(seen.vectors[judged.accepted[1]])
+        assert seen.accepted[0] == task.outputs
+        assert seen.judged_states() == list(seen.vectors[seen.accepted[1]])
+        # A pooled record's registered vector is its fresh one, so it holds its value.
+        for rec in seen.pooled():
+            assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
 
     @pytest.mark.parametrize("modes", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("domain", ["bundle", "length", "top"])
     @pytest.mark.parametrize("task", [E2, SynthesisTask(examples=PHONES.examples, max_candidates=8_000)], ids=["solved", "unsolved"])
-    def test_a_second_run_repeats_the_first(self, domains, domain, task, modes):
+    def test_a_second_run_repeats_the_first(self, monkeypatch, domains, domain, task, modes):
         templates, table = domains[domain]
         synth = Synthesizer(task, templates, table)
-        first = watch_run(synth)
+        first = record(monkeypatch, synth)
         synth.run(require_correct=modes[0])
         assert first.vectors
         fresh = Synthesizer(task, templates, table)
-        watched = watch_run(synth), watch_run(fresh)
+        watched = record(monkeypatch, synth), record(monkeypatch, fresh)
         second = outcome(synth.run(require_correct=modes[1]))
         assert second == outcome(fresh.run(require_correct=modes[1]))
         assert (second[2] == "found") == (task is E2) or not modes[1]
         # Nothing of the first run is left: the second run makes, derives,
-        # registers and pools what a fresh synthesizer's only run does.
+        # tests, judges, registers and pools what a fresh synthesizer's only
+        # run does.
         assert vars(watched[0]) == vars(watched[1])
 
-    def test_unsound_entry_still_fails_the_soundness_check(self, table_a1):
+    def test_unsound_entry_still_fails_the_soundness_check(self, monkeypatch, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
         # domain many wrong states still embed, so the run pools them.
         unsound = Transformer((LEN_EQ, LEN_EQ), ((LEN_EQ, ((1, 0, 0),)),))
         table = TransformerTable([*(t for t in table_a1.all() if t.inputs != unsound.inputs), unsound])
         task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table)
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         synth.run(require_correct=True)
 
         def wrong(states, values) -> bool:
@@ -715,9 +628,9 @@ class TestStateVectorCache:
         # Some wrong states are derived, and some are taken later in the same
         # run from the concat cache: a pooled concatenation the run did not
         # derive took that path.
-        assert any(wrong(derived, rec[0]) for rec, derived, _ in seen.derived)
-        derived_values = {rec[0] for rec, _, _ in seen.derived}
-        cached = [rec for rec in pooled_records(seen) if rec[2] is not None and rec[0] not in derived_values]
+        assert any(wrong(derived, rec[0]) for rec, derived, _ in seen.derived())
+        derived_values = {rec[0] for rec, _, _ in seen.derived()}
+        cached = [rec for rec in seen.pooled() if rec[2] is not None and rec[0] not in derived_values]
         assert any(wrong(seen.vectors[rec[1]], rec[0]) for rec in cached)
 
 
@@ -858,7 +771,7 @@ class TestLazyNode:
     def check(synth, seen, inputs):
         """Each pooled record, at its size, and each record the run derived."""
         records = [(size, rec) for size, pool in seen.pools.items() for rec in pool]
-        records += [(None, rec) for rec, _, _ in seen.derived]
+        records += [(None, rec) for rec, _, _ in seen.derived()]
         for size, rec in records:
             node = synth._node(rec)
             assert size is None or node.size == size, print_program(node)
@@ -872,18 +785,18 @@ class TestLazyNode:
         monkeypatch.setattr(oracles, "state_holds", lambda state, s: False)
         task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert result.reason == "candidate-budget" and result.enumerated == 20_001
         found = reference_search(task, [TOP], TransformerTable(), True)
         assert outcome(result) == outcome(found)
-        assert any(rec[2] is not None for rec in pooled_records(seen))
+        assert any(rec[2] is not None for rec in seen.pooled())
         assert_pools_match(synth, seen, found)
         self.check(synth, seen, E2.inputs)
 
-    def test_full_run_of_e2(self, table_a2):
+    def test_full_run_of_e2(self, monkeypatch, table_a2):
         synth = Synthesizer(E2, FIVE_TEMPLATES, table_a2)
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         result = synth.run(require_correct=True)
         found = reference_search(E2, FIVE_TEMPLATES, table_a2, True)
         assert outcome(result) == outcome(found)
@@ -899,13 +812,13 @@ class TestRecords:
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
         task = SynthesisTask(examples=E2.examples, max_candidates=20_000)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         assert synth.run(require_correct=True).reason == "candidate-budget"
         # A collection untracks a tuple only when its items are untracked
         # already, and it may visit a record before its children; but each
         # one untracks every record whose children it found untracked.  So
         # collect until a collection untracks nothing more.
-        records = pooled_records(seen) + [rec for rec, _, _ in seen.derived]
+        records = seen.pooled() + [rec for rec, _, _ in seen.derived()]
         tracked = records
         while tracked:
             gc.collect()
@@ -1045,7 +958,7 @@ class TestSubstringCheck:
     table the synthesizer prunes only what the substring check prunes."""
 
     @pytest.mark.parametrize("which", ["seed-0", "seed-1", "seed-705", "hand-made"])
-    def test_pruned_candidates_have_a_value_that_is_not_a_substring(self, trained_at, which):
+    def test_pruned_candidates_have_a_value_that_is_not_a_substring(self, monkeypatch, trained_at, which):
         if which == "hand-made":
             # HAND_MADE's len = entry (2 len(a) + len(b) - 1) is unsound; without
             # the len = template only its sound entries fire.
@@ -1056,21 +969,21 @@ class TestSubstringCheck:
         pruned = 0
         for name, task in corpus_tasks(20_000).items():
             synth = Synthesizer(task, templates, table)
-            seen = watch_run(synth)
+            seen = record(monkeypatch, synth)
             synth.run(require_correct=True)
-            for rec, _, embeds in seen.derived:
+            for rec, _, embeds in seen.derived():
                 if not embeds:
                     pruned += 1
                     assert not_substrings(rec[0], task.outputs), (name, print_program(synth._node(rec)))
         assert pruned > 0
 
-    def test_an_unsound_table_prunes_a_substring(self):
+    def test_an_unsound_table_prunes_a_substring(self, monkeypatch):
         # Under the len = template HAND_MADE's unsound entry makes
         # (concat (input) (const "2018")) too long for "CAV2018".
         synth = Synthesizer(E1, FIVE_TEMPLATES, HAND_MADE)
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         synth.run(require_correct=True)
-        assert any(not embeds and not not_substrings(rec[0], E1.outputs) for rec, _, embeds in seen.derived)
+        assert any(not embeds and not not_substrings(rec[0], E1.outputs) for rec, _, embeds in seen.derived())
 
     def test_the_seed_0_bundle_searches_as_the_substring_check(self, trained, monkeypatch):
         # The substring check is the reference with each candidate's values
@@ -1097,14 +1010,15 @@ def without(table, entry):
     return with_outputs(table, lambda t, o: not EXACT_ENTRIES[entry](t, o))
 
 
-def run_states(synth) -> list:
-    """Every state a ``require_correct`` run of ``synth`` registered or
-    derived: the vectors it registered, which include the values of the
-    exact candidates it took in bulk, and the states of each record it
-    derived, pruned ones included."""
-    seen = watch_run(synth)
+def run_states(monkeypatch, synth) -> list:
+    """Every state a ``require_correct`` run of ``synth`` derived, tested or
+    judged: the states of each record it derived, pruned ones included, the
+    values of each exact candidate it tested in bulk, which are its states,
+    and each state it judged.  Every vector it registered is among them."""
+    seen = record(monkeypatch, synth)
     synth.run(require_correct=True)
-    return [s for states in seen.vectors for s in states] + [s for _, states, _ in seen.derived for s in states]
+    derived = [s for _, states, _ in seen.derived() for s in states]
+    return derived + [s for rec, _ in seen.tested() for s in rec[0]] + seen.judged_states()
 
 
 class TestExactStates:
@@ -1121,15 +1035,15 @@ class TestExactStates:
         assert not HAND_MADE.keeps_exact and not TransformerTable().keeps_exact
 
     @pytest.mark.parametrize("case", ["len-sum", "top-copy", "shift", "no-char-eq", "no-len-eq"])
-    def test_no_exact_state_unless_table_and_templates_keep_it(self, trained, case):
+    def test_no_exact_state_unless_table_and_templates_keep_it(self, monkeypatch, trained, case):
         task = SynthesisTask(examples=E2.examples, max_candidates=5_000)
-        assert any(isinstance(s, str) for s in run_states(Synthesizer(task, trained.templates, trained.table)))
+        assert any(isinstance(s, str) for s in run_states(monkeypatch, Synthesizer(task, trained.templates, trained.table)))
         templates, table = trained.templates, trained.table
         if case.startswith("no-"):
             templates = [t for t in templates if t is not {"no-char-eq": CHAR_EQ, "no-len-eq": LEN_EQ}[case]]
         else:
             table = without(table, case)
-        states = run_states(Synthesizer(task, templates, table))
+        states = run_states(monkeypatch, Synthesizer(task, templates, table))
         assert states and not any(isinstance(s, str) for s in states)
 
     @settings(max_examples=200, deadline=None)
@@ -1165,45 +1079,26 @@ def takes_bulk(run) -> bool:
     return sids is None or None not in sids
 
 
-def count_bulk_runs(synth) -> SimpleNamespace:
-    """Wrap ``synth._batch`` so that a later run leaves in the returned
-    namespace the length of each run it was given (``lengths``), and of
-    each one ``takes_bulk`` holds for (``bulk``)."""
-    batch, counts = synth._batch, SimpleNamespace(lengths=[], bulk=[])
-
-    def counting(size, pools, concats, vectors):
-        for run in batch(size, pools, concats, vectors):
-            counts.lengths.append(len(run[0]))
-            if takes_bulk(run):
-                counts.bulk.append(len(run[0]))
-            yield run
-
-    synth._batch = counting
-    return counts
-
-
-def check_against_the_reference(task, templates, table, require_correct, pools) -> SimpleNamespace:
+def check_against_the_reference(task, templates, table, require_correct, pools) -> tuple[list, int]:
     """Check that a run of ``task`` has the outcome of ``reference_search``,
     and with ``pools`` that it pools what the reference keeps.  Returns the
-    lengths of its runs (``count_bulk_runs``) and, as ``unjudged``, how many
-    of the candidates it counted it neither dropped as repeats, pruned nor
-    judged, leaving out the one counted past the budget.  Without
-    ``require_correct`` those are the new candidates ``run`` took with set
-    operations.  The reference's candidates are not kept past its check,
-    so no later run's collections walk them."""
+    runs ``_batch`` yielded and how many of the candidates the run counted
+    it neither dropped as repeats, pruned nor judged, leaving out the one
+    counted past the budget.  Without ``require_correct`` those are the new
+    candidates ``run`` took with set operations.  The reference's
+    candidates are not kept past its check, so no later run's collections
+    walk them."""
     synth = Synthesizer(task, templates, table)
-    # Only when asked: the watcher's log of derived states grows with the run.
-    seen, runs = watch_run(synth) if pools else None, count_bulk_runs(synth)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        judged = watch_gamma_contains(monkeypatch, synth)
+        # No derivation is read, and their log grows with the run.
+        seen = record(monkeypatch, synth, derivations=False)
         result = synth.run(require_correct=require_correct)
     found = reference_search(task, templates, table, require_correct)
     assert outcome(result) == outcome(found), task
     if pools:
         assert_pools_match(synth, seen, found)
-    runs.unjudged = result.enumerated - result.deduped - result.pruned_abstract - judged.count
-    runs.unjudged -= result.reason == "candidate-budget"
-    return runs
+    unjudged = result.enumerated - result.deduped - result.pruned_abstract - len(seen.judged())
+    return seen.runs, unjudged - (result.reason == "candidate-budget")
 
 
 class TestBulkRuns:
@@ -1228,14 +1123,15 @@ class TestBulkRuns:
         templates, table = domains[domain]
         bulk, longest, unjudged = 0, [], 0
         for name, task in corpus_tasks(budget).items():
-            runs = check_against_the_reference(task, templates, table, require_correct, pools=domain == "seed-0")
-            bulk += len(runs.bulk)
-            longest.append(max(runs.lengths))
+            runs, not_judged = check_against_the_reference(task, templates, table, require_correct, pools=domain == "seed-0")
+            bulk_runs = [len(run[0]) for run in runs if takes_bulk(run)]
+            bulk += len(bulk_runs)
+            longest.append(max(len(run[0]) for run in runs))
             if not require_correct:
                 # Only the set-operation branch leaves a new candidate
                 # unjudged, and only in the runs ``takes_bulk`` names.
-                assert 0 <= runs.unjudged <= sum(runs.bulk), name
-                unjudged += runs.unjudged
+                assert 0 <= not_judged <= sum(bulk_runs), name
+                unjudged += not_judged
         # Every run holds at most 256 records, the deadline's period.
         assert max(longest) <= 256
         # Without require_correct, top accepts the input at once.
@@ -1244,105 +1140,58 @@ class TestBulkRuns:
         # Seen from outside ``run``: it took candidates with set operations.
         assert unjudged or require_correct or not expects_bulk or budget < 4_097
 
-    @staticmethod
-    def late_run(monkeypatch, synth, is_late) -> SimpleNamespace:
-        """Patch the clock so that a later ``synth.run()`` passes its deadline
-        at the first run of ``_batch`` that ``is_late(run, counted)`` accepts,
-        ``counted`` the number of records of the runs before it, and leave in
-        the returned namespace the runs it was given (``items``), that run
-        (``late``) and ``counted`` then (``counted``), how many records it
-        had derived when it was given each run (``derived``), and, for each
-        clock read, how many runs it had been given and records derived by
-        then (``reads``)."""
-        seen = watch_run(synth)
-        batch, watched = synth._batch, SimpleNamespace(items=[], late=None, counted=0, derived=[], reads=[])
-
-        def watching(size, pools, concats, vectors):
-            for item in batch(size, pools, concats, vectors):
-                watched.items.append(item)
-                watched.derived.append(len(seen.derived))
-                if watched.late is None:
-                    if is_late(item, watched.counted):
-                        watched.late = item
-                    else:
-                        watched.counted += len(item[0])
-                yield item
-
-        def clock():
-            watched.reads.append((len(watched.items), len(seen.derived)))
-            return 0 if watched.late is None else 10**18
-
-        monkeypatch.setattr(synthesizer, "time", SimpleNamespace(perf_counter_ns=clock))
-        synth._batch = watching
-        return watched
-
     def test_a_deadline_passed_inside_a_bulk_run_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
         # (invariant budget-cut) Under the length table without require_correct, a candidate taken
         # one at a time that is neither a repeat nor pruned is judged.
         _, task = load_task(corpus_dir() / "e3.json", 14, 200_000, 1)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
-        judged = watch_gamma_contains(monkeypatch, synth)
-        judged_before = []
-
-        def is_late(run, counted):
-            # A bulk run that holds a multiple of 256.
-            late = takes_bulk(run) and (counted + len(run[0])) // 256 * 256 > counted
-            if late:
-                judged_before.append(judged.count)
-            return late
-
-        watched = self.late_run(monkeypatch, synth, is_late)
+        # Late at a bulk run that holds a multiple of 256.
+        seen = record(monkeypatch, synth, late=lambda run, counted: takes_bulk(run) and (counted + len(run[0])) // 256 * 256 > counted)
         result = synth.run()
         assert result.reason == "timeout"
         assert result.enumerated % 256 == 0
         # The run stopped inside that bulk run: it asked for nothing after it.
-        assert watched.items[-1] is watched.late
+        assert seen.late == len(seen.runs) - 1
         # It took some new candidates of that run and judged none of them, so
         # it took them with set operations.
-        taken = watched.late[0][: result.enumerated - watched.counted - 1]
-        assert set(taken) - {v for run in watched.items[:-1] for v in run[0]}
-        assert judged.count == judged_before[0]
+        taken = seen.runs[-1][0][: result.enumerated - seen.counted - 1]
+        assert set(taken) - {v for run in seen.runs[:-1] for v in run[0]}
+        assert seen.late not in seen.judged()
 
     def test_a_deadline_passed_inside_a_run_taken_candidate_by_candidate_stops_at_a_multiple_of_256(self, monkeypatch, table_a1):
         # (invariant budget-cut) PHONES has no solution, so only the deadline
         # ends the run early.
         task = SynthesisTask(examples=PHONES.examples, timeout_ms=1_000)
         synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
-        watched = self.late_run(
-            monkeypatch, synth, lambda run, _: run[2] is not None and len(run[0]) == 256 and not takes_bulk(run)
-        )
+        seen = record(monkeypatch, synth, late=lambda run, _: run[2] is not None and len(run[0]) == 256 and not takes_bulk(run))
         result = synth.run(require_correct=True)
         assert result.reason == "timeout"
         assert result.enumerated % 256 == 0
-        assert watched.items[-1] is watched.late
+        assert seen.late == len(seen.runs) - 1
         # The late run derived records, which the set-operation branch never
         # does.
-        assert watched.reads[-1][1] > watched.derived[-1]
+        assert ("derive", seen.late) in (entry[:2] for entry in seen.log)
         # Between the start and the end, the clock is read at most once per
-        # run, before the run derives any of its records.
-        reads = watched.reads[1:-1]
-        assert reads and len({n for n, _ in reads}) == len(reads)
-        assert all(derived == watched.derived[n - 1] for n, derived in reads)
-        assert reads[-1][0] == len(watched.items)
+        # run, before the run derives any of its records: each read comes
+        # right after its run is given.
+        reads = [i for i, entry in enumerate(seen.log) if entry[0] == "clock"][1:-1]
+        assert reads and all(seen.log[i - 1] == ("run", seen.log[i][1]) for i in reads)
+        assert seen.log[reads[-1]][1] == seen.late
 
     def test_exact_runs_are_taken_in_bulk(self, trained, monkeypatch):
         # Under the seed-0 bundle no concatenation of two exact records is
         # derived: every vector of its run is known, so the run is taken in
         # bulk up to its candidate equal to the outputs, and each candidate
         # before it, even one whose left value starts every output, is
-        # tested there.
+        # tested there.  Every value of eval_phone_dash is exact, so no
+        # candidate is derived at all.
         _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
         synth = Synthesizer(task, trained.templates, trained.table)
-        seen = watch_run(synth)
-        tested = watch_bulk_tests(monkeypatch, synth, seen)
+        seen = record(monkeypatch, synth, check=True)
         result = synth.run(require_correct=True)
         assert result.correct
-
-        def exact(rec) -> bool:
-            return seen.vectors[rec[1]] == rec[0]
-
-        pairs = [rec for rec, _, _ in seen.derived if rec[2] is not None and exact(rec[2]) and exact(rec[3])]
-        assert not pairs
+        assert not seen.derived()
+        tested = seen.tested()
         assert any(rec[2] is not None and all(map(str.startswith, task.outputs, rec[2][0])) for rec, _ in tested)
         assert any(embeds for _, embeds in tested) and not all(embeds for _, embeds in tested)
 
@@ -1358,18 +1207,9 @@ class TestBulkRuns:
             if not name.startswith("eval_"):
                 continue
             synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
-            seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
-            watching, runs = synthesizer.gamma_contains, []  # the run of each judgement
-
-            def judging(state, out):
-                count = judged.count
-                verdict = watching(state, out)
-                if judged.count > count:
-                    runs.append(seen.runs[-1])
-                return verdict
-
-            monkeypatch.setattr(synthesizer, "gamma_contains", judging)
+            seen = record(monkeypatch, synth)
             result = synth.run()
+            runs = [seen.runs[n] for n in seen.judged()]  # the run of each judgement
             known = [i for i, run in enumerate(runs) if takes_bulk(run)]
             assert known in ([], [len(runs) - 1]), name
             assert not known or result.correct, name
@@ -1383,18 +1223,16 @@ class TestBulkRuns:
         # no candidate is derived and no state goes through the rules, and
         # the returned one is judged on its values, which are the outputs.
         # E3's longest leaves are not exact, so leaves are derived there.
-        calls = []
-        monkeypatch.setattr(synthesizer, "apply_transformer", lambda table, pair: calls.append(pair) or apply_transformer(table, pair))
         _, task = load_task(corpus_dir() / "eval_phone_dash.json", 14, 200_000, None)
         synth = Synthesizer(task, trained.templates, trained.table)
-        seen, judged = watch_run(synth), watch_gamma_contains(monkeypatch, synth)
+        seen = record(monkeypatch, synth)
         assert synth.run(require_correct=True).correct
-        assert not seen.derived and not calls
-        assert judged.accepted[0] == task.outputs and judged.states == list(task.outputs) and judged.count == 1
+        assert not seen.derived() and not seen.calls["apply_transformer"]
+        assert seen.accepted[0] == task.outputs and seen.judged_states() == list(task.outputs) and len(seen.judged()) == 1
         synth = Synthesizer(E3, trained.templates, trained.table)
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         assert synth.run(require_correct=True).correct
-        assert any(rec[2] is None for rec, _, _ in seen.derived)
+        assert any(rec[2] is None for rec, _, _ in seen.derived())
 
     @pytest.mark.parametrize("require_correct", [True, False])
     def test_budgets_around_an_accepted_substring_leaf(self, trained, require_correct):
@@ -1420,13 +1258,13 @@ class TestBulkRuns:
         assert again == fresh
         assert fresh[0] == '(concat (const "/bi") (const "/usr/b"))' and fresh[3] == 228
 
-    def test_a_level_the_budget_cuts_is_not_pooled(self):
+    def test_a_level_the_budget_cuts_is_not_pooled(self, monkeypatch):
         # Under top every new value embeds, so every level a later level reads
         # is pooled; the budget ends the run inside the last one (invariant
         # pooled-levels).
         _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, 20_000, None)
         synth = Synthesizer(task, [TOP], TransformerTable())
-        seen = watch_run(synth)
+        seen = record(monkeypatch, synth)
         result = synth.run(require_correct=True)
         assert result.reason == "candidate-budget"
         found = reference_search(task, [TOP], TransformerTable(), True)
@@ -1479,6 +1317,9 @@ class TestReferenceSearch:
     @example(examples=[("a.b", "b/"), ("ab", "")], max_size=9, budget=3_000, require_correct=True)
     @example(examples=[("a.a.a/", "a."), ("aa/a.", "/a")], max_size=6, budget=3_000, require_correct=True)
     @example(examples=[("", "a"), ("/", "./")], max_size=7, budget=3_000, require_correct=False)
+    # A constant that starts every output, then the input: under top, the
+    # constant's run is all cached and holds the outputs.
+    @example(examples=[("a", "/a"), ("b", "/b")], max_size=3, budget=3_000, require_correct=True)
     def test_run_equals_the_reference_on_small_tasks(self, trained, domain, examples, max_size, budget, require_correct):
         templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
@@ -1521,14 +1362,16 @@ def sound_tables(draw) -> tuple[list, TransformerTable]:
 
 
 # Drawable domains: three templates and only the three exact entries, which
-# keep states exact; and the top copy with the ``len !=`` row a + 1 - b
-# over two lengths, which prunes where the copy alone does not.
+# keep states exact; the top copy with the ``len !=`` row a + 1 - b over two
+# lengths, which prunes where the copy alone does not; and the ``len =`` sum
+# alone, under which leaves of one length share a vector.
 EXACT_DOMAIN = [TOP, LEN_EQ, CHAR_EQ], TransformerTable(
     [Transformer(pair, tuple(sound_outputs(*pair))) for pair in ((LEN_EQ, LEN_EQ), (LEN_EQ, CHAR_EQ), (CHAR_EQ, TOP))]
 )
 LEN_NEQ_DOMAIN = [TOP, LEN_EQ, LEN_NEQ, CHAR_EQ], TransformerTable(
     [Transformer((CHAR_EQ, TOP), tuple(sound_outputs(CHAR_EQ, TOP))), Transformer((LEN_EQ, LEN_EQ), ((LEN_NEQ, ((1, -1, 1),)),))]
 )
+LEN_SUM_DOMAIN = [TOP, LEN_EQ], TransformerTable([Transformer((LEN_EQ, LEN_EQ), tuple(sound_outputs(LEN_EQ, LEN_EQ)))])
 
 
 class TestRandomSoundTables:
@@ -1547,37 +1390,14 @@ class TestRandomSoundTables:
     @example(domain=EXACT_DOMAIN, examples=[("ab.ba", "ba/ab"), ("b.a", "a/b")], max_size=9, budget=3_000, require_correct=True)
     @example(domain=EXACT_DOMAIN, examples=[("ab.ba", "ba/ab"), ("b.a", "a/b")], max_size=9, budget=3_000, require_correct=False)
     @example(domain=LEN_NEQ_DOMAIN, examples=[(".b", "./"), ("//aa.", "./b")], max_size=7, budget=3_000, require_correct=True)
+    # Left records of two vectors meet one pool slice while the concat cache
+    # keeps its size, so a slice's lookups reused across left ids would
+    # give the second the first one's vectors.
+    @example(domain=LEN_SUM_DOMAIN, examples=[("", "a/"), ("", "aaa")], max_size=3, budget=3_000, require_correct=False)
     def test_run_equals_the_reference(self, domain, examples, max_size, budget, require_correct):
         templates, table = domain
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
         check_against_the_reference(task, templates, table, require_correct, pools=True)
-
-def check_cached_runs(synth) -> SimpleNamespace:
-    """Wrap ``synth._batch`` so that a later ``synth.run()`` checks each run
-    as it is yielded: a cached run (sids not None, none of them None) is a
-    concatenation run with pairwise-distinct values (invariant bulk-runs),
-    and a concatenation run's sids are what a fresh lookup of each
-    ``(left id, right id)`` pair in the concat cache gives then (invariant
-    registry).  The returned namespace counts the cached runs (``cached``)
-    and the runs whose sids list an earlier run was given (``shared``), and
-    keeps each sids list given with a copy made then (``given``)."""
-    batch, seen = synth._batch, SimpleNamespace(cached=0, shared=0, given={})
-
-    def checking(size, pools, concats, vectors):
-        for run in batch(size, pools, concats, vectors):
-            values, sids, left, kids = run
-            if sids is not None and None not in sids:
-                assert left is not None and len(set(values)) == len(values)
-                seen.cached += 1
-            if sids is not None and left is not None:
-                assert sids == [concats.get((left[1], b[1])) for b in kids]
-                seen.shared += id(sids) in seen.given
-                seen.given.setdefault(id(sids), (sids, list(sids)))
-            yield run
-
-    synth._batch = checking
-    return seen
-
 
 class TestCachedRuns:
     """``run`` takes a cached run with set operations, which counts its
@@ -1587,17 +1407,19 @@ class TestCachedRuns:
     changes (invariants bulk-runs and registry)."""
 
     @pytest.mark.parametrize("domain", ["top", "length"])
-    def test_corpus_runs(self, table_a1, domain):
+    def test_corpus_runs(self, monkeypatch, table_a1, domain):
         templates, table = ([TOP], TransformerTable()) if domain == "top" else ([TOP, LEN_EQ, LEN_NEQ], table_a1)
         cached = shared = 0
         for name, task in corpus_tasks(20_000).items():
             synth = Synthesizer(task, templates, table)
-            seen = check_cached_runs(synth)
+            seen = record(monkeypatch, synth, derivations=False, check=True)
             for require_correct in (True, False):
                 synth.run(require_correct=require_correct)
             # No sids list was changed after it was given.
-            assert all(sids == copy for sids, copy in seen.given.values()), name
-            cached, shared = cached + seen.cached, shared + seen.shared
+            assert all(sids == copy for sids, copy in seen.given), name
+            cached += sum(sids is not None and None not in sids for _, sids, _, _ in seen.runs)
+            given = [id(sids) for sids, _ in seen.given]
+            shared += len(given) - len(set(given))
         # The checks saw cached runs, and sids lists reused across runs.
         assert cached and shared
 
@@ -1607,6 +1429,7 @@ class TestCachedRuns:
     def test_small_tasks(self, table_a1, domain, examples, max_size, require_correct):
         templates, table = ([TOP], TransformerTable()) if domain == "top" else ([TOP, LEN_EQ, LEN_NEQ], table_a1)
         synth = Synthesizer(SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=3_000), templates, table)
-        seen = check_cached_runs(synth)
-        synth.run(require_correct=require_correct)
-        assert all(sids == copy for sids, copy in seen.given.values())
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = record(monkeypatch, synth, derivations=False, check=True)
+            synth.run(require_correct=require_correct)
+        assert all(sids == copy for sids, copy in seen.given)
