@@ -2,10 +2,12 @@
 
 Each mutation is a list of exact ``(file, old, new)`` edits that puts back a
 fault the tests are meant to catch, taken from the scratch mutations of
-earlier changes (CHANGES.md, PRs 33, 35 and 36).  For each one the tree is
-copied into a temporary directory, the edits are made there (each old text
-must occur exactly once in its file), and tier-1 runs there with ``-x``.  A
-mutation is caught when pytest fails.  It prints caught or missed per
+earlier changes (see CHANGES.md).  For each one the tree is copied into a
+temporary directory, the edits are made there (each old text must occur
+exactly once in its file), and tier-1 runs there with ``-x``, apart from
+``tests/test_mutants.py``: it checks that each old text occurs in the
+tree, so it would fail on every mutated copy.  A mutation is caught when
+pytest fails.  It prints caught or missed per
 mutation, with the time taken, and exits 1 if any is missed, or 2 without
 running any if one is stale.  Run from anywhere; names select the mutations
 whose name contains one of them:
@@ -31,26 +33,26 @@ TIMEOUT_S = 1800
 MUTANTS = {
     "no run taken in bulk (PR 33)": [
         (SYNTH, "if sids is None or None not in sids:", "if False:"),
-        (SYNTH, "rest = values, sids, kids", "rest = values, sids or [None] * len(values), kids"),
+        (SYNTH, "rest = keys, sids, kids, rows or repeat(None)", "rest = keys, sids or [None] * len(keys), kids, rows or repeat(None)"),
     ],
     "exact runs pruned past the patchable exact_embeds (PRs 33, 36)": [
-        (SYNTH, "live = exact_embeds(values, live, outputs)", "live = [i for i in live if all(map(str.__contains__, outputs, values[i]))]"),
+        (SYNTH, "live = exact_embeds(rows[: len(keys)], live, outputs)", "live = [i for i in live if all(map(str.__contains__, outputs, rows[i]))]"),
     ],
     "no leaf run taken in bulk (PR 33)": [
-        (SYNTH, "exact = max(map(len, chain.from_iterable(chunk))) <= exact_len", "exact = False"),
+        (SYNTH, "exact = max(map(len, chain.from_iterable(rows))) <= exact_len", "exact = False"),
     ],
     "exact runs deduped without their in-run repeats (PRs 33, 35, 36)": [
         (
             SYNTH,
-            "live = [i for i, v in enumerate(values) if not (v in seen or seen.add(v))]",
-            "live = [i for i, v in enumerate(values) if v not in seen]; seen.update(values)",
+            "live = [i for i, k in enumerate(keys) if not (k in seen or seen.add(k))]",
+            "live = [i for i, k in enumerate(keys) if k not in seen]; seen.update(keys)",
         ),
     ],
     "an all-cached run taken whole, with no cut at the outputs (PR 33)": [
         (
             SYNTH,
-            "if (sids is None or all(map(str.startswith, outputs, left[0]))) and outputs in values:",
-            "if sids is None and outputs in values:",
+            "if (sids is None or all(map(str.startswith, outputs, left[0]))) and target in keys:",
+            "if sids is None and target in keys:",
         ),
     ],
     "the PR 32 startswith condition on bulk runs (PR 33)": [
@@ -68,11 +70,11 @@ MUTANTS = {
         (SYNTH, "right = widen(right)", "raise AssertionError('widen')"),
     ],
     "slice memo keyed without len(concats) (PR 35)": [
-        (SYNTH, "elif key != (a_sid, len(concats)):", "elif key != (a_sid, 0):"),
+        (SYNTH, "if looked_up != (a_sid, len(concats)):", "if looked_up != (a_sid, 0):"),
         (SYNTH, "s[4] = a_sid, len(concats)", "s[4] = a_sid, 0"),
     ],
     "slice memo keyed without the left id (PR 35)": [
-        (SYNTH, "elif key != (a_sid, len(concats)):", "elif key != (0, len(concats)):"),
+        (SYNTH, "if looked_up != (a_sid, len(concats)):", "if looked_up != (0, len(concats)):"),
         (SYNTH, "s[4] = a_sid, len(concats)", "s[4] = 0, len(concats)"),
     ],
     "endswith for startswith in the prefix test (PR 35)": [
@@ -83,6 +85,12 @@ MUTANTS = {
     ],
     "no vectors.extend for an exact run's new candidates (PR 36)": [
         (SYNTH, "vectors.extend(fresh)", "pass"),
+    ],
+    "a key separator chosen without the literals": [
+        (SYNTH, "chars = set(chain.from_iterable((*self.inputs, *self.outputs, *task.literals)))", "chars = set(chain.from_iterable((*self.inputs, *self.outputs)))"),
+    ],
+    "a key separator that may occur in values": [
+        (SYNTH, "self._sep = next(c for c in map(chr, count()) if c not in chars)", 'self._sep = "\\x00"'),
     ],
 }
 
@@ -106,7 +114,7 @@ def caught(edits: list[tuple[str, str, str]]) -> bool:
         for path, old, new in edits:
             (tree / path).write_text((tree / path).read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        args = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+        args = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
         done = subprocess.run(args, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
         return done.returncode != 0
 

@@ -36,10 +36,24 @@ the constant ``consts[i]``, ``1 + len(consts) + i * len(positions) + j``
 the substring from ``positions[i]`` to ``positions[j]``).  Records hold
 only ``str``, ``int``, ``None`` and records, so CPython's cyclic collector
 untracks them and a full collection does not walk the pools.  So vectors
-live in the registry, ``_node`` builds only the returned program's AST,
-and a run's values are built a column per example before its records.  A
-run of ``_batch`` is ``(values, sids, left, kids)``, one item per record
-in rank order, or sids None when the run is exact (invariant bulk-runs).
+live in the registry, and ``_node`` builds only the returned program's
+AST.  A run of ``_batch`` is ``(keys, sids, left, kids, rows)``, one item
+per record in rank order (invariant keys), or sids None when the run is
+exact (invariant bulk-runs).
+
+Invariant keys: ``run`` dedups and accepts a candidate by its key, its
+values joined with ``sep``, the first code point from U+0000 up that
+occurs in no input, output or literal of the task.  Every value is built
+from those characters: the input, its substrings, constants cut from the
+outputs and literals, and their concatenations.  So two candidates have
+equal keys iff they have equal values, a key splits back at ``sep`` to its
+values, and with one example the key is the value.  A leaf run and an exact
+concatenation run hold their values tuples as ``rows``, which
+``exact_embeds``, the registry and their pooled records read, and key each
+with ``sep.join``.  Any other concatenation run has rows None: each key is
+one ``"".join`` of the left values, each after the first behind ``sep``,
+interleaved with the pool slice's columns, and a candidate of it that is
+pooled or taken one at a time gets its values split back.
 
 Invariant registry: a candidate's state vector determines all its abstract
 work: a concatenation's states depend only on its children's vectors and
@@ -97,15 +111,18 @@ At size 4 they are resolved once, into a row of boundaries for each
 position that is a boundary of every input, as ``dsl.resolve_position``
 gives it; a ``substr`` leaf pairs two rows whose windows do not run
 backwards on any input, and its values are slices.  Equal rows give equal
-windows, so each distinct pair's is built once and shared.
+windows, so each distinct pair's is built once and shared: each input is
+sliced once from each of its start boundaries to each distinct row's
+boundary (None where that runs backwards), and a distinct row's windows
+zip those slices and keep each that holds no None.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import add, getitem, itemgetter, le, mul, not_
-from itertools import chain, compress, islice, product, repeat
+from operator import add, getitem, itemgetter, mul, not_
+from itertools import chain, compress, count, islice, product, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from . import dsl
@@ -284,6 +301,9 @@ class Synthesizer:
         # Leaves up to this length are exact (invariant exact-states); -1 when none is.
         start, stop = _index_runs(self.pool.indices)[0]
         self._exact_len = stop if start == 0 and table.keeps_exact and {LEN_EQ, CHAR_EQ} <= set(templates) else -1
+        # The separator of a candidate's key (invariant keys).
+        chars = set(chain.from_iterable((*self.inputs, *self.outputs, *task.literals)))
+        self._sep = next(c for c in map(chr, count()) if c not in chars)
 
     def _const_pool(self) -> list[str]:
         subs: set[str] = set(self.task.literals)
@@ -363,19 +383,21 @@ class Synthesizer:
         self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
     ) -> Iterator[tuple]:
         """The records of AST size ``size`` in rank order, as runs of at most
-        ``RUN`` (invariant records), from ``pools``, the kept records by size,
-        and the run's ``concats`` and ``vectors`` (invariant registry)."""
-        inputs, exact_len = self.inputs, self._exact_len
+        ``RUN`` (invariant records) keyed by their values (invariant keys),
+        from ``pools``, the kept records by size, and the run's ``concats``
+        and ``vectors`` (invariant registry)."""
+        inputs, exact_len, sep = self.inputs, self._exact_len, self._sep
         if size == 1:
-            yield from _leaf_runs([inputs, *((s,) * len(inputs) for s in self.consts)], range(1 + len(self.consts)), exact_len)
+            yield from _leaf_runs([inputs, *((s,) * len(inputs) for s in self.consts)], range(1 + len(self.consts)), exact_len, sep)
             return
         for sa in range(1, size - 1):
             if not pools[sa]:
                 continue
             pool = pools[size - 1 - sa]
             # Each slice of the pool: its value columns, one per example, its
-            # sids, its records, whether they are all exact, and its last
-            # lookup's key and sids (invariant registry).
+            # sids, its records, whether they are all exact, and the left id
+            # and cache size of its last lookup, with the sids that lookup
+            # gave (invariant registry).
             parts = [pool[i : i + RUN] for i in range(0, len(pool), RUN)]
             slices = [
                 [list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part, all(vectors[b[1]] == b[0] for b in part), None, None]
@@ -384,30 +406,39 @@ class Synthesizer:
             for a in pools[sa]:
                 a_values, a_sid = a[0], a[1]
                 a_exact = vectors[a_sid] == a_values
+                # The left values, each after the first behind ``sep``.
+                a_parts = [a_values[0], *map(sep.__add__, a_values[1:])]
                 for s in slices:
-                    columns, b_sids, part, exact, key, sids = s
-                    values = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
+                    columns, b_sids, part, exact, looked_up, sids = s
                     if a_exact and exact:
-                        sids = None
-                    elif key != (a_sid, len(concats)):
+                        rows = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
+                        yield list(map(sep.join, rows)), None, a, part, rows
+                        continue
+                    if looked_up != (a_sid, len(concats)):
                         sids = s[5] = list(map(concats.get, zip(repeat(a_sid), b_sids)))
                         s[4] = a_sid, len(concats)
-                    yield values, sids, a, part
+                    yield list(map("".join, zip(*chain.from_iterable(zip(map(repeat, a_parts), columns))))), sids, a, part, None
         if size == 4:
-            yield from _leaf_runs(*self._substring_leaves(), exact_len)
+            yield from _leaf_runs(*self._substring_leaves(), exact_len, sep)
 
     def _substring_leaves(self) -> tuple[Iterator[tuple[str, ...]], Iterator[int]]:
         """The values and the leaf indexes of the ``substr`` leaves, in rank
         order (invariant position-table)."""
         inputs, rows, width = self.inputs, self._position_table(), len(self.positions)
-        ends, indexes = [r for _, r in rows], [1 + len(self.consts) + k for k, _ in rows]
-        # By distinct row: its windows to each distinct row, then to every
-        # row; None where one runs backwards.
-        distinct = set(ends)
-        windows = {r1: {r2: tuple(map(getitem, inputs, map(slice, r1, r2))) if all(map(le, r1, r2)) else None for r2 in distinct} for r1 in distinct}
-        windows = {r1: list(map(by_end.__getitem__, ends)) for r1, by_end in windows.items()}
-        values = chain.from_iterable(compress(windows[r1], windows[r1]) for r1 in ends)
-        return values, chain.from_iterable(compress(map(add, repeat(k1 * width), indexes), windows[r1]) for k1, r1 in rows)
+        indexes = [1 + len(self.consts) + k for k, _ in rows]
+        # Each row's place among the distinct rows.
+        places: dict[tuple[int, ...], int] = {}
+        at = [places.setdefault(r, len(places)) for _, r in rows]
+        # By input and start boundary: the slices to each distinct row's
+        # boundary, None where one runs backwards.
+        sliced = [{i: [x[i:j] if i <= j else None for j in column] for i in set(column)} for x, column in zip(inputs, zip(*places))]
+        # By distinct row: its windows to every row, None where one runs backwards.
+        windows = []
+        for r1 in places:
+            by_end = [None if None in w else w for w in zip(*map(getitem, sliced, r1))]
+            windows.append(list(map(by_end.__getitem__, at)))
+        values = chain.from_iterable(compress(windows[n], windows[n]) for n in at)
+        return values, chain.from_iterable(compress(map(add, repeat(k1 * width), indexes), windows[n]) for (k1, _), n in zip(rows, at))
 
     def run(self, require_correct: bool = False) -> SynthResult:
         """Enumerate in rank order until a candidate is accepted (with
@@ -432,7 +463,10 @@ class Synthesizer:
             return sid
 
         max_size = self.task.max_ast_size
-        seen: set[tuple[str, ...]] = set()
+        # Candidates are deduped and accepted by key (invariant keys).
+        sep = self._sep
+        target = sep.join(outputs)
+        seen: set[str] = set()
         pools: dict[int, list[tuple]] = {}
         lengths = [0]  # the length of each pool, by size
         following = 0
@@ -447,9 +481,9 @@ class Synthesizer:
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
                 pools[size] = kept = []
-                for values, sids, left, kids in self._batch(size, pools, concats, vectors):
+                for keys, sids, left, kids, rows in self._batch(size, pools, concats, vectors):
                     # ``last`` counts the run's last candidate (invariant budget-cut).
-                    last, reason = enumerated + len(values), None
+                    last, reason = enumerated + len(keys), None
                     if last > budget:
                         last, reason = budget + 1, "candidate-budget"
                     if deadline is not None:
@@ -457,45 +491,48 @@ class Synthesizer:
                         if tick > enumerated and time.perf_counter_ns() > deadline:
                             last, reason = tick, "timeout"
                     if reason is not None:
-                        values = values[: last - enumerated - 1]
-                    rest = ()  # the values, sids and kids taken one at a time
+                        keys = keys[: last - enumerated - 1]
+                    rest = ()  # the keys, sids, kids and rows taken one at a time
                     if sids is None or None not in sids:
                         # Every vector is known: taken in bulk up to the first
                         # candidate whose values are the outputs (invariant bulk-runs).
-                        if (sids is None or all(map(str.startswith, outputs, left[0]))) and outputs in values:
-                            n = values.index(outputs)
-                            rest = values[n:], sids[n:] if sids else [register(outputs)], kids[n:]
-                            values = values[:n]
-                        enumerated += len(values)
+                        if (sids is None or all(map(str.startswith, outputs, left[0]))) and target in keys:
+                            n = keys.index(target)
+                            rest = keys[n:], sids[n:] if sids else [register(outputs)], kids[n:], rows[n:] if rows else repeat(None)
+                            keys = keys[:n]
+                        enumerated += len(keys)
                         if sids is None:
                             # An exact run: each vector is its values.
-                            live = [i for i, v in enumerate(values) if not (v in seen or seen.add(v))]
-                            dups = len(values) - len(live)
-                            live = exact_embeds(values, live, outputs)
-                            pruned += len(values) - dups - len(live)
+                            live = [i for i, k in enumerate(keys) if not (k in seen or seen.add(k))]
+                            dups = len(keys) - len(live)
+                            live = exact_embeds(rows[: len(keys)], live, outputs)
+                            pruned += len(keys) - dups - len(live)
                             if pooled and live:
                                 # New ids, never looked up by value (invariant registry).
-                                fresh = list(map(values.__getitem__, live))
+                                fresh = list(map(rows.__getitem__, live))
                                 sids = range(len(vectors), len(vectors) + len(fresh))
                                 vectors.extend(fresh)
                                 kept.extend(zip(fresh, sids, repeat(left), map(kids.__getitem__, live)))
                         else:
-                            # A cached run: its values are distinct.
-                            fresh = map(not_, list(map(seen.__contains__, values))) if pooled else None
-                            dups = len(seen) + len(values)
-                            seen.update(values)
+                            # A cached run: its keys are distinct.
+                            fresh = list(map(not_, map(seen.__contains__, keys))) if pooled else None
+                            dups = len(seen) + len(keys)
+                            seen.update(keys)
                             dups -= len(seen)
                             if pooled:
-                                kept.extend(compress(zip(values, sids, repeat(left), kids), fresh))
+                                # Its values split back from its keys (invariant keys).
+                                values = map(tuple, map(str.split, compress(keys, fresh), repeat(sep)))
+                                kept.extend(zip(values, compress(sids, fresh), repeat(left), compress(kids, fresh)))
                         deduped += dups
                     else:
-                        rest = values, sids, kids
-                    for v, sid, right in zip(*rest):
+                        rest = keys, sids, kids, rows or repeat(None)
+                    for key, sid, right, v in zip(*rest):
                         enumerated += 1
-                        if v in seen:
+                        if key in seen:
                             deduped += 1
                             continue
-                        seen.add(v)
+                        seen.add(key)
+                        v = v or tuple(key.split(sep))
                         if sid is None:
                             # Pruned when a state does not embed (invariant registry).
                             states, embeds = self._derive((v, None, left, right), vectors)
@@ -506,9 +543,9 @@ class Synthesizer:
                             if left is not None:
                                 concats[left[1], right[1]] = sid
                         rec = (v, sid, left, right)
-                        if (not require_correct or v == outputs) and all(map(gamma_contains, vectors[sid], outputs)):
+                        if (not require_correct or key == target) and all(map(gamma_contains, vectors[sid], outputs)):
                             result.program = self._node(rec)
-                            result.correct = v == outputs
+                            result.correct = key == target
                             return result
                         if pooled:
                             kept.append(rec)
@@ -523,11 +560,12 @@ class Synthesizer:
             result.wall_us = (time.perf_counter_ns() - start) // 1000
 
 
-def _leaf_runs(values: Iterable[tuple[str, ...]], kids: Iterable[int], exact_len: int) -> Iterator[tuple]:
+def _leaf_runs(values: Iterable[tuple[str, ...]], kids: Iterable[int], exact_len: int, sep: str) -> Iterator[tuple]:
     """Runs of at most ``RUN`` leaves, cut from their values and leaf
-    indexes as each run is asked for (invariant records); exact, with sids
-    None, when no value is longer than ``exact_len`` (invariant bulk-runs)."""
+    indexes as each run is asked for (invariant records), each value keyed
+    with ``sep`` (invariant keys); exact, with sids None, when no value is
+    longer than ``exact_len`` (invariant bulk-runs)."""
     values, kids = iter(values), iter(kids)
-    while chunk := list(islice(values, RUN)):
-        exact = max(map(len, chain.from_iterable(chunk))) <= exact_len
-        yield chunk, None if exact else [None] * len(chunk), None, list(islice(kids, RUN))
+    while rows := list(islice(values, RUN)):
+        exact = max(map(len, chain.from_iterable(rows))) <= exact_len
+        yield list(map(sep.join, rows)), None if exact else [None] * len(rows), None, list(islice(kids, RUN)), rows

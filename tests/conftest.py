@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -155,7 +156,7 @@ class Recording:
         tested = []
         for kind, n, *call in self.log:
             if kind == "embeds":
-                (values, live, kept), (_, _, left, kids) = call, self.runs[n]
+                (values, live, kept), (_, _, left, kids, _) = call, self.runs[n]
                 kept = set(kept)
                 tested += [((values[i], None, left, kids[i]), i in kept) for i in live]
         return tested
@@ -187,33 +188,39 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
     ``late``, the clock, which passes the deadline at the first run that
     ``late(run, counted)`` accepts.
 
-    With ``check``, each call is checked as it is made.  A cached run (sids
-    not None, none of them None) is a concatenation run with distinct values
-    (invariant bulk-runs); a concatenation run's sids are a fresh lookup of
-    its child-id pairs in the concat cache (invariant registry).  An
-    ``exact_embeds`` call is on the values of the run yielded last, which is
+    With ``check``, each call is checked as it is made.  A run's keys are
+    ``str`` that split back at the separator to its records' values, its
+    rows or, when it has none, the concatenations of its left values with
+    each right record's (invariant keys).  A cached run (sids not None,
+    none of them None) is a concatenation run with distinct keys (invariant
+    bulk-runs); a concatenation run's sids are a fresh lookup of its
+    child-id pairs in the concat cache (invariant registry).  An
+    ``exact_embeds`` call is on the rows of the run yielded last, which is
     exact and was not tested before, as ``run`` cut them, with the indexes
-    of those no earlier candidate had; it tests each example, ``in`` the
-    output, a column at a time on the candidates that passed the examples
-    before, and returns those that pass all."""
+    of those whose key no earlier candidate had; it tests each example,
+    ``in`` the output, a column at a time on the candidates that passed the
+    examples before, and returns those that pass all."""
     got = Recording()
     log, runs = got.log, got.runs
     batch, derive, node = (getattr(type(synth), name).__get__(synth) for name in ("_batch", "_derive", "_node"))
-    # The values of this search's runs before ``runs[upto]``, for the checks.
-    known = SimpleNamespace(values=set(), upto=0)
+    # The keys of this search's runs before ``runs[upto]``, for the checks.
+    known = SimpleNamespace(keys=set(), upto=0)
 
     def batching(size, pools, concats, vectors):
         got.pools, got.concats, got.vectors = pools, concats, vectors
         if size == 1:
-            got.accepted, known.values, known.upto = None, set(), len(runs)
+            got.accepted, known.keys, known.upto = None, set(), len(runs)
         seams.active = got, hooks
         try:
             for run in batch(size, pools, concats, vectors):
                 log.append(("run", len(runs)))
                 runs.append(run)
-                values, sids, left, kids = run
+                keys, sids, left, kids, rows = run
+                if check:
+                    values = rows if rows is not None else [tuple(map(add, left[0], b[0])) for b in kids]
+                    assert all(k.__class__ is str for k in keys) and [tuple(k.split(synth._sep)) for k in keys] == values
                 if check and sids is not None and None not in sids:
-                    assert left is not None and len(set(values)) == len(values)
+                    assert left is not None and len(set(keys)) == len(keys)
                 if check and sids is not None and left is not None:
                     assert sids == [concats.get((left[1], b[1])) for b in kids]
                     got.given.append((sids, list(sids)))
@@ -221,7 +228,7 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
                     if late(run, got.counted):
                         got.late = len(runs) - 1
                     else:
-                        got.counted += len(values)
+                        got.counted += len(keys)
                 yield run
         finally:
             seams.active = None
@@ -243,11 +250,11 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
         if check:
             assert outputs == synth.outputs and n >= known.upto
             for run in runs[known.upto : n]:
-                known.values.update(run[0])
+                known.keys.update(run[0])
             known.upto = n + 1
-            run_values, sids, _, _ = runs[n]
-            assert sids is None and values == run_values[: len(values)]
-            assert live == [i for i, v in enumerate(values) if not (v in known.values or known.values.add(v))]
+            keys, sids, _, _, rows = runs[n]
+            assert sids is None and values == rows[: len(values)]
+            assert live == [i for i, k in enumerate(keys[: len(values)]) if not (k in known.keys or known.keys.add(k))]
             tests = []
             kept = exact_embeds(values, live, tuple(WatchedOutput(out, k, tests) for k, out in enumerate(outputs)))
             expected, passed = [], live

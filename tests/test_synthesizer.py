@@ -635,9 +635,10 @@ class TestStateVectorCache:
 
 
 def run_records(run) -> Iterator[tuple]:
-    """The records of a run ``(values, sids, left, kids)`` of ``_batch``."""
-    values, sids, left, kids = run
-    return zip(values, sids, repeat(left), kids)
+    """The records of a run ``(keys, sids, left, kids, rows)`` of ``_batch``
+    that has rows."""
+    _, sids, left, kids, rows = run
+    return zip(rows, sids, repeat(left), kids)
 
 
 def size4_leaves(synth):
@@ -737,15 +738,15 @@ class TestPositionTable:
             if all(i <= j for i, j in zip(r1, r2))
         ]
         runs = list(synth._batch(4, {1: [], 2: []}, {}, []))
-        assert [leaf for run in runs for leaf in zip(run[0], run[3])] == want
+        assert [leaf for run in runs for leaf in zip(run[4], run[3])] == want
         assert [len(run[0]) for run in runs] == [len(want[i : i + 256]) for i in range(0, len(want), 256)]
-        for values, sids, left, _ in runs:
+        for _, sids, left, _, values in runs:
             exact = max(len(s) for v in values for s in v) <= synth._exact_len
             assert left is None and (sids is None if exact else sids == [None] * len(values))
         # Leaves whose two rows are equal share one values tuple.
         by_rows = {}
         boundaries = dict(rows)
-        for values, index in (leaf for run in runs for leaf in zip(run[0], run[3])):
+        for values, index in (leaf for run in runs for leaf in zip(run[4], run[3])):
             k1, k2 = divmod(index - base, width)
             assert by_rows.setdefault((boundaries[k1], boundaries[k2]), values) is values
 
@@ -1079,9 +1080,10 @@ def takes_bulk(run) -> bool:
     return sids is None or None not in sids
 
 
-def check_against_the_reference(task, templates, table, require_correct, pools) -> tuple[list, int]:
+def check_against_the_reference(task, templates, table, require_correct, pools, check=False) -> tuple[list, int]:
     """Check that a run of ``task`` has the outcome of ``reference_search``,
-    and with ``pools`` that it pools what the reference keeps.  Returns the
+    and with ``pools`` that it pools what the reference keeps; with
+    ``check``, the recorder checks each call of the run.  Returns the
     runs ``_batch`` yielded and how many of the candidates the run counted
     it neither dropped as repeats, pruned nor judged, leaving out the one
     counted past the budget.  Without ``require_correct`` those are the new
@@ -1091,7 +1093,7 @@ def check_against_the_reference(task, templates, table, require_correct, pools) 
     synth = Synthesizer(task, templates, table)
     with pytest.MonkeyPatch.context() as monkeypatch:
         # No derivation is read, and their log grows with the run.
-        seen = record(monkeypatch, synth, derivations=False)
+        seen = record(monkeypatch, synth, derivations=False, check=check)
         result = synth.run(require_correct=require_correct)
     found = reference_search(task, templates, table, require_correct)
     assert outcome(result) == outcome(found), task
@@ -1399,6 +1401,44 @@ class TestRandomSoundTables:
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
         check_against_the_reference(task, templates, table, require_correct, pools=True)
 
+
+class TestKeys:
+    """A candidate is deduped and accepted by its values joined with the
+    first code point in no input, output or literal, so equal keys mean
+    equal values, and a key splits back to its values (invariant keys)."""
+
+    @pytest.mark.parametrize("require_correct", [True, False])
+    @pytest.mark.parametrize("domain", ["top", "seed-0"])
+    @pytest.mark.parametrize(
+        "examples, literals, sep",
+        [
+            ((("a\x00b", "b\x01a"), ("\x01a\x00", "\x00\x01")), ("\x00\x01",), "\x02"),
+            ((("ab", "b-a"), ("cd", "d-c")), ("\x00",), "\x01"),
+            (E2.examples, (), "\x00"),
+        ],
+        ids=["past-nul-and-soh", "nul-in-a-literal-only", "one-example"],
+    )
+    def test_the_separator_occurs_in_no_value(self, trained, examples, literals, sep, domain, require_correct):
+        # The first task has U+0000 and U+0001 in its inputs, outputs and
+        # literals; the second has U+0000 in a literal only; the third has
+        # one example, so each key is its value.  The recorder checks that
+        # each key splits back to its values.
+        templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
+        task = SynthesisTask(examples=examples, literals=literals, max_ast_size=9, max_candidates=20_000)
+        assert Synthesizer(task, templates, table)._sep == sep
+        runs, _ = check_against_the_reference(task, templates, table, require_correct, pools=True, check=True)
+        if len(examples) == 1:
+            assert all(key == value for keys, *_, rows in runs if rows for key, (value,) in zip(keys, rows))
+
+    def test_keys_joined_without_a_separator_would_merge_the_answer(self):
+        # The input, ("a", "bab"), and the constant "ab", ("ab", "ab"), both
+        # join to "abab"; the constant, which comes later, is the answer.
+        task = SynthesisTask(examples=(("a", "ab"), ("bab", "ab")))
+        assert "".join(task.inputs) == "".join(task.outputs) and task.inputs != task.outputs
+        check_against_the_reference(task, [TOP], TransformerTable(), True, pools=True, check=True)
+        assert str(Synthesizer(task, [TOP], TransformerTable()).run(require_correct=True).program) == '(const "ab")'
+
+
 class TestCachedRuns:
     """``run`` takes a cached run with set operations, which counts its
     repeats right only because its values are distinct, and ``_batch``
@@ -1417,7 +1457,7 @@ class TestCachedRuns:
                 synth.run(require_correct=require_correct)
             # No sids list was changed after it was given.
             assert all(sids == copy for sids, copy in seen.given), name
-            cached += sum(sids is not None and None not in sids for _, sids, _, _ in seen.runs)
+            cached += sum(sids is not None and None not in sids for _, sids, *_ in seen.runs)
             given = [id(sids) for sids, _ in seen.given]
             shared += len(given) - len(set(given))
         # The checks saw cached runs, and sids lists reused across runs.
