@@ -89,6 +89,9 @@ MUTANTS = {
     "a key separator chosen without the literals": [
         (SYNTH, "chars = set(chain.from_iterable((*self.inputs, *self.outputs, *task.literals)))", "chars = set(chain.from_iterable((*self.inputs, *self.outputs)))"),
     ],
+    "an exact run's tail cut after the outputs' candidate": [
+        (SYNTH, "chain([register(outputs)], repeat(None))", "[register(outputs)]"),
+    ],
     "a key separator that may occur in values": [
         (SYNTH, "self._sep = next(c for c in map(chr, count()) if c not in chars)", 'self._sep = "\\x00"'),
     ],

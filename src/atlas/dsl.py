@@ -7,6 +7,11 @@ String-typed terms are built from ``input``, ``const`` literals,
 appear only as the second and third children of ``substr``.  All values
 are immutable and evaluation is pure.
 
+A position literal is the ``literal`` of a position term: ``k`` for
+``abspos k``, ``(c, j)`` for ``cpos c j``.  ``boundaries`` alone says
+which boundary of a string it names, for evaluation and the synthesizer
+alike, and ``position_node`` makes its term.
+
 Invariant rank-order: programs are totally ordered by AST size, ties
 broken by a lexicographic key on (operator, literal, children's keys),
 each child keyed by its size first.  Operators go leaves first: input,
@@ -21,7 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterable, Optional, Union
 
 
 class Op(Enum):
@@ -158,29 +163,52 @@ def well_typed(node: AstNode) -> bool:
 # Concrete semantics
 
 
-def resolve_position(node: AstNode, x: str) -> int:
-    """Resolve a position term against the subject string ``x``.
+# A position literal: ``k`` for ``abspos k``, ``(c, j)`` for ``cpos c j``.
+Position = Union[int, tuple[int, int]]
 
-    ``abspos k`` is the boundary ``k`` (negative counts from the end,
-    ``abspos -1`` == ``len(x)``).  ``cpos c j`` is the boundary immediately
-    after the j-th occurrence of the character ``c``, counting from the left
-    for ``j > 0`` and from the right for ``j < 0``.
+
+def position_node(p: Position) -> AstNode:
+    """The ``abspos`` or ``cpos`` node of position literal ``p``."""
+    return abspos(p) if p.__class__ is int else cpos(*p)
+
+
+def boundaries(x: str, positions: Iterable[Position]) -> list[Optional[int]]:
+    """The boundary of ``x`` that each position literal names, or None.
+
+    ``abspos k`` names the boundary ``k``, counted from the end for ``k <
+    0`` (``abspos -1`` is ``len(x)``), and none past either end.  ``cpos c
+    j`` names the boundary just after the j-th occurrence of the character
+    ``c``, from the left for ``j > 0`` and from the right for ``j < 0``,
+    and none when ``c`` occurs fewer than ``|j|`` times.
     """
-    if node.op is Op.ABSPOS:
-        k = node.literal
-        idx = k if k >= 0 else len(x) + k + 1
-        return idx
-    if node.op is Op.CPOS:
-        char, j = node.literal
-        ch = chr(char)
-        occ = [i for i, c in enumerate(x) if c == ch]
-        if len(occ) < abs(j):
-            raise EvalError(
-                EvalError.MISSING_OCCURRENCE,
-                f"fewer than {abs(j)} occurrences of {ch!r}",
-            )
-        return occ[j - 1] + 1 if j > 0 else occ[j] + 1
-    raise ValueError(f"not a position node: {node.op}")
+    n = len(x)
+    # The boundaries after each character's occurrences, by code.
+    after: dict[int, list[int]] = {}
+    for i, c in enumerate(x, 1):
+        after.setdefault(ord(c), []).append(i)
+    found = []
+    for p in positions:
+        if p.__class__ is int:
+            i = p if p >= 0 else n + p + 1
+            found.append(i if 0 <= i <= n else None)
+        else:
+            c, j = p
+            occ = after.get(c, ())
+            found.append(occ[j - 1 if j > 0 else j] if len(occ) >= abs(j) else None)
+    return found
+
+
+def resolve_position(node: AstNode, x: str) -> int:
+    """The boundary of ``x`` that the position term ``node`` names
+    (``boundaries``).  Raises EvalError where it names none: an ``abspos``
+    past either end is out of bounds, a ``cpos`` a missing occurrence."""
+    if node.op not in _POS_OPS:
+        raise ValueError(f"not a position node: {node.op}")
+    (found,) = boundaries(x, [node.literal])
+    if found is None:
+        kind = EvalError.OUT_OF_BOUNDS if node.op is Op.ABSPOS else EvalError.MISSING_OCCURRENCE
+        raise EvalError(kind, f"{node} names no boundary of a string of length {len(x)}")
+    return found
 
 
 def eval_node(node: AstNode, x: str) -> str:

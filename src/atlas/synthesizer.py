@@ -105,11 +105,10 @@ concatenation of size ``s`` has a child of size ``s // 2`` or more, so
 the search is exhausted at the first such ``s`` whose pools from ``s //
 2`` up are all empty, and no later size is walked.
 
-Invariant position-table: positions are plain literals in rank order,
-``k`` for ``abspos k`` and ``(char, j)`` for ``cpos char j``, never nodes.
-At size 4 they are resolved once, into a row of boundaries for each
-position that is a boundary of every input, as ``dsl.resolve_position``
-gives it; a ``substr`` leaf pairs two rows whose windows do not run
+Invariant position-table: positions are ``dsl`` position literals in
+rank order, never nodes.  At size 4 ``dsl.boundaries`` resolves them
+once, into a row of boundaries for each position that names a boundary
+of every input; a ``substr`` leaf pairs two rows whose windows do not run
 backwards on any input, and its values are slices.  Equal rows give equal
 windows, so each distinct pair's is built once and shared: each input is
 sliced once from each of its start boundaries to each distinct row's
@@ -123,17 +122,14 @@ import time
 from dataclasses import dataclass
 from operator import add, getitem, itemgetter, mul, not_
 from itertools import chain, compress, count, islice, product, repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from . import dsl
-from .dsl import AstNode, EvalError
+from .dsl import AstNode, EvalError, Position, boundaries, position_node
 from .domain import CHAR_EQ, LEN_EQ, LEN_NEQ, BOTTOM, ConstantPool, StateLike, TemplateKind, _index_runs, best_abstraction, gamma_contains, state_of, widen
 # ``apply_affine`` is not called here; the name stays because the benchmark's
 # tracer tests (``perfbench/tests``) read it as ``synthesizer.apply_affine``.
 from .transformers import TransformerTable, apply_affine  # noqa: F401
-
-# A position literal (invariant position-table).
-Position = Union[int, tuple[int, int]]
 
 # The most records one run of ``_batch`` holds (invariant budget-cut).
 RUN = 256
@@ -269,11 +265,6 @@ def exact_embeds(values: list[tuple[str, ...]], live: list[int], outputs: tuple[
 # The enumerator
 
 
-def position_node(p: Position) -> AstNode:
-    """The ``abspos`` or ``cpos`` node of position literal ``p``."""
-    return dsl.abspos(p) if p.__class__ is int else dsl.cpos(*p)
-
-
 @dataclass
 class SynthResult:
     program: Optional[AstNode]
@@ -306,12 +297,10 @@ class Synthesizer:
         self._sep = next(c for c in map(chr, count()) if c not in chars)
 
     def _const_pool(self) -> list[str]:
-        subs: set[str] = set(self.task.literals)
-        for out in self.outputs:
-            for i in range(len(out)):
-                for j in range(i + 1, min(i + 6, len(out)) + 1):
-                    subs.add(out[i:j])
-        return sorted(s for s in subs if s)
+        """The constants in rank order: the output substrings of 1 to 6
+        characters and the nonempty literals."""
+        subs = {y[i : i + n] for y in self.outputs for n in range(1, 7) for i in range(len(y) - n + 1)}
+        return sorted(subs.union(self.task.literals) - {""})
 
     def _position_pool(self) -> list[Position]:
         """The position literals in rank order: ``abspos`` before ``cpos``,
@@ -321,27 +310,11 @@ class Synthesizer:
         return [-1, *range(min(12, max_len) + 1), *((c, j) for c in chars for j in (-3, -2, -1, 1, 2, 3))]
 
     def _position_table(self) -> list[tuple[int, tuple[int, ...]]]:
-        """``(k, row)`` for each position ``positions[k]`` that resolves to a
+        """``(k, row)`` for each position ``positions[k]`` that names a
         boundary of every input, ``row`` holding those boundaries in input
         order (invariant position-table)."""
-        columns = []
-        for x in self.inputs:
-            n = len(x)
-            # The boundaries after each character's occurrences, by code.
-            after: dict[int, list[int]] = {}
-            for i, c in enumerate(x, 1):
-                after.setdefault(ord(c), []).append(i)
-            column = []
-            for p in self.positions:
-                if p.__class__ is int:
-                    i = p if p >= 0 else n + p + 1
-                    column.append(i if 0 <= i <= n else None)
-                else:
-                    c, j = p
-                    occ = after.get(c, ())
-                    column.append(occ[j - 1 if j > 0 else j] if len(occ) >= abs(j) else None)
-            columns.append(column)
-        return [(k, row) for k, row in enumerate(zip(*columns)) if None not in row]
+        rows = zip(*(boundaries(x, self.positions) for x in self.inputs))
+        return [(k, row) for k, row in enumerate(rows) if None not in row]
 
     def _abstract_value(self, value: str) -> StateLike:
         if len(value) <= self._exact_len:
@@ -498,7 +471,8 @@ class Synthesizer:
                         # candidate whose values are the outputs (invariant bulk-runs).
                         if (sids is None or all(map(str.startswith, outputs, left[0]))) and target in keys:
                             n = keys.index(target)
-                            rest = keys[n:], sids[n:] if sids else [register(outputs)], kids[n:], rows[n:] if rows else repeat(None)
+                            # Of an exact run, that candidate has its values as its vector, and the rest are derived.
+                            rest = keys[n:], sids[n:] if sids else chain([register(outputs)], repeat(None)), kids[n:], rows[n:] if rows else repeat(None)
                             keys = keys[:n]
                         enumerated += len(keys)
                         if sids is None:

@@ -2,7 +2,7 @@ import sys
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from atlas import dsl
 from atlas.dsl import (
@@ -10,12 +10,14 @@ from atlas.dsl import (
     Op,
     ParseError,
     abspos,
+    boundaries,
     concat,
     const,
     cpos,
     eval_node,
     input_,
     parse_program,
+    position_node,
     print_program,
     resolve_position,
     substr,
@@ -65,6 +67,54 @@ class TestEval:
     def test_eval_is_deterministic(self):
         p = concat(substr(input_(), abspos(1), abspos(-1)), const("!"))
         assert eval_node(p, "hello") == eval_node(p, "hello") == "ello!"
+
+
+# Position literals over repeated characters, a character some strings
+# lack, a non-BMP character and ``abspos`` past either end.
+POSITIONS = st.lists(
+    st.one_of(
+        st.integers(-20, 20),
+        st.tuples(st.sampled_from(list(map(ord, "ab.c\U0001f600"))), st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])),
+    ),
+    max_size=12,
+)
+
+
+class TestBoundaries:
+    """``boundaries`` against a definition by counting, and
+    ``resolve_position`` as the check on it that raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.text(alphabet="aab.\U0001f600", max_size=16), positions=POSITIONS)
+    @example(x="a.\U0001f600.a", positions=[-6, -5, -1, 0, 5, 6, (ord("."), 2), (ord("."), -2), (ord("."), 3), (0x1F600, -1), (ord("c"), 1)])
+    def test_each_literal_names_the_boundary_counting_gives(self, x, positions):
+        found = boundaries(x, positions)
+        assert len(found) == len(positions)
+        for p, got in zip(positions, found):
+            if isinstance(p, int):
+                want = [b for b in range(len(x) + 1) if (len(x[:b]) if p >= 0 else -1 - len(x[b:])) == p]
+            else:
+                ch, j = chr(p[0]), p[1]
+                ends = range(1, len(x) + 1)
+                if j > 0:
+                    want = [b for b in ends if x[b - 1] == ch and x[:b].count(ch) == j]
+                else:
+                    want = [b for b in ends if x[b - 1] == ch and x[b - 1 :].count(ch) == -j]
+            assert len(want) <= 1
+            assert got == (want[0] if want else None), (x, p)
+            node = position_node(p)
+            if got is None:
+                with pytest.raises(EvalError) as exc:
+                    resolve_position(node, x)
+                assert exc.value.kind == (EvalError.OUT_OF_BOUNDS if isinstance(p, int) else EvalError.MISSING_OCCURRENCE)
+            else:
+                assert resolve_position(node, x) == got
+
+    def test_abspos_past_an_end_is_out_of_bounds(self):
+        for k in (5, -6):
+            with pytest.raises(EvalError) as exc:
+                eval_node(substr(input_(), abspos(k), cpos(ord("."), 2)), "abcd")
+            assert exc.value.kind == EvalError.OUT_OF_BOUNDS
 
 
 class TestWellTyped:

@@ -35,6 +35,7 @@ from atlas.dsl import (
     eval_node,
     input_,
     parse_program,
+    position_node,
     print_program,
     resolve_position,
     substr,
@@ -42,7 +43,7 @@ from atlas.dsl import (
 from atlas import dsl, synthesizer
 from atlas.cli import load_task
 from atlas.corpus import corpus_dir
-from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, position_node, state_embeds
+from atlas.synthesizer import SynthesisTask, Synthesizer, apply_transformer, state_embeds
 from atlas.transformers import Transformer, TransformerTable, counterexample
 
 import oracles
@@ -1196,6 +1197,33 @@ class TestBulkRuns:
         tested = seen.tested()
         assert any(rec[2] is not None and all(map(str.startswith, task.outputs, rec[2][0])) for rec, _ in tested)
         assert any(embeds for _, embeds in tested) and not all(embeds for _, embeds in tested)
+
+    @pytest.mark.parametrize("budget", [20_000, 200_000])
+    @pytest.mark.parametrize("require_correct", [True, False])
+    def test_an_exact_run_is_taken_to_its_end_past_a_repeat_of_the_outputs(self, monkeypatch, require_correct, budget):
+        # An unsound table that keeps states exact: its ``len !=`` row
+        # refutes the ``len =`` sum.  The input is longer than the exact
+        # leaves, so ``(concat (input) (const "!"))`` is derived, to bottom,
+        # and pruned with the outputs as its values.  An exact run of size 5
+        # holds the outputs again, as a repeat, and the rest of that run is
+        # still taken one at a time (invariant bulk-runs), as when
+        # ``_batch`` hands every exact run to that path.
+        templates = [TOP, LEN_EQ, CHAR_EQ]
+        entries = [Transformer(pair, tuple(sound_outputs(*pair))) for pair in ((LEN_EQ, CHAR_EQ), (CHAR_EQ, TOP))]
+        entries.append(Transformer((LEN_EQ, LEN_EQ), (*sound_outputs(LEN_EQ, LEN_EQ), (LEN_NEQ, ((1, 1, 0),)))))
+        table = TransformerTable(entries)
+        task = SynthesisTask(examples=(("abcdefghijklmnopq", "abcdefghijklmnopq!"),), max_candidates=budget)
+        synth = Synthesizer(task, templates, table)
+        assert table.keeps_exact and synth._exact_len < len(task.inputs[0])
+        seen = record(monkeypatch, synth)
+        bulk = synth.run(require_correct)
+        # With one example a key is its value.
+        holding = [run[1] is None for run in seen.runs if task.outputs[0] in run[0]]
+        assert holding[0] is False and True in holding[1:]
+        synth = Synthesizer(task, templates, table)
+        batch = synth._batch
+        synth._batch = lambda *args: ((keys, [None] * len(keys) if sids is None else sids, *rest) for keys, sids, *rest in batch(*args))
+        assert outcome(bulk) == outcome(synth.run(require_correct))
 
     def test_runs_with_every_vector_known_are_judged_only_at_the_outputs(self, table_a1, monkeypatch):
         # The length table keeps no state exact, so a run whose vectors are
