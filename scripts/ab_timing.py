@@ -13,8 +13,10 @@ that a drift in the host's speed falls on both:
 
 Synthesis runs with ``require_correct``, the side's default size limit
 and budget (``SynthesisTask``) and no timeout.  Per side it prints the
-median time of a round and its quartiles; then the median of the paired
-ratios B/A and the rounds B won.  Both sides must give the same outcomes
+median time of a round and its quartiles, and the median number of
+collections of the cyclic collector's youngest generation in a round
+(from ``gc.get_stats()``); then the median of the paired ratios B/A and
+the rounds B won.  Both sides must give the same outcomes
 (programs and counts, or history and bundle bytes); when they do not, it
 says so and exits 1.  Run from the repository root, with the parent's
 tree checked out elsewhere:
@@ -75,11 +77,13 @@ def workload(side, name: str, bundle: Path | None):
     return synth
 
 
-def timed(run) -> tuple[float, object]:
+def timed(run) -> tuple[float, int, object]:
+    """The time ``run`` takes, the gen-0 collections made meanwhile, and its outcome."""
     gc.collect()
+    collections = gc.get_stats()[0]["collections"]
     start = time.perf_counter()
     outcome = run()
-    return time.perf_counter() - start, outcome
+    return time.perf_counter() - start, gc.get_stats()[0]["collections"] - collections, outcome
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -111,19 +115,21 @@ def main(argv=None) -> int:
         # One warm-up pass per side, whose outcomes must agree.
         outcomes = [run() for run in runs]
         times: list[list[float]] = [[], []]
+        collections: list[list[int]] = [[], []]
         for r in range(args.rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for i in order:
-                t, outcome = timed(runs[i])
+                t, n, outcome = timed(runs[i])
                 times[i].append(t)
+                collections[i].append(n)
                 if outcome != outcomes[i]:
                     print(f"side {'AB'[i]} gave another outcome in round {r + 1}")
                     return 1
 
     print(f"workload {args.workload}, {args.rounds} interleaved rounds")
-    for label, tree, ts in zip("AB", (args.a, args.b), times):
+    for label, tree, ts, ns in zip("AB", (args.a, args.b), times, collections):
         q1, q3 = quartiles(ts)
-        print(f"{label} {tree}: median {statistics.median(ts):.5f} s (quartiles {q1:.5f}-{q3:.5f})")
+        print(f"{label} {tree}: median {statistics.median(ts):.5f} s (quartiles {q1:.5f}-{q3:.5f}), {statistics.median(ns):g} gen-0 collections per round")
     ratios = [b / a for a, b in zip(*times)]
     wins = sum(b < a for a, b in zip(*times))
     print(f"B/A: median paired ratio {statistics.median(ratios):.3f}, B faster in {wins}/{args.rounds} rounds")

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
             for (name, _), pair, ts in zip(tasks, runs, times):
                 for i in order:
                     run, outcome = pair[i]
-                    t, got = timed(run)
+                    t, _, got = timed(run)
                     if got != outcome:
                         print(f"{name} under {('the bundle', 'top')[i]} gave another outcome in round {r + 1}")
                         return 1

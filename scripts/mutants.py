@@ -32,7 +32,7 @@ TIMEOUT_S = 1800
 
 MUTANTS = {
     "no run taken in bulk (PR 33)": [
-        (SYNTH, "if sids is None or None not in sids:", "if False:"),
+        (SYNTH, "if sids is None or sids is known or None not in sids:", "if False:"),
         (SYNTH, "rest = keys, sids, kids, rows or repeat(None)", "rest = keys, sids or [None] * len(keys), kids, rows or repeat(None)"),
     ],
     "exact runs pruned past the patchable exact_embeds (PRs 33, 36)": [
@@ -58,8 +58,8 @@ MUTANTS = {
     "the PR 32 startswith condition on bulk runs (PR 33)": [
         (
             SYNTH,
-            "if sids is None or None not in sids:",
-            "if sids is None or None not in sids and not all(map(str.startswith, outputs, left[0])):",
+            "if sids is None or sids is known or None not in sids:",
+            "if sids is None or (sids is known or None not in sids) and not all(map(str.startswith, outputs, left[0])):",
         ),
     ],
     "apply_transformer's two-str branch raises (PR 33)": [
@@ -84,13 +84,25 @@ MUTANTS = {
         (SYNTH, "for k, out in enumerate(outputs):", "for k, out in enumerate(outputs[:1]):"),
     ],
     "no vectors.extend for an exact run's new candidates (PR 36)": [
-        (SYNTH, "vectors.extend(fresh)", "pass"),
+        (SYNTH, "vectors.extend(map(rows.__getitem__, live))", "pass"),
     ],
     "a key separator chosen without the literals": [
         (SYNTH, "chars = set(chain.from_iterable((*self.inputs, *self.outputs, *task.literals)))", "chars = set(chain.from_iterable((*self.inputs, *self.outputs)))"),
     ],
     "an exact run's tail cut after the outputs' candidate": [
         (SYNTH, "chain([register(outputs)], repeat(None))", "[register(outputs)]"),
+    ],
+    "rights pooled without compress(..., fresh)": [
+        (SYNTH, "kept_rights.extend(compress(kids, fresh))", "kept_rights.extend(kids)"),
+    ],
+    "a slice's exact flag taken per pool instead of per slice": [
+        (SYNTH, "vecs[i : i + RUN] == rows[i : i + RUN]", "vecs == rows"),
+    ],
+    "a vector judged again after it was refused": [
+        (SYNTH, "refused.add(sid)", "pass"),
+    ],
+    "a sids list that holds None remembered as all known": [
+        (SYNTH, "rest = keys, sids, kids, rows or repeat(None)", "rest = keys, sids, kids, rows or repeat(None); known = sids"),
     ],
     "a key separator that may occur in values": [
         (SYNTH, "self._sep = next(c for c in map(chr, count()) if c not in chars)", 'self._sep = "\\x00"'),

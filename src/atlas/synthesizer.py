@@ -29,16 +29,30 @@ two exact records concatenate to an exact one; an exact state beside an
 candidate is accepted, in both modes, iff its values are the outputs; a
 sound state holds its value, so with ``require_correct`` any is.
 
-Invariant records: a candidate is a tuple ``(values, sid, left, right)``:
-its values (a ``str`` per example), its vector's registry id or None, and
-its two child records, or None and its leaf index (0 the input, ``1 + i``
-the constant ``consts[i]``, ``1 + len(consts) + i * len(positions) + j``
-the substring from ``positions[i]`` to ``positions[j]``).  Records hold
-only ``str``, ``int``, ``None`` and records, so CPython's cyclic collector
-untracks them and a full collection does not walk the pools.  So vectors
-live in the registry, and ``_node`` builds only the returned program's
-AST.  A run of ``_batch`` is ``(keys, sids, left, kids, rows)``, one item
-per record in rank order (invariant keys), or sids None when the run is
+Invariant records: the kept candidates of a size are its pool, stored
+as four parallel columns: ``keys`` (invariant keys), ``sids``, their
+vectors' registry ids, ``lefts`` and ``rights``.  A leaf's left is None and
+its right its leaf index (0 the input, ``1 + i`` the constant
+``consts[i]``, ``1 + len(consts) + i * len(positions) + j`` the substring
+from ``positions[i]`` to ``positions[j]``).  A concatenation's left is its
+left child's record, ``(values, sid, size, index)``, made once per record
+of a pool read as a left pool, and its right is its right child's index in
+the pool of the other size.  So a candidate's values are held once, as the
+key that ``seen`` holds too, and a run is pooled by extending each column,
+with no tuple per candidate.  CPython's cyclic collector tracks each
+column list, but untracks a left record, which holds only ``str``,
+``int`` and a tuple of ``str``, at the first collection that sees it, so
+a full collection walks four lists per pool and not their items.  So
+vectors live in the registry, and ``_node`` rebuilds only the returned
+program's AST, through the ``lefts`` and ``rights`` columns.  ``_batch``
+reads a pool once for every size: into slices of at most ``RUN``, each
+with its value columns, its sids, its index ``range`` and whether it is
+exact, the columns taken from an exact pool's vectors (invariant
+exact-states) and split from any other's keys; and, when it is a left
+pool, which it is only at a size that also reads it as a right one, into
+its left records, zipped from those columns.  A run of ``_batch`` is
+``(keys, sids, left, kids, rows)``, one item per candidate in rank order
+(invariant keys), its kids the right indexes, or sids None when the run is
 exact (invariant bulk-runs).
 
 Invariant keys: ``run`` dedups and accepts a candidate by its key, its
@@ -49,11 +63,11 @@ outputs and literals, and their concatenations.  So two candidates have
 equal keys iff they have equal values, a key splits back at ``sep`` to its
 values, and with one example the key is the value.  A leaf run and an exact
 concatenation run hold their values tuples as ``rows``, which
-``exact_embeds``, the registry and their pooled records read, and key each
+``exact_embeds``, the registry and a leaf's derivation read, and key each
 with ``sep.join``.  Any other concatenation run has rows None: each key is
 one ``"".join`` of the left values, each after the first behind ``sep``,
-interleaved with the pool slice's columns, and a candidate of it that is
-pooled or taken one at a time gets its values split back.
+interleaved with the pool slice's columns, and its values are split back
+only when its pool is read (invariant records).
 
 Invariant registry: a candidate's state vector determines all its abstract
 work: a concatenation's states depend only on its children's vectors and
@@ -63,26 +77,30 @@ an int id, and a cache from child-id pairs to their concatenation's id,
 whose entries never change.  ``_batch`` gives a concatenation its pair's
 cached id when it makes the run, else None, and a leaf None; a slice
 reuses its last lookup's sids while the left id and the cache's size stay,
-so ``run`` never mutates a sids list.  A candidate with None is derived
-after the dedup check, one example at a time, and pruned at the first
-state that does not embed its output (an output in a concretization embeds
-at offset 0, so it could not be accepted); else its vector is looked up or
-added by value, its pair cached, and the candidate judged.  Later
-candidates of its run derive that pair again.  An exact candidate taken in
-bulk gets a new id and is not looked up by value: its vector is its
-values, and dedup comes before derivation, so no later lookup asks for it.
+so ``run`` never mutates a sids list and checks each list for None once.
+A candidate with None is derived after the dedup check, one example at a
+time, a leaf from its values and a concatenation from its pair, and pruned
+at the first state that does not embed its output (an output in a
+concretization embeds at offset 0, so it could not be accepted); else its
+vector is looked up or added by value, its pair cached, and the candidate
+judged.  Later candidates of its run derive that pair again.  A vector is
+judged at most once: one that passes ends the search, so ``run`` refuses a
+candidate whose id it judged before without judging it.  An exact
+candidate taken in bulk gets a new id and is not looked up by value: its
+vector is its values, and dedup comes before derivation, so no later
+lookup asks for it.
 
-Invariant bulk-runs: a run is exact, with sids None, when all its records
-are: a leaf run when no value is longer than the leaves pinned whole, a
-concatenation run when its left record and its pool slice are.  Of a run
-whose vectors are all known, only a candidate whose values are the outputs
-can be accepted: with ``require_correct`` any other is refused, and
-without it an exact one is iff (invariant exact-states) and a cached
-vector, one this run did not accept, fails ``gamma_contains``.  ``run``
-takes the run in bulk up to that candidate, which a cached run holds only
-if its left value starts every output, and the rest one at a time, as
-every other run.  It counts, dedups and pools the new candidates.  A
-cached run's values are distinct (a pool's are, and one left value
+Invariant bulk-runs: a run is exact, with sids None, when all its
+candidates are: a leaf run when no value is longer than the leaves pinned
+whole, a concatenation run when its left record and its pool slice are.
+Of a run whose vectors are all known, only a candidate whose values are
+the outputs can be accepted: with ``require_correct`` any other is
+refused, and without it an exact one is iff (invariant exact-states) and
+a cached vector, one this run did not accept, fails ``gamma_contains``.
+``run`` takes the run in bulk up to that candidate, which a cached run
+holds only if its left value starts every output, and the rest one at a
+time, as every other run.  It counts, dedups and pools the new candidates.
+A cached run's values are distinct (a pool's are, and one left value
 concatenates injectively), so it is deduped by set operations, with a mask
 of its new candidates only when pooled; an exact run is deduped in order,
 since a leaf run can repeat a value.  An exact run's new candidates are
@@ -324,27 +342,32 @@ class Synthesizer:
             cached = self._abstraction_cache[value] = best_abstraction(value, self.templates, self.pool)
         return cached
 
-    def _node(self, rec: tuple) -> AstNode:
-        """The AST node of record ``rec``, rebuilt from its leaf indexes; it
-        is called only for the returned program (invariant records)."""
-        if rec[2] is None:
-            index, consts, positions = rec[3], self.consts, self.positions
-            if index == 0:
+    def _node(self, pools: dict[int, tuple[list, ...]], size: int, left: Optional[tuple], right: int) -> AstNode:
+        """The AST node of the candidate of AST size ``size`` with left
+        record ``left`` and right index ``right``, its children rebuilt
+        through the ``lefts`` and ``rights`` columns of ``pools``; it is
+        called only for the returned program (invariant records)."""
+        if left is None:
+            consts, positions = self.consts, self.positions
+            if right == 0:
                 return dsl.input_()
-            if index <= len(consts):
-                return dsl.const(consts[index - 1])
-            i, j = divmod(index - 1 - len(consts), len(positions))
+            if right <= len(consts):
+                return dsl.const(consts[right - 1])
+            i, j = divmod(right - 1 - len(consts), len(positions))
             return dsl.substr(dsl.input_(), position_node(positions[i]), position_node(positions[j]))
-        return dsl.concat(self._node(rec[2]), self._node(rec[3]))
+        sa, sb = left[2], size - 1 - left[2]
+        a, b = pools[sa], pools[sb]
+        return dsl.concat(self._node(pools, sa, a[2][left[3]], a[3][left[3]]), self._node(pools, sb, b[2][right], b[3][right]))
 
-    def _derive(self, rec: tuple, vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
-        """The states of record ``rec`` up to the first that does not embed
-        its output, and whether all embed; ``vectors`` holds the run's
-        vectors by id (invariant registry)."""
-        if rec[2] is None:
-            derived = map(self._abstract_value, rec[0])
+    def _derive(self, values: Optional[tuple[str, ...]], pair: Optional[tuple[int, int]], vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
+        """The states of a candidate up to the first that does not embed its
+        output, and whether all embed: of a leaf from its ``values``, of a
+        concatenation from ``pair``, its children's ids in ``vectors``
+        (invariant registry)."""
+        if pair is None:
+            derived = map(self._abstract_value, values)
         else:
-            derived = map(apply_transformer, repeat(self.table), zip(vectors[rec[2][1]], vectors[rec[3][1]]))
+            derived = map(apply_transformer, repeat(self.table), zip(vectors[pair[0]], vectors[pair[1]]))
         states = []
         for state, out in zip(derived, self.outputs):
             states.append(state)
@@ -352,45 +375,61 @@ class Synthesizer:
                 return tuple(states), False
         return tuple(states), True
 
+    def _slices(self, pool: tuple[list, ...], vectors: list[tuple[StateLike, ...]]) -> list[list]:
+        """The slices of a pool (invariant records), built once for every
+        size that reads it."""
+        keys, sids = pool[0], pool[1]
+        vecs = list(map(vectors.__getitem__, sids))
+        # An exact pool's vectors are its values (invariant exact-states); any other's split back from its keys.
+        rows = vecs if set(map(type, chain.from_iterable(vecs))) == {str} else list(map(tuple, map(str.split, keys, repeat(self._sep))))
+        # Each slice: its value columns, one per example, its sids, its
+        # indexes, whether its records are all exact, and the left id and
+        # cache size of its last lookup, with the sids that lookup gave
+        # (invariant registry).
+        return [
+            [list(zip(*rows[i : i + RUN])), sids[i : i + RUN], range(i, min(i + RUN, len(rows))), vecs[i : i + RUN] == rows[i : i + RUN], None, None]
+            for i in range(0, len(rows), RUN)
+        ]
+
     def _batch(
-        self, size: int, pools: dict[int, list[tuple]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
+        self, size: int, pools: dict[int, tuple[list, ...]], reads: tuple[dict[int, list[tuple]], dict[int, list[list]]], concats: dict[tuple[int, int], int], vectors: list[tuple[StateLike, ...]]
     ) -> Iterator[tuple]:
-        """The records of AST size ``size`` in rank order, as runs of at most
-        ``RUN`` (invariant records) keyed by their values (invariant keys),
-        from ``pools``, the kept records by size, and the run's ``concats``
-        and ``vectors`` (invariant registry)."""
+        """The candidates of AST size ``size`` in rank order, as runs of at
+        most ``RUN`` (invariant records) keyed by their values (invariant
+        keys), from ``pools``, the kept records by size, read into
+        ``reads`` once each, and the run's ``concats`` and ``vectors``
+        (invariant registry)."""
         inputs, exact_len, sep = self.inputs, self._exact_len, self._sep
+        left_records, slices = reads
         if size == 1:
             yield from _leaf_runs([inputs, *((s,) * len(inputs) for s in self.consts)], range(1 + len(self.consts)), exact_len, sep)
             return
         for sa in range(1, size - 1):
-            if not pools[sa]:
+            sb = size - 1 - sa
+            if not (pools[sa][0] and pools[sb][0]):
                 continue
-            pool = pools[size - 1 - sa]
-            # Each slice of the pool: its value columns, one per example, its
-            # sids, its records, whether they are all exact, and the left id
-            # and cache size of its last lookup, with the sids that lookup
-            # gave (invariant registry).
-            parts = [pool[i : i + RUN] for i in range(0, len(pool), RUN)]
-            slices = [
-                [list(zip(*map(itemgetter(0), part))), list(map(itemgetter(1), part)), part, all(vectors[b[1]] == b[0] for b in part), None, None]
-                for part in parts
-            ]
-            for a in pools[sa]:
+            # A left pool is read as a right one at this size too (invariant records).
+            for n in (sa, sb):
+                if n not in slices:
+                    slices[n] = self._slices(pools[n], vectors)
+            if sa not in left_records:
+                # Each left record: its values, its sid, its size and its index.
+                left_records[sa] = list(zip(chain.from_iterable(zip(*s[0]) for s in slices[sa]), pools[sa][1], repeat(sa), count()))
+            for a in left_records[sa]:
                 a_values, a_sid = a[0], a[1]
                 a_exact = vectors[a_sid] == a_values
                 # The left values, each after the first behind ``sep``.
                 a_parts = [a_values[0], *map(sep.__add__, a_values[1:])]
-                for s in slices:
-                    columns, b_sids, part, exact, looked_up, sids = s
+                for s in slices[sb]:
+                    columns, b_sids, kids, exact, looked_up, sids = s
                     if a_exact and exact:
                         rows = list(zip(*map(map, repeat(add), map(repeat, a_values), columns)))
-                        yield list(map(sep.join, rows)), None, a, part, rows
+                        yield list(map(sep.join, rows)), None, a, kids, rows
                         continue
                     if looked_up != (a_sid, len(concats)):
                         sids = s[5] = list(map(concats.get, zip(repeat(a_sid), b_sids)))
                         s[4] = a_sid, len(concats)
-                    yield list(map("".join, zip(*chain.from_iterable(zip(map(repeat, a_parts), columns))))), sids, a, part, None
+                    yield list(map("".join, zip(*chain.from_iterable(zip(map(repeat, a_parts), columns))))), sids, a, kids, None
         if size == 4:
             yield from _leaf_runs(*self._substring_leaves(), exact_len, sep)
 
@@ -440,7 +479,11 @@ class Synthesizer:
         sep = self._sep
         target = sep.join(outputs)
         seen: set[str] = set()
-        pools: dict[int, list[tuple]] = {}
+        known = None  # the last sids list of a cached run
+        # The pools by size, as columns, and their left records and slices (invariant records).
+        pools: dict[int, tuple[list, ...]] = {}
+        reads: tuple[dict[int, list[tuple]], dict[int, list[list]]] = {}, {}
+        refused: set[int] = set()  # the ids judged (invariant registry)
         lengths = [0]  # the length of each pool, by size
         following = 0
         result = SynthResult(program=None, correct=None)
@@ -453,8 +496,8 @@ class Synthesizer:
                 # This size's and the next one's concatenations come before this pool is read.
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
                 pooled = size + 2 <= max_size and enumerated + here + following <= budget
-                pools[size] = kept = []
-                for keys, sids, left, kids, rows in self._batch(size, pools, concats, vectors):
+                pools[size] = kept_keys, kept_sids, kept_lefts, kept_rights = [], [], [], []
+                for keys, sids, left, kids, rows in self._batch(size, pools, reads, concats, vectors):
                     # ``last`` counts the run's last candidate (invariant budget-cut).
                     last, reason = enumerated + len(keys), None
                     if last > budget:
@@ -466,7 +509,8 @@ class Synthesizer:
                     if reason is not None:
                         keys = keys[: last - enumerated - 1]
                     rest = ()  # the keys, sids, kids and rows taken one at a time
-                    if sids is None or None not in sids:
+                    # A slice yields its last lookup's sids again (invariant registry), so a list is scanned once.
+                    if sids is None or sids is known or None not in sids:
                         # Every vector is known: taken in bulk up to the first
                         # candidate whose values are the outputs (invariant bulk-runs).
                         if (sids is None or all(map(str.startswith, outputs, left[0]))) and target in keys:
@@ -483,20 +527,23 @@ class Synthesizer:
                             pruned += len(keys) - dups - len(live)
                             if pooled and live:
                                 # New ids, never looked up by value (invariant registry).
-                                fresh = list(map(rows.__getitem__, live))
-                                sids = range(len(vectors), len(vectors) + len(fresh))
-                                vectors.extend(fresh)
-                                kept.extend(zip(fresh, sids, repeat(left), map(kids.__getitem__, live)))
+                                kept_keys.extend(map(keys.__getitem__, live))
+                                kept_sids.extend(range(len(vectors), len(vectors) + len(live)))
+                                kept_lefts.extend(repeat(left, len(live)))
+                                kept_rights.extend(map(kids.__getitem__, live))
+                                vectors.extend(map(rows.__getitem__, live))
                         else:
                             # A cached run: its keys are distinct.
+                            known = sids
                             fresh = list(map(not_, map(seen.__contains__, keys))) if pooled else None
                             dups = len(seen) + len(keys)
                             seen.update(keys)
                             dups -= len(seen)
                             if pooled:
-                                # Its values split back from its keys (invariant keys).
-                                values = map(tuple, map(str.split, compress(keys, fresh), repeat(sep)))
-                                kept.extend(zip(values, compress(sids, fresh), repeat(left), compress(kids, fresh)))
+                                kept_keys.extend(compress(keys, fresh))
+                                kept_sids.extend(compress(sids, fresh))
+                                kept_rights.extend(compress(kids, fresh))
+                                kept_lefts.extend(repeat(left, len(kept_keys) - len(kept_lefts)))
                         deduped += dups
                     else:
                         rest = keys, sids, kids, rows or repeat(None)
@@ -506,27 +553,32 @@ class Synthesizer:
                             deduped += 1
                             continue
                         seen.add(key)
-                        v = v or tuple(key.split(sep))
                         if sid is None:
                             # Pruned when a state does not embed (invariant registry).
-                            states, embeds = self._derive((v, None, left, right), vectors)
+                            pair = None if left is None else (left[1], pools[size - 1 - left[2]][1][right])
+                            states, embeds = self._derive(v, pair, vectors)
                             if not embeds:
                                 pruned += 1
                                 continue
                             sid = register(states)
-                            if left is not None:
-                                concats[left[1], right[1]] = sid
-                        rec = (v, sid, left, right)
-                        if (not require_correct or key == target) and all(map(gamma_contains, vectors[sid], outputs)):
-                            result.program = self._node(rec)
-                            result.correct = key == target
-                            return result
+                            if pair is not None:
+                                concats[pair] = sid
+                        # A vector is judged at most once (invariant registry).
+                        if (not require_correct or key == target) and sid not in refused:
+                            if all(map(gamma_contains, vectors[sid], outputs)):
+                                result.program = self._node(pools, size, left, right)
+                                result.correct = key == target
+                                return result
+                            refused.add(sid)
                         if pooled:
-                            kept.append(rec)
+                            kept_keys.append(key)
+                            kept_sids.append(sid)
+                            kept_lefts.append(left)
+                            kept_rights.append(right)
                     if reason is not None:
                         result.reason, enumerated = reason, last
                         return result
-                lengths.append(len(kept))
+                lengths.append(len(kept_keys))
             result.reason = "exhausted"
             return result
         finally:

@@ -1,11 +1,13 @@
 import sys
 from collections import Counter
-from operator import add
+from operator import add, itemgetter
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import pytest
 
 from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ, TemplateKind
+from atlas.dsl import eval_node, print_program
 from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas import synthesizer
 from atlas.synthesizer import SynthesisTask, Synthesizer
@@ -128,23 +130,74 @@ class WatchedOutput(str):
         return str.__contains__(self, value)
 
 
+class Record(NamedTuple):
+    """A candidate as the tests read it: its values, its vector's id (None
+    when it was derived or tested in bulk), its left child's record (None
+    for a leaf), its right child's record (a leaf's index for a leaf), its
+    AST size, and the ``(left, right)`` that ``Synthesizer._node`` takes
+    after the pools and the size (invariant records)."""
+
+    values: tuple
+    sid: Optional[int]
+    left: Optional["Record"]
+    right: object
+    size: int
+    raw: tuple
+
+
 class Recording:
     """What the runs of a synthesizer did, as ``record`` saw them.
 
     ``log`` holds, in order, ``("run", n)`` for each run ``_batch`` yielded,
-    ``runs[n]``, then ``("derive", n, record, states, embeds)``, ``("embeds",
-    n, values, live, kept)``, ``("judge", n, state, verdict)`` and
-    ``("clock", n)`` for each derivation, ``exact_embeds`` call,
-    ``gamma_contains`` call and clock read of run ``n``.  ``pools``,
-    ``concats`` and ``vectors`` are the last search's (invariant registry),
-    ``accepted`` the record it returned, ``calls`` the calls of each module
-    global wrapped, ``given`` each sids list checked with a copy made then,
-    and ``late`` the run at which the clock passed the deadline, after
-    ``counted`` records."""
+    ``runs[n]``, of AST size ``sizes[n]``, then ``("derive", n, record,
+    states, embeds)``, ``("embeds", n, values, live, kept)``, ``("judge",
+    n, state, verdict, sid)`` and ``("clock", n)`` for each derivation,
+    ``exact_embeds`` call, ``gamma_contains`` call and clock read of run
+    ``n``.  ``pools``, ``reads``, ``concats`` and ``vectors`` are the last
+    search's (invariants records and registry), ``accepted`` the record it
+    returned, ``calls`` the calls of each module global wrapped, ``given``
+    each sids list checked with a copy made then, and ``late`` the run at
+    which the clock passed the deadline, after ``counted`` records.
+    ``records`` holds the pooled records made so far, by size and index,
+    ``counts`` the candidates ``run`` had counted, deduped and pruned
+    before each run, and ``singly``, by run, how many of its candidates
+    ``run`` took one at a time, for each run but the last of a search."""
 
-    def __init__(self):
-        self.log, self.runs, self.given, self.pools, self.concats, self.vectors = [], [], [], {}, None, None
+    def __init__(self, sep):
+        self.log, self.runs, self.sizes, self.given, self.pools, self.reads, self.concats, self.vectors = [], [], [], [], {}, None, None, None
         self.accepted, self.calls, self.late, self.counted = None, Counter(), None, 0
+        self.sep, self.records, self.counts, self.singly = sep, {}, [], {}
+
+    def values(self, key: str) -> tuple:
+        """The values a key splits back to (invariant keys)."""
+        return tuple(key.split(self.sep))
+
+    def candidate(self, size, values, sid, left, right) -> Record:
+        """The record of a candidate of AST size ``size`` with the left
+        record and right index, or leaf index, that ``run`` has for it."""
+        if left is None:
+            return Record(values, sid, None, right, size, (None, right))
+        return Record(values, sid, self.pooled_at(left[2], left[3]), self.pooled_at(size - 1 - left[2], right), size, (left, right))
+
+    def pooled_at(self, size, i) -> Record:
+        """The record of ``pools[size]`` at index ``i``."""
+        rec = self.records.get((size, i))
+        if rec is None:
+            keys, sids, lefts, rights = self.pools[size]
+            rec = self.records[size, i] = self.candidate(size, self.values(keys[i]), sids[i], lefts[i], rights[i])
+        return rec
+
+    def pool(self, size) -> list:
+        """The records of ``pools[size]``, in order."""
+        return [self.pooled_at(size, i) for i in range(len(self.pools[size][0]))]
+
+    def pooled(self) -> list:
+        """Every pooled record."""
+        return [rec for size in self.pools for rec in self.pool(size)]
+
+    def node(self, synth, rec: Record):
+        """The AST node ``synth._node`` rebuilds for ``rec``."""
+        return synth._node(self.pools, rec.size, *rec.raw)
 
     def derived(self) -> list:
         """``(record, states, embeds)`` for each record derived, in order."""
@@ -158,23 +211,40 @@ class Recording:
             if kind == "embeds":
                 (values, live, kept), (_, _, left, kids, _) = call, self.runs[n]
                 kept = set(kept)
-                tested += [((values[i], None, left, kids[i]), i in kept) for i in live]
+                tested += [(self.candidate(self.sizes[n], values[i], None, left, kids[i]), i in kept) for i in live]
         return tested
 
+    def judgements(self) -> list:
+        """The ``("judge", ...)`` entry that starts each judgement: ``run``
+        calls ``gamma_contains`` on a candidate's examples in order up to
+        the first that fails, so a call starts a judgement unless the entry
+        before it is a call that passed."""
+        return [e for e, before in zip(self.log, [("run",), *self.log]) if e[0] == "judge" and not (before[0] == "judge" and before[3])]
+
     def judged(self) -> list:
-        """The run of each candidate judged, by index: ``run`` calls
-        ``gamma_contains`` on a candidate's examples in order up to the first
-        that fails, so a call starts a judgement unless the entry before it
-        is a call that passed."""
-        return [e[1] for e, before in zip(self.log, [("run",), *self.log]) if e[0] == "judge" and not (before[0] == "judge" and before[3])]
+        """The run of each candidate judged, by index."""
+        return [e[1] for e in self.judgements()]
 
     def judged_states(self) -> list:
         """The state of each ``gamma_contains`` call, in order."""
         return [entry[2] for entry in self.log if entry[0] == "judge"]
 
-    def pooled(self) -> list:
-        """Every pooled record."""
-        return [rec for pool in self.pools.values() for rec in pool]
+    def check_pools(self, synth):
+        """Check the pools of the last search: each pool's columns have one
+        length; a pooled concatenation's key splits back to its left
+        child's values concatenated with its right child's, and its left
+        record is that child's; and ``_node`` of each pooled record is a
+        program of its size that evaluates to its values (invariant
+        records)."""
+        for size, (keys, sids, lefts, rights) in self.pools.items():
+            assert len(keys) == len(sids) == len(lefts) == len(rights), size
+            for rec in self.pool(size):
+                left, right = rec.raw
+                if left is not None:
+                    assert rec.values == tuple(map(add, rec.left.values, rec.right.values)), (size, rec.values)
+                    assert left == (rec.left.values, rec.left.sid, rec.left.size, left[3]), (size, rec.values)
+                node = self.node(synth, rec)
+                assert node.size == size and tuple(eval_node(node, x) for x in synth.inputs) == rec.values, print_program(node)
 
 
 def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Recording:
@@ -186,43 +256,65 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
     going on; without ``derivations`` neither ``_derive`` nor
     ``apply_transformer``, whose log and calls grow with the run; and with
     ``late``, the clock, which passes the deadline at the first run that
-    ``late(run, counted)`` accepts.
+    ``late(run, counted)`` accepts.  The candidate of a derivation, of the
+    returned program and of a judgement, the counts before each run and
+    the candidates of a run taken one at a time are read off ``run``'s
+    locals.
 
-    With ``check``, each call is checked as it is made.  A run's keys are
-    ``str`` that split back at the separator to its records' values, its
-    rows or, when it has none, the concatenations of its left values with
-    each right record's (invariant keys).  A cached run (sids not None,
+    With ``check``, each call is checked as it is made, and the pools after
+    each search (``Recording.check_pools``).  A run's keys are ``str`` that
+    split back at the separator to its candidates' values, its rows or the
+    concatenations of its left values with each right record's (invariant
+    keys), and its left record is its pool's.  A cached run (sids not None,
     none of them None) is a concatenation run with distinct keys (invariant
     bulk-runs); a concatenation run's sids are a fresh lookup of its
-    child-id pairs in the concat cache (invariant registry).  An
+    child-id pairs in the concat cache (invariant registry), and it is
+    exact (sids None) iff its left record and each right record are.  An
     ``exact_embeds`` call is on the rows of the run yielded last, which is
     exact and was not tested before, as ``run`` cut them, with the indexes
     of those whose key no earlier candidate had; it tests each example,
     ``in`` the output, a column at a time on the candidates that passed the
     examples before, and returns those that pass all."""
-    got = Recording()
+    got = Recording(synth._sep)
     log, runs = got.log, got.runs
-    batch, derive, node = (getattr(type(synth), name).__get__(synth) for name in ("_batch", "_derive", "_node"))
+    batch, derive, node, run = (getattr(type(synth), name).__get__(synth) for name in ("_batch", "_derive", "_node", "run"))
     # The keys of this search's runs before ``runs[upto]``, for the checks.
-    known = SimpleNamespace(keys=set(), upto=0)
+    known = SimpleNamespace(keys=set(), upto=0, start=0)
 
-    def batching(size, pools, concats, vectors):
-        got.pools, got.concats, got.vectors = pools, concats, vectors
+    def exact(sid, values) -> bool:
+        return got.vectors[sid] == values
+
+    def batching(size, pools, reads, concats, vectors):
+        got.pools, got.reads, got.concats, got.vectors = pools, reads, concats, vectors
         if size == 1:
-            got.accepted, known.keys, known.upto = None, set(), len(runs)
+            got.accepted, got.records, known.keys, known.upto, known.start = None, {}, set(), len(runs), len(runs)
         seams.active = got, hooks
         try:
-            for run in batch(size, pools, concats, vectors):
+            for run in batch(size, pools, reads, concats, vectors):
                 log.append(("run", len(runs)))
                 runs.append(run)
+                got.sizes.append(size)
+                caller = sys._getframe(1)
+                if caller.f_code is RUN_CODE:
+                    at = caller.f_locals
+                    got.counts.append(itemgetter("enumerated", "deduped", "pruned")(at))
+                    if len(runs) - 1 > known.start:
+                        got.singly[len(runs) - 2] = len(at["rest"][0]) if at["rest"] else 0
                 keys, sids, left, kids, rows = run
+                if check and left is None:
+                    values = rows
+                elif check:
+                    right = pools[size - 1 - left[2]]
+                    assert left == (got.values(pools[left[2]][0][left[3]]), pools[left[2]][1][left[3]], left[2], left[3])
+                    values = [tuple(map(add, left[0], got.values(right[0][k]))) for k in kids]
+                    assert rows is None or rows == values
+                    assert (sids is None) == (exact(left[1], left[0]) and all(exact(right[1][k], got.values(right[0][k])) for k in kids))
                 if check:
-                    values = rows if rows is not None else [tuple(map(add, left[0], b[0])) for b in kids]
-                    assert all(k.__class__ is str for k in keys) and [tuple(k.split(synth._sep)) for k in keys] == values
+                    assert all(k.__class__ is str for k in keys) and list(map(got.values, keys)) == values
                 if check and sids is not None and None not in sids:
                     assert left is not None and len(set(keys)) == len(keys)
                 if check and sids is not None and left is not None:
-                    assert sids == [concats.get((left[1], b[1])) for b in kids]
+                    assert sids == [concats.get((left[1], right[1][k])) for k in kids]
                     got.given.append((sids, list(sids)))
                 if late is not None and got.late is None:
                     if late(run, got.counted):
@@ -233,17 +325,26 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
         finally:
             seams.active = None
 
-    def deriving(rec, vectors):
-        states, embeds = derive(rec, vectors)
+    def deriving(values, pair, vectors):
+        states, embeds = derive(values, pair, vectors)
+        at = sys._getframe(1).f_locals
+        rec = got.candidate(at["size"], got.values(at["key"]), None, at["left"], at["right"])
         log.append(("derive", len(runs) - 1, rec, states, embeds))
         return states, embeds
 
-    def making(rec):
-        # ``run`` makes the node of the record it returns only; ``_node``
+    def making(pools, size, left, right):
+        # ``run`` makes the node of the candidate it returns only; ``_node``
         # makes the children's nodes through this wrapper too.
-        if sys._getframe(1).f_code is RUN_CODE:
-            got.accepted = rec
-        return node(rec)
+        caller = sys._getframe(1)
+        if caller.f_code is RUN_CODE:
+            got.accepted = got.candidate(size, got.values(caller.f_locals["key"]), caller.f_locals["sid"], left, right)
+        return node(pools, size, left, right)
+
+    def running(*args, **kwargs):
+        result = run(*args, **kwargs)
+        if check:
+            got.check_pools(synth)
+        return result
 
     def embedding(exact_embeds, values, live, outputs):
         n = len(runs) - 1
@@ -269,7 +370,9 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
 
     def judging(gamma_contains, state, out):
         verdict = gamma_contains(state, out)
-        log.append(("judge", len(runs) - 1, state, verdict))
+        # Called from ``run`` through the module global's wrapper.
+        caller = sys._getframe(2)
+        log.append(("judge", len(runs) - 1, state, verdict, caller.f_locals["sid"] if caller.f_code is RUN_CODE else None))
         return verdict
 
     hooks = {"exact_embeds": embedding, "gamma_contains": judging}
@@ -289,7 +392,7 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
 
             wrapper.seams = seams
             monkeypatch.setattr(synthesizer, name, wrapper)
-    synth._batch, synth._derive, synth._node = batching, deriving if derivations else derive, making
+    synth._batch, synth._derive, synth._node, synth.run = batching, deriving if derivations else derive, making, running
     if late is not None:
 
         def clock():
@@ -306,7 +409,7 @@ def assert_pools_match(synth, seen, found):
     size (``found.kept``).  A level the run left unpooled, which is one of
     the last two it reached, holds none instead."""
     last = max(seen.pools)
-    for size, pool in seen.pools.items():
-        got = [(rec[0], synth._node(rec)) for rec in pool]
+    for size in seen.pools:
+        got = [(rec.values, seen.node(synth, rec)) for rec in seen.pool(size)]
         want = [(rec[0], term_node(rec)) for rec in found.kept[size]]
         assert got == want or (got == [] and size >= last - 1), size

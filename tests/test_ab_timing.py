@@ -1,5 +1,6 @@
 """``scripts/ab_timing.py`` runs this tree against itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ SCRIPT = ROOT / "scripts" / "ab_timing.py"
 ATLAS = ROOT / "src" / "atlas"
 
 
-@pytest.mark.parametrize("workload", ["train", "bundle"])
+@pytest.mark.parametrize("workload", ["train", "bundle", "top"])
 def test_one_round_of_this_tree_against_itself(tmp_path, workload):
     args = [sys.executable, str(SCRIPT), str(ATLAS), str(ATLAS), "--workload", workload, "--rounds", "1"]
     if workload == "bundle":
@@ -25,6 +26,7 @@ def test_one_round_of_this_tree_against_itself(tmp_path, workload):
     lines = done.stdout.splitlines()
     assert lines[0] == f"workload {workload}, 1 interleaved rounds"
     assert lines[1].startswith(f"A {ATLAS}: median ") and lines[2].startswith(f"B {ATLAS}: median ")
+    assert all(re.fullmatch(r".*\), \d+(\.5)? gen-0 collections per round", line) for line in lines[1:3])
     assert lines[3].startswith("B/A: median paired ratio ") and lines[3].endswith(("in 0/1 rounds", "in 1/1 rounds"))
     assert lines[4:] == ["outcomes identical"]
 

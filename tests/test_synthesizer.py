@@ -1,7 +1,7 @@
 import gc
 import operator
-from itertools import product, repeat
-from typing import Iterator
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -386,12 +386,12 @@ def fresh_states(synth, node) -> tuple:
     return tuple(abstract_eval(node, e_in, synth.templates, synth.table, synth.pool) for e_in in synth.inputs)
 
 
-def check_derived(synth, rec, derived) -> tuple:
+def check_derived(synth, seen, rec, derived) -> tuple:
     """The fresh states of a record ``run`` derived the states ``derived``
     for, after checking that ``derived``, widened, is a prefix of them that
     stops at the first state that does not embed its output, or runs to the
     end."""
-    node = synth._node(rec)
+    node = seen.node(synth, rec)
     fresh = fresh_states(synth, node)
     shown = print_program(node)
     assert widened(derived) == fresh[: len(derived)], shown
@@ -405,12 +405,14 @@ def last_fails_to_embed(states, outputs) -> bool:
     return bool(states) and not state_embeds(states[-1], outputs[len(states) - 1])
 
 
-def check_bulk_tests(synth, tested) -> list:
-    """``tested`` (``Recording.tested``), after checking that each tested
-    candidate's fresh states hold its values and embed exactly when the run
-    found its values embed: so each one the run pruned fails to embed."""
+def check_bulk_tests(synth, seen) -> list:
+    """``seen.tested()`` (``Recording.tested``), after checking that each
+    tested candidate's fresh states hold its values and embed exactly when
+    the run found its values embed: so each one the run pruned fails to
+    embed."""
+    tested = seen.tested()
     for rec, embeds in tested:
-        node = synth._node(rec)
+        node = seen.node(synth, rec)
         fresh = fresh_states(synth, node)
         assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(node)
         assert embeds == all(map(state_embeds, fresh, synth.outputs)), print_program(node)
@@ -430,11 +432,11 @@ class TestEnumeratorProperties:
         assert outcome(result) == outcome(reference_search(E2, FIVE_TEMPLATES, table_a2, True))
         pruned = 0
         for rec, derived, embeds in seen.derived():
-            fresh = check_derived(synth, rec, derived)
-            assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(synth._node(rec))
+            fresh = check_derived(synth, seen, rec, derived)
+            assert all(gamma_contains(st, v) for st, v in zip(fresh, rec[0])), print_program(seen.node(synth, rec))
             assert embeds != last_fails_to_embed(derived, E2.outputs)
             pruned += not embeds
-        taken = check_bulk_tests(synth, seen.tested())
+        taken = check_bulk_tests(synth, seen)
         pruned += sum(not embeds for _, embeds in taken)
         # The pruned candidates are those whose last derived state fails to
         # embed and those tested in bulk that fail to embed.
@@ -538,7 +540,7 @@ class TestStateVectorCache:
         assert seen.calls["gamma_contains"] == 0
         vectors, concats, embedding, records = seen.vectors, seen.concats, set(), seen.derived()
         for rec, derived, embeds in records:
-            fresh = check_derived(synth, rec, derived)
+            fresh = check_derived(synth, seen, rec, derived)
             assert embeds == all(state_embeds(s, out) for s, out in zip(fresh, PHONES.outputs))
             # A pruned candidate's states stop at the first that fails to embed.
             assert widened(derived) == fresh if embeds else last_fails_to_embed(derived, PHONES.outputs)
@@ -552,7 +554,7 @@ class TestStateVectorCache:
         # Each new candidate the run judged was derived, tested in bulk, or
         # made with its cached vector; over the budget, the last one is
         # counted only.
-        taken = check_bulk_tests(synth, seen.tested())
+        taken = check_bulk_tests(synth, seen)
         judged = result.enumerated - (result.reason == "candidate-budget")
         reused = judged - result.deduped - len(records) - len(taken)
         assert reused > 0 or not reuses
@@ -565,14 +567,14 @@ class TestStateVectorCache:
         pooled = {rec[0] for rec in seen.pooled()}
         exact = set()
         for rec, embeds in taken:
-            if embeds and seen.pools[synth._node(rec).size]:
-                assert rec[0] in pooled, print_program(synth._node(rec))
+            if embeds and seen.pool(rec.size):
+                assert rec[0] in pooled, print_program(seen.node(synth, rec))
                 exact.add(rec[0])
         assert len(set(vectors)) == len(vectors)
         assert set(vectors) == embedding | exact
         # A pooled record's vector is its fresh one.
         for rec in seen.pooled():
-            assert widened(vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
+            assert widened(vectors[rec[1]]) == fresh_states(synth, seen.node(synth, rec))
         # A cached pair names the vector of its children's concatenation.
         for (i, j), k in concats.items():
             pairs = zip(vectors[i], vectors[j])
@@ -592,7 +594,7 @@ class TestStateVectorCache:
         assert seen.judged_states() == list(seen.vectors[seen.accepted[1]])
         # A pooled record's registered vector is its fresh one, so it holds its value.
         for rec in seen.pooled():
-            assert widened(seen.vectors[rec[1]]) == fresh_states(synth, synth._node(rec))
+            assert widened(seen.vectors[rec[1]]) == fresh_states(synth, seen.node(synth, rec))
 
     @pytest.mark.parametrize("modes", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("domain", ["bundle", "length", "top"])
@@ -612,6 +614,23 @@ class TestStateVectorCache:
         # tests, judges, registers and pools what a fresh synthesizer's only
         # run does.
         assert vars(watched[0]) == vars(watched[1])
+
+    def test_no_vector_is_judged_twice(self, monkeypatch, table_a1):
+        # Without require_correct, under the length table, many candidates
+        # share a vector: each vector is judged at most once, since one
+        # that passes ends the search (invariant registry).  Judging each
+        # candidate took 4,809 calls on the 15 eval tasks.
+        calls = 0
+        for name, task in corpus_tasks(20_000).items():
+            if not name.startswith("eval_"):
+                continue
+            synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
+            seen = record(monkeypatch, synth, derivations=False)
+            synth.run()
+            sids = [entry[4] for entry in seen.judgements()]
+            assert sids and None not in sids and len(set(sids)) == len(sids), name
+            calls += seen.calls["gamma_contains"]
+        assert calls == 152
 
     def test_unsound_entry_still_fails_the_soundness_check(self, monkeypatch, table_a1):
         # len(a + b) = len(a): wrong whenever b is not empty.  Under the length
@@ -635,16 +654,16 @@ class TestStateVectorCache:
         assert any(wrong(seen.vectors[rec[1]], rec[0]) for rec in cached)
 
 
-def run_records(run) -> Iterator[tuple]:
-    """The records of a run ``(keys, sids, left, kids, rows)`` of ``_batch``
-    that has rows."""
-    _, sids, left, kids, rows = run
-    return zip(rows, sids, repeat(left), kids)
+def leaf_runs(synth) -> list:
+    """The runs ``(keys, sids, left, kids, rows)`` of ``_batch`` at size 4
+    with nothing pooled, so no concat: those of the substring leaves."""
+    empty = ([], [], [], [])
+    return list(synth._batch(4, {1: empty, 2: empty}, ({}, {}), {}, []))
 
 
 def size4_leaves(synth):
-    """``(node, values)`` of the size-4 leaves, in order: with nothing pooled, size 4 makes no concat."""
-    return [(synth._node(rec), rec[0]) for run in synth._batch(4, {1: [], 2: []}, {}, []) for rec in run_records(run)]
+    """``(node, values)`` of the size-4 leaves, in order."""
+    return [(synth._node({}, 4, None, index), values) for run in leaf_runs(synth) for values, index in zip(run[4], run[3])]
 
 
 # Every input character is a cpos character; short random inputs often lack
@@ -738,7 +757,7 @@ class TestPositionTable:
             for k2, r2 in rows
             if all(i <= j for i, j in zip(r1, r2))
         ]
-        runs = list(synth._batch(4, {1: [], 2: []}, {}, []))
+        runs = leaf_runs(synth)
         assert [leaf for run in runs for leaf in zip(run[4], run[3])] == want
         assert [len(run[0]) for run in runs] == [len(want[i : i + 256]) for i in range(0, len(want), 256)]
         for _, sids, left, _, values in runs:
@@ -758,7 +777,7 @@ class TestPositionTable:
             make = getattr(dsl, name)
             monkeypatch.setattr(dsl, name, lambda *args, make=make: calls.append(args) or make(*args))
         synth = Synthesizer(E3, trained.templates, trained.table)
-        leaves = list(synth._batch(4, {1: [], 2: []}, {}, []))
+        leaves = leaf_runs(synth)
         assert leaves and synth.positions and not calls
         result = synth.run(require_correct=True)
         # Only ``_node`` of the returned record makes its position nodes.
@@ -772,14 +791,14 @@ class TestLazyNode:
     @staticmethod
     def check(synth, seen, inputs):
         """Each pooled record, at its size, and each record the run derived."""
-        records = [(size, rec) for size, pool in seen.pools.items() for rec in pool]
+        records = [(rec.size, rec) for rec in seen.pooled()]
         records += [(None, rec) for rec, _, _ in seen.derived()]
         for size, rec in records:
-            node = synth._node(rec)
+            node = seen.node(synth, rec)
             assert size is None or node.size == size, print_program(node)
             assert tuple(eval_node(node, x) for x in inputs) == rec[0], print_program(node)
             if rec[2] is not None:
-                assert node == concat(synth._node(rec[2]), synth._node(rec[3])), print_program(node)
+                assert node == concat(seen.node(synth, rec[2]), seen.node(synth, rec[3])), print_program(node)
 
     def test_first_candidates_under_the_top_table(self, monkeypatch):
         # Nothing is accepted, so the run enumerates up to its budget.
@@ -808,7 +827,8 @@ class TestLazyNode:
 
 class TestRecords:
     def test_records_are_untracked_by_the_collector(self, monkeypatch):
-        # A record holding a node, a state or any class instance stays
+        # The pools' columns hold keys, ids, left records and indexes.  A left
+        # record holding a node, a state or any class instance stays
         # tracked, and every full collection then walks the pools
         # (invariant records).
         monkeypatch.setattr(synthesizer, "gamma_contains", lambda state, out: False)
@@ -820,7 +840,9 @@ class TestRecords:
         # already, and it may visit a record before its children; but each
         # one untracks every record whose children it found untracked.  So
         # collect until a collection untracks nothing more.
-        records = seen.pooled() + [rec for rec, _, _ in seen.derived()]
+        records = [item for pool in seen.pools.values() for column in pool for item in column]
+        records += [rec for left_records in seen.reads[0].values() for rec in left_records]
+        assert any(isinstance(rec, tuple) for rec in records)
         tracked = records
         while tracked:
             gc.collect()
@@ -976,7 +998,7 @@ class TestSubstringCheck:
             for rec, _, embeds in seen.derived():
                 if not embeds:
                     pruned += 1
-                    assert not_substrings(rec[0], task.outputs), (name, print_program(synth._node(rec)))
+                    assert not_substrings(rec[0], task.outputs), (name, print_program(seen.node(synth, rec)))
         assert pruned > 0
 
     def test_an_unsound_table_prunes_a_substring(self, monkeypatch):
@@ -1081,16 +1103,20 @@ def takes_bulk(run) -> bool:
     return sids is None or None not in sids
 
 
-def check_against_the_reference(task, templates, table, require_correct, pools, check=False) -> tuple[list, int]:
+def check_against_the_reference(task, templates, table, require_correct, pools, check=False) -> tuple[list, list]:
     """Check that a run of ``task`` has the outcome of ``reference_search``,
     and with ``pools`` that it pools what the reference keeps; with
-    ``check``, the recorder checks each call of the run.  Returns the
-    runs ``_batch`` yielded and how many of the candidates the run counted
-    it neither dropped as repeats, pruned nor judged, leaving out the one
-    counted past the budget.  Without ``require_correct`` those are the new
-    candidates ``run`` took with set operations.  The reference's
-    candidates are not kept past its check, so no later run's collections
-    walk them."""
+    ``check``, the recorder checks each call of the run.  A run whose
+    vectors are all known is taken in bulk, but for its candidates from
+    the one whose values are the outputs, and every other run one at a
+    time (invariant bulk-runs).  Returns the runs ``_batch`` yielded and,
+    for each, how many of its candidates the
+    run counted and neither dropped as repeats, pruned nor judged, leaving
+    out the one counted past the budget.  Without ``require_correct`` those
+    are the new candidates ``run`` took with set operations, and those it
+    refused, unjudged, for a vector judged before (invariant registry).
+    The reference's candidates are not kept past its check, so no later
+    run's collections walk them."""
     synth = Synthesizer(task, templates, table)
     with pytest.MonkeyPatch.context() as monkeypatch:
         # No derivation is read, and their log grows with the run.
@@ -1098,10 +1124,16 @@ def check_against_the_reference(task, templates, table, require_correct, pools, 
         result = synth.run(require_correct=require_correct)
     found = reference_search(task, templates, table, require_correct)
     assert outcome(result) == outcome(found), task
+    target = synth._sep.join(task.outputs)
+    for n, taken in seen.singly.items():
+        keys = seen.runs[n][0]
+        assert taken == (len(keys) - keys.index(target) if target in keys else 0) if takes_bulk(seen.runs[n]) else taken == len(keys), (task, n)
     if pools:
         assert_pools_match(synth, seen, found)
-    unjudged = result.enumerated - result.deduped - result.pruned_abstract - len(seen.judged())
-    return seen.runs, unjudged - (result.reason == "candidate-budget")
+    counts = [*seen.counts, (result.enumerated - (result.reason == "candidate-budget"), result.deduped, result.pruned_abstract)]
+    judged = Counter(seen.judged())
+    unjudged = [(e1 - e0) - (d1 - d0) - (p1 - p0) - judged[n] for n, ((e0, d0, p0), (e1, d1, p1)) in enumerate(zip(counts, counts[1:]))]
+    return seen.runs, unjudged
 
 
 class TestBulkRuns:
@@ -1130,11 +1162,14 @@ class TestBulkRuns:
             bulk_runs = [len(run[0]) for run in runs if takes_bulk(run)]
             bulk += len(bulk_runs)
             longest.append(max(len(run[0]) for run in runs))
+            assert min(not_judged) >= 0, name
             if not require_correct:
-                # Only the set-operation branch leaves a new candidate
-                # unjudged, and only in the runs ``takes_bulk`` names.
-                assert 0 <= not_judged <= sum(bulk_runs), name
-                unjudged += not_judged
+                # In the runs ``takes_bulk`` names, only the set-operation
+                # branch leaves a new candidate unjudged; elsewhere only the
+                # refusal of a vector judged before does.
+                in_bulk = sum(n for run, n in zip(runs, not_judged) if takes_bulk(run))
+                assert in_bulk <= sum(bulk_runs), name
+                unjudged += in_bulk
         # Every run holds at most 256 records, the deadline's period.
         assert max(longest) <= 256
         # Without require_correct, top accepts the input at once.
@@ -1197,6 +1232,22 @@ class TestBulkRuns:
         tested = seen.tested()
         assert any(rec[2] is not None and all(map(str.startswith, task.outputs, rec[2][0])) for rec, _ in tested)
         assert any(embeds for _, embeds in tested) and not all(embeds for _, embeds in tested)
+
+    def test_a_slice_is_exact_when_its_own_records_are(self, trained, monkeypatch):
+        # Pool 1 holds the input, longer than the leaves the seed-0 bundle
+        # pins whole and a substring of the output, then over 256
+        # constants, all exact: its first slice is not exact and the second
+        # is, so a constant beside the second makes an exact run and beside
+        # the first a derived one (invariant bulk-runs).  The recorder
+        # checks each run's flag.
+        task = SynthesisTask(examples=(("x" * 30, "x" * 30 + "".join(map(chr, range(65, 125)))),), max_ast_size=3, max_candidates=20_000)
+        synth = Synthesizer(task, trained.templates, trained.table)
+        assert len(task.inputs[0]) > synth._exact_len and len(synth.consts) > 256
+        seen = record(monkeypatch, synth, check=True)
+        assert synth.run(require_correct=True).reason == "candidate-budget"
+        beside = [run for run in seen.runs if run[2] is not None and seen.vectors[run[2][1]] == run[2][0]]
+        assert any(run[1] is None and run[3][0] == 256 for run in beside)
+        assert beside and all(run[1] is not None for run in beside if run[3][0] == 0)
 
     @pytest.mark.parametrize("budget", [20_000, 200_000])
     @pytest.mark.parametrize("require_correct", [True, False])
@@ -1302,8 +1353,8 @@ class TestBulkRuns:
         # The reference kept new values at the size the budget cut, which
         # the run left unpooled.
         cut = max(seen.pools)
-        assert found.kept[cut] and seen.pools[cut] == []
-        assert seen.pools[1] and seen.pools[3]
+        assert found.kept[cut] and seen.pool(cut) == []
+        assert seen.pool(1) and seen.pool(3)
 
 
 class TestEmptySizes:
@@ -1353,7 +1404,7 @@ class TestReferenceSearch:
     def test_run_equals_the_reference_on_small_tasks(self, trained, domain, examples, max_size, budget, require_correct):
         templates, table = ([TOP], TransformerTable()) if domain == "top" else (trained.templates, trained.table)
         task = SynthesisTask(examples=tuple(examples), max_ast_size=max_size, max_candidates=budget)
-        check_against_the_reference(task, templates, table, require_correct, pools=True)
+        check_against_the_reference(task, templates, table, require_correct, pools=True, check=True)
 
 
 def sound_outputs(k1, k2) -> list:
