@@ -1,4 +1,4 @@
-"""Check that tier-1 catches each known fault of ``Synthesizer.run``.
+"""Check that tier-1 catches each known fault of the synthesizer and its tools.
 
 Each mutation is a list of exact ``(file, old, new)`` edits that puts back a
 fault the tests are meant to catch, taken from the scratch mutations of
@@ -7,10 +7,12 @@ temporary directory, the edits are made there (each old text must occur
 exactly once in its file), and tier-1 runs there with ``-x``, apart from
 ``tests/test_mutants.py``: it checks that each old text occurs in the
 tree, so it would fail on every mutated copy.  A mutation is caught when
-pytest fails.  It prints caught or missed per
-mutation, with the time taken, and exits 1 if any is missed, or 2 without
-running any if one is stale.  Run from anywhere; names select the mutations
-whose name contains one of them:
+pytest fails.  Tier-1 runs first on an unmutated copy, so that a failure
+there is not read as a catch.  It prints caught, with the first failing
+test, or MISSED per mutation, with the time taken, and exits 1 if any is
+missed, or 2 without running any if one is stale or the unmutated copy
+fails.  Run from anywhere; names select the mutations whose name contains
+one of them:
 
     python scripts/mutants.py
     python scripts/mutants.py "memo"
@@ -25,14 +27,17 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SYNTH = "src/atlas/synthesizer.py"
+CLI = "src/atlas/cli.py"
+TRANSFORMERS = "src/atlas/transformers.py"
 TIMEOUT_S = 1800
 
 MUTANTS = {
     "no run taken in bulk (PR 33)": [
-        (SYNTH, "if sids is None or sids is known or None not in sids:", "if False:"),
+        (SYNTH, "if sids is None or None not in sids:", "if False:"),
         (SYNTH, "rest = keys, sids, kids, rows or repeat(None)", "rest = keys, sids or [None] * len(keys), kids, rows or repeat(None)"),
     ],
     "exact runs pruned past the patchable exact_embeds (PRs 33, 36)": [
@@ -58,8 +63,8 @@ MUTANTS = {
     "the PR 32 startswith condition on bulk runs (PR 33)": [
         (
             SYNTH,
-            "if sids is None or sids is known or None not in sids:",
-            "if sids is None or (sids is known or None not in sids) and not all(map(str.startswith, outputs, left[0])):",
+            "if sids is None or None not in sids:",
+            "if sids is None or None not in sids and not all(map(str.startswith, outputs, left[0])):",
         ),
     ],
     "apply_transformer's two-str branch raises (PR 33)": [
@@ -101,11 +106,17 @@ MUTANTS = {
     "a vector judged again after it was refused": [
         (SYNTH, "refused.add(sid)", "pass"),
     ],
-    "a sids list that holds None remembered as all known": [
-        (SYNTH, "rest = keys, sids, kids, rows or repeat(None)", "rest = keys, sids, kids, rows or repeat(None); known = sids"),
-    ],
     "a key separator that may occur in values": [
         (SYNTH, "self._sep = next(c for c in map(chr, count()) if c not in chars)", 'self._sep = "\\x00"'),
+    ],
+    "a level pooled on one size's concatenations too few": [
+        (SYNTH, "lengths[size - 1 : 0 : -1]", "lengths[size - 2 : 0 : -1]"),
+    ],
+    "bench's enumeration ratio over at least 2 bundle candidates": [
+        (CLI, 'base["enumerated"] / max(1, bundle["enumerated"])', 'base["enumerated"] / max(2, bundle["enumerated"])'),
+    ],
+    "a slot's seed from 9 digest bytes": [
+        (TRANSFORMERS, 'int.from_bytes(digest[:8], "big")', 'int.from_bytes(digest[:9], "big")'),
     ],
 }
 
@@ -121,8 +132,9 @@ def stale(tree: Path = ROOT) -> list[str]:
     ]
 
 
-def caught(edits: list[tuple[str, str, str]]) -> bool:
-    """Whether tier-1 fails on a copy of the tree with ``edits`` made."""
+def failing(edits: list[tuple[str, str, str]]) -> Optional[str]:
+    """The first test tier-1 fails on a copy of the tree with ``edits``
+    made, or pytest's last line when it names none; None if tier-1 passes."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
@@ -130,21 +142,30 @@ def caught(edits: list[tuple[str, str, str]]) -> bool:
             (tree / path).write_text((tree / path).read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         args = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
-        done = subprocess.run(args, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
-        return done.returncode != 0
+        done = subprocess.run(args, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if done.returncode == 0:
+        return None
+    lines = done.stdout.splitlines() or [f"pytest exited {done.returncode}"]
+    return next((line.split(" - ")[0].split(" ", 1)[1] for line in lines if line.startswith(("FAILED ", "ERROR "))), lines[-1])
 
 
 def main(argv: list[str]) -> int:
     if stale():
         print("stale mutations:", *stale(), sep="\n  ", file=sys.stderr)
         return 2
+    start = time.perf_counter()
+    clean = failing([])
+    if clean is not None:
+        print(f"the unmutated copy fails {clean}; no mutation run", file=sys.stderr)
+        return 2
+    print(f"clean   {time.perf_counter() - start:6.1f} s  the unmutated copy passes", flush=True)
     chosen = {name: edits for name, edits in MUTANTS.items() if not argv or any(a in name for a in argv)}
     missed = 0
     for name, edits in chosen.items():
         start = time.perf_counter()
-        found = caught(edits)
-        missed += not found
-        print(f"{'caught' if found else 'MISSED'}  {time.perf_counter() - start:6.1f} s  {name}", flush=True)
+        test = failing(edits)
+        missed += test is None
+        print(f"{'MISSED' if test is None else 'caught'}  {time.perf_counter() - start:6.1f} s  {name}" + ("" if test is None else f"  by {test}"), flush=True)
     print(f"{len(chosen) - missed} of {len(chosen)} caught")
     return 1 if missed else 0
 

@@ -77,18 +77,20 @@ an int id, and a cache from child-id pairs to their concatenation's id,
 whose entries never change.  ``_batch`` gives a concatenation its pair's
 cached id when it makes the run, else None, and a leaf None; a slice
 reuses its last lookup's sids while the left id and the cache's size stay,
-so ``run`` never mutates a sids list and checks each list for None once.
-A candidate with None is derived after the dedup check, one example at a
-time, a leaf from its values and a concatenation from its pair, and pruned
-at the first state that does not embed its output (an output in a
-concretization embeds at offset 0, so it could not be accepted); else its
-vector is looked up or added by value, its pair cached, and the candidate
-judged.  Later candidates of its run derive that pair again.  A vector is
-judged at most once: one that passes ends the search, so ``run`` refuses a
-candidate whose id it judged before without judging it.  An exact
-candidate taken in bulk gets a new id and is not looked up by value: its
-vector is its values, and dedup comes before derivation, so no later
-lookup asks for it.
+so ``run`` never mutates a sids list.  A candidate with None is derived
+after the dedup check by ``_derive``, named by its left record and right
+index as ``_node`` names it, one example at a time: a leaf from its values
+and a concatenation from its children's vectors.  It is pruned at the
+first state that does not embed its output (an output in a concretization
+embeds at offset 0, so it could not be accepted); else its vector is
+looked up or added by value, its pair cached, and the candidate judged by
+``_judge`` on its vector's id.  Later candidates of its run derive that
+pair again.  A vector is judged at most once: one that passes ends the
+search, so ``run`` refuses a candidate whose id it judged before without
+judging it.  ``_derive`` and ``_judge`` are the two seams of the abstract
+work on a candidate taken one at a time.  An exact candidate taken in bulk
+gets a new id and is not looked up by value: its vector is its values, and
+dedup comes before derivation, so no later lookup asks for it.
 
 Invariant bulk-runs: a run is exact, with sids None, when all its
 candidates are: a leaf run when no value is longer than the leaves pinned
@@ -99,15 +101,18 @@ refused, and without it an exact one is iff (invariant exact-states) and
 a cached vector, one this run did not accept, fails ``gamma_contains``.
 ``run`` takes the run in bulk up to that candidate, which a cached run
 holds only if its left value starts every output, and the rest one at a
-time, as every other run.  It counts, dedups and pools the new candidates.
-A cached run's values are distinct (a pool's are, and one left value
-concatenates injectively), so it is deduped by set operations, with a mask
-of its new candidates only when pooled; an exact run is deduped in order,
-since a leaf run can repeat a value.  An exact run's new candidates are
-pruned by one ``exact_embeds`` call, which tests each example only on the
-candidates that passed the examples before, so it stops where a test one
-candidate at a time would; the rest are pooled in one pass, each with a
-new id, caching no pair (invariant registry).
+time, as every other run.  It counts, dedups and pools the new candidates,
+and keeps its counts on its ``SynthResult`` as it goes: ``enumerated``,
+``deduped``, ``pruned_abstract``, and ``bulk``, the candidates counted in
+bulk, added to once per run.  A cached run's values are distinct (a
+pool's are, and one left value concatenates injectively), so it is deduped
+by set operations, with a mask of its new candidates only when pooled; an
+exact run is deduped in order, since a leaf run can repeat a value.  An
+exact run's new candidates are pruned by one ``exact_embeds`` call, which
+tests each example only on the candidates that passed the examples before,
+so it stops where a test one candidate at a time would; the rest are
+pooled in one pass, each with a new id, caching no pair (invariant
+registry).
 
 Invariant budget-cut: ``run`` cuts each run of ``_batch`` once, at the
 budget and then, when the deadline has passed, at the one multiple of
@@ -292,6 +297,7 @@ class SynthResult:
     deduped: int = 0
     reason: str = "found"
     wall_us: int = 0
+    bulk: int = 0
 
 
 class Synthesizer:
@@ -359,21 +365,27 @@ class Synthesizer:
         a, b = pools[sa], pools[sb]
         return dsl.concat(self._node(pools, sa, a[2][left[3]], a[3][left[3]]), self._node(pools, sb, b[2][right], b[3][right]))
 
-    def _derive(self, values: Optional[tuple[str, ...]], pair: Optional[tuple[int, int]], vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
-        """The states of a candidate up to the first that does not embed its
-        output, and whether all embed: of a leaf from its ``values``, of a
-        concatenation from ``pair``, its children's ids in ``vectors``
-        (invariant registry)."""
-        if pair is None:
+    def _derive(self, values: Optional[tuple[str, ...]], left: Optional[tuple], right: int, right_sids: Optional[list[int]], vectors: list[tuple[StateLike, ...]]) -> tuple[tuple[StateLike, ...], bool]:
+        """The states of the candidate with left record ``left`` and right
+        index ``right`` up to the first that does not embed its output, and
+        whether all embed: of a leaf from its ``values``, of a concatenation
+        from its children's vectors, its right child's id in ``right_sids``,
+        the sids of its right pool (invariant registry)."""
+        if left is None:
             derived = map(self._abstract_value, values)
         else:
-            derived = map(apply_transformer, repeat(self.table), zip(vectors[pair[0]], vectors[pair[1]]))
+            derived = map(apply_transformer, repeat(self.table), zip(vectors[left[1]], vectors[right_sids[right]]))
         states = []
         for state, out in zip(derived, self.outputs):
             states.append(state)
             if not state_embeds(state, out):
                 return tuple(states), False
         return tuple(states), True
+
+    def _judge(self, sid: int, vectors: list[tuple[StateLike, ...]]) -> bool:
+        """Whether every output lies in the concretization of its state in
+        the vector with id ``sid`` (invariant registry)."""
+        return all(map(gamma_contains, vectors[sid], self.outputs))
 
     def _slices(self, pool: tuple[list, ...], vectors: list[tuple[StateLike, ...]]) -> list[list]:
         """The slices of a pool (invariant records), built once for every
@@ -479,7 +491,6 @@ class Synthesizer:
         sep = self._sep
         target = sep.join(outputs)
         seen: set[str] = set()
-        known = None  # the last sids list of a cached run
         # The pools by size, as columns, and their left records and slices (invariant records).
         pools: dict[int, tuple[list, ...]] = {}
         reads: tuple[dict[int, list[tuple]], dict[int, list[list]]] = {}, {}
@@ -487,7 +498,6 @@ class Synthesizer:
         lengths = [0]  # the length of each pool, by size
         following = 0
         result = SynthResult(program=None, correct=None)
-        enumerated = pruned = deduped = 0
         try:
             for size in range(1, max_size + 1):
                 # Exhausted: no later size has a candidate (invariant pooled-levels).
@@ -495,22 +505,21 @@ class Synthesizer:
                     break
                 # This size's and the next one's concatenations come before this pool is read.
                 here, following = following, sum(map(mul, lengths[1:size], lengths[size - 1 : 0 : -1]))
-                pooled = size + 2 <= max_size and enumerated + here + following <= budget
+                pooled = size + 2 <= max_size and result.enumerated + here + following <= budget
                 pools[size] = kept_keys, kept_sids, kept_lefts, kept_rights = [], [], [], []
                 for keys, sids, left, kids, rows in self._batch(size, pools, reads, concats, vectors):
                     # ``last`` counts the run's last candidate (invariant budget-cut).
-                    last, reason = enumerated + len(keys), None
+                    last, reason = result.enumerated + len(keys), None
                     if last > budget:
                         last, reason = budget + 1, "candidate-budget"
                     if deadline is not None:
                         tick = min(last, budget) // RUN * RUN
-                        if tick > enumerated and time.perf_counter_ns() > deadline:
+                        if tick > result.enumerated and time.perf_counter_ns() > deadline:
                             last, reason = tick, "timeout"
                     if reason is not None:
-                        keys = keys[: last - enumerated - 1]
+                        keys = keys[: last - result.enumerated - 1]
                     rest = ()  # the keys, sids, kids and rows taken one at a time
-                    # A slice yields its last lookup's sids again (invariant registry), so a list is scanned once.
-                    if sids is None or sids is known or None not in sids:
+                    if sids is None or None not in sids:
                         # Every vector is known: taken in bulk up to the first
                         # candidate whose values are the outputs (invariant bulk-runs).
                         if (sids is None or all(map(str.startswith, outputs, left[0]))) and target in keys:
@@ -518,13 +527,14 @@ class Synthesizer:
                             # Of an exact run, that candidate has its values as its vector, and the rest are derived.
                             rest = keys[n:], sids[n:] if sids else chain([register(outputs)], repeat(None)), kids[n:], rows[n:] if rows else repeat(None)
                             keys = keys[:n]
-                        enumerated += len(keys)
+                        result.enumerated += len(keys)
+                        result.bulk += len(keys)
                         if sids is None:
                             # An exact run: each vector is its values.
                             live = [i for i, k in enumerate(keys) if not (k in seen or seen.add(k))]
                             dups = len(keys) - len(live)
                             live = exact_embeds(rows[: len(keys)], live, outputs)
-                            pruned += len(keys) - dups - len(live)
+                            result.pruned_abstract += len(keys) - dups - len(live)
                             if pooled and live:
                                 # New ids, never looked up by value (invariant registry).
                                 kept_keys.extend(map(keys.__getitem__, live))
@@ -534,7 +544,6 @@ class Synthesizer:
                                 vectors.extend(map(rows.__getitem__, live))
                         else:
                             # A cached run: its keys are distinct.
-                            known = sids
                             fresh = list(map(not_, map(seen.__contains__, keys))) if pooled else None
                             dups = len(seen) + len(keys)
                             seen.update(keys)
@@ -544,28 +553,28 @@ class Synthesizer:
                                 kept_sids.extend(compress(sids, fresh))
                                 kept_rights.extend(compress(kids, fresh))
                                 kept_lefts.extend(repeat(left, len(kept_keys) - len(kept_lefts)))
-                        deduped += dups
+                        result.deduped += dups
                     else:
                         rest = keys, sids, kids, rows or repeat(None)
                     for key, sid, right, v in zip(*rest):
-                        enumerated += 1
+                        result.enumerated += 1
                         if key in seen:
-                            deduped += 1
+                            result.deduped += 1
                             continue
                         seen.add(key)
                         if sid is None:
                             # Pruned when a state does not embed (invariant registry).
-                            pair = None if left is None else (left[1], pools[size - 1 - left[2]][1][right])
-                            states, embeds = self._derive(v, pair, vectors)
+                            right_sids = None if left is None else pools[size - 1 - left[2]][1]
+                            states, embeds = self._derive(v, left, right, right_sids, vectors)
                             if not embeds:
-                                pruned += 1
+                                result.pruned_abstract += 1
                                 continue
                             sid = register(states)
-                            if pair is not None:
-                                concats[pair] = sid
+                            if left is not None:
+                                concats[left[1], right_sids[right]] = sid
                         # A vector is judged at most once (invariant registry).
                         if (not require_correct or key == target) and sid not in refused:
-                            if all(map(gamma_contains, vectors[sid], outputs)):
+                            if self._judge(sid, vectors):
                                 result.program = self._node(pools, size, left, right)
                                 result.correct = key == target
                                 return result
@@ -576,13 +585,12 @@ class Synthesizer:
                             kept_lefts.append(left)
                             kept_rights.append(right)
                     if reason is not None:
-                        result.reason, enumerated = reason, last
+                        result.reason, result.enumerated = reason, last
                         return result
                 lengths.append(len(kept_keys))
             result.reason = "exhausted"
             return result
         finally:
-            result.enumerated, result.pruned_abstract, result.deduped = enumerated, pruned, deduped
             result.wall_us = (time.perf_counter_ns() - start) // 1000
 
 

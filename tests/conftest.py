@@ -1,6 +1,5 @@
-import sys
 from collections import Counter
-from operator import add, itemgetter
+from operator import add
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -10,13 +9,10 @@ from atlas.domain import ConstantPool, TOP, LEN_EQ, LEN_NEQ, CHAR_EQ, CHAR_NEQ, 
 from atlas.dsl import eval_node, print_program
 from atlas.driver import TrainConfig, learn_abstractions, corpus_alphabet
 from atlas import synthesizer
-from atlas.synthesizer import SynthesisTask, Synthesizer
+from atlas.synthesizer import SynthesisTask
 from atlas.transformers import SamplingOracle, Transformer, TransformerTable, learn_transformers
 
 from oracles import term_node
-
-# The code of ``Synthesizer.run``, whose ``_node`` call makes the returned program.
-RUN_CODE = Synthesizer.run.__code__
 
 
 E1 = SynthesisTask(examples=(("CAV", "CAV2018"), ("SAS", "SAS2018"), ("FSE", "FSE2018")))
@@ -150,18 +146,19 @@ class Recording:
 
     ``log`` holds, in order, ``("run", n)`` for each run ``_batch`` yielded,
     ``runs[n]``, of AST size ``sizes[n]``, then ``("derive", n, record,
-    states, embeds)``, ``("embeds", n, values, live, kept)``, ``("judge",
-    n, state, verdict, sid)`` and ``("clock", n)`` for each derivation,
-    ``exact_embeds`` call, ``gamma_contains`` call and clock read of run
-    ``n``.  ``pools``, ``reads``, ``concats`` and ``vectors`` are the last
-    search's (invariants records and registry), ``accepted`` the record it
-    returned, ``calls`` the calls of each module global wrapped, ``given``
-    each sids list checked with a copy made then, and ``late`` the run at
-    which the clock passed the deadline, after ``counted`` records.
-    ``records`` holds the pooled records made so far, by size and index,
-    ``counts`` the candidates ``run`` had counted, deduped and pruned
-    before each run, and ``singly``, by run, how many of its candidates
-    ``run`` took one at a time, for each run but the last of a search."""
+    states, embeds)``, ``("embeds", n, values, live, kept)``, ``("gamma",
+    n, state)``, ``("judge", n, sid, verdict)`` and ``("clock", n)`` for
+    each derivation, ``exact_embeds`` call, ``gamma_contains`` call,
+    judgement and clock read of run ``n``.  ``pools``, ``reads``,
+    ``concats`` and ``vectors`` are the last search's (invariants records
+    and registry), ``accepted`` the record it returned, ``calls`` the calls
+    of each module global wrapped, ``given`` each sids list checked with a
+    copy made then, and ``late`` the run at which the clock passed the
+    deadline, after ``counted`` records.  ``records`` holds the pooled
+    records made so far, by size and index, ``counts`` the candidates
+    ``run`` had counted, deduped and pruned before each run, and
+    ``singly``, by run, how many of its candidates ``run`` took one at a
+    time, for each run but the last of a search."""
 
     def __init__(self, sep):
         self.log, self.runs, self.sizes, self.given, self.pools, self.reads, self.concats, self.vectors = [], [], [], [], {}, None, None, None
@@ -215,19 +212,17 @@ class Recording:
         return tested
 
     def judgements(self) -> list:
-        """The ``("judge", ...)`` entry that starts each judgement: ``run``
-        calls ``gamma_contains`` on a candidate's examples in order up to
-        the first that fails, so a call starts a judgement unless the entry
-        before it is a call that passed."""
-        return [e for e, before in zip(self.log, [("run",), *self.log]) if e[0] == "judge" and not (before[0] == "judge" and before[3])]
+        """``(n, sid, verdict)`` for each candidate judged, in order: its
+        run, its vector's id and whether it was accepted."""
+        return [tuple(entry[1:]) for entry in self.log if entry[0] == "judge"]
 
     def judged(self) -> list:
         """The run of each candidate judged, by index."""
-        return [e[1] for e in self.judgements()]
+        return [n for n, _, _ in self.judgements()]
 
     def judged_states(self) -> list:
         """The state of each ``gamma_contains`` call, in order."""
-        return [entry[2] for entry in self.log if entry[0] == "judge"]
+        return [entry[2] for entry in self.log if entry[0] == "gamma"]
 
     def check_pools(self, synth):
         """Check the pools of the last search: each pool's columns have one
@@ -249,17 +244,16 @@ class Recording:
 
 def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Recording:
     """Wrap each seam of ``synth.run`` once, so that its later runs leave in
-    the returned ``Recording`` what they did: ``_batch``, ``_derive`` and
-    ``_node`` on ``synth``; ``exact_embeds``, ``gamma_contains`` and
-    ``apply_transformer`` in the synthesizer module, one wrapper each for
-    every recording of a test, which logs to the one whose ``_batch`` is
-    going on; without ``derivations`` neither ``_derive`` nor
-    ``apply_transformer``, whose log and calls grow with the run; and with
-    ``late``, the clock, which passes the deadline at the first run that
-    ``late(run, counted)`` accepts.  The candidate of a derivation, of the
-    returned program and of a judgement, the counts before each run and
-    the candidates of a run taken one at a time are read off ``run``'s
-    locals.
+    the returned ``Recording`` what they did: ``_batch``, ``_derive``,
+    ``_judge`` and ``_node`` on ``synth``; ``SynthResult``,
+    ``exact_embeds``, ``gamma_contains`` and ``apply_transformer`` in the
+    synthesizer module, one wrapper each for every recording of a test,
+    which logs to the one whose ``run`` is going on; without ``derivations``
+    neither ``_derive`` nor ``apply_transformer``, whose log and calls grow
+    with the run; and with ``late``, the clock, which passes the deadline at
+    the first run that ``late(run, counted)`` accepts.  The counts before
+    each run and ``singly`` are read off its result, a candidate off
+    ``_derive``'s and ``_node``'s arguments, a judgement off ``_judge``'s.
 
     With ``check``, each call is checked as it is made, and the pools after
     each search (``Recording.check_pools``).  A run's keys are ``str`` that
@@ -277,85 +271,94 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
     examples before, and returns those that pass all."""
     got = Recording(synth._sep)
     log, runs = got.log, got.runs
-    batch, derive, node, run = (getattr(type(synth), name).__get__(synth) for name in ("_batch", "_derive", "_node", "run"))
-    # The keys of this search's runs before ``runs[upto]``, for the checks.
-    known = SimpleNamespace(keys=set(), upto=0, start=0)
-
-    def exact(sid, values) -> bool:
-        return got.vectors[sid] == values
+    batch, derive, judge, node, run = (getattr(type(synth), name).__get__(synth) for name in ("_batch", "_derive", "_judge", "_node", "run"))
+    # The search's result, its count not in bulk before the last run, the
+    # depth of ``_node`` calls, and the keys of its runs before
+    # ``runs[upto]``, for the checks.
+    search = SimpleNamespace(result=None, singly=None, depth=0, keys=set(), upto=0)
 
     def batching(size, pools, reads, concats, vectors):
         got.pools, got.reads, got.concats, got.vectors = pools, reads, concats, vectors
-        if size == 1:
-            got.accepted, got.records, known.keys, known.upto, known.start = None, {}, set(), len(runs), len(runs)
-        seams.active = got, hooks
-        try:
-            for run in batch(size, pools, reads, concats, vectors):
-                log.append(("run", len(runs)))
-                runs.append(run)
-                got.sizes.append(size)
-                caller = sys._getframe(1)
-                if caller.f_code is RUN_CODE:
-                    at = caller.f_locals
-                    got.counts.append(itemgetter("enumerated", "deduped", "pruned")(at))
-                    if len(runs) - 1 > known.start:
-                        got.singly[len(runs) - 2] = len(at["rest"][0]) if at["rest"] else 0
-                keys, sids, left, kids, rows = run
-                if check and left is None:
-                    values = rows
-                elif check:
-                    right = pools[size - 1 - left[2]]
-                    assert left == (got.values(pools[left[2]][0][left[3]]), pools[left[2]][1][left[3]], left[2], left[3])
-                    values = [tuple(map(add, left[0], got.values(right[0][k]))) for k in kids]
-                    assert rows is None or rows == values
-                    assert (sids is None) == (exact(left[1], left[0]) and all(exact(right[1][k], got.values(right[0][k])) for k in kids))
-                if check:
-                    assert all(k.__class__ is str for k in keys) and list(map(got.values, keys)) == values
-                if check and sids is not None and None not in sids:
-                    assert left is not None and len(set(keys)) == len(keys)
-                if check and sids is not None and left is not None:
-                    assert sids == [concats.get((left[1], right[1][k])) for k in kids]
-                    got.given.append((sids, list(sids)))
-                if late is not None and got.late is None:
-                    if late(run, got.counted):
-                        got.late = len(runs) - 1
-                    else:
-                        got.counted += len(keys)
-                yield run
-        finally:
-            seams.active = None
+        for run in batch(size, pools, reads, concats, vectors):
+            log.append(("run", len(runs)))
+            runs.append(run)
+            got.sizes.append(size)
+            result = search.result
+            got.counts.append((result.enumerated, result.deduped, result.pruned_abstract))
+            if search.singly is not None:
+                got.singly[len(runs) - 2] = result.enumerated - result.bulk - search.singly
+            search.singly = result.enumerated - result.bulk
+            keys, sids, left, kids, rows = run
+            if check and left is None:
+                values = rows
+            elif check:
+                right = pools[size - 1 - left[2]]
+                assert left == (got.values(pools[left[2]][0][left[3]]), pools[left[2]][1][left[3]], left[2], left[3])
+                values = [tuple(map(add, left[0], got.values(right[0][k]))) for k in kids]
+                assert rows is None or rows == values
+                assert (sids is None) == (vectors[left[1]] == left[0] and all(vectors[right[1][k]] == got.values(right[0][k]) for k in kids))
+            if check:
+                assert all(k.__class__ is str for k in keys) and list(map(got.values, keys)) == values
+            if check and sids is not None and None not in sids:
+                assert left is not None and len(set(keys)) == len(keys)
+            if check and sids is not None and left is not None:
+                assert sids == [concats.get((left[1], right[1][k])) for k in kids]
+                got.given.append((sids, list(sids)))
+            if late is not None and got.late is None:
+                if late(run, got.counted):
+                    got.late = len(runs) - 1
+                else:
+                    got.counted += len(keys)
+            yield run
 
-    def deriving(values, pair, vectors):
-        states, embeds = derive(values, pair, vectors)
-        at = sys._getframe(1).f_locals
-        rec = got.candidate(at["size"], got.values(at["key"]), None, at["left"], at["right"])
-        log.append(("derive", len(runs) - 1, rec, states, embeds))
+    def deriving(values, left, right, right_sids, vectors):
+        states, embeds = derive(values, left, right, right_sids, vectors)
+        size = got.sizes[-1]
+        if left is not None:
+            values = tuple(map(add, left[0], got.pooled_at(size - 1 - left[2], right).values))
+        log.append(("derive", len(runs) - 1, got.candidate(size, values, None, left, right), states, embeds))
         return states, embeds
 
+    def judging(sid, vectors):
+        verdict = judge(sid, vectors)
+        log.append(("judge", len(runs) - 1, sid, verdict))
+        return verdict
+
     def making(pools, size, left, right):
-        # ``run`` makes the node of the candidate it returns only; ``_node``
-        # makes the children's nodes through this wrapper too.
-        caller = sys._getframe(1)
-        if caller.f_code is RUN_CODE:
-            got.accepted = got.candidate(size, got.values(caller.f_locals["key"]), caller.f_locals["sid"], left, right)
-        return node(pools, size, left, right)
+        # ``run`` makes the node of the candidate it returns only, whose vector
+        # passed the last judgement; ``_node`` makes the children's too.
+        search.depth += 1
+        made = node(pools, size, left, right)
+        search.depth -= 1
+        if search.depth == 0 and seams.active is not None:
+            got.accepted = got.candidate(size, tuple(eval_node(made, x) for x in synth.inputs), got.judgements()[-1][1], left, right)
+        return made
 
     def running(*args, **kwargs):
-        result = run(*args, **kwargs)
+        got.accepted, got.records, search.singly, search.keys, search.upto = None, {}, None, set(), len(runs)
+        seams.active = got, hooks
+        try:
+            result = run(*args, **kwargs)
+        finally:
+            seams.active = None
         if check:
             got.check_pools(synth)
         return result
 
+    def resulting(make, *args, **kwargs):
+        search.result = make(*args, **kwargs)
+        return search.result
+
     def embedding(exact_embeds, values, live, outputs):
         n = len(runs) - 1
         if check:
-            assert outputs == synth.outputs and n >= known.upto
-            for run in runs[known.upto : n]:
-                known.keys.update(run[0])
-            known.upto = n + 1
+            assert outputs == synth.outputs and n >= search.upto
+            for run in runs[search.upto : n]:
+                search.keys.update(run[0])
+            search.upto = n + 1
             keys, sids, _, _, rows = runs[n]
             assert sids is None and values == rows[: len(values)]
-            assert live == [i for i, k in enumerate(keys[: len(values)]) if not (k in known.keys or known.keys.add(k))]
+            assert live == [i for i, k in enumerate(keys[: len(values)]) if not (k in search.keys or search.keys.add(k))]
             tests = []
             kept = exact_embeds(values, live, tuple(WatchedOutput(out, k, tests) for k, out in enumerate(outputs)))
             expected, passed = [], live
@@ -368,31 +371,27 @@ def record(monkeypatch, synth, derivations=True, check=False, late=None) -> Reco
         log.append(("embeds", n, values, live, kept))
         return kept
 
-    def judging(gamma_contains, state, out):
-        verdict = gamma_contains(state, out)
-        # Called from ``run`` through the module global's wrapper.
-        caller = sys._getframe(2)
-        log.append(("judge", len(runs) - 1, state, verdict, caller.f_locals["sid"] if caller.f_code is RUN_CODE else None))
-        return verdict
+    def containing(gamma_contains, state, out):
+        log.append(("gamma", len(runs) - 1, state))
+        return gamma_contains(state, out)
 
-    hooks = {"exact_embeds": embedding, "gamma_contains": judging}
+    hooks = {"SynthResult": resulting, "exact_embeds": embedding, "gamma_contains": containing}
     seams = getattr(synthesizer.exact_embeds, "seams", None) or SimpleNamespace(active=None)
-    # ``apply_transformer`` is only counted, and only with the derivations
-    # that call it.
+    # ``apply_transformer`` is only counted, with the derivations that call it.
     for name in (*hooks, "apply_transformer") if derivations else hooks:
         if not hasattr(getattr(synthesizer, name), "seams"):
 
-            def wrapper(*args, name=name, inner=getattr(synthesizer, name)):
+            def wrapper(*args, name=name, inner=getattr(synthesizer, name), **kwargs):
                 if seams.active is None:
-                    return inner(*args)
+                    return inner(*args, **kwargs)
                 recording, hooked = seams.active
                 recording.calls[name] += 1
                 hook = hooked.get(name)
-                return inner(*args) if hook is None else hook(inner, *args)
+                return inner(*args, **kwargs) if hook is None else hook(inner, *args, **kwargs)
 
             wrapper.seams = seams
             monkeypatch.setattr(synthesizer, name, wrapper)
-    synth._batch, synth._derive, synth._node, synth.run = batching, deriving if derivations else derive, making, running
+    synth._batch, synth._derive, synth._judge, synth._node, synth.run = batching, deriving if derivations else derive, judging, making, running
     if late is not None:
 
         def clock():

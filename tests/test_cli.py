@@ -320,6 +320,18 @@ class TestBench:
         assert main(["bench", str(corpus), "--bundle", str(trained_dir / "bundle.json"), "-o", str(out)]) == 0
         assert read(out / "bench_report.json")["aggregate"]["tasks"] == 0
 
+    def test_a_row_solved_by_its_first_candidate(self, trained_dir, tmp_path):
+        # The input is the answer, so both modes enumerate one candidate,
+        # and the row's ratio is 1 / 1, not 1 over some floor above it.
+        corpus = tmp_path / "identity"
+        corpus.mkdir()
+        (corpus / "identity.json").write_text(json.dumps({"name": "identity", "examples": [{"input": "abc", "output": "abc"}]}))
+        out = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--bundle", str(trained_dir / "bundle.json"), "-o", str(out)]) == 0
+        (row,) = read(out / "bench_report.json")["tasks"]
+        assert row["bundle"]["enumerated"] == row["baseline"]["enumerated"] == 1
+        assert row["ratio"] == 1.0
+
 
 # ``atlas dump-itp`` on e1.json, in full: the first example each program
 # fails is interpolated, and (cpos 83 1) cannot run on "CAV", so its dump is

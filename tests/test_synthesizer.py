@@ -627,7 +627,7 @@ class TestStateVectorCache:
             synth = Synthesizer(task, [TOP, LEN_EQ, LEN_NEQ], table_a1)
             seen = record(monkeypatch, synth, derivations=False)
             synth.run()
-            sids = [entry[4] for entry in seen.judgements()]
+            sids = [sid for _, sid, _ in seen.judgements()]
             assert sids and None not in sids and len(set(sids)) == len(sids), name
             calls += seen.calls["gamma_contains"]
         assert calls == 152
@@ -1355,6 +1355,34 @@ class TestBulkRuns:
         cut = max(seen.pools)
         assert found.kept[cut] and seen.pool(cut) == []
         assert seen.pool(1) and seen.pool(3)
+
+    @pytest.mark.parametrize("budget", [1_000, 20_000, 200_000])
+    def test_a_level_is_pooled_iff_its_own_and_the_next_concatenations_fit_the_budget(self, monkeypatch, budget):
+        # Under top every new value embeds.  A level that holds new values
+        # is pooled iff a size two up exists and the candidates counted
+        # before it, plus the concatenations of its size and the next, made
+        # of the pools below it, fit the budget (invariant pooled-levels).
+        # At 20,000, level 4's 78 new leaves are not pooled: size 5 alone
+        # makes 2 * 49 * 2,142 concatenations.  Pooling them changes no
+        # outcome, only memory.
+        _, task = load_task(corpus_dir() / "eval_wrap_dir.json", 14, budget, None)
+        synth = Synthesizer(task, [TOP], TransformerTable())
+        seen = record(monkeypatch, synth, derivations=False)
+        result = synth.run(require_correct=True)
+        found = reference_search(task, [TOP], TransformerTable(), True)
+        assert outcome(result) == outcome(found)
+        lengths = {size: len(pool[0]) for size, pool in seen.pools.items()}
+
+        def concats(size) -> int:
+            return sum(lengths[sa] * lengths[size - 1 - sa] for sa in range(1, size - 1))
+
+        levels = [size for size in seen.pools if found.kept[size] and size in seen.sizes]
+        for size in levels:
+            before = seen.counts[seen.sizes.index(size)][0]
+            pooled = size + 2 <= task.max_ast_size and before + concats(size) + concats(size + 1) <= budget
+            assert bool(lengths[size]) == pooled, size
+        if budget == 20_000:
+            assert 4 in levels and lengths[4] == 0
 
 
 class TestEmptySizes:

@@ -195,6 +195,15 @@ class TestSamplingOracle:
         one, two = a.child("one"), a.child("two")
         assert [one.draw_string() for _ in range(5)] != [two.draw_string() for _ in range(5)]
 
+    def test_child_seed_is_golden(self):
+        # A slot's oracle is seeded from the first 8 bytes of the SHA-256 of
+        # "seed:tag".  The learned tables do not depend on it (every
+        # fillable slot learns its one sound matrix at any seed), so only
+        # this golden value pins it.
+        tag = "concat|len-eq,len-eq|len-eq"
+        assert SamplingOracle(0, "ab").child(tag).seed == 7669031663790526849
+        assert SamplingOracle(705, "xy").child(tag).seed == 3395792098129550952
+
     def test_finite_support(self):
         a = SamplingOracle(3, "ab")
         for _ in range(200):
