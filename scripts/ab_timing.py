@@ -15,11 +15,12 @@ Synthesis runs with ``require_correct``, the side's default size limit
 and budget (``SynthesisTask``) and no timeout.  Per side it prints the
 median time of a round and its quartiles, and the median number of
 collections of the cyclic collector's youngest generation in a round
-(from ``gc.get_stats()``); then the median of the paired ratios B/A and
-the rounds B won.  Both sides must give the same outcomes
-(programs and counts, or history and bundle bytes); when they do not, it
-says so and exits 1.  Run from the repository root, with the parent's
-tree checked out elsewhere:
+(from ``gc.get_stats()``); then the median of the paired ratios B/A, a
+95 % bootstrap interval for it (``median_interval``) and the rounds B
+won.  Both sides must give the same outcomes (programs and counts, or
+history and bundle bytes); when they do not, it says so and exits 1.
+Run from the repository root, with the parent's tree checked out
+elsewhere:
 
     python scripts/ab_timing.py ../parent/src/atlas src/atlas --rounds 10
     python scripts/ab_timing.py ../parent/src/atlas src/atlas --workload bundle --bundle b.json --rounds 200
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import random
 import shutil
 import statistics
 import sys
@@ -93,6 +95,16 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def median_interval(ratios: list[float]) -> tuple[float, float]:
+    """A 95 % percentile bootstrap interval for the median of ``ratios``:
+    the 2.5th and 97.5th percentiles of the medians of 2,000 draws of
+    ``len(ratios)`` rounds with replacement, from a generator seeded with
+    0, so one set of rounds always gives one interval."""
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(2000))
+    return medians[50], medians[1949]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="side A: a src/atlas tree (the parent)")
@@ -132,7 +144,8 @@ def main(argv=None) -> int:
         print(f"{label} {tree}: median {statistics.median(ts):.5f} s (quartiles {q1:.5f}-{q3:.5f}), {statistics.median(ns):g} gen-0 collections per round")
     ratios = [b / a for a, b in zip(*times)]
     wins = sum(b < a for a, b in zip(*times))
-    print(f"B/A: median paired ratio {statistics.median(ratios):.3f}, B faster in {wins}/{args.rounds} rounds")
+    low, high = median_interval(ratios)
+    print(f"B/A: median paired ratio {statistics.median(ratios):.3f} (95 % interval {low:.3f}-{high:.3f}), B faster in {wins}/{args.rounds} rounds")
     if outcomes[0] != outcomes[1]:
         print("outcomes differ between A and B")
         return 1

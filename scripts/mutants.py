@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SYNTH = "src/atlas/synthesizer.py"
 CLI = "src/atlas/cli.py"
 TRANSFORMERS = "src/atlas/transformers.py"
+DOMAIN = "src/atlas/domain.py"
 TIMEOUT_S = 1800
 
 MUTANTS = {
@@ -117,6 +118,17 @@ MUTANTS = {
     ],
     "a slot's seed from 9 digest bytes": [
         (TRANSFORMERS, 'int.from_bytes(digest[:8], "big")', 'int.from_bytes(digest[:9], "big")'),
+    ],
+    "sampled rows deduped under the name of the sampled strings": [
+        (TRANSFORMERS, "constants = (sel[0].args, sel[1].args, p0.args)", "args = (sel[0].args, sel[1].args, p0.args)"),
+        (TRANSFORMERS, "if constants in seen_rows:", "if args in seen_rows:"),
+        (TRANSFORMERS, "seen_rows.add(constants)", "seen_rows.add(args)"),
+    ],
+    "a leaf's len != facts in the pool's order": [
+        (DOMAIN, "for m in sorted(set(pool.lengths))", "for m in pool.lengths"),
+    ],
+    "state_embeds's shortcut blind to char != facts below the length": [
+        (SYNTH, "if not segments and not (char_neqs and char_neqs[0][0] < n):", "if not segments:"),
     ],
 }
 

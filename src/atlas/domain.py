@@ -255,21 +255,31 @@ def _index_runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 def best_abstraction(s: str, templates: Iterable[TemplateKind], pool: ConstantPool) -> StateLike:
     """Strongest conjunction expressible with the given templates that holds of ``s``, reduced.
 
-    The facts ``abstract`` gives, built straight into the fields: one run
-    per run of consecutive pool indices below ``len(s)``.  An inequality
+    The facts ``abstract`` gives, built straight into the fields in
+    ``state_of``'s sorted, distinct form, with no predicate object per
+    fact: the pool's lengths other than ``len(s)`` as ``len_neqs``, and a
+    walk over the runs of consecutive pool indices below ``len(s)`` for
+    the rest, one run of ``s`` per index run, or each index paired with
+    every pool character but the one ``s`` has there.  An inequality
     template adds no facts when its equality template is in the domain, as
     ``len = n`` implies each ``len != k`` and ``char i = c`` each ``char i
-    != c'`` (invariant reduced-leaves).  Never bottom.
+    != c'`` (invariant reduced-leaves).  Never bottom, and facts that all
+    hold of ``s`` need no contradiction check.
     """
     kinds, n = set(templates), len(s)
-    lengths = {(n,)} if LEN_EQ in kinds else ()
-    len_neqs = {(m,) for m in pool.lengths if m != n} if LEN_NEQ in kinds and not lengths else ()
-    segments, char_neqs = (), ()
+    length = n if LEN_EQ in kinds else None
+    len_neqs = segments = char_neqs = ()
+    if LEN_NEQ in kinds and length is None:
+        len_neqs = tuple([m for m in sorted(set(pool.lengths)) if m != n])
     if CHAR_EQ in kinds:
         segments = tuple((start, s[start:stop]) for start, stop in _index_runs(pool.indices) if start < n)
     elif CHAR_NEQ in kinds:
-        char_neqs = {p.args for p in abstract(s, CHAR_NEQ, pool)}
-    return state_of(lengths, len_neqs, segments, char_neqs)
+        chars = sorted(set(pool.chars))
+        known = [(i, ord(s[i])) for start, stop in _index_runs(pool.indices) for i in range(start, min(stop, n))]
+        char_neqs = tuple([(i, c) for i, known_c in known for c in chars if c != known_c])
+    if length is None and not (len_neqs or segments or char_neqs):
+        return _TOP_VALUE
+    return AbstractValue(length, len_neqs, segments, char_neqs)
 
 
 # ---------------------------------------------------------------------------

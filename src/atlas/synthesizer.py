@@ -198,7 +198,8 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
     Two exact states give their concatenation, and one beside an
     ``AbstractValue`` is widened (invariant exact-states).  An entry applies
     when the left state has a conjunct of its first input kind and the
-    right state one of its second (top is always present).  A copy passes
+    right state one of its second (top is always present); the right
+    state's are not listed when the left has none.  A copy passes
     the left runs through and the shift moves the right runs by the left
     ``length`` (invariant copy-or-shift); the left runs end by that length,
     so the two meet at most there, where they join.  The ``len =`` and
@@ -216,7 +217,10 @@ def apply_transformer(table: TransformerTable, arg_states: tuple[StateLike, Stat
         return BOTTOM
     derived = {LEN_EQ: set(), LEN_NEQ: set()}
     for k1, k2, outputs in table.affine:
-        for a1, a2 in product(left.args(k1), right.args(k2)):
+        left_args = left.args(k1)
+        if not left_args:
+            continue
+        for a1, a2 in product(left_args, right.args(k2)):
             vec = (*a1, *a2, 1)
             for kind, matrix in outputs:
                 derived[kind].add(tuple([sum(map(mul, row, vec)) for row in matrix]))
@@ -243,23 +247,31 @@ def state_embeds(state: StateLike, out: str) -> bool:
     run, keeps every character fact true (a ``char !=`` fact past the new
     end holds vacuously).  That smallest length ``n`` is ``length`` when
     known (a state is consistent), else the least one past every run that
-    no ``len !=`` fact forbids.  The offsets where the first run occurs
-    (``str.find``) are checked with ``startswith`` per other run and
-    against the ``char !=`` facts below ``n``.
+    no ``len !=`` fact forbids, found in one pass over the sorted
+    ``len_neqs``.  Without runs or ``char !=`` facts below ``n``, any
+    ``n`` characters of ``out`` do.  Else the offsets where the first run
+    occurs (``str.find``) are checked with ``startswith`` per other run
+    and against the ``char !=`` facts below ``n``.
     """
     if state.__class__ is str:
         return state in out
     if state is BOTTOM:
         return False
     length, len_neqs, segments, char_neqs = state
-    n = segments[-1][0] + len(segments[-1][1]) if segments else 0
-    while n in len_neqs:
-        n += 1
     if length is not None:
         n = length
+    else:
+        n = segments[-1][0] + len(segments[-1][1]) if segments else 0
+        for m in len_neqs:
+            if m > n:
+                break
+            if m == n:
+                n += 1
     last = len(out) - n
     if last < 0:
         return False
+    if not segments and not (char_neqs and char_neqs[0][0] < n):
+        return True
     neqs = [(i, chr(c)) for i, c in char_neqs if i < n]
     (first_at, first), rest = segments[0] if segments else (0, ""), segments[1:]
     stop = last + first_at + len(first)

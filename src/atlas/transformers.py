@@ -347,7 +347,8 @@ def generate_examples(
     sampled values.  Rows for a ``len !=`` output use a counterfactual
     pairing: the forbidden output length is the one the inputs' forbidden
     values would have produced, the forbidden length of a ``len !=`` input
-    and the length of any other.
+    and the length of any other.  A row is seen once: rows are keyed by
+    their constants alone, as each slot fixes the kinds of its predicates.
     """
     if chis not in FILLABLE.get(chi0, ()):
         raise EmptySlot(f"{inputs_text(chis)} -> {template_to_text(chi0)} cannot reach full rank")
@@ -374,10 +375,10 @@ def generate_examples(
             else:
                 outputs = _rotated(abstract(out_val, chi0, pool), OUTPUT_CAP, turn)
             for p0 in outputs:
-                row = (sel, p0)
-                if row in seen_rows:
+                constants = (sel[0].args, sel[1].args, p0.args)
+                if constants in seen_rows:
                     continue
-                seen_rows.add(row)
+                seen_rows.add(constants)
                 if not row_valid(sel, p0):
                     continue
                 reduced, pivot = _reduce(basis, [*_a_row(sel), *p0.args], n_cols)

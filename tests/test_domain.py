@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from atlas.domain import (
     AbstractValue,
@@ -194,11 +194,16 @@ class TestBestAbstraction:
     @given(
         st.text(alphabet="abz", max_size=8),
         st.sets(st.sampled_from(sorted(TemplateKind))),
-        st.lists(st.integers(0, 9), unique=True),
+        st.lists(st.integers(0, 9)),
+        st.lists(st.integers(0, 10)),
+        st.lists(st.sampled_from("abzq")),
     )
-    def test_is_the_conjunction_of_the_unimplied_facts(self, s, templates, indices):
-        # Indices with gaps, in any order, make one run per run of consecutive indices.
-        pool = ConstantPool(POOL.lengths, tuple(indices), tuple(map(ord, "abz")))
+    @example("ab", {LEN_NEQ, CHAR_NEQ}, [3, 1, 1, 0], [5, 0, 2, 0], ["z", "a", "z"])
+    def test_is_the_conjunction_of_the_unimplied_facts(self, s, templates, indices, lengths, chars):
+        # Indices with gaps, in any order, make one run per run of consecutive
+        # indices; pool constants in any order, repeated or not, give the
+        # sorted, distinct facts of ``state_of``'s form.
+        pool = ConstantPool(tuple(lengths), tuple(indices), tuple(map(ord, chars)))
         implied = {LEN_NEQ} if LEN_EQ in templates else set()
         implied |= {CHAR_NEQ} if CHAR_EQ in templates else set()
         facts = [p for t in templates - implied if t is not TOP for p in abstract(s, t, pool)]

@@ -280,9 +280,29 @@ class TestStateEmbeds:
 
 @st.composite
 def embed_states(draw):
-    """Random states for ``state_embeds``: pinned characters, maybe a
-    length, a run of ``len !=`` facts at or next to the shortest length the
-    pins allow, and ``char !=`` facts that may lie past it."""
+    """Random states for ``state_embeds``, of three shapes:
+
+    - pinned characters, maybe a length, a run of ``len !=`` facts at or
+      next to the shortest length the pins allow, and ``char !=`` facts
+      that may lie past it;
+    - a ``{len !=}`` leaf's facts, every pool length but its own, so a run
+      of ``len !=`` facts from 0, maybe with a leaf's ``char !=`` facts;
+    - no runs, and ``char !=`` facts only at or past the shortest length.
+    """
+    shape = draw(st.sampled_from(["pins", "len-neq-leaf", "no-runs"]))
+    if shape == "len-neq-leaf":
+        leaf = draw(st.text(alphabet="abc", max_size=13))
+        preds = [len_neq(n) for n in range(draw(st.integers(len(leaf), 17)) + 1) if n != len(leaf)]
+        if draw(st.booleans()):
+            preds += [char_neq(i, ord(c)) for i, ch in enumerate(leaf) for c in "abc" if c != ch]
+        return val(*preds)
+    if shape == "no-runs":
+        shortest = draw(st.integers(0, 8))
+        preds = [len_neq(n) for n in range(shortest)]
+        if draw(st.booleans()):
+            preds = [len_eq(shortest)]
+        neqs = draw(st.sets(st.tuples(st.integers(shortest, shortest + 4), st.sampled_from("abc")), max_size=4))
+        return val(*preds, *(char_neq(i, ord(c)) for i, c in neqs))
     pins = draw(st.dictionaries(st.integers(0, 5), st.sampled_from("abc"), max_size=3))
     preds = [char_eq(i, ord(c)) for i, c in pins.items()]
     if draw(st.booleans()):

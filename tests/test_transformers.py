@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -286,6 +287,22 @@ class TestGenerateExamples:
         assert len(tried) == len({args[-1] for args in tried}) == 100
         fillable = [args[-1] for args in tried if args[1] in FILLABLE.get(args[0], ())]
         assert derived == fillable and len(derived) == 9
+
+    # Per seed: the rows a train pass tests with ``row_valid``, and the
+    # first 16 hex digits of the sha256 of their text, one row a line.
+    SAMPLED_ROWS = {0: (294, "3ff034baf2f8ad42"), 1: (288, "4ece72eb3f40014c"), 705: (305, "0bd1ab451882cede")}
+
+    def test_training_tests_each_sampled_row_once(self, monkeypatch, training_problems):
+        # A change to how rows are sampled, rotated or deduped changes which
+        # rows T_T tests, even where the learned table stays the same.
+        calls = []
+        valid = transformers.row_valid
+        monkeypatch.setattr(transformers, "row_valid", lambda inputs, output: calls.append(f"{inputs[0]} {inputs[1]} -> {output}") or valid(inputs, output))
+        for seed, (count, digest) in self.SAMPLED_ROWS.items():
+            calls.clear()
+            learn_abstractions(training_problems, TrainConfig(seed=seed))
+            assert len(set(calls)) == len(calls) == count, seed
+            assert hashlib.sha256("\n".join(calls).encode()).hexdigest()[:16] == digest, seed
 
     def test_rows_are_sound_instances(self, monkeypatch):
         # Every row kept holds of every pair of small strings its inputs admit.
